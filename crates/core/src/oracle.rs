@@ -783,12 +783,11 @@ impl InfluenceOracle {
 
         let mut lens = Vec::with_capacity(self.num_vertices * 4);
         let mut ids = Vec::new();
-        for v in 0..self.num_vertices as u32 {
+        self.pool.sweep_postings(|_, list| {
             let before = ids.len();
-            self.pool
-                .for_each_posting_inline(v, |id| binio::put_u32(&mut ids, id));
+            list.for_each(|id| binio::put_u32(&mut ids, id));
             binio::put_u32(&mut lens, ((ids.len() - before) / 4) as u32);
-        }
+        });
         w.section(POOL_LEN_TAG, &lens);
         w.section(POOL_IDS_TAG, &ids);
         w.finish()
@@ -972,14 +971,14 @@ impl InfluenceOracle {
                 }
             });
         }
+        // The one whole-pool pass: swept, not point-read, so a tiered pool
+        // streams its cold region instead of issuing a read per vertex.
         let mut gains = Vec::with_capacity(self.num_vertices);
-        for v in 0..self.num_vertices as u32 {
+        self.pool.sweep_postings(|_, list| {
             let mut gain = 0u64;
-            self.pool.for_each_posting_inline(v, |id| {
-                gain += u64::from(!covered[id as usize]);
-            });
+            list.for_each(|id| gain += u64::from(!covered[id as usize]));
             gains.push(gain);
-        }
+        });
         (gains, covered_count)
     }
 
@@ -1001,11 +1000,11 @@ impl InfluenceOracle {
     /// model of Table 1.
     #[must_use]
     pub fn singleton_influences(&self) -> Vec<f64> {
-        (0..self.num_vertices as u32)
-            .map(|v| {
-                self.num_vertices as f64 * self.pool.posting_len(v) as f64 / self.pool_size as f64
-            })
-            .collect()
+        let mut influences = Vec::with_capacity(self.num_vertices);
+        self.pool.sweep_postings(|_, list| {
+            influences.push(self.num_vertices as f64 * list.len() as f64 / self.pool_size as f64);
+        });
+        influences
     }
 
     /// The top `count` vertices by singleton influence, with their estimates,
@@ -1053,21 +1052,20 @@ impl InfluenceOracle {
         let mut is_selected = vec![false; n];
         for _ in 0..k {
             let mut best: Option<(VertexId, usize)> = None;
-            for (v, &already) in is_selected.iter().enumerate() {
-                if already {
-                    continue;
+            self.pool.sweep_postings(|v, list| {
+                if is_selected[v as usize] {
+                    return;
                 }
                 let mut gain = 0usize;
-                self.pool.for_each_posting_inline(v as u32, |id| {
-                    gain += usize::from(!covered[id as usize]);
-                });
+                list.for_each(|id| gain += usize::from(!covered[id as usize]));
                 match best {
                     Some((_, best_gain)) if gain <= best_gain => {}
-                    _ => best = Some((v as VertexId, gain)),
+                    _ => best = Some((v, gain)),
                 }
-            }
+            });
             let Some((chosen, _)) = best else { break };
             is_selected[chosen as usize] = true;
+            // Random access to one list: the point read, not a sweep.
             self.pool.for_each_posting_inline(chosen, |id| {
                 if !covered[id as usize] {
                     covered[id as usize] = true;
@@ -1653,9 +1651,38 @@ mod tests {
         check_union(&single, &shards);
     }
 
+    /// Round-trip `oracle` through a `PCMP` payload file and demote it onto
+    /// that file, so its cold lists really are read back from disk. Returns
+    /// the file-backed oracle and the file to remove afterwards.
+    fn demote_to_file(
+        oracle: &InfluenceOracle,
+        hot_list_bytes: usize,
+        tag: &str,
+    ) -> (InfluenceOracle, std::path::PathBuf) {
+        let payload = oracle.encode_pcmp_payload(PoolLayout::Tiered);
+        let path = std::env::temp_dir().join(format!(
+            "im_core-cold-{tag}-{}-{:p}.pcmp",
+            std::process::id(),
+            &payload
+        ));
+        std::fs::write(&path, &payload).expect("write payload file");
+        let (mut cold, hint) = InfluenceOracle::from_pcmp_payload(&payload).expect("decode");
+        assert_eq!(hint, PoolLayout::Tiered);
+        if let (Some(seed), Some(offset)) = (oracle.incremental_base_seed(), oracle.set_id_offset())
+        {
+            cold.attach_incremental(seed, offset);
+        }
+        let file = std::sync::Arc::new(std::fs::File::open(&path).expect("open payload file"));
+        cold.attach_cold_pool_file(file, 0, TieredConfig { hot_list_bytes });
+        (cold, path)
+    }
+
     /// The load-bearing pool-store invariant: every layout answers every
     /// query byte-identically at every maintenance epoch — `to_bytes`,
-    /// estimates, coverage counts, gains, greedy selection and traces.
+    /// estimates, coverage counts, gains, greedy selection and traces. The
+    /// `cold` participant is genuinely file-backed, with hot and cold lists
+    /// side by side and, after the first delta, an overlay shadowing cold
+    /// lists.
     #[test]
     fn pool_layouts_are_byte_identical_at_every_epoch() {
         use imgraph::MutableInfluenceGraph;
@@ -1670,9 +1697,21 @@ mod tests {
         let mut raw = build(PoolLayout::Raw);
         let mut compressed = build(PoolLayout::Compressed);
         let mut tiered = build(PoolLayout::Tiered);
+        // The hub's posting list (~1200 ids) stays hot, the leaves' (~400
+        // ids each) and every trace go cold.
+        let (mut cold, cold_path) = demote_to_file(&compressed, 1_000, "epochs");
         assert_eq!(raw.pool_layout(), PoolLayout::Raw);
         assert_eq!(compressed.pool_layout(), PoolLayout::Compressed);
         assert_eq!(tiered.pool_layout(), PoolLayout::Tiered);
+        assert_eq!(cold.pool_layout(), PoolLayout::Tiered);
+        assert_eq!(tiered.pool().cold_reads(), (0, 0), "no file behind it");
+        let reads = |o: &InfluenceOracle| o.pool().cold_reads().0;
+        let before = reads(&cold);
+        let _ = cold.posting_list(0);
+        assert_eq!(reads(&cold), before, "hub list is pinned hot");
+        let _ = cold.posting_list(1);
+        assert_eq!(reads(&cold), before + 1, "leaf list is one cold read");
+        assert!(cold.pool_resident_bytes() < tiered.pool_resident_bytes());
 
         let deltas = [
             GraphDelta::InsertEdge {
@@ -1691,40 +1730,45 @@ mod tests {
             },
         ];
         let mut mutable = MutableInfluenceGraph::from_graph(&ig);
-        let check_epoch =
-            |raw: &InfluenceOracle, compressed: &InfluenceOracle, tiered: &InfluenceOracle| {
-                let bytes = raw.to_bytes();
-                assert_eq!(compressed.to_bytes(), bytes, "compressed to_bytes");
-                assert_eq!(tiered.to_bytes(), bytes, "tiered to_bytes");
-                let mut scratches = [raw.scratch(), compressed.scratch(), tiered.scratch()];
+        let check_epoch = |raw: &InfluenceOracle, others: [&InfluenceOracle; 3]| {
+            let bytes = raw.to_bytes();
+            let gains = raw.coverage_gains(&[0]);
+            let greedy = raw.greedy_seed_set(2);
+            let singletons = raw.singleton_influences();
+            for o in others {
+                let layout = o.pool_layout();
+                assert_eq!(o.to_bytes(), bytes, "{layout} to_bytes");
+                let mut scratch = o.scratch();
                 for seeds in [vec![0u32], vec![1, 4], vec![0, 1, 2, 3, 4]] {
                     let want = raw.estimate(&seeds);
-                    for (o, sc) in [compressed, tiered].into_iter().zip(&mut scratches[1..]) {
-                        assert_eq!(o.estimate(&seeds), want);
-                        assert_eq!(o.estimate_with(&seeds, sc), want);
-                    }
+                    assert_eq!(o.estimate(&seeds), want, "{layout}");
+                    assert_eq!(o.estimate_with(&seeds, &mut scratch), want, "{layout}");
                 }
-                assert_eq!(compressed.coverage_gains(&[0]), raw.coverage_gains(&[0]));
-                assert_eq!(tiered.coverage_gains(&[0]), raw.coverage_gains(&[0]));
-                assert_eq!(compressed.greedy_seed_set(2), raw.greedy_seed_set(2));
-                assert_eq!(tiered.greedy_seed_set(2), raw.greedy_seed_set(2));
+                assert_eq!(o.coverage_gains(&[0]), gains, "{layout}");
+                assert_eq!(o.greedy_seed_set(2), greedy, "{layout}");
+                assert_eq!(o.singleton_influences(), singletons, "{layout}");
                 for set_id in (0..2_000u32).step_by(97) {
-                    assert_eq!(compressed.trace(set_id), raw.trace(set_id));
-                    assert_eq!(tiered.trace(set_id), raw.trace(set_id));
+                    assert_eq!(o.trace(set_id), raw.trace(set_id), "{layout}");
                 }
-            };
-        check_epoch(&raw, &compressed, &tiered);
+            }
+        };
+        check_epoch(&raw, [&compressed, &tiered, &cold]);
         for delta in &deltas {
             mutable.apply(delta).unwrap();
             let after = mutable.materialize();
             let n_raw = raw.apply_delta(&after, delta).unwrap();
-            assert_eq!(compressed.apply_delta(&after, delta).unwrap(), n_raw);
-            assert_eq!(tiered.apply_delta(&after, delta).unwrap(), n_raw);
-            check_epoch(&raw, &compressed, &tiered);
+            for o in [&mut compressed, &mut tiered, &mut cold] {
+                assert_eq!(o.apply_delta(&after, delta).unwrap(), n_raw);
+            }
+            check_epoch(&raw, [&compressed, &tiered, &cold]);
         }
-        // Converting layouts after mutations still yields identical bytes.
+        // Converting layouts after mutations still yields identical bytes,
+        // from a file-backed pool with a live overlay too.
         compressed.convert_layout(PoolLayout::Raw);
         assert_eq!(compressed.to_bytes(), raw.to_bytes());
+        cold.convert_layout(PoolLayout::Raw);
+        assert_eq!(cold.to_bytes(), raw.to_bytes());
+        std::fs::remove_file(&cold_path).ok();
         // The compressed pool is the smaller one on this dense star pool.
         assert!(
             InfluenceOracle::builder(2_000)
@@ -1734,6 +1778,56 @@ mod tests {
                 .pool_resident_bytes()
                 < build(PoolLayout::Raw).pool_resident_bytes()
         );
+    }
+
+    /// A whole-pool pass over a file-backed pool streams: one
+    /// `coverage_gains` reads the postings data region exactly once, in
+    /// about `region bytes ÷ window` sequential reads — not one per vertex —
+    /// while an estimate still costs one read per cold seed list.
+    #[test]
+    fn a_cold_pass_streams_its_region_in_a_handful_of_reads() {
+        // impool's sweep window (a private constant there).
+        const WINDOW: u64 = 256 * 1024;
+        // 240k short lists: ~3 windows of encoded postings, none hot.
+        let n = 240_000usize;
+        let pool = 4_096u32;
+        let lists: Vec<Vec<u32>> = (0..n as u32)
+            .map(|v| match v % 3 {
+                0 => vec![v % pool],
+                1 => vec![v % 1_000, 1_000 + v % 3_000],
+                _ => vec![],
+            })
+            .collect();
+        let region_bytes: u64 = lists
+            .iter()
+            .map(|l| {
+                let mut buf = Vec::new();
+                impool::encode_list(l, &mut buf);
+                buf.len() as u64
+            })
+            .sum();
+        assert!(region_bytes > 2 * WINDOW, "fixture spans several windows");
+        let resident = InfluenceOracle::builder(pool as usize)
+            .assemble(n, lists)
+            .expect("valid lists");
+        let (cold, path) = demote_to_file(&resident, impool::DEFAULT_HOT_LIST_BYTES, "stream");
+
+        let before = cold.pool().cold_reads();
+        let gains = cold.coverage_gains(&[]);
+        let after = cold.pool().cold_reads();
+        assert_eq!(gains, resident.coverage_gains(&[]));
+        assert_eq!(after.1 - before.1, region_bytes, "each region byte once");
+        assert!(
+            after.0 - before.0 <= region_bytes.div_ceil(WINDOW) + 1,
+            "{} reads for {region_bytes} bytes",
+            after.0 - before.0
+        );
+
+        // Random access is untouched: one read per cold list named.
+        let before = cold.pool().cold_reads().0;
+        assert_eq!(cold.estimate(&[0, 1, 3]), resident.estimate(&[0, 1, 3]));
+        assert_eq!(cold.pool().cold_reads().0 - before, 3);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Cross-layout equivalence — the fifth load-bearing invariant.
 //!
 //! The pool store's three physical layouts (raw, delta-varint compressed,
-//! memory-tiered) are storage decisions, never semantic ones: for random
+//! memory-tiered — resident, and genuinely demoted onto a file with hot and
+//! cold lists side by side) are storage decisions, never semantic ones: for random
 //! graphs and random atomic mutation batches, oracles maintained under each
 //! layout must stay **byte-identical** in `to_bytes`, bit-identical in every
 //! estimate, and identical in both `TopK` algorithms at *every* epoch. This
@@ -12,9 +13,9 @@
 //! conversion.
 
 use im_core::sampler::Backend;
-use im_core::PoolLayout;
+use im_core::{InfluenceOracle, PoolLayout, TieredConfig};
 use imdyn::{workload, DynamicOracle};
-use imgraph::{DiGraph, InfluenceGraph, MutableInfluenceGraph};
+use imgraph::{DeltaLog, DiGraph, InfluenceGraph, MutableInfluenceGraph};
 use imrand::Pcg32;
 use proptest::prelude::*;
 
@@ -35,6 +36,42 @@ fn arb_influence_graph() -> impl Strategy<Value = InfluenceGraph> {
                 })
         })
     })
+}
+
+/// A `PCMP` payload file that is removed when the case ends, pass or fail.
+struct PayloadFile(std::path::PathBuf);
+
+impl Drop for PayloadFile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+/// The file-backed participant: `source`'s pool round-tripped through a
+/// `PCMP` payload file and demoted onto it, so cold lists are read back from
+/// disk. Lists of at least `hot_list_bytes` encoded bytes stay pinned — on
+/// these small pools a threshold of a few bytes leaves both kinds present.
+fn demoted_onto_file(
+    source: &DynamicOracle,
+    hot_list_bytes: usize,
+) -> (DynamicOracle, PayloadFile) {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let payload = source.oracle().encode_pcmp_payload(PoolLayout::Tiered);
+    let path = std::env::temp_dir().join(format!(
+        "imdyn-layout-cold-{}-{}.pcmp",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    std::fs::write(&path, &payload).expect("write payload file");
+    let guard = PayloadFile(path);
+    let (mut oracle, hint) = InfluenceOracle::from_pcmp_payload(&payload).expect("own payload");
+    assert_eq!(hint, PoolLayout::Tiered);
+    oracle.attach_incremental(source.base_seed(), 0);
+    let file = std::sync::Arc::new(std::fs::File::open(&guard.0).expect("open payload file"));
+    oracle.attach_cold_pool_file(file, 0, TieredConfig { hot_list_bytes });
+    let cold = DynamicOracle::from_parts(source.graph().clone(), oracle, DeltaLog::new(), 0)
+        .expect("incremental oracle over the same graph");
+    (cold, guard)
 }
 
 /// Every layout answers exactly like the raw reference: serialized pool,
@@ -76,6 +113,18 @@ fn assert_layouts_agree(
             (reference_seeds.clone(), reference_spread.to_bits()),
             "{layout} greedy top-k diverged {context}"
         );
+        prop_assert_eq!(
+            other.oracle().coverage_gains(&reference_seeds[..1]),
+            raw.oracle().coverage_gains(&reference_seeds[..1]),
+            "{layout} coverage gains diverged {context}"
+        );
+        for set in 0..raw.pool_size() as u32 {
+            prop_assert_eq!(
+                other.oracle().trace(set),
+                raw.oracle().trace(set),
+                "{layout} trace({set}) diverged {context}"
+            );
+        }
         let rank = other.oracle().top_influential_vertices(k);
         prop_assert_eq!(rank.len(), reference_rank.len());
         for (got, want) in rank.iter().zip(&reference_rank) {
@@ -99,16 +148,21 @@ proptest! {
         base_seed in 0u64..1_000,
         workload_seed in 0u64..1_000,
         batches in proptest::collection::vec(1usize..4, 0..4),
+        hot_list_bytes in 2usize..8,
     ) {
         let raw = DynamicOracle::build(graph.clone(), pool, base_seed, Backend::Sequential);
         let mut compressed = raw.clone();
         compressed.convert_pool_layout(PoolLayout::Compressed);
         let mut tiered = raw.clone();
         tiered.convert_pool_layout(PoolLayout::Tiered);
+        let (mut cold, _payload_file) = demoted_onto_file(&raw, hot_list_bytes);
         let mut raw = raw;
         prop_assert_eq!(compressed.oracle().pool_layout(), PoolLayout::Compressed);
         prop_assert_eq!(tiered.oracle().pool_layout(), PoolLayout::Tiered);
-        assert_layouts_agree(&raw, &[&compressed, &tiered], "after conversion")?;
+        prop_assert_eq!(cold.oracle().pool_layout(), PoolLayout::Tiered);
+        assert_layouts_agree(&raw, &[&compressed, &tiered, &cold], "after conversion")?;
+        prop_assert_eq!(tiered.oracle().pool().cold_reads(), (0, 0));
+        prop_assert!(cold.oracle().pool().cold_reads().0 > 0, "answers came off the file");
 
         let mut rng = Pcg32::seed_from_u64(workload_seed);
         for (step, batch_len) in batches.into_iter().enumerate() {
@@ -118,6 +172,8 @@ proptest! {
             raw.apply_batch(&deltas).expect("workload deltas are valid");
             compressed.apply_batch(&deltas).expect("workload deltas are valid");
             tiered.apply_batch(&deltas).expect("workload deltas are valid");
+            // On the file-backed pool the overlay now shadows cold lists.
+            cold.apply_batch(&deltas).expect("workload deltas are valid");
             // The conversion must stick across mutations …
             prop_assert_eq!(compressed.oracle().pool_layout(), PoolLayout::Compressed);
             prop_assert_eq!(tiered.oracle().pool_layout(), PoolLayout::Tiered);
@@ -125,7 +181,7 @@ proptest! {
             // still match a from-scratch rebuild.
             assert_layouts_agree(
                 &raw,
-                &[&compressed, &tiered],
+                &[&compressed, &tiered, &cold],
                 &format!("at epoch {}", step + 1),
             )?;
             prop_assert!(raw.matches_rebuild());

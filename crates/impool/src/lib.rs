@@ -19,6 +19,14 @@
 //!   skip headers, the hot lists and the mutation overlay stay resident, so
 //!   a served index can exceed RAM.
 //!
+//! Callers reach a pool in one of two shapes and the code picks the path by
+//! which one they use: **random access** to single lists
+//! ([`Pool::for_each_posting_inline`], [`Pool::postings`], [`Pool::trace`],
+//! [`Pool::replace_set`] — on a tiered pool one `pread` per cold list), or an
+//! **ordered pass** over every list ([`Pool::sweep_postings`],
+//! [`Pool::sweep_traces`] — on a tiered pool a handful of sequential reads
+//! per pass, however many lists there are).
+//!
 //! Every backend answers every query with **identical results in identical
 //! order** — the oracle layered on top stays byte-identical across layouts,
 //! which is what the cross-layout equivalence suite pins.
@@ -42,7 +50,7 @@ pub use codec::{
     decode_list, encode_list, list_len, read_varint, scan_list, write_varint, PoolCodecError,
     SkipEntry, BLOCK_IDS,
 };
-pub use packed::{PackedPool, TieredConfig, DEFAULT_HOT_LIST_BYTES};
+pub use packed::{ListRef, PackedPool, TieredConfig, DEFAULT_HOT_LIST_BYTES};
 pub use pcmp::{decode_pcmp_payload, fnv1a64, PCMP_CODEC_VERSION};
 pub use raw::RawPool;
 
@@ -253,6 +261,69 @@ impl Pool {
         }
     }
 
+    /// Visit every posting list, vertices `0..num_vertices` in order, ids
+    /// increasing — the sequence `for_each_posting_inline(0)`, `(1)`, …
+    /// yields, dispatched on layout once per pass instead of once per list.
+    /// On a tiered pool the cold region streams through one buffer in a few
+    /// sequential reads, so whole-pool passes (coverage gains, greedy rounds,
+    /// export) belong here and random access belongs on the per-list
+    /// visitors.
+    #[inline]
+    pub fn sweep_postings(&self, mut f: impl FnMut(u32, ListRef<'_>)) {
+        match self {
+            Pool::Raw(p) => {
+                for (v, list) in p.posting_table().iter().enumerate() {
+                    f(v as u32, ListRef::Plain(list));
+                }
+            }
+            Pool::Compressed(p) | Pool::Tiered(p) => p.postings.sweep(f),
+        }
+    }
+
+    /// Visit every RR set's sorted member trace, sets `0..pool_size` in
+    /// order (the trace-side twin of [`Pool::sweep_postings`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool carries no traces.
+    pub fn sweep_traces(&self, mut f: impl FnMut(u32, ListRef<'_>)) {
+        match self {
+            Pool::Raw(p) => {
+                for (set, trace) in p.trace_table().iter().enumerate() {
+                    f(set as u32, ListRef::Plain(trace));
+                }
+            }
+            Pool::Compressed(p) | Pool::Tiered(p) => p
+                .traces
+                .as_ref()
+                .expect("compressed pool has no traces")
+                .sweep(f),
+        }
+    }
+
+    /// [`Pool::sweep_postings`] with the cold read window set by the caller.
+    /// Test hook: lets a small pool have lists that straddle, fill and
+    /// exceed a window. The window used everywhere else is a private
+    /// constant.
+    #[doc(hidden)]
+    pub fn sweep_postings_windowed(&self, window: usize, f: impl FnMut(u32, ListRef<'_>)) {
+        match self {
+            Pool::Raw(_) => self.sweep_postings(f),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.postings.sweep_windowed(window, f),
+        }
+    }
+
+    /// Lifetime `(reads, bytes)` this pool's cold backing file has served —
+    /// every point read and every sweep window, both directions, shared by
+    /// clones. `(0, 0)` for a pool with no cold region.
+    #[must_use]
+    pub fn cold_reads(&self) -> (u64, u64) {
+        match self {
+            Pool::Tiered(p) => p.cold_reads(),
+            Pool::Raw(_) | Pool::Compressed(_) => (0, 0),
+        }
+    }
+
     /// Whether the pool carries per-set member traces.
     #[must_use]
     pub fn has_traces(&self) -> bool {
@@ -291,14 +362,12 @@ impl Pool {
     /// canonical form persistence and conversion work from).
     #[must_use]
     pub fn to_raw_lists(&self) -> (Vec<Vec<u32>>, Option<Vec<Vec<u32>>>) {
-        let store = self.store();
-        let postings = (0..store.num_vertices() as u32)
-            .map(|v| store.postings(v))
-            .collect();
-        let traces = store.has_traces().then(|| {
-            (0..store.pool_size() as u32)
-                .map(|s| store.trace(s))
-                .collect()
+        let mut postings = Vec::with_capacity(self.num_vertices());
+        self.sweep_postings(|_, ids| postings.push(ids.to_vec()));
+        let traces = self.has_traces().then(|| {
+            let mut traces = Vec::with_capacity(self.pool_size());
+            self.sweep_traces(|_, members| traces.push(members.to_vec()));
+            traces
         });
         (postings, traces)
     }

@@ -13,13 +13,26 @@
 //! The data region is either fully resident ([`Region::Resident`]) or cold
 //! in a backing file ([`Region::Cold`]) with only lists at or above the hot
 //! threshold pinned in memory. Directory, skip headers and overlay are
-//! always resident — they are what makes a cold scan one `pread`, not a
-//! search.
+//! always resident, and they give a cold region two access shapes, chosen by
+//! what the caller does:
+//!
+//! * a **point read** ([`SegmentStore::scan`], `len_of`, `list`, `edit` —
+//!   estimates, `trace`, `replace_set`) is one `pread` of exactly that
+//!   list's bytes, not a search: the directory says where they are;
+//! * a **pass** over every list in index order ([`SegmentStore::sweep`] —
+//!   coverage gains, greedy rounds, trace inversion, export, re-encode)
+//!   walks the directory and streams the data region through one reused
+//!   buffer in list-aligned windows of [`SWEEP_WINDOW_BYTES`], so it costs a
+//!   handful of sequential reads — it pays for the bytes it decodes, not
+//!   for the number of lists it visits.
+//!
+//! Both shapes are overlay-aware and yield the same ids in the same order.
 
 use crate::codec::{encode_list, list_len, scan_list, SkipEntry};
 use crate::{PoolLayout, PoolStore};
 use rustc_hash::FxHashMap;
 use std::fs::File;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default hot-list threshold: encoded lists of at least this many bytes
@@ -43,24 +56,128 @@ impl Default for TieredConfig {
     }
 }
 
+/// Bytes a cold sweep reads per window. Large enough that a pass over a
+/// region is a handful of sequential reads, small enough that the transient
+/// buffer does not show against the resident directory.
+const SWEEP_WINDOW_BYTES: usize = 256 * 1024;
+
+/// Cold point reads of at most this many bytes land in a stack buffer (the
+/// median posting list under a power-law degree distribution is a few
+/// bytes); longer lists take a heap buffer.
+const INLINE_READ_BYTES: usize = 64;
+
 /// Read `buf.len()` bytes at `offset` without moving a shared cursor.
 #[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) {
+fn pread_exact(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     use std::os::unix::fs::FileExt;
     file.read_exact_at(buf, offset)
-        .expect("cold pool segment read failed: backing index file unreadable");
 }
 
 /// Portable fallback: serialize seek+read on the shared handle.
 #[cfg(not(unix))]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) {
+fn pread_exact(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     use std::io::{Read, Seek, SeekFrom};
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut f = file;
-    f.seek(SeekFrom::Start(offset))
-        .and_then(|_| f.read_exact(buf))
-        .expect("cold pool segment read failed: backing index file unreadable");
+    f.seek(SeekFrom::Start(offset))?;
+    f.read_exact(buf)
+}
+
+/// The backing file of a cold region plus its read counters. One instance is
+/// shared by both directions of a pool and by every clone, so the counters
+/// are the file's, not a snapshot's.
+#[derive(Debug)]
+pub(crate) struct ColdFile {
+    file: Arc<File>,
+    reads: AtomicU64,
+    bytes: AtomicU64,
+}
+
+impl ColdFile {
+    pub(crate) fn new(file: Arc<File>) -> Arc<Self> {
+        Arc::new(ColdFile {
+            file,
+            reads: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        })
+    }
+
+    /// The one place cold bytes enter the process.
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) {
+        pread_exact(&self.file, buf, offset)
+            .expect("cold pool segment read failed: backing index file unreadable");
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Lifetime `(reads, bytes)` served from this file.
+    fn counts(&self) -> (u64, u64) {
+        (
+            self.reads.load(Ordering::Relaxed),
+            self.bytes.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// One list as a pass hands it to its visitor: materialized ids (raw pools
+/// and overlaid lists) or the delta-varint encoding, decoded on the fly.
+#[derive(Debug, Clone, Copy)]
+pub enum ListRef<'a> {
+    /// Plain ids, strictly increasing.
+    Plain(&'a [u32]),
+    /// One validated [`crate::encode_list`] encoding.
+    Encoded(&'a [u8]),
+}
+
+impl ListRef<'_> {
+    /// Visit the ids in increasing order.
+    #[inline]
+    pub fn for_each(self, mut f: impl FnMut(u32)) {
+        match self {
+            ListRef::Plain(ids) => {
+                for &id in ids {
+                    f(id);
+                }
+            }
+            ListRef::Encoded(bytes) => {
+                let mut pos = 0;
+                scan_list(bytes, &mut pos, f).expect("validated pool bytes failed to decode");
+            }
+        }
+    }
+
+    /// Number of ids, without decoding them.
+    #[inline]
+    #[must_use]
+    pub fn len(self) -> usize {
+        match self {
+            ListRef::Plain(ids) => ids.len(),
+            ListRef::Encoded(bytes) => {
+                list_len(bytes).expect("validated pool bytes failed to decode")
+            }
+        }
+    }
+
+    /// Whether the list holds no ids.
+    #[inline]
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Materialize the ids.
+    #[must_use]
+    pub fn to_vec(self) -> Vec<u32> {
+        match self {
+            ListRef::Plain(ids) => ids.to_vec(),
+            ListRef::Encoded(_) => {
+                let mut out = Vec::with_capacity(self.len());
+                self.for_each(|id| out.push(id));
+                out
+            }
+        }
+    }
 }
 
 /// Where a store's encoded data region lives.
@@ -71,7 +188,7 @@ pub(crate) enum Region {
     /// The data region lives in a backing file at absolute offset `base`;
     /// only the `hot` lists are pinned resident.
     Cold {
-        file: Arc<File>,
+        file: Arc<ColdFile>,
         base: u64,
         hot: Arc<FxHashMap<u32, Box<[u8]>>>,
     },
@@ -135,29 +252,83 @@ impl SegmentStore {
             Region::Resident(data) => f(&data[a..b]),
             Region::Cold { file, base, hot } => {
                 if let Some(bytes) = hot.get(&i) {
-                    f(bytes)
-                } else {
-                    let mut buf = vec![0u8; b - a];
-                    read_exact_at(file, &mut buf, base + a as u64);
-                    f(&buf)
+                    return f(bytes);
                 }
+                let mut inline = [0u8; INLINE_READ_BYTES];
+                let mut spilled;
+                let buf = if b - a <= INLINE_READ_BYTES {
+                    &mut inline[..b - a]
+                } else {
+                    spilled = vec![0u8; b - a];
+                    &mut spilled[..]
+                };
+                file.read_exact_at(buf, base + a as u64);
+                f(buf)
             }
         }
     }
 
-    /// Visit list `i` in increasing id order (overlay-aware).
+    /// Visit list `i` in increasing id order (overlay-aware). The point
+    /// read: on a cold region, one `pread` of this list alone.
     #[inline]
     pub(crate) fn scan(&self, i: u32, f: &mut (impl FnMut(u32) + ?Sized)) {
-        if let Some(list) = self.overlay.get(&i) {
-            for &id in list {
-                f(id);
-            }
-            return;
+        match self.overlay.get(&i) {
+            Some(list) => ListRef::Plain(list).for_each(f),
+            None => self.with_bytes(i, |bytes| ListRef::Encoded(bytes).for_each(f)),
         }
-        self.with_bytes(i, |bytes| {
-            let mut pos = 0;
-            scan_list(bytes, &mut pos, f).expect("validated pool bytes failed to decode");
-        });
+    }
+
+    /// Visit every list in index order (overlay-aware) — the same sequence
+    /// as `scan(0)`, `scan(1)`, … but, on a cold region, streamed through
+    /// one buffer in a handful of sequential reads instead of one `pread`
+    /// per list. Hot copies are ignored: the window holds their bytes too.
+    #[inline]
+    pub(crate) fn sweep(&self, f: impl FnMut(u32, ListRef<'_>)) {
+        self.sweep_windowed(SWEEP_WINDOW_BYTES, f);
+    }
+
+    /// [`SegmentStore::sweep`] with an explicit window size, for tests that
+    /// need lists to straddle, fill and exceed a window.
+    ///
+    /// Windows are list-aligned: each covers the longest run of whole lists
+    /// fitting `window` bytes, and a list longer than the window is read
+    /// alone, so the buffer never exceeds `max(window, longest list)` bytes
+    /// and no read leaves `offsets[0]..offsets[count]`.
+    pub(crate) fn sweep_windowed(&self, window: usize, mut f: impl FnMut(u32, ListRef<'_>)) {
+        let offsets = &self.offsets[..];
+        let count = self.count();
+        let mut visit = |i: usize, bytes: &[u8]| match self.overlay.get(&(i as u32)) {
+            Some(list) => f(i as u32, ListRef::Plain(list)),
+            None => f(i as u32, ListRef::Encoded(bytes)),
+        };
+        match &self.region {
+            Region::Resident(data) => {
+                for i in 0..count {
+                    visit(i, &data[offsets[i] as usize..offsets[i + 1] as usize]);
+                }
+            }
+            Region::Cold { file, base, .. } => {
+                let mut buf = Vec::new();
+                let mut next = 0;
+                while next < count {
+                    let start = offsets[next] as usize;
+                    let fit = offsets[next..].partition_point(|&o| o as usize - start <= window);
+                    // `fit` counts boundaries inside the window, `next`'s own
+                    // included: `fit - 1` whole lists fit, and at least one
+                    // list is taken however long it is.
+                    let end = next + (fit - 1).max(1);
+                    buf.resize(offsets[end] as usize - start, 0);
+                    file.read_exact_at(&mut buf, base + start as u64);
+                    for i in next..end {
+                        visit(
+                            i,
+                            &buf[offsets[i] as usize - start..offsets[i + 1] as usize - start],
+                        );
+                    }
+                    next = end;
+                }
+            }
+        }
     }
 
     /// Length of list `i` without scanning it. For cold non-hot lists this
@@ -177,7 +348,7 @@ impl SegmentStore {
                 } else {
                     let n = (b - a).min(5);
                     let mut buf = [0u8; 5];
-                    read_exact_at(file, &mut buf[..n], base + a as u64);
+                    file.read_exact_at(&mut buf[..n], base + a as u64);
                     list_len(&buf[..n]).expect("validated pool bytes failed to decode")
                 }
             }
@@ -207,7 +378,7 @@ impl SegmentStore {
     /// Demote the data region to `file` at absolute offset `base`, pinning
     /// lists of at least `hot_list_bytes` encoded bytes. No-op if already
     /// cold.
-    pub(crate) fn attach_cold(&mut self, file: Arc<File>, base: u64, hot_list_bytes: usize) {
+    pub(crate) fn attach_cold(&mut self, file: Arc<ColdFile>, base: u64, hot_list_bytes: usize) {
         let Region::Resident(data) = &self.region else {
             return;
         };
@@ -328,12 +499,23 @@ impl PackedPool {
         payload_offset: u64,
         config: TieredConfig,
     ) {
+        let file = ColdFile::new(file);
         if let Some(off) = self.postings_data_off {
             self.postings
                 .attach_cold(file.clone(), payload_offset + off, config.hot_list_bytes);
         }
         if let (Some(traces), Some(off)) = (&mut self.traces, self.traces_data_off) {
             traces.attach_cold(file, payload_offset + off, config.hot_list_bytes);
+        }
+    }
+
+    /// Lifetime `(reads, bytes)` served from the cold backing file, both
+    /// directions (traces share the postings' file) and every clone
+    /// together; zeros while fully resident.
+    pub(crate) fn cold_reads(&self) -> (u64, u64) {
+        match &self.postings.region {
+            Region::Cold { file, .. } => file.counts(),
+            Region::Resident(_) => (0, 0),
         }
     }
 }
@@ -409,11 +591,9 @@ impl PoolStore for PackedPool {
             return;
         }
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); self.pool_size];
-        for v in 0..self.num_vertices as u32 {
-            self.postings
-                .scan(v, &mut |set| lists[set as usize].push(v));
-        }
-        // Postings walked in increasing v, so each trace is already sorted.
+        self.postings
+            .sweep(|v, sets| sets.for_each(|set| lists[set as usize].push(v)));
+        // Postings swept in increasing v, so each trace is already sorted.
         self.traces = Some(SegmentStore::from_lists(&lists));
         self.traces_data_off = None;
     }
@@ -484,7 +664,7 @@ mod tests {
         }
         let file = std::fs::File::open(&path).expect("open temp file");
         // Threshold of 16 bytes: list 0 (~400 varints) stays hot, the rest go cold.
-        store.attach_cold(Arc::new(file), prefix as u64, 16);
+        store.attach_cold(ColdFile::new(Arc::new(file)), prefix as u64, 16);
         let Region::Cold { hot, .. } = &store.region else {
             panic!("expected cold region")
         };
@@ -535,7 +715,7 @@ mod tests {
         ));
         std::fs::write(&path, data.as_slice()).expect("write temp file");
         let file = std::fs::File::open(&path).expect("open temp file");
-        store.attach_cold(Arc::new(file), 0, usize::MAX);
+        store.attach_cold(ColdFile::new(Arc::new(file)), 0, usize::MAX);
         assert!(
             store.resident_bytes() * 2 < resident,
             "cold {} vs resident {resident}",

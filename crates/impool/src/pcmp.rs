@@ -103,39 +103,32 @@ pub(crate) fn encode(pool: &PackedPool, hint: PoolLayout) -> Vec<u8> {
     put_u64(&mut out, pool.num_vertices as u64);
     put_u64(&mut out, pool.pool_size as u64);
     out.push(u8::from(pool.has_traces()));
-    encode_segment(&mut out, pool.num_vertices, &|v, f| {
-        pool.scan_postings(v, &mut |id| f(id));
-    });
-    if pool.has_traces() {
-        encode_segment(&mut out, pool.pool_size, &|s, f| {
-            pool.scan_trace(s, &mut |id| f(id));
-        });
+    encode_segment(&mut out, &pool.postings);
+    if let Some(traces) = &pool.traces {
+        encode_segment(&mut out, traces);
     }
     let checksum = fnv1a64(&out);
     put_u64(&mut out, checksum);
     out
 }
 
-/// A list visitor: called with a list index and a sink for that list's ids.
-type ListScan<'a> = &'a dyn Fn(u32, &mut dyn FnMut(u32));
-
-/// Encode one direction by materializing each list through `scan` and
-/// re-encoding it fresh (canonicalizes any overlay).
-fn encode_segment(out: &mut Vec<u8>, count: usize, scan: ListScan) {
+/// Encode one direction by materializing each list in one sweep of `store`
+/// and re-encoding it fresh (canonicalizes any overlay).
+fn encode_segment(out: &mut Vec<u8>, store: &SegmentStore) {
     let mut data = Vec::new();
-    let mut offsets: Vec<u32> = Vec::with_capacity(count + 1);
+    let mut offsets: Vec<u32> = Vec::with_capacity(store.count() + 1);
     offsets.push(0);
     let mut skip_dir: Vec<(u32, Vec<SkipEntry>)> = Vec::new();
     let mut scratch = Vec::new();
-    for i in 0..count as u32 {
+    store.sweep(|i, ids| {
         scratch.clear();
-        scan(i, &mut |id| scratch.push(id));
+        ids.for_each(|id| scratch.push(id));
         let entries = crate::codec::encode_list(&scratch, &mut data);
         if entries.len() > 1 {
             skip_dir.push((i, entries));
         }
         offsets.push(u32::try_from(data.len()).expect("pool segment data exceeds 4 GiB"));
-    }
+    });
     put_u64(out, offsets.len() as u64);
     for off in &offsets {
         put_u32(out, *off);

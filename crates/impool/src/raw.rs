@@ -48,6 +48,20 @@ impl RawPool {
         &self.postings[v as usize]
     }
 
+    /// Every posting list, in vertex order (what a pass iterates).
+    pub(crate) fn posting_table(&self) -> &[Vec<u32>] {
+        &self.postings
+    }
+
+    /// Every trace, in set order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store carries no traces.
+    pub(crate) fn trace_table(&self) -> &[Vec<u32>] {
+        self.traces.as_ref().expect("raw pool has no traces")
+    }
+
     /// Borrow RR set `set`'s trace (raw-only zero-cost accessor).
     ///
     /// # Panics
@@ -56,8 +70,7 @@ impl RawPool {
     #[inline]
     #[must_use]
     pub fn trace_slice(&self, set: u32) -> &[u32] {
-        let traces = self.traces.as_ref().expect("raw pool has no traces");
-        &traces[set as usize]
+        &self.trace_table()[set as usize]
     }
 }
 

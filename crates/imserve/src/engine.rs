@@ -584,6 +584,8 @@ impl QueryEngine {
             .snapshot_epoch
             .set(state.dynamic.snapshot_epoch() as i64);
         self.obs.pool_size.set(state.dynamic.pool_size() as i64);
+        let (reads, bytes) = state.dynamic.oracle().pool().cold_reads();
+        self.obs.mirror_pool_cold_reads(reads, bytes);
         state
             .dynamic
             .stats()

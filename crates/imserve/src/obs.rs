@@ -163,6 +163,14 @@ pub struct ServingMetrics {
     pub snapshot_epoch: Arc<Gauge>,
     /// RR sets in the served pool (mirrored at snapshot time).
     pub pool_size: Arc<Gauge>,
+    /// Reads the pool store issued against its cold backing file — point
+    /// reads and sweep windows alike (mirrored at snapshot time from
+    /// [`im_core::Pool::cold_reads`]; stays 0 for raw and compressed pools).
+    pub pool_cold_reads: Arc<Counter>,
+    /// Bytes those reads returned (mirrored at snapshot time).
+    pub pool_cold_read_bytes: Arc<Counter>,
+    /// The pool's own `(reads, bytes)` at the last mirror.
+    pool_cold_seen: Mutex<(u64, u64)>,
     /// Seconds this process has served (mirrored at snapshot time).
     pub uptime_seconds: Arc<Gauge>,
 
@@ -313,6 +321,15 @@ impl ServingMetrics {
                 "Snapshot watermark epoch (last compaction).",
             ),
             pool_size: registry.gauge("imserve_pool_size", "RR sets in the served pool."),
+            pool_cold_reads: registry.counter(
+                "imserve_pool_cold_reads_total",
+                "Reads the pool store issued against its cold backing file.",
+            ),
+            pool_cold_read_bytes: registry.counter(
+                "imserve_pool_cold_read_bytes_total",
+                "Bytes the pool store read from its cold backing file.",
+            ),
+            pool_cold_seen: Mutex::new((0, 0)),
             uptime_seconds: registry.gauge(
                 "imserve_uptime_seconds",
                 "Seconds this serving process has been up.",
@@ -384,6 +401,19 @@ impl ServingMetrics {
                 "Incremental-maintenance counters mirrored from the dynamic oracle.",
             )
             .set(value as i64);
+    }
+
+    /// Mirror the served pool's lifetime cold-read counts into the two
+    /// `imserve_pool_cold_*_total` counters. Called at snapshot time. The
+    /// pool owns the running totals; a total below the last one seen is a
+    /// fresh pool (hot-swapped by `reload`), whose reads all count.
+    pub fn mirror_pool_cold_reads(&self, reads: u64, bytes: u64) {
+        let mut seen = self.pool_cold_seen.lock().expect("cold-read mirror lock");
+        self.pool_cold_reads
+            .add(reads.checked_sub(seen.0).unwrap_or(reads));
+        self.pool_cold_read_bytes
+            .add(bytes.checked_sub(seen.1).unwrap_or(bytes));
+        *seen = (reads, bytes);
     }
 
     /// Lifetime request counts split by type (the `ServiceStats` view).
@@ -682,6 +712,19 @@ mod tests {
         assert_eq!(counts.top_k, 1);
         assert_eq!(counts.stats, 1);
         assert_eq!(counts.total(), 5);
+    }
+
+    #[test]
+    fn cold_read_mirror_adds_deltas_and_survives_a_pool_swap() {
+        let m = ServingMetrics::with_defaults();
+        m.mirror_pool_cold_reads(10, 100);
+        m.mirror_pool_cold_reads(15, 160);
+        assert_eq!(m.pool_cold_reads.get(), 15);
+        assert_eq!(m.pool_cold_read_bytes.get(), 160);
+        // A reloaded index starts a fresh pool whose totals restart at zero.
+        m.mirror_pool_cold_reads(3, 30);
+        assert_eq!(m.pool_cold_reads.get(), 18);
+        assert_eq!(m.pool_cold_read_bytes.get(), 190);
     }
 
     #[test]

@@ -95,6 +95,59 @@ fn metrics_request_and_scrape_endpoint_reflect_served_traffic() {
     handle.shutdown();
 }
 
+/// The pool store's first metric families: a tiered engine counts the reads
+/// and bytes it takes from its cold file, on `/metrics` and in the typed
+/// `Metrics` reply alike; a fully resident engine registers the same
+/// families and leaves them at zero.
+#[test]
+fn cold_pool_reads_are_counted_and_published() {
+    use im_core::PoolLayout;
+
+    let raw = build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap();
+    let mut tiered = raw.clone();
+    tiered.convert_pool_layout(PoolLayout::Tiered);
+    let path =
+        std::env::temp_dir().join(format!("imserve-cold-metrics-{}.imx", std::process::id()));
+    tiered.save(path.to_str().unwrap()).unwrap();
+    let loaded = IndexArtifact::load(path.to_str().unwrap()).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(loaded.pool_layout(), PoolLayout::Tiered);
+
+    let resident = observed_engine(raw);
+    let mut local = imserve::LocalService::new(Arc::clone(&resident));
+    local.top_k(2, TopKAlgorithm::Greedy).unwrap();
+    let report = resident.metrics_report();
+    assert_eq!(report.counter("imserve_pool_cold_reads_total"), 0);
+    assert_eq!(report.counter("imserve_pool_cold_read_bytes_total"), 0);
+    assert!(resident
+        .render_metrics()
+        .contains("# TYPE imserve_pool_cold_reads_total counter"));
+
+    let cold = observed_engine(loaded);
+    let mut local = imserve::LocalService::new(Arc::clone(&cold));
+    // A pass (greedy rounds sweep the cold region) ...
+    local.top_k(2, TopKAlgorithm::Greedy).unwrap();
+    let after_pass = cold.metrics_report();
+    let pass_reads = after_pass.counter("imserve_pool_cold_reads_total");
+    let pass_bytes = after_pass.counter("imserve_pool_cold_read_bytes_total");
+    assert!(pass_reads > 0 && pass_bytes >= pass_reads);
+    // ... and point reads (one per cold seed list) both land in the counters.
+    local.estimate(&[0, 33]).unwrap();
+    let after_points = cold.metrics_report();
+    assert_eq!(
+        after_points.counter("imserve_pool_cold_reads_total"),
+        pass_reads + 2
+    );
+    assert!(after_points.counter("imserve_pool_cold_read_bytes_total") > pass_bytes);
+    let text = cold.render_metrics();
+    for needle in [
+        "# TYPE imserve_pool_cold_reads_total counter",
+        "# TYPE imserve_pool_cold_read_bytes_total counter",
+    ] {
+        assert!(text.contains(needle), "scrape missing {needle:?}");
+    }
+}
+
 #[test]
 fn trace_ids_propagate_through_the_sharded_wire_into_every_slow_log() {
     // Two real shard artifacts over one global pool, each behind its own
