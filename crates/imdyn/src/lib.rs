@@ -11,6 +11,13 @@
 //! > **byte-identical** (via `InfluenceOracle::to_bytes`) to a pool rebuilt
 //! > from scratch on the mutated graph with the same base seed.
 //!
+//! The graph side keeps the same discipline: the CSR is *patched* under each
+//! batch ([`imgraph::InfluenceGraph::apply_patch`], one sequential pass per
+//! array) and stays equal, field for field, to re-materializing the edge
+//! list, and the lineage fingerprint ([`DynamicOracle::fingerprint`]) moves
+//! by the touched rows' terms and stays equal to hashing the graph from
+//! scratch — a write costs what the batch touches, not what the graph holds.
+//!
 //! The contract is achievable because the pool is built with one derived
 //! PRNG stream *per RR set* (`InfluenceOracle::build_incremental`), and the
 //! reverse BFS generating a set only examines in-edges of vertices inside the
@@ -25,12 +32,12 @@
 //! # Index lifecycle
 //!
 //! A long-lived service accumulates an unbounded delta log and pays a CSR
-//! re-materialization per structural delta. This crate therefore layers a
-//! log-structured lifecycle on top of single-delta maintenance:
+//! patch per structural delta. This crate therefore layers a log-structured
+//! lifecycle on top of single-delta maintenance:
 //!
-//! * [`DynamicOracle::apply_batch`] applies an atomic batch, re-materializes
-//!   the CSR **once**, and resamples the *union* of dirty RR sets exactly
-//!   once per set;
+//! * [`DynamicOracle::apply_batch`] applies an atomic batch, patches the CSR
+//!   **once**, and resamples the *union* of dirty RR sets exactly once per
+//!   set;
 //! * [`DynamicOracle::compact`] folds the pending log into the base state,
 //!   advancing the snapshot watermark so the epoch stays monotonic (caches
 //!   keyed on it never see a reset);
@@ -47,7 +54,8 @@
 use im_core::sampler::Backend;
 use im_core::InfluenceOracle;
 use imgraph::{
-    BatchError, DeltaError, DeltaLog, GraphDelta, InfluenceGraph, MutableInfluenceGraph,
+    lineage, BatchError, CsrPatch, DeltaEffect, DeltaError, DeltaLog, GraphDelta, InfluenceGraph,
+    MutableInfluenceGraph, VertexId,
 };
 
 pub mod workload;
@@ -64,8 +72,10 @@ pub struct MaintenanceStats {
     pub attribute_patches: u64,
     /// Batches successfully applied through [`DynamicOracle::apply_batch`].
     pub batches_applied: u64,
-    /// CSR re-materializations paid for structural change. The batched path
-    /// pays one per batch; the per-delta path one per structural delta.
+    /// CSR structural patches paid (the name predates the in-place patch,
+    /// when each was a full re-materialization; exporters mirror it). The
+    /// batched path pays one per batch; the per-delta path one per
+    /// structural delta.
     pub csr_materializations: u64,
     /// Times the pending log was folded away ([`DynamicOracle::compact`]).
     pub compactions: u64,
@@ -117,8 +127,8 @@ pub struct BatchOutcome {
     pub resampled: usize,
     /// Structural deltas (insert/delete) in the batch.
     pub structural: usize,
-    /// Whether the CSR was re-materialized (exactly once, iff any delta was
-    /// structural).
+    /// Whether the CSR's adjacency was patched (exactly once, iff any delta
+    /// was structural).
     pub materialized: bool,
 }
 
@@ -284,7 +294,7 @@ impl OracleSnapshot {
 /// let mut dynamic = DynamicOracle::build(graph, 200, 7, Backend::Sequential)
 ///     .with_policy(CompactionPolicy::log_len(2));
 ///
-/// // An atomic batch: one CSR re-materialization, one resample per dirty set.
+/// // An atomic batch: one CSR patch, one resample per dirty set.
 /// let outcome = dynamic
 ///     .apply_batch(&[
 ///         GraphDelta::InsertEdge { source: 2, target: 0, probability: 0.5 },
@@ -309,6 +319,9 @@ impl OracleSnapshot {
 pub struct DynamicOracle {
     mutable: MutableInfluenceGraph,
     graph: InfluenceGraph,
+    /// [`lineage::fingerprint`] of `graph`, computed once at assembly and
+    /// from then on moved row by row with every applied delta.
+    fingerprint: u64,
     oracle: InfluenceOracle,
     log: DeltaLog,
     /// Deltas folded into the base state by compactions (or carried by the
@@ -338,12 +351,25 @@ impl DynamicOracle {
             .backend(backend)
             .incremental()
             .sample(&graph);
+        Self::assemble(graph, oracle, DeltaLog::new(), 0)
+    }
+
+    /// The one place a dynamic oracle comes into being: derives the mutable
+    /// edge list and the lineage fingerprint (one O(n + m) pass each) from
+    /// the CSR graph, with a disabled policy and fresh stats.
+    fn assemble(
+        graph: InfluenceGraph,
+        oracle: InfluenceOracle,
+        log: DeltaLog,
+        snapshot_epoch: u64,
+    ) -> Self {
         Self {
             mutable: MutableInfluenceGraph::from_graph(&graph),
+            fingerprint: lineage::fingerprint(&graph),
             graph,
             oracle,
-            log: DeltaLog::new(),
-            snapshot_epoch: 0,
+            log,
+            snapshot_epoch,
             policy: CompactionPolicy::DISABLED,
             stats: MaintenanceStats::default(),
         }
@@ -376,15 +402,7 @@ impl DynamicOracle {
                 graph.num_vertices()
             ));
         }
-        Ok(Self {
-            mutable: MutableInfluenceGraph::from_graph(&graph),
-            graph,
-            oracle,
-            log,
-            snapshot_epoch,
-            policy: CompactionPolicy::DISABLED,
-            stats: MaintenanceStats::default(),
-        })
+        Ok(Self::assemble(graph, oracle, log, snapshot_epoch))
     }
 
     /// Attach a compaction policy (builder style). The default is
@@ -409,22 +427,13 @@ impl DynamicOracle {
     /// Apply one mutation: update the graph, resample exactly the dirty RR
     /// sets, and append to the log. On error nothing changes.
     ///
-    /// Structural deltas pay one CSR re-materialization *each*; a stream of
-    /// them is cheaper through [`DynamicOracle::apply_batch`], which pays one
-    /// per batch.
+    /// Structural deltas pay one CSR patch *each*; a stream of them is
+    /// cheaper through [`DynamicOracle::apply_batch`], which pays one per
+    /// batch.
     pub fn apply(&mut self, delta: GraphDelta) -> Result<ApplyOutcome, DeltaError> {
+        let edges_before = self.mutable.num_edges();
         let effect = self.mutable.apply(&delta)?;
-        if effect.structural {
-            // Insert/delete change the CSR: re-derive it from the edge list,
-            // which is exactly the graph a from-scratch rebuild would see.
-            self.graph = self.mutable.materialize();
-            self.stats.csr_materializations += 1;
-        } else if let GraphDelta::SetProbability { probability, .. } = delta {
-            // Attribute-only fast path: patch the one probability slot
-            // in place (bit-identical to a rebuild, see `set_probability`).
-            self.graph.set_probability(effect.edge_id, probability);
-            self.stats.attribute_patches += 1;
-        }
+        self.patch_graph(edges_before, &[delta], &[effect]);
         let resampled = self
             .oracle
             .apply_delta(&self.graph, &delta)
@@ -441,15 +450,15 @@ impl DynamicOracle {
     }
 
     /// Apply an atomic batch of mutations: the graph advances by the whole
-    /// batch or not at all, the CSR is re-materialized **once** (iff any
-    /// delta is structural), and the *union* of dirty RR sets is resampled
-    /// exactly once per set on the final graph.
+    /// batch or not at all, the CSR is patched in place **once** (adjacency
+    /// only if some delta is structural), and the *union* of dirty RR sets
+    /// is resampled exactly once per set on the final graph.
     ///
     /// The end state is byte-identical to applying the same deltas one at a
     /// time through [`DynamicOracle::apply`] — and therefore to a
     /// from-scratch rebuild — but a batch of `b` structural deltas pays one
-    /// materialization instead of `b`, and an RR set dirtied by several
-    /// deltas of the batch is resampled once instead of once per delta.
+    /// CSR patch instead of `b`, and an RR set dirtied by several deltas of
+    /// the batch is resampled once instead of once per delta.
     ///
     /// On error ([`BatchError`] naming the offending delta) nothing changes;
     /// an empty batch is a no-op that does not advance the epoch.
@@ -463,24 +472,10 @@ impl DynamicOracle {
                 materialized: false,
             });
         }
+        let edges_before = self.mutable.num_edges();
         let effect = self.mutable.apply_batch(deltas)?;
         let materialized = effect.structural > 0;
-        if materialized {
-            // One re-materialization for the whole batch: exactly the graph a
-            // from-scratch rebuild at the post-batch version would see.
-            self.graph = self.mutable.materialize();
-            self.stats.csr_materializations += 1;
-            self.stats.attribute_patches += (effect.effects.len() - effect.structural) as u64;
-        } else {
-            // Attribute-only batch: patch each slot in place. Edge ids are
-            // stable because nothing structural happened.
-            for (delta, per_delta) in deltas.iter().zip(&effect.effects) {
-                if let GraphDelta::SetProbability { probability, .. } = delta {
-                    self.graph.set_probability(per_delta.edge_id, *probability);
-                }
-            }
-            self.stats.attribute_patches += effect.effects.len() as u64;
-        }
+        self.patch_graph(edges_before, deltas, &effect.effects);
         let resampled = self
             .oracle
             .apply_delta_batch(&self.graph, deltas)
@@ -499,6 +494,34 @@ impl DynamicOracle {
             structural: effect.structural,
             materialized,
         })
+    }
+
+    /// Bring the CSR graph and its fingerprint to where the mutable edge
+    /// list already is, after `deltas` produced `effects` on a graph that
+    /// had `edges_before` edges.
+    ///
+    /// The CSR is patched in place — equal, field for field, to
+    /// `self.mutable.materialize()`, the graph a from-scratch rebuild would
+    /// see — and the fingerprint moves by the terms of the rows the deltas
+    /// name (in-rows of their heads, out-rows of their sources), read before
+    /// and after the patch: no other row's content or order changed.
+    fn patch_graph(&mut self, edges_before: usize, deltas: &[GraphDelta], effects: &[DeltaEffect]) {
+        let distinct = |endpoint: fn(&GraphDelta) -> VertexId| {
+            let mut rows: Vec<VertexId> = deltas.iter().map(endpoint).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows
+        };
+        let (heads, sources) = (distinct(GraphDelta::head), distinct(GraphDelta::source));
+        let before = lineage::row_terms(&self.graph, &heads, &sources);
+        self.graph
+            .apply_patch(&CsrPatch::from_effects(edges_before, deltas, effects));
+        let after = lineage::row_terms(&self.graph, &heads, &sources);
+        self.fingerprint = self.fingerprint.wrapping_sub(before).wrapping_add(after);
+
+        let structural = effects.iter().filter(|e| e.structural).count();
+        self.stats.csr_materializations += u64::from(structural > 0);
+        self.stats.attribute_patches += (effects.len() - structural) as u64;
     }
 
     /// Fold the pending log into the base state.
@@ -567,15 +590,7 @@ impl DynamicOracle {
             graph,
             oracle,
         } = snapshot;
-        Self {
-            mutable: MutableInfluenceGraph::from_graph(&graph),
-            graph,
-            oracle,
-            log: DeltaLog::new(),
-            snapshot_epoch: epoch,
-            policy: CompactionPolicy::DISABLED,
-            stats: MaintenanceStats::default(),
-        }
+        Self::assemble(graph, oracle, DeltaLog::new(), epoch)
     }
 
     /// The engine epoch: the number of deltas ever applied — those folded
@@ -609,6 +624,14 @@ impl DynamicOracle {
     #[must_use]
     pub fn graph(&self) -> &InfluenceGraph {
         &self.graph
+    }
+
+    /// The lineage fingerprint ([`imgraph::lineage::fingerprint`]) of the
+    /// graph at the current epoch, O(1): WAL records, replicated records and
+    /// hot-swapped artifacts are checked against it.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// The mutable edge-list view of the graph at the current epoch.
@@ -792,14 +815,14 @@ mod tests {
         );
         assert_eq!(batched.epoch(), per_delta.epoch());
         assert!(batched.matches_rebuild());
-        // One materialization for the batch versus one per structural delta.
+        // One CSR patch for the batch versus one per structural delta.
         assert_eq!(batched.stats().csr_materializations, 1);
         assert_eq!(per_delta.stats().csr_materializations, 2);
         assert_eq!(batched.stats().batches_applied, 1);
         // The dirty union never exceeds the per-delta resample total.
         assert!(batched.stats().sets_resampled <= per_delta.stats().sets_resampled);
 
-        // Attribute-only batches skip materialization entirely.
+        // Attribute-only batches leave the adjacency alone.
         let before = batched.stats().csr_materializations;
         let outcome = batched
             .apply_batch(&[

@@ -73,8 +73,9 @@ pub fn random_deltas<R: Rng32>(
 /// Draw one valid **structural** mutation (insert or delete, never a
 /// probability patch) for the current state of `graph`.
 ///
-/// Structural deltas are the expensive kind — each forces a CSR
-/// re-materialization on the per-delta maintenance path — so this is the
+/// Structural deltas are the expensive kind — each forces a CSR patch
+/// (a pass over every adjacency array) on the per-delta maintenance path —
+/// so this is the
 /// workload that separates batched from per-delta application (the
 /// `imdyn_batch_apply` bench and the `compaction` experiment). The mix is
 /// 1/2 insert, 1/2 delete on a graph with edges; insert-only when edgeless.

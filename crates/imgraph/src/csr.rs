@@ -190,6 +190,57 @@ impl DiGraph {
         }
     }
 
+    /// Overwrite `out` with the transpose, reusing its allocations.
+    pub(crate) fn transpose_into(&self, out: &mut Self) {
+        out.out_offsets.clone_from(&self.in_offsets);
+        out.out_targets.clone_from(&self.in_sources);
+        out.out_edge_ids.clone_from(&self.in_edge_ids);
+        out.in_offsets.clone_from(&self.out_offsets);
+        out.in_sources.clone_from(&self.out_targets);
+        out.in_edge_ids.clone_from(&self.out_edge_ids);
+    }
+
+    /// Remove the edges `deleted` (`(edge id, endpoints)`, ascending by id)
+    /// and append `inserted` (which take the largest ids, in order), leaving
+    /// exactly the arrays [`DiGraph::from_edges`] builds from the edited
+    /// edge list: surviving edges keep their relative order and are
+    /// renumbered densely, so every row stays sorted by edge id.
+    ///
+    /// One sequential pass per array; only the rows of the named endpoints
+    /// are examined entry by entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range or the edited graph has more
+    /// than `u32::MAX` edges.
+    pub(crate) fn patch(&mut self, deleted: &[(u32, Edge)], inserted: &[Edge]) {
+        let (n, m) = (self.num_vertices(), self.num_edges());
+        assert!(
+            m - deleted.len() + inserted.len() <= u32::MAX as usize,
+            "too many edges for u32 edge ids"
+        );
+        for &(u, v) in inserted {
+            assert!((u as usize) < n, "edge source {u} out of range (n = {n})");
+            assert!((v as usize) < n, "edge target {v} out of range (n = {n})");
+        }
+        patch_direction(
+            &mut self.out_offsets,
+            &mut self.out_targets,
+            &mut self.out_edge_ids,
+            deleted,
+            inserted,
+            |(u, v)| (u, v),
+        );
+        patch_direction(
+            &mut self.in_offsets,
+            &mut self.in_sources,
+            &mut self.in_edge_ids,
+            deleted,
+            inserted,
+            |(u, v)| (v, u),
+        );
+    }
+
     /// Maximum out-degree `∆⁺`, or 0 for an empty graph.
     #[must_use]
     pub fn max_out_degree(&self) -> usize {
@@ -206,6 +257,91 @@ impl DiGraph {
             .map(|v| self.in_degree(v))
             .max()
             .unwrap_or(0)
+    }
+}
+
+/// [`DiGraph::patch`] for one adjacency direction; `orient` maps an edge to
+/// its `(row, neighbour)` in that direction.
+fn patch_direction(
+    offsets: &mut [usize],
+    neighbours: &mut Vec<VertexId>,
+    edge_ids: &mut Vec<u32>,
+    deleted: &[(u32, Edge)],
+    inserted: &[Edge],
+    orient: impl Fn(Edge) -> (VertexId, VertexId),
+) {
+    // Inserted edges get provisional ids above every old id, in order; the
+    // dense renumbering below then lands them on their final ids. The sort
+    // is stable, so one row's new entries stay in edge-id order.
+    let first_new_id = edge_ids.len();
+    let mut appended: Vec<(VertexId, VertexId, u32)> = inserted
+        .iter()
+        .enumerate()
+        .map(|(j, &edge)| {
+            let (row, neighbour) = orient(edge);
+            (row, neighbour, (first_new_id + j) as u32)
+        })
+        .collect();
+    appended.sort_by_key(|&(row, ..)| row);
+    let mut touched: Vec<VertexId> = deleted
+        .iter()
+        .map(|&(_, edge)| orient(edge).0)
+        .chain(appended.iter().map(|&(row, ..)| row))
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let is_deleted = |id: u32| deleted.binary_search_by_key(&id, |&(d, _)| d).is_ok();
+
+    let new_len = neighbours.len() - deleted.len() + appended.len();
+    let mut new_neighbours = Vec::with_capacity(new_len);
+    let mut new_edge_ids = Vec::with_capacity(new_len);
+    let mut appended = appended.into_iter().peekable();
+    let mut copied = 0; // old entries below this position are dealt with
+    let mut unshifted = 0; // offsets from this index on still hold old values
+    let mut shift = 0isize;
+    for row in touched {
+        let row = row as usize;
+        let (start, end) = (offsets[row], offsets[row + 1]);
+        shift_offsets(&mut offsets[unshifted..=row], shift);
+        unshifted = row + 1;
+        // Untouched rows in between move as one block.
+        new_neighbours.extend_from_slice(&neighbours[copied..start]);
+        new_edge_ids.extend_from_slice(&edge_ids[copied..start]);
+        for at in start..end {
+            if !is_deleted(edge_ids[at]) {
+                new_neighbours.push(neighbours[at]);
+                new_edge_ids.push(edge_ids[at]);
+            }
+        }
+        while let Some((_, neighbour, id)) = appended.next_if(|a| a.0 as usize == row) {
+            new_neighbours.push(neighbour);
+            new_edge_ids.push(id);
+        }
+        copied = end;
+        shift = new_neighbours.len() as isize - end as isize;
+    }
+    shift_offsets(&mut offsets[unshifted..], shift);
+    new_neighbours.extend_from_slice(&neighbours[copied..]);
+    new_edge_ids.extend_from_slice(&edge_ids[copied..]);
+    debug_assert_eq!(new_neighbours.len(), new_len);
+
+    if !deleted.is_empty() {
+        // Dense renumbering: an id drops by the number of deleted ids below it.
+        for id in &mut new_edge_ids {
+            *id -= deleted.partition_point(|&(d, _)| d < *id) as u32;
+        }
+    }
+    *neighbours = new_neighbours;
+    *edge_ids = new_edge_ids;
+}
+
+fn shift_offsets(offsets: &mut [usize], shift: isize) {
+    if shift != 0 {
+        for offset in offsets {
+            *offset = offset
+                .checked_add_signed(shift)
+                .expect("a CSR offset never drops below the entries removed before it");
+        }
     }
 }
 

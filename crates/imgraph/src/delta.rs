@@ -6,11 +6,16 @@
 //!
 //! * [`GraphDelta`] — one typed mutation (`InsertEdge`, `DeleteEdge`,
 //!   `SetProbability`) over a fixed vertex set;
-//! * [`MutableInfluenceGraph`] — an edge-list representation that applies
-//!   deltas in O(m) worst case and [materializes](MutableInfluenceGraph::materialize)
+//! * [`MutableInfluenceGraph`] — an edge-list representation that validates
+//!   and applies deltas (one linear edge scan per delete/set-probability,
+//!   O(m) worst case) and [materializes](MutableInfluenceGraph::materialize)
 //!   back to the CSR [`InfluenceGraph`] with *deterministic* edge order, so a
 //!   from-scratch rebuild at any version sees exactly the adjacency the
-//!   incremental path saw;
+//!   incremental path saw. `materialize` is the *definition* of the graph at
+//!   a version, not the maintenance path: a live CSR follows the edge list
+//!   through [`InfluenceGraph::apply_patch`] ([`crate::CsrPatch`]: one
+//!   sequential pass per array instead of a counting sort over all of them)
+//!   and must equal `materialize()` field for field;
 //! * [`DeltaLog`] — an append-only mutation log with a binary codec
 //!   ([`binio::DELTA_TAG`] section payload plus a standalone checksummed
 //!   artifact), so logs persist inside the workspace artifact format.
@@ -193,7 +198,7 @@ pub struct BatchEffect {
     /// set from the deltas themselves.
     pub dirty_heads: Vec<VertexId>,
     /// Number of structural deltas (insert/delete) in the batch. Zero means
-    /// the batch only patched edge attributes and no CSR rebuild is needed.
+    /// the batch only patched edge attributes and the adjacency is unchanged.
     pub structural: usize,
 }
 
@@ -413,9 +418,10 @@ impl MutableInfluenceGraph {
     /// batch — a delete may name an edge inserted earlier in the same batch.
     ///
     /// The returned [`BatchEffect`] aggregates what batched incremental
-    /// maintenance needs: the sorted set of distinct dirty head vertices and
-    /// whether any delta was structural (in which case the caller
-    /// re-materializes the CSR **once**, not once per delta).
+    /// maintenance needs: the per-delta effects (which
+    /// [`crate::CsrPatch::from_effects`] resolves into one net CSR patch for
+    /// the whole batch), the sorted set of distinct dirty head vertices and
+    /// whether any delta was structural.
     pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<BatchEffect, BatchError> {
         let mut staged = self.clone();
         let mut effects = Vec::with_capacity(deltas.len());
@@ -437,11 +443,14 @@ impl MutableInfluenceGraph {
         })
     }
 
-    /// Re-derive the CSR [`InfluenceGraph`] at the current version.
+    /// Re-derive the CSR [`InfluenceGraph`] at the current version, from
+    /// scratch.
     ///
     /// Deterministic: the output depends only on the current edge list, which
     /// itself depends only on the initial graph and the applied delta
-    /// sequence.
+    /// sequence. This is the reference the in-place
+    /// [`InfluenceGraph::apply_patch`] is tested against, and what rebuilds
+    /// and snapshots use; the maintenance path does not call it.
     #[must_use]
     pub fn materialize(&self) -> InfluenceGraph {
         InfluenceGraph::new(

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{DiGraph, Edge, VertexId};
+use crate::{CsrPatch, DiGraph, Edge, VertexId};
 
 /// The influence-probability domain: `p ∈ (0, 1]` and finite.
 ///
@@ -12,6 +12,15 @@ use crate::{DiGraph, Edge, VertexId};
 #[must_use]
 pub fn is_valid_probability(p: f64) -> bool {
     p > 0.0 && p <= 1.0 && p.is_finite()
+}
+
+/// `p`, or a panic if it lies outside the probability domain.
+fn checked_probability(p: f64) -> f64 {
+    assert!(
+        is_valid_probability(p),
+        "invalid probability {p}; probabilities must lie in (0, 1]"
+    );
+    p
 }
 
 /// A directed graph whose edges carry influence probabilities `p(e) ∈ (0, 1]`.
@@ -120,27 +129,70 @@ impl InfluenceGraph {
 
     /// Overwrite the probability of the edge with the given insertion id.
     ///
-    /// This is the attribute-only fast path of incremental graph maintenance:
-    /// a `SetProbability` delta touches no adjacency, so the CSR and its
-    /// transpose are reused as-is. The cached probability sum is recomputed by
-    /// the same full summation [`InfluenceGraph::new`] performs, so the result
-    /// is bit-identical to rebuilding the graph from scratch with the updated
-    /// probability array.
+    /// The one-write case of [`InfluenceGraph::apply_patch`]: a
+    /// `SetProbability` delta touches no adjacency, so the CSR and its
+    /// transpose are reused as-is, and the cached probability sum is
+    /// recomputed by the same full summation [`InfluenceGraph::new`]
+    /// performs — bit-identical to rebuilding the graph from scratch with
+    /// the updated probability array.
     ///
     /// # Panics
     ///
     /// Panics if `edge_id` is out of range or `p` lies outside `(0, 1]`.
     pub fn set_probability(&mut self, edge_id: u32, p: f64) {
-        assert!(
-            (edge_id as usize) < self.probabilities.len(),
-            "edge id {edge_id} out of range for {} edges",
-            self.probabilities.len()
-        );
-        assert!(
-            is_valid_probability(p),
-            "invalid probability {p}; probabilities must lie in (0, 1]"
-        );
-        self.probabilities[edge_id as usize] = p;
+        self.write_probabilities(&[(edge_id, p)]);
+        self.prob_sum = self.probabilities.iter().sum();
+    }
+
+    fn write_probabilities(&mut self, writes: &[(u32, f64)]) {
+        for &(edge_id, p) in writes {
+            assert!(
+                (edge_id as usize) < self.probabilities.len(),
+                "edge id {edge_id} out of range for {} edges",
+                self.probabilities.len()
+            );
+            self.probabilities[edge_id as usize] = checked_probability(p);
+        }
+    }
+
+    /// Apply a delta batch's net change in place: patch every probability
+    /// slot, drop the deleted edges and append the inserted ones in one
+    /// sequential pass per CSR array, then sum the probabilities **once**.
+    ///
+    /// The result equals — field for field, `probability_sum()` to the bit —
+    /// the graph [`crate::MutableInfluenceGraph::materialize`] rebuilds from
+    /// the edited edge list; only the work differs (no counting sort, no
+    /// scattered writes, and an attribute-only batch touches no adjacency at
+    /// all).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patch names an edge id or vertex out of range or a
+    /// probability outside `(0, 1]` — it was resolved against another graph.
+    pub fn apply_patch(&mut self, patch: &CsrPatch) {
+        self.write_probabilities(&patch.reweighted);
+        if patch.is_structural() {
+            self.graph.patch(&patch.deleted, &patch.inserted);
+            self.graph.transpose_into(&mut self.transpose);
+            // Survivors keep their order; the inserted edges take the
+            // largest ids.
+            if !patch.deleted.is_empty() {
+                let mut deleted = patch.deleted.iter().map(|&(id, _)| id as usize).peekable();
+                let mut edge_id = 0;
+                self.probabilities.retain(|_| {
+                    let keep = deleted.next_if_eq(&edge_id).is_none();
+                    edge_id += 1;
+                    keep
+                });
+            }
+            self.probabilities.extend(
+                patch
+                    .inserted_probabilities
+                    .iter()
+                    .map(|&p| checked_probability(p)),
+            );
+            assert_eq!(self.probabilities.len(), self.graph.num_edges());
+        }
         self.prob_sum = self.probabilities.iter().sum();
     }
 

@@ -30,7 +30,12 @@
 //!   (singly or in atomic batches), the persisted mutation log
 //!   ([`DeltaLog`]) behind the evolving-graph subsystem (`imdyn`), and the
 //!   epoch-stamped compaction snapshot ([`GraphSnapshot`]) the log folds
-//!   into.
+//!   into;
+//! * [`CsrPatch`] / [`InfluenceGraph::apply_patch`] — a batch's net change
+//!   applied to the CSR in place, one sequential pass per array, equal field
+//!   for field to re-materializing the edited edge list;
+//! * [`lineage`] — the maintainable content fingerprint replicas, logs and
+//!   hot-swapped artifacts are checked against.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -43,7 +48,9 @@ mod csr;
 pub mod delta;
 mod influence;
 pub mod io;
+pub mod lineage;
 pub mod live_edge;
+mod patch;
 pub mod reach;
 pub mod stats;
 
@@ -54,6 +61,7 @@ pub use delta::{
     MutableInfluenceGraph,
 };
 pub use influence::{is_valid_probability, InfluenceGraph};
+pub use patch::CsrPatch;
 
 /// Vertex identifier. Graphs in this study have at most a few million
 /// vertices, so 32 bits suffice and halve the memory traffic of adjacency

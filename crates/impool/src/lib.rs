@@ -141,7 +141,10 @@ pub trait PoolStore {
     }
     /// Replace RR set `set`'s members: unindex `old_members`, index
     /// `new_members` (both sorted, strictly increasing), and store the new
-    /// trace. The incremental-maintenance primitive.
+    /// trace. The incremental-maintenance primitive. `old_members` must be
+    /// the set's current trace: only the posting lists of the symmetric
+    /// difference are edited, so a resampled set that kept most of its
+    /// members costs what changed, not what it holds.
     ///
     /// # Panics
     ///
@@ -154,6 +157,44 @@ pub trait PoolStore {
     /// headers, hot lists and overlays; a tiered store's cold file bytes are
     /// excluded — that is the point of tiering).
     fn resident_bytes(&self) -> usize;
+}
+
+/// Merge-walk two strictly increasing member lists and report every vertex
+/// in exactly one of them: `f(v, true)` for a member only `new` has,
+/// `f(v, false)` for one only `old` has. The shared core of every backend's
+/// `replace_set`.
+pub(crate) fn for_each_membership_change(old: &[u32], new: &[u32], mut f: impl FnMut(u32, bool)) {
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        match old[i].cmp(&new[j]) {
+            std::cmp::Ordering::Less => {
+                f(old[i], false);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                f(new[j], true);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    old[i..].iter().for_each(|&v| f(v, false));
+    new[j..].iter().for_each(|&v| f(v, true));
+}
+
+/// Make `id`'s presence in the sorted list `list` equal `present` (no-op if
+/// it already does).
+pub(crate) fn set_membership(list: &mut Vec<u32>, id: u32, present: bool) {
+    match (list.binary_search(&id), present) {
+        (Ok(at), false) => {
+            list.remove(at);
+        }
+        (Err(at), true) => list.insert(at, id),
+        _ => {}
+    }
 }
 
 /// A pool store of any layout (the concrete type the oracle embeds).

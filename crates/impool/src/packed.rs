@@ -29,7 +29,7 @@
 //! Both shapes are overlay-aware and yield the same ids in the same order.
 
 use crate::codec::{encode_list, list_len, scan_list, SkipEntry};
-use crate::{PoolLayout, PoolStore};
+use crate::{for_each_membership_change, set_membership, PoolLayout, PoolStore};
 use rustc_hash::FxHashMap;
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -567,23 +567,18 @@ impl PoolStore for PackedPool {
     }
 
     fn replace_set(&mut self, set: u32, old_members: &[u32], new_members: &[u32]) {
-        assert!(self.traces.is_some(), "compressed pool has no traces");
-        for &v in old_members {
-            self.postings.edit(v, |list| {
-                if let Ok(at) = list.binary_search(&set) {
-                    list.remove(at);
-                }
-            });
+        let traces = self.traces.as_mut().expect("compressed pool has no traces");
+        // Only lists whose membership changes enter the overlay: a set that
+        // kept a member leaves that member's encoded list alone.
+        let mut changed = false;
+        for_each_membership_change(old_members, new_members, |v, present| {
+            self.postings
+                .edit(v, |list| set_membership(list, set, present));
+            changed = true;
+        });
+        if changed {
+            traces.overlay.insert(set, new_members.to_vec());
         }
-        for &v in new_members {
-            self.postings.edit(v, |list| {
-                if let Err(at) = list.binary_search(&set) {
-                    list.insert(at, set);
-                }
-            });
-        }
-        let traces = self.traces.as_mut().expect("checked above");
-        traces.overlay.insert(set, new_members.to_vec());
     }
 
     fn build_traces(&mut self) {
@@ -688,6 +683,26 @@ mod tests {
         assert_eq!(pool.postings(2), vec![0, 1]);
         assert_eq!(pool.trace(0), vec![1, 2]);
         assert!(pool.has_overlay());
+    }
+
+    #[test]
+    fn replace_set_dirties_only_the_symmetric_difference() {
+        let postings = vec![vec![0, 1], vec![0], vec![1], vec![]];
+        let traces = vec![vec![0, 1], vec![0, 2]];
+        let mut pool = PackedPool::from_lists(4, 2, &postings, Some(&traces));
+        // A resample that drew the same members touches nothing.
+        pool.replace_set(1, &[0, 2], &[0, 2]);
+        assert!(!pool.has_overlay());
+        // Set 0 keeps vertex 0 and trades vertex 1 for vertex 3: vertex 0's
+        // list stays in its encoded form.
+        pool.replace_set(0, &[0, 1], &[0, 3]);
+        let mut dirtied: Vec<u32> = pool.postings.overlay.keys().copied().collect();
+        dirtied.sort_unstable();
+        assert_eq!(dirtied, vec![1, 3]);
+        assert_eq!(pool.postings(0), vec![0, 1]);
+        assert_eq!(pool.postings(1), Vec::<u32>::new());
+        assert_eq!(pool.postings(3), vec![0]);
+        assert_eq!(pool.trace(0), vec![0, 3]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The uncompressed reference backend: `Vec<Vec<u32>>` both ways.
 
-use crate::{PoolLayout, PoolStore};
+use crate::{for_each_membership_change, set_membership, PoolLayout, PoolStore};
 
 /// Uncompressed in-RAM pool store — the layout the original oracle used and
 /// the semantic reference every other backend is equivalence-tested against.
@@ -74,20 +74,6 @@ impl RawPool {
     }
 }
 
-/// Remove `id` from the sorted list `list` (no-op if absent).
-fn remove_sorted(list: &mut Vec<u32>, id: u32) {
-    if let Ok(at) = list.binary_search(&id) {
-        list.remove(at);
-    }
-}
-
-/// Insert `id` into the sorted list `list` (no-op if present).
-fn insert_sorted(list: &mut Vec<u32>, id: u32) {
-    if let Err(at) = list.binary_search(&id) {
-        list.insert(at, id);
-    }
-}
-
 impl PoolStore for RawPool {
     fn layout(&self) -> PoolLayout {
         PoolLayout::Raw
@@ -130,15 +116,15 @@ impl PoolStore for RawPool {
     }
 
     fn replace_set(&mut self, set: u32, old_members: &[u32], new_members: &[u32]) {
-        assert!(self.traces.is_some(), "raw pool has no traces");
-        for &v in old_members {
-            remove_sorted(&mut self.postings[v as usize], set);
+        let traces = self.traces.as_mut().expect("raw pool has no traces");
+        let mut changed = false;
+        for_each_membership_change(old_members, new_members, |v, present| {
+            set_membership(&mut self.postings[v as usize], set, present);
+            changed = true;
+        });
+        if changed {
+            traces[set as usize] = new_members.to_vec();
         }
-        for &v in new_members {
-            insert_sorted(&mut self.postings[v as usize], set);
-        }
-        let traces = self.traces.as_mut().expect("checked above");
-        traces[set as usize] = new_members.to_vec();
     }
 
     fn build_traces(&mut self) {

@@ -23,7 +23,7 @@
 //! constructed.
 //!
 //! The engine also runs the index *lifecycle*: `MutateBatch` applies an
-//! atomic delta batch (one CSR re-materialization, dirty-union resampling),
+//! atomic delta batch (one in-place CSR patch, dirty-union resampling),
 //! and `Compact` — or the configured [`imdyn::CompactionPolicy`] firing after
 //! a mutation — folds the pending log into the snapshot watermark. Compaction
 //! never moves the epoch and never blocks readers: it is bookkeeping under
@@ -49,19 +49,10 @@ use crate::service::{
     TopKSelection,
 };
 use crate::wal::{WalRecord, WriteAheadLog};
-use imgraph::binio::{fnv1a64, influence_graph_to_bytes};
 use imobs::EventField;
 
 /// Default capacity of the `TopK` result cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
-
-/// The lineage fingerprint WAL records carry: FNV-1a64 over the graph's
-/// canonical serialized bytes. Computed when a WAL is attached, when a
-/// replicated record is applied, and when an artifact is validated for a
-/// hot-swap.
-pub(crate) fn graph_fingerprint(graph: &imgraph::InfluenceGraph) -> u64 {
-    fnv1a64(&influence_graph_to_bytes(graph))
-}
 
 /// Derive the WAL/replication identity string for an index: the full
 /// identity, not just the dataset name, so two indexes that differ in model,
@@ -321,11 +312,7 @@ impl EngineBuilder {
                 // Lineage check: same identity and lined-up epochs are not
                 // enough — the record must have been applied to *this* graph
                 // (a rebuild with a different `--deltas` script shares both).
-                let fingerprint = {
-                    let state = engine.state();
-                    graph_fingerprint(state.dynamic.graph())
-                };
-                if record.graph_hash_before != fingerprint {
+                if record.graph_hash_before != engine.state().dynamic.fingerprint() {
                     return Err(ServeError::Wal(format!(
                         "record {i} (epoch {}) was recorded against a different graph than this \
                          index holds at that epoch; the WAL belongs to another lineage of the \
@@ -416,6 +403,10 @@ impl QueryEngine {
                 .expect("index artifacts always carry consistent incremental pools")
                 .with_policy(config.compaction_policy),
         );
+        let obs = metrics.unwrap_or_else(ServingMetrics::with_defaults);
+        // `from_parts` hashed the graph from scratch; every later read of
+        // the fingerprint is the maintained value.
+        obs.lineage_full_hashes.inc();
         Self {
             state: RwLock::new(ServingState {
                 meta,
@@ -425,7 +416,7 @@ impl QueryEngine {
             topk_cache: Mutex::new(LruCache::new(config.cache_capacity)),
             counters: Counters::default(),
             wal: None,
-            obs: metrics.unwrap_or_else(ServingMetrics::with_defaults),
+            obs,
             config: config.clone(),
             read_only: std::sync::atomic::AtomicBool::new(false),
         }
@@ -738,11 +729,7 @@ impl QueryEngine {
         }
         let mut state = self.state.write().expect("serving state poisoned");
         let epoch_before = state.dynamic.epoch();
-        let hash_before = self
-            .wal
-            .as_ref()
-            .map(|_| graph_fingerprint(state.dynamic.graph()))
-            .unwrap_or(0);
+        let hash_before = state.dynamic.fingerprint();
         // Copy-on-write: clones the oracle only if a snapshot (e.g. an
         // in-flight TopK selection) still holds the previous Arc.
         let dynamic = Arc::make_mut(&mut state.dynamic);
@@ -791,8 +778,11 @@ impl QueryEngine {
     }
 
     /// Apply a batch of graph mutations **atomically**: all deltas land or
-    /// none do, the CSR is re-materialized once, and the dirty union is
-    /// resampled exactly once per set.
+    /// none do, the CSR is patched once, and the dirty union is resampled
+    /// exactly once per set. With a WAL attached the record carries the
+    /// lineage fingerprint the oracle maintains — an O(1) read, so a durable
+    /// batch costs the batch, an append and an fsync, never a pass over the
+    /// graph.
     pub fn mutate_batch(&self, deltas: &[GraphDelta]) -> Result<MutationOutcome, ServiceError> {
         let began = Instant::now();
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -806,11 +796,7 @@ impl QueryEngine {
         }
         let mut state = self.state.write().expect("serving state poisoned");
         let epoch_before = state.dynamic.epoch();
-        let hash_before = self
-            .wal
-            .as_ref()
-            .map(|_| graph_fingerprint(state.dynamic.graph()))
-            .unwrap_or(0);
+        let hash_before = state.dynamic.fingerprint();
         let dynamic = Arc::make_mut(&mut state.dynamic);
         match dynamic.apply_batch(deltas) {
             Ok(outcome) => {
@@ -935,8 +921,7 @@ impl QueryEngine {
                 record.epoch_after()
             )));
         }
-        let fingerprint = graph_fingerprint(state.dynamic.graph());
-        if record.graph_hash_before != fingerprint {
+        if record.graph_hash_before != state.dynamic.fingerprint() {
             return Err(ServiceError::Backend(format!(
                 "replication divergence at epoch {epoch}: the leader's record was applied to a \
                  different graph than this replica holds (lineage fingerprint mismatch) — the \
@@ -1017,7 +1002,6 @@ impl QueryEngine {
             )));
         }
         let new_epoch = artifact.epoch();
-        let new_fingerprint = graph_fingerprint(&artifact.graph);
         let IndexArtifact {
             meta,
             graph,
@@ -1029,6 +1013,9 @@ impl QueryEngine {
         let dynamic = DynamicOracle::from_parts(graph, oracle, log, snapshot_epoch)
             .map_err(|e| ServiceError::Backend(format!("reload: artifact is unusable: {e}")))?
             .with_policy(self.config.compaction_policy);
+        // Assembling the incoming oracle hashed its graph from scratch; the
+        // served side below is an O(1) read.
+        self.obs.lineage_full_hashes.inc();
         let began = Instant::now();
         let mut state = self.state.write().expect("serving state poisoned");
         let epoch = state.dynamic.epoch();
@@ -1039,7 +1026,7 @@ impl QueryEngine {
                  running engine (or catch it up) and retry"
             )));
         }
-        if new_fingerprint != graph_fingerprint(state.dynamic.graph()) {
+        if dynamic.fingerprint() != state.dynamic.fingerprint() {
             return Err(ServiceError::Backend(format!(
                 "reload refused: artifact holds a different graph than the engine serves at \
                  epoch {epoch} (lineage fingerprint mismatch); the artifact belongs to another \
@@ -1154,6 +1141,7 @@ impl QueryEngine {
         let (Some(wal), false) = (self.wal.as_ref(), applied.is_empty()) else {
             return Ok(());
         };
+        let began = Instant::now();
         let bytes = wal
             .lock()
             .expect("WAL lock poisoned")
@@ -1174,6 +1162,9 @@ impl QueryEngine {
                      and further mutations are disabled"
                 ))
             })?;
+        self.obs
+            .wal_append_micros
+            .record(began.elapsed().as_micros() as u64);
         self.obs.wal_appended_bytes.add(bytes);
         self.obs.wal_fsyncs.inc();
         Ok(())
@@ -1234,6 +1225,7 @@ impl QueryEngine {
             .fetch_add(resampled as u64, Ordering::Relaxed);
         self.obs.deltas_applied.add(applied as u64);
         self.obs.sets_resampled.add(resampled as u64);
+        self.obs.mutate_resampled_sets.record(resampled as u64);
     }
 
     /// Select an influential seed set of size `k`, fronted by the
@@ -1887,7 +1879,7 @@ mod tests {
         // carries the pre-apply epoch and lineage fingerprint.
         let record = WalRecord {
             epoch_before: leader.epoch(),
-            graph_hash_before: graph_fingerprint(leader.state().dynamic.graph()),
+            graph_hash_before: leader.state().dynamic.fingerprint(),
             deltas: test_deltas(),
         };
         leader.mutate_batch(&record.deltas).unwrap();
@@ -1906,7 +1898,7 @@ mod tests {
         // A record from the future means history is missing: fail-stop.
         let gap = WalRecord {
             epoch_before: 5,
-            graph_hash_before: graph_fingerprint(follower.state().dynamic.graph()),
+            graph_hash_before: follower.state().dynamic.fingerprint(),
             deltas: test_deltas(),
         };
         match follower.apply_replicated(&gap).unwrap_err() {

@@ -117,6 +117,16 @@ pub struct ServingMetrics {
     pub wal_appended_bytes: Arc<Counter>,
     /// WAL fsyncs performed (one per acknowledged batch).
     pub wal_fsyncs: Arc<Counter>,
+    /// Duration of one WAL append, encode through fsync (microseconds).
+    pub wal_append_micros: Arc<Histogram>,
+    /// Dirty RR sets resampled by each applied batch (the per-batch
+    /// distribution behind the `sets_resampled` running total).
+    pub mutate_resampled_sets: Arc<Histogram>,
+    /// From-scratch O(n + m) lineage-fingerprint passes: one per engine
+    /// construction and one per `reload` (the incoming artifact). Mutations,
+    /// WAL replay and replicated records read the maintained value and never
+    /// move this.
+    pub lineage_full_hashes: Arc<Counter>,
 
     /// Validated index hot-swaps performed, timed under the write lock
     /// (microseconds) — readers never see a partially swapped state.
@@ -257,6 +267,18 @@ impl ServingMetrics {
             wal_fsyncs: registry.counter(
                 "imserve_wal_fsyncs_total",
                 "WAL fsyncs performed (one per acknowledged batch).",
+            ),
+            wal_append_micros: registry.histogram(
+                "imserve_wal_append_micros",
+                "Duration of one WAL append (encode, write, fsync) in microseconds.",
+            ),
+            mutate_resampled_sets: registry.histogram(
+                "imserve_mutate_resampled_sets",
+                "Dirty RR sets resampled per applied mutation batch.",
+            ),
+            lineage_full_hashes: registry.counter(
+                "imserve_lineage_full_hashes_total",
+                "From-scratch O(n + m) lineage-fingerprint passes (engine build and reload only).",
             ),
             index_swap_micros: registry.histogram(
                 "imserve_index_swap_micros",

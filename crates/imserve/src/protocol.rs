@@ -112,8 +112,8 @@ pub enum Request {
         deltas: Vec<GraphDelta>,
     },
     /// Apply a batch of graph mutations **atomically**: all deltas land or
-    /// none do, the CSR is re-materialized once for the whole batch, and the
-    /// union of dirty RR sets is resampled exactly once per set.
+    /// none do, the CSR is patched once for the whole batch, and the union
+    /// of dirty RR sets is resampled exactly once per set.
     ///
     /// Prefer this over `Mutate` for structural-delta-heavy feeds; the end
     /// state is byte-identical, only the cost and the failure semantics

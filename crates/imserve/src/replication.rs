@@ -12,7 +12,7 @@
 //! Wire anatomy (one TCP connection per follower):
 //!
 //! ```text
-//! follower → leader   {"magic":"imrs","v":1,"identity":…,"base_seed":…,
+//! follower → leader   {"magic":"imrs","v":2,"identity":…,"base_seed":…,
 //!                      "resume_epoch":…}\n
 //! leader   → follower {"ok":true,"epoch":…}\n          (or {"ok":false,…})
 //! leader   → follower u32 len | payload …              (binary, repeated)
@@ -27,7 +27,14 @@
 //! [`QueryEngine::apply_replicated`] re-checks every record's
 //! `epoch_before` and graph fingerprint in lockstep, so a gap, a replayed
 //! foreign record or mid-stream corruption is a fail-stop, never a silently
-//! diverged replica.
+//! diverged replica. That check is an O(1) comparison against the
+//! fingerprint the follower's oracle maintains — applying `R` records
+//! performs no pass over the graph.
+//!
+//! Wire version 2 ships records whose `graph_hash_before` is the
+//! maintainable lineage fingerprint (`imgraph::lineage`); a version-1 peer
+//! stamps a different hash of the same graph, so the handshake refuses it
+//! by version before a record could be misread as a diverged lineage.
 //!
 //! There are no heartbeats: the follower detects leader death as EOF or a
 //! reset on the stream and re-dials with exponential backoff, resuming from
@@ -55,8 +62,9 @@ use crate::wal::{self, WalRecord};
 
 /// Magic tag opening every replication handshake.
 pub const REPL_MAGIC: &str = "imrs";
-/// Replication wire version.
-pub const REPL_VERSION: u32 = 1;
+/// Replication wire version (2: records carry the maintainable lineage
+/// fingerprint; see the module docs).
+pub const REPL_VERSION: u32 = 2;
 
 /// Largest record payload a follower will buffer (a sanity bound against a
 /// corrupt or hostile length prefix, far above any real batch).
@@ -284,23 +292,7 @@ fn serve_follower(
 
     let identity = engine.identity();
     let base_seed = engine.base_seed();
-    let refusal = if hello.magic != REPL_MAGIC {
-        Some(format!("bad magic {:?}", hello.magic))
-    } else if hello.v != REPL_VERSION {
-        Some(format!(
-            "replication version {} not supported (leader speaks {REPL_VERSION})",
-            hello.v
-        ))
-    } else if hello.identity != identity || hello.base_seed != base_seed {
-        Some(format!(
-            "index identity mismatch: follower serves {:?} (seed {}) but this leader serves \
-             {identity:?} (seed {base_seed})",
-            hello.identity, hello.base_seed
-        ))
-    } else {
-        None
-    };
-    if let Some(error) = refusal {
+    if let Some(error) = handshake_refusal(&hello, &identity, base_seed) {
         let ack = ReplAck {
             ok: false,
             error: Some(error.clone()),
@@ -334,6 +326,28 @@ fn serve_follower(
         faults,
         stop,
     )
+}
+
+/// Why a leader serving `identity`/`base_seed` refuses `hello`, if it does.
+/// Magic and version are judged before identity: a peer of another wire
+/// version is told so, whatever index it serves.
+fn handshake_refusal(hello: &ReplHello, identity: &str, base_seed: u64) -> Option<String> {
+    if hello.magic != REPL_MAGIC {
+        Some(format!("bad magic {:?}", hello.magic))
+    } else if hello.v != REPL_VERSION {
+        Some(format!(
+            "replication version {} not supported (leader speaks {REPL_VERSION})",
+            hello.v
+        ))
+    } else if hello.identity != identity || hello.base_seed != base_seed {
+        Some(format!(
+            "index identity mismatch: follower serves {:?} (seed {}) but this leader serves \
+             {identity:?} (seed {base_seed})",
+            hello.identity, hello.base_seed
+        ))
+    } else {
+        None
+    }
 }
 
 /// Tail the WAL file from the record after `resume_epoch`, shipping each
@@ -702,6 +716,29 @@ mod tests {
         let back: ReplAck = serde_json::from_str(&line).unwrap();
         assert!(!back.ok);
         assert!(back.error.unwrap().contains("identity"));
+    }
+
+    #[test]
+    fn an_old_version_peer_is_refused_by_version() {
+        let identity = "karate/uc0.1 pool=100 offset=0";
+        let mut hello = ReplHello {
+            magic: REPL_MAGIC.to_string(),
+            v: REPL_VERSION,
+            identity: identity.to_string(),
+            base_seed: 7,
+            resume_epoch: 0,
+        };
+        assert_eq!(handshake_refusal(&hello, identity, 7), None);
+        hello.v = 1;
+        let refusal = handshake_refusal(&hello, identity, 7).expect("v1 is refused");
+        assert!(refusal.contains("replication version 1"), "{refusal}");
+        assert!(refusal.contains("leader speaks 2"), "{refusal}");
+        // Even a v1 peer of another index hears about the version first.
+        let refusal = handshake_refusal(&hello, "physicians/iwc pool=9 offset=0", 8).unwrap();
+        assert!(!refusal.contains("identity"), "{refusal}");
+        hello.v = REPL_VERSION;
+        let refusal = handshake_refusal(&hello, identity, 8).expect("wrong seed is refused");
+        assert!(refusal.contains("identity mismatch"), "{refusal}");
     }
 
     #[test]

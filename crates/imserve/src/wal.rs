@@ -20,11 +20,20 @@
 //! The header makes pointing the wrong index at an existing WAL (a reused
 //! unit file, a copy-pasted path) a loud startup error instead of a silent
 //! replay of foreign mutations whose epochs happen to line up. Each record
-//! additionally carries the FNV-1a64 fingerprint of the graph it was
-//! applied *to*, so even two indexes with identical identity and lined-up
-//! epochs but different graph content (e.g. one rebuilt with a different
-//! `--deltas` script) cannot replay each other's records — the engine
-//! checks the fingerprint against its own graph before applying.
+//! additionally carries the lineage fingerprint
+//! ([`imgraph::lineage::fingerprint`]) of the graph it was applied *to*, so
+//! even two indexes with identical identity and lined-up epochs but
+//! different graph content (e.g. one rebuilt with a different `--deltas`
+//! script) cannot replay each other's records — the engine checks the
+//! fingerprint against its own graph before applying. The engine never
+//! hashes the graph to stamp or check a record: the dynamic oracle maintains
+//! the fingerprint row by row as deltas land, so both sides are O(1) reads.
+//!
+//! Version 2 is the first version whose `graph_hash_before` is that
+//! maintainable row hash; version 1 stamped FNV-1a64 of the serialized
+//! graph, which a v2 engine cannot reproduce. A v1 file is therefore
+//! refused by version — not misreported as a foreign lineage — and there is
+//! no v1 read path (no deployed logs exist).
 //!
 //! `epoch_before` is the engine epoch the batch was applied at, which makes
 //! replay idempotent against index saves: records whose whole span is at or
@@ -52,9 +61,10 @@ use crate::error::ServeError;
 pub struct WalRecord {
     /// The engine epoch immediately before the batch was applied.
     pub epoch_before: u64,
-    /// FNV-1a64 fingerprint of the influence graph the batch was applied
-    /// to (its serialized bytes at `epoch_before`) — the lineage check
-    /// replay performs before applying this record.
+    /// Lineage fingerprint ([`imgraph::lineage::fingerprint`]: the graph's
+    /// rows, in the order traversals read them) of the influence graph the
+    /// batch was applied to, at `epoch_before` — the lineage check replay
+    /// and replication perform before applying this record.
     pub graph_hash_before: u64,
     /// The batch's deltas, in application order.
     pub deltas: Vec<GraphDelta>,
@@ -125,8 +135,9 @@ pub struct WriteAheadLog {
 
 /// Magic bytes opening a WAL file's identity header.
 const WAL_MAGIC: [u8; 4] = *b"IMWL";
-/// Current WAL header version.
-const WAL_VERSION: u32 = 1;
+/// Current WAL header version (2: `graph_hash_before` is the maintainable
+/// lineage fingerprint; see the module docs).
+const WAL_VERSION: u32 = 2;
 
 /// Build the identity header for an index. `identity` is the full identity
 /// string the engine derives from its metadata (dataset, model, pool
@@ -146,14 +157,22 @@ pub fn encode_header(identity: &str, base_seed: u64) -> Vec<u8> {
     header
 }
 
+/// The header version of a WAL file written by another format version, if
+/// `bytes` opens with a complete magic + version prefix naming one.
+fn foreign_version(bytes: &[u8]) -> Option<u32> {
+    let version = u32::from_le_bytes(bytes.get(4..8)?.try_into().expect("4 bytes"));
+    (bytes[..4] == WAL_MAGIC && version != WAL_VERSION).then_some(version)
+}
+
 impl WriteAheadLog {
     /// Open (creating if absent) the log at `path` for the index identified
     /// by `identity`/`base_seed`, validate the identity header and every
     /// record, truncate any torn tail, and return the valid records plus
     /// the log positioned for appending.
     ///
-    /// Fails on I/O errors, on a header naming a *different* index (a WAL
-    /// must never be replayed onto an index it was not recorded against),
+    /// Fails on I/O errors, on a header of another format version (named in
+    /// the error), on a header naming a *different* index (a WAL must never
+    /// be replayed onto an index it was not recorded against),
     /// and on records whose inner `IMDL` artifact is corrupt (a failed
     /// checksum is not a crash artifact — see the module docs).
     pub fn recover(
@@ -197,6 +216,14 @@ impl WriteAheadLog {
             && bytes[..expected_header.len()] == expected_header[..]
         {
             expected_header.len()
+        } else if let Some(version) = foreign_version(&bytes) {
+            return Err(ServeError::Wal(format!(
+                "WAL at {} is format version {version}; this build reads and writes version \
+                 {WAL_VERSION} only (record lineage fingerprints are not comparable across \
+                 versions) — export the index from the build that wrote the log, or remove the \
+                 stale file",
+                path.display()
+            )));
         } else if bytes.len() >= 4 && bytes[..4] == WAL_MAGIC {
             return Err(ServeError::Wal(format!(
                 "WAL at {} was recorded for a different index, or its header is corrupt \
@@ -403,6 +430,24 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = WriteAheadLog::recover(&path, "Karate", 7).unwrap_err();
         assert!(matches!(err, ServeError::Wal(_)), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_old_version_log_is_refused_by_version() {
+        let path = temp_path("version");
+        let mut v1 = encode_header("Karate", 7);
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        // A v1 record would follow; the refusal must not depend on it.
+        std::fs::write(&path, &v1).unwrap();
+        let err = WriteAheadLog::recover(&path, "Karate", 7).unwrap_err();
+        assert!(matches!(err, ServeError::Wal(_)), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("format version 1"), "{message}");
+        assert!(message.contains("version 2 only"), "{message}");
+        assert!(!message.contains("different index"), "{message}");
+        // Refused, not reinitialized: the file is untouched.
+        assert_eq!(std::fs::read(&path).unwrap(), v1);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -237,3 +237,90 @@ fn traced_frames_get_byte_identical_responses_to_untraced_ones() {
     );
     handle.shutdown();
 }
+
+/// The write path is bounded by the batch, shown by count: N durable
+/// batches, a recovery replaying them and a follower applying them each
+/// perform zero O(n + m) lineage passes after engine construction, while the
+/// per-batch WAL and dirty-set histograms see every batch. Only `reload`
+/// (which must hash the incoming artifact) moves the counter.
+#[test]
+fn durable_batches_replay_and_replication_never_rehash_the_graph() {
+    use imgraph::GraphDelta;
+    use imserve::wal::WriteAheadLog;
+
+    const FULL_HASHES: &str = "imserve_lineage_full_hashes_total";
+    const BATCHES: u64 = 5;
+    let base = build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap();
+    let wal_path =
+        std::env::temp_dir().join(format!("imserve-lineage-count-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&wal_path);
+
+    let leader = QueryEngine::builder(base.clone())
+        .wal(&wal_path)
+        .build()
+        .unwrap();
+    assert_eq!(leader.metrics_report().counter(FULL_HASHES), 1);
+    for i in 0..BATCHES as u32 {
+        let batch = [
+            GraphDelta::InsertEdge {
+                source: i,
+                target: 33 - i,
+                probability: 0.5,
+            },
+            GraphDelta::SetProbability {
+                source: i,
+                target: 33 - i,
+                probability: 0.25,
+            },
+        ];
+        leader.mutate_batch(&batch).unwrap();
+    }
+    let report = leader.metrics_report();
+    assert_eq!(report.counter(FULL_HASHES), 1, "mutations must not rehash");
+    let appends = report.histogram("imserve_wal_append_micros").unwrap();
+    assert_eq!(appends.count, BATCHES);
+    let dirty = report.histogram("imserve_mutate_resampled_sets").unwrap();
+    assert_eq!(dirty.count, BATCHES);
+    assert_eq!(dirty.sum, report.counter("imserve_sets_resampled_total"));
+    let text = leader.render_metrics();
+    for needle in [
+        "# TYPE imserve_lineage_full_hashes_total counter",
+        "# TYPE imserve_wal_append_micros histogram",
+        "# TYPE imserve_mutate_resampled_sets histogram",
+    ] {
+        assert!(text.contains(needle), "scrape missing {needle:?}");
+    }
+
+    // Hot-swapping an equal artifact hashes the incoming graph, once.
+    let artifact = leader.state().to_artifact();
+    leader.reload(artifact).unwrap();
+    assert_eq!(leader.metrics_report().counter(FULL_HASHES), 2);
+    let epoch = leader.epoch();
+    let top_k = leader.top_k(3, TopKAlgorithm::Greedy).unwrap();
+    drop(leader);
+
+    // Recovery: the base artifact plus R replayed records, one construction.
+    let recovered = QueryEngine::builder(base.clone())
+        .wal(&wal_path)
+        .build()
+        .unwrap();
+    assert_eq!(recovered.epoch(), epoch);
+    assert_eq!(recovered.metrics_report().counter(FULL_HASHES), 1);
+    assert_eq!(recovered.top_k(3, TopKAlgorithm::Greedy).unwrap(), top_k);
+    let identity = recovered.identity();
+    drop(recovered);
+
+    // A follower applying the same R records off the stream.
+    let records = WriteAheadLog::recover(&wal_path, &identity, SEED)
+        .unwrap()
+        .records;
+    assert_eq!(records.len() as u64, BATCHES);
+    let follower = QueryEngine::builder(base).read_only(true).build().unwrap();
+    for record in &records {
+        follower.apply_replicated(record).unwrap().unwrap();
+    }
+    assert_eq!(follower.epoch(), epoch);
+    assert_eq!(follower.metrics_report().counter(FULL_HASHES), 1);
+    assert_eq!(follower.top_k(3, TopKAlgorithm::Greedy).unwrap(), top_k);
+    let _ = std::fs::remove_file(&wal_path);
+}

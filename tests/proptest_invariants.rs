@@ -2,6 +2,7 @@
 //! invariants, spanning the substrate crates and the algorithm crate.
 
 use im_study::prelude::*;
+use im_study::{imdyn, imgraph};
 use proptest::prelude::*;
 
 /// Strategy: a random edge list over `n ≤ 24` vertices.
@@ -251,6 +252,35 @@ proptest! {
             if graph.in_degree(v) > 0 {
                 prop_assert!((iwc.expected_in_weight(v) - 1.0).abs() < 1e-9);
             }
+        }
+    }
+
+    /// The write path's incremental structures equal their from-scratch
+    /// definitions after every batch: the maintained lineage fingerprint is
+    /// the fingerprint of the graph, and the in-place patched CSR is the
+    /// re-materialized edge list, field for field.
+    #[test]
+    fn maintained_fingerprint_and_patched_csr_equal_from_scratch(
+        graph in arb_influence_graph(),
+        workload_seed in 0u64..1_000,
+        batches in 1usize..6,
+    ) {
+        let mut dynamic = DynamicOracle::build(graph, 16, 7, Backend::Sequential);
+        let mut rng = Pcg32::seed_from_u64(workload_seed);
+        for _ in 0..batches {
+            let count = 1 + rng.gen_index(8);
+            let batch = imdyn::workload::random_deltas(dynamic.mutable_graph(), count, &mut rng);
+            dynamic.apply_batch(&batch).expect("workload batches are valid");
+            let current = dynamic.graph();
+            prop_assert_eq!(dynamic.fingerprint(), imgraph::lineage::fingerprint(current));
+            let rebuilt = dynamic.mutable_graph().materialize();
+            prop_assert_eq!(current.graph(), rebuilt.graph());
+            prop_assert_eq!(current.transpose(), rebuilt.transpose());
+            prop_assert_eq!(current.probabilities(), rebuilt.probabilities());
+            prop_assert_eq!(
+                current.probability_sum().to_bits(),
+                rebuilt.probability_sum().to_bits()
+            );
         }
     }
 }
