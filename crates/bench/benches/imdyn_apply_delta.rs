@@ -1,6 +1,6 @@
 //! Maintenance bench: single-mutation `DynamicOracle::apply` latency versus a
-//! full `InfluenceOracle::build_incremental` on a Chung–Lu power-law graph
-//! with ≥ 100k edges (the same fixture family as the parallel-sampler
+//! full incremental `InfluenceOracle::builder(..).sample` on a Chung–Lu
+//! power-law graph with ≥ 100k edges (the same fixture family as the parallel-sampler
 //! ablation), under the paper's `uc0.01` cascade — the subcritical regime
 //! (EPT ≈ 1) where a large pool is cheap to hold but still minutes-scale to
 //! rebuild at paper sizes, i.e. the realistic serving profile. (Under

@@ -68,7 +68,7 @@ pub use oneshot::OneshotEstimator;
 pub use oracle::{shard_layout, EstimateScratch, InfluenceOracle, OracleBuilder, ShardRange};
 // Pool storage-engine surface (re-exported so oracle callers pick layouts
 // without depending on impool directly).
-pub use impool::{Pool, PoolLayout, PoolStore, TieredConfig};
+pub use impool::{Pool, PoolLayout, TieredConfig};
 pub use ris::RisEstimator;
 pub use sampler::{Backend, SampleBudget};
 pub use seed_set::SeedSet;

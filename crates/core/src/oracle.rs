@@ -112,10 +112,7 @@ pub fn shard_layout(global_pool: usize, shards: usize) -> Vec<ShardRange> {
     ranges
 }
 
-/// The one construction path for [`InfluenceOracle`] pools.
-///
-/// The builder subsumes the former constructor sprawl
-/// (`build`/`build_with_backend`/`build_incremental`/`from_parts`):
+/// The one construction path for [`InfluenceOracle`] pools:
 ///
 /// * [`OracleBuilder::sample`] draws the pool from seeded batch streams —
 ///   per-batch streams by default, one stream *per RR set* with
@@ -483,7 +480,7 @@ impl InfluenceOracle {
     }
 
     /// Bytes of process memory the pool store keeps resident (see
-    /// [`impool::PoolStore::resident_bytes`]).
+    /// [`impool::Pool::resident_bytes`]).
     #[must_use]
     pub fn pool_resident_bytes(&self) -> usize {
         self.pool.resident_bytes()
@@ -515,43 +512,6 @@ impl InfluenceOracle {
         config: TieredConfig,
     ) {
         self.pool.attach_cold_file(file, payload_offset, config);
-    }
-
-    /// Build an oracle by drawing `pool_size` RR sets from `rng`.
-    #[deprecated(note = "use InfluenceOracle::builder(pool_size).sample_with_rng(graph, rng)")]
-    pub fn build<R: Rng32>(graph: &InfluenceGraph, pool_size: usize, rng: &mut R) -> Self {
-        Self::builder(pool_size).sample_with_rng(graph, rng)
-    }
-
-    /// Build an oracle with the batched sampler over per-batch streams.
-    #[deprecated(note = "use InfluenceOracle::builder(pool_size).seed(s).backend(b).sample(graph)")]
-    pub fn build_with_backend(
-        graph: &InfluenceGraph,
-        pool_size: usize,
-        base_seed: u64,
-        backend: Backend,
-    ) -> Self {
-        Self::builder(pool_size)
-            .seed(base_seed)
-            .backend(backend)
-            .sample(graph)
-    }
-
-    /// Build an *incrementally maintainable* oracle over per-set streams.
-    #[deprecated(
-        note = "use InfluenceOracle::builder(pool_size).seed(s).backend(b).incremental().sample(graph)"
-    )]
-    pub fn build_incremental(
-        graph: &InfluenceGraph,
-        pool_size: usize,
-        base_seed: u64,
-        backend: Backend,
-    ) -> Self {
-        Self::builder(pool_size)
-            .seed(base_seed)
-            .backend(backend)
-            .incremental()
-            .sample(graph)
     }
 
     /// Whether this pool carries the per-set state needed by
@@ -624,7 +584,7 @@ impl InfluenceOracle {
     /// stream — on the mutated graph. This method therefore resamples only
     /// the posting list of `v`, each dirty set from its own derived stream,
     /// and the result is **byte-identical** (via [`InfluenceOracle::to_bytes`])
-    /// to `build_incremental(graph_after, pool_size, base_seed, _)`.
+    /// to `builder(pool_size).seed(base_seed).incremental().sample(graph_after)`.
     ///
     /// Returns the number of RR sets resampled. Errors (non-incremental pool,
     /// mismatched graph, out-of-range head) leave the oracle untouched.
@@ -674,10 +634,10 @@ impl InfluenceOracle {
     /// changed), while a set containing any head is regenerated from its own
     /// derived stream exactly as a from-scratch rebuild at the final version
     /// would. The result is therefore **byte-identical** (via
-    /// [`InfluenceOracle::to_bytes`]) both to
-    /// `build_incremental(graph_after, …)` and to applying the same deltas
-    /// one at a time through [`InfluenceOracle::apply_delta`] — but a set
-    /// dirtied by `k` deltas of the batch is resampled once, not `k` times.
+    /// [`InfluenceOracle::to_bytes`]) both to a from-scratch incremental
+    /// build on `graph_after` and to applying the same deltas one at a time
+    /// through [`InfluenceOracle::apply_delta`] — but a set dirtied by `k`
+    /// deltas of the batch is resampled once, not `k` times.
     ///
     /// Returns the number of RR sets resampled (the union's size). Errors
     /// (non-incremental pool, mismatched graph, out-of-range head) leave the
@@ -746,16 +706,6 @@ impl InfluenceOracle {
             // lists in their mutation overlay).
             self.pool.replace_set(set_id, &old_trace, &trace);
         }
-    }
-
-    /// Reassemble an oracle from previously exported posting lists.
-    #[deprecated(note = "use InfluenceOracle::builder(pool_size).assemble(num_vertices, lists)")]
-    pub fn from_parts(
-        num_vertices: usize,
-        pool_size: usize,
-        vertex_to_sets: Vec<Vec<u32>>,
-    ) -> Result<Self, String> {
-        Self::builder(pool_size).assemble(num_vertices, vertex_to_sets)
     }
 
     /// Materialize the posting list of one vertex (the RR-set ids containing
@@ -1487,7 +1437,7 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validates_invariants() {
+    fn assemble_validates_invariants() {
         // Valid: two vertices, pool of 3.
         let ok = InfluenceOracle::builder(3).assemble(2, vec![vec![0, 2], vec![1]]);
         assert!(ok.is_ok());
@@ -1508,38 +1458,6 @@ mod tests {
         assert!(InfluenceOracle::builder(0)
             .assemble(2, vec![vec![], vec![]])
             .is_err());
-    }
-
-    /// The deprecated constructors forward to the builder without changing a
-    /// single sampled byte (external callers relying on them keep working).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_forward_to_the_builder() {
-        let ig = star(0.5);
-        assert_eq!(
-            InfluenceOracle::build(&ig, 500, &mut Pcg32::seed_from_u64(3)).to_bytes(),
-            InfluenceOracle::builder(500)
-                .sample_with_rng(&ig, &mut Pcg32::seed_from_u64(3))
-                .to_bytes()
-        );
-        assert_eq!(
-            InfluenceOracle::build_with_backend(&ig, 500, 9, Backend::Sequential).to_bytes(),
-            InfluenceOracle::builder(500)
-                .seed(9)
-                .backend(Backend::Sequential)
-                .sample(&ig)
-                .to_bytes()
-        );
-        assert_eq!(
-            InfluenceOracle::build_incremental(&ig, 500, 9, Backend::Sequential).to_bytes(),
-            InfluenceOracle::builder(500)
-                .seed(9)
-                .backend(Backend::Sequential)
-                .incremental()
-                .sample(&ig)
-                .to_bytes()
-        );
-        assert!(InfluenceOracle::from_parts(2, 3, vec![vec![0], vec![1]]).is_ok());
     }
 
     #[test]

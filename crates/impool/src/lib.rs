@@ -3,7 +3,7 @@
 //! RIS-style influence indexes trade traversal cost for storage: at
 //! production graph sizes the RR-set pool — not the graph — is the memory
 //! wall. This crate factors the pool's physical layout out of the influence
-//! oracle behind one [`PoolStore`] trait with three backends:
+//! oracle behind one [`Pool`] enum with three layouts:
 //!
 //! * [`RawPool`] — the reference layout: one `Vec<u32>` posting list per
 //!   vertex (set ids containing it) and, for incrementally maintainable
@@ -97,68 +97,6 @@ impl std::fmt::Display for PoolLayout {
     }
 }
 
-/// The storage-engine contract every pool backend satisfies.
-///
-/// Two invariants make cross-layout byte-identity possible and are relied on
-/// by every caller:
-///
-/// 1. `for_each_posting` / `for_each_trace` visit ids in **strictly
-///    increasing order** — the canonical order the raw builders produce.
-/// 2. `replace_set` leaves the store exactly as if the pool had been built
-///    with the new member list from the start (postings and traces stay
-///    inverse to each other).
-pub trait PoolStore {
-    /// This store's physical layout.
-    fn layout(&self) -> PoolLayout;
-    /// Number of vertices (posting lists).
-    fn num_vertices(&self) -> usize;
-    /// Number of RR sets in the pool (traces, when present).
-    fn pool_size(&self) -> usize;
-    /// Length of vertex `v`'s posting list.
-    fn posting_len(&self, v: u32) -> usize;
-    /// Visit every set id of vertex `v`'s posting list, increasing.
-    fn for_each_posting(&self, v: u32, f: &mut dyn FnMut(u32));
-    /// Materialize vertex `v`'s posting list.
-    fn postings(&self, v: u32) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.posting_len(v));
-        self.for_each_posting(v, &mut |id| out.push(id));
-        out
-    }
-    /// Whether the store carries per-set member traces (the inverse index an
-    /// incrementally maintainable pool needs).
-    fn has_traces(&self) -> bool;
-    /// Visit every member vertex of RR set `set`, increasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store carries no traces.
-    fn for_each_trace(&self, set: u32, f: &mut dyn FnMut(u32));
-    /// Materialize the sorted member trace of RR set `set`.
-    fn trace(&self, set: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.for_each_trace(set, &mut |v| out.push(v));
-        out
-    }
-    /// Replace RR set `set`'s members: unindex `old_members`, index
-    /// `new_members` (both sorted, strictly increasing), and store the new
-    /// trace. The incremental-maintenance primitive. `old_members` must be
-    /// the set's current trace: only the posting lists of the symmetric
-    /// difference are edited, so a resampled set that kept most of its
-    /// members costs what changed, not what it holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store carries no traces.
-    fn replace_set(&mut self, set: u32, old_members: &[u32], new_members: &[u32]);
-    /// Build the trace side by inverting the posting lists (used when a pool
-    /// persisted without traces is re-attached for incremental maintenance).
-    fn build_traces(&mut self);
-    /// Bytes of process memory this store keeps resident (directories, skip
-    /// headers, hot lists and overlays; a tiered store's cold file bytes are
-    /// excluded — that is the point of tiering).
-    fn resident_bytes(&self) -> usize;
-}
-
 /// Merge-walk two strictly increasing member lists and report every vertex
 /// in exactly one of them: `f(v, true)` for a member only `new` has,
 /// `f(v, false)` for one only `old` has. The shared core of every backend's
@@ -199,9 +137,17 @@ pub(crate) fn set_membership(list: &mut Vec<u32>, id: u32, present: bool) {
 
 /// A pool store of any layout (the concrete type the oracle embeds).
 ///
-/// The enum exists so the oracle stays `Clone`/`Debug` and so hot query
-/// loops can monomorphize per layout via the inlined `*_inline` visitors
-/// instead of paying a virtual call per posting id.
+/// Two invariants make cross-layout byte-identity possible and are relied on
+/// by every caller:
+///
+/// 1. every visitor yields ids in **strictly increasing order** — the
+///    canonical order the raw builders produce;
+/// 2. [`Pool::replace_set`] leaves the store exactly as if the pool had been
+///    built with the new member list from the start (postings and traces
+///    stay inverse to each other).
+///
+/// Hot query loops monomorphize per layout via the inlined `*_inline`
+/// visitors instead of paying a virtual call per posting id.
 #[derive(Debug, Clone)]
 pub enum Pool {
     /// Uncompressed reference layout.
@@ -224,22 +170,6 @@ impl Pool {
         Pool::Raw(RawPool::new(num_vertices, pool_size, postings, traces))
     }
 
-    /// The store as the dynamic trait object (for layout-generic callers).
-    #[must_use]
-    pub fn store(&self) -> &dyn PoolStore {
-        match self {
-            Pool::Raw(p) => p,
-            Pool::Compressed(p) | Pool::Tiered(p) => p,
-        }
-    }
-
-    fn store_mut(&mut self) -> &mut dyn PoolStore {
-        match self {
-            Pool::Raw(p) => p,
-            Pool::Compressed(p) | Pool::Tiered(p) => p,
-        }
-    }
-
     /// This pool's physical layout.
     #[must_use]
     pub fn layout(&self) -> PoolLayout {
@@ -253,20 +183,26 @@ impl Pool {
     /// Number of vertices (posting lists).
     #[must_use]
     pub fn num_vertices(&self) -> usize {
-        self.store().num_vertices()
+        match self {
+            Pool::Raw(p) => p.num_vertices(),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.num_vertices,
+        }
     }
 
     /// Number of RR sets in the pool.
     #[must_use]
     pub fn pool_size(&self) -> usize {
-        self.store().pool_size()
+        match self {
+            Pool::Raw(p) => p.pool_size(),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.pool_size,
+        }
     }
 
     /// Length of vertex `v`'s posting list.
     #[must_use]
     pub fn posting_len(&self, v: u32) -> usize {
         match self {
-            Pool::Raw(p) => p.posting_len(v),
+            Pool::Raw(p) => p.posting_slice(v).len(),
             Pool::Compressed(p) | Pool::Tiered(p) => p.posting_len(v),
         }
     }
@@ -368,35 +304,69 @@ impl Pool {
     /// Whether the pool carries per-set member traces.
     #[must_use]
     pub fn has_traces(&self) -> bool {
-        self.store().has_traces()
+        match self {
+            Pool::Raw(p) => p.has_traces(),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.has_traces(),
+        }
     }
 
     /// Materialize the sorted member trace of one RR set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool carries no traces.
     #[must_use]
     pub fn trace(&self, set: u32) -> Vec<u32> {
-        self.store().trace(set)
+        match self {
+            Pool::Raw(p) => p.trace_slice(set).to_vec(),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.trace(set),
+        }
     }
 
     /// Materialize vertex `v`'s posting list.
     #[must_use]
     pub fn postings(&self, v: u32) -> Vec<u32> {
-        self.store().postings(v)
+        match self {
+            Pool::Raw(p) => p.posting_slice(v).to_vec(),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.postings(v),
+        }
     }
 
-    /// Replace one RR set's members (see [`PoolStore::replace_set`]).
+    /// Replace RR set `set`'s members: unindex `old_members`, index
+    /// `new_members` (both sorted, strictly increasing), and store the new
+    /// trace. The incremental-maintenance primitive. `old_members` must be
+    /// the set's current trace: only the posting lists of the symmetric
+    /// difference are edited, so a resampled set that kept most of its
+    /// members costs what changed, not what it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool carries no traces.
     pub fn replace_set(&mut self, set: u32, old_members: &[u32], new_members: &[u32]) {
-        self.store_mut().replace_set(set, old_members, new_members);
+        match self {
+            Pool::Raw(p) => p.replace_set(set, old_members, new_members),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.replace_set(set, old_members, new_members),
+        }
     }
 
-    /// Build the trace side by posting-list inversion.
+    /// Build the trace side by inverting the posting lists (used when a pool
+    /// persisted without traces is re-attached for incremental maintenance).
     pub fn build_traces(&mut self) {
-        self.store_mut().build_traces();
+        match self {
+            Pool::Raw(p) => p.build_traces(),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.build_traces(),
+        }
     }
 
-    /// Resident memory footprint in bytes (see [`PoolStore::resident_bytes`]).
+    /// Bytes of process memory this pool keeps resident (directories, skip
+    /// headers, hot lists and overlays; a tiered pool's cold file bytes are
+    /// excluded — that is the point of tiering).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.store().resident_bytes()
+        match self {
+            Pool::Raw(p) => p.resident_bytes(),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.resident_bytes(),
+        }
     }
 
     /// Export the pool as raw posting lists plus optional traces (the

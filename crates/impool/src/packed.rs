@@ -29,7 +29,7 @@
 //! Both shapes are overlay-aware and yield the same ids in the same order.
 
 use crate::codec::{encode_list, list_len, scan_list, SkipEntry};
-use crate::{for_each_membership_change, set_membership, PoolLayout, PoolStore};
+use crate::{for_each_membership_change, set_membership};
 use rustc_hash::FxHashMap;
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -518,55 +518,24 @@ impl PackedPool {
             Region::Resident(_) => (0, 0),
         }
     }
-}
 
-impl PoolStore for PackedPool {
-    fn layout(&self) -> PoolLayout {
-        match self.postings.region {
-            Region::Resident(_) => PoolLayout::Compressed,
-            Region::Cold { .. } => PoolLayout::Tiered,
-        }
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    fn pool_size(&self) -> usize {
-        self.pool_size
-    }
-
-    fn posting_len(&self, v: u32) -> usize {
-        self.postings.len_of(v)
-    }
-
-    fn for_each_posting(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        self.postings.scan(v, f);
-    }
-
-    fn postings(&self, v: u32) -> Vec<u32> {
-        self.postings.list(v)
-    }
-
-    fn has_traces(&self) -> bool {
+    pub(crate) fn has_traces(&self) -> bool {
         self.traces.is_some()
     }
 
-    fn for_each_trace(&self, set: u32, f: &mut dyn FnMut(u32)) {
-        self.traces
-            .as_ref()
-            .expect("compressed pool has no traces")
-            .scan(set, f);
+    pub(crate) fn postings(&self, v: u32) -> Vec<u32> {
+        self.postings.list(v)
     }
 
-    fn trace(&self, set: u32) -> Vec<u32> {
+    pub(crate) fn trace(&self, set: u32) -> Vec<u32> {
         self.traces
             .as_ref()
             .expect("compressed pool has no traces")
             .list(set)
     }
 
-    fn replace_set(&mut self, set: u32, old_members: &[u32], new_members: &[u32]) {
+    /// See [`crate::Pool::replace_set`].
+    pub(crate) fn replace_set(&mut self, set: u32, old_members: &[u32], new_members: &[u32]) {
         let traces = self.traces.as_mut().expect("compressed pool has no traces");
         // Only lists whose membership changes enter the overlay: a set that
         // kept a member leaves that member's encoded list alone.
@@ -581,7 +550,7 @@ impl PoolStore for PackedPool {
         }
     }
 
-    fn build_traces(&mut self) {
+    pub(crate) fn build_traces(&mut self) {
         if self.traces.is_some() {
             return;
         }
@@ -593,7 +562,7 @@ impl PoolStore for PackedPool {
         self.traces_data_off = None;
     }
 
-    fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.postings.resident_bytes()
             + self.traces.as_ref().map_or(0, SegmentStore::resident_bytes)
     }

@@ -29,7 +29,7 @@
 
 use crate::codec::{read_varint, PoolCodecError, SkipEntry, BLOCK_IDS};
 use crate::packed::{PackedPool, Region, SegmentStore};
-use crate::{PoolLayout, PoolStore};
+use crate::PoolLayout;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
@@ -417,8 +417,8 @@ mod tests {
         let payload = pool.encode_pcmp_payload(PoolLayout::Tiered);
         let (decoded, hint) = decode_pcmp_payload(&payload).expect("round trip");
         assert_eq!(hint, PoolLayout::Tiered);
-        assert_eq!(decoded.num_vertices(), 4);
-        assert_eq!(decoded.pool_size(), 600);
+        assert_eq!(decoded.num_vertices, 4);
+        assert_eq!(decoded.pool_size, 600);
         for v in 0..4u32 {
             assert_eq!(decoded.postings(v), pool.postings(v));
         }

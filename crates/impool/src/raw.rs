@@ -1,6 +1,6 @@
 //! The uncompressed reference backend: `Vec<Vec<u32>>` both ways.
 
-use crate::{for_each_membership_change, set_membership, PoolLayout, PoolStore};
+use crate::{for_each_membership_change, set_membership};
 
 /// Uncompressed in-RAM pool store — the layout the original oracle used and
 /// the semantic reference every other backend is equivalence-tested against.
@@ -72,50 +72,21 @@ impl RawPool {
     pub fn trace_slice(&self, set: u32) -> &[u32] {
         &self.trace_table()[set as usize]
     }
-}
 
-impl PoolStore for RawPool {
-    fn layout(&self) -> PoolLayout {
-        PoolLayout::Raw
-    }
-
-    fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.num_vertices
     }
 
-    fn pool_size(&self) -> usize {
+    pub(crate) fn pool_size(&self) -> usize {
         self.pool_size
     }
 
-    fn posting_len(&self, v: u32) -> usize {
-        self.postings[v as usize].len()
-    }
-
-    fn for_each_posting(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        for &id in &self.postings[v as usize] {
-            f(id);
-        }
-    }
-
-    fn postings(&self, v: u32) -> Vec<u32> {
-        self.postings[v as usize].clone()
-    }
-
-    fn has_traces(&self) -> bool {
+    pub(crate) fn has_traces(&self) -> bool {
         self.traces.is_some()
     }
 
-    fn for_each_trace(&self, set: u32, f: &mut dyn FnMut(u32)) {
-        for &v in self.trace_slice(set) {
-            f(v);
-        }
-    }
-
-    fn trace(&self, set: u32) -> Vec<u32> {
-        self.trace_slice(set).to_vec()
-    }
-
-    fn replace_set(&mut self, set: u32, old_members: &[u32], new_members: &[u32]) {
+    /// See [`crate::Pool::replace_set`].
+    pub(crate) fn replace_set(&mut self, set: u32, old_members: &[u32], new_members: &[u32]) {
         let traces = self.traces.as_mut().expect("raw pool has no traces");
         let mut changed = false;
         for_each_membership_change(old_members, new_members, |v, present| {
@@ -127,7 +98,7 @@ impl PoolStore for RawPool {
         }
     }
 
-    fn build_traces(&mut self) {
+    pub(crate) fn build_traces(&mut self) {
         if self.traces.is_some() {
             return;
         }
@@ -141,7 +112,7 @@ impl PoolStore for RawPool {
         self.traces = Some(traces);
     }
 
-    fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         fn table_bytes(table: &[Vec<u32>]) -> usize {
             std::mem::size_of_val(table)
                 + table
@@ -166,9 +137,9 @@ mod tests {
         let postings = vec![vec![0, 1], vec![1], vec![0, 2]];
         let mut pool = RawPool::new(3, 3, postings, None);
         pool.build_traces();
-        assert_eq!(pool.trace(0), vec![0, 2]);
-        assert_eq!(pool.trace(1), vec![0, 1]);
-        assert_eq!(pool.trace(2), vec![2]);
+        assert_eq!(pool.trace_slice(0), vec![0, 2]);
+        assert_eq!(pool.trace_slice(1), vec![0, 1]);
+        assert_eq!(pool.trace_slice(2), vec![2]);
     }
 
     #[test]
@@ -176,10 +147,10 @@ mod tests {
         let postings = vec![vec![0], vec![0], vec![]];
         let mut pool = RawPool::new(3, 1, postings, Some(vec![vec![0, 1]]));
         pool.replace_set(0, &[0, 1], &[2]);
-        assert_eq!(pool.postings(0), Vec::<u32>::new());
-        assert_eq!(pool.postings(1), Vec::<u32>::new());
-        assert_eq!(pool.postings(2), vec![0]);
-        assert_eq!(pool.trace(0), vec![2]);
+        assert_eq!(pool.posting_slice(0), Vec::<u32>::new());
+        assert_eq!(pool.posting_slice(1), Vec::<u32>::new());
+        assert_eq!(pool.posting_slice(2), vec![0]);
+        assert_eq!(pool.trace_slice(0), vec![2]);
     }
 
     #[test]

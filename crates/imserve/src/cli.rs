@@ -119,21 +119,15 @@ pub enum Command {
         addrs: Vec<String>,
         /// The request to send.
         request: QuerySpec,
-        /// Speak the bare v1 dialect instead of protocol v2 (single
-        /// address only; compatibility tooling).
-        v1: bool,
     },
-    /// `imserve mutate`: apply a batch of graph deltas to a running server
-    /// (with several `--addr`s, broadcast through a `ShardedService`;
-    /// requires `--batch`).
+    /// `imserve mutate`: apply a batch of graph deltas atomically to a
+    /// running server (with several `--addr`s, broadcast through a
+    /// `ShardedService`).
     Mutate {
         /// Server addresses (one per shard backend).
         addrs: Vec<String>,
         /// The deltas to apply, in command-line order.
         deltas: Vec<GraphDelta>,
-        /// Send the atomic `MutateBatch` request (all-or-nothing, one CSR
-        /// re-materialization) instead of per-delta `Mutate`.
-        batch: bool,
     },
     /// `imserve compact`: fold a pending delta log into its snapshot
     /// watermark — on a running server (`--addr`) or offline on an artifact
@@ -214,15 +208,15 @@ pub const USAGE: &str = "usage:
   imserve route    --addr host:port[|replica…] [--addr …] --metrics-addr host:port [--deadline-ms N]
   imserve reload   --addr host:port --index <path>
   imserve promote  --addr host:port [--expected-epoch N]
-  imserve query    --addr host:port [--addr …] [--v1] (--estimate v1,v2,… | --topk K [--algorithm greedy|singleton] | --info | --stats | --metrics | --health | --events)
-  imserve mutate   --addr host:port [--addr …] [--batch] (--insert u,v,p | --delete u,v | --setp u,v,p | --file <script>)…
+  imserve query    --addr host:port [--addr …] (--estimate v1,v2,… | --topk K [--algorithm greedy|singleton] | --info | --stats | --metrics | --health | --events)
+  imserve mutate   --addr host:port [--addr …] (--insert u,v,p | --delete u,v | --setp u,v,p | --file <script>)…
   imserve compact  (--addr host:port | --index <path> --out <path>)
   imserve loadtest --addr host:port [--addr …] [--connections N] [--requests N] [--k K] [--arrival-rps R]
 
 delta scripts hold one JSON delta per line, e.g. {\"InsertEdge\":{\"source\":0,\"target\":33,\"probability\":0.5}}
---batch applies the deltas atomically (all-or-nothing, one CSR rebuild); --compact-* enable auto-compaction
+mutate applies its deltas atomically (all-or-nothing, one CSR patch); --compact-* enable auto-compaction
 --shard i/N builds shard i of a global pool; several --addr values route queries through a sharded service
---wal <path> makes accepted mutations crash-durable between index saves; --v1 speaks the legacy bare-frame dialect
+--wal <path> makes accepted mutations crash-durable between index saves
 --reactor (default) serves every connection from one event loop; --threaded keeps the turn-queue worker pool
 --arrival-rps switches the loadtest to an open-loop schedule measuring latency from each scheduled arrival
 --metrics-addr exposes the operational HTTP surface (/metrics, /events, /healthz, /readyz); --slow-micros sets the slow-query log threshold
@@ -399,12 +393,10 @@ fn parse_edge_triple(flag: &str, value: &str) -> Result<(u32, u32, f64), CliErro
 fn parse_mutate(args: &[String]) -> Result<Command, CliError> {
     let mut addrs: Vec<String> = Vec::new();
     let mut deltas: Vec<GraphDelta> = Vec::new();
-    let mut batch = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--addr" => addrs.push(take_value("--addr", args, &mut i)?.to_string()),
-            "--batch" => batch = true,
             "--insert" => {
                 let (source, target, probability) =
                     parse_edge_triple("--insert", take_value("--insert", args, &mut i)?)?;
@@ -449,17 +441,7 @@ fn parse_mutate(args: &[String]) -> Result<Command, CliError> {
     if addrs.is_empty() {
         return Err(CliError("mutate requires --addr".to_string()));
     }
-    if addrs.len() > 1 && !batch {
-        return Err(CliError(
-            "mutating several shards requires --batch (the broadcast is per-shard atomic)"
-                .to_string(),
-        ));
-    }
-    Ok(Command::Mutate {
-        addrs,
-        deltas,
-        batch,
-    })
+    Ok(Command::Mutate { addrs, deltas })
 }
 
 fn parse_compact(args: &[String]) -> Result<Command, CliError> {
@@ -689,12 +671,10 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
     let mut addrs: Vec<String> = Vec::new();
     let mut request: Option<QuerySpec> = None;
     let mut algorithm = TopKAlgorithm::Greedy;
-    let mut v1 = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--addr" => addrs.push(take_value("--addr", args, &mut i)?.to_string()),
-            "--v1" => v1 = true,
             "--estimate" => {
                 let seeds = parse_seed_list(take_value("--estimate", args, &mut i)?)?;
                 set_once(&mut request, QuerySpec::Estimate(seeds))?;
@@ -726,11 +706,6 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
     if addrs.is_empty() {
         return Err(CliError("query requires --addr".to_string()));
     }
-    if v1 && addrs.len() > 1 {
-        return Err(CliError(
-            "--v1 speaks to a single server (sharded routing needs protocol v2)".to_string(),
-        ));
-    }
     Ok(Command::Query {
         addrs,
         request: request.ok_or_else(|| {
@@ -740,7 +715,6 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
                     .to_string(),
             )
         })?,
-        v1,
     })
 }
 
@@ -926,6 +900,8 @@ mod tests {
             vec!["query", "--addr", "a:1", "--info", "--wat"],
             vec!["loadtest", "--addr", "a:1", "--turbo"],
             vec!["mutate", "--addr", "a:1", "--insert", "0,1,0.5", "--warp"],
+            // Atomic is the only mode: no flag, and no accepted-and-ignored alias.
+            vec!["mutate", "--addr", "a:1", "--batch", "--delete", "0,1"],
         ] {
             assert!(parse(&args(&bad)).is_err(), "{bad:?} must be rejected");
         }
@@ -1009,21 +985,8 @@ mod tests {
                         probability: 1.0
                     },
                 ],
-                batch: false,
             }
         );
-        // --batch switches to the atomic MutateBatch request.
-        match parse(&args(&[
-            "mutate", "--addr", "a:1", "--batch", "--delete", "0,1",
-        ]))
-        .unwrap()
-        {
-            Command::Mutate { batch, deltas, .. } => {
-                assert!(batch);
-                assert_eq!(deltas.len(), 1);
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
         // Malformed specs are rejected with the flag named.
         assert!(parse(&args(&["mutate", "--addr", "a:1", "--insert", "0,1"])).is_err());
         assert!(parse(&args(&["mutate", "--addr", "a:1", "--delete", "0"])).is_err());
@@ -1078,7 +1041,6 @@ mod tests {
                     target: 2,
                     probability: 0.25
                 }],
-                batch: false,
             }
         );
     }
@@ -1212,7 +1174,6 @@ mod tests {
             Command::Query {
                 addrs: vec!["a:1".into()],
                 request: QuerySpec::Metrics,
-                v1: false,
             }
         );
         assert!(parse(&args(&["query", "--addr", "a:1", "--metrics", "--stats"])).is_err());
@@ -1265,7 +1226,6 @@ mod tests {
             Command::Query {
                 addrs: vec!["a:1".into()],
                 request: QuerySpec::Stats,
-                v1: false,
             }
         );
         assert!(parse(&args(&["query", "--addr", "a:1", "--stats", "--info"])).is_err());
@@ -1279,7 +1239,6 @@ mod tests {
             Command::Query {
                 addrs: vec!["a:1".into()],
                 request: QuerySpec::Estimate(vec![0, 5, 9]),
-                v1: false,
             }
         );
         let cmd = parse(&args(&[
@@ -1297,7 +1256,6 @@ mod tests {
             Command::Query {
                 addrs: vec!["a:1".into()],
                 request: QuerySpec::TopK(4, TopKAlgorithm::SingletonRank),
-                v1: false,
             }
         );
         // Algorithm flag before --topk also applies.
@@ -1316,7 +1274,6 @@ mod tests {
             Command::Query {
                 addrs: vec!["a:1".into()],
                 request: QuerySpec::TopK(2, TopKAlgorithm::SingletonRank),
-                v1: false,
             }
         );
         assert!(parse(&args(&["query", "--addr", "a:1", "--estimate", "1,x"])).is_err());
@@ -1330,7 +1287,6 @@ mod tests {
             Command::Query {
                 addrs: vec!["a:1".into()],
                 request: QuerySpec::Health,
-                v1: false,
             }
         );
         assert_eq!(
@@ -1338,7 +1294,6 @@ mod tests {
             Command::Query {
                 addrs: vec!["a:1".into()],
                 request: QuerySpec::Events,
-                v1: false,
             }
         );
         assert!(parse(&args(&["query", "--addr", "a:1", "--health", "--stats"])).is_err());

@@ -1,22 +1,17 @@
-//! Clients for both wire dialects.
+//! The protocol client.
 //!
-//! [`Connection`] is the original v1 client: bare request frames, kept for
-//! compatibility tooling (`imserve query --v1`) and for the CI check that a
-//! v1 client still works against a v2 server.
-//!
-//! [`ServiceConnection`] speaks protocol v2 — id-tagged frames over one TCP
-//! connection, with an explicit version handshake on connect and support for
-//! *pipelining* (write many frames, then read the id-matched responses).
+//! [`ServiceConnection`] speaks the wire protocol — id-tagged frames over one
+//! TCP connection, with an explicit version handshake on connect and support
+//! for *pipelining* (write many frames, then read the id-matched responses).
 //! [`RemoteService`] wraps it into the typed [`InfluenceService`] trait, so
 //! a remote server is interchangeable with an in-process engine.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use imgraph::GraphDelta;
 
-use crate::error::ServeError;
 use crate::linebuf::LineBuffer;
 use crate::protocol::{
     self, Outcome, Request, RequestFrame, Response, ResponseFrame, TopKAlgorithm, PROTOCOL_VERSION,
@@ -27,49 +22,7 @@ use crate::service::{
     SpreadEstimate, TopKSelection,
 };
 
-/// One persistent v1 connection speaking bare newline-delimited JSON.
-#[derive(Debug)]
-pub struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Connection {
-    /// Connect to a server.
-    pub fn open(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self {
-            reader,
-            writer: BufWriter::new(stream),
-        })
-    }
-
-    /// Send one request and wait for its response.
-    pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ServeError> {
-        self.writer
-            .write_all(protocol::encode(request)?.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        let read = self.reader.read_line(&mut line)?;
-        if read == 0 {
-            return Err(ServeError::Protocol(
-                "server closed the connection".to_string(),
-            ));
-        }
-        protocol::decode(&line)
-    }
-}
-
-/// Convenience: open a fresh v1 connection, send one request, return the
-/// answer.
-pub fn query_once(addr: impl ToSocketAddrs, request: &Request) -> Result<Response, ServeError> {
-    Connection::open(addr)?.roundtrip(request)
-}
-
-/// One persistent protocol-v2 connection: id-tagged frames, typed errors,
+/// One persistent protocol connection: id-tagged frames, typed errors,
 /// pipelining — both the blocking batch form ([`ServiceConnection::pipeline`])
 /// and the non-blocking [`ServiceConnection::send`] /
 /// [`ServiceConnection::poll_response`] pair for callers that hold several
@@ -93,9 +46,8 @@ pub struct ServiceConnection {
 
 impl ServiceConnection {
     /// Connect and perform the version handshake. Fails with
-    /// [`ServiceError::Protocol`] if the peer does not speak protocol v2
-    /// (e.g. a v1-only server answering the framed `Hello` with a bare
-    /// error).
+    /// [`ServiceError::Protocol`] if the peer does not speak this build's
+    /// protocol version.
     pub fn connect(addr: impl ToSocketAddrs) -> ServiceResult<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -211,9 +163,7 @@ impl ServiceConnection {
         let outcome = drained?;
         match self.next_buffered_line()? {
             Some(line) => Ok(Some(Self::parse_frame(&line)?)),
-            None if outcome == ReadOutcome::Eof => Err(ServiceError::Protocol(
-                "server closed the connection".to_string(),
-            )),
+            None if outcome == ReadOutcome::Eof => Err(closed_by_peer()),
             None => Ok(None),
         }
     }
@@ -297,14 +247,20 @@ impl ServiceConnection {
                         "timed out waiting for the response",
                     )))
                 }
-                ReadOutcome::Eof => {
-                    return Err(ServiceError::Protocol(
-                        "server closed the connection".to_string(),
-                    ))
-                }
+                ReadOutcome::Eof => return Err(closed_by_peer()),
             }
         }
     }
+}
+
+/// The peer closed the connection while a reply was owed: a transport
+/// failure (a FIN here, an RST as the read error itself — same class either
+/// way), not a protocol violation.
+fn closed_by_peer() -> ServiceError {
+    ServiceError::Transport(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        "server closed the connection",
+    ))
 }
 
 /// What one [`ServiceConnection::read_available`] attempt observed.
@@ -318,8 +274,7 @@ enum ReadOutcome {
     Eof,
 }
 
-/// The remote backend: an [`InfluenceService`] over one protocol-v2 TCP
-/// connection.
+/// The remote backend: an [`InfluenceService`] over one TCP connection.
 #[derive(Debug)]
 pub struct RemoteService {
     connection: ServiceConnection,

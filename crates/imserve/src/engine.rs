@@ -4,7 +4,7 @@
 //! through [`QueryEngine::handle`], which takes the caller's own
 //! [`EstimateScratch`] so the `Estimate` hot path performs zero allocation.
 //!
-//! Since the index became mutable (`Mutate` requests drive `imdyn`'s
+//! Since the index became mutable (`MutateBatch` requests drive `imdyn`'s
 //! incremental RR-set maintenance), the serving state lives behind one
 //! `RwLock`: queries share read locks, a mutation takes the write lock while
 //! it resamples the dirty RR sets. The dynamic oracle itself sits in an
@@ -197,8 +197,7 @@ pub struct QueryEngine {
 }
 
 /// Staged construction of a [`QueryEngine`] — cache capacity, compaction
-/// policy and the optional mutation write-ahead log in one place (the former
-/// `new`/`with_cache_capacity`/`with_config` constructor sprawl).
+/// policy and the optional mutation write-ahead log in one place.
 ///
 /// ```no_run
 /// use imserve::engine::QueryEngine;
@@ -348,36 +347,7 @@ impl QueryEngine {
         }
     }
 
-    /// Wrap a loaded index with the default cache capacity.
-    #[deprecated(note = "use QueryEngine::builder(index).build()")]
-    #[must_use]
-    pub fn new(index: IndexArtifact) -> Self {
-        Self::construct(index, &EngineConfig::default(), None)
-    }
-
-    /// Wrap a loaded index with an explicit `TopK` cache capacity.
-    #[deprecated(note = "use QueryEngine::builder(index).cache_capacity(n).build()")]
-    #[must_use]
-    pub fn with_cache_capacity(index: IndexArtifact, capacity: usize) -> Self {
-        Self::construct(
-            index,
-            &EngineConfig {
-                cache_capacity: capacity,
-                ..EngineConfig::default()
-            },
-            None,
-        )
-    }
-
-    /// Wrap a loaded index with full engine options.
-    #[deprecated(note = "use QueryEngine::builder(index).config(&config).build()")]
-    #[must_use]
-    pub fn with_config(index: IndexArtifact, config: &EngineConfig) -> Self {
-        Self::construct(index, config, None)
-    }
-
-    /// The WAL-free construction core shared by the builder and the
-    /// deprecated constructors.
+    /// The WAL-free construction core of [`EngineBuilder::build`].
     ///
     /// # Panics
     ///
@@ -451,10 +421,9 @@ impl QueryEngine {
         self.state().dynamic.oracle().scratch()
     }
 
-    /// Answer one wire request (the v1/v2 dialect adapter over the typed
-    /// methods). Never panics on untrusted input: invalid queries come back
-    /// as [`Response::Error`] — the caller re-wraps them as typed v2 errors
-    /// when the frame arrived in the v2 dialect.
+    /// Answer one request in process, flattening the typed error channel:
+    /// invalid queries come back as [`Response::Error`]. Never panics on
+    /// untrusted input.
     pub fn handle(&self, request: &Request, scratch: &mut EstimateScratch) -> Response {
         match self.handle_service(request, scratch) {
             Ok(response) => response,
@@ -464,8 +433,8 @@ impl QueryEngine {
         }
     }
 
-    /// Answer one wire request with the typed error channel intact (the v2
-    /// adapter; [`QueryEngine::handle`] flattens it for v1).
+    /// Answer one wire request with the typed error channel intact (what
+    /// both front ends call; [`QueryEngine::handle`] flattens it).
     pub fn handle_service(
         &self,
         request: &Request,
@@ -477,24 +446,19 @@ impl QueryEngine {
                 self.obs.ping.count.inc();
                 Ok(Response::Pong)
             }
-            Request::Hello { max_version } => {
+            // A client that cannot parse this version never gets here: the
+            // front end refuses its handshake (`server::answer_line`).
+            Request::Hello { .. } => {
                 self.counters.requests.fetch_add(1, Ordering::Relaxed);
                 self.obs.hello.count.inc();
                 Ok(Response::Hello {
-                    version: PROTOCOL_VERSION.min(*max_version).max(1),
+                    version: PROTOCOL_VERSION,
                 })
             }
             Request::Info => Ok(self.info().into()),
             Request::Estimate { seeds } => self.estimate(seeds, scratch).map(Response::from),
             Request::TopK { k, algorithm } => self.top_k(*k, *algorithm).map(Response::from),
             Request::Gains { selected } => self.gains(selected).map(Response::from),
-            // The per-delta path reports through the legacy Mutate response
-            // (no `compacted` field) to keep the v1 wire stable.
-            Request::Mutate { deltas } => self.mutate(deltas).map(|m| Response::Mutate {
-                epoch: m.epoch,
-                applied: m.applied,
-                resampled: m.resampled,
-            }),
             Request::MutateBatch { deltas } => self.mutate_batch(deltas).map(Response::from),
             Request::Compact => Ok(self.compact().into()),
             Request::Stats => Ok(self.stats().into()),
@@ -709,71 +673,6 @@ impl QueryEngine {
             gains,
             covered,
             pool: oracle.pool_size() as u64,
-        })
-    }
-
-    /// Apply a batch of graph mutations **per delta**: on the first failure
-    /// the batch stops, earlier deltas stay applied (the error reports how
-    /// many), and the epoch reflects them. Prefer
-    /// [`QueryEngine::mutate_batch`] for atomic all-or-nothing semantics.
-    pub fn mutate(&self, deltas: &[GraphDelta]) -> Result<MutationOutcome, ServiceError> {
-        let began = Instant::now();
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.obs.mutate.count.inc();
-        self.check_writable()?;
-        self.check_wal_usable()?;
-        if deltas.is_empty() {
-            return Err(ServiceError::Mutation(
-                "mutation batch must not be empty".into(),
-            ));
-        }
-        let mut state = self.state.write().expect("serving state poisoned");
-        let epoch_before = state.dynamic.epoch();
-        let hash_before = state.dynamic.fingerprint();
-        // Copy-on-write: clones the oracle only if a snapshot (e.g. an
-        // in-flight TopK selection) still holds the previous Arc.
-        let dynamic = Arc::make_mut(&mut state.dynamic);
-        let mut applied = 0usize;
-        let mut resampled = 0usize;
-        for delta in deltas {
-            match dynamic.apply(*delta) {
-                Ok(outcome) => {
-                    applied += 1;
-                    resampled += outcome.resampled;
-                }
-                Err(e) => {
-                    // Earlier deltas of the batch stay applied; sync the
-                    // metadata (and WAL the surviving prefix) before
-                    // reporting.
-                    state.meta.num_edges = state.dynamic.graph().num_edges();
-                    self.bump_mutation_counters(applied, resampled);
-                    let message = format!(
-                        "delta {} of {} rejected ({e}); {applied} applied, epoch {}",
-                        applied + 1,
-                        deltas.len(),
-                        state.dynamic.epoch()
-                    );
-                    self.wal_append(epoch_before, hash_before, &deltas[..applied])?;
-                    return Err(ServiceError::Mutation(message));
-                }
-            }
-        }
-        state.meta.num_edges = state.dynamic.graph().num_edges();
-        self.bump_mutation_counters(applied, resampled);
-        self.wal_append(epoch_before, hash_before, deltas)?;
-        self.note_epoch_moved(epoch_before, state.dynamic.epoch());
-        // Policy-triggered compaction: cheap bookkeeping under the same write
-        // lock; readers holding `Arc` snapshots are unaffected.
-        let compacted = self.maybe_compact_with_events(&mut state);
-        self.obs
-            .mutate
-            .latency_micros
-            .record(began.elapsed().as_micros() as u64);
-        Ok(MutationOutcome {
-            epoch: state.dynamic.epoch(),
-            applied,
-            resampled,
-            compacted,
         })
     }
 
@@ -1125,27 +1024,29 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// Append an accepted (prefix of a) batch to the WAL, if one is
-    /// attached. Called under the state write lock so records land in
-    /// application order. An append failure is a [`ServiceError::Backend`]:
-    /// the mutation *is* applied in memory but its durability cannot be
-    /// acknowledged — and the engine goes fail-stop for mutations (the
-    /// unlogged batch is an epoch gap that would strand every later
-    /// record), while queries keep serving.
+    /// Append an accepted batch to the WAL, if one is attached. Called under
+    /// the state write lock so records land in application order (both
+    /// callers have already refused an empty batch). An append failure is a
+    /// [`ServiceError::Backend`] and the one error after which the in-memory
+    /// state is ahead of the durable one: the batch is applied but cannot be
+    /// acknowledged, so the engine goes fail-stop for mutations (the
+    /// unlogged batch is an epoch gap that would strand every later record)
+    /// while queries keep serving; a restart replays the WAL back to the
+    /// state before the batch.
     fn wal_append(
         &self,
         epoch_before: u64,
         graph_hash_before: u64,
-        applied: &[GraphDelta],
+        deltas: &[GraphDelta],
     ) -> Result<(), ServiceError> {
-        let (Some(wal), false) = (self.wal.as_ref(), applied.is_empty()) else {
+        let Some(wal) = self.wal.as_ref() else {
             return Ok(());
         };
         let began = Instant::now();
         let bytes = wal
             .lock()
             .expect("WAL lock poisoned")
-            .append(epoch_before, graph_hash_before, applied)
+            .append(epoch_before, graph_hash_before, deltas)
             .map_err(|e| {
                 self.counters.wal_poisoned.store(true, Ordering::Relaxed);
                 self.obs.event_log.error(
@@ -1153,7 +1054,7 @@ impl QueryEngine {
                     0,
                     vec![
                         EventField::u64("epoch_before", epoch_before),
-                        EventField::u64("deltas", applied.len() as u64),
+                        EventField::u64("deltas", deltas.len() as u64),
                         EventField::text("error", e.to_string()),
                     ],
                 );
@@ -1428,23 +1329,13 @@ mod tests {
                 probability: 1.0,
             },
         ];
-        match engine.handle(
-            &Request::Mutate {
-                deltas: deltas.clone(),
-            },
-            &mut scratch,
-        ) {
-            Response::Mutate {
-                epoch,
-                applied,
-                resampled,
-            } => {
-                assert_eq!(epoch, 2);
-                assert_eq!(applied, 2);
-                assert!(resampled > 0, "the mutated head vertex has coverage");
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        let outcome = engine.mutate_batch(&deltas).unwrap();
+        assert_eq!(outcome.epoch, 2);
+        assert_eq!(outcome.applied, 2);
+        assert!(
+            outcome.resampled > 0,
+            "the mutated head vertex has coverage"
+        );
 
         // The same request must now be recomputed (a second miss), against
         // the mutated pool — and must equal a from-scratch rebuild of the
@@ -1486,46 +1377,8 @@ mod tests {
     }
 
     #[test]
-    fn failed_mutations_report_partial_application() {
-        let engine = karate_engine();
-        let edges_before = engine.state().meta.num_edges;
-        let mut scratch = engine.new_scratch();
-        let response = engine.handle(
-            &Request::Mutate {
-                deltas: vec![
-                    GraphDelta::InsertEdge {
-                        source: 0,
-                        target: 1,
-                        probability: 0.5,
-                    },
-                    GraphDelta::DeleteEdge {
-                        source: 999,
-                        target: 0,
-                    },
-                ],
-            },
-            &mut scratch,
-        );
-        match response {
-            Response::Error { message } => {
-                assert!(message.contains("delta 2 of 2"), "{message}");
-                assert!(message.contains("1 applied"), "{message}");
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-        assert_eq!(engine.epoch(), 1, "the valid prefix stays applied");
-        // Metadata tracks the surviving insert.
-        assert_eq!(engine.state().meta.num_edges, edges_before + 1);
-        // Empty batches are rejected outright.
-        let response = engine.handle(&Request::Mutate { deltas: vec![] }, &mut scratch);
-        assert!(matches!(response, Response::Error { .. }));
-        assert_eq!(engine.epoch(), 1);
-    }
-
-    #[test]
-    fn mutate_batch_is_atomic_and_matches_the_per_delta_path() {
+    fn mutate_batch_is_atomic_and_matches_the_rebuild() {
         let batched = karate_engine();
-        let per_delta = karate_engine();
         let mut scratch = batched.new_scratch();
         let deltas = vec![
             GraphDelta::InsertEdge {
@@ -1562,17 +1415,15 @@ mod tests {
             }
             other => panic!("unexpected response {other:?}"),
         }
-        per_delta.handle(&Request::Mutate { deltas }, &mut scratch);
+        let rebuilt =
+            build_dataset_index_with_deltas("karate", "uc0.1", POOL, SEED, &deltas).unwrap();
         assert_eq!(
             batched.state().dynamic.oracle().to_bytes(),
-            per_delta.state().dynamic.oracle().to_bytes(),
-            "batched and per-delta application must agree byte-for-byte"
+            rebuilt.oracle.to_bytes(),
+            "batched application must agree with the rebuild byte-for-byte"
         );
-        assert_eq!(batched.epoch(), per_delta.epoch());
-        assert_eq!(
-            batched.state().meta.num_edges,
-            per_delta.state().meta.num_edges
-        );
+        assert_eq!(batched.epoch(), rebuilt.epoch());
+        assert_eq!(batched.state().meta.num_edges, rebuilt.meta.num_edges);
 
         // An invalid batch rejects as a unit: nothing lands, epoch unmoved.
         let before = batched.state().dynamic.oracle().to_bytes();
@@ -1623,12 +1474,7 @@ mod tests {
                 probability: 1.0,
             },
         ];
-        engine.handle(
-            &Request::Mutate {
-                deltas: deltas.clone(),
-            },
-            &mut scratch,
-        );
+        engine.mutate_batch(&deltas).unwrap();
         let estimate = Request::Estimate { seeds: vec![0, 33] };
         let before = engine.handle(&estimate, &mut scratch);
 
@@ -1774,15 +1620,12 @@ mod tests {
         let engine = karate_engine();
         let edges_before = engine.state().meta.num_edges;
         let mut scratch = engine.new_scratch();
-        engine.handle(
-            &Request::Mutate {
-                deltas: vec![GraphDelta::DeleteEdge {
-                    source: 0,
-                    target: 1,
-                }],
-            },
-            &mut scratch,
-        );
+        engine
+            .mutate_batch(&[GraphDelta::DeleteEdge {
+                source: 0,
+                target: 1,
+            }])
+            .unwrap();
         let artifact = engine.state().to_artifact();
         assert_eq!(artifact.log.len(), 1);
         assert_eq!(artifact.meta.num_edges, edges_before - 1);
@@ -1830,8 +1673,6 @@ mod tests {
             matches!(refusal, ServiceError::ReadOnly(_)),
             "expected a typed ReadOnly refusal, got {refusal:?}"
         );
-        let refusal = follower.mutate(&test_deltas()).unwrap_err();
-        assert!(matches!(refusal, ServiceError::ReadOnly(_)));
         // Reads keep flowing on the read-only node.
         assert!(follower
             .estimate(&[0, 33], &mut follower.new_scratch())

@@ -14,11 +14,11 @@
 //!                        | GRPH (nested) — InfluenceGraph artifact ("IMGB")
 //!                        | POOL (nested) — RR-set pool artifact ("IMPL")
 //!                        |   or
-//!                        | PCMP (v5)     — compressed pool payload ("IMCP");
+//!                        | PCMP          — compressed pool payload ("IMCP");
 //!                        |                 exactly one of POOL/PCMP present
 //!                        | DLTA          — pending mutation log
-//!                        | SNAP (v3)     — snapshot epoch + log watermark
-//!                        | SHRD (v4)     — shard stream offset + global pool
+//!                        | SNAP          — snapshot epoch + log watermark
+//!                        | SHRD          — shard stream offset + global pool
 //!                        |                 (shard artifacts only)
 //!                        | checksum
 //! ```
@@ -28,14 +28,11 @@
 //! the `DLTA` section records the deltas applied since the last compaction,
 //! so a reloaded index can keep mutating (the pool is incrementally
 //! maintainable, see `imdyn`) and its recent lineage stays auditable. The
-//! `SNAP` section (format version 3) records the **snapshot epoch**: how many
-//! deltas were folded away by compactions before the pending log, so the
-//! index epoch — `snapshot_epoch + log length` — stays monotonic across
-//! compactions. Version-2 artifacts predate compaction: they carry no `SNAP`
-//! section and load with a zero watermark (their full log *is* their
-//! history). Version-1 artifacts predate the evolving-graph subsystem and are
-//! rejected on load with a rebuild hint — their per-batch pools cannot be
-//! maintained soundly (see [`INDEX_VERSION`]).
+//! `SNAP` section records the **snapshot epoch**: how many deltas were folded
+//! away by compactions before the pending log, so the index epoch —
+//! `snapshot_epoch + log length` — stays monotonic across compactions. One
+//! format version is read (see [`INDEX_VERSION`]); any other is refused on
+//! load with a rebuild hint.
 //!
 //! The nested artifacts carry their own magic and checksum, so each layer can
 //! also be produced and validated independently.
@@ -56,34 +53,12 @@ use crate::error::ServeError;
 
 /// Magic bytes of a serialized index artifact.
 pub const INDEX_MAGIC: [u8; 4] = *b"IMSX";
-/// Current index format version.
-///
-/// Version 5 added the `PCMP` section: a delta-varint compressed pool
-/// payload written *instead of* `POOL` when the artifact was built with
-/// `--pool-layout compressed` or `tiered` (exactly one of the two pool
-/// sections must be present). A tiered artifact's payload additionally lets
-/// [`IndexArtifact::load`] leave cold posting/trace blocks in the file and
-/// page them in on demand. Raw-layout artifacts keep writing `POOL`, and
-/// versions 2–4 remain readable unchanged.
-///
-/// Version 4 added the optional `SHRD` section: the pool's position in a
-/// global set-id space (stream offset plus global pool size), present only
-/// for shard artifacts (`imserve build --shard i/N`). Whole-pool v4
-/// artifacts carry the same sections as v3.
-///
-/// Version 3 added the `SNAP` section: the compaction watermark that keeps
-/// the index epoch monotonic when the pending delta log is folded away.
-/// Version-2 artifacts (no `SNAP`; the `DLTA` section holds the full
-/// history) remain readable and load with a zero watermark.
-///
-/// Version 2 changed the *semantics* of the `POOL` section: pools are drawn
-/// with one PRNG stream per RR set (per-set incremental streams), which is
-/// what makes them incrementally maintainable under graph deltas.
-/// Version-1 pools were drawn from per-batch streams; the bytes are
-/// indistinguishable but resampling a v1 set from its per-set stream would
-/// silently produce a pool no rebuild can match (and correlated RR sets), so
-/// v1 artifacts are **rejected** on load with a rebuild hint rather than
-/// mutated unsoundly.
+/// The index format version — the only one read or written. `SHRD` is
+/// optional (shard artifacts only), `SNAP` and `DLTA` are required, and
+/// exactly one of `POOL` (raw layout) / `PCMP` (compressed or tiered layout)
+/// carries the pool. No deployed artifacts exist, so there is no read path
+/// for earlier versions: they are refused on load naming the version found
+/// and `imserve build`.
 pub const INDEX_VERSION: u32 = 5;
 
 const META_TAG: [u8; 4] = *b"META";
@@ -239,7 +214,7 @@ impl IndexArtifact {
     /// Build an index for `base_graph` *after* applying a delta script to it:
     /// the deltas mutate the graph first, then the pool is sampled from
     /// scratch on the mutated graph. This is the from-scratch rebuild the
-    /// incremental path (`Mutate` requests against a served index) must match
+    /// incremental path (`MutateBatch` requests against a served index) must match
     /// byte-for-byte, which is exactly what the CI smoke step diffs.
     pub fn build_with_deltas(
         graph_id: &str,
@@ -304,23 +279,21 @@ impl IndexArtifact {
             serde_json::to_string(&self.meta).expect("index metadata always serializes");
         w.section(META_TAG, meta_json.as_bytes());
         w.section(GRAPH_TAG, &influence_graph_to_bytes(&self.graph));
-        // The pool travels raw (`POOL`, the v2 "IMPL" artifact) or
-        // delta-varint compressed (`PCMP`, v5) depending on its layout; the
-        // persisted hint restores the same layout on load.
+        // The pool travels raw (`POOL`, the "IMPL" artifact) or delta-varint
+        // compressed (`PCMP`) depending on its layout; the persisted hint
+        // restores the same layout on load.
         match self.oracle.pool_layout() {
             PoolLayout::Raw => w.section(POOL_TAG, &self.oracle.to_bytes()),
             layout => w.section(PACKED_POOL_TAG, &self.oracle.encode_pcmp_payload(layout)),
         }
         w.section(DELTA_TAG, &self.log.encode_payload());
-        // The v3 watermark: snapshot epoch plus the total epoch as a
+        // The watermark: snapshot epoch plus the total epoch as a
         // cross-check against a spliced or hand-edited log section.
         let mut snap = Vec::with_capacity(16);
         binio::put_u64(&mut snap, self.snapshot_epoch);
         binio::put_u64(&mut snap, self.epoch());
         w.section(SNAPSHOT_TAG, &snap);
-        // The v4 shard position, only for shard artifacts: whole-pool
-        // indexes stay byte-compatible with v3 readers except for the
-        // version field.
+        // The shard position, only for shard artifacts.
         if let Some(shard) = self.shard {
             let mut shrd = Vec::with_capacity(16);
             binio::put_u64(&mut shrd, shard.offset);
@@ -345,13 +318,12 @@ impl IndexArtifact {
     /// backing file.
     fn from_bytes_tracking_pool(bytes: &[u8]) -> Result<(Self, Option<u64>), BinError> {
         let reader = BinReader::new(bytes, INDEX_MAGIC, INDEX_VERSION)?;
-        // The header is validated; versions below 2 carry per-batch pools
-        // whose sets cannot be resampled in isolation (see INDEX_VERSION).
+        // `BinReader` refused anything newer; anything older is refused here.
         let version = reader.version();
-        if version < 2 {
+        if version != INDEX_VERSION {
             return Err(BinError::Corrupt(format!(
-                "index artifact version {version} predates the evolving-graph subsystem \
-                 (its pool is not incrementally maintainable); rebuild it with `imserve build`"
+                "index artifact version {version} is not supported (this build reads and writes \
+                 version {INDEX_VERSION} only); rebuild it with `imserve build`"
             )));
         }
         let sections = reader.sections()?;
@@ -365,35 +337,31 @@ impl IndexArtifact {
         let graph_payload = binio::require_section(&sections, GRAPH_TAG)?;
         let graph = influence_graph_from_bytes(graph_payload.rest())?;
 
-        // The v4 shard position must be known before the incremental state
-        // is attached: a shard's dirty sets resample from *global* streams.
-        let shard = if version >= 4 {
-            match sections.iter().find(|(tag, _)| *tag == SHARD_TAG) {
-                Some((_, payload)) => {
-                    let mut shrd = *payload;
-                    let offset = shrd.u64()?;
-                    let global_pool = shrd.u64()?;
-                    if shrd.remaining() != 0 {
-                        return Err(BinError::Corrupt(format!(
-                            "{} trailing bytes in shard section",
-                            shrd.remaining()
-                        )));
-                    }
-                    Some(ShardInfo {
-                        offset,
-                        global_pool,
-                    })
+        // The shard position must be known before the incremental state is
+        // attached: a shard's dirty sets resample from *global* streams.
+        let shard = match sections.iter().find(|(tag, _)| *tag == SHARD_TAG) {
+            Some((_, payload)) => {
+                let mut shrd = *payload;
+                let offset = shrd.u64()?;
+                let global_pool = shrd.u64()?;
+                if shrd.remaining() != 0 {
+                    return Err(BinError::Corrupt(format!(
+                        "{} trailing bytes in shard section",
+                        shrd.remaining()
+                    )));
                 }
-                None => None,
+                Some(ShardInfo {
+                    offset,
+                    global_pool,
+                })
             }
-        } else {
-            None
+            None => None,
         };
 
-        // Exactly one pool section: raw `POOL` (any version) or compressed
-        // `PCMP` (version 5). Both decode to the same logical pool — the
-        // layouts are byte-identical under every query — but only `PCMP`
-        // records the block structure a tiered load can leave cold.
+        // Exactly one pool section: raw `POOL` or compressed `PCMP`. Both
+        // decode to the same logical pool — the layouts are byte-identical
+        // under every query — but only `PCMP` records the block structure a
+        // tiered load can leave cold.
         let pool_section = sections.iter().find(|(tag, _)| *tag == POOL_TAG);
         let pcmp_section = sections.iter().find(|(tag, _)| *tag == PACKED_POOL_TAG);
         let (mut oracle, pcmp_offset) = match (pool_section, pcmp_section) {
@@ -404,12 +372,6 @@ impl IndexArtifact {
             }
             (Some((_, payload)), None) => (InfluenceOracle::from_bytes(payload.rest())?, None),
             (None, Some((_, payload))) => {
-                if version < 5 {
-                    return Err(BinError::Corrupt(format!(
-                        "PCMP pool section in a version-{version} artifact (compressed \
-                         pools need format version 5)"
-                    )));
-                }
                 let payload_bytes = payload.rest();
                 // Where the payload sits in the artifact: the slice borrows
                 // from `bytes`, so the offset is plain pointer arithmetic.
@@ -429,36 +391,27 @@ impl IndexArtifact {
         // additionally re-attach their global stream offset.
         oracle.attach_incremental(meta.base_seed, shard.map_or(0, |s| s.offset));
 
-        // Versions 2 and 3 always write the section (empty for fresh builds),
-        // so a missing one means a damaged or spliced artifact, not an old
-        // format.
+        // Always written (empty for fresh builds), so a missing section means
+        // a damaged or spliced artifact.
         let log = DeltaLog::decode_payload(binio::require_section(&sections, DELTA_TAG)?)?;
 
-        // Version 3 stamps the compaction watermark; version-2 artifacts
-        // predate compaction, so their full log is their history and the
-        // watermark is zero.
-        let snapshot_epoch = if version >= 3 {
-            let mut snap = binio::require_section(&sections, SNAPSHOT_TAG)?;
-            let snapshot_epoch = snap.u64()?;
-            let epoch = snap.u64()?;
-            if snap.remaining() != 0 {
-                return Err(BinError::Corrupt(format!(
-                    "{} trailing bytes in snapshot section",
-                    snap.remaining()
-                )));
-            }
-            let expected = snapshot_epoch + log.len() as u64;
-            if epoch != expected {
-                return Err(BinError::Corrupt(format!(
-                    "snapshot section claims epoch {epoch} but watermark {snapshot_epoch} \
-                     plus {} pending deltas is {expected}",
-                    log.len()
-                )));
-            }
-            snapshot_epoch
-        } else {
-            0
-        };
+        let mut snap = binio::require_section(&sections, SNAPSHOT_TAG)?;
+        let snapshot_epoch = snap.u64()?;
+        let epoch = snap.u64()?;
+        if snap.remaining() != 0 {
+            return Err(BinError::Corrupt(format!(
+                "{} trailing bytes in snapshot section",
+                snap.remaining()
+            )));
+        }
+        let expected = snapshot_epoch + log.len() as u64;
+        if epoch != expected {
+            return Err(BinError::Corrupt(format!(
+                "snapshot section claims epoch {epoch} but watermark {snapshot_epoch} \
+                 plus {} pending deltas is {expected}",
+                log.len()
+            )));
+        }
 
         if graph.num_vertices() != meta.num_vertices || graph.num_edges() != meta.num_edges {
             return Err(BinError::Corrupt(format!(

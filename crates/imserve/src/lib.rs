@@ -21,11 +21,11 @@
 //!   mutation write-ahead log ([`wal`]) so acknowledged mutations survive a
 //!   crash between index saves;
 //! * [`reactor`] / [`server`] / [`client`] — two std-only TCP front ends
-//!   speaking newline-delimited JSON in two dialects (bare v1 frames and
-//!   id-tagged v2 frames with a version handshake and typed errors): the
-//!   default event-driven readiness loop multiplexing every connection over
-//!   non-blocking sockets with a bounded compute pool, and the threaded
-//!   turn-queue fallback — plus the matching clients
+//!   speaking one newline-delimited JSON protocol (id-tagged frames with a
+//!   version handshake and typed errors; any other line gets a typed error
+//!   frame): the default event-driven readiness loop multiplexing every
+//!   connection over non-blocking sockets with a bounded compute pool, and
+//!   the threaded turn-queue fallback — plus the matching client
 //!   ([`client::RemoteService`] is the trait over TCP, with a non-blocking
 //!   `send`/`poll_response` pair for pipelined in-flight requests);
 //! * [`obs`] — the serving stack's observability surface:
@@ -37,7 +37,7 @@
 //!   router), `/events` (JSON lines), `/healthz` and `/readyz` (readiness
 //!   from real signals: WAL writability, shard reachability and epoch
 //!   lockstep, reactor backpressure); request-scoped trace ids ride the
-//!   optional `"t"` field of v2 frames so sharded fan-outs stitch into one
+//!   optional `"t"` field of request frames so sharded fan-outs stitch into one
 //!   causal trace and router-side events name the trace that hit them;
 //! * [`replication`] / [`replica`] / [`testkit`] — live operations:
 //!   followers (`serve --follow`) tail the leader's write-ahead log over a

@@ -16,13 +16,13 @@
 //! `mutate` applies deltas *incrementally* to a running server (only the
 //! dirty RR sets are resampled); `build --deltas` constructs the equivalent
 //! index *from scratch*. The two are byte-identical by construction — the CI
-//! smoke step diffs their served responses. `mutate --batch` applies the
-//! deltas atomically (one CSR rebuild, dirty-union resampling), and
-//! `compact` folds the pending log into the snapshot watermark — live over
-//! TCP or offline on an artifact file:
+//! smoke step diffs their served responses. `mutate` applies its deltas
+//! atomically (one CSR patch, dirty-union resampling), and `compact` folds
+//! the pending log into the snapshot watermark — live over TCP or offline on
+//! an artifact file:
 //!
 //! ```text
-//! imserve mutate  --addr 127.0.0.1:7431 --batch --file script.jsonl
+//! imserve mutate  --addr 127.0.0.1:7431 --file script.jsonl
 //! imserve compact --addr 127.0.0.1:7431
 //! imserve compact --index karate.imx --out karate_compacted.imx
 //! imserve serve   --index karate.imx --compact-log-len 256
@@ -38,7 +38,7 @@ use imserve::client::{ReconnectingService, RemoteService};
 use imserve::engine::{EngineConfig, QueryEngine};
 use imserve::index::{build_dataset_index_with_deltas, parse_dataset, parse_model, IndexArtifact};
 use imserve::loadtest::{self, LoadtestConfig};
-use imserve::protocol::{self, Request, Response};
+use imserve::protocol::{self, Response};
 use imserve::replica::ReplicaSet;
 use imserve::server::{self, ServerConfig};
 use imserve::service::{InfluenceService, ServiceError};
@@ -67,7 +67,7 @@ fn open_service(addrs: &[String]) -> Result<Box<dyn InfluenceService>, ServiceEr
 }
 
 /// Print a typed result in its wire-JSON form (so scripts and the CI smoke
-/// steps can diff outputs across dialects and backends).
+/// steps can diff outputs across backends).
 fn print_response(response: Response) -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", protocol::encode(&response)?);
     Ok(())
@@ -407,31 +407,7 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
             );
             print_response(outcome.into())
         }
-        Command::Query { addrs, request, v1 } => {
-            if v1 {
-                // The legacy dialect, kept for compatibility checks: bare
-                // frames over a fresh connection, errors in-band.
-                let request = match request {
-                    QuerySpec::Estimate(seeds) => Request::Estimate { seeds },
-                    QuerySpec::TopK(k, algorithm) => Request::TopK { k, algorithm },
-                    QuerySpec::Info => Request::Info,
-                    QuerySpec::Stats => Request::Stats,
-                    QuerySpec::Metrics => Request::Metrics,
-                    QuerySpec::Health | QuerySpec::Events => {
-                        return Err(Box::new(imserve::ServeError::Query(
-                            "--health and --events need protocol v2 (drop --v1)".into(),
-                        )));
-                    }
-                };
-                let response = imserve::client::query_once(addrs[0].as_str(), &request)?;
-                print_response(response.clone())?;
-                if matches!(response, Response::Error { .. }) {
-                    return Err(Box::new(imserve::ServeError::Query(
-                        "server answered with an error".into(),
-                    )));
-                }
-                return Ok(());
-            }
+        Command::Query { addrs, request } => {
             let mut service = open_service(&addrs)?;
             match request {
                 QuerySpec::Estimate(seeds) => print_response(service.estimate(&seeds)?.into()),
@@ -465,26 +441,9 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 QuerySpec::Events => print_response(service.events()?.into()),
             }
         }
-        Command::Mutate {
-            addrs,
-            deltas,
-            batch,
-        } => {
-            if batch {
-                let mut service = open_service(&addrs)?;
-                return print_response(service.mutate_batch(&deltas)?.into());
-            }
-            // Per-delta semantics only exist on the legacy engine path; the
-            // CLI parser guarantees a single address here.
-            let response =
-                imserve::client::query_once(addrs[0].as_str(), &Request::Mutate { deltas })?;
-            print_response(response.clone())?;
-            if matches!(response, Response::Error { .. }) {
-                return Err(Box::new(imserve::ServeError::Query(
-                    "server answered with an error".into(),
-                )));
-            }
-            Ok(())
+        Command::Mutate { addrs, deltas } => {
+            let mut service = open_service(&addrs)?;
+            print_response(service.mutate_batch(&deltas)?.into())
         }
         Command::Compact { target } => match target {
             CompactTarget::Server { addr } => {

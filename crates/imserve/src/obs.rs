@@ -77,8 +77,6 @@ pub struct ServingMetrics {
     pub top_k: RequestLane,
     /// `Gains` lane.
     pub gains: RequestLane,
-    /// `Mutate` (non-atomic) lane.
-    pub mutate: RequestLane,
     /// `MutateBatch` lane.
     pub mutate_batch: RequestLane,
     /// `Compact` lane.
@@ -97,9 +95,9 @@ pub struct ServingMetrics {
     /// `Promote` admin lane.
     pub promote: RequestLane,
 
-    /// Requests answered with an error (any type, any dialect).
+    /// Requests answered with an error (any type).
     pub request_errors: Arc<Counter>,
-    /// Lines that failed to parse as either dialect.
+    /// Lines that failed to parse as a request frame.
     pub parse_errors: Arc<Counter>,
 
     /// `TopK` answers served from the LRU cache.
@@ -223,7 +221,6 @@ impl ServingMetrics {
             estimate: lane("estimate"),
             top_k: lane("top_k"),
             gains: lane("gains"),
-            mutate: lane("mutate"),
             mutate_batch: lane("mutate_batch"),
             compact: lane("compact"),
             stats: lane("stats"),
@@ -238,7 +235,7 @@ impl ServingMetrics {
             ),
             parse_errors: registry.counter(
                 "imserve_parse_errors_total",
-                "Lines that parsed as neither protocol dialect.",
+                "Lines that did not parse as a request frame.",
             ),
             topk_cache_hits: registry.counter(
                 "imserve_topk_cache_hits_total",
@@ -448,7 +445,6 @@ impl ServingMetrics {
             estimate: self.estimate.count.get(),
             top_k: self.top_k.count.get(),
             gains: self.gains.count.get(),
-            mutate: self.mutate.count.get(),
             mutate_batch: self.mutate_batch.count.get(),
             compact: self.compact.count.get(),
             stats: self.stats.count.get(),

@@ -1,16 +1,7 @@
-//! The wire protocol: newline-delimited JSON frames, in two dialects.
+//! The wire protocol: newline-delimited JSON frames.
 //!
-//! **Version 1** (the original dialect, still answered for compatibility):
-//! one bare externally-tagged request per line, one bare response per line,
-//! strictly in order:
-//!
-//! ```text
-//! -> {"Estimate":{"seeds":[0,5]}}
-//! <- {"Estimate":{"seeds":[0,5],"spread":12.75,"covered":7644,"pool":20000}}
-//! ```
-//!
-//! **Version 2** wraps the same request/response enums in id-tagged frames
-//! with a typed error taxonomy:
+//! Every line is an id-tagged frame wrapping an externally-tagged request or
+//! response, with a typed error taxonomy:
 //!
 //! ```text
 //! -> {"v":2,"id":7,"req":{"Estimate":{"seeds":[0,5]}}}
@@ -21,10 +12,10 @@
 //!
 //! The request id is echoed verbatim, which is what enables *pipelining*: a
 //! client may write any number of frames before reading, and match the
-//! in-order responses back to requests by id. A v2 session opens with an
-//! explicit version handshake (`Hello`); servers answer each line in the
-//! dialect it arrived in, so v1 clients keep working against v2 servers
-//! unchanged (see the handshake table in `DESIGN.md`).
+//! in-order responses back to requests by id. A session opens with an
+//! explicit version handshake (`Hello`). There is exactly one frame version
+//! ([`PROTOCOL_VERSION`]); a line that is not a frame of that version is
+//! answered with a typed error frame, never interpreted (see `DESIGN.md`).
 //!
 //! Responses to the same request against the same index are byte-identical —
 //! the engine is deterministic and no timestamps or volatile fields are ever
@@ -40,7 +31,7 @@ use crate::service::{
     RequestTypeCounts, ServiceError, ServiceInfo, SpreadEstimate, TopKSelection,
 };
 
-/// The highest protocol version this build speaks.
+/// The protocol version this build speaks (the only one).
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Seed-set selection strategies the engine can answer `TopK` with.
@@ -82,8 +73,9 @@ pub enum Request {
     /// Liveness check.
     Ping,
     /// Protocol-version handshake: the client announces the highest frame
-    /// version it speaks; the server answers [`Response::Hello`] with the
-    /// version the session will use (`min(client, server)`).
+    /// version it speaks; the server answers [`Response::Hello`] with
+    /// [`PROTOCOL_VERSION`], or a typed `Unsupported` error when the client
+    /// cannot parse it.
     Hello {
         /// Highest frame version the client can parse.
         max_version: u32,
@@ -102,23 +94,11 @@ pub enum Request {
         /// Selection strategy.
         algorithm: TopKAlgorithm,
     },
-    /// Apply a batch of graph mutations, advancing the index epoch.
-    ///
-    /// Deltas are applied in order; on the first failure the batch stops and
-    /// an `Error` response reports how many were applied (earlier deltas in
-    /// the batch stay applied — the epoch reflects them).
-    Mutate {
-        /// The mutations to apply, in order.
-        deltas: Vec<GraphDelta>,
-    },
     /// Apply a batch of graph mutations **atomically**: all deltas land or
     /// none do, the CSR is patched once for the whole batch, and the union
-    /// of dirty RR sets is resampled exactly once per set.
-    ///
-    /// Prefer this over `Mutate` for structural-delta-heavy feeds; the end
-    /// state is byte-identical, only the cost and the failure semantics
-    /// differ (an invalid delta rejects the whole batch and the epoch does
-    /// not move).
+    /// of dirty RR sets is resampled exactly once per set. An invalid delta
+    /// rejects the whole batch: the `Mutation` error means epoch, pool and
+    /// WAL are exactly as before.
     MutateBatch {
         /// The mutations to apply, in order, atomically.
         deltas: Vec<GraphDelta>,
@@ -186,7 +166,7 @@ pub enum Response {
     Pong,
     /// Handshake answer: the frame version the session will use.
     Hello {
-        /// `min(client max_version, server max_version)`.
+        /// Always [`PROTOCOL_VERSION`].
         version: u32,
     },
     /// Index metadata.
@@ -219,7 +199,7 @@ pub enum Response {
         spread: f64,
         /// Distinct pool RR sets intersecting the seed set — the integer
         /// numerator of `spread`, carried so shard routers can merge counts
-        /// exactly (v1 clients ignore the extra fields).
+        /// exactly.
         covered: u64,
         /// RR sets in the answering pool (the denominator of `spread`).
         pool: u64,
@@ -232,15 +212,6 @@ pub enum Response {
         spread: f64,
         /// The strategy that produced the set.
         algorithm: TopKAlgorithm,
-    },
-    /// Outcome of an applied mutation batch.
-    Mutate {
-        /// The index epoch after the batch (total deltas ever applied).
-        epoch: u64,
-        /// Deltas applied by this batch.
-        applied: usize,
-        /// RR sets resampled by this batch.
-        resampled: usize,
     },
     /// Outcome of an atomically applied mutation batch.
     MutateBatch {
@@ -333,14 +304,16 @@ pub enum Response {
         /// when it was already a leader).
         was_read_only: bool,
     },
-    /// The request could not be answered.
+    /// The request could not be answered — the flattened form
+    /// [`crate::QueryEngine::handle`] returns in process; on the wire errors
+    /// travel typed, as [`Outcome::Err`].
     Error {
         /// Human-readable reason.
         message: String,
     },
 }
 
-/// The typed error taxonomy of protocol v2 (the wire form of the
+/// The typed error taxonomy of the protocol (the wire form of the
 /// recoverable [`ServiceError`] variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorKind {
@@ -405,11 +378,11 @@ impl WireError {
     }
 }
 
-/// The version/id envelope of a v2 frame, decodable even when the request
+/// The version/id envelope of a frame, decodable even when the request
 /// payload is not (e.g. an unknown variant from a newer client). Lets the
-/// server answer an **id-tagged** `Unsupported` error instead of falling
-/// back to a bare v1 line — which would desync a pipelining client that is
-/// matching responses by id.
+/// server answer an `Unsupported` error tagged with the request's **own id**
+/// — anything else would desync a pipelining client that is matching
+/// responses by id.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FrameEnvelope {
     /// Frame version.
@@ -418,8 +391,8 @@ pub struct FrameEnvelope {
     pub id: u64,
 }
 
-/// A protocol-v2 request frame: version, caller-chosen id, payload, and an
-/// optional trace id.
+/// A request frame: version, caller-chosen id, payload, and an optional
+/// trace id.
 ///
 /// `Serialize`/`Deserialize` are hand-written (not derived) because the
 /// trace field must be *omitted entirely* when absent: every frame a
@@ -434,7 +407,7 @@ pub struct RequestFrame {
     /// Caller-chosen id, echoed verbatim on the response frame — the hook
     /// pipelining hangs off.
     pub id: u64,
-    /// The request itself (same enum as the v1 dialect).
+    /// The request itself.
     pub req: Request,
     /// Optional request-scoped trace id (`"t"` on the wire; omitted when
     /// `None`). A router sets the same id on every shard hop of one logical
@@ -488,8 +461,7 @@ impl Deserialize for RequestFrame {
     }
 }
 
-/// A protocol-v2 response body: the typed success/failure split that
-/// replaces v1's in-band `Response::Error`.
+/// A response body: the typed success/failure split.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Outcome {
     /// The request succeeded.
@@ -498,7 +470,7 @@ pub enum Outcome {
     Err(WireError),
 }
 
-/// A protocol-v2 response frame, id-matched to its request.
+/// A response frame, id-matched to its request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResponseFrame {
     /// Frame version (echoes the request frame's).
@@ -510,7 +482,7 @@ pub struct ResponseFrame {
 }
 
 /// Convert a typed service result into the wire `Response` it serializes as
-/// (shared by the server's dialect adapters and the CLI's output printing).
+/// (shared by the server's frame adapter and the CLI's output printing).
 impl From<SpreadEstimate> for Response {
     fn from(e: SpreadEstimate) -> Self {
         Response::Estimate {
@@ -649,7 +621,7 @@ pub fn decode<T: serde::Deserialize>(line: &str) -> Result<T, ServeError> {
 }
 
 /// Parse a delta script: one [`GraphDelta`] wire frame per non-empty line
-/// (the same externally-tagged JSON the `Mutate` request carries), e.g.
+/// (the same externally-tagged JSON the `MutateBatch` request carries), e.g.
 ///
 /// ```text
 /// {"InsertEdge":{"source":0,"target":33,"probability":0.5}}
@@ -731,14 +703,14 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_round_trip_and_are_distinguishable_from_v1() {
+    fn frames_round_trip_and_are_distinguishable_from_bare_requests() {
         let frame = RequestFrame::new(7, Request::Estimate { seeds: vec![0, 5] });
         let line = encode(&frame).unwrap();
         assert_eq!(line, r#"{"v":2,"id":7,"req":{"Estimate":{"seeds":[0,5]}}}"#);
         let back: RequestFrame = decode(&line).unwrap();
         assert_eq!(back, frame);
-        // A v2 line is not a valid v1 request, and vice versa — the server's
-        // dialect detection rests on this.
+        // A frame is not a valid bare request, and vice versa — the server's
+        // refusal of unframed lines rests on this.
         assert!(decode::<Request>(&line).is_err());
         assert!(decode::<RequestFrame>(r#"{"Estimate":{"seeds":[0,5]}}"#).is_err());
 
@@ -925,7 +897,7 @@ mod tests {
 
     #[test]
     fn mutation_frames_round_trip_over_the_wire() {
-        let request = Request::Mutate {
+        let request = Request::MutateBatch {
             deltas: vec![
                 GraphDelta::InsertEdge {
                     source: 0,
@@ -945,14 +917,6 @@ mod tests {
         };
         let back: Request = decode(&encode(&request).unwrap()).unwrap();
         assert_eq!(back, request);
-
-        let response = Response::Mutate {
-            epoch: 3,
-            applied: 3,
-            resampled: 17,
-        };
-        let back: Response = decode(&encode(&response).unwrap()).unwrap();
-        assert_eq!(back, response);
 
         let stats = Response::Stats {
             requests: 10,
@@ -981,16 +945,6 @@ mod tests {
 
     #[test]
     fn lifecycle_frames_round_trip_over_the_wire() {
-        let batch = Request::MutateBatch {
-            deltas: vec![GraphDelta::InsertEdge {
-                source: 0,
-                target: 33,
-                probability: 0.5,
-            }],
-        };
-        let back: Request = decode(&encode(&batch).unwrap()).unwrap();
-        assert_eq!(back, batch);
-
         let back: Request = decode(&encode(&Request::Compact).unwrap()).unwrap();
         assert_eq!(back, Request::Compact);
 

@@ -20,7 +20,7 @@
 //! 3. **complete** — collect finished replies from the pool; replies may
 //!    finish out of order (a cheap `Ping` overtakes a greedy `TopK`), so
 //!    they park in a per-connection reorder map until their sequence is next
-//!    — both wire dialects promise in-order responses per connection;
+//!    — the protocol promises in-order responses per connection;
 //! 4. **write** — flush the in-order reply bytes until `WouldBlock`;
 //! 5. **reap** — drop the connection on EOF (once every dispatched request
 //!    has been answered and flushed), on I/O or framing failure, or after
@@ -40,9 +40,9 @@
 //!   client drains its responses — a slow reader throttles only itself.
 //!
 //! Requests execute on a small fixed compute pool (one `EstimateScratch`
-//! each) through the same `answer_line` dialect core as the
-//! threaded front end, so for identical request streams the two servers
-//! produce byte-identical response streams.
+//! each) through the same `answer_line` core as the threaded front end, so
+//! for identical request streams the two servers produce byte-identical
+//! response streams.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
@@ -466,7 +466,7 @@ fn run_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{query_once, Connection as V1Connection, ServiceConnection};
+    use crate::client::ServiceConnection;
     use crate::index::build_dataset_index;
     use crate::protocol::{Request, Response};
 
@@ -479,14 +479,10 @@ mod tests {
     }
 
     #[test]
-    fn serves_both_dialects_and_shuts_down() {
+    fn serves_and_shuts_down() {
         let handle = spawn("127.0.0.1:0", test_engine(500), &ReactorConfig::default()).unwrap();
         let addr = handle.addr();
         assert_ne!(addr.port(), 0);
-        // v1 dialect.
-        let response = query_once(addr, &Request::Ping).unwrap();
-        assert_eq!(response, Response::Pong);
-        // v2 dialect with handshake.
         let mut v2 = ServiceConnection::connect(addr).unwrap();
         let answered = v2.call(&Request::Ping).unwrap();
         assert_eq!(answered, Response::Pong);
@@ -550,12 +546,13 @@ mod tests {
         .unwrap();
         let addr = handle.addr();
         // Far more connections than compute threads, all held open at once.
-        let mut connections: Vec<V1Connection> =
-            (0..32).map(|_| V1Connection::open(addr).unwrap()).collect();
+        let mut connections: Vec<ServiceConnection> = (0..32)
+            .map(|_| ServiceConnection::connect(addr).unwrap())
+            .collect();
         for round in 0..3 {
             for (i, connection) in connections.iter_mut().enumerate() {
                 let response = connection
-                    .roundtrip(&Request::Estimate {
+                    .call(&Request::Estimate {
                         seeds: vec![((i + round) % 34) as u32],
                     })
                     .unwrap();
@@ -584,7 +581,10 @@ mod tests {
         let mut buf = [0u8; 1];
         assert_eq!(idle.read(&mut buf).unwrap(), 0, "idler must be dropped");
         // And fresh clients are unaffected.
-        let response = query_once(addr, &Request::Ping).unwrap();
+        let response = ServiceConnection::connect(addr)
+            .unwrap()
+            .call(&Request::Ping)
+            .unwrap();
         assert_eq!(response, Response::Pong);
         handle.shutdown();
     }

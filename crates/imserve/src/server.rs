@@ -12,8 +12,8 @@
 //! discipline (long selections snapshot the state and hold no lock).
 //!
 //! The event-driven front end in [`crate::reactor`] is the default server;
-//! both front ends answer through the same `answer_line` dialect core, so
-//! their responses are byte-identical for identical request streams.
+//! both front ends answer through the same `answer_line` core, so their
+//! responses are byte-identical for identical request streams.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -28,8 +28,8 @@ use crate::error::ServeError;
 use crate::linebuf::LineBuffer;
 use crate::obs::ServingMetrics;
 use crate::protocol::{
-    self, ErrorKind, FrameEnvelope, Outcome, Request, RequestFrame, Response, ResponseFrame,
-    WireError, PROTOCOL_VERSION,
+    self, ErrorKind, FrameEnvelope, Outcome, Request, RequestFrame, ResponseFrame, WireError,
+    PROTOCOL_VERSION,
 };
 
 /// Server tuning knobs.
@@ -316,20 +316,20 @@ fn serve_turn(
     Ok(read_any || answered)
 }
 
-/// Answer one request line in the dialect it arrived in — the shared core of
-/// both front ends (threaded pool and reactor), which is what makes their
-/// responses byte-identical.
+/// Answer one request line — the shared core of both front ends (threaded
+/// pool and reactor), which is what makes their responses byte-identical.
 ///
-/// An id-tagged v2 [`RequestFrame`] gets an id-matched [`ResponseFrame`]
-/// with the typed error taxonomy; a bare v1 [`Request`] gets a bare
-/// [`Response`] (errors flattened into `Response::Error`). The two dialects
-/// are structurally disjoint on the wire, so detection is just "try v2
-/// first" — and v1 clients keep working against either server unchanged.
+/// An id-tagged [`RequestFrame`] gets an id-matched [`ResponseFrame`] with
+/// the typed error taxonomy. Any other line is still answered, with one
+/// typed error frame, and the connection stays usable: a frame whose
+/// version/id envelope parses but whose payload does not echoes its id with
+/// `Unsupported`; anything else (garbage, a bare unframed request) has no id
+/// to echo and gets id 0 with `Protocol`.
 ///
-/// Every answered line records a request span: parse, execute and encode
+/// Every answered frame records a request span: parse, execute and encode
 /// durations, plus the `queue_wait_micros` the front end measured before
 /// this call (the reactor's dispatch-to-worker gap; the threaded pool
-/// passes `None`). The span joins the client's trace id when the v2 frame
+/// passes `None`). The span joins the client's trace id when the frame
 /// carries one (`"t"`), so a router's fan-out legs stitch into the original
 /// request's trace; otherwise a fresh process-unique id is minted. Slow
 /// spans land in the engine's slow-query log. None of this touches the
@@ -355,20 +355,15 @@ pub(crate) fn answer_line(
             }
             span.event_with_micros("parse", parse_micros);
             let executed = Instant::now();
-            let body = if frame.v == PROTOCOL_VERSION {
-                match engine.handle_service(&frame.req, scratch) {
+            let body = match unsupported_version(&frame) {
+                Some(message) => Outcome::Err(WireError {
+                    kind: ErrorKind::Unsupported,
+                    message,
+                }),
+                None => match engine.handle_service(&frame.req, scratch) {
                     Ok(response) => Outcome::Ok(response),
                     Err(e) => Outcome::Err(WireError::from_service(&e)),
-                }
-            } else {
-                Outcome::Err(WireError {
-                    kind: ErrorKind::Unsupported,
-                    message: format!(
-                        "frame version {} not supported (this server speaks \
-                         {PROTOCOL_VERSION})",
-                        frame.v
-                    ),
-                })
+                },
             };
             span.event_with_micros("execute", executed.elapsed().as_micros() as u64);
             let encoded = Instant::now();
@@ -386,59 +381,57 @@ pub(crate) fn answer_line(
             obs.observe_span(record);
             reply
         }
-        // Not a complete v2 frame. If the version/id envelope still parses,
-        // the line *is* v2 with an unrecognized or malformed request payload
-        // (e.g. a newer client's variant): answer an id-tagged error so a
-        // pipelining client stays in sync. Otherwise fall back to the v1
-        // dialect.
-        Err(frame_error) => match protocol::decode::<FrameEnvelope>(line) {
-            Ok(envelope) => {
-                obs.parse_errors.inc();
-                protocol::encode(&ResponseFrame {
-                    v: PROTOCOL_VERSION,
-                    id: envelope.id,
-                    body: Outcome::Err(WireError {
-                        kind: ErrorKind::Unsupported,
-                        message: format!(
-                            "unrecognized or malformed v2 request payload: {frame_error}"
-                        ),
-                    }),
-                })
-            }
-            Err(_) => {
-                let parse_micros = began.elapsed().as_micros() as u64;
-                let parsed = protocol::decode::<Request>(line);
-                let mut span = imobs::Span::begin(imobs::next_trace_id());
-                if let Some(wait) = queue_wait_micros {
-                    span.event_with_micros("queue_wait", wait);
-                }
-                span.event_with_micros("parse", parse_micros);
-                let executed = Instant::now();
-                let response = match parsed {
-                    Ok(request) => engine.handle(&request, scratch),
-                    Err(e) => {
-                        obs.parse_errors.inc();
-                        Response::Error {
-                            message: e.to_string(),
-                        }
-                    }
-                };
-                span.event_with_micros("execute", executed.elapsed().as_micros() as u64);
-                let reply = protocol::encode(&response);
-                let mut record = span.finish();
-                record.total_micros =
-                    queue_wait_micros.unwrap_or(0) + began.elapsed().as_micros() as u64;
-                obs.observe_span(record);
-                reply
-            }
-        },
+        Err(frame_error) => {
+            obs.parse_errors.inc();
+            let (id, kind, message) = match protocol::decode::<FrameEnvelope>(line) {
+                // The line *is* a frame with an unrecognized or malformed
+                // request payload (e.g. a newer client's variant): echo its
+                // id so a pipelining client stays in sync.
+                Ok(envelope) => (
+                    envelope.id,
+                    ErrorKind::Unsupported,
+                    format!("unrecognized or malformed v2 request payload: {frame_error}"),
+                ),
+                Err(_) => (
+                    0,
+                    ErrorKind::Protocol,
+                    format!(
+                        "not a protocol v{PROTOCOL_VERSION} frame ({frame_error}); every \
+                         request line is {{\"v\":{PROTOCOL_VERSION},\"id\":…,\"req\":…}}"
+                    ),
+                ),
+            };
+            protocol::encode(&ResponseFrame {
+                v: PROTOCOL_VERSION,
+                id,
+                body: Outcome::Err(WireError { kind, message }),
+            })
+        }
     }
+}
+
+/// Why a well-formed frame cannot be served by this build, if it cannot:
+/// another frame version, or a `Hello` from a client that cannot parse the
+/// one version spoken here.
+fn unsupported_version(frame: &RequestFrame) -> Option<String> {
+    let found = match frame.req {
+        _ if frame.v != PROTOCOL_VERSION => format!("frame version {}", frame.v),
+        Request::Hello { max_version } if max_version < PROTOCOL_VERSION => {
+            format!("a handshake offering at most protocol version {max_version}")
+        }
+        _ => return None,
+    };
+    Some(format!(
+        "{found} is not supported (this server speaks protocol v{PROTOCOL_VERSION} only)"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::ServiceConnection;
     use crate::index::build_dataset_index;
+    use crate::protocol::Response;
 
     #[test]
     fn serves_and_shuts_down() {
@@ -459,9 +452,9 @@ mod tests {
         let addr = handle.addr();
         assert_ne!(addr.port(), 0, "ephemeral port must be resolved");
 
-        let response = crate::client::Connection::open(addr)
+        let response = ServiceConnection::connect(addr)
             .unwrap()
-            .roundtrip(&Request::Ping)
+            .call(&Request::Ping)
             .unwrap();
         assert_eq!(response, Response::Pong);
         handle.shutdown();
@@ -487,7 +480,10 @@ mod tests {
         // Occupy the single worker with a connection that never sends a byte.
         let idle = TcpStream::connect(addr).unwrap();
         // A real client must still be served once the idler times out.
-        let response = crate::client::query_once(addr, &Request::Ping).unwrap();
+        let response = ServiceConnection::connect(addr)
+            .unwrap()
+            .call(&Request::Ping)
+            .unwrap();
         assert_eq!(response, Response::Pong);
         drop(idle);
         handle.shutdown();
@@ -513,14 +509,14 @@ mod tests {
         )
         .unwrap();
         let addr = handle.addr();
-        let mut connections: Vec<crate::client::Connection> = (0..4)
-            .map(|_| crate::client::Connection::open(addr).unwrap())
+        let mut connections: Vec<ServiceConnection> = (0..4)
+            .map(|_| ServiceConnection::connect(addr).unwrap())
             .collect();
         // Round-robin requests: every connection stays open while every
         // other one is served — impossible under connection-pinned workers.
         for _round in 0..3 {
             for connection in &mut connections {
-                let response = connection.roundtrip(&Request::Ping).unwrap();
+                let response = connection.call(&Request::Ping).unwrap();
                 assert_eq!(response, Response::Pong);
             }
         }

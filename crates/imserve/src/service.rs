@@ -241,8 +241,6 @@ pub struct RequestTypeCounts {
     pub top_k: u64,
     /// `Gains` marginal-coverage queries.
     pub gains: u64,
-    /// `Mutate` (non-atomic) batches.
-    pub mutate: u64,
     /// `MutateBatch` atomic batches.
     pub mutate_batch: u64,
     /// `Compact` requests.
@@ -267,7 +265,6 @@ impl RequestTypeCounts {
             + self.estimate
             + self.top_k
             + self.gains
-            + self.mutate
             + self.mutate_batch
             + self.compact
             + self.stats
@@ -286,7 +283,6 @@ impl RequestTypeCounts {
             estimate: self.estimate + other.estimate,
             top_k: self.top_k + other.top_k,
             gains: self.gains + other.gains,
-            mutate: self.mutate + other.mutate,
             mutate_batch: self.mutate_batch + other.mutate_batch,
             compact: self.compact + other.compact,
             stats: self.stats + other.stats,

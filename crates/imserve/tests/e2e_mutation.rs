@@ -6,7 +6,7 @@
 
 mod fixtures;
 
-use imserve::client::Connection;
+use imserve::client::ServiceConnection;
 use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, build_dataset_index_with_deltas, IndexArtifact};
 use imserve::protocol::{Request, Response, TopKAlgorithm};
@@ -44,19 +44,20 @@ fn scripted_deltas() -> Vec<GraphDelta> {
 fn mutated_server_matches_a_from_scratch_rebuild_over_tcp() {
     // Server A: fresh Karate index, mutated incrementally over TCP.
     let incremental = serve(build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap());
-    let mut a = Connection::open(incremental.addr()).unwrap();
+    let mut a = ServiceConnection::connect(incremental.addr()).unwrap();
 
     let deltas = scripted_deltas();
     match a
-        .roundtrip(&Request::Mutate {
+        .call(&Request::MutateBatch {
             deltas: deltas.clone(),
         })
         .unwrap()
     {
-        Response::Mutate {
+        Response::MutateBatch {
             epoch,
             applied,
             resampled,
+            ..
         } => {
             assert_eq!(epoch, 3);
             assert_eq!(applied, 3);
@@ -69,7 +70,7 @@ fn mutated_server_matches_a_from_scratch_rebuild_over_tcp() {
     // from-scratch pool build at the same seed.
     let rebuilt = build_dataset_index_with_deltas("karate", "uc0.1", POOL, SEED, &deltas).unwrap();
     let rebuild = serve(rebuilt);
-    let mut b = Connection::open(rebuild.addr()).unwrap();
+    let mut b = ServiceConnection::connect(rebuild.addr()).unwrap();
 
     // Every query class must come back bit-identical from both servers.
     let mut queries: Vec<Request> = vec![
@@ -89,22 +90,19 @@ fn mutated_server_matches_a_from_scratch_rebuild_over_tcp() {
         seeds: vec![0, 33, 16],
     });
     for request in &queries {
-        let from_incremental = a.roundtrip(request).unwrap();
-        let from_rebuild = b.roundtrip(request).unwrap();
+        // `unwrap`: a well-formed query is never rejected.
+        let from_incremental = a.call(request).unwrap();
+        let from_rebuild = b.call(request).unwrap();
         assert_eq!(
             from_incremental, from_rebuild,
             "served responses diverged for {request:?}"
-        );
-        assert!(
-            !matches!(from_incremental, Response::Error { .. }),
-            "well-formed query rejected: {from_incremental:?}"
         );
     }
 
     // Info agrees on the mutated dimensions (one insert, one delete).
     match (
-        a.roundtrip(&Request::Info).unwrap(),
-        b.roundtrip(&Request::Info).unwrap(),
+        a.call(&Request::Info).unwrap(),
+        b.call(&Request::Info).unwrap(),
     ) {
         (
             Response::Info {
@@ -126,7 +124,7 @@ fn mutated_server_matches_a_from_scratch_rebuild_over_tcp() {
 
     // Both report epoch 3: one applied it live, one loaded it as provenance.
     for connection in [&mut a, &mut b] {
-        match connection.roundtrip(&Request::Stats).unwrap() {
+        match connection.call(&Request::Stats).unwrap() {
             Response::Stats { epoch, .. } => assert_eq!(epoch, 3),
             other => panic!("unexpected response {other:?}"),
         }
@@ -145,13 +143,7 @@ fn mutated_index_round_trips_through_persistence() {
         .build()
         .unwrap();
     let mut scratch = engine.new_scratch();
-    let response = engine.handle(
-        &Request::Mutate {
-            deltas: scripted_deltas(),
-        },
-        &mut scratch,
-    );
-    assert!(matches!(response, Response::Mutate { epoch: 3, .. }));
+    assert_eq!(engine.mutate_batch(&scripted_deltas()).unwrap().epoch, 3);
 
     let exported = engine.state().to_artifact();
     let path = fixtures::temp_path("e2e_mut", "imx");
@@ -160,7 +152,7 @@ fn mutated_index_round_trips_through_persistence() {
     assert_eq!(reloaded.log.deltas(), scripted_deltas().as_slice());
 
     let handle = serve(reloaded);
-    let mut connection = Connection::open(handle.addr()).unwrap();
+    let mut connection = ServiceConnection::connect(handle.addr()).unwrap();
     for seeds in [vec![0u32], vec![33], vec![0, 33, 5]] {
         let expected = engine.handle(
             &Request::Estimate {
@@ -168,10 +160,10 @@ fn mutated_index_round_trips_through_persistence() {
             },
             &mut scratch,
         );
-        let served = connection.roundtrip(&Request::Estimate { seeds }).unwrap();
+        let served = connection.call(&Request::Estimate { seeds }).unwrap();
         assert_eq!(served, expected);
     }
-    match connection.roundtrip(&Request::Stats).unwrap() {
+    match connection.call(&Request::Stats).unwrap() {
         Response::Stats { epoch, .. } => assert_eq!(epoch, 3),
         other => panic!("unexpected response {other:?}"),
     }

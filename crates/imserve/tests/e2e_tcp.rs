@@ -4,10 +4,11 @@
 
 mod fixtures;
 
-use imserve::client::{query_once, Connection};
+use imserve::client::ServiceConnection;
 use imserve::index::IndexArtifact;
 use imserve::loadtest::{self, LoadtestConfig};
 use imserve::protocol::{Request, Response, TopKAlgorithm};
+use imserve::ServiceError;
 
 const POOL: usize = 20_000;
 const SEED: u64 = 7;
@@ -31,13 +32,13 @@ fn concurrent_tcp_queries_match_the_in_process_oracle() {
     for client_id in 0..4u32 {
         let oracle = reference.oracle.clone();
         clients.push(std::thread::spawn(move || {
-            let mut connection = Connection::open(addr).unwrap();
+            let mut connection = ServiceConnection::connect(addr).unwrap();
             for round in 0..10u32 {
                 let v = (client_id * 7 + round) % 34;
                 let seeds = vec![v, (v + 11) % 34];
                 let expected = oracle.estimate(&seeds);
                 match connection
-                    .roundtrip(&Request::Estimate {
+                    .call(&Request::Estimate {
                         seeds: seeds.clone(),
                     })
                     .unwrap()
@@ -55,7 +56,7 @@ fn concurrent_tcp_queries_match_the_in_process_oracle() {
 
                 let (expected_seeds, expected_spread) = oracle.greedy_seed_set(3);
                 match connection
-                    .roundtrip(&Request::TopK {
+                    .call(&Request::TopK {
                         k: 3,
                         algorithm: TopKAlgorithm::Greedy,
                     })
@@ -80,12 +81,13 @@ fn concurrent_tcp_queries_match_the_in_process_oracle() {
         k: 2,
         algorithm: TopKAlgorithm::SingletonRank,
     };
-    let a = query_once(addr, &request).unwrap();
-    let b = query_once(addr, &request).unwrap();
+    let mut connection = ServiceConnection::connect(addr).unwrap();
+    let a = connection.call(&request).unwrap();
+    let b = connection.call(&request).unwrap();
     assert_eq!(a, b);
 
     // Info reflects the persisted metadata.
-    match query_once(addr, &Request::Info).unwrap() {
+    match connection.call(&Request::Info).unwrap() {
         Response::Info {
             graph_id,
             model,
@@ -101,17 +103,11 @@ fn concurrent_tcp_queries_match_the_in_process_oracle() {
         other => panic!("unexpected response {other:?}"),
     }
 
-    // Malformed and invalid requests come back as Error frames, and the
-    // connection stays usable afterwards.
-    let mut connection = Connection::open(addr).unwrap();
-    let bad = connection
-        .roundtrip(&Request::Estimate { seeds: vec![999] })
-        .unwrap();
-    assert!(matches!(bad, Response::Error { .. }));
-    assert_eq!(
-        connection.roundtrip(&Request::Ping).unwrap(),
-        Response::Pong
-    );
+    // Invalid requests come back as typed errors, and the connection stays
+    // usable afterwards.
+    let bad = connection.call(&Request::Estimate { seeds: vec![999] });
+    assert!(matches!(bad, Err(ServiceError::Query(_))), "{bad:?}");
+    assert_eq!(connection.call(&Request::Ping).unwrap(), Response::Pong);
 
     handle.shutdown();
 }

@@ -149,77 +149,7 @@ fn sequential_and_parallel_builds_persist_identically() {
     assert_eq!(seq.to_bytes(), par.to_bytes());
 }
 
-/// A version-2 artifact (full delta log, no `SNAP` watermark) migrates to
-/// version 3 through a plain load/save round-trip: it loads with a zero
-/// watermark, re-saves with the `SNAP` section, and the reloaded index
-/// answers bit-identically at the same epoch.
-#[test]
-fn version_two_artifacts_migrate_to_version_three() {
-    use imgraph::binio::{influence_graph_to_bytes, BinWriter};
-    use imgraph::GraphDelta;
-    use imserve::index::{build_dataset_index_with_deltas, INDEX_MAGIC};
-
-    let deltas = vec![
-        GraphDelta::InsertEdge {
-            source: 0,
-            target: 33,
-            probability: 0.5,
-        },
-        GraphDelta::DeleteEdge {
-            source: 0,
-            target: 1,
-        },
-    ];
-    let reference = build_dataset_index_with_deltas("karate", "uc0.1", 2_000, 7, &deltas).unwrap();
-
-    // Write the exact byte layout a PR-3 (version 2) `imserve build`
-    // produced: META/GRPH/POOL/DLTA, no SNAP section.
-    let mut w = BinWriter::new(INDEX_MAGIC, 2);
-    w.section(
-        *b"META",
-        serde_json::to_string(&reference.meta).unwrap().as_bytes(),
-    );
-    w.section(*b"GRPH", &influence_graph_to_bytes(&reference.graph));
-    w.section(*b"POOL", &reference.oracle.to_bytes());
-    w.section(*b"DLTA", &reference.log.encode_payload());
-    let v2_bytes = w.finish();
-
-    // v2 loads with a zero watermark: its full log is its history.
-    let migrated = IndexArtifact::from_bytes(&v2_bytes).expect("v2 stays readable");
-    assert_eq!(migrated.snapshot_epoch, 0);
-    assert_eq!(migrated.epoch(), 2);
-    assert_eq!(migrated.log.deltas(), deltas.as_slice());
-    assert_eq!(migrated.oracle.to_bytes(), reference.oracle.to_bytes());
-
-    // Re-saving upgrades the artifact to the current version (SNAP section,
-    // version stamp)…
-    let v4_bytes = migrated.to_bytes();
-    assert_ne!(v4_bytes, v2_bytes);
-    assert_eq!(
-        u32::from_le_bytes(v4_bytes[4..8].try_into().unwrap()),
-        imserve::index::INDEX_VERSION
-    );
-    // …and the reloaded index is semantically identical.
-    let reloaded = IndexArtifact::from_bytes(&v4_bytes).expect("current-version round trip");
-    assert_eq!(reloaded.epoch(), migrated.epoch());
-    assert_eq!(reloaded.log, migrated.log);
-    assert_eq!(reloaded.oracle.to_bytes(), migrated.oracle.to_bytes());
-    assert_eq!(reloaded.to_bytes(), v4_bytes, "re-encode is stable");
-
-    // Compacting the migrated index folds its history without moving the
-    // epoch, and the compacted artifact still round-trips.
-    let mut compacted = reloaded;
-    assert_eq!(compacted.compact(), 2);
-    assert_eq!(compacted.snapshot_epoch, 2);
-    assert_eq!(compacted.epoch(), 2);
-    assert!(compacted.log.is_empty());
-    let back = IndexArtifact::from_bytes(&compacted.to_bytes()).unwrap();
-    assert_eq!(back.epoch(), 2);
-    assert_eq!(back.snapshot_epoch, 2);
-    assert_eq!(back.oracle.to_bytes(), reference.oracle.to_bytes());
-}
-
-/// A forged v3 artifact whose `SNAP` epoch disagrees with the watermark plus
+/// A forged artifact whose `SNAP` epoch disagrees with the watermark plus
 /// the pending log must be rejected (the cross-check exists to catch spliced
 /// or hand-edited logs).
 #[test]
@@ -249,75 +179,6 @@ fn inconsistent_snapshot_watermarks_are_rejected() {
         }
         other => panic!("forged watermark must be rejected, got {other:?}"),
     }
-}
-
-/// A version-4 artifact (raw `POOL` section, `SNAP` watermark, no `PCMP`)
-/// migrates to version 5 through a plain load/save round-trip, and converting
-/// its pool to the compressed layout changes the persisted section without
-/// changing a single answer.
-#[test]
-fn version_four_artifacts_migrate_to_version_five() {
-    use im_core::PoolLayout;
-    use imgraph::binio::{self, influence_graph_to_bytes, BinWriter};
-    use imgraph::GraphDelta;
-    use imserve::index::{build_dataset_index_with_deltas, INDEX_MAGIC};
-
-    let deltas = vec![GraphDelta::InsertEdge {
-        source: 2,
-        target: 20,
-        probability: 0.4,
-    }];
-    let reference = build_dataset_index_with_deltas("karate", "uc0.1", 1_500, 13, &deltas).unwrap();
-
-    // The exact byte layout a PR-9 (version 4) whole-pool `imserve build`
-    // produced: META/GRPH/POOL/DLTA/SNAP, raw pool, no PCMP section.
-    let mut w = BinWriter::new(INDEX_MAGIC, 4);
-    w.section(
-        *b"META",
-        serde_json::to_string(&reference.meta).unwrap().as_bytes(),
-    );
-    w.section(*b"GRPH", &influence_graph_to_bytes(&reference.graph));
-    w.section(*b"POOL", &reference.oracle.to_bytes());
-    w.section(*b"DLTA", &reference.log.encode_payload());
-    let mut snap = Vec::with_capacity(16);
-    binio::put_u64(&mut snap, 0);
-    binio::put_u64(&mut snap, reference.epoch());
-    w.section(*b"SNAP", &snap);
-    let v4_bytes = w.finish();
-
-    let migrated = IndexArtifact::from_bytes(&v4_bytes).expect("v4 stays readable");
-    assert_eq!(migrated.pool_layout(), PoolLayout::Raw);
-    assert_eq!(migrated.epoch(), 1);
-    assert_eq!(migrated.oracle.to_bytes(), reference.oracle.to_bytes());
-
-    // Re-saving stamps the current version; the raw layout keeps the POOL
-    // section, so the body differs only in the version field.
-    let v5_bytes = migrated.to_bytes();
-    assert_eq!(
-        u32::from_le_bytes(v5_bytes[4..8].try_into().unwrap()),
-        imserve::index::INDEX_VERSION
-    );
-    let reloaded = IndexArtifact::from_bytes(&v5_bytes).expect("v5 round trip");
-    assert_eq!(reloaded.oracle.to_bytes(), migrated.oracle.to_bytes());
-    assert_eq!(reloaded.to_bytes(), v5_bytes, "re-encode is stable");
-
-    // Converting the migrated pool to the compressed layout swaps the
-    // persisted section (POOL -> PCMP) and nothing else observable.
-    let mut compressed = reloaded;
-    compressed.convert_pool_layout(PoolLayout::Compressed);
-    let compressed_bytes = compressed.to_bytes();
-    assert_ne!(compressed_bytes, v5_bytes);
-    let back = IndexArtifact::from_bytes(&compressed_bytes).expect("compressed round trip");
-    assert_eq!(back.pool_layout(), PoolLayout::Compressed);
-    assert_eq!(back.oracle.to_bytes(), reference.oracle.to_bytes());
-    assert_eq!(back.epoch(), migrated.epoch());
-    for seeds in [vec![0u32], vec![2, 20], vec![0, 1, 2, 3]] {
-        assert_eq!(
-            back.oracle.estimate(&seeds),
-            reference.oracle.estimate(&seeds)
-        );
-    }
-    assert_eq!(back.to_bytes(), compressed_bytes, "re-encode is stable");
 }
 
 /// A tiered artifact loaded from disk demotes cold pool blocks onto the
@@ -373,10 +234,9 @@ fn tiered_artifacts_load_cold_and_answer_identically() {
     }
 }
 
-/// Forged pool sections are rejected: both `POOL` and `PCMP` at once, and a
-/// `PCMP` section smuggled into a pre-v5 artifact.
+/// A forged artifact carrying both `POOL` and `PCMP` is rejected.
 #[test]
-fn conflicting_or_backdated_pool_sections_are_rejected() {
+fn conflicting_pool_sections_are_rejected() {
     use im_core::PoolLayout;
     use imgraph::binio::fnv1a64;
 
@@ -387,9 +247,6 @@ fn conflicting_or_backdated_pool_sections_are_rejected() {
         50,
         3,
     );
-    let mut compressed = artifact.clone();
-    compressed.convert_pool_layout(PoolLayout::Compressed);
-
     // Splice the PCMP payload of the compressed encoding into the raw
     // artifact as an *extra* section (before the checksum), re-stamping the
     // checksum so the one-pool-section rule is what fires.
@@ -407,47 +264,34 @@ fn conflicting_or_backdated_pool_sections_are_rejected() {
         }
         other => panic!("double pool section must be rejected, got {other:?}"),
     }
-
-    // Stamp a compressed (PCMP-carrying) artifact back to version 4: the
-    // format predates the section, so the combination must be refused.
-    let mut backdated = compressed.to_bytes();
-    backdated[4..8].copy_from_slice(&4u32.to_le_bytes());
-    let len = backdated.len();
-    let sum = fnv1a64(&backdated[..len - 8]);
-    backdated[len - 8..].copy_from_slice(&sum.to_le_bytes());
-    match IndexArtifact::from_bytes(&backdated) {
-        Err(BinError::Corrupt(reason)) => {
-            assert!(reason.contains("version 5"), "{reason}");
-        }
-        other => panic!("backdated PCMP must be rejected, got {other:?}"),
-    }
 }
 
-/// Version-1 artifacts carried per-batch pools that cannot be incrementally
-/// maintained; since the format cannot distinguish the sampling scheme from
-/// the bytes, loading one must be refused outright (with a rebuild hint)
-/// rather than mutated unsoundly.
+/// Only the current format version is read: an artifact stamped with any
+/// earlier version is refused with a typed error naming the version found
+/// and the rebuild command — never migrated, never a panic.
 #[test]
-fn version_one_artifacts_are_rejected_with_a_rebuild_hint() {
+fn earlier_format_versions_are_rejected_with_a_rebuild_hint() {
     let artifact = IndexArtifact::build(
-        "v1-check",
+        "version-check",
         "uc0.5",
         InfluenceGraph::new(DiGraph::from_edges(3, &[(0, 1), (1, 2)]), vec![0.5, 0.5]),
         50,
         3,
     );
-    let mut bytes = artifact.to_bytes();
-    // Stamp the header back to version 1 and fix up the checksum so the
-    // version check is what fires.
-    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-    let len = bytes.len();
-    let sum = imgraph::binio::fnv1a64(&bytes[..len - 8]);
-    bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
-    match IndexArtifact::from_bytes(&bytes) {
-        Err(BinError::Corrupt(reason)) => {
-            assert!(reason.contains("version 1"), "{reason}");
-            assert!(reason.contains("rebuild"), "{reason}");
+    for version in 1..imserve::index::INDEX_VERSION {
+        let mut bytes = artifact.to_bytes();
+        // Stamp the header back and fix up the checksum so the version check
+        // is what fires.
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let len = bytes.len();
+        let sum = imgraph::binio::fnv1a64(&bytes[..len - 8]);
+        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
+        match IndexArtifact::from_bytes(&bytes) {
+            Err(BinError::Corrupt(reason)) => {
+                assert!(reason.contains(&format!("version {version} ")), "{reason}");
+                assert!(reason.contains("imserve build"), "{reason}");
+            }
+            other => panic!("v{version} artifact must be rejected as Corrupt, got {other:?}"),
         }
-        other => panic!("v1 artifact must be rejected as Corrupt, got {other:?}"),
     }
 }

@@ -1,10 +1,10 @@
 //! Front-end interchangeability: the event-driven reactor and the threaded
 //! turn-queue server answer the same wire bytes for the same request lines.
 //!
-//! Both front ends route every complete line through the same dialect core
+//! Both front ends route every complete line through the same core
 //! (`answer_line`), so this suite pins the observable contract: per
-//! connection, a deterministic script mixing bare v1 frames, id-tagged v2
-//! frames and pipelined bursts must come back **byte-identical** from both
+//! connection, a deterministic script mixing id-tagged frames, malformed
+//! lines and pipelined bursts must come back **byte-identical** from both
 //! servers (engines built from identical artifacts), in request order, under
 //! concurrent connections. Stats and mutations are deliberately excluded
 //! from the scripts — request counters and epochs depend on cross-connection
@@ -40,26 +40,23 @@ fn fresh_engine() -> Arc<QueryEngine> {
     )
 }
 
-/// Connection `c`'s deterministic request script: raw wire lines mixing the
-/// v1 and v2 dialects.
+/// Connection `c`'s deterministic request script: raw wire lines mixing
+/// request frames with the three kinds of line that are answered with a
+/// typed error frame instead (unframed request, garbage, unknown payload).
 fn script(c: usize) -> Vec<String> {
-    let mut lines = Vec::new();
+    let frame = |id: u32, req| protocol::encode(&RequestFrame::new(u64::from(id), req)).unwrap();
     let c32 = c as u32;
-    for i in 0..12u32 {
-        let line = match i % 4 {
-            0 => protocol::encode(&Request::Estimate {
-                seeds: vec![(c32 * 5 + i) % KARATE_N],
-            })
-            .unwrap(),
-            1 => protocol::encode(&RequestFrame::new(
-                u64::from(i) + 1,
+    (0..12u32)
+        .map(|i| match i % 4 {
+            0 => frame(i + 1000, Request::Info),
+            1 => frame(
+                i + 1,
                 Request::Estimate {
                     seeds: vec![(c32 + i) % KARATE_N, (c32 * 3 + 7) % KARATE_N],
                 },
-            ))
-            .unwrap(),
-            2 => protocol::encode(&RequestFrame::new(
-                u64::from(i) + 100,
+            ),
+            2 => frame(
+                i + 100,
                 Request::TopK {
                     k: 1 + c % 3,
                     algorithm: if i % 8 == 2 {
@@ -68,13 +65,14 @@ fn script(c: usize) -> Vec<String> {
                         TopKAlgorithm::SingletonRank
                     },
                 },
-            ))
-            .unwrap(),
-            _ => protocol::encode(&Request::Info).unwrap(),
-        };
-        lines.push(line);
-    }
-    lines
+            ),
+            _ => match i % 3 {
+                0 => protocol::encode(&Request::Estimate { seeds: vec![c32] }).unwrap(),
+                1 => format!("not a frame {{{{ {c}"),
+                _ => format!(r#"{{"v":2,"id":{i},"req":{{"NoSuch":{{}}}}}}"#),
+            },
+        })
+        .collect()
 }
 
 /// Send the whole script as one pipelined burst and read back one response

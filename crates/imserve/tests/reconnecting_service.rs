@@ -4,7 +4,8 @@
 
 mod fixtures;
 
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,33 +74,59 @@ fn failed_dials_arm_an_exponential_backoff_gate() {
 
 #[test]
 fn half_open_sockets_surface_as_transport_errors_and_drop_the_connection() {
-    // A listener that accepts and immediately closes: the TCP connect
-    // succeeds but the protocol handshake dies — the client must see a
-    // typed Transport error (connection-fatal), never a hang or a panic.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    // One accept only: the second client call below must be stopped by the
-    // backoff gate *before* dialling, so no second connection ever arrives.
-    let closer = std::thread::spawn(move || {
-        for stream in listener.incoming().take(1) {
-            drop(stream);
-        }
-    });
+    // A peer that accepts and then closes while the handshake reply is owed:
+    // the TCP connect succeeds but the protocol handshake dies — the client
+    // must see a typed Transport error (connection-fatal) however the close
+    // reaches it, never a hang or a panic. Each leg waits for the `Hello`
+    // line before closing, so which segment the client sees is not a race.
+    type Leg = (&'static str, fn(&mut TcpStream), std::io::ErrorKind);
+    let legs: [Leg; 2] = [
+        // Everything received was read: the close is an orderly FIN, which
+        // the client reads as end-of-file.
+        (
+            "FIN",
+            |stream| {
+                let mut line = String::new();
+                BufReader::new(stream).read_line(&mut line).unwrap();
+            },
+            std::io::ErrorKind::UnexpectedEof,
+        ),
+        // The `Hello` line has arrived but is still unread: the close
+        // discards it, so the kernel answers with an RST.
+        (
+            "RST",
+            |stream| {
+                stream.peek(&mut [0u8; 1]).unwrap();
+            },
+            std::io::ErrorKind::ConnectionReset,
+        ),
+    ];
+    for (leg, on_accept, expected_kind) in legs {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // One accept only: the second client call below must be stopped by
+        // the backoff gate *before* dialling, so no second connection ever
+        // arrives.
+        let closer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            on_accept(&mut stream);
+        });
 
-    let mut shard = ReconnectingService::new(addr);
-    match shard.estimate(&[0]) {
-        Err(ServiceError::Transport(_)) => {}
-        other => panic!("expected a Transport error on a half-open socket, got {other:?}"),
-    }
-    // The failed *dial* armed the gate; the taxonomy distinguishes the gate
-    // (WouldBlock) from the half-open failure itself.
-    match shard.estimate(&[0]) {
-        Err(ServiceError::Transport(e)) => {
-            assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock)
+        let mut shard = ReconnectingService::new(addr);
+        match shard.estimate(&[0]) {
+            Err(ServiceError::Transport(e)) => assert_eq!(e.kind(), expected_kind, "{leg} leg"),
+            other => panic!("{leg} leg: expected a Transport error, got {other:?}"),
         }
-        other => panic!("expected the backoff gate, got {other:?}"),
+        // The failed *dial* armed the gate; the taxonomy distinguishes the
+        // gate (WouldBlock) from the half-open failure itself.
+        match shard.estimate(&[0]) {
+            Err(ServiceError::Transport(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock, "{leg} leg")
+            }
+            other => panic!("{leg} leg: expected the backoff gate, got {other:?}"),
+        }
+        closer.join().unwrap();
     }
-    closer.join().unwrap();
 }
 
 #[test]

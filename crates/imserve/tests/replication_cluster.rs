@@ -11,9 +11,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use imgraph::GraphDelta;
-use imserve::client::{Connection, RemoteService};
+use imserve::client::{RemoteService, ServiceConnection};
 use imserve::index::build_dataset_index_with_deltas;
-use imserve::protocol::{Request, Response, TopKAlgorithm};
+use imserve::protocol::{Request, TopKAlgorithm};
 use imserve::service::{InfluenceService, ServiceError};
 use imserve::testkit::{wait_until, TestCluster};
 
@@ -68,15 +68,13 @@ fn query_mix() -> Vec<Request> {
 
 /// Assert two live servers answer the whole mix with byte-identical frames.
 fn assert_same_answers(a: std::net::SocketAddr, b: std::net::SocketAddr, what: &str) {
-    let mut ca = Connection::open(a).unwrap();
-    let mut cb = Connection::open(b).unwrap();
+    let mut ca = ServiceConnection::connect(a).unwrap();
+    let mut cb = ServiceConnection::connect(b).unwrap();
     for request in &query_mix() {
-        let ra = ca.roundtrip(request).unwrap();
-        let rb = cb.roundtrip(request).unwrap();
-        assert!(
-            !matches!(ra, Response::Error { .. }),
-            "{what}: {request:?} errored: {ra:?}"
-        );
+        let ra = ca
+            .call(request)
+            .unwrap_or_else(|e| panic!("{what}: {request:?} errored: {e}"));
+        let rb = cb.call(request).unwrap();
         assert_eq!(ra, rb, "{what}: answers diverged for {request:?}");
     }
 }
@@ -167,15 +165,14 @@ fn hot_swap_under_concurrent_load_loses_zero_requests() {
         .map(|client| {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut connection = Connection::open(addr).unwrap();
+                let mut connection = ServiceConnection::connect(addr).unwrap();
                 let mut answers = 0u64;
                 let mut reference = None;
                 while !stop.load(Ordering::SeqCst) {
                     let seeds = vec![client % 34, (client + 11) % 34];
                     let response = connection
-                        .roundtrip(&Request::Estimate { seeds })
-                        .expect("no request may be dropped during a hot swap");
-                    assert!(!matches!(response, Response::Error { .. }));
+                        .call(&Request::Estimate { seeds })
+                        .expect("no request may be dropped or refused during a hot swap");
                     // The swap never changes answers: every response in this
                     // thread is identical to the first one.
                     match &reference {

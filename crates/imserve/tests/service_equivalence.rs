@@ -1,9 +1,9 @@
 //! The `InfluenceService` interchangeability contract, end to end:
 //!
-//! * local, remote (protocol v2 over TCP) and sharded backends answer every
-//!   query bit-identically — including after broadcast mutations;
-//! * a v1 client keeps working against a v2 server (dialect compatibility);
-//! * v2 pipelining matches responses to requests by id;
+//! * local, remote (over TCP) and sharded backends answer every query
+//!   bit-identically — including after broadcast mutations;
+//! * pipelining matches responses to requests by id, and frames the server
+//!   cannot serve (unknown payload, outdated handshake) keep their id;
 //! * the typed error taxonomy survives the wire.
 
 mod fixtures;
@@ -11,7 +11,7 @@ mod fixtures;
 use std::sync::Arc;
 
 use imgraph::GraphDelta;
-use imserve::client::{Connection, RemoteService, ServiceConnection};
+use imserve::client::{RemoteService, ServiceConnection};
 use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, IndexArtifact};
 use imserve::protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
@@ -255,48 +255,6 @@ fn sharded_service_over_remote_shards_matches_local() {
 }
 
 #[test]
-fn v1_clients_work_unchanged_against_a_v2_server() {
-    let engine = Arc::new(
-        QueryEngine::builder(build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap())
-            .build()
-            .unwrap(),
-    );
-    let handle = fixtures::spawn_server("127.0.0.1:0", Arc::clone(&engine), 4);
-
-    // Bare v1 frames on the wire, answered with bare v1 responses.
-    let mut v1 = Connection::open(handle.addr()).unwrap();
-    assert_eq!(v1.roundtrip(&Request::Ping).unwrap(), Response::Pong);
-    let v1_estimate = v1
-        .roundtrip(&Request::Estimate { seeds: vec![0, 33] })
-        .unwrap();
-    // The very same question through protocol v2 gets the same payload.
-    let mut v2 = RemoteService::connect(handle.addr()).unwrap();
-    let typed = v2.estimate(&[0, 33]).unwrap();
-    match v1_estimate {
-        Response::Estimate {
-            seeds,
-            spread,
-            covered,
-            pool,
-        } => {
-            assert_eq!(seeds, vec![0, 33]);
-            assert_eq!(spread.to_bits(), typed.spread.to_bits());
-            assert_eq!(covered, typed.covered);
-            assert_eq!(pool, typed.pool);
-        }
-        other => panic!("unexpected v1 response {other:?}"),
-    }
-    // v1 errors stay in-band (no typed channel to speak of).
-    let response = v1
-        .roundtrip(&Request::Estimate { seeds: vec![9_999] })
-        .unwrap();
-    assert!(matches!(response, Response::Error { .. }));
-    // Both dialects interleave freely on one server (different sockets).
-    assert_eq!(v1.roundtrip(&Request::Ping).unwrap(), Response::Pong);
-    handle.shutdown();
-}
-
-#[test]
 fn protocol_v2_pipelines_and_handshakes() {
     let engine = Arc::new(
         QueryEngine::builder(build_dataset_index("karate", "uc0.1", 2_000, SEED).unwrap())
@@ -373,10 +331,10 @@ fn duplicate_or_overlapping_shard_backends_are_rejected() {
     assert_eq!(info.shard_offset, 0);
 }
 
-/// A v2 frame whose request payload the server cannot parse (a newer
-/// client's variant, a typo) must come back as an **id-tagged** Unsupported
-/// error, not a bare v1 line — a pipelining client matches responses by id
-/// and would otherwise desync.
+/// A frame whose request payload the server cannot parse (a newer client's
+/// variant, a typo) or whose handshake offers only an older protocol must
+/// come back as an **id-tagged** Unsupported error — a pipelining client
+/// matches responses by id and would otherwise desync.
 #[test]
 fn unknown_v2_payloads_get_id_tagged_errors() {
     use std::io::{BufRead, BufReader, Write};
@@ -390,17 +348,19 @@ fn unknown_v2_payloads_get_id_tagged_errors() {
 
     let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    // Pipeline a valid frame, a frame with an unknown request variant, and
-    // another valid frame — all before reading.
+    // Pipeline a valid frame, a frame with an unknown request variant, a
+    // handshake from a client limited to protocol 1, and another valid
+    // frame — all before reading.
     stream
         .write_all(
             b"{\"v\":2,\"id\":41,\"req\":\"Ping\"}\n\
               {\"v\":2,\"id\":42,\"req\":{\"TimeTravel\":{\"to\":1999}}}\n\
+              {\"v\":2,\"id\":44,\"req\":{\"Hello\":{\"max_version\":1}}}\n\
               {\"v\":2,\"id\":43,\"req\":\"Ping\"}\n",
         )
         .unwrap();
     let mut lines = Vec::new();
-    for _ in 0..3 {
+    for _ in 0..4 {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         lines.push(line);
@@ -412,8 +372,15 @@ fn unknown_v2_payloads_get_id_tagged_errors() {
         "unknown payloads must keep their frame id: {}",
         lines[1]
     );
-    assert!(lines[2].contains("\"id\":43"), "{}", lines[2]);
-    assert!(lines[2].contains("Pong"), "{}", lines[2]);
+    assert!(
+        lines[2].contains("\"id\":44")
+            && lines[2].contains("Unsupported")
+            && lines[2].contains("protocol v2"),
+        "an outdated handshake is refused by name, not negotiated down: {}",
+        lines[2]
+    );
+    assert!(lines[3].contains("\"id\":43"), "{}", lines[3]);
+    assert!(lines[3].contains("Pong"), "{}", lines[3]);
     handle.shutdown();
 }
 

@@ -196,56 +196,3 @@ fn wal_from_a_different_graph_lineage_is_rejected() {
         other => panic!("expected a WAL lineage error, got {other}"),
     }
 }
-
-/// The per-delta `Mutate` path logs its *applied prefix* when a delta is
-/// rejected mid-batch, so recovery lands on exactly the surviving state.
-#[test]
-fn partial_mutate_failures_log_the_surviving_prefix() {
-    let wal = temp_wal("prefix");
-    let engine = QueryEngine::builder(build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap())
-        .wal(&*wal)
-        .build()
-        .unwrap();
-    let result = engine.mutate(&[
-        GraphDelta::InsertEdge {
-            source: 0,
-            target: 2,
-            probability: 0.5,
-        },
-        GraphDelta::DeleteEdge {
-            source: 999,
-            target: 0,
-        },
-    ]);
-    assert!(result.is_err(), "the second delta is invalid");
-    assert_eq!(engine.epoch(), 1, "the valid prefix stays applied");
-    let survivor = engine.state().dynamic.oracle().to_bytes();
-    drop(engine);
-
-    let recovered =
-        QueryEngine::builder(build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap())
-            .wal(&*wal)
-            .build()
-            .unwrap();
-    assert_eq!(recovered.epoch(), 1);
-    assert_eq!(recovered.state().dynamic.oracle().to_bytes(), survivor);
-}
-
-/// The deprecated constructors still work (as builder forwards) so external
-/// callers keep compiling against the old surface.
-#[test]
-#[allow(deprecated)]
-fn deprecated_engine_constructors_forward_to_the_builder() {
-    let index = || build_dataset_index("karate", "uc0.1", 500, SEED).unwrap();
-    let via_new = QueryEngine::new(index());
-    let via_capacity = QueryEngine::with_cache_capacity(index(), 8);
-    let via_config = QueryEngine::with_config(index(), &imserve::EngineConfig::default());
-    let via_builder = QueryEngine::builder(index()).build().unwrap();
-    let mut scratch = via_builder.new_scratch();
-    let expected = via_builder.estimate(&[0, 33], &mut scratch).unwrap();
-    for engine in [via_new, via_capacity, via_config] {
-        let mut s = engine.new_scratch();
-        let estimate = engine.estimate(&[0, 33], &mut s).unwrap();
-        assert_eq!(estimate.spread.to_bits(), expected.spread.to_bits());
-    }
-}

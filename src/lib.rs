@@ -45,7 +45,7 @@
 //! | [`imsketch`] | bottom-k reachability sketches, exact descendant counting, sketch-space greedy, compressed RR sets |
 //! | [`imstats`] | seed-set distributions, Shannon entropy, divergences, confidence intervals, influence summary statistics, comparable ratios |
 //! | [`imexp`] | experiment drivers for every table and figure of the paper |
-//! | [`imserve`] | persistent influence-query service: typed `InfluenceService` trait over local/remote/sharded backends, binary RR-index build/load (whole pools or shards), query engine with TopK LRU cache and mutation WAL, TCP front end (protocol v1+v2), loadtest |
+//! | [`imserve`] | persistent influence-query service: typed `InfluenceService` trait over local/remote/sharded backends, binary RR-index build/load (whole pools or shards), query engine with TopK LRU cache and mutation WAL, TCP front ends (one wire protocol, v2 frames), loadtest |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

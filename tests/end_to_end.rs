@@ -186,3 +186,106 @@ fn experiment_registry_runs_a_cheap_driver_end_to_end() {
     assert_eq!(report.tables[0].num_rows(), 8);
     assert!(report.render().contains("Karate"));
 }
+
+#[test]
+fn a_served_index_refuses_bad_lines_and_bad_batches_without_side_effects() {
+    // The serving layer's two refusal contracts, on a WAL-backed Karate
+    // index behind both front ends at once:
+    // (a) a line that is not a protocol frame gets one typed error frame and
+    //     the connection keeps serving;
+    // (b) a rejected mutation batch leaves epoch, pool and WAL untouched.
+    use im_study::imserve::protocol::{
+        self, ErrorKind, Outcome, Request, RequestFrame, Response, ResponseFrame,
+    };
+    use im_study::imserve::{client::ServiceConnection, reactor, server, ServiceError};
+    use std::io::{BufRead, BufReader, Write};
+
+    let wal = std::env::temp_dir().join(format!("im_study_e2e_{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&wal);
+    let graph = Dataset::Karate.influence_graph(ProbabilityModel::uc01(), 0);
+    let artifact = IndexArtifact::build("Karate", "uc0.1", graph, 2_000, 5);
+    let expected = artifact.oracle.estimate(&[0, 33]);
+    let engine = std::sync::Arc::new(QueryEngine::builder(artifact).wal(&wal).build().unwrap());
+    let threaded = server::spawn("127.0.0.1:0", engine.clone(), &Default::default()).unwrap();
+    let reactor = reactor::spawn("127.0.0.1:0", engine.clone(), &Default::default()).unwrap();
+
+    // (a) An unframed request, garbage, then a valid frame — one socket.
+    let estimate = RequestFrame::new(7, Request::Estimate { seeds: vec![0, 33] });
+    let script = format!(
+        "\"Ping\"\nnot json\n{}\n",
+        protocol::encode(&estimate).unwrap()
+    );
+    let transcripts = [threaded.addr(), reactor.addr()].map(|addr| {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(script.as_bytes()).unwrap();
+        BufReader::new(stream)
+            .lines()
+            .take(3)
+            .collect::<Result<Vec<String>, _>>()
+            .unwrap()
+    });
+    assert_eq!(
+        transcripts[0], transcripts[1],
+        "front ends answer byte-identically"
+    );
+    let frames: Vec<ResponseFrame> = transcripts[0]
+        .iter()
+        .map(|line| protocol::decode(line).unwrap())
+        .collect();
+    for refused in &frames[..2] {
+        assert_eq!(refused.id, 0, "nothing to echo");
+        match &refused.body {
+            Outcome::Err(e) => {
+                assert_eq!(e.kind, ErrorKind::Protocol);
+                assert!(e.message.contains("protocol v2"), "{}", e.message);
+            }
+            other => panic!("expected a typed error frame, got {other:?}"),
+        }
+    }
+    assert_eq!(frames[2].id, 7);
+    match &frames[2].body {
+        Outcome::Ok(Response::Estimate { spread, .. }) => assert_eq!(*spread, expected),
+        other => panic!("the connection must keep serving, got {other:?}"),
+    }
+    assert_eq!(
+        engine.obs().parse_errors.get(),
+        4,
+        "two lines on each front end"
+    );
+
+    // (b) A valid batch moves all three; an invalid one moves none of them.
+    let delete = |source, target| GraphDelta::DeleteEdge { source, target };
+    let mut connection = ServiceConnection::connect(reactor.addr()).unwrap();
+    let valid = Request::MutateBatch {
+        deltas: vec![delete(0, 1)],
+    };
+    assert!(connection.call(&valid).is_ok());
+    let before = (
+        engine.epoch(),
+        engine.state().dynamic.oracle().to_bytes(),
+        std::fs::metadata(&wal).unwrap().len(),
+    );
+    assert_eq!(before.0, 1);
+    let invalid = Request::MutateBatch {
+        deltas: vec![delete(0, 2), delete(999, 0)],
+    };
+    match connection.call(&invalid) {
+        Err(ServiceError::Mutation(message)) => {
+            assert!(message.contains("delta 2 of 2"), "{message}")
+        }
+        other => panic!("expected a typed Mutation refusal, got {other:?}"),
+    }
+    let after = (
+        engine.epoch(),
+        engine.state().dynamic.oracle().to_bytes(),
+        std::fs::metadata(&wal).unwrap().len(),
+    );
+    assert!(
+        before == after,
+        "a refused batch must leave epoch, pool and WAL as they were"
+    );
+
+    threaded.shutdown();
+    reactor.shutdown();
+    let _ = std::fs::remove_file(&wal);
+}
