@@ -33,7 +33,7 @@ use serde::Serialize;
 use imnet::chung_lu::ChungLu;
 use imserve::engine::QueryEngine;
 use imserve::index::{parse_dataset, parse_model, IndexArtifact};
-use imserve::loadtest::{run_with, LoadtestConfig, LoadtestReport};
+use imserve::loadtest::{run_with, LoadtestConfig, LoadtestReport, ServerMetricsDelta};
 use imserve::protocol::TopKAlgorithm;
 use imserve::service::{BackendSpec, InfluenceService, LocalService, ServiceError};
 use imserve::shard::ShardedService;
@@ -367,32 +367,9 @@ pub struct BenchBackend {
     pub verified_probes: Option<usize>,
     /// What the server itself observed across the run — metric deltas from
     /// `Metrics` snapshots taken before and after the workload (`None` for
-    /// backends without metrics support).
-    pub server_metrics: Option<BenchServerMetrics>,
-}
-
-/// Server-side metric deltas recorded per backend in a [`BenchDocument`] —
-/// the serialized form of [`imserve::loadtest::ServerMetricsDelta`].
-#[derive(Debug, Serialize)]
-pub struct BenchServerMetrics {
-    /// Requests the server handled during the run.
-    pub requests_total: u64,
-    /// `TopK` cache hits during the run.
-    pub topk_cache_hits: u64,
-    /// `TopK` cache misses during the run.
-    pub topk_cache_misses: u64,
-    /// Reactor backpressure stall episodes during the run.
-    pub backpressure_stalls: u64,
-    /// Requests past the slow-query threshold during the run.
-    pub slow_queries: u64,
-    /// Server-side compute-queue wait p99 in microseconds. For `sharded:N`
-    /// this walks the router's *federated* snapshot — the cluster's merged
-    /// queue-wait histogram, not any single shard's.
-    pub queue_wait_p99_micros: u64,
-    /// Requests each shard handled during the run, from the federated
-    /// snapshot's `shard="i"`-labelled request counters. Empty for
-    /// non-sharded backends (schema-additive; absent in older documents).
-    pub per_shard_requests: Vec<u64>,
+    /// backends without metrics support). For `sharded:N` the snapshots are
+    /// the router's *federated* reports.
+    pub server_metrics: Option<ServerMetricsDelta>,
 }
 
 /// Assemble the benchmark document: workload shape, host metadata, the
@@ -401,35 +378,25 @@ pub fn bench_document(spec: &LoadtestSpec, runs: &[BackendRun]) -> BenchDocument
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let backends =
-        runs.iter()
-            .map(|run| {
-                let l = &run.report.latency_micros;
-                BenchBackend {
-                    backend: run.backend.to_string(),
-                    total_requests: run.report.total_requests,
-                    elapsed_secs: run.report.elapsed_secs,
-                    throughput_rps: run.report.throughput_rps,
-                    p50_micros: l.median,
-                    mean_micros: l.mean,
-                    p99_micros: l.p99,
-                    p999_micros: run.report.p999_micros,
-                    max_micros: l.max,
-                    verified_probes: run.verified_probes,
-                    server_metrics: run.report.server_metrics.as_ref().map(|m| {
-                        BenchServerMetrics {
-                            requests_total: m.requests_total,
-                            topk_cache_hits: m.topk_cache_hits,
-                            topk_cache_misses: m.topk_cache_misses,
-                            backpressure_stalls: m.backpressure_stalls,
-                            slow_queries: m.slow_queries,
-                            queue_wait_p99_micros: m.queue_wait_p99_micros,
-                            per_shard_requests: m.per_shard_requests.clone(),
-                        }
-                    }),
-                }
-            })
-            .collect();
+    let backends = runs
+        .iter()
+        .map(|run| {
+            let l = &run.report.latency_micros;
+            BenchBackend {
+                backend: run.backend.to_string(),
+                total_requests: run.report.total_requests,
+                elapsed_secs: run.report.elapsed_secs,
+                throughput_rps: run.report.throughput_rps,
+                p50_micros: l.median,
+                mean_micros: l.mean,
+                p99_micros: l.p99,
+                p999_micros: run.report.p999_micros,
+                max_micros: l.max,
+                verified_probes: run.verified_probes,
+                server_metrics: run.report.server_metrics.clone(),
+            }
+        })
+        .collect();
     BenchDocument {
         schema: "imserve-loadtest/v1".to_string(),
         invocation: invocation(spec),

@@ -15,9 +15,11 @@
 //! - [`Histogram`] — 65 log₂-width buckets covering all of `u64`, plus count
 //!   and sum; [`HistogramSnapshot::quantile`] answers quantile queries to
 //!   within one bucket width.
-//! - [`Registry`] — names metrics, hands out `Arc` handles, renders
-//!   [Prometheus text format](https://prometheus.io/docs/instrumenting/exposition_formats/)
-//!   and cheap point-in-time [`RegistrySnapshot`]s.
+//! - [`Registry`] — names metrics, hands out `Arc` handles and takes cheap
+//!   point-in-time [`RegistrySnapshot`]s (values plus each family's help
+//!   text). Merging, differencing and text rendering all happen downstream
+//!   on the one snapshot type the serving layer puts on the wire
+//!   (`imserve::service::MetricsReport`), so no two faces can disagree.
 //! - [`Span`] / [`SpanRecord`] — a request-scoped trace id plus timestamped
 //!   stage events; trace ids travel on the wire so multi-hop requests
 //!   (router → shard) stitch into one causal trace.
@@ -25,11 +27,6 @@
 //!   configurable latency threshold.
 //! - [`events`] — a leveled, typed-field operational event log with a
 //!   bounded ring and an optional JSON-lines stderr sink.
-//!
-//! Snapshots federate: [`RegistrySnapshot::merge`] and
-//! [`HistogramSnapshot::merge`] combine per-process snapshots into one
-//! cluster view (counters sum, gauges sum, histogram buckets add
-//! element-wise so merged quantiles keep the one-bucket error bound).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -261,23 +258,6 @@ impl HistogramSnapshot {
     pub fn last_nonempty_bucket(&self) -> Option<usize> {
         self.buckets.iter().rposition(|&n| n > 0)
     }
-
-    /// Fold `other` into `self`: per-bucket counts add element-wise, counts
-    /// add, sums add (wrapping, like the live histogram). Because both sides
-    /// use the same log₂ bucket boundaries, the merged snapshot is exactly
-    /// the snapshot the concatenated sample streams would have produced, so
-    /// [`HistogramSnapshot::quantile`] on the merged result keeps the same
-    /// one-bucket error bound.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, &theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -305,8 +285,8 @@ struct Entry {
 /// scraping beyond the atomics themselves.
 ///
 /// Names may carry Prometheus-style labels inline, e.g.
-/// `imserve_shard_errors_total{shard="0"}`; rendering groups entries into
-/// families by the part before `{`.
+/// `imserve_shard_errors_total{shard="0"}`; series group into families by
+/// the part before `{` ([`family_of`]).
 #[derive(Debug, Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
@@ -371,93 +351,25 @@ impl Registry {
     }
 
     /// A point-in-time copy of every registered metric, in registration
-    /// order.
+    /// order, plus each family's help text (the first registered series of a
+    /// family names it) — everything an exposition needs, so rendering is a
+    /// pure function of the snapshot.
     #[must_use]
     pub fn snapshot(&self) -> RegistrySnapshot {
         let entries = self.entries.lock().expect("registry lock");
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
+        let mut snap = RegistrySnapshot::default();
         for e in entries.iter() {
-            match &e.metric {
-                Metric::Counter(c) => counters.push((e.name.clone(), c.get())),
-                Metric::Gauge(g) => gauges.push((e.name.clone(), g.get())),
-                Metric::Histogram(h) => histograms.push((e.name.clone(), h.snapshot())),
-            }
-        }
-        RegistrySnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
-    }
-
-    /// Render every metric in Prometheus plaintext exposition format
-    /// (version 0.0.4): `# HELP` / `# TYPE` headers per family, cumulative
-    /// `_bucket{le=...}` series plus `_sum` / `_count` for histograms.
-    ///
-    /// Output is **byte-stable**: families render in lexicographic order and
-    /// labelled series sort within their family, so two scrapes of identical
-    /// state are identical bytes regardless of registration order or thread
-    /// interleaving (per-shard lanes register lazily from worker threads).
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let entries = self.entries.lock().expect("registry lock");
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (fa, fb) = (family_of(&entries[a].name), family_of(&entries[b].name));
-            fa.cmp(fb)
-                .then_with(|| entries[a].name.cmp(&entries[b].name))
-        });
-        let mut out = String::new();
-        let mut last_family: Option<&str> = None;
-        for &idx in &order {
-            let e = &entries[idx];
             let family = family_of(&e.name);
-            let first_of_family = last_family != Some(family);
-            if first_of_family {
-                last_family = Some(family);
+            if !snap.help.iter().any(|(f, _)| f == family) {
+                snap.help.push((family.to_string(), e.help.clone()));
             }
             match &e.metric {
-                Metric::Counter(c) => {
-                    if first_of_family {
-                        let _ = writeln!(out, "# HELP {family} {}", e.help);
-                        let _ = writeln!(out, "# TYPE {family} counter");
-                    }
-                    let _ = writeln!(out, "{} {}", e.name, c.get());
-                }
-                Metric::Gauge(g) => {
-                    if first_of_family {
-                        let _ = writeln!(out, "# HELP {family} {}", e.help);
-                        let _ = writeln!(out, "# TYPE {family} gauge");
-                    }
-                    let _ = writeln!(out, "{} {}", e.name, g.get());
-                }
-                Metric::Histogram(h) => {
-                    if first_of_family {
-                        let _ = writeln!(out, "# HELP {family} {}", e.help);
-                        let _ = writeln!(out, "# TYPE {family} histogram");
-                    }
-                    let snap = h.snapshot();
-                    let last = snap.last_nonempty_bucket().unwrap_or(0);
-                    let mut cumulative = 0u64;
-                    for (i, &n) in snap.buckets.iter().enumerate().take(last + 1) {
-                        cumulative += n;
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{{le=\"{}\"}} {cumulative}",
-                            e.name,
-                            bucket_upper_bound(i)
-                        );
-                    }
-                    let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", e.name, snap.count);
-                    let _ = writeln!(out, "{}_sum {}", e.name, snap.sum);
-                    let _ = writeln!(out, "{}_count {}", e.name, snap.count);
-                }
+                Metric::Counter(c) => snap.counters.push((e.name.clone(), c.get())),
+                Metric::Gauge(g) => snap.gauges.push((e.name.clone(), g.get())),
+                Metric::Histogram(h) => snap.histograms.push((e.name.clone(), h.snapshot())),
             }
         }
-        out
+        snap
     }
 }
 
@@ -468,67 +380,16 @@ pub fn family_of(name: &str) -> &str {
 }
 
 /// A point-in-time copy of a [`Registry`]'s metrics.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
+    /// `(family, help text)` for every family, in first-registration order.
+    pub help: Vec<(String, String)>,
     /// `(name, value)` for every counter, in registration order.
     pub counters: Vec<(String, u64)>,
     /// `(name, level)` for every gauge, in registration order.
     pub gauges: Vec<(String, i64)>,
     /// `(name, snapshot)` for every histogram, in registration order.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-}
-
-impl RegistrySnapshot {
-    /// Look up a counter value by exact name.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Look up a gauge level by exact name.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
-    /// Look up a histogram snapshot by exact name.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
-
-    /// Fold `other` into `self` by exact series name: counters and gauges
-    /// sum, histograms merge via [`HistogramSnapshot::merge`]; series absent
-    /// on one side are appended verbatim. This is the federation primitive —
-    /// a router merges its shards' snapshots (after relabelling each with a
-    /// `shard="i"` label where per-shard series are wanted) into one
-    /// cluster-wide snapshot.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for (name, value) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += value,
-                None => self.counters.push((name.clone(), *value)),
-            }
-        }
-        for (name, value) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += value,
-                None => self.gauges.push((name.clone(), *value)),
-            }
-        }
-        for (name, snap) in &other.histograms {
-            match self.histograms.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => mine.merge(snap),
-                None => self.histograms.push((name.clone(), snap.clone())),
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -818,121 +679,31 @@ mod tests {
     }
 
     #[test]
-    fn registry_hands_out_shared_handles_and_renders_text() {
+    fn registry_hands_out_shared_handles_and_snapshots_them() {
         let r = Registry::new();
         let c = r.counter("obs_requests_total", "Requests handled.");
         let again = r.counter("obs_requests_total", "Requests handled.");
         c.add(3);
         assert_eq!(again.get(), 3, "same name must alias the same counter");
-        let g = r.gauge("obs_depth", "Queue depth.");
-        g.set(-2);
+        r.gauge("obs_depth", "Queue depth.").set(-2);
         let h = r.histogram("obs_latency_micros", "Latency.");
         h.record(5);
         h.record(300);
-        let e0 = r.counter("obs_shard_errors_total{shard=\"0\"}", "Per-shard errors.");
-        let e1 = r.counter("obs_shard_errors_total{shard=\"1\"}", "Per-shard errors.");
-        e0.inc();
-        e1.add(2);
-
-        let text = r.render_prometheus();
-        assert!(text.contains("# TYPE obs_requests_total counter"), "{text}");
-        assert!(text.contains("obs_requests_total 3"), "{text}");
-        assert!(text.contains("# TYPE obs_depth gauge"), "{text}");
-        assert!(text.contains("obs_depth -2"), "{text}");
-        assert!(
-            text.contains("# TYPE obs_latency_micros histogram"),
-            "{text}"
-        );
-        assert!(
-            text.contains("obs_latency_micros_bucket{le=\"7\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("obs_latency_micros_bucket{le=\"+Inf\"} 2"),
-            "{text}"
-        );
-        assert!(text.contains("obs_latency_micros_sum 305"), "{text}");
-        assert!(text.contains("obs_latency_micros_count 2"), "{text}");
-        // The labelled family gets exactly one TYPE header.
-        assert_eq!(
-            text.matches("# TYPE obs_shard_errors_total counter")
-                .count(),
-            1
-        );
-        assert!(
-            text.contains("obs_shard_errors_total{shard=\"0\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("obs_shard_errors_total{shard=\"1\"} 2"),
-            "{text}"
-        );
+        for (shard, errors) in [(0, 1), (1, 2)] {
+            let name = format!("obs_shard_errors_total{{shard=\"{shard}\"}}");
+            r.counter(&name, "Per-shard errors.").add(errors);
+        }
 
         let snap = r.snapshot();
-        assert_eq!(snap.counter("obs_requests_total"), Some(3));
-        assert_eq!(snap.gauge("obs_depth"), Some(-2));
-        assert_eq!(snap.histogram("obs_latency_micros").unwrap().count, 2);
-        assert_eq!(snap.counter("obs_shard_errors_total{shard=\"1\"}"), Some(2));
-    }
-
-    #[test]
-    fn render_is_byte_stable_across_registration_orders() {
-        let forwards = Registry::new();
-        let backwards = Registry::new();
-        let names = [
-            "obs_requests_total{type=\"estimate\"}",
-            "obs_requests_total{type=\"apply\"}",
-            "obs_zeta_total",
-            "obs_alpha_total",
-        ];
-        for name in names {
-            forwards.counter(name, "Requests.").inc();
-        }
-        for name in names.iter().rev() {
-            backwards.counter(name, "Requests.").inc();
-        }
-        let a = forwards.render_prometheus();
-        let b = backwards.render_prometheus();
-        assert_eq!(a, b, "scrape bytes must not depend on registration order");
-        // Families and series are lexicographically sorted.
-        let alpha = a.find("obs_alpha_total 1").unwrap();
-        let apply = a.find("obs_requests_total{type=\"apply\"}").unwrap();
-        let estimate = a.find("obs_requests_total{type=\"estimate\"}").unwrap();
-        let zeta = a.find("obs_zeta_total 1").unwrap();
-        assert!(alpha < apply && apply < estimate && estimate < zeta, "{a}");
-        // One TYPE header per family, even for the labelled one.
-        assert_eq!(a.matches("# TYPE obs_requests_total counter").count(), 1);
-    }
-
-    #[test]
-    fn snapshot_merge_equals_concatenated_samples() {
-        let left = Histogram::new();
-        let right = Histogram::new();
-        let both = Histogram::new();
-        for v in [0u64, 1, 5, 300, 1 << 40] {
-            left.record(v);
-            both.record(v);
-        }
-        for v in [2u64, 5, 7_000, u64::MAX] {
-            right.record(v);
-            both.record(v);
-        }
-        let mut merged = left.snapshot();
-        merged.merge(&right.snapshot());
-        assert_eq!(merged, both.snapshot());
-
-        let ra = Registry::new();
-        let rb = Registry::new();
-        ra.counter("obs_total", "T.").add(3);
-        rb.counter("obs_total", "T.").add(4);
-        ra.gauge("obs_depth", "D.").set(2);
-        rb.gauge("obs_depth", "D.").set(-5);
-        rb.counter("obs_only_b_total", "B.").inc();
-        let mut snap = ra.snapshot();
-        snap.merge(&rb.snapshot());
-        assert_eq!(snap.counter("obs_total"), Some(7));
-        assert_eq!(snap.gauge("obs_depth"), Some(-3));
-        assert_eq!(snap.counter("obs_only_b_total"), Some(1));
+        let counters: Vec<u64> = snap.counters.iter().map(|&(_, v)| v).collect();
+        assert_eq!(counters, [3, 1, 2]);
+        assert_eq!(snap.counters[2].0, "obs_shard_errors_total{shard=\"1\"}");
+        assert_eq!(snap.gauges, [("obs_depth".to_string(), -2)]);
+        assert_eq!(snap.histograms[0].1.count, 2);
+        // One help entry per family, even for the labelled one.
+        assert_eq!(snap.help.len(), 4);
+        assert_eq!(snap.help[3].0, "obs_shard_errors_total");
+        assert_eq!(snap.help[3].1, "Per-shard errors.");
     }
 
     #[test]

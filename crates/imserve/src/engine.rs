@@ -30,7 +30,7 @@
 //! the same write lock, and every long computation works on an `Arc`
 //! snapshot taken before it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
@@ -110,22 +110,6 @@ struct TopKValue {
     spread: f64,
 }
 
-/// Serving counters (monotonic, lock-free).
-#[derive(Debug, Default)]
-struct Counters {
-    requests: AtomicU64,
-    topk_cache_hits: AtomicU64,
-    topk_cache_misses: AtomicU64,
-    deltas_applied: AtomicU64,
-    sets_resampled: AtomicU64,
-    /// Set when a WAL append fails. WAL discipline is fail-stop: an applied
-    /// but unlogged batch would leave an epoch *gap* in the log, making
-    /// every later (successfully logged and acknowledged) record
-    /// unrecoverable — so once an append fails, further mutations are
-    /// refused before they touch the state.
-    wal_poisoned: std::sync::atomic::AtomicBool,
-}
-
 /// The mutable serving state: the dynamic oracle plus the metadata that
 /// tracks it (edge counts change under mutation).
 #[derive(Debug)]
@@ -177,7 +161,6 @@ impl ServingState {
 pub struct QueryEngine {
     state: RwLock<ServingState>,
     topk_cache: Mutex<LruCache<TopKKey, TopKValue>>,
-    counters: Counters,
     /// Mutation durability: when present, every accepted batch is appended
     /// (and synced) before the mutation call returns. Taken under the state
     /// write lock, so records land in application order.
@@ -193,7 +176,13 @@ pub struct QueryEngine {
     /// [`ServiceError::ReadOnly`]; only [`QueryEngine::apply_replicated`]
     /// (the replication stream) moves the epoch. Cleared by
     /// [`QueryEngine::promote`].
-    read_only: std::sync::atomic::AtomicBool,
+    read_only: AtomicBool,
+    /// Set when a WAL append fails. WAL discipline is fail-stop: an applied
+    /// but unlogged batch would leave an epoch *gap* in the log, making
+    /// every later (successfully logged and acknowledged) record
+    /// unrecoverable — so once an append fails, further mutations are
+    /// refused before they touch the state.
+    wal_poisoned: AtomicBool,
 }
 
 /// Staged construction of a [`QueryEngine`] — cache capacity, compaction
@@ -384,11 +373,11 @@ impl QueryEngine {
                 dynamic,
             }),
             topk_cache: Mutex::new(LruCache::new(config.cache_capacity)),
-            counters: Counters::default(),
             wal: None,
             obs,
             config: config.clone(),
-            read_only: std::sync::atomic::AtomicBool::new(false),
+            read_only: AtomicBool::new(false),
+            wal_poisoned: AtomicBool::new(false),
         }
     }
 
@@ -442,14 +431,12 @@ impl QueryEngine {
     ) -> Result<Response, ServiceError> {
         let result = match request {
             Request::Ping => {
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
                 self.obs.ping.count.inc();
                 Ok(Response::Pong)
             }
             // A client that cannot parse this version never gets here: the
             // front end refuses its handshake (`server::answer_line`).
             Request::Hello { .. } => {
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
                 self.obs.hello.count.inc();
                 Ok(Response::Hello {
                     version: PROTOCOL_VERSION,
@@ -482,7 +469,6 @@ impl QueryEngine {
     /// in the global set-id space for shard indexes).
     #[must_use]
     pub fn info(&self) -> ServiceInfo {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.info.count.inc();
         let state = self.state();
         let (shard_offset, global_pool) = match state.shard {
@@ -505,22 +491,22 @@ impl QueryEngine {
     /// one engine is one pool; the sharded router fills it).
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.stats.count.inc();
         let state = self.state();
+        let requests_by_type = self.obs.request_counts();
         ServiceStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            topk_cache_hits: self.counters.topk_cache_hits.load(Ordering::Relaxed),
-            topk_cache_misses: self.counters.topk_cache_misses.load(Ordering::Relaxed),
+            requests: requests_by_type.total(),
+            topk_cache_hits: self.obs.topk_cache_hits.get(),
+            topk_cache_misses: self.obs.topk_cache_misses.get(),
             pool_size: state.dynamic.pool_size(),
             epoch: state.dynamic.epoch(),
-            deltas_applied: self.counters.deltas_applied.load(Ordering::Relaxed),
-            sets_resampled: self.counters.sets_resampled.load(Ordering::Relaxed),
+            deltas_applied: self.obs.deltas_applied.get(),
+            sets_resampled: self.obs.sets_resampled.get(),
             log_len: state.dynamic.log().len(),
             snapshot_epoch: state.dynamic.snapshot_epoch(),
             compactions: state.dynamic.stats().compactions,
             uptime_secs: self.obs.uptime_secs(),
-            requests_by_type: self.obs.request_counts(),
+            requests_by_type,
             pool_resident_bytes: state.dynamic.oracle().pool_resident_bytes() as u64,
             pool_layout: state.dynamic.oracle().pool_layout().label().to_string(),
             shards: Vec::new(),
@@ -553,18 +539,19 @@ impl QueryEngine {
     /// differently, and that is exempt from the byte-identity invariant.
     #[must_use]
     pub fn metrics_report(&self) -> MetricsReport {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.metrics.count.inc();
         self.sync_state_gauges();
         self.obs.report()
     }
 
-    /// Render the Prometheus plaintext exposition (the `--metrics-addr`
-    /// endpoint body), state gauges freshly sampled.
+    /// The `--metrics-addr` endpoint body: the snapshot
+    /// [`QueryEngine::metrics_report`] takes, through the one renderer
+    /// ([`MetricsReport::render_prometheus`]) — a scrape is not a `Metrics`
+    /// request, so that lane does not move.
     #[must_use]
     pub fn render_metrics(&self) -> String {
         self.sync_state_gauges();
-        self.obs.render_prometheus()
+        self.obs.report().render_prometheus()
     }
 
     /// This engine's liveness/readiness verdict, from real signals:
@@ -578,10 +565,9 @@ impl QueryEngine {
     ///   behind a reactor reads the gauge's resting zero).
     #[must_use]
     pub fn health(&self) -> HealthReport {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.health.count.inc();
         let mut report = HealthReport::new();
-        let poisoned = self.counters.wal_poisoned.load(Ordering::Relaxed);
+        let poisoned = self.wal_poisoned.load(Ordering::Relaxed);
         let wal_detail = if poisoned {
             "a WAL append failed; mutations are disabled until restart".to_string()
         } else if self.wal.is_some() {
@@ -603,7 +589,6 @@ impl QueryEngine {
     /// first (the `Events` request's payload).
     #[must_use]
     pub fn event_records(&self) -> Vec<EventRecord> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.events.count.inc();
         self.obs
             .event_log
@@ -621,7 +606,6 @@ impl QueryEngine {
         scratch: &mut EstimateScratch,
     ) -> Result<SpreadEstimate, ServiceError> {
         let began = Instant::now();
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.estimate.count.inc();
         let state = self.state();
         let oracle = state.dynamic.oracle();
@@ -651,7 +635,6 @@ impl QueryEngine {
     /// snapshot with no lock held.
     pub fn gains(&self, selected: &[u32]) -> Result<GainVector, ServiceError> {
         let began = Instant::now();
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.gains.count.inc();
         let dynamic = {
             let state = self.state();
@@ -684,7 +667,6 @@ impl QueryEngine {
     /// graph.
     pub fn mutate_batch(&self, deltas: &[GraphDelta]) -> Result<MutationOutcome, ServiceError> {
         let began = Instant::now();
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.mutate_batch.count.inc();
         self.check_writable()?;
         self.check_wal_usable()?;
@@ -731,7 +713,6 @@ impl QueryEngine {
     #[must_use = "the report says how many deltas were folded"]
     pub fn compact(&self) -> CompactionReport {
         let began = Instant::now();
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.compact.count.inc();
         let mut state = self.state.write().expect("serving state poisoned");
         self.obs.event_log.info(
@@ -880,7 +861,6 @@ impl QueryEngine {
     /// their keys embed the (unchanged) epoch and the pool is required to be
     /// bit-identical.
     pub fn reload(&self, artifact: IndexArtifact) -> Result<ReloadOutcome, ServiceError> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.reload.count.inc();
         // Validate identity and build the replacement oracle *outside* the
         // write lock: readers keep flowing while the artifact is hashed.
@@ -967,7 +947,6 @@ impl QueryEngine {
     /// operator accepts whatever was replicated. Idempotent on an
     /// already-writable node.
     pub fn promote(&self, expected_epoch: Option<u64>) -> Result<PromotionOutcome, ServiceError> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.promote.count.inc();
         // Under the write lock so a concurrent replication apply cannot move
         // the epoch between the gap check and the flag flip.
@@ -1011,9 +990,9 @@ impl QueryEngine {
     }
 
     /// Refuse mutations once the WAL is poisoned (fail-stop: see
-    /// [`Counters::wal_poisoned`]). Checked before any state is touched.
+    /// [`QueryEngine::wal_poisoned`]). Checked before any state is touched.
     fn check_wal_usable(&self) -> Result<(), ServiceError> {
-        if self.counters.wal_poisoned.load(Ordering::Relaxed) {
+        if self.wal_poisoned.load(Ordering::Relaxed) {
             return Err(ServiceError::Backend(
                 "mutations disabled: a previous WAL append failed, so accepting more would \
                  leave an unrecoverable gap in the log; restart the server (replaying the \
@@ -1048,7 +1027,7 @@ impl QueryEngine {
             .expect("WAL lock poisoned")
             .append(epoch_before, graph_hash_before, deltas)
             .map_err(|e| {
-                self.counters.wal_poisoned.store(true, Ordering::Relaxed);
+                self.wal_poisoned.store(true, Ordering::Relaxed);
                 self.obs.event_log.error(
                     "wal_append_failed",
                     0,
@@ -1118,12 +1097,6 @@ impl QueryEngine {
     }
 
     fn bump_mutation_counters(&self, applied: usize, resampled: usize) {
-        self.counters
-            .deltas_applied
-            .fetch_add(applied as u64, Ordering::Relaxed);
-        self.counters
-            .sets_resampled
-            .fetch_add(resampled as u64, Ordering::Relaxed);
         self.obs.deltas_applied.add(applied as u64);
         self.obs.sets_resampled.add(resampled as u64);
         self.obs.mutate_resampled_sets.record(resampled as u64);
@@ -1133,7 +1106,6 @@ impl QueryEngine {
     /// epoch-keyed LRU cache.
     pub fn top_k(&self, k: usize, algorithm: TopKAlgorithm) -> Result<TopKSelection, ServiceError> {
         let began = Instant::now();
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.obs.top_k.count.inc();
         if k == 0 {
             return Err(ServiceError::Query("k must be positive".into()));
@@ -1159,9 +1131,6 @@ impl QueryEngine {
             .expect("cache lock poisoned")
             .get(&key)
         {
-            self.counters
-                .topk_cache_hits
-                .fetch_add(1, Ordering::Relaxed);
             self.obs.topk_cache_hits.inc();
             self.obs
                 .top_k
@@ -1184,9 +1153,6 @@ impl QueryEngine {
                 (seeds, spread)
             }
         };
-        self.counters
-            .topk_cache_misses
-            .fetch_add(1, Ordering::Relaxed);
         self.obs.topk_cache_misses.inc();
         self.topk_cache.lock().expect("cache lock poisoned").insert(
             key,

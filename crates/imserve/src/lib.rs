@@ -86,9 +86,7 @@ pub use client::{ReconnectingService, RemoteService};
 pub use engine::{EngineBuilder, EngineConfig, QueryEngine, ServingState};
 pub use error::ServeError;
 pub use index::{build_dataset_index, build_dataset_index_with_deltas, IndexArtifact, IndexMeta};
-pub use obs::{
-    route_ops_request, spawn_metrics_endpoint, spawn_ops_endpoint, OpsResponse, ServingMetrics,
-};
+pub use obs::{route_ops_request, spawn_ops_endpoint, OpsResponse, ServingMetrics};
 pub use protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
 pub use reactor::ReactorConfig;
 pub use replica::{parse_replica_addrs, ReplicaSet};

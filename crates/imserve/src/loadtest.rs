@@ -25,12 +25,18 @@
 //!   each latency is measured from the request's **scheduled** arrival time,
 //!   so time spent queueing behind a saturated server counts against it.
 //!   This is the discipline to use for tail-latency (p99/p999) claims.
+//!
+//! Beside the client-side percentiles a report carries what the *server* saw
+//! over the run ([`ServerMetricsDelta`]): two `Metrics` snapshots subtracted
+//! with [`MetricsReport::since`] — the snapshot type `/metrics` renders, so a
+//! bench commits the same families production exports.
 
 use std::net::ToSocketAddrs;
 use std::time::{Duration, Instant};
 
 use imrand::{Pcg32, Rng32};
 use imstats::SummaryStats;
+use serde::Serialize;
 
 use crate::client::RemoteService;
 use crate::protocol::TopKAlgorithm;
@@ -122,11 +128,12 @@ pub struct LoadtestReport {
 
 /// What the *server* observed across one load-test run: the difference
 /// between a `Metrics` snapshot taken before the workload and one taken
-/// after. Complements the client-side percentiles — queue-wait p99 shows
-/// time spent parked in the compute queue, backpressure stalls show how
-/// often the reactor throttled reads, and the cache-hit delta explains
-/// `TopK` latency bimodality.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// after ([`MetricsReport::since`]). Complements the client-side
+/// percentiles — queue-wait p99 shows time spent parked in the compute
+/// queue, backpressure stalls show how often the reactor throttled reads,
+/// and the cache-hit delta explains `TopK` latency bimodality. Serializes
+/// as the `server_metrics` object of `BENCH_serving.json`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ServerMetricsDelta {
     /// Requests the server handled during the run.
     pub requests_total: u64,
@@ -154,96 +161,41 @@ impl ServerMetricsDelta {
     /// The run's own deltas from two cumulative snapshots.
     #[must_use]
     pub fn between(before: &MetricsReport, after: &MetricsReport) -> Self {
-        let counter = |name: &str| after.counter(name).saturating_sub(before.counter(name));
+        let delta = after.since(before);
         // The per-type request counters are one labelled family; the total
-        // is their sum across labels.
-        // Shard-labelled copies are *duplicates* of values already counted
-        // in the merged series; summing them alongside would double-count.
-        let requests = |report: &MetricsReport| {
-            report
-                .counters
-                .iter()
-                .filter(|s| {
-                    s.name.starts_with("imserve_requests_total") && !s.name.contains("shard=\"")
-                })
-                .map(|s| s.value)
-                .sum::<u64>()
-        };
-        let before_shards = per_shard_requests(before);
-        let mut per_shard = per_shard_requests(after);
-        for (i, count) in per_shard.iter_mut().enumerate() {
-            *count = count.saturating_sub(before_shards.get(i).copied().unwrap_or(0));
+        // is their sum across labels. Shard-labelled copies are *duplicates*
+        // of values already counted in the merged series, so they feed the
+        // per-shard slots instead.
+        let mut requests_total = 0;
+        let mut per_shard_requests: Vec<u64> = Vec::new();
+        for sample in &delta.counters {
+            let Some(labels) = sample.name.strip_prefix("imserve_requests_total{") else {
+                continue;
+            };
+            let Some(rest) = labels.strip_prefix("shard=\"") else {
+                requests_total += sample.value;
+                continue;
+            };
+            let Some(Ok(shard)) = rest.split('"').next().map(str::parse::<usize>) else {
+                continue;
+            };
+            if per_shard_requests.len() <= shard {
+                per_shard_requests.resize(shard + 1, 0);
+            }
+            per_shard_requests[shard] += sample.value;
         }
         Self {
-            requests_total: requests(after).saturating_sub(requests(before)),
-            topk_cache_hits: counter("imserve_topk_cache_hits_total"),
-            topk_cache_misses: counter("imserve_topk_cache_misses_total"),
-            backpressure_stalls: counter("imserve_backpressure_stalls_total"),
-            slow_queries: counter("imserve_slow_queries_total"),
-            queue_wait_p99_micros: histogram_delta_quantile(
-                before,
-                after,
-                "imserve_queue_wait_micros",
-                0.99,
-            ),
-            per_shard_requests: per_shard,
+            requests_total,
+            topk_cache_hits: delta.counter("imserve_topk_cache_hits_total"),
+            topk_cache_misses: delta.counter("imserve_topk_cache_misses_total"),
+            backpressure_stalls: delta.counter("imserve_backpressure_stalls_total"),
+            slow_queries: delta.counter("imserve_slow_queries_total"),
+            queue_wait_p99_micros: delta
+                .histogram("imserve_queue_wait_micros")
+                .map_or(0, |h| h.quantile_micros(0.99)),
+            per_shard_requests,
         }
     }
-}
-
-/// Sum each shard's request counters out of a federated snapshot: every
-/// `imserve_requests_total{shard="i",…}` series contributes to slot `i`.
-/// Empty when the report carries no shard-labelled request series (a
-/// single-server backend).
-fn per_shard_requests(report: &MetricsReport) -> Vec<u64> {
-    let mut per_shard: Vec<u64> = Vec::new();
-    for sample in &report.counters {
-        let Some(rest) = sample.name.strip_prefix("imserve_requests_total{shard=\"") else {
-            continue;
-        };
-        let Some(end) = rest.find('"') else { continue };
-        let Ok(shard) = rest[..end].parse::<usize>() else {
-            continue;
-        };
-        if per_shard.len() <= shard {
-            per_shard.resize(shard + 1, 0);
-        }
-        per_shard[shard] += sample.value;
-    }
-    per_shard
-}
-
-/// The `q`-quantile of the samples a histogram gained between two cumulative
-/// snapshots: subtract the before-counts bucket-wise, then walk the delta
-/// distribution. Exact to within one log₂ bucket, like the live quantile.
-fn histogram_delta_quantile(
-    before: &MetricsReport,
-    after: &MetricsReport,
-    name: &str,
-    q: f64,
-) -> u64 {
-    let Some(after) = after.histogram(name) else {
-        return 0;
-    };
-    let before_count = |le: u64| {
-        before
-            .histogram(name)
-            .and_then(|h| h.buckets.iter().find(|b| b.le == le))
-            .map_or(0, |b| b.count)
-    };
-    let total = after
-        .count
-        .saturating_sub(before.histogram(name).map_or(0, |h| h.count));
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    for b in &after.buckets {
-        if b.count.saturating_sub(before_count(b.le)) >= rank {
-            return b.le;
-        }
-    }
-    after.buckets.last().map_or(0, |b| b.le)
 }
 
 impl std::fmt::Display for LoadtestReport {
@@ -458,51 +410,4 @@ pub fn run<A: ToSocketAddrs>(
 ) -> Result<LoadtestReport, ServiceError> {
     let addrs: Vec<std::net::SocketAddr> = addr.to_socket_addrs()?.collect();
     run_with(config, || RemoteService::connect(addrs.as_slice()))
-}
-
-/// Run the whole configured workload *sequentially* through one service —
-/// the backend-comparison entry point (`imexp loadtest --backend …`), where
-/// identical request streams matter more than concurrency.
-pub fn run_service<S: InfluenceService>(
-    service: &mut S,
-    config: &LoadtestConfig,
-) -> Result<LoadtestReport, ServiceError> {
-    let connections = config.connections.max(1);
-    let per_connection = config.requests_per_connection.max(1);
-    let num_vertices = service.info()?.num_vertices;
-    if num_vertices == 0 {
-        return Err(ServiceError::Query("served graph is empty".into()));
-    }
-    let metrics_before = service.metrics().ok();
-    let started = Instant::now();
-    let mut all_latencies = Vec::with_capacity(connections * per_connection);
-    for connection_id in 0..connections {
-        // Sequential replay has no concurrent arrival clock; the open-loop
-        // schedule is meaningless here and is deliberately ignored.
-        all_latencies.extend(drive(
-            service,
-            num_vertices,
-            per_connection,
-            config.k,
-            stream_seed(config.seed, connection_id),
-            None,
-        )?);
-    }
-    let elapsed_secs = started.elapsed().as_secs_f64();
-    let server_stats = service.stats().ok();
-    let server_metrics = metrics_before.and_then(|before| {
-        service
-            .metrics()
-            .ok()
-            .map(|after| ServerMetricsDelta::between(&before, &after))
-    });
-    Ok(LoadtestReport {
-        total_requests: all_latencies.len(),
-        elapsed_secs,
-        throughput_rps: all_latencies.len() as f64 / elapsed_secs.max(1e-9),
-        p999_micros: SummaryStats::percentile(&all_latencies, 99.9),
-        latency_micros: SummaryStats::from_values(&all_latencies),
-        server_stats,
-        server_metrics,
-    })
 }

@@ -1,13 +1,16 @@
 //! The serving stack's observability surface: every metric the stack
-//! records, under one [`imobs::Registry`], plus the plaintext exposition
-//! endpoint behind `serve --metrics-addr`.
+//! records, under one [`imobs::Registry`], plus the plaintext ops endpoint
+//! behind `serve --metrics-addr`.
 //!
 //! [`ServingMetrics`] is the one struct threaded through the layers — the
 //! engine, both front ends, the WAL, and the shard router all hold `Arc`
 //! handles onto its counters/gauges/histograms, so recording stays lock-free
 //! and allocation-free on every hot path (the `EstimateScratch` discipline).
-//! Exposition — the Prometheus text endpoint and the wire `Metrics`
-//! response — snapshots the registry on demand; nothing is pushed anywhere.
+//! Every number is counted once, here, and leaves this module one way:
+//! [`ServingMetrics::report`] snapshots the registry into the wire
+//! [`MetricsReport`], and every face — `/metrics` text, the `Metrics`
+//! response, a router's federated scrape, the loadtest delta — is a method
+//! of that one type. Nothing is pushed anywhere.
 //!
 //! None of this touches the query wire format: responses stay byte-identical
 //! with metrics enabled, because metrics only ever travel on their own
@@ -21,8 +24,8 @@ use std::time::Instant;
 use imobs::{Counter, EventLog, Gauge, Histogram, Registry, SlowLog};
 
 use crate::service::{
-    GaugeSample, HistogramBucket, HistogramSample, MetricSample, MetricsReport, RequestTypeCounts,
-    SlowQuery, SpanStage,
+    FamilyHelp, GaugeSample, HistogramBucket, HistogramSample, MetricSample, MetricsReport,
+    RequestTypeCounts, SlowQuery, SpanStage,
 };
 
 /// Default slow-query retention threshold (`serve --slow-micros` overrides).
@@ -449,6 +452,8 @@ impl ServingMetrics {
             compact: self.compact.count.get(),
             stats: self.stats.count.get(),
             metrics: self.metrics.count.get(),
+            health: self.health.count.get(),
+            events: self.events.count.get(),
             reload: self.reload.count.get(),
             promote: self.promote.count.get(),
         }
@@ -461,18 +466,20 @@ impl ServingMetrics {
         }
     }
 
-    /// The uptime gauge, refreshed. Call before snapshotting or rendering.
-    pub fn refresh_uptime(&self) {
-        self.uptime_seconds.set(self.uptime_secs() as i64);
-    }
-
-    /// Build the wire [`MetricsReport`]: every registered metric plus the
-    /// slow-query log, in registration order.
+    /// Build the wire [`MetricsReport`] — the one snapshot every exposition
+    /// face renders, merges or subtracts: every registered metric with its
+    /// family's help text plus the slow-query log, in registration order,
+    /// uptime gauge freshly sampled.
     #[must_use]
     pub fn report(&self) -> MetricsReport {
-        self.refresh_uptime();
+        self.uptime_seconds.set(self.uptime_secs() as i64);
         let snap = self.registry.snapshot();
         MetricsReport {
+            help: snap
+                .help
+                .into_iter()
+                .map(|(family, help)| FamilyHelp { family, help })
+                .collect(),
             counters: snap
                 .counters
                 .into_iter()
@@ -528,32 +535,6 @@ impl ServingMetrics {
                 })
                 .collect(),
         }
-    }
-
-    /// Render the Prometheus plaintext exposition, with the slow-query log
-    /// appended as comment lines (`# slowlog trace=… total_us=… stages=…`) —
-    /// comments are legal in the text format, so ordinary scrapers ignore
-    /// them while humans and the CI smoke can read the span timelines.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        self.refresh_uptime();
-        let mut out = self.registry.render_prometheus();
-        for entry in self.slow_log.entries() {
-            let stages: Vec<String> = entry
-                .events
-                .iter()
-                .map(|e| format!("{}={}", e.stage, e.at_micros))
-                .collect();
-            let _ = writeln!(
-                out,
-                "# slowlog trace={:#x} total_us={} stages[{}]",
-                entry.trace,
-                entry.total_micros,
-                stages.join(",")
-            );
-        }
-        out
     }
 }
 
@@ -666,16 +647,6 @@ where
     Ok(bound)
 }
 
-/// Serve `render()` as the reply to every path — the metrics-only endpoint
-/// kept for callers that predate the routed ops surface ([`spawn_ops_endpoint`]).
-pub fn spawn_metrics_endpoint<A, F>(addr: A, render: F) -> std::io::Result<SocketAddr>
-where
-    A: ToSocketAddrs,
-    F: Fn() -> String + Send + 'static,
-{
-    spawn_ops_endpoint(addr, move |_path| OpsResponse::metrics(render()))
-}
-
 /// Answer a single request on `stream`.
 fn serve_one_scrape(
     stream: std::net::TcpStream,
@@ -725,11 +696,15 @@ mod tests {
         m.estimate.count.add(3);
         m.top_k.count.inc();
         m.stats.count.inc();
+        m.health.count.add(2);
+        m.events.count.inc();
         let counts = m.request_counts();
         assert_eq!(counts.estimate, 3);
         assert_eq!(counts.top_k, 1);
         assert_eq!(counts.stats, 1);
-        assert_eq!(counts.total(), 5);
+        assert_eq!(counts.health, 2);
+        assert_eq!(counts.events, 1);
+        assert_eq!(counts.total(), 8);
     }
 
     #[test]
@@ -753,7 +728,7 @@ mod tests {
         lane1.errors.inc();
         let again = m.shard_lane(1);
         again.sends.inc();
-        let text = m.render_prometheus();
+        let text = m.report().render_prometheus();
         assert!(
             text.contains("imserve_shard_sends_total{shard=\"0\"} 0"),
             "{text}"
@@ -803,7 +778,7 @@ mod tests {
         assert_eq!(report.slow_queries[0].stages[1].stage, "execute");
         assert_eq!(m.slow_queries.get(), 1);
 
-        let text = m.render_prometheus();
+        let text = report.render_prometheus();
         assert!(
             text.contains("# slowlog trace=0x42 total_us=250 stages[queue_wait=10,execute=200]"),
             "{text}"
@@ -814,11 +789,15 @@ mod tests {
     fn metrics_endpoint_answers_plaintext_scrapes() {
         let m = ServingMetrics::with_defaults();
         m.info.count.add(7);
-        let render = {
-            let m = Arc::clone(&m);
-            move || m.render_prometheus()
-        };
-        let addr = spawn_metrics_endpoint("127.0.0.1:0", render).unwrap();
+        let addr = spawn_ops_endpoint("127.0.0.1:0", move |path| {
+            route_ops_request(
+                path,
+                || m.report().render_prometheus(),
+                String::new,
+                crate::service::HealthReport::new,
+            )
+        })
+        .unwrap();
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
         write!(stream, "GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n").unwrap();
         let mut body = String::new();

@@ -760,7 +760,8 @@ mod tests {
     #[test]
     fn metrics_frames_round_trip_over_the_wire() {
         use crate::service::{
-            GaugeSample, HistogramBucket, HistogramSample, MetricSample, SlowQuery, SpanStage,
+            FamilyHelp, GaugeSample, HistogramBucket, HistogramSample, MetricSample, SlowQuery,
+            SpanStage,
         };
         let back: Request = decode(&encode(&Request::Metrics).unwrap()).unwrap();
         assert_eq!(back, Request::Metrics);
@@ -790,6 +791,10 @@ mod tests {
                     stage: "execute".into(),
                     at_micros: 14_000,
                 }],
+            }],
+            help: vec![FamilyHelp {
+                family: "imserve_epoch".into(),
+                help: "Current index epoch.".into(),
             }],
         };
         let response = Response::Metrics(report.clone());

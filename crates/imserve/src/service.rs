@@ -249,6 +249,10 @@ pub struct RequestTypeCounts {
     pub stats: u64,
     /// `Metrics` snapshot requests.
     pub metrics: u64,
+    /// `Health` probes.
+    pub health: u64,
+    /// `Events` snapshot requests.
+    pub events: u64,
     /// `Reload` hot-swap requests.
     pub reload: u64,
     /// `Promote` admin requests.
@@ -269,6 +273,8 @@ impl RequestTypeCounts {
             + self.compact
             + self.stats
             + self.metrics
+            + self.health
+            + self.events
             + self.reload
             + self.promote
     }
@@ -287,6 +293,8 @@ impl RequestTypeCounts {
             compact: self.compact + other.compact,
             stats: self.stats + other.stats,
             metrics: self.metrics + other.metrics,
+            health: self.health + other.health,
+            events: self.events + other.events,
             reload: self.reload + other.reload,
             promote: self.promote + other.promote,
         }
@@ -429,10 +437,21 @@ pub struct SlowQuery {
     pub stages: Vec<SpanStage>,
 }
 
+/// One metric family's `# HELP` text (a family is a series name up to its
+/// `{`, so labelled series share one entry).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FamilyHelp {
+    /// Family name.
+    pub family: String,
+    /// Human-readable description.
+    pub help: String,
+}
+
 /// A point-in-time snapshot of a backend's observability state: every
 /// registered counter, gauge and histogram plus the slow-query log. This is
-/// the wire form of `query --metrics` / `Request::Metrics`; the same data
-/// renders as Prometheus text on `serve --metrics-addr`.
+/// the one snapshot type every exposition face works on: the wire form of
+/// `query --metrics` / `Request::Metrics`, what a router merges, what the
+/// load generator subtracts, and what `/metrics` renders.
 ///
 /// Like `Stats`, metrics responses are deliberately volatile — the
 /// byte-identity invariant covers query answers, not diagnostics.
@@ -446,6 +465,8 @@ pub struct MetricsReport {
     pub histograms: Vec<HistogramSample>,
     /// Retained slow queries, oldest first.
     pub slow_queries: Vec<SlowQuery>,
+    /// Help text of every family above, in first-registration order.
+    pub help: Vec<FamilyHelp>,
 }
 
 /// Insert `shard="i"` as the first label of a (possibly already labelled)
@@ -513,46 +534,26 @@ impl MetricsReport {
     /// A copy of this report with every series relabelled under
     /// `shard="i"` — how a router tags one shard's snapshot before folding
     /// it into the federated cluster report. Slow queries are kept verbatim
-    /// (they already carry trace ids that identify their hop).
+    /// (they already carry trace ids that identify their hop), and so is the
+    /// help text (a label never changes a series' family).
     #[must_use]
     pub fn with_shard_label(&self, shard: usize) -> MetricsReport {
-        MetricsReport {
-            counters: self
-                .counters
-                .iter()
-                .map(|s| MetricSample {
-                    name: shard_labelled(&s.name, shard),
-                    value: s.value,
-                })
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|s| GaugeSample {
-                    name: shard_labelled(&s.name, shard),
-                    value: s.value,
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|s| HistogramSample {
-                    name: shard_labelled(&s.name, shard),
-                    count: s.count,
-                    sum: s.sum,
-                    buckets: s.buckets.clone(),
-                })
-                .collect(),
-            slow_queries: self.slow_queries.clone(),
+        let mut labelled = self.clone();
+        let names = (labelled.counters.iter_mut().map(|s| &mut s.name))
+            .chain(labelled.gauges.iter_mut().map(|s| &mut s.name))
+            .chain(labelled.histograms.iter_mut().map(|s| &mut s.name));
+        for name in names {
+            *name = shard_labelled(name, shard);
         }
+        labelled
     }
 
     /// Fold `other` into `self` by exact series name: counters and gauges
     /// sum, cumulative histogram buckets add element-wise (so a merged
-    /// quantile keeps the one-bucket error bound), series absent on one
-    /// side append verbatim, and slow queries concatenate. Merging a
-    /// shard-labelled copy *and* the unlabelled original gives the
-    /// federated shape: per-shard series plus a cluster-wide sum.
+    /// quantile keeps the one-bucket error bound), series and help entries
+    /// absent on one side append verbatim, and slow queries concatenate.
+    /// Merging a shard-labelled copy *and* the unlabelled original gives
+    /// the federated shape: per-shard series plus a cluster-wide sum.
     pub fn merge(&mut self, other: &MetricsReport) {
         for sample in &other.counters {
             match self.counters.iter_mut().find(|s| s.name == sample.name) {
@@ -582,14 +583,51 @@ impl MetricsReport {
             }
         }
         self.slow_queries.extend(other.slow_queries.iter().cloned());
+        for entry in &other.help {
+            if !self.help.iter().any(|h| h.family == entry.family) {
+                self.help.push(entry.clone());
+            }
+        }
     }
 
-    /// Render this report in Prometheus plaintext exposition format, with
-    /// families and labelled series lexicographically sorted (byte-stable,
-    /// like [`imobs::Registry::render_prometheus`]). This is how a router
-    /// exposes a *federated* report — snapshot data merged from many
-    /// processes, with no live registry behind it. Slow queries append as
-    /// `# slowlog` comment lines.
+    /// What this snapshot gained over the earlier `before` of the same
+    /// backend: counters and cumulative histogram buckets saturating-subtract
+    /// by exact series name (a bucket past `before`'s trimmed tail subtracts
+    /// `before`'s total, mirroring [`MetricsReport::merge`]), so
+    /// [`HistogramSample::quantile_micros`] on the difference is the
+    /// quantile of the samples recorded in between. Gauges, slow queries and
+    /// help text are levels, not totals: they stay this snapshot's.
+    #[must_use]
+    pub fn since(&self, before: &MetricsReport) -> MetricsReport {
+        let mut delta = self.clone();
+        for sample in &mut delta.counters {
+            sample.value = sample.value.saturating_sub(before.counter(&sample.name));
+        }
+        for sample in &mut delta.histograms {
+            let Some(earlier) = before.histogram(&sample.name) else {
+                continue;
+            };
+            for (i, bucket) in sample.buckets.iter_mut().enumerate() {
+                let seen = earlier.buckets.get(i).map_or(earlier.count, |b| b.count);
+                bucket.count = bucket.count.saturating_sub(seen);
+            }
+            sample.count = sample.count.saturating_sub(earlier.count);
+            sample.sum = sample.sum.wrapping_sub(earlier.sum);
+        }
+        delta
+    }
+
+    /// Render this report in Prometheus plaintext exposition format
+    /// (version 0.0.4) — every `/metrics` body, a single server's and a
+    /// router's federated one alike: `# HELP` (when the report has the
+    /// family's text) and `# TYPE` per family, cumulative `_bucket{le=...}`
+    /// series plus `_sum` / `_count` for histograms, slow queries as
+    /// trailing `# slowlog` comment lines (legal in the format: scrapers
+    /// ignore them, humans and the CI smoke read the span timelines).
+    ///
+    /// Output is **byte-stable**: families and the labelled series within
+    /// them sort, so equal state renders to equal bytes regardless of
+    /// registration order (per-shard lanes register lazily from workers).
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
@@ -612,27 +650,26 @@ impl MetricsReport {
         let mut out = String::new();
         let mut last_family: Option<&str> = None;
         for (family, name, kind) in &series {
-            let first_of_family = last_family != Some(family);
-            if first_of_family {
+            if last_family != Some(family) {
                 last_family = Some(family);
+                if let Some(entry) = self.help.iter().find(|h| h.family == *family) {
+                    let _ = writeln!(out, "# HELP {family} {}", entry.help);
+                }
+                let type_name = match kind {
+                    Kind::Counter(_) => "counter",
+                    Kind::Gauge(_) => "gauge",
+                    Kind::Histogram(_) => "histogram",
+                };
+                let _ = writeln!(out, "# TYPE {family} {type_name}");
             }
             match kind {
                 Kind::Counter(v) => {
-                    if first_of_family {
-                        let _ = writeln!(out, "# TYPE {family} counter");
-                    }
                     let _ = writeln!(out, "{name} {v}");
                 }
                 Kind::Gauge(v) => {
-                    if first_of_family {
-                        let _ = writeln!(out, "# TYPE {family} gauge");
-                    }
                     let _ = writeln!(out, "{name} {v}");
                 }
                 Kind::Histogram(h) => {
-                    if first_of_family {
-                        let _ = writeln!(out, "# TYPE {family} histogram");
-                    }
                     for bucket in &h.buckets {
                         let _ = writeln!(
                             out,
@@ -1144,14 +1181,20 @@ mod tests {
             reload: 2,
             promote: 1,
             estimate: 4,
+            health: 5,
+            events: 3,
             ..RequestTypeCounts::default()
         };
-        assert_eq!(counts.total(), 7);
+        assert_eq!(counts.total(), 15);
         let merged = counts.merged(&RequestTypeCounts {
             reload: 1,
+            health: 1,
+            events: 2,
             ..RequestTypeCounts::default()
         });
         assert_eq!(merged.reload, 3);
         assert_eq!(merged.promote, 1);
+        assert_eq!(merged.health, 6);
+        assert_eq!(merged.events, 5);
     }
 }

@@ -63,9 +63,9 @@ use imobs::EventField;
 use crate::obs::{ServingMetrics, ShardLane};
 use crate::protocol::TopKAlgorithm;
 use crate::service::{
-    CompactionReport, EventRecord, GainVector, GaugeSample, HealthReport, InfluenceService,
-    MetricsReport, MutationOutcome, ServiceError, ServiceInfo, ServiceResult, ServiceStats,
-    SpreadEstimate, TopKSelection,
+    CompactionReport, EventRecord, FamilyHelp, GainVector, GaugeSample, HealthReport,
+    InfluenceService, MetricsReport, MutationOutcome, ServiceError, ServiceInfo, ServiceResult,
+    ServiceStats, SpreadEstimate, TopKSelection,
 };
 
 /// A router over N shard backends (see the module docs for the invariant).
@@ -231,7 +231,9 @@ impl<S: InfluenceService + Send> ShardedService<S> {
     /// single scrape shows the merged cluster value for every family
     /// (counters summed, cumulative histogram buckets added elementwise,
     /// keeping quantile bounds within one log₂ bucket) next to the
-    /// per-shard series that sum to it. A shard that cannot answer (dead,
+    /// per-shard series that sum to it, and renders through the same
+    /// [`MetricsReport::render_prometheus`] a single server's `/metrics`
+    /// uses, help text included. A shard that cannot answer (dead,
     /// or an older server without the `Metrics` request) degrades the
     /// report instead of failing it: its series are absent and its
     /// `imserve_shard_up{shard="i"}` gauge reads `0`.
@@ -244,6 +246,10 @@ impl<S: InfluenceService + Send> ShardedService<S> {
             |shard| shard.metrics(),
         );
         let mut merged = self.obs.report();
+        merged.help.push(FamilyHelp {
+            family: "imserve_shard_up".into(),
+            help: "1 if the shard answered this scrape's Metrics fan-out, 0 otherwise.".into(),
+        });
         for (i, result) in results.into_iter().enumerate() {
             let up = match result {
                 Ok(report) => {

@@ -123,6 +123,9 @@ fn federated_scrape_shows_per_shard_series_summing_to_merged_values() {
     let rendered = report.render_prometheus();
     assert_eq!(rendered, report.render_prometheus());
     for needle in [
+        // The one renderer: a federated scrape carries the help text too.
+        "# HELP imserve_requests_total Lifetime requests handled, by request type.",
+        "# HELP imserve_shard_up ",
         "# TYPE imserve_requests_total counter",
         "imserve_requests_total{shard=\"0\",type=\"estimate\"}",
         "imserve_requests_total{shard=\"1\",type=\"estimate\"}",

@@ -40,10 +40,16 @@ fn metrics_request_and_scrape_endpoint_reflect_served_traffic() {
         },
     )
     .unwrap();
-    let render_engine = Arc::clone(&engine);
-    let scrape_addr =
-        imserve::spawn_metrics_endpoint("127.0.0.1:0", move || render_engine.render_metrics())
-            .unwrap();
+    let ops_engine = Arc::clone(&engine);
+    let scrape_addr = imserve::spawn_ops_endpoint("127.0.0.1:0", move |path| {
+        imserve::route_ops_request(
+            path,
+            || ops_engine.render_metrics(),
+            || ops_engine.obs().event_log.render_json_lines(),
+            || ops_engine.health(),
+        )
+    })
+    .unwrap();
 
     let mut service = RemoteService::connect(handle.addr()).unwrap();
     service.estimate(&[0]).unwrap();
@@ -82,6 +88,7 @@ fn metrics_request_and_scrape_endpoint_reflect_served_traffic() {
     stream.read_to_string(&mut body).unwrap();
     assert!(body.starts_with("HTTP/1.0 200 OK"), "head: {body:.60}");
     for needle in [
+        "# HELP imserve_requests_total Lifetime requests handled, by request type.",
         "# TYPE imserve_requests_total counter",
         "imserve_requests_total{type=\"estimate\"} 2",
         "# TYPE imserve_request_latency_micros histogram",
@@ -93,6 +100,54 @@ fn metrics_request_and_scrape_endpoint_reflect_served_traffic() {
         assert!(body.contains(needle), "scrape missing {needle:?}:\n{body}");
     }
     handle.shutdown();
+}
+
+/// `Stats` agrees with itself and with the metric lanes: after one request
+/// of every kind, `requests`, the per-type split and the
+/// `imserve_requests_total` family are the same number (they are the same
+/// counters), `Health` and `Events` included.
+#[test]
+fn stats_total_equals_its_per_type_split_and_the_request_lanes() {
+    let artifact = build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap();
+    let engine = observed_engine(artifact.clone());
+    let path = std::env::temp_dir().join(format!("imserve-every-kind-{}.imx", std::process::id()));
+    artifact.save(path.to_str().unwrap()).unwrap();
+    let reload = format!(r#"{{"Reload":{{"path":{:?}}}}}"#, path.to_str().unwrap());
+    let script = [
+        r#""Ping""#,
+        r#"{"Hello":{"max_version":2}}"#,
+        r#""Info""#,
+        r#"{"Estimate":{"seeds":[0,33]}}"#,
+        r#"{"TopK":{"k":2,"algorithm":"Greedy"}}"#,
+        r#"{"Gains":{"selected":[0]}}"#,
+        r#""Health""#,
+        r#""Events""#,
+        reload.as_str(),
+        r#"{"Promote":{"expected_epoch":null}}"#,
+        r#"{"MutateBatch":{"deltas":[{"DeleteEdge":{"source":0,"target":1}}]}}"#,
+        r#""Compact""#,
+        r#""Stats""#,
+        r#""Metrics""#,
+    ];
+    let mut scratch = engine.new_scratch();
+    for line in script {
+        let request: Request = protocol::decode(line).unwrap();
+        let response = engine.handle(&request, &mut scratch);
+        let failed = matches!(response, imserve::Response::Error { .. });
+        assert!(!failed, "{line} -> {response:?}");
+    }
+    let _ = std::fs::remove_file(&path);
+
+    // The reads count themselves: this `stats` is the 15th request ...
+    let stats = engine.stats();
+    assert_eq!(stats.requests, script.len() as u64 + 1);
+    assert_eq!(stats.requests_by_type.total(), stats.requests);
+    let by_type = stats.requests_by_type;
+    assert_eq!((by_type.health, by_type.events, by_type.stats), (1, 1, 2));
+    // ... and this `metrics_report` the 16th, on its own lane.
+    let report = engine.metrics_report();
+    let lanes = (report.counters.iter()).filter(|c| c.name.starts_with("imserve_requests_total{"));
+    assert_eq!(lanes.map(|c| c.value).sum::<u64>() - 1, stats.requests);
 }
 
 /// The pool store's first metric families: a tiered engine counts the reads

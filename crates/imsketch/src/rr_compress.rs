@@ -13,6 +13,7 @@
 //! compressed form.
 
 use imgraph::VertexId;
+use impool::{read_varint, write_varint};
 
 /// An append-only, compressed collection of RR sets.
 #[derive(Debug, Clone, Default)]
@@ -113,8 +114,7 @@ impl CompressedRrSets {
         let mut cursor = 0usize;
         let mut prev = 0u32;
         while cursor < slice.len() {
-            let (delta, read) = read_varint(&slice[cursor..]);
-            cursor += read;
+            let delta = read_varint(slice, &mut cursor).expect("push wrote whole varints");
             let value = if result.is_empty() {
                 delta
             } else {
@@ -145,33 +145,6 @@ impl CompressedRrSets {
     }
 }
 
-/// LEB128 unsigned varint encoding.
-fn write_varint(out: &mut Vec<u8>, mut value: u32) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Decode one LEB128 varint; returns the value and the number of bytes read.
-fn read_varint(data: &[u8]) -> (u32, usize) {
-    let mut value = 0u32;
-    let mut shift = 0u32;
-    for (i, &byte) in data.iter().enumerate() {
-        value |= u32::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return (value, i + 1);
-        }
-        shift += 7;
-    }
-    panic!("truncated varint");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,8 +156,8 @@ mod tests {
         for &v in &values {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
-            let (decoded, read) = read_varint(&buf);
-            assert_eq!(decoded, v);
+            let mut read = 0;
+            assert_eq!(read_varint(&buf, &mut read), Ok(v));
             assert_eq!(read, buf.len());
         }
     }
