@@ -910,6 +910,49 @@ impl InfluenceOracle {
     /// Panics if any selected vertex is out of range.
     #[must_use]
     pub fn coverage_gains(&self, selected: &[VertexId]) -> (Vec<u64>, u64) {
+        let (covered, covered_count) = self.covered_marks(selected);
+        // The one whole-pool pass: swept, not point-read, so a tiered pool
+        // streams its cold region instead of issuing a read per vertex.
+        let mut gains = Vec::with_capacity(self.num_vertices);
+        self.pool.sweep_postings(|_, list| {
+            let mut gain = 0u64;
+            list.for_each(|id| gain += u64::from(!covered[id as usize]));
+            gains.push(gain);
+        });
+        (gains, covered_count)
+    }
+
+    /// [`InfluenceOracle::coverage_gains`] at `vertices` only: the marginal
+    /// gain of each listed vertex (in the order given) plus the covered
+    /// count — equal to indexing the full vector, but paid for by point
+    /// reads of `selected`'s and `vertices`' posting lists instead of a
+    /// whole-pool pass. What lets a shard router settle a greedy round by
+    /// asking for exact counts of the few vertices that can still win.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any selected or listed vertex is out of range.
+    #[must_use]
+    pub fn coverage_gains_at(
+        &self,
+        selected: &[VertexId],
+        vertices: &[VertexId],
+    ) -> (Vec<u64>, u64) {
+        let (covered, covered_count) = self.covered_marks(selected);
+        let gains = vertices
+            .iter()
+            .map(|&v| {
+                let mut gain = 0u64;
+                self.pool
+                    .for_each_posting_inline(v, |id| gain += u64::from(!covered[id as usize]));
+                gain
+            })
+            .collect();
+        (gains, covered_count)
+    }
+
+    /// Which pool RR sets `selected` covers, and how many.
+    fn covered_marks(&self, selected: &[VertexId]) -> (Vec<bool>, u64) {
         let mut covered = vec![false; self.pool_size];
         let mut covered_count = 0u64;
         for &s in selected {
@@ -921,15 +964,7 @@ impl InfluenceOracle {
                 }
             });
         }
-        // The one whole-pool pass: swept, not point-read, so a tiered pool
-        // streams its cold region instead of issuing a read per vertex.
-        let mut gains = Vec::with_capacity(self.num_vertices);
-        self.pool.sweep_postings(|_, list| {
-            let mut gain = 0u64;
-            list.for_each(|id| gain += u64::from(!covered[id as usize]));
-            gains.push(gain);
-        });
-        (gains, covered_count)
+        (covered, covered_count)
     }
 
     /// A scratch sized for this oracle (convenience for worker threads).
@@ -1653,7 +1688,7 @@ mod tests {
             let gains = raw.coverage_gains(&[0]);
             let greedy = raw.greedy_seed_set(2);
             let singletons = raw.singleton_influences();
-            for o in others {
+            for o in [raw].into_iter().chain(others) {
                 let layout = o.pool_layout();
                 assert_eq!(o.to_bytes(), bytes, "{layout} to_bytes");
                 let mut scratch = o.scratch();
@@ -1663,6 +1698,15 @@ mod tests {
                     assert_eq!(o.estimate_with(&seeds, &mut scratch), want, "{layout}");
                 }
                 assert_eq!(o.coverage_gains(&[0]), gains, "{layout}");
+                // Point reads equal indexing the swept vector, in the order
+                // (and with the repeats) the caller listed.
+                let probe = [4u32, 0, 2, 2];
+                let indexed = probe.iter().map(|&v| gains.0[v as usize]).collect();
+                assert_eq!(
+                    o.coverage_gains_at(&[0], &probe),
+                    (indexed, gains.1),
+                    "{layout}"
+                );
                 assert_eq!(o.greedy_seed_set(2), greedy, "{layout}");
                 assert_eq!(o.singleton_influences(), singletons, "{layout}");
                 for set_id in (0..2_000u32).step_by(97) {

@@ -17,7 +17,7 @@ use crate::protocol::{
     self, Outcome, Request, RequestFrame, Response, ResponseFrame, TopKAlgorithm, PROTOCOL_VERSION,
 };
 use crate::service::{
-    CompactionReport, GainVector, InfluenceService, MetricsReport, MutationOutcome,
+    CompactionReport, GainCandidates, GainVector, InfluenceService, MetricsReport, MutationOutcome,
     PromotionOutcome, ReloadOutcome, ServiceError, ServiceInfo, ServiceResult, ServiceStats,
     SpreadEstimate, TopKSelection,
 };
@@ -379,6 +379,37 @@ impl InfluenceService for RemoteService {
         }
     }
 
+    fn gain_candidates(
+        &mut self,
+        selected: &[u32],
+        limit: usize,
+        probe: &[u32],
+    ) -> ServiceResult<GainCandidates> {
+        let request = Request::GainCandidates {
+            selected: selected.to_vec(),
+            limit,
+            probe: probe.to_vec(),
+        };
+        match self.connection.call(&request)? {
+            Response::GainCandidates {
+                vertices,
+                counts,
+                bound,
+                probed,
+                covered,
+                pool,
+            } => Ok(GainCandidates {
+                vertices,
+                counts,
+                bound,
+                probed,
+                covered,
+                pool,
+            }),
+            other => Self::unexpected("GainCandidates", other),
+        }
+    }
+
     fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
         let request = Request::MutateBatch {
             deltas: deltas.to_vec(),
@@ -641,6 +672,15 @@ impl InfluenceService for ReconnectingService {
 
     fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
         self.run(|s| s.gains(selected))
+    }
+
+    fn gain_candidates(
+        &mut self,
+        selected: &[u32],
+        limit: usize,
+        probe: &[u32],
+    ) -> ServiceResult<GainCandidates> {
+        self.run(|s| s.gain_candidates(selected, limit, probe))
     }
 
     fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {

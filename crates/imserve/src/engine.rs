@@ -44,9 +44,9 @@ use crate::lru::LruCache;
 use crate::obs::ServingMetrics;
 use crate::protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
 use crate::service::{
-    CompactionReport, EventRecord, GainVector, HealthReport, MetricsReport, MutationOutcome,
-    PromotionOutcome, ReloadOutcome, ServiceError, ServiceInfo, ServiceStats, SpreadEstimate,
-    TopKSelection,
+    check_vertices, CompactionReport, EventRecord, GainCandidates, GainVector, HealthReport,
+    MetricsReport, MutationOutcome, PromotionOutcome, ReloadOutcome, ServiceError, ServiceInfo,
+    ServiceStats, SpreadEstimate, TopKSelection,
 };
 use crate::wal::{WalRecord, WriteAheadLog};
 use imobs::EventField;
@@ -446,6 +446,13 @@ impl QueryEngine {
             Request::Estimate { seeds } => self.estimate(seeds, scratch).map(Response::from),
             Request::TopK { k, algorithm } => self.top_k(*k, *algorithm).map(Response::from),
             Request::Gains { selected } => self.gains(selected).map(Response::from),
+            Request::GainCandidates {
+                selected,
+                limit,
+                probe,
+            } => self
+                .gain_candidates(selected, *limit, probe)
+                .map(Response::from),
             Request::MutateBatch { deltas } => self.mutate_batch(deltas).map(Response::from),
             Request::Compact => Ok(self.compact().into()),
             Request::Stats => Ok(self.stats().into()),
@@ -610,11 +617,7 @@ impl QueryEngine {
         let state = self.state();
         let oracle = state.dynamic.oracle();
         let n = oracle.num_vertices();
-        if let Some(&bad) = seeds.iter().find(|&&s| s as usize >= n) {
-            return Err(ServiceError::Query(format!(
-                "seed {bad} out of range for {n} vertices"
-            )));
-        }
+        check_vertices("seed", seeds, n)?;
         let covered = oracle.covered_with(seeds, scratch) as u64;
         let pool = oracle.pool_size() as u64;
         self.obs
@@ -636,17 +639,9 @@ impl QueryEngine {
     pub fn gains(&self, selected: &[u32]) -> Result<GainVector, ServiceError> {
         let began = Instant::now();
         self.obs.gains.count.inc();
-        let dynamic = {
-            let state = self.state();
-            Arc::clone(&state.dynamic)
-        };
+        let dynamic = Arc::clone(&self.state().dynamic);
         let oracle = dynamic.oracle();
-        let n = oracle.num_vertices();
-        if let Some(&bad) = selected.iter().find(|&&s| s as usize >= n) {
-            return Err(ServiceError::Query(format!(
-                "selected seed {bad} out of range for {n} vertices"
-            )));
-        }
+        check_vertices("selected seed", selected, oracle.num_vertices())?;
         let (gains, covered) = oracle.coverage_gains(selected);
         self.obs
             .gains
@@ -657,6 +652,45 @@ impl QueryEngine {
             covered,
             pool: oracle.pool_size() as u64,
         })
+    }
+
+    /// One greedy round cut down to its answer (see
+    /// [`crate::service::InfluenceService::gain_candidates`]). `limit > 0`
+    /// makes the one pool pass [`QueryEngine::gains`] makes and keeps the
+    /// top `limit` of it; `limit == 0` makes none — point reads of
+    /// `selected`'s and `probe`'s posting lists only. Computed on an `Arc`
+    /// snapshot with no lock held.
+    pub fn gain_candidates(
+        &self,
+        selected: &[u32],
+        limit: usize,
+        probe: &[u32],
+    ) -> Result<GainCandidates, ServiceError> {
+        let began = Instant::now();
+        self.obs.gain_candidates.count.inc();
+        let dynamic = Arc::clone(&self.state().dynamic);
+        let oracle = dynamic.oracle();
+        let n = oracle.num_vertices();
+        check_vertices("selected seed", selected, n)?;
+        check_vertices("probed vertex", probe, n)?;
+        let pool = oracle.pool_size() as u64;
+        let candidates = if limit == 0 {
+            let (probed, covered) = oracle.coverage_gains_at(selected, probe);
+            GainCandidates::probes_only(probed, covered, pool)
+        } else {
+            let (gains, covered) = oracle.coverage_gains(selected);
+            GainVector {
+                gains,
+                covered,
+                pool,
+            }
+            .candidates(limit, probe)
+        };
+        self.obs
+            .gain_candidates
+            .latency_micros
+            .record(began.elapsed().as_micros() as u64);
+        Ok(candidates)
     }
 
     /// Apply a batch of graph mutations **atomically**: all deltas land or
@@ -1521,6 +1555,67 @@ mod tests {
             auto.state().dynamic.oracle().to_bytes(),
             engine.state().dynamic.oracle().to_bytes()
         );
+    }
+
+    #[test]
+    fn gain_candidates_cut_the_gain_vector_and_refuse_hostile_lists() {
+        let engine = karate_engine();
+        let gains = engine.gains(&[33]).unwrap();
+        // A list is the head of the vector sorted by (gain desc, id asc),
+        // the bound the best gain left out.
+        let mut ranked: Vec<(u32, u64)> = (0u32..).zip(gains.gains.iter().copied()).collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let top = engine.gain_candidates(&[33], 5, &[2, 33]).unwrap();
+        let (vertices, counts): (Vec<u32>, Vec<u64>) = ranked[..5].iter().copied().unzip();
+        assert_eq!((top.vertices, top.counts), (vertices, counts));
+        assert_eq!(top.bound, ranked[5].1);
+        assert_eq!(
+            top.probed,
+            [gains.gains[2], 0],
+            "a selected seed gains nothing"
+        );
+        assert_eq!((top.covered, top.pool), (gains.covered, gains.pool));
+        // `limit` is clamped to n before anything is sized by it.
+        let all = engine.gain_candidates(&[33], usize::MAX, &[]).unwrap();
+        assert_eq!((all.vertices.len(), all.bound), (34, 0));
+        // `limit == 0` lists nothing, makes no pass, and still answers the
+        // probes — the same answer the vector-derived default gives.
+        let probes = engine.gain_candidates(&[33], 0, &[2, 0]).unwrap();
+        assert_eq!(probes, gains.candidates(0, &[2, 0]));
+        assert_eq!(probes.bound, gains.pool - gains.covered);
+        assert_eq!(probes.probed, [gains.gains[2], gains.gains[0]]);
+
+        // Hostile lists are typed query errors on every request that takes
+        // one, over the in-process path the wire path shares.
+        let mut scratch = engine.new_scratch();
+        let too_long = vec![0u32; 35];
+        for request in [
+            Request::GainCandidates {
+                selected: vec![],
+                limit: 1,
+                probe: vec![34],
+            },
+            Request::GainCandidates {
+                selected: vec![34],
+                limit: 0,
+                probe: vec![],
+            },
+            Request::GainCandidates {
+                selected: vec![],
+                limit: 0,
+                probe: too_long.clone(),
+            },
+            Request::Gains {
+                selected: too_long.clone(),
+            },
+            Request::Estimate { seeds: too_long },
+        ] {
+            let err = engine.handle_service(&request, &mut scratch).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::Query(_)),
+                "{request:?} -> {err}"
+            );
+        }
     }
 
     #[test]

@@ -35,6 +35,10 @@ pub const DEFAULT_SLOW_THRESHOLD_MICROS: u64 = 10_000;
 /// without unbounded memory.
 pub const SLOW_LOG_CAPACITY: usize = 32;
 
+const ROUTER_ROUNDS_HELP: &str =
+    "Router selection rounds, by how they were settled: the threshold merge over per-shard \
+     candidate lists, or the full gain-vector sum it falls back to.";
+
 /// One request type's hot-path handles: a lifetime counter and a latency
 /// histogram (microseconds).
 #[derive(Debug, Clone)]
@@ -80,6 +84,8 @@ pub struct ServingMetrics {
     pub top_k: RequestLane,
     /// `Gains` lane.
     pub gains: RequestLane,
+    /// `GainCandidates` lane (a shard router's greedy rounds).
+    pub gain_candidates: RequestLane,
     /// `MutateBatch` lane.
     pub mutate_batch: RequestLane,
     /// `Compact` lane.
@@ -102,6 +108,14 @@ pub struct ServingMetrics {
     pub request_errors: Arc<Counter>,
     /// Lines that failed to parse as a request frame.
     pub parse_errors: Arc<Counter>,
+    /// Request lines refused (and their connections closed) for exceeding
+    /// [`crate::protocol::MAX_FRAME_LEN`] before their newline.
+    pub oversized_frames: Arc<Counter>,
+    /// Request-line bytes taken off the wire (newline included), counted
+    /// where both front ends answer a line.
+    pub wire_bytes_received: Arc<Counter>,
+    /// Reply-line bytes put on the wire (newline included).
+    pub wire_bytes_sent: Arc<Counter>,
 
     /// `TopK` answers served from the LRU cache.
     pub topk_cache_hits: Arc<Counter>,
@@ -188,6 +202,12 @@ pub struct ServingMetrics {
     /// Fan-out operations the shard router performed (0 for an unsharded
     /// server; the family is always registered so scrapes are uniform).
     pub shard_fanouts: Arc<Counter>,
+    /// Router selection rounds settled by the threshold merge over per-shard
+    /// candidate lists (0 when unsharded, like every router family).
+    pub router_rounds_threshold: Arc<Counter>,
+    /// Router selection rounds that fell back to summing full gain vectors
+    /// because the shards' bounds did not separate a winner.
+    pub router_rounds_full: Arc<Counter>,
     per_shard: Mutex<Vec<ShardLane>>,
 
     /// Spans of the slowest requests (threshold-gated ring buffer).
@@ -224,6 +244,7 @@ impl ServingMetrics {
             estimate: lane("estimate"),
             top_k: lane("top_k"),
             gains: lane("gains"),
+            gain_candidates: lane("gain_candidates"),
             mutate_batch: lane("mutate_batch"),
             compact: lane("compact"),
             stats: lane("stats"),
@@ -239,6 +260,18 @@ impl ServingMetrics {
             parse_errors: registry.counter(
                 "imserve_parse_errors_total",
                 "Lines that did not parse as a request frame.",
+            ),
+            oversized_frames: registry.counter(
+                "imserve_oversized_frames_total",
+                "Request lines refused for exceeding the frame bound before their newline.",
+            ),
+            wire_bytes_received: registry.counter(
+                "imserve_wire_bytes_received_total",
+                "Request-line bytes received (newline included).",
+            ),
+            wire_bytes_sent: registry.counter(
+                "imserve_wire_bytes_sent_total",
+                "Reply-line bytes sent (newline included).",
             ),
             topk_cache_hits: registry.counter(
                 "imserve_topk_cache_hits_total",
@@ -360,6 +393,14 @@ impl ServingMetrics {
                 "imserve_shard_fanouts_total",
                 "Fan-out operations performed by the shard router (0 when unsharded).",
             ),
+            router_rounds_threshold: registry.counter(
+                "imserve_router_topk_rounds_total{path=\"threshold\"}",
+                ROUTER_ROUNDS_HELP,
+            ),
+            router_rounds_full: registry.counter(
+                "imserve_router_topk_rounds_total{path=\"full\"}",
+                ROUTER_ROUNDS_HELP,
+            ),
             per_shard: Mutex::new(Vec::new()),
             slow_log: SlowLog::new(SLOW_LOG_CAPACITY, slow_threshold_micros),
             slow_queries: registry.counter(
@@ -448,6 +489,7 @@ impl ServingMetrics {
             estimate: self.estimate.count.get(),
             top_k: self.top_k.count.get(),
             gains: self.gains.count.get(),
+            gain_candidates: self.gain_candidates.count.get(),
             mutate_batch: self.mutate_batch.count.get(),
             compact: self.compact.count.get(),
             stats: self.stats.count.get(),

@@ -27,12 +27,18 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ServeError;
 use crate::service::{
-    CompactionReport, GainVector, MetricsReport, MutationOutcome, PromotionOutcome, ReloadOutcome,
-    RequestTypeCounts, ServiceError, ServiceInfo, SpreadEstimate, TopKSelection,
+    CompactionReport, GainCandidates, GainVector, MetricsReport, MutationOutcome, PromotionOutcome,
+    ReloadOutcome, RequestTypeCounts, ServiceError, ServiceInfo, SpreadEstimate, TopKSelection,
 };
 
 /// The protocol version this build speaks (the only one).
 pub const PROTOCOL_VERSION: u32 = 2;
+
+/// Upper bound on one request line and on one replication frame. A peer
+/// that sends more before its delimiter is refused and disconnected instead
+/// of being buffered without limit; real frames sit orders of magnitude
+/// below it.
+pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Seed-set selection strategies the engine can answer `TopK` with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -118,6 +124,20 @@ pub enum Request {
         /// The seeds already selected (may be empty: gains are then the
         /// singleton coverage counts).
         selected: Vec<u32>,
+    },
+    /// One greedy round answered output-sensitively: the top `limit`
+    /// vertices by `(gain desc, id asc)`, one bound on every vertex not
+    /// listed, and the exact gain at each `probe` vertex. What a shard
+    /// router sends instead of `Gains`: the reply's size follows `limit` and
+    /// `probe`, not the graph. `limit > 0` costs the one pool pass `Gains`
+    /// makes; `limit == 0` only point reads of `selected` and `probe`.
+    GainCandidates {
+        /// The seeds already selected.
+        selected: Vec<u32>,
+        /// How many vertices to list (clamped to the vertex count).
+        limit: usize,
+        /// Vertices whose exact gain to report, listed or not.
+        probe: Vec<u32>,
     },
     /// Serving counters, pool dimensions and the current index epoch.
     Stats,
@@ -238,6 +258,23 @@ pub enum Response {
     Gains {
         /// Marginal gain of every vertex, indexed by vertex id.
         gains: Vec<u64>,
+        /// Pool RR sets covered by the selected set.
+        covered: u64,
+        /// RR sets in the answering pool.
+        pool: u64,
+    },
+    /// Answer to [`Request::GainCandidates`] — two parallel arrays rather
+    /// than pairs, so the frame stays flat.
+    GainCandidates {
+        /// The top vertices by `(gain desc, id asc)`.
+        vertices: Vec<u32>,
+        /// `counts[i]` is the marginal gain of `vertices[i]`.
+        counts: Vec<u64>,
+        /// Upper bound on the gain of every vertex not in `vertices` (see
+        /// [`GainCandidates::bound`]).
+        bound: u64,
+        /// `probed[i]` is the marginal gain of the request's `probe[i]`.
+        probed: Vec<u64>,
         /// Pool RR sets covered by the selected set.
         covered: u64,
         /// RR sets in the answering pool.
@@ -462,6 +499,10 @@ impl Deserialize for RequestFrame {
 }
 
 /// A response body: the typed success/failure split.
+// `Ok` is the large variant and the common one (its size is `Stats`' per-type
+// request counts); an `Outcome` lives for one frame, so boxing it would buy an
+// allocation per reply and save nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Outcome {
     /// The request succeeded.
@@ -510,6 +551,19 @@ impl From<GainVector> for Response {
             gains: g.gains,
             covered: g.covered,
             pool: g.pool,
+        }
+    }
+}
+
+impl From<GainCandidates> for Response {
+    fn from(c: GainCandidates) -> Self {
+        Response::GainCandidates {
+            vertices: c.vertices,
+            counts: c.counts,
+            bound: c.bound,
+            probed: c.probed,
+            covered: c.covered,
+            pool: c.pool,
         }
     }
 }
@@ -692,6 +746,14 @@ mod tests {
                 covered: 4,
                 pool: 10,
             },
+            Response::GainCandidates {
+                vertices: vec![0, 2],
+                counts: vec![9, 4],
+                bound: 3,
+                probed: vec![4],
+                covered: 4,
+                pool: 10,
+            },
             Response::Error {
                 message: "nope".into(),
             },
@@ -847,6 +909,11 @@ mod tests {
                 selected: vec![0, 33],
             },
             Request::Gains { selected: vec![] },
+            Request::GainCandidates {
+                selected: vec![33],
+                limit: 64,
+                probe: vec![0, 2],
+            },
         ] {
             let back: Request = decode(&encode(&request).unwrap()).unwrap();
             assert_eq!(back, request);
@@ -938,6 +1005,7 @@ mod tests {
             requests_by_type: RequestTypeCounts {
                 estimate: 6,
                 top_k: 3,
+                gain_candidates: 8,
                 stats: 1,
                 ..RequestTypeCounts::default()
             },

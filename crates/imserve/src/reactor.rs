@@ -24,7 +24,12 @@
 //! 4. **write** — flush the in-order reply bytes until `WouldBlock`;
 //! 5. **reap** — drop the connection on EOF (once every dispatched request
 //!    has been answered and flushed), on I/O or framing failure, or after
-//!    [`ReactorConfig::idle_timeout`] without traffic.
+//!    [`ReactorConfig::idle_timeout`] without traffic. A request line that
+//!    passes [`MAX_FRAME_LEN`] without its newline is treated as the peer's
+//!    last word: reading stops, the buffered bytes are dropped, one typed
+//!    refusal is queued behind the replies still owed, and the connection
+//!    drains and is reaped — a peer cannot make the loop buffer without
+//!    bound.
 //!
 //! # Backpressure (bounded buffers)
 //!
@@ -54,9 +59,10 @@ use std::time::{Duration, Instant};
 
 use crate::engine::QueryEngine;
 use crate::error::ServeError;
-use crate::linebuf::LineBuffer;
+use crate::linebuf::{LineBuffer, LineError};
 use crate::obs::ServingMetrics;
-use crate::server::{answer_line, ServerHandle};
+use crate::protocol::MAX_FRAME_LEN;
+use crate::server::{answer_line, refuse_oversized_line, ServerHandle};
 
 /// Reactor tuning knobs.
 #[derive(Debug, Clone)]
@@ -135,7 +141,7 @@ impl Connection {
     fn new(stream: TcpStream) -> Self {
         Self {
             stream,
-            lines: LineBuffer::new(),
+            lines: LineBuffer::bounded(MAX_FRAME_LEN),
             write_buf: Vec::new(),
             written: 0,
             next_sequence: 0,
@@ -369,7 +375,7 @@ fn run_loop(
             if throttled {
                 throttled_total += 1;
             }
-            if !connection.eof && !connection.dead && !throttled {
+            if !connection.eof && !connection.dead && !throttled && !connection.lines.oversized() {
                 loop {
                     match connection.stream.read(&mut chunk) {
                         Ok(0) => {
@@ -380,6 +386,9 @@ fn run_loop(
                             connection.lines.extend(&chunk[..n]);
                             connection.last_activity = Instant::now();
                             progress = true;
+                            if connection.lines.oversized() {
+                                break;
+                            }
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -396,10 +405,30 @@ fn run_loop(
                 let Some(line) = connection.lines.next_line() else {
                     break;
                 };
-                let Ok(line) = line else {
-                    // Not UTF-8: framing is untrustworthy from here on.
-                    connection.dead = true;
-                    break;
+                let line = match line {
+                    Ok(line) => line,
+                    Err(LineError::NotUtf8) => {
+                        // Framing is untrustworthy from here on.
+                        connection.dead = true;
+                        break;
+                    }
+                    Err(LineError::TooLong) => {
+                        // Say why, in turn behind the replies still owed,
+                        // then stop reading: the connection drains and is
+                        // reaped like one whose peer hung up.
+                        match refuse_oversized_line(obs) {
+                            Ok(reply) => {
+                                connection
+                                    .reorder
+                                    .insert(connection.next_sequence, (reply, Instant::now()));
+                                connection.next_sequence += 1;
+                                connection.eof = true;
+                            }
+                            Err(_) => connection.dead = true,
+                        }
+                        progress = true;
+                        break;
+                    }
                 };
                 if line.trim().is_empty() {
                     continue;
@@ -423,6 +452,7 @@ fn run_loop(
 
             // Phase 5: reap.
             let drained = connection.inflight == 0
+                && connection.reorder.is_empty()
                 && connection.backlog() == 0
                 && !connection.lines.has_buffered();
             if connection.dead || (connection.eof && drained) {

@@ -36,9 +36,9 @@ use imgraph::GraphDelta;
 
 use crate::protocol::TopKAlgorithm;
 use crate::service::{
-    CompactionReport, EventRecord, GainVector, HealthReport, InfluenceService, MetricsReport,
-    MutationOutcome, PromotionOutcome, ReloadOutcome, ServiceError, ServiceInfo, ServiceResult,
-    ServiceStats, SpreadEstimate, TopKSelection,
+    CompactionReport, EventRecord, GainCandidates, GainVector, HealthReport, InfluenceService,
+    MetricsReport, MutationOutcome, PromotionOutcome, ReloadOutcome, ServiceError, ServiceInfo,
+    ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
 };
 
 /// An ordered set of interchangeable backends for one shard: the leader
@@ -192,6 +192,15 @@ impl<S: InfluenceService> InfluenceService for ReplicaSet<S> {
 
     fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
         self.read(|s| s.gains(selected))
+    }
+
+    fn gain_candidates(
+        &mut self,
+        selected: &[u32],
+        limit: usize,
+        probe: &[u32],
+    ) -> ServiceResult<GainCandidates> {
+        self.read(|s| s.gain_candidates(selected, limit, probe))
     }
 
     fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {

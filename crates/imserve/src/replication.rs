@@ -58,6 +58,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::QueryEngine;
 use crate::error::ServeError;
+use crate::protocol::MAX_FRAME_LEN;
 use crate::wal::{self, WalRecord};
 
 /// Magic tag opening every replication handshake.
@@ -65,10 +66,6 @@ pub const REPL_MAGIC: &str = "imrs";
 /// Replication wire version (2: records carry the maintainable lineage
 /// fingerprint; see the module docs).
 pub const REPL_VERSION: u32 = 2;
-
-/// Largest record payload a follower will buffer (a sanity bound against a
-/// corrupt or hostile length prefix, far above any real batch).
-const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// How long the leader's tailer sleeps when the WAL has no new complete
 /// record (including a torn tail still being written).

@@ -25,11 +25,11 @@ use std::time::{Duration, Instant};
 
 use crate::engine::QueryEngine;
 use crate::error::ServeError;
-use crate::linebuf::LineBuffer;
+use crate::linebuf::{LineBuffer, LineError};
 use crate::obs::ServingMetrics;
 use crate::protocol::{
     self, ErrorKind, FrameEnvelope, Outcome, Request, RequestFrame, ResponseFrame, WireError,
-    PROTOCOL_VERSION,
+    MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// Server tuning knobs.
@@ -203,7 +203,7 @@ pub fn spawn(
                         let _ = stream.set_nodelay(true);
                         queue.push(PooledConnection {
                             stream,
-                            lines: LineBuffer::new(),
+                            lines: LineBuffer::bounded(MAX_FRAME_LEN),
                             last_activity: Instant::now(),
                             _gauge: ConnGauge::open(&obs),
                         });
@@ -287,6 +287,9 @@ fn serve_turn(
             Ok(n) => {
                 connection.lines.extend(&chunk[..n]);
                 read_any = true;
+                if connection.lines.oversized() {
+                    break;
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -300,20 +303,49 @@ fn serve_turn(
 
     let mut answered = false;
     while let Some(line) = connection.lines.next_line() {
-        let line =
-            line.map_err(|_| ServeError::Protocol("request line is not valid UTF-8".to_string()))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = answer_line(engine, &line, scratch, None)?;
+        let (reply, hang_up) = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => (answer_line(engine, &line, scratch, None)?, false),
+            Err(LineError::NotUtf8) => {
+                return Err(ServeError::Protocol(
+                    "request line is not valid UTF-8".to_string(),
+                ))
+            }
+            // Say why, then hang up: the rest of that line is still coming
+            // and there is no telling where the next frame starts.
+            Err(LineError::TooLong) => (refuse_oversized_line(engine.obs())?, true),
+        };
         connection.stream.write_all(reply.as_bytes())?;
         connection.stream.write_all(b"\n")?;
+        if hang_up {
+            return Err(ServeError::Protocol(
+                "request line exceeds the frame bound".to_string(),
+            ));
+        }
         answered = true;
     }
     if saw_eof {
         return Err(ServeError::Protocol("connection closed".to_string()));
     }
     Ok(read_any || answered)
+}
+
+/// The one typed frame (id 0, `Protocol`) a front end answers before closing
+/// a connection whose request line outgrew [`MAX_FRAME_LEN`]; counts the
+/// refusal.
+pub(crate) fn refuse_oversized_line(obs: &ServingMetrics) -> Result<String, ServeError> {
+    obs.oversized_frames.inc();
+    protocol::encode(&ResponseFrame {
+        v: PROTOCOL_VERSION,
+        id: 0,
+        body: Outcome::Err(WireError {
+            kind: ErrorKind::Protocol,
+            message: format!(
+                "request line exceeds {MAX_FRAME_LEN} bytes without a newline; closing the \
+                 connection"
+            ),
+        }),
+    })
 }
 
 /// Answer one request line — the shared core of both front ends (threaded
@@ -345,7 +377,7 @@ pub(crate) fn answer_line(
     if let Some(wait) = queue_wait_micros {
         obs.queue_wait_micros.record(wait);
     }
-    match protocol::decode::<RequestFrame>(line) {
+    let reply = match protocol::decode::<RequestFrame>(line) {
         Ok(frame) => {
             let parse_micros = began.elapsed().as_micros() as u64;
             let trace = frame.trace.unwrap_or_else(imobs::next_trace_id);
@@ -407,7 +439,14 @@ pub(crate) fn answer_line(
                 body: Outcome::Err(WireError { kind, message }),
             })
         }
+    };
+    // Both directions are counted here, once, for both front ends: a line
+    // and its newline in, a line and its newline out.
+    obs.wire_bytes_received.add(line.len() as u64 + 1);
+    if let Ok(reply) = &reply {
+        obs.wire_bytes_sent.add(reply.len() as u64 + 1);
     }
+    reply
 }
 
 /// Why a well-formed frame cannot be served by this build, if it cannot:
@@ -458,6 +497,28 @@ mod tests {
             .unwrap();
         assert_eq!(response, Response::Pong);
         handle.shutdown();
+    }
+
+    #[test]
+    fn every_answered_line_counts_its_bytes_in_both_directions() {
+        let engine = QueryEngine::builder(build_dataset_index("karate", "uc0.1", 500, 3).unwrap())
+            .build()
+            .unwrap();
+        let mut scratch = engine.new_scratch();
+        let (mut received, mut sent) = (0, 0);
+        // A served frame, a refused payload and plain garbage all crossed
+        // the wire, newline included.
+        for line in [
+            r#"{"v":2,"id":1,"req":{"GainCandidates":{"selected":[],"limit":3,"probe":[0]}}}"#,
+            r#"{"v":2,"id":2,"req":{"NoSuch":{}}}"#,
+            "garbage",
+        ] {
+            let reply = answer_line(&engine, line, &mut scratch, None).unwrap();
+            received += line.len() as u64 + 1;
+            sent += reply.len() as u64 + 1;
+        }
+        assert_eq!(engine.obs().wire_bytes_received.get(), received);
+        assert_eq!(engine.obs().wire_bytes_sent.get(), sent);
     }
 
     #[test]

@@ -175,6 +175,118 @@ pub struct GainVector {
     pub pool: u64,
 }
 
+/// One greedy round answered output-sensitively: a backend's best few
+/// vertices and one bound on all the others, instead of every vertex's gain
+/// (see [`InfluenceService::gain_candidates`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GainCandidates {
+    /// The backend's top `limit` vertices by `(gain desc, id asc)`.
+    pub vertices: Vec<u32>,
+    /// `counts[i]` is the marginal gain of `vertices[i]`.
+    pub counts: Vec<u64>,
+    /// No vertex absent from `vertices` gains more than this: the largest
+    /// unlisted gain (`0` when every vertex is listed), or — when nothing
+    /// was listed (`limit == 0`, no whole-pool pass made) — the uncovered
+    /// remainder `pool - covered`, which no gain can exceed.
+    pub bound: u64,
+    /// `probed[i]` is the exact marginal gain of the request's `probe[i]`.
+    pub probed: Vec<u64>,
+    /// Pool RR sets covered by the selected set.
+    pub covered: u64,
+    /// RR sets in the answering pool.
+    pub pool: u64,
+}
+
+impl GainCandidates {
+    /// The answer that lists nothing (`limit == 0`): exact gains at the
+    /// probed vertices, and — no pass having been made to find a largest
+    /// unlisted gain — the bound no gain can exceed, the uncovered
+    /// remainder of the pool.
+    #[must_use]
+    pub fn probes_only(probed: Vec<u64>, covered: u64, pool: u64) -> Self {
+        Self {
+            vertices: Vec::new(),
+            counts: Vec::new(),
+            bound: pool.saturating_sub(covered),
+            probed,
+            covered,
+            pool,
+        }
+    }
+}
+
+/// Refuse a caller-supplied vertex list a graph of `n` vertices cannot
+/// index: an id past the last vertex, or a list longer than the graph has
+/// vertices (duplicates are tolerated, but more entries than vertices is
+/// never a real query — and a posting-list walk per entry is the caller's
+/// to size).
+pub(crate) fn check_vertices(what: &str, vertices: &[u32], n: usize) -> ServiceResult<()> {
+    if vertices.len() > n {
+        return Err(ServiceError::Query(format!(
+            "{} {what} entries given for {n} vertices",
+            vertices.len()
+        )));
+    }
+    match vertices.iter().find(|&&v| v as usize >= n) {
+        Some(bad) => Err(ServiceError::Query(format!(
+            "{what} {bad} out of range for {n} vertices"
+        ))),
+        None => Ok(()),
+    }
+}
+
+impl GainVector {
+    /// Cut this round down to its [`GainCandidates`]: the top `limit`
+    /// vertices by `(gain desc, id asc)` (a bounded heap over the vector —
+    /// `limit` is clamped to the vertex count before anything is sized by
+    /// it), the bound on the rest, and the gains at `probe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probed vertex is out of range (backends range-check
+    /// `probe` before they get here).
+    #[must_use]
+    pub fn candidates(&self, limit: usize, probe: &[u32]) -> GainCandidates {
+        use std::cmp::Reverse;
+        let probed = probe.iter().map(|&v| self.gains[v as usize]).collect();
+        let limit = limit.min(self.gains.len());
+        if limit == 0 {
+            return GainCandidates::probes_only(probed, self.covered, self.pool);
+        }
+        // Keyed so the heap's root is the listed vertex the next better one
+        // evicts: lowest gain, and among equal gains the highest id.
+        let mut listed = std::collections::BinaryHeap::with_capacity(limit);
+        let mut bound = 0;
+        for (v, &gain) in self.gains.iter().enumerate() {
+            let entry = Reverse((gain, Reverse(v as u32)));
+            if listed.len() < limit {
+                listed.push(entry);
+                continue;
+            }
+            let mut worst = listed.peek_mut().expect("limit is positive");
+            if entry < *worst {
+                bound = bound.max(worst.0 .0);
+                *worst = entry;
+            } else {
+                bound = bound.max(gain);
+            }
+        }
+        let (vertices, counts) = listed
+            .into_sorted_vec()
+            .into_iter()
+            .map(|Reverse((gain, Reverse(v)))| (v, gain))
+            .unzip();
+        GainCandidates {
+            vertices,
+            counts,
+            bound,
+            probed,
+            covered: self.covered,
+            pool: self.pool,
+        }
+    }
+}
+
 /// What an applied mutation batch did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MutationOutcome {
@@ -241,6 +353,8 @@ pub struct RequestTypeCounts {
     pub top_k: u64,
     /// `Gains` marginal-coverage queries.
     pub gains: u64,
+    /// `GainCandidates` output-sensitive greedy rounds.
+    pub gain_candidates: u64,
     /// `MutateBatch` atomic batches.
     pub mutate_batch: u64,
     /// `Compact` requests.
@@ -269,6 +383,7 @@ impl RequestTypeCounts {
             + self.estimate
             + self.top_k
             + self.gains
+            + self.gain_candidates
             + self.mutate_batch
             + self.compact
             + self.stats
@@ -289,6 +404,7 @@ impl RequestTypeCounts {
             estimate: self.estimate + other.estimate,
             top_k: self.top_k + other.top_k,
             gains: self.gains + other.gains,
+            gain_candidates: self.gain_candidates + other.gain_candidates,
             mutate_batch: self.mutate_batch + other.mutate_batch,
             compact: self.compact + other.compact,
             stats: self.stats + other.stats,
@@ -854,6 +970,27 @@ pub trait InfluenceService {
     /// greedy maximum coverage as data; the distributed-`TopK` primitive).
     fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector>;
 
+    /// One greedy round, output-sensitively: this backend's top `limit`
+    /// vertices by `(gain desc, id asc)` given `selected`, one bound on
+    /// every vertex it did not list, and the exact gain at each `probe`
+    /// vertex (see [`GainCandidates`]). `limit` is clamped to the vertex
+    /// count; `limit == 0` lists nothing and costs only point reads.
+    ///
+    /// The default cuts the answer out of [`InfluenceService::gains`], so
+    /// test doubles and nested routers are correct by construction;
+    /// backends that can answer without materializing (or shipping) the
+    /// whole vector override it.
+    fn gain_candidates(
+        &mut self,
+        selected: &[u32],
+        limit: usize,
+        probe: &[u32],
+    ) -> ServiceResult<GainCandidates> {
+        let gains = self.gains(selected)?;
+        check_vertices("probed vertex", probe, gains.gains.len())?;
+        Ok(gains.candidates(limit, probe))
+    }
+
     /// Apply a batch of graph mutations atomically (all-or-nothing per
     /// backend; a sharded service broadcasts to every shard).
     fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome>;
@@ -961,6 +1098,14 @@ impl<S: InfluenceService + ?Sized> InfluenceService for Box<S> {
     fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
         (**self).gains(selected)
     }
+    fn gain_candidates(
+        &mut self,
+        selected: &[u32],
+        limit: usize,
+        probe: &[u32],
+    ) -> ServiceResult<GainCandidates> {
+        (**self).gain_candidates(selected, limit, probe)
+    }
     fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
         (**self).mutate_batch(deltas)
     }
@@ -1045,6 +1190,15 @@ impl InfluenceService for LocalService {
 
     fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
         self.engine.gains(selected)
+    }
+
+    fn gain_candidates(
+        &mut self,
+        selected: &[u32],
+        limit: usize,
+        probe: &[u32],
+    ) -> ServiceResult<GainCandidates> {
+        self.engine.gain_candidates(selected, limit, probe)
     }
 
     fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
@@ -1181,17 +1335,20 @@ mod tests {
             reload: 2,
             promote: 1,
             estimate: 4,
+            gain_candidates: 6,
             health: 5,
             events: 3,
             ..RequestTypeCounts::default()
         };
-        assert_eq!(counts.total(), 15);
+        assert_eq!(counts.total(), 21);
         let merged = counts.merged(&RequestTypeCounts {
             reload: 1,
+            gain_candidates: 2,
             health: 1,
             events: 2,
             ..RequestTypeCounts::default()
         });
+        assert_eq!(merged.gain_candidates, 8);
         assert_eq!(merged.reload, 3);
         assert_eq!(merged.promote, 1);
         assert_eq!(merged.health, 6);

@@ -16,10 +16,11 @@
 //! * `estimate` sums the shards' integer **covered counts** and re-derives
 //!   `spread = n · Σcovered / Σpool` — bit-identical to the single-pool
 //!   answer (combining per-shard floating-point spreads would not be);
-//! * `top_k` runs the greedy rounds *in the router*: each round fetches
-//!   every shard's integer gain vector ([`InfluenceService::gains`]), sums
-//!   them elementwise, and picks the first argmax — reproducing, pick for
-//!   pick, the selection greedy makes on the union pool;
+//! * `top_k` runs the greedy rounds *in the router*: each round finds the
+//!   first argmax of the shards' elementwise-summed integer gain vectors —
+//!   reproducing, pick for pick, the selection greedy makes on the union
+//!   pool — without, as a rule, moving those vectors (see
+//!   *Output-sensitive selection* below);
 //! * mutations are **broadcast** to every shard and the returned epochs are
 //!   verified to stay in lockstep; any divergence (a torn broadcast) is
 //!   reported as [`ServiceError::Shard`] rather than silently merged.
@@ -39,10 +40,30 @@
 //! (shards of shards) and every caller — CLI, load generator, experiment
 //! harness — works unchanged.
 //!
-//! **Concurrent fan-out.** Per-shard requests are issued concurrently (one
-//! scoped thread per shard; remote shards overlap their network round trips,
-//! local shards overlap their pool scans on a multi-core host) and the
-//! results are merged in shard-index order, so the merged integers — and
+//! **Output-sensitive selection.** A round's answer is one vertex (or `k`,
+//! for the singleton ranking), so a round should not cost `n` integers per
+//! shard. Each shard answers [`InfluenceService::gain_candidates`]: its top
+//! 64 vertices by `(gain desc, id asc)` and one *bound*, the largest gain it
+//! did not list. The candidates are the union of the lists (minus the seeds
+//! already picked); a vertex outside every list gains at most `bound_s` on
+//! shard `s`, hence at most `U = Σ bound_s` in total. The router asks every
+//! shard for the exact gain of each candidate (point reads, no pool pass —
+//! skipped when every list already holds every candidate), sums them in
+//! shard-index order, and accepts the first argmax over the candidates
+//! **iff its total is strictly greater than `U`**. Strictness is what keeps
+//! the tie rule: at `total == U` an unlisted vertex could tie the winner,
+//! and if its id is lower the union pool would have picked *it*. When the
+//! bounds do not separate a winner (a tie at the cut, an all-zero round,
+//! fewer candidates than the ranking needs) the round falls back to summing
+//! the full vectors — the same integers, so the same pick either way. See
+//! [`threshold_round`]; `imserve_router_topk_rounds_total{path=…}` counts
+//! how rounds were settled.
+//!
+//! **Concurrent fan-out.** Per-shard requests are issued concurrently (shard
+//! 0's leg on the calling thread, one scoped thread for each other shard;
+//! remote shards overlap their network round trips, local shards overlap
+//! their pool scans on a multi-core host) and the results are merged in
+//! shard-index order, so the merged integers — and
 //! therefore the derived spreads and selections — are byte-identical to the
 //! sequential fan-out and to a single-pool backend. Failure semantics are
 //! typed: a shard that rejects the *request* (a [`ServiceError::Query`] or
@@ -53,6 +74,7 @@
 //! deadline with [`InfluenceService::set_deadline`] so a dead shard degrades
 //! the answer loudly instead of hanging the router.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,10 +85,91 @@ use imobs::EventField;
 use crate::obs::{ServingMetrics, ShardLane};
 use crate::protocol::TopKAlgorithm;
 use crate::service::{
-    CompactionReport, EventRecord, FamilyHelp, GainVector, GaugeSample, HealthReport,
-    InfluenceService, MetricsReport, MutationOutcome, ServiceError, ServiceInfo, ServiceResult,
-    ServiceStats, SpreadEstimate, TopKSelection,
+    CompactionReport, EventRecord, FamilyHelp, GainCandidates, GainVector, GaugeSample,
+    HealthReport, InfluenceService, MetricsReport, MutationOutcome, ServiceError, ServiceInfo,
+    ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
 };
+
+/// Vertices each shard lists per selection round. Large enough that the
+/// bounds separate a winner on every round measured so far (the fallback
+/// counter says when they do not), small enough that a round's replies are a
+/// few KB whatever the graph's size.
+const CANDIDATES_PER_SHARD: usize = 64;
+
+/// Settle one selection round from per-shard candidate lists: the top `want`
+/// vertices of the shards' summed gains by `(total desc, id asc)` — `1` for
+/// a greedy round's first argmax, `k` for the singleton ranking — or `None`
+/// when the lists cannot prove them (see the module docs for the rule and
+/// why it is strict).
+///
+/// `ask(limit, probe)` fans one `gain_candidates` request out and returns
+/// the shards' replies in shard-index order. It is called once with
+/// `(limit, [])` and, unless every list already holds every candidate, once
+/// more with `(0, candidates)`. Vertices for which `is_selected` holds are
+/// never candidates. A reply that lists a vertex outside `num_vertices`, or
+/// whose arrays disagree in length, is a typed [`ServiceError::Shard`]
+/// naming the shard.
+pub fn threshold_round(
+    want: usize,
+    limit: usize,
+    num_vertices: usize,
+    is_selected: impl Fn(u32) -> bool,
+    mut ask: impl FnMut(usize, &[u32]) -> ServiceResult<Vec<GainCandidates>>,
+) -> ServiceResult<Option<Vec<u32>>> {
+    let lists = ask(limit, &[])?;
+    // vertex -> (gain summed over the lists holding it, how many do).
+    let mut listed: BTreeMap<u32, (u64, usize)> = BTreeMap::new();
+    let mut unlisted_bound = 0u64;
+    for (i, list) in lists.iter().enumerate() {
+        if list.vertices.len() != list.counts.len() {
+            return Err(ServiceError::Shard(format!(
+                "shard {i} listed {} candidates with {} counts",
+                list.vertices.len(),
+                list.counts.len()
+            )));
+        }
+        // Saturating: these integers come off the wire.
+        unlisted_bound = unlisted_bound.saturating_add(list.bound);
+        for (&v, &count) in list.vertices.iter().zip(&list.counts) {
+            if v as usize >= num_vertices {
+                return Err(ServiceError::Shard(format!(
+                    "shard {i} listed vertex {v} of {num_vertices}"
+                )));
+            }
+            if !is_selected(v) {
+                let entry = listed.entry(v).or_default();
+                entry.0 = entry.0.saturating_add(count);
+                entry.1 += 1;
+            }
+        }
+    }
+    let mut ranked: Vec<(u32, u64)> = if listed.values().all(|&(_, hits)| hits == lists.len()) {
+        listed.iter().map(|(&v, &(total, _))| (v, total)).collect()
+    } else {
+        let candidates: Vec<u32> = listed.keys().copied().collect();
+        let mut totals = vec![0u64; candidates.len()];
+        for (i, reply) in ask(0, &candidates)?.iter().enumerate() {
+            if reply.probed.len() != candidates.len() {
+                return Err(ServiceError::Shard(format!(
+                    "shard {i} answered {} probes for {} candidates",
+                    reply.probed.len(),
+                    candidates.len()
+                )));
+            }
+            for (total, gain) in totals.iter_mut().zip(&reply.probed) {
+                *total = total.saturating_add(*gain);
+            }
+        }
+        candidates.into_iter().zip(totals).collect()
+    };
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let proven = want
+        .checked_sub(1)
+        .and_then(|last| ranked.get(last))
+        .is_some_and(|&(_, total)| total > unlisted_bound);
+    ranked.truncate(want);
+    Ok(proven.then(|| ranked.into_iter().map(|(v, _)| v).collect()))
+}
 
 /// A router over N shard backends (see the module docs for the invariant).
 #[derive(Debug)]
@@ -267,9 +370,10 @@ impl<S: InfluenceService + Send> ShardedService<S> {
         merged
     }
 
-    /// Run `op` on every shard concurrently (one scoped thread per shard;
-    /// the single-shard case stays inline) and collect the per-shard results
-    /// in shard-index order — the order every merge below depends on. Each
+    /// Run `op` on every shard concurrently — shard 0's leg on the calling
+    /// thread, one scoped thread for each other shard, so N shards cost N−1
+    /// spawns and one shard none — and collect the per-shard results in
+    /// shard-index order, the order every merge below depends on. Each
     /// leg records into its shard's lane (send/recv/error counters and the
     /// round-trip histogram); `obs` counts the fan-out itself and its event
     /// log receives one event per failing leg — `shard_deadline_missed` for
@@ -317,28 +421,28 @@ impl<S: InfluenceService + Send> ShardedService<S> {
             }
             result
         };
-        if shards.len() == 1 {
-            return vec![run(0, &mut shards[0])];
-        }
+        let Some((first, rest)) = shards.split_first_mut() else {
+            return Vec::new();
+        };
         std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
+            let handles: Vec<_> = rest
                 .iter_mut()
                 .enumerate()
                 .map(|(i, shard)| {
                     let run = &run;
-                    scope.spawn(move || run(i, shard))
+                    scope.spawn(move || run(i + 1, shard))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.join().unwrap_or_else(|_| {
-                        Err(ServiceError::Backend(
-                            "shard fan-out worker panicked".into(),
-                        ))
-                    })
+            let mut results = Vec::with_capacity(1 + handles.len());
+            results.push(run(0, first));
+            results.extend(handles.into_iter().map(|handle| {
+                handle.join().unwrap_or_else(|_| {
+                    Err(ServiceError::Backend(
+                        "shard fan-out worker panicked".into(),
+                    ))
                 })
-                .collect()
+            }));
+            results
         })
     }
 
@@ -432,28 +536,66 @@ impl<S: InfluenceService + Send> ShardedService<S> {
         })
     }
 
+    /// Try to settle one selection round from the shards' candidate lists
+    /// ([`threshold_round`] over this router's fan-out), counting whether it
+    /// did; `None` sends the caller to [`ShardedService::summed_gains`].
+    fn threshold_round(
+        &mut self,
+        selected: &[u32],
+        is_selected: impl Fn(u32) -> bool,
+        want: usize,
+    ) -> ServiceResult<Option<Vec<u32>>> {
+        let (shards, obs, lanes) = (&mut self.shards, &self.obs, &self.lanes);
+        let trace = self.trace.unwrap_or(0);
+        let top = threshold_round(
+            want,
+            want.max(CANDIDATES_PER_SHARD),
+            self.info.num_vertices,
+            is_selected,
+            |limit, probe| {
+                Self::merge_results(Self::fan_out(shards, obs, lanes, trace, |shard| {
+                    shard.gain_candidates(selected, limit, probe)
+                }))
+            },
+        )?;
+        match top {
+            Some(_) => self.obs.router_rounds_threshold.inc(),
+            None => self.obs.router_rounds_full.inc(),
+        }
+        Ok(top)
+    }
+
     /// Router-driven greedy maximum coverage over the union pool —
     /// replicates [`im_core::InfluenceOracle::greedy_seed_set`] exactly:
     /// each round picks the *first* vertex attaining the maximal summed
-    /// gain (strictly-greater to win, so ties keep the lowest id).
+    /// gain (strictly-greater to win, so ties keep the lowest id), from the
+    /// candidate lists when they prove it and from the full vectors when
+    /// they do not.
     fn greedy(&mut self, k: usize) -> ServiceResult<Vec<u32>> {
         let n = self.info.num_vertices;
         let k = k.min(n);
         let mut selected: Vec<u32> = Vec::with_capacity(k);
         let mut is_selected = vec![false; n];
         for _ in 0..k {
-            let round = self.summed_gains(&selected)?;
-            let mut best: Option<(usize, u64)> = None;
-            for (v, &gain) in round.gains.iter().enumerate() {
-                if is_selected[v] {
-                    continue;
+            let proven = self.threshold_round(&selected, |v| is_selected[v as usize], 1)?;
+            let chosen = match proven.as_deref() {
+                Some(&[chosen]) => chosen as usize,
+                _ => {
+                    let round = self.summed_gains(&selected)?;
+                    let mut best: Option<(usize, u64)> = None;
+                    for (v, &gain) in round.gains.iter().enumerate() {
+                        if is_selected[v] {
+                            continue;
+                        }
+                        match best {
+                            Some((_, best_gain)) if gain <= best_gain => {}
+                            _ => best = Some((v, gain)),
+                        }
+                    }
+                    let Some((chosen, _)) = best else { break };
+                    chosen
                 }
-                match best {
-                    Some((_, best_gain)) if gain <= best_gain => {}
-                    _ => best = Some((v, gain)),
-                }
-            }
-            let Some((chosen, _)) = best else { break };
+            };
             is_selected[chosen] = true;
             selected.push(chosen as u32);
         }
@@ -466,6 +608,9 @@ impl<S: InfluenceService + Send> ShardedService<S> {
     /// by vertex id; coverage order equals influence order because the
     /// union pool divisor is shared).
     fn singleton_rank(&mut self, k: usize) -> ServiceResult<Vec<u32>> {
+        if let Some(top) = self.threshold_round(&[], |_| false, k)? {
+            return Ok(top);
+        }
         let singles = self.summed_gains(&[])?;
         let mut ranked: Vec<(u32, u64)> = singles
             .gains

@@ -3,17 +3,19 @@
 //! that sum to them, `/readyz` degrades loudly (naming the shard and why)
 //! when a backend dies and recovers when it returns, and a torn broadcast
 //! over real TCP shards lands in the router's event ring carrying the
-//! originating trace id.
+//! originating trace id. And the counts that make a routed selection's cost
+//! an observable: requests by type and wire bytes per shard.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 
 use imgraph::GraphDelta;
-use imserve::client::RemoteService;
+use imserve::client::{ReconnectingService, RemoteService};
 use imserve::engine::QueryEngine;
 use imserve::index::{parse_dataset, parse_model, IndexArtifact};
 use imserve::protocol::TopKAlgorithm;
+use imserve::replica::ReplicaSet;
 use imserve::service::{
     CompactionReport, GainVector, InfluenceService, LocalService, MutationOutcome, ServiceError,
     ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
@@ -25,9 +27,9 @@ const POOL: usize = 2_000;
 const SEED: u64 = 7;
 const SHARDS: usize = 2;
 
-fn shard_artifact(index: usize) -> IndexArtifact {
-    let ds = parse_dataset("karate").unwrap();
-    let model = parse_model("uc0.1").unwrap();
+fn shard_artifact(dataset: &str, model: &str, index: usize) -> IndexArtifact {
+    let ds = parse_dataset(dataset).unwrap();
+    let model = parse_model(model).unwrap();
     let graph = ds.influence_graph(model, SEED);
     IndexArtifact::build_shard(ds.name(), &model.label(), graph, POOL, SEED, index, SHARDS)
 }
@@ -35,11 +37,18 @@ fn shard_artifact(index: usize) -> IndexArtifact {
 /// Two real shard servers over one global pool, plus their engines (for
 /// direct inspection) — the full production topology.
 fn tcp_topology() -> (Vec<Arc<QueryEngine>>, Vec<imserve::ServerHandle>) {
+    tcp_topology_over("karate", "uc0.1")
+}
+
+fn tcp_topology_over(
+    dataset: &str,
+    model: &str,
+) -> (Vec<Arc<QueryEngine>>, Vec<imserve::ServerHandle>) {
     let mut engines = Vec::new();
     let mut handles = Vec::new();
     for index in 0..SHARDS {
         let engine = Arc::new(
-            QueryEngine::builder(shard_artifact(index))
+            QueryEngine::builder(shard_artifact(dataset, model, index))
                 .metrics(ServingMetrics::new(0))
                 .build()
                 .unwrap(),
@@ -137,6 +146,92 @@ fn federated_scrape_shows_per_shard_series_summing_to_merged_values() {
             "scrape missing {needle:?}:\n{rendered}"
         );
     }
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+/// Output-sensitivity as a count, through the production router shape
+/// (`ShardedService<ReplicaSet<ReconnectingService>>`, where a forgotten
+/// forwarder would silently keep shipping vectors) on a 5 242-vertex graph:
+/// one routed `TopK(k=4)` asks no shard for a gain vector, asks each for at
+/// most two candidate rounds per pick, and moves at most 64 KiB of replies
+/// in total — where four rounds of full vectors are ~40 KB *per shard per
+/// round*. The same counters reach the federated scrape, per shard and
+/// summed. (Weighted cascade, because the gate is on the merge, not the
+/// fallback: under `uc0.1` this graph's giant component leaves every round
+/// after the first with hundreds of vertices tied at gain <= 4, which the
+/// bounds rightly refuse to separate.)
+#[test]
+fn a_routed_topk_ships_candidates_not_gain_vectors() {
+    const K: u64 = 4;
+    let (engines, handles) = tcp_topology_over("ca-grqc", "iwc");
+    let shards: Vec<ReplicaSet<ReconnectingService>> = handles
+        .iter()
+        .map(|h| {
+            let addr = h.addr().to_string();
+            ReplicaSet::new(vec![(addr.clone(), ReconnectingService::new(addr))])
+        })
+        .collect();
+    let mut router = ShardedService::new(shards).unwrap();
+    assert!(router.info().unwrap().num_vertices >= 5_000);
+
+    let counts = |engine: &Arc<QueryEngine>| {
+        let obs = engine.obs();
+        (
+            obs.gains.count.get(),
+            obs.gain_candidates.count.get(),
+            obs.wire_bytes_sent.get(),
+        )
+    };
+    let before: Vec<_> = engines.iter().map(counts).collect();
+    let routed = router.top_k(K as usize, TopKAlgorithm::Greedy).unwrap();
+    let after: Vec<_> = engines.iter().map(counts).collect();
+
+    let mut sent = 0;
+    for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+        assert_eq!(a.0, b.0, "shard {i} was asked for a full gain vector");
+        let rounds = a.1 - b.1;
+        assert!((K..=2 * K).contains(&rounds), "shard {i}: {rounds} rounds");
+        sent += a.2 - b.2;
+    }
+    assert!(sent <= 64 * 1024, "{sent} reply bytes for one TopK({K})");
+    assert_eq!(router.obs().router_rounds_threshold.get(), K);
+    assert_eq!(router.obs().router_rounds_full.get(), 0);
+
+    // Same seeds as one engine over the whole pool.
+    let ds = parse_dataset("ca-grqc").unwrap();
+    let model = parse_model("iwc").unwrap();
+    let whole = IndexArtifact::build(
+        ds.name(),
+        &model.label(),
+        ds.influence_graph(model, SEED),
+        POOL,
+        SEED,
+    );
+    let expected = LocalService::new(Arc::new(QueryEngine::builder(whole).build().unwrap()))
+        .top_k(K as usize, TopKAlgorithm::Greedy)
+        .unwrap();
+    assert_eq!(routed.seeds, expected.seeds);
+    assert_eq!(routed.spread.to_bits(), expected.spread.to_bits());
+
+    // The federated scrape shows the bytes per shard and their sum, and the
+    // router's own round counters.
+    let report = router.cluster_metrics();
+    for family in [
+        "imserve_wire_bytes_sent_total",
+        "imserve_wire_bytes_received_total",
+    ] {
+        let per_shard: u64 = (0..SHARDS)
+            .map(|i| report.counter(&format!("{family}{{shard=\"{i}\"}}")))
+            .sum();
+        assert!(per_shard > 0, "{family}");
+        assert_eq!(report.counter(family), per_shard, "{family}");
+    }
+    assert_eq!(
+        report.counter("imserve_router_topk_rounds_total{path=\"threshold\"}"),
+        K
+    );
     for handle in handles {
         handle.shutdown();
     }

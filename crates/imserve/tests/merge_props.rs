@@ -225,7 +225,8 @@ fn slice(text: &str) -> String {
 
 /// A single server's `/metrics` bytes did not move when the live-registry
 /// renderer was deleted: the fixture is that renderer's output at `86dbc6f`
-/// for this registry state, [`slice`]d. (Values, cumulative buckets and one
+/// for this registry state, [`slice`]d, plus the one request lane registered
+/// since (`gain_candidates`). (Values, cumulative buckets and one
 /// `# HELP` / `# TYPE` pair per family, labelled ones included, are
 /// `imobs`' old render assertions, now read off the fixture.)
 #[test]

@@ -120,6 +120,7 @@ fn stats_total_equals_its_per_type_split_and_the_request_lanes() {
         r#"{"Estimate":{"seeds":[0,33]}}"#,
         r#"{"TopK":{"k":2,"algorithm":"Greedy"}}"#,
         r#"{"Gains":{"selected":[0]}}"#,
+        r#"{"GainCandidates":{"selected":[0],"limit":4,"probe":[33]}}"#,
         r#""Health""#,
         r#""Events""#,
         reload.as_str(),
@@ -138,13 +139,14 @@ fn stats_total_equals_its_per_type_split_and_the_request_lanes() {
     }
     let _ = std::fs::remove_file(&path);
 
-    // The reads count themselves: this `stats` is the 15th request ...
+    // The reads count themselves: this `stats` is the 16th request ...
     let stats = engine.stats();
     assert_eq!(stats.requests, script.len() as u64 + 1);
     assert_eq!(stats.requests_by_type.total(), stats.requests);
     let by_type = stats.requests_by_type;
     assert_eq!((by_type.health, by_type.events, by_type.stats), (1, 1, 2));
-    // ... and this `metrics_report` the 16th, on its own lane.
+    assert_eq!((by_type.gains, by_type.gain_candidates), (1, 1));
+    // ... and this `metrics_report` the 17th, on its own lane.
     let report = engine.metrics_report();
     let lanes = (report.counters.iter()).filter(|c| c.name.starts_with("imserve_requests_total{"));
     assert_eq!(lanes.map(|c| c.value).sum::<u64>() - 1, stats.requests);

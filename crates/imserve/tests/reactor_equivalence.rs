@@ -12,7 +12,8 @@
 //!
 //! The suite also exercises the client's non-blocking `send`/`poll_response`
 //! pair against the reactor: many frames in flight on one connection, replies
-//! drained incrementally without blocking.
+//! drained incrementally without blocking — and, on each front end, the one
+//! line neither may buffer: a request that never ends.
 
 mod fixtures;
 
@@ -23,7 +24,7 @@ use std::sync::Arc;
 use imserve::client::ServiceConnection;
 use imserve::engine::QueryEngine;
 use imserve::index::build_dataset_index;
-use imserve::protocol::{self, Request, RequestFrame, Response, TopKAlgorithm};
+use imserve::protocol::{self, Request, RequestFrame, Response, TopKAlgorithm, MAX_FRAME_LEN};
 use imserve::reactor;
 use imserve::ReactorConfig;
 
@@ -176,5 +177,67 @@ fn poll_response_drains_pipelined_frames_in_order() {
 
     // An idle poll reports "nothing yet" instead of blocking or erroring.
     assert!(connection.poll_response().unwrap().is_none());
+    handle.shutdown();
+}
+
+/// A peer that never sends `\n` costs the server at most one frame bound of
+/// memory: a pipelined frame ahead of the endless line is still answered, in
+/// order; one byte past [`MAX_FRAME_LEN`] the server says why (a typed
+/// `Protocol` frame, id 0), drops what it buffered and hangs up; the refusal
+/// is counted; and the next connection is served as if nothing happened.
+fn assert_an_endless_line_is_refused(addr: SocketAddr, engine: &QueryEngine) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(b"{\"v\":2,\"id\":1,\"req\":\"Ping\"}\n")
+        .unwrap();
+    // Exactly one byte too many, so the server has read everything sent by
+    // the time it refuses and its close is a clean FIN, not a reset.
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = MAX_FRAME_LEN + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        stream.write_all(&chunk[..n]).unwrap();
+        left -= n;
+    }
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"id\":1") && line.contains("Pong"), "{line}");
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"id\":0") && line.contains("\"kind\":\"Protocol\""),
+        "{line}"
+    );
+    assert!(line.contains(&MAX_FRAME_LEN.to_string()), "{line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then it hangs up");
+    assert_eq!(engine.obs().oversized_frames.get(), 1);
+
+    let pong = ServiceConnection::connect(addr)
+        .unwrap()
+        .call(&Request::Ping)
+        .unwrap();
+    assert_eq!(pong, Response::Pong);
+}
+
+#[test]
+fn the_reactor_refuses_an_endless_request_line() {
+    let engine = fresh_engine();
+    let handle = reactor::spawn(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        &ReactorConfig::default(),
+    );
+    let handle = handle.unwrap();
+    assert_an_endless_line_is_refused(handle.addr(), &engine);
+    handle.shutdown();
+}
+
+#[test]
+fn the_threaded_server_refuses_an_endless_request_line() {
+    let engine = fresh_engine();
+    let handle = fixtures::spawn_server("127.0.0.1:0", Arc::clone(&engine), 2);
+    assert_an_endless_line_is_refused(handle.addr(), &engine);
     handle.shutdown();
 }

@@ -79,6 +79,19 @@ fn assert_equivalent(a: &mut dyn InfluenceService, b: &mut dyn InfluenceService,
         assert_eq!(ga.gains, gb.gains, "{context}: gains({selected:?})");
         assert_eq!(ga.covered, gb.covered, "{context}");
     }
+    // The output-sensitive round is the same cut of the same vector on
+    // every backend — engine-side point reads, a wire round trip, or a
+    // router's default over its summed gains — including the degenerate
+    // limits (nothing listed, everything listed).
+    for (selected, limit, probe) in [
+        (vec![], 5usize, vec![n - 1, 0]),
+        (vec![0u32, 33], 0, vec![5, 33, 9]),
+        (vec![n / 2], usize::MAX, vec![]),
+    ] {
+        let ca = a.gain_candidates(&selected, limit, &probe).unwrap();
+        let cb = b.gain_candidates(&selected, limit, &probe).unwrap();
+        assert_eq!(ca, cb, "{context}: gain_candidates({selected:?}, {limit})");
+    }
     for algorithm in [TopKAlgorithm::Greedy, TopKAlgorithm::SingletonRank] {
         for k in [1usize, 3] {
             let ta = a.top_k(k, algorithm).unwrap();
@@ -252,6 +265,115 @@ fn sharded_service_over_remote_shards_matches_local() {
     for handle in handles {
         handle.shutdown();
     }
+}
+
+/// Karate's 34 vertices fit whole in a 64-entry candidate list, so the
+/// suites above never see a list cut short. The physicians network (241
+/// vertices) does: lists truncate, shards disagree on who made the cut,
+/// exact counts are probed — and the answers still may not move a bit, for
+/// both algorithms, over real TCP shards, including a ranking longer than a
+/// list and a hostile `k`.
+#[test]
+fn truncated_candidate_lists_keep_remote_shards_byte_identical_to_local() {
+    let dataset = imserve::index::parse_dataset("physicians").unwrap();
+    let graph = dataset.influence_graph(imserve::index::parse_model("uc0.1").unwrap(), SEED);
+    assert!(graph.num_vertices() > 64);
+    let engine = |artifact| Arc::new(QueryEngine::builder(artifact).build().unwrap());
+    let mut local = LocalService::new(engine(IndexArtifact::build(
+        "physicians",
+        "uc0.1",
+        graph.clone(),
+        POOL,
+        SEED,
+    )));
+    let mut handles = Vec::new();
+    let mut remotes = Vec::new();
+    for i in 0..SHARDS {
+        let artifact =
+            IndexArtifact::build_shard("physicians", "uc0.1", graph.clone(), POOL, SEED, i, SHARDS);
+        let handle = fixtures::spawn_server("127.0.0.1:0", engine(artifact), 2);
+        remotes.push(RemoteService::connect(handle.addr()).unwrap());
+        handles.push(handle);
+    }
+    let mut sharded = ShardedService::new(remotes).unwrap();
+    assert_equivalent(&mut local, &mut sharded, "physicians, remote shards");
+    for (k, algorithm) in [
+        (8, TopKAlgorithm::Greedy),
+        (70, TopKAlgorithm::SingletonRank),
+        (usize::MAX, TopKAlgorithm::SingletonRank),
+    ] {
+        let a = local.top_k(k, algorithm).unwrap();
+        let b = sharded.top_k(k, algorithm).unwrap();
+        assert_eq!(a.seeds, b.seeds, "top_k({k}, {algorithm})");
+        assert_eq!(a.spread.to_bits(), b.spread.to_bits());
+    }
+    // The merge did the work: rounds were settled from candidate lists.
+    let rounds = sharded.obs().router_rounds_threshold.get();
+    assert!(
+        rounds >= 8,
+        "only {rounds} rounds settled by the threshold merge"
+    );
+
+    let batch = vec![GraphDelta::InsertEdge {
+        source: 2,
+        target: 0,
+        probability: 0.25,
+    }];
+    local.mutate_batch(&batch).unwrap();
+    sharded.mutate_batch(&batch).unwrap();
+    assert_equivalent(&mut local, &mut sharded, "physicians after mutation");
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+/// The rounds the candidate lists cannot settle: with four RR sets in the
+/// pool, greedy covers everything in a few picks and every later round is
+/// all zeros — nothing is strictly above the (zero) bounds, the router sums
+/// the full vectors, and the first-argmax rule hands out the lowest
+/// unselected ids exactly as the single pool does.
+#[test]
+fn rounds_the_bounds_cannot_separate_fall_back_to_full_vectors() {
+    let dataset = imserve::index::parse_dataset("physicians").unwrap();
+    let graph = dataset.influence_graph(imserve::index::parse_model("uc0.1").unwrap(), SEED);
+    let over =
+        |artifact| LocalService::new(Arc::new(QueryEngine::builder(artifact).build().unwrap()));
+    let mut local = over(IndexArtifact::build(
+        "physicians",
+        "uc0.1",
+        graph.clone(),
+        4,
+        SEED,
+    ));
+    let shards = (0..2)
+        .map(|i| {
+            over(IndexArtifact::build_shard(
+                "physicians",
+                "uc0.1",
+                graph.clone(),
+                4,
+                SEED,
+                i,
+                2,
+            ))
+        })
+        .collect();
+    let mut sharded = ShardedService::new(shards).unwrap();
+    for algorithm in [TopKAlgorithm::Greedy, TopKAlgorithm::SingletonRank] {
+        let a = local.top_k(8, algorithm).unwrap();
+        let b = sharded.top_k(8, algorithm).unwrap();
+        assert_eq!(a.seeds, b.seeds, "{algorithm}");
+        assert_eq!(a.spread.to_bits(), b.spread.to_bits(), "{algorithm}");
+    }
+    let obs = sharded.obs();
+    assert!(
+        obs.router_rounds_threshold.get() >= 1,
+        "the first pick is provable"
+    );
+    assert!(
+        obs.router_rounds_full.get() >= 4,
+        "the exhausted rounds are not"
+    );
 }
 
 #[test]

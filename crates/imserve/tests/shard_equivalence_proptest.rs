@@ -2,7 +2,10 @@
 //! graphs, random pool sizes and shard counts, and random interleaved
 //! mutation batches, a [`ShardedService`] over N pool shards answers
 //! `estimate` and `top_k` (both algorithms) bit-identically to a single-pool
-//! [`LocalService`] built at the same derived seeds.
+//! [`LocalService`] built at the same derived seeds — on graphs small enough
+//! that every shard lists every vertex each round, and on graphs past the
+//! router's 64-entry candidate lists, where small pools make ties at the cut
+//! (and so both the threshold merge and its full-vector fallback) routine.
 
 use std::sync::Arc;
 
@@ -17,12 +20,16 @@ use imserve::shard::ShardedService;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-/// Strategy: a random influence graph over `2..=10` vertices with `0..=20`
-/// edges (parallel edges and self-loops included — both are legal).
-fn arb_influence_graph() -> impl Strategy<Value = InfluenceGraph> {
-    (2usize..10).prop_flat_map(|n| {
+/// Strategy: a random influence graph with its vertex count drawn from
+/// `vertices` and fewer than `max_edges` edges (parallel edges and
+/// self-loops included — both are legal).
+fn arb_influence_graph(
+    vertices: std::ops::Range<usize>,
+    max_edges: usize,
+) -> impl Strategy<Value = InfluenceGraph> {
+    vertices.prop_flat_map(move |n| {
         let edge = (0..n as u32, 0..n as u32);
-        proptest::collection::vec(edge, 0..20).prop_flat_map(move |edges| {
+        proptest::collection::vec(edge, 0..max_edges).prop_flat_map(move |edges| {
             let len = edges.len();
             (
                 Just(n),
@@ -68,7 +75,7 @@ proptest! {
 
     #[test]
     fn sharded_equals_single_pool_under_interleaved_mutation(
-        graph in arb_influence_graph(),
+        graph in arb_influence_graph(2..10, 20),
         pool in 4usize..48,
         shards in 1usize..4,
         base_seed in 0u64..1_000,
@@ -117,5 +124,43 @@ proptest! {
         for report in &stats.shards {
             prop_assert_eq!(report.epoch, epoch);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn sharded_equals_single_pool_when_candidate_lists_truncate(
+        graph in arb_influence_graph(65..160, 120),
+        pool in 16usize..200,
+        shards in 1usize..4,
+        base_seed in 0u64..1_000,
+        workload_seed in 0u64..1_000,
+    ) {
+        let n = graph.num_vertices();
+        let mut single = local_over(IndexArtifact::build(
+            "prop", "uc", graph.clone(), pool, base_seed,
+        ));
+        let shard_backends: Vec<LocalService> = (0..shards)
+            .map(|i| {
+                local_over(IndexArtifact::build_shard(
+                    "prop", "uc", graph.clone(), pool, base_seed, i, shards,
+                ))
+            })
+            .collect();
+        let mut sharded = ShardedService::new(shard_backends).unwrap();
+        assert_same_answers(&mut single, &mut sharded, n)?;
+
+        let mutable = MutableInfluenceGraph::from_graph(&graph);
+        let deltas = workload::random_deltas(&mutable, 3, &mut Pcg32::seed_from_u64(workload_seed));
+        single.mutate_batch(&deltas).unwrap();
+        sharded.mutate_batch(&deltas).unwrap();
+        assert_same_answers(&mut single, &mut sharded, n)?;
+
+        // Every round went one way or the other, and was counted.
+        let obs = sharded.obs();
+        let rounds = obs.router_rounds_threshold.get() + obs.router_rounds_full.get();
+        prop_assert!(rounds >= 2 * (1 + 2 + 3 + 3), "{} rounds counted", rounds);
     }
 }

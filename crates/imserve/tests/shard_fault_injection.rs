@@ -18,8 +18,8 @@ use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, IndexArtifact};
 use imserve::protocol::TopKAlgorithm;
 use imserve::service::{
-    CompactionReport, GainVector, InfluenceService, LocalService, MutationOutcome, ServiceError,
-    ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
+    CompactionReport, GainCandidates, GainVector, InfluenceService, LocalService, MutationOutcome,
+    ServiceError, ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
 };
 use imserve::shard::ShardedService;
 
@@ -37,6 +37,9 @@ enum Fault {
     /// The shard answers `stats` from an epoch one ahead of its peers —
     /// the signature of an out-of-band mutation behind the router's back.
     StaleEpoch,
+    /// The shard answers a selection round's candidate list, then dies
+    /// before the exact-count probes that follow reach it.
+    DropBeforeProbes,
 }
 
 /// Shared remote control of one shard's injected fault.
@@ -62,7 +65,7 @@ impl FaultyShard {
                 std::io::ErrorKind::TimedOut,
                 "shard deadline exceeded",
             ))),
-            Some(Fault::StaleEpoch) | None => Ok(()),
+            Some(Fault::StaleEpoch | Fault::DropBeforeProbes) | None => Ok(()),
         }
     }
 }
@@ -86,6 +89,22 @@ impl InfluenceService for FaultyShard {
     fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
         self.gate()?;
         self.inner.gains(selected)
+    }
+
+    fn gain_candidates(
+        &mut self,
+        selected: &[u32],
+        limit: usize,
+        probe: &[u32],
+    ) -> ServiceResult<GainCandidates> {
+        self.gate()?;
+        if limit == 0 && *self.fault.lock().unwrap() == Some(Fault::DropBeforeProbes) {
+            return Err(ServiceError::Transport(std::io::Error::new(
+                std::io::ErrorKind::ConnectionAborted,
+                "connection reset by shard",
+            )));
+        }
+        self.inner.gain_candidates(selected, limit, probe)
     }
 
     fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
@@ -119,20 +138,20 @@ struct Fixture {
     deadlines: Vec<Arc<Mutex<Vec<Option<Duration>>>>>,
 }
 
-fn karate_graph() -> imgraph::InfluenceGraph {
-    imserve::index::parse_dataset("karate")
-        .unwrap()
-        .influence_graph(imserve::index::parse_model("uc0.1").unwrap(), SEED)
+fn fixture() -> Fixture {
+    fixture_over("karate")
 }
 
-fn fixture() -> Fixture {
-    let graph = karate_graph();
+fn fixture_over(dataset: &str) -> Fixture {
+    let graph = imserve::index::parse_dataset(dataset)
+        .unwrap()
+        .influence_graph(imserve::index::parse_model("uc0.1").unwrap(), SEED);
     let mut switches = Vec::with_capacity(SHARDS);
     let mut deadlines = Vec::with_capacity(SHARDS);
     let shards: Vec<FaultyShard> = (0..SHARDS)
         .map(|i| {
             let artifact =
-                IndexArtifact::build_shard("Karate", "uc0.1", graph.clone(), POOL, SEED, i, SHARDS);
+                IndexArtifact::build_shard(dataset, "uc0.1", graph.clone(), POOL, SEED, i, SHARDS);
             let fault: FaultSwitch = Arc::new(Mutex::new(None));
             let log = Arc::new(Mutex::new(Vec::new()));
             switches.push(Arc::clone(&fault));
@@ -193,6 +212,30 @@ fn dropped_shard_surfaces_as_typed_error_naming_the_index() {
     let expected = reference_selection(2);
     assert_eq!(after.seeds, expected.seeds);
     assert_eq!(after.spread.to_bits(), expected.spread.to_bits());
+}
+
+/// A selection round is two fan-outs once the candidate lists are cut short
+/// (241 vertices against 64-entry lists): a shard lost between them must
+/// fail the selection with the typed error naming it, not settle the round
+/// on the counts that did arrive.
+#[test]
+fn shard_lost_between_the_candidate_lists_and_the_probes_is_named() {
+    let mut fx = fixture_over("physicians");
+    let before = fx.router.top_k(3, TopKAlgorithm::Greedy).unwrap();
+
+    set_fault(&fx, 2, Some(Fault::DropBeforeProbes));
+    match fx.router.top_k(2, TopKAlgorithm::Greedy) {
+        Err(ServiceError::Shard(message)) => {
+            assert!(message.contains("shard 2"), "names the shard: {message}");
+            assert!(message.contains("connection reset"), "{message}");
+        }
+        other => panic!("expected a Shard error, got {other:?}"),
+    }
+    // Nothing half-settled was memoized: healthy again, the same selection.
+    set_fault(&fx, 2, None);
+    let after = fx.router.top_k(3, TopKAlgorithm::Greedy).unwrap();
+    assert_eq!(after.seeds, before.seeds);
+    assert_eq!(after.spread.to_bits(), before.spread.to_bits());
 }
 
 #[test]
