@@ -35,6 +35,11 @@ pub const DEFAULT_SLOW_THRESHOLD_MICROS: u64 = 10_000;
 /// without unbounded memory.
 pub const SLOW_LOG_CAPACITY: usize = 32;
 
+const REACTOR_WAKEUPS_HELP: &str =
+    "Times the reactor's blocking wait returned, by cause: a client socket or the listener \
+     became ready, the compute pool finished a request, or the wait's deadline (idle reaping, \
+     accept retry) passed.";
+
 const ROUTER_ROUNDS_HELP: &str =
     "Router selection rounds, by how they were settled: the threshold merge over per-shard \
      candidate lists, or the full gain-vector sum it falls back to.";
@@ -170,6 +175,23 @@ pub struct ServingMetrics {
     pub write_backlog_bytes: Arc<Gauge>,
     /// Currently open connections.
     pub open_connections: Arc<Gauge>,
+
+    /// Reactor wake-ups caused by a ready client socket or listener.
+    pub reactor_wakeups_socket: Arc<Counter>,
+    /// Reactor wake-ups caused by the compute pool finishing a request.
+    pub reactor_wakeups_completion: Arc<Counter>,
+    /// Reactor wake-ups caused by the wait's deadline (idle reaping, or the
+    /// retry of a failed accept) passing with nothing ready.
+    pub reactor_wakeups_timeout: Arc<Counter>,
+    /// Time the reactor spent blocked in one readiness wait (microseconds)
+    /// — the production twin of the benchmark's `imserve.reactor.residual_us`.
+    pub reactor_poll_wait_micros: Arc<Histogram>,
+    /// Descriptors one wake-up reported ready.
+    pub reactor_ready_sockets: Arc<Histogram>,
+    /// `accept` calls that failed for a reason other than an empty queue
+    /// (`EMFILE` and kin); the listener is left unwatched until a connection
+    /// is reaped or the wait times out.
+    pub accept_errors: Arc<Counter>,
 
     /// Time from dispatch into the compute queue to a worker picking the
     /// request up (microseconds).
@@ -356,6 +378,30 @@ impl ServingMetrics {
             open_connections: registry.gauge(
                 "imserve_open_connections",
                 "Currently open client connections.",
+            ),
+            reactor_wakeups_socket: registry.counter(
+                "imserve_reactor_wakeups_total{cause=\"socket\"}",
+                REACTOR_WAKEUPS_HELP,
+            ),
+            reactor_wakeups_completion: registry.counter(
+                "imserve_reactor_wakeups_total{cause=\"completion\"}",
+                REACTOR_WAKEUPS_HELP,
+            ),
+            reactor_wakeups_timeout: registry.counter(
+                "imserve_reactor_wakeups_total{cause=\"timeout\"}",
+                REACTOR_WAKEUPS_HELP,
+            ),
+            reactor_poll_wait_micros: registry.histogram(
+                "imserve_reactor_poll_wait_micros",
+                "Time the reactor spent blocked in one readiness wait, in microseconds.",
+            ),
+            reactor_ready_sockets: registry.histogram(
+                "imserve_reactor_ready_sockets",
+                "Descriptors reported ready per reactor wake-up.",
+            ),
+            accept_errors: registry.counter(
+                "imserve_accept_errors_total",
+                "Failed accept calls (descriptor exhaustion and kin), listener paused after each.",
             ),
             queue_wait_micros: registry.histogram(
                 "imserve_queue_wait_micros",

@@ -4,17 +4,62 @@
 //! connection turn; at thousands of connections the interesting resource is
 //! no longer threads but *readiness* — which sockets have bytes to read or
 //! room to write. This module multiplexes every connection onto a single
-//! event-loop thread over non-blocking sockets (a hand-rolled, `mio`-shaped
-//! readiness loop: the std library exposes no `epoll` registration surface,
-//! so readiness is discovered by a level-triggered scan with adaptive
-//! backoff — the loop sleeps only when *no* socket made progress, and for at
-//! most a few hundred microseconds).
+//! event-loop thread over non-blocking sockets, and that thread **waits on
+//! readiness, not on a clock**: when a tick made no progress it blocks in
+//! `poll(2)` (declared in the private `poll` module, the crate's one
+//! `allow(unsafe_code)`) until a socket it would act on is ready, the compute
+//! pool finishes a request, or the nearest idle-reap deadline passes. There
+//! is no sleep and no tick interval: an idle server with a thousand quiet
+//! connections makes no wake-ups at all. While ticks keep making progress,
+//! the same `poll` runs between them with a zero timeout from the second
+//! busy tick on — a look, not a wait, and not counted as a wake-up — so
+//! connections that keep the loop busy cannot keep a newcomer unseen.
+//!
+//! # What the loop waits on
+//!
+//! The watch set is rebuilt from the loop's state before every wait, and a
+//! descriptor is in it **only for what the loop would do with it**, because
+//! `poll` is level-triggered — a condition nobody consumes is reported again
+//! at once, and the wait degenerates into a spin:
+//!
+//! * each connection is watched for `POLLIN` unless it is at end of stream,
+//!   over a backpressure bound or holding an oversized line (the three states
+//!   in which the loop does not read), for `POLLOUT` iff it has unflushed
+//!   reply bytes, and is **not in the set at all** when neither applies — a
+//!   half-closed peer whose `TopK` is still computing is permanently
+//!   "readable" and must not be asked about (`POLLHUP`/`POLLERR` are
+//!   reported whatever was asked, but only for descriptors in the set);
+//! * the listener is watched for `POLLIN` unless the last `accept` failed
+//!   with anything but `WouldBlock`: a listener stuck on `EMFILE` stays
+//!   readable forever, so the failure is counted
+//!   (`imserve_accept_errors_total`), logged once per episode, and the
+//!   listener is left out until a connection is reaped (a descriptor came
+//!   free) or the wait times out (bounded by `ACCEPT_RETRY` in that state,
+//!   the one duration in this file and not on any request's path);
+//! * the **wake socket** — one end of a `UnixStream::pair()` — is always
+//!   watched. A compute worker writes one byte to the other end *after* it
+//!   has sent its completion down the channel; the loop drains the socket
+//!   when `poll` reports it and only then calls `try_recv`. Send-then-write
+//!   on one side, level-triggered wait then drain-then-receive on the other:
+//!   a completion sent before the wait is seen by `try_recv` or its byte is
+//!   still unread when `poll` is entered, so no wake-up is lost. A full
+//!   socket (`WouldBlock` on the worker's write) means unread bytes are
+//!   already pending, i.e. the loop is already due to wake.
+//!
+//! The timeout is the time to the nearest idle-reap deadline among drained
+//! connections, or none at all ([`ServerHandle::shutdown`] wakes the
+//! listener with a connect). Reads follow readiness too: a per-connection
+//! `readable` bit (set by accept and by `poll`, cleared by `WouldBlock`)
+//! gates the read phase, so one ready socket among a thousand costs one
+//! `read`, not a thousand `EAGAIN`s.
 //!
 //! # Event-loop states
 //!
-//! Each connection moves through per-tick phases, never blocking the loop:
+//! Each connection moves through per-tick phases; a tick that makes no
+//! progress anywhere ends in the wait above:
 //!
-//! 1. **read** — drain the socket into a line buffer until `WouldBlock`;
+//! 1. **read** — if the socket was reported readable, drain it into a line
+//!    buffer until `WouldBlock`;
 //! 2. **dispatch** — cut complete request lines out of the buffer and hand
 //!    them to the bounded compute pool, tagged `(connection, sequence)`;
 //! 3. **complete** — collect finished replies from the pool; replies may
@@ -50,8 +95,11 @@
 //! response streams.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ffi::c_short;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -61,6 +109,7 @@ use crate::engine::QueryEngine;
 use crate::error::ServeError;
 use crate::linebuf::{LineBuffer, LineError};
 use crate::obs::ServingMetrics;
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::protocol::MAX_FRAME_LEN;
 use crate::server::{answer_line, refuse_oversized_line, ServerHandle};
 
@@ -128,6 +177,10 @@ struct Connection {
     /// Requests currently inside the compute pool.
     inflight: usize,
     last_activity: Instant,
+    /// The socket may have bytes (or an EOF, or an error) to read: set on
+    /// accept and whenever the wait reports the descriptor, cleared when a
+    /// read says `WouldBlock`. Gates the read phase.
+    readable: bool,
     /// Peer sent EOF; serve out the backlog, then reap.
     eof: bool,
     /// Connection-fatal failure; reap as soon as it is observed.
@@ -149,6 +202,7 @@ impl Connection {
             reorder: BTreeMap::new(),
             inflight: 0,
             last_activity: Instant::now(),
+            readable: true,
             eof: false,
             dead: false,
             throttled: false,
@@ -157,6 +211,159 @@ impl Connection {
 
     fn backlog(&self) -> usize {
         self.write_buf.len() - self.written
+    }
+
+    /// At or over either backpressure bound.
+    fn over_bounds(&self, config: &ReactorConfig) -> bool {
+        self.inflight >= config.max_inflight_per_connection
+            || self.backlog() > config.max_write_backlog
+    }
+
+    /// Whether the loop reads this connection at all in its current state.
+    fn wants_read(&self, config: &ReactorConfig) -> bool {
+        !self.eof && !self.dead && !self.over_bounds(config) && !self.lines.oversized()
+    }
+
+    /// Nothing owed in either direction: the state in which EOF or the idle
+    /// timeout reaps the connection.
+    fn drained(&self) -> bool {
+        self.inflight == 0
+            && self.reorder.is_empty()
+            && self.backlog() == 0
+            && !self.lines.has_buffered()
+    }
+
+    /// The watch-set rule (module docs): the conditions the loop would act
+    /// on if the wait reported them; 0 keeps the descriptor out of the set.
+    fn interest(&self, config: &ReactorConfig) -> c_short {
+        let read = if self.wants_read(config) { POLLIN } else { 0 };
+        let write = if self.backlog() > 0 { POLLOUT } else { 0 };
+        read | write
+    }
+}
+
+/// While the listener is paused after a failed accept, the wait is bounded
+/// by this, so descriptors freed elsewhere in the process (not by a reap,
+/// which retries at once) are noticed. Not on any request's path.
+const ACCEPT_RETRY: Duration = Duration::from_millis(100);
+
+/// The listener's share of the loop's state.
+#[derive(Debug, Default)]
+struct Acceptor {
+    /// The listener may have connections queued: set at start-up and by the
+    /// wait, cleared when `accept` says `WouldBlock` or fails.
+    ready: bool,
+    /// The last accept failed and left its connection queued, so the
+    /// listener reads as ready for as long as the cause lasts: keep it out
+    /// of the watch set until [`Acceptor::retry`].
+    paused: bool,
+    /// A failure episode is open (its event is logged): ends with the next
+    /// accept that does not fail.
+    failing: bool,
+}
+
+impl Acceptor {
+    /// Record a failed accept: count it, log the first of an episode, pause.
+    fn failed(&mut self, error: &std::io::Error, obs: &ServingMetrics) {
+        obs.accept_errors.inc();
+        if !self.failing {
+            let field = imobs::EventField::text("error", error.to_string());
+            obs.event_log.warn("accept_failed", 0, vec![field]);
+        }
+        *self = Self {
+            ready: false,
+            paused: true,
+            failing: true,
+        };
+    }
+
+    /// A descriptor may have come free (a connection was reaped) or the
+    /// paused wait timed out: watch the listener again.
+    fn retry(&mut self) {
+        self.paused = false;
+    }
+}
+
+/// The descriptors one wait watches, rebuilt from the loop's state each
+/// time, with the connection id behind each entry past the fixed ones.
+#[derive(Debug, Default)]
+struct WatchSet {
+    fds: Vec<PollFd>,
+    /// `ids[i]` is the connection behind `fds[first_connection + i]`.
+    ids: Vec<u64>,
+    first_connection: usize,
+    /// Whether `fds[1]` is the listener (it is absent while paused).
+    listener: bool,
+}
+
+impl WatchSet {
+    /// A pure function of the loop's state: the wake socket, the listener
+    /// unless paused, and every connection with a non-empty
+    /// [`Connection::interest`].
+    fn rebuild(
+        &mut self,
+        wake: RawFd,
+        listener: RawFd,
+        acceptor: &Acceptor,
+        connections: &HashMap<u64, Connection>,
+        config: &ReactorConfig,
+    ) {
+        let watch = |fd, events| PollFd {
+            fd,
+            events,
+            revents: 0,
+        };
+        self.fds.clear();
+        self.ids.clear();
+        self.fds.push(watch(wake, POLLIN));
+        self.listener = !acceptor.paused;
+        if self.listener {
+            self.fds.push(watch(listener, POLLIN));
+        }
+        self.first_connection = self.fds.len();
+        for (&id, connection) in connections {
+            let events = connection.interest(config);
+            if events != 0 {
+                self.fds.push(watch(connection.stream.as_raw_fd(), events));
+                self.ids.push(id);
+            }
+        }
+    }
+
+    fn wake_ready(&self) -> bool {
+        self.fds[0].revents != 0
+    }
+
+    fn listener_ready(&self) -> bool {
+        self.listener && self.fds[1].revents != 0
+    }
+
+    /// Ids of the connections the wait reported for anything but room to
+    /// write (writes are not gated): data, or an error or hang-up that the
+    /// next read surfaces.
+    fn readable_connections(&self) -> impl Iterator<Item = u64> + '_ {
+        let reported = self.fds[self.first_connection..].iter().zip(&self.ids);
+        reported.filter_map(|(fd, &id)| (fd.revents & !POLLOUT != 0).then_some(id))
+    }
+}
+
+/// How long the wait may block: until the nearest idle-reap deadline among
+/// drained connections (`ACCEPT_RETRY` at most while the listener is
+/// paused), or without limit when nothing is pending.
+fn wait_timeout(
+    acceptor: &Acceptor,
+    connections: &HashMap<u64, Connection>,
+    config: &ReactorConfig,
+) -> Option<Duration> {
+    let idle = config.idle_timeout.and_then(|limit| {
+        let reapable = connections.values().filter(|c| !c.eof && c.drained());
+        let deadline = reapable.map(|c| c.last_activity + limit).min()?;
+        Some(deadline.saturating_duration_since(Instant::now()))
+    });
+    match (idle, acceptor.paused) {
+        (Some(idle), true) => Some(idle.min(ACCEPT_RETRY)),
+        (None, true) => Some(ACCEPT_RETRY),
+        (idle, false) => idle,
     }
 }
 
@@ -174,6 +381,11 @@ pub fn spawn(
     listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
+    // The completion wake-up: workers write, the loop polls and drains.
+    let (wake_rx, wake_tx) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    let wake_tx = Arc::new(wake_tx);
 
     // The compute pool: a shared job queue (workers race to receive) and a
     // completion channel back into the loop.
@@ -183,6 +395,7 @@ pub fn spawn(
     for worker_id in 0..config.compute_threads.max(1) {
         let job_rx = Arc::clone(&job_rx);
         let done_tx = done_tx.clone();
+        let wake_tx = Arc::clone(&wake_tx);
         let engine = Arc::clone(&engine);
         std::thread::Builder::new()
             .name(format!("imserve-compute-{worker_id}"))
@@ -207,6 +420,11 @@ pub fn spawn(
                     {
                         return;
                     }
+                    // Send, *then* wake (module docs). `WouldBlock` means
+                    // unread wake bytes are already pending; any other
+                    // failure means the loop is gone, which the next send
+                    // reports.
+                    let _ = (&*wake_tx).write(&[1]);
                 }
             })
             .expect("compute thread spawns");
@@ -218,7 +436,17 @@ pub fn spawn(
     let obs = Arc::clone(engine.obs());
     let event_loop = std::thread::Builder::new()
         .name("imserve-reactor".to_string())
-        .spawn(move || run_loop(&listener, &loop_config, &stop_flag, &job_tx, &done_rx, &obs))
+        .spawn(move || {
+            run_loop(
+                &listener,
+                &wake_rx,
+                &loop_config,
+                &stop_flag,
+                &job_tx,
+                &done_rx,
+                &obs,
+            );
+        })
         .expect("reactor thread spawns");
 
     Ok(ServerHandle {
@@ -228,14 +456,10 @@ pub fn spawn(
     })
 }
 
-/// Backoff bounds for the readiness scan: sleep only after a tick in which
-/// nothing progressed, starting short and doubling up to the cap.
-const BACKOFF_MIN: Duration = Duration::from_micros(100);
-const BACKOFF_MAX: Duration = Duration::from_millis(2);
-
 /// The event loop proper (runs on its own thread until `stop`).
 fn run_loop(
     listener: &TcpListener,
+    mut wake: &UnixStream,
     config: &ReactorConfig,
     stop: &AtomicBool,
     job_tx: &Sender<Job>,
@@ -244,17 +468,23 @@ fn run_loop(
 ) {
     let mut connections: HashMap<u64, Connection> = HashMap::new();
     let mut next_connection_id = 0u64;
-    let mut backoff = BACKOFF_MIN;
+    let mut acceptor = Acceptor {
+        ready: true,
+        ..Acceptor::default()
+    };
+    let mut watched = WatchSet::default();
     let mut chunk = [0u8; 16 * 1024];
     let mut reap = Vec::new();
+    let mut was_busy = false;
 
     while !stop.load(Ordering::SeqCst) {
         let mut progress = false;
 
         // Phase 0: accept every pending connection.
-        loop {
+        while acceptor.ready {
             match listener.accept() {
                 Ok((stream, _peer)) => {
+                    acceptor.failing = false;
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -263,8 +493,12 @@ fn run_loop(
                     next_connection_id += 1;
                     progress = true;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    acceptor.ready = false;
+                    acceptor.failing = false;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => acceptor.failed(&e, obs),
             }
         }
 
@@ -349,8 +583,7 @@ fn run_loop(
 
             // Phase 1: read — unless this connection is over either
             // backpressure bound.
-            let throttled = connection.inflight >= config.max_inflight_per_connection
-                || connection.backlog() > config.max_write_backlog;
+            let throttled = connection.over_bounds(config);
             if throttled && !connection.throttled {
                 // Rising edge only: one stall per episode, not per tick.
                 obs.backpressure_stalls.inc();
@@ -375,7 +608,9 @@ fn run_loop(
             if throttled {
                 throttled_total += 1;
             }
-            if !connection.eof && !connection.dead && !throttled && !connection.lines.oversized() {
+            // Only a socket reported readable since its last `WouldBlock`
+            // is read: syscalls follow readiness, not connection count.
+            if connection.readable && connection.wants_read(config) {
                 loop {
                     match connection.stream.read(&mut chunk) {
                         Ok(0) => {
@@ -390,7 +625,10 @@ fn run_loop(
                                 break;
                             }
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                            connection.readable = false;
+                            break;
+                        }
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                         Err(_) => {
                             connection.dead = true;
@@ -451,10 +689,7 @@ fn run_loop(
             }
 
             // Phase 5: reap.
-            let drained = connection.inflight == 0
-                && connection.reorder.is_empty()
-                && connection.backlog() == 0
-                && !connection.lines.has_buffered();
+            let drained = connection.drained();
             if connection.dead || (connection.eof && drained) {
                 reap.push(id);
             } else if drained && !connection.eof {
@@ -468,6 +703,10 @@ fn run_loop(
             reorder_total += connection.reorder.len() as i64;
             backlog_total += connection.backlog() as i64;
         }
+        if !reap.is_empty() {
+            // A reaped connection gave a descriptor back.
+            acceptor.retry();
+        }
         for id in reap.drain(..) {
             connections.remove(&id);
         }
@@ -479,13 +718,66 @@ fn run_loop(
         obs.throttled_connections.set(throttled_total);
         obs.open_connections.set(connections.len() as i64);
 
-        if progress {
-            backoff = BACKOFF_MIN;
+        // *Wait* for readiness only after a tick that found nothing to do:
+        // state that moved may leave the next tick work no descriptor
+        // announces (a reply to flush behind the one just written, a refusal
+        // just queued). The first busy tick of a burst goes straight to that
+        // follow-up; from the second on, look at readiness (zero timeout)
+        // between ticks, so connections that keep the loop busy cannot keep
+        // a newcomer unseen.
+        let first_busy_tick = progress && !was_busy;
+        was_busy = progress;
+        if first_busy_tick {
+            continue;
+        }
+        watched.rebuild(
+            wake.as_raw_fd(),
+            listener.as_raw_fd(),
+            &acceptor,
+            &connections,
+            config,
+        );
+        let timeout = if progress {
+            Some(Duration::ZERO)
         } else {
-            // Nothing readable, writable or finished: this is the "wait for
-            // readiness" edge of the hand-rolled loop.
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(BACKOFF_MAX);
+            wait_timeout(&acceptor, &connections, config)
+        };
+        let wait_began = Instant::now();
+        let ready = match poll::wait(&mut watched.fds, timeout) {
+            Ok(ready) => ready,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => {
+                // No wait, no loop: without one this thread could only spin.
+                let field = imobs::EventField::text("error", e.to_string());
+                obs.event_log.error("reactor_wait_failed", 0, vec![field]);
+                return;
+            }
+        };
+        if !progress {
+            // The loop was parked and something woke it: account for it.
+            obs.reactor_poll_wait_micros
+                .record(wait_began.elapsed().as_micros() as u64);
+            obs.reactor_ready_sockets.record(ready as u64);
+            if ready == 0 {
+                obs.reactor_wakeups_timeout.inc();
+                acceptor.retry();
+            } else if watched.wake_ready() {
+                obs.reactor_wakeups_completion.inc();
+            } else {
+                obs.reactor_wakeups_socket.inc();
+            }
+        }
+        if watched.wake_ready() {
+            // Drain before the next tick's `try_recv`: a byte that arrives
+            // later stays unread and ends the next wait at once. A short
+            // read emptied the socket.
+            while matches!(wake.read(&mut chunk), Ok(n) if n == chunk.len()) {}
+        }
+        acceptor.ready |= watched.listener_ready();
+        for id in watched.readable_connections() {
+            if let Some(connection) = connections.get_mut(&id) {
+                connection.readable = true;
+            }
         }
     }
     // Returning drops `connections` (closing every socket) and, with the
@@ -506,6 +798,149 @@ mod tests {
                 .build()
                 .unwrap(),
         )
+    }
+
+    /// A connection in the loop's slab, and the peer end keeping it open.
+    fn connected() -> (Connection, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (Connection::new(listener.accept().unwrap().0), peer)
+    }
+
+    #[test]
+    fn a_connection_is_watched_only_for_what_the_loop_would_do_with_it() {
+        let config = ReactorConfig {
+            max_inflight_per_connection: 2,
+            max_write_backlog: 8,
+            ..ReactorConfig::default()
+        };
+        let watch = |c: &Connection| c.interest(&config);
+        let (mut c, _peer) = connected();
+        assert_eq!(watch(&c), POLLIN, "fresh: read it");
+        c.write_buf.extend_from_slice(b"reply\n");
+        assert_eq!(watch(&c), POLLIN | POLLOUT, "backlog: flush it too");
+        c.written = 6;
+        assert_eq!(watch(&c), POLLIN, "flushed: only backlog counts");
+        c.write_buf.extend_from_slice(b"a longer reply\n");
+        assert_eq!(watch(&c), POLLOUT, "over the backlog bound");
+        c.write_buf.clear();
+        c.written = 0;
+        c.inflight = 2;
+        assert_eq!(watch(&c), 0, "at the in-flight bound");
+        c.inflight = 1;
+        c.eof = true;
+        assert_eq!(watch(&c), 0, "half-closed, still computing");
+        c.write_buf.push(b'x');
+        assert_eq!(watch(&c), POLLOUT, "half-closed, reply to flush");
+        let (mut c, _peer) = connected();
+        c.lines = LineBuffer::bounded(4);
+        c.lines.extend(b"endless");
+        assert_eq!(watch(&c), 0, "oversized line: reading is over");
+    }
+
+    #[test]
+    fn the_watch_set_follows_the_loops_state() {
+        let obs = ServingMetrics::with_defaults();
+        let config = ReactorConfig::default();
+        let (wake, _wake_tx) = UnixStream::pair().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (wake_fd, listener_fd) = (wake.as_raw_fd(), listener.as_raw_fd());
+        let mut connections = HashMap::new();
+        let mut peers = Vec::new();
+        for id in 0..3u64 {
+            let (connection, peer) = connected();
+            connections.insert(id, connection);
+            peers.push(peer);
+        }
+        // 0 reads, 1 owes a flush after its peer's EOF, 2 is half-closed
+        // with a request still computing.
+        let eof_with_backlog = connections.get_mut(&1).unwrap();
+        eof_with_backlog.eof = true;
+        eof_with_backlog.write_buf.push(b'x');
+        let half_closed = connections.get_mut(&2).unwrap();
+        half_closed.eof = true;
+        half_closed.inflight = 1;
+        let fd_of = |id: u64| connections[&id].stream.as_raw_fd();
+
+        let mut acceptor = Acceptor::default();
+        let mut watched = WatchSet::default();
+        let mut rebuilt = |acceptor: &Acceptor| {
+            watched.rebuild(wake_fd, listener_fd, acceptor, &connections, &config);
+            let mut set: Vec<(RawFd, c_short)> =
+                watched.fds.iter().map(|w| (w.fd, w.events)).collect();
+            assert_eq!(set.remove(0), (wake_fd, POLLIN), "the wake socket leads");
+            set.sort_unstable();
+            set
+        };
+        let sorted = |mut set: Vec<(RawFd, c_short)>| {
+            set.sort_unstable();
+            set
+        };
+        let with_listener = sorted(vec![
+            (listener_fd, POLLIN),
+            (fd_of(0), POLLIN),
+            (fd_of(1), POLLOUT),
+        ]);
+        let without_listener = sorted(vec![(fd_of(0), POLLIN), (fd_of(1), POLLOUT)]);
+        assert_eq!(rebuilt(&acceptor), with_listener);
+
+        // A failed accept is counted, logged once per episode, and takes
+        // the listener out of the set ...
+        let emfile = || std::io::Error::from_raw_os_error(24);
+        acceptor.failed(&emfile(), &obs);
+        assert!(acceptor.paused && !acceptor.ready);
+        assert_eq!(rebuilt(&acceptor), without_listener);
+        assert_eq!(
+            wait_timeout(&acceptor, &HashMap::new(), &config),
+            Some(ACCEPT_RETRY),
+            "a paused listener bounds an otherwise indefinite wait"
+        );
+        // ... until a reap or a timeout retries it; a retry that fails again
+        // belongs to the same episode.
+        acceptor.retry();
+        assert_eq!(rebuilt(&acceptor), with_listener);
+        acceptor.failed(&emfile(), &obs);
+        assert_eq!(rebuilt(&acceptor), without_listener);
+        assert_eq!(obs.accept_errors.get(), 2);
+        let logged = obs.event_log.entries();
+        assert_eq!(
+            logged.iter().filter(|e| e.code == "accept_failed").count(),
+            1
+        );
+        acceptor.retry();
+        assert_eq!(wait_timeout(&acceptor, &HashMap::new(), &config), None);
+    }
+
+    #[test]
+    fn the_wait_ends_at_the_nearest_idle_deadline_of_a_drained_connection() {
+        let config = ReactorConfig {
+            idle_timeout: Some(Duration::from_secs(60)),
+            ..ReactorConfig::default()
+        };
+        let acceptor = Acceptor::default();
+        let mut connections = HashMap::new();
+        assert_eq!(wait_timeout(&acceptor, &connections, &config), None);
+        let (mut busy, _busy_peer) = connected();
+        busy.inflight = 1;
+        connections.insert(0, busy);
+        // Owed a reply: the idle clock does not apply, so nothing is pending.
+        assert_eq!(wait_timeout(&acceptor, &connections, &config), None);
+        let (mut older, _older_peer) = connected();
+        older.last_activity += Duration::from_secs(5);
+        connections.insert(1, older);
+        let (mut newer, _newer_peer) = connected();
+        newer.last_activity += Duration::from_secs(10);
+        connections.insert(2, newer);
+        let timeout = wait_timeout(&acceptor, &connections, &config).unwrap();
+        assert!(
+            timeout > Duration::from_secs(64) && timeout <= Duration::from_secs(65),
+            "{timeout:?}"
+        );
+        let forever = ReactorConfig {
+            idle_timeout: None,
+            ..config
+        };
+        assert_eq!(wait_timeout(&acceptor, &connections, &forever), None);
     }
 
     #[test]

@@ -212,7 +212,8 @@ fn server_metrics_delta_reads_the_difference_of_two_federated_reports() {
 /// populated and an empty series, a negative gauge, a lazily registered
 /// gauge, and the slow-query comments.
 fn slice(text: &str) -> String {
-    const KEEP: [&str; 5] = [
+    const KEEP: [&str; 6] = [
+        "imserve_reactor_wakeups_total",
         "imserve_requests_total",
         "imserve_shard_rtt_micros",
         "imserve_epoch",
@@ -225,8 +226,9 @@ fn slice(text: &str) -> String {
 
 /// A single server's `/metrics` bytes did not move when the live-registry
 /// renderer was deleted: the fixture is that renderer's output at `86dbc6f`
-/// for this registry state, [`slice`]d, plus the one request lane registered
-/// since (`gain_candidates`). (Values, cumulative buckets and one
+/// for this registry state, [`slice`]d, plus what was registered since: the
+/// `gain_candidates` request lane and the reactor's wake-up family (a second
+/// labelled counter family, all zero here: no reactor runs). (Values, cumulative buckets and one
 /// `# HELP` / `# TYPE` pair per family, labelled ones included, are
 /// `imobs`' old render assertions, now read off the fixture.)
 #[test]

@@ -78,6 +78,23 @@ fn metrics_request_and_scrape_endpoint_reflect_served_traffic() {
     let stages: Vec<&str> = slow.stages.iter().map(|s| s.stage.as_str()).collect();
     assert!(stages.contains(&"execute"), "stages: {stages:?}");
     assert!(stages.contains(&"parse"), "stages: {stages:?}");
+    // The reactor accounts for its own waiting: it woke for sockets and for
+    // completions, each wake-up a timed wait, and never for a timer.
+    let woke = |cause: &str| {
+        report.counter(&format!(
+            "imserve_reactor_wakeups_total{{cause=\"{cause}\"}}"
+        ))
+    };
+    assert!(woke("socket") >= 1 && woke("completion") >= 1);
+    assert_eq!(woke("timeout"), 0);
+    let waits = report
+        .histogram("imserve_reactor_poll_wait_micros")
+        .expect("poll wait histogram");
+    let ready = report
+        .histogram("imserve_reactor_ready_sockets")
+        .expect("ready sockets histogram");
+    assert!(waits.count >= 2 && ready.count >= 2);
+    assert_eq!(report.counter("imserve_accept_errors_total"), 0);
 
     // The plaintext scrape renders the same families Prometheus-style.
     let mut stream = TcpStream::connect(scrape_addr).unwrap();
@@ -95,6 +112,11 @@ fn metrics_request_and_scrape_endpoint_reflect_served_traffic() {
         "imserve_topk_cache_hits_total 1",
         "imserve_uptime_seconds",
         "imserve_queue_wait_micros",
+        "# TYPE imserve_reactor_wakeups_total counter",
+        "imserve_reactor_wakeups_total{cause=\"timeout\"} 0",
+        "# TYPE imserve_reactor_poll_wait_micros histogram",
+        "# TYPE imserve_reactor_ready_sockets histogram",
+        "imserve_accept_errors_total 0",
         "# slowlog trace=0x",
     ] {
         assert!(body.contains(needle), "scrape missing {needle:?}:\n{body}");
@@ -150,6 +172,14 @@ fn stats_total_equals_its_per_type_split_and_the_request_lanes() {
     let report = engine.metrics_report();
     let lanes = (report.counters.iter()).filter(|c| c.name.starts_with("imserve_requests_total{"));
     assert_eq!(lanes.map(|c| c.value).sum::<u64>() - 1, stats.requests);
+    // No front end ran, and the scrape is shaped as if one had: the
+    // reactor's families are registered with the rest and read zero.
+    let reactor = (report.counters.iter())
+        .filter(|c| c.name.starts_with("imserve_reactor_wakeups_total{"))
+        .map(|c| c.value);
+    assert_eq!(reactor.collect::<Vec<_>>(), [0, 0, 0]);
+    let waits = report.histogram("imserve_reactor_poll_wait_micros");
+    assert_eq!(waits.map(|h| h.count), Some(0));
 }
 
 /// The pool store's first metric families: a tiered engine counts the reads
