@@ -10,10 +10,10 @@
 //! hardware allows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use im_core::ris::generate_rr_sets_batched;
+use im_core::ris::sample_rr_sets_batched;
 use im_core::sampler::Backend;
 use im_core::snapshot::sample_snapshots_batched;
-use im_core::InfluenceOracle;
+use im_core::{Ic, InfluenceOracle};
 use imgraph::InfluenceGraph;
 use imnet::chung_lu::ChungLu;
 use imnet::ProbabilityModel;
@@ -55,18 +55,18 @@ fn bench(c: &mut Criterion) {
     let par = Backend::Parallel { threads: THREADS };
 
     // Determinism spot check before timing anything.
-    let a = generate_rr_sets_batched(&ig, 2_000, 7, seq);
-    let b = generate_rr_sets_batched(&ig, 2_000, 7, par);
+    let a = sample_rr_sets_batched(Ic, &ig, 2_000, 7, seq);
+    let b = sample_rr_sets_batched(Ic, &ig, 2_000, 7, par);
     assert_eq!(
         a, b,
         "parallel backend must be byte-identical to sequential"
     );
 
     let t_seq = time(|| {
-        black_box(generate_rr_sets_batched(&ig, THETA, 7, seq));
+        black_box(sample_rr_sets_batched(Ic, &ig, THETA, 7, seq));
     });
     let t_par = time(|| {
-        black_box(generate_rr_sets_batched(&ig, THETA, 7, par));
+        black_box(sample_rr_sets_batched(Ic, &ig, THETA, 7, par));
     });
     println!(
         "RIS RR generation (θ={THETA}):      sequential {t_seq:.3}s  {THREADS}-thread {t_par:.3}s  speedup {:.2}x",
@@ -74,10 +74,10 @@ fn bench(c: &mut Criterion) {
     );
 
     let s_seq = time(|| {
-        black_box(sample_snapshots_batched(&ig, TAU, 7, seq));
+        black_box(sample_snapshots_batched(Ic, &ig, TAU, 7, seq));
     });
     let s_par = time(|| {
-        black_box(sample_snapshots_batched(&ig, TAU, 7, par));
+        black_box(sample_snapshots_batched(Ic, &ig, TAU, 7, par));
     });
     println!(
         "Snapshot live-edge sampling (τ={TAU}): sequential {s_seq:.3}s  {THREADS}-thread {s_par:.3}s  speedup {:.2}x",
@@ -108,16 +108,16 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_sampler");
     group.sample_size(10);
     group.bench_function("rr_generation/sequential", |bch| {
-        bch.iter(|| black_box(generate_rr_sets_batched(&ig, THETA / 4, 7, seq)))
+        bch.iter(|| black_box(sample_rr_sets_batched(Ic, &ig, THETA / 4, 7, seq)))
     });
     group.bench_function(format!("rr_generation/parallel_t{THREADS}"), |bch| {
-        bch.iter(|| black_box(generate_rr_sets_batched(&ig, THETA / 4, 7, par)))
+        bch.iter(|| black_box(sample_rr_sets_batched(Ic, &ig, THETA / 4, 7, par)))
     });
     group.bench_function("snapshot_sampling/sequential", |bch| {
-        bch.iter(|| black_box(sample_snapshots_batched(&ig, TAU / 4, 7, seq)))
+        bch.iter(|| black_box(sample_snapshots_batched(Ic, &ig, TAU / 4, 7, seq)))
     });
     group.bench_function(format!("snapshot_sampling/parallel_t{THREADS}"), |bch| {
-        bch.iter(|| black_box(sample_snapshots_batched(&ig, TAU / 4, 7, par)))
+        bch.iter(|| black_box(sample_snapshots_batched(Ic, &ig, TAU / 4, 7, par)))
     });
     group.finish();
 }

@@ -2,7 +2,7 @@
 //! Section 3.4.3 on vs off.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use im_core::{greedy_select, InfluenceEstimator, SnapshotEstimator};
+use im_core::{greedy_select, Ic, InfluenceEstimator, SnapshotEstimator};
 use imnet::ProbabilityModel;
 use imrand::Pcg32;
 use std::hint::black_box;
@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
     println!("\n--- Ablation: Snapshot subgraph reduction (BA_d uc0.1, k = 8, tau = 16) ---");
     for (label, reduction) in [("with reduction", true), ("without reduction", false)] {
         let mut sampling = Pcg32::seed_from_u64(3);
-        let mut estimator = SnapshotEstimator::with_options(graph, 16, &mut sampling, reduction);
+        let mut estimator = SnapshotEstimator::under(Ic, graph, 16, &mut sampling, reduction);
         let result = greedy_select(&mut estimator, 8, &mut Pcg32::seed_from_u64(4));
         println!(
             "{label:<18} traversal = {} vertices / {} edges, seeds = {}",
@@ -31,7 +31,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut sampling = Pcg32::seed_from_u64(3);
                 let mut estimator =
-                    SnapshotEstimator::with_options(graph, 16, &mut sampling, reduction);
+                    SnapshotEstimator::under(Ic, graph, 16, &mut sampling, reduction);
                 black_box(greedy_select(
                     &mut estimator,
                     8,

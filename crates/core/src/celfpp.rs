@@ -15,7 +15,7 @@
 //! The second gain requires evaluating a candidate against a seed set that
 //! includes a vertex the estimator has not committed yet, which is the
 //! optional [`InfluenceEstimator::estimate_with_pending`] capability. RIS
-//! supports it cheaply (count uncovered RR sets containing `v` but missing
+//! (under either diffusion model) supports it cheaply (count uncovered RR sets containing `v` but missing
 //! `prev_best`); estimators that return `None` simply never promote, and
 //! CELF++ degrades gracefully to CELF. Like CELF, lazy evaluation is only
 //! admissible for monotone submodular estimators; for Oneshot the function
@@ -177,7 +177,8 @@ pub fn celf_pp_select<E: InfluenceEstimator, R: Rng32>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::greedy_select;
+    use crate::diffusion::{Diffusion, Ic, Lt};
+    use crate::greedy::{celf_select, greedy_select};
     use crate::ris::RisEstimator;
     use crate::snapshot::SnapshotEstimator;
     use imgraph::{DiGraph, InfluenceGraph};
@@ -190,16 +191,75 @@ mod tests {
         InfluenceGraph::new(DiGraph::from_edges(10, &edges), vec![prob; m])
     }
 
+    /// Counts plain Estimate calls; `estimate_calls` also counts the pending
+    /// evaluations that CELF++ issues and CELF does not.
+    struct CountEstimates<E> {
+        inner: E,
+        calls: u64,
+    }
+
+    impl<E: InfluenceEstimator> InfluenceEstimator for CountEstimates<E> {
+        fn num_vertices(&self) -> usize {
+            self.inner.num_vertices()
+        }
+        fn estimate(&mut self, candidate: VertexId) -> f64 {
+            self.calls += 1;
+            self.inner.estimate(candidate)
+        }
+        fn estimate_with_pending(&mut self, v: VertexId, pending: &[VertexId]) -> Option<f64> {
+            self.inner.estimate_with_pending(v, pending)
+        }
+        fn update(&mut self, chosen: VertexId) {
+            self.inner.update(chosen);
+        }
+        fn traversal_cost(&self) -> crate::TraversalCost {
+            self.inner.traversal_cost()
+        }
+        fn sample_size(&self) -> crate::SampleSize {
+            self.inner.sample_size()
+        }
+        fn approach_name(&self) -> &'static str {
+            self.inner.approach_name()
+        }
+        fn sample_number(&self) -> u64 {
+            self.inner.sample_number()
+        }
+        fn is_submodular(&self) -> bool {
+            self.inner.is_submodular()
+        }
+    }
+
     #[test]
     fn matches_greedy_selection_for_ris() {
-        let ig = two_hubs(0.6);
-        for seed in 0..10u64 {
-            let mut a = RisEstimator::new(&ig, 2_000, &mut Pcg32::seed_from_u64(seed));
-            let mut b = RisEstimator::new(&ig, 2_000, &mut Pcg32::seed_from_u64(seed));
-            let g = greedy_select(&mut a, 3, &mut Pcg32::seed_from_u64(seed + 100));
-            let (c, _) = celf_pp_select(&mut b, 3, &mut Pcg32::seed_from_u64(seed + 100));
-            assert_eq!(g.seed_set(), c.seed_set(), "seed {seed}");
+        // Every leaf has one in-edge, so the probabilities are valid LT weights.
+        fn check<D: Diffusion>(model: D) {
+            let ig = two_hubs(0.6);
+            let mut promotions = 0;
+            for seed in 0..10u64 {
+                let build =
+                    || RisEstimator::under(model, &ig, 2_000, &mut Pcg32::seed_from_u64(seed));
+                let tie_break = || Pcg32::seed_from_u64(seed + 100);
+                let g = greedy_select(&mut build(), 3, &mut tie_break());
+                let celf = celf_select(&mut build(), 3, &mut tie_break());
+                let mut counted = CountEstimates {
+                    inner: build(),
+                    calls: 0,
+                };
+                let (c, stats) = celf_pp_select(&mut counted, 3, &mut tie_break());
+                let name = counted.approach_name();
+                assert_eq!(g.seed_set(), c.seed_set(), "{name}, seed {seed}");
+                assert!(
+                    counted.calls <= celf.estimate_calls,
+                    "{name}, seed {seed}: CELF++ {} vs CELF {} Estimate calls",
+                    counted.calls,
+                    celf.estimate_calls
+                );
+                promotions += stats.promotions;
+            }
+            assert!(promotions > 0, "{}: no mg2 promotion", D::RIS_NAME);
         }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]

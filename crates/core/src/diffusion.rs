@@ -1,4 +1,5 @@
-//! Forward simulation of the independent cascade (IC) model.
+//! Forward simulation of the independent cascade (IC) model, and the
+//! diffusion-model seam of the three approaches.
 //!
 //! Section 2.2: seeds are activated at time 0; each newly activated vertex `u`
 //! gets a single chance to activate each currently inactive out-neighbour `v`,
@@ -9,13 +10,138 @@
 //! The simulator reports the paper's traversal-cost counters: every activated
 //! vertex scanned counts as one vertex examination and every activation trial
 //! counts as one edge examination.
+//!
+//! Oneshot, Snapshot and RIS differ in how they sample and reuse randomness,
+//! not in the model, so each is written once against [`Diffusion`] and runs
+//! under [`Ic`] or under the linear threshold extension [`Lt`].
 
+use imgraph::live_edge::{sample_snapshot, Snapshot};
 use imgraph::{InfluenceGraph, VertexId};
 use imrand::Rng32;
 
 use crate::cost::TraversalCost;
+use crate::lt::{generate_lt_rr_set, sample_lt_snapshot, LtSimulator};
+use crate::ris::{RrScratch, RrSet};
 
-/// Result of a single IC simulation.
+/// A diffusion model as the approaches see it: one sampling primitive per
+/// approach (plus the scratch the forward simulation reuses), the only
+/// model-specific code they call.
+pub trait Diffusion: Copy + Send + Sync {
+    /// Reusable scratch for forward simulations.
+    type Simulator;
+
+    /// `approach_name()` of the Oneshot estimator under this model.
+    const ONESHOT_NAME: &'static str;
+    /// `approach_name()` of the Snapshot estimator under this model.
+    const SNAPSHOT_NAME: &'static str;
+    /// `approach_name()` of the RIS estimator under this model.
+    const RIS_NAME: &'static str;
+
+    /// Simulation scratch sized for `graph`.
+    fn simulator(self, graph: &InfluenceGraph) -> Self::Simulator;
+
+    /// One forward simulation from `seeds` (Oneshot's Estimate).
+    fn simulate<R: Rng32>(
+        self,
+        simulator: &mut Self::Simulator,
+        graph: &InfluenceGraph,
+        seeds: &[VertexId],
+        rng: &mut R,
+    ) -> SimulationOutcome;
+
+    /// One live-edge graph (Snapshot's Build).
+    fn sample_snapshot<R: Rng32>(self, graph: &InfluenceGraph, rng: &mut R) -> Snapshot;
+
+    /// One RR set for a uniformly random target (RIS's Build).
+    fn sample_rr_set<R: Rng32>(
+        self,
+        graph: &InfluenceGraph,
+        scratch: &mut RrScratch,
+        rng: &mut R,
+    ) -> RrSet;
+}
+
+/// The independent cascade model: every edge is live independently with its
+/// probability.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ic;
+
+/// The linear threshold model of [`crate::lt`]: every vertex keeps at most one
+/// in-edge, chosen with probability equal to its weight.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lt;
+
+impl Diffusion for Ic {
+    type Simulator = IcSimulator;
+    const ONESHOT_NAME: &'static str = "Oneshot";
+    const SNAPSHOT_NAME: &'static str = "Snapshot";
+    const RIS_NAME: &'static str = "RIS";
+
+    fn simulator(self, graph: &InfluenceGraph) -> IcSimulator {
+        IcSimulator::for_graph(graph)
+    }
+
+    fn simulate<R: Rng32>(
+        self,
+        simulator: &mut IcSimulator,
+        graph: &InfluenceGraph,
+        seeds: &[VertexId],
+        rng: &mut R,
+    ) -> SimulationOutcome {
+        simulator.simulate(graph, seeds, rng)
+    }
+
+    fn sample_snapshot<R: Rng32>(self, graph: &InfluenceGraph, rng: &mut R) -> Snapshot {
+        sample_snapshot(graph, rng)
+    }
+
+    fn sample_rr_set<R: Rng32>(
+        self,
+        graph: &InfluenceGraph,
+        scratch: &mut RrScratch,
+        rng: &mut R,
+    ) -> RrSet {
+        scratch.generate(graph, rng)
+    }
+}
+
+impl Diffusion for Lt {
+    type Simulator = LtSimulator;
+    const ONESHOT_NAME: &'static str = "LT-Oneshot";
+    const SNAPSHOT_NAME: &'static str = "LT-Snapshot";
+    const RIS_NAME: &'static str = "LT-RIS";
+
+    fn simulator(self, graph: &InfluenceGraph) -> LtSimulator {
+        LtSimulator::for_graph(graph)
+    }
+
+    fn simulate<R: Rng32>(
+        self,
+        simulator: &mut LtSimulator,
+        graph: &InfluenceGraph,
+        seeds: &[VertexId],
+        rng: &mut R,
+    ) -> SimulationOutcome {
+        simulator.simulate(graph, seeds, rng)
+    }
+
+    fn sample_snapshot<R: Rng32>(self, graph: &InfluenceGraph, rng: &mut R) -> Snapshot {
+        sample_lt_snapshot(graph, rng)
+    }
+
+    /// A reverse path needs no visited marks, so `scratch` is unused.
+    fn sample_rr_set<R: Rng32>(
+        self,
+        graph: &InfluenceGraph,
+        _scratch: &mut RrScratch,
+        rng: &mut R,
+    ) -> RrSet {
+        let target = rng.gen_index(graph.num_vertices()) as VertexId;
+        generate_lt_rr_set(graph, target, rng)
+    }
+}
+
+/// Result of a single forward simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimulationOutcome {
     /// Number of activated vertices `|A_{≤n}|`, including the seeds.
@@ -137,8 +263,40 @@ pub fn monte_carlo_influence<R: Rng32>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lt::monte_carlo_lt_influence;
+    use crate::{InfluenceEstimator, OneshotEstimator, RisEstimator, SnapshotEstimator};
     use imgraph::DiGraph;
     use imrand::Pcg32;
+
+    type Reference = fn(&InfluenceGraph, &[VertexId], usize, &mut Pcg32) -> f64;
+
+    #[test]
+    fn all_three_match_monte_carlo_on_a_weighted_diamond() {
+        fn check<D: Diffusion>(model: D, reference: Reference) {
+            // Vertex 3's in-weights sum to 1, so these are valid LT weights.
+            let g = DiGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+            let ig = InfluenceGraph::new(g, vec![0.6, 0.4, 0.5, 0.5]);
+            let expected = reference(&ig, &[0], 200_000, &mut Pcg32::seed_from_u64(4));
+            let mut oneshot = OneshotEstimator::under(model, &ig, 50_000, Pcg32::seed_from_u64(5));
+            let mut snapshot =
+                SnapshotEstimator::under(model, &ig, 30_000, &mut Pcg32::seed_from_u64(6), true);
+            let mut ris = RisEstimator::under(model, &ig, 80_000, &mut Pcg32::seed_from_u64(7));
+            for est in [
+                &mut oneshot as &mut dyn InfluenceEstimator,
+                &mut snapshot,
+                &mut ris,
+            ] {
+                let value = est.estimate(0);
+                assert!(
+                    (value - expected).abs() < 0.05,
+                    "{}: {value} vs Monte-Carlo {expected}",
+                    est.approach_name()
+                );
+            }
+        }
+        check(Ic, monte_carlo_influence);
+        check(Lt, monte_carlo_lt_influence);
+    }
 
     fn path(probabilities: &[f64]) -> InfluenceGraph {
         let n = probabilities.len() + 1;

@@ -1,4 +1,5 @@
-//! Influence maximization under the independent cascade model.
+//! Influence maximization under the independent cascade and linear threshold
+//! models.
 //!
 //! This crate is the paper's subject matter: the greedy framework of
 //! Algorithm 3.1 together with the three influence estimators it can be
@@ -12,6 +13,11 @@
 //! * [`RisEstimator`] (Algorithm 3.4) — `θ` reverse-reachable sets and greedy
 //!   maximum coverage.
 //!
+//! Each estimator is written once against the [`Diffusion`] seam and runs
+//! under the paper's independent cascade model ([`Ic`], what the `new` and
+//! `with_backend` constructors build) or under the linear threshold extension
+//! ([`Lt`], through `under` and `under_backend`).
+//!
 //! Every estimator accounts for its work in the paper's two
 //! implementation-independent metrics: the *traversal cost* (vertices and
 //! edges examined, [`TraversalCost`]) and the *sample size* (vertices and
@@ -23,8 +29,8 @@
 //!   estimators drive: a [`sampler::SampleBudget`] split into batches with one
 //!   SplitMix64-derived PRNG stream each, executed sequentially or (with the
 //!   `parallel` feature) across worker threads with byte-identical results;
-//! * [`diffusion`] — forward IC simulation (and the linear-threshold extension
-//!   in [`lt`]);
+//! * [`diffusion`] — forward IC simulation and the [`Diffusion`] seam, with
+//!   the linear-threshold primitives in [`lt`];
 //! * [`greedy`] — the shared greedy loop with the random tie-breaking rule of
 //!   Section 4.1, plus the CELF lazy-greedy acceleration of Section 3.3.3;
 //! * [`oracle`] — the reusable RR-set–based influence oracle the paper uses to
@@ -47,7 +53,6 @@ pub mod estimator;
 pub mod exact;
 pub mod greedy;
 pub mod lt;
-pub mod lt_estimators;
 pub mod oneshot;
 pub mod oracle;
 pub mod ris;
@@ -60,10 +65,10 @@ pub use algorithm::{Algorithm, RunOptions, RunOutcome};
 pub use celfpp::celf_pp_select;
 pub use cost::{SampleSize, TraversalCost};
 pub use determination::AccuracyTarget;
+pub use diffusion::{Diffusion, Ic, Lt};
 pub use estimator::InfluenceEstimator;
 pub use exact::{exact_greedy, exact_influence};
 pub use greedy::{celf_select, greedy_select, GreedyResult};
-pub use lt_estimators::{LtOneshotEstimator, LtRisEstimator, LtSnapshotEstimator};
 pub use oneshot::OneshotEstimator;
 pub use oracle::{shard_layout, EstimateScratch, InfluenceOracle, OracleBuilder, ShardRange};
 // Pool storage-engine surface (re-exported so oracle callers pick layouts
@@ -74,3 +79,9 @@ pub use sampler::{Backend, SampleBudget};
 pub use seed_set::SeedSet;
 pub use snapshot::SnapshotEstimator;
 pub use ublf::{influence_upper_bounds, ublf_select};
+
+/// The generic estimators instantiated with [`Lt`].
+#[cfg(test)]
+mod lt_estimators {
+    mod tests;
+}

@@ -3,34 +3,34 @@
 //!
 //! The paper's experiments are exclusively on the independent cascade model,
 //! but LT is the other classical model of Kempe et al. (Section 1) and most of
-//! the surveyed algorithms support both. We provide a forward LT simulator so
-//! downstream users can reuse the Oneshot machinery under LT, plus the
-//! live-edge interpretation (each vertex keeps at most one incoming edge,
-//! chosen with probability proportional to its weight), which is what a
-//! Snapshot/RIS port to LT would sample.
+//! the surveyed algorithms support both. This module holds LT's three sampling
+//! primitives, which [`crate::diffusion::Lt`] hands to the model-generic
+//! Oneshot, Snapshot and RIS estimators:
+//!
+//! * [`LtSimulator`] — one forward threshold simulation (Oneshot);
+//! * [`sample_lt_snapshot`] — one live-edge graph under Kempe et al.'s
+//!   interpretation: each vertex keeps at most one incoming edge, chosen with
+//!   probability equal to its weight, and LT influence equals expected
+//!   reachability over that distribution (Snapshot);
+//! * [`generate_lt_rr_set`] — one reverse-reachable set, which under that
+//!   interpretation is a reverse *path* (RIS).
 //!
 //! Edge "probabilities" are interpreted as influence *weights*; the model
 //! requires `Σ_{u ∈ Γ⁻(v)} w(u, v) ≤ 1` for every `v`, which the in-degree
 //! weighted cascade assignment satisfies with equality.
 
+use imgraph::live_edge::Snapshot;
 use imgraph::{InfluenceGraph, VertexId};
 use imrand::Rng32;
 
 use crate::cost::TraversalCost;
+use crate::diffusion::SimulationOutcome;
+use crate::ris::RrSet;
 
 /// Check the LT weight constraint `Σ_{u ∈ Γ⁻(v)} w(u, v) ≤ 1 + tolerance`.
 #[must_use]
 pub fn weights_are_valid(graph: &InfluenceGraph, tolerance: f64) -> bool {
     (0..graph.num_vertices() as u32).all(|v| graph.expected_in_weight(v) <= 1.0 + tolerance)
-}
-
-/// Result of one LT simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LtOutcome {
-    /// Number of activated vertices, including the seeds.
-    pub activated: usize,
-    /// Traversal cost of the simulation.
-    pub cost: TraversalCost,
 }
 
 /// Reusable scratch space for LT simulations.
@@ -79,7 +79,7 @@ impl LtSimulator {
         ig: &InfluenceGraph,
         seeds: &[VertexId],
         rng: &mut R,
-    ) -> LtOutcome {
+    ) -> SimulationOutcome {
         let n = ig.num_vertices();
         let epoch = self.next_epoch();
         // Fresh thresholds per simulation; incoming weights are reset lazily
@@ -116,7 +116,7 @@ impl LtSimulator {
                 }
             }
         }
-        LtOutcome {
+        SimulationOutcome {
             activated: self.frontier.len(),
             cost,
         }
@@ -141,12 +141,9 @@ pub fn monte_carlo_lt_influence<R: Rng32>(
 
 /// Sample a live-edge graph under the LT interpretation: every vertex keeps at
 /// most one incoming edge, selected with probability equal to its weight
-/// (keeping none with the residual probability). Returned as edge list.
+/// (keeping none with the residual probability).
 #[must_use]
-pub fn sample_lt_live_edges<R: Rng32>(
-    ig: &InfluenceGraph,
-    rng: &mut R,
-) -> Vec<(VertexId, VertexId)> {
+pub fn sample_lt_snapshot<R: Rng32>(ig: &InfluenceGraph, rng: &mut R) -> Snapshot {
     let mut live = Vec::new();
     for v in 0..ig.num_vertices() as u32 {
         let x = rng.next_f64();
@@ -159,7 +156,45 @@ pub fn sample_lt_live_edges<R: Rng32>(
             }
         }
     }
-    live
+    Snapshot::from_live_edges(ig.num_vertices(), &live, ig.num_edges())
+}
+
+/// Generate one LT RR set: starting from `target`, repeatedly pick at most one
+/// live in-edge (in-neighbour `u` with probability `w(u, target)`) and hop to
+/// it, stopping when no edge is live or a vertex repeats.
+pub fn generate_lt_rr_set<R: Rng32>(
+    graph: &InfluenceGraph,
+    target: VertexId,
+    rng: &mut R,
+) -> RrSet {
+    let mut vertices = vec![target];
+    let mut edges_examined = 0u64;
+    let mut current = target;
+    loop {
+        let x = rng.next_f64();
+        let mut acc = 0.0f64;
+        let mut next: Option<VertexId> = None;
+        for (u, w) in graph.in_edges_with_prob(current) {
+            edges_examined += 1;
+            acc += w;
+            if x < acc {
+                next = Some(u);
+                break;
+            }
+        }
+        match next {
+            Some(u) if !vertices.contains(&u) => {
+                vertices.push(u);
+                current = u;
+            }
+            _ => break,
+        }
+    }
+    RrSet {
+        vertices,
+        target,
+        edges_examined,
+    }
 }
 
 #[cfg(test)]
@@ -230,9 +265,9 @@ mod tests {
         let ig = fan_in();
         let mut rng = Pcg32::seed_from_u64(5);
         for _ in 0..100 {
-            let live = sample_lt_live_edges(&ig, &mut rng);
-            let into_2 = live.iter().filter(|&&(_, v)| v == 2).count();
-            assert!(into_2 <= 1);
+            let snapshot = sample_lt_snapshot(&ig, &mut rng);
+            assert!(snapshot.graph().in_degree(2) <= 1);
+            assert_eq!(snapshot.edges_examined(), ig.num_edges());
         }
     }
 
@@ -243,7 +278,7 @@ mod tests {
         let trials = 50_000;
         let mut kept = 0usize;
         for _ in 0..trials {
-            kept += sample_lt_live_edges(&ig, &mut rng).len();
+            kept += sample_lt_snapshot(&ig, &mut rng).live_edge_count();
         }
         // Vertex 2 keeps an edge with probability 1.0 (0.5 + 0.5); others never.
         let mean = kept as f64 / trials as f64;

@@ -6,12 +6,16 @@
 //! but — because every Estimate call uses fresh randomness — neither monotone
 //! nor submodular (Section 3.3.1), so CELF-style lazy evaluation is not
 //! admissible for it.
+//!
+//! Oneshot is the one approach that uses the diffusion model after Build, so
+//! the model is a type parameter: `OneshotEstimator<'_, R>` is the paper's IC
+//! estimator, `OneshotEstimator<'_, R, Lt>` its linear threshold twin.
 
 use imgraph::{InfluenceGraph, VertexId};
 use imrand::{derive_seed, DefaultRng, Rng32};
 
 use crate::cost::{SampleSize, TraversalCost};
-use crate::diffusion::IcSimulator;
+use crate::diffusion::{Diffusion, Ic};
 use crate::estimator::InfluenceEstimator;
 use crate::sampler::{self, Backend, SampleBudget};
 
@@ -30,34 +34,75 @@ enum Source<R> {
     },
 }
 
-/// The Oneshot (simulation-based) influence estimator.
-pub struct OneshotEstimator<'g, R: Rng32> {
+/// The Oneshot (simulation-based) influence estimator under the diffusion
+/// model `D`.
+pub struct OneshotEstimator<'g, R: Rng32, D: Diffusion = Ic> {
     graph: &'g InfluenceGraph,
+    model: D,
     /// Sample number β: simulations per Estimate call.
     beta: u64,
     source: Source<R>,
-    simulator: IcSimulator,
+    simulator: D::Simulator,
     current_seeds: Vec<VertexId>,
     cost: TraversalCost,
 }
 
 impl<'g, R: Rng32> OneshotEstimator<'g, R> {
-    /// Build an Oneshot estimator (Algorithm 3.2's Build is a no-op; this just
-    /// captures the graph, the sample number `β ≥ 1` and the run's generator).
+    /// Build an IC Oneshot estimator (Algorithm 3.2's Build is a no-op; this
+    /// just captures the graph, the sample number `β ≥ 1` and the run's
+    /// generator).
     ///
     /// # Panics
     ///
     /// Panics if `beta == 0`.
     pub fn new(graph: &'g InfluenceGraph, beta: u64, rng: R) -> Self {
+        Self::under(Ic, graph, beta, rng)
+    }
+}
+
+impl<'g> OneshotEstimator<'g, DefaultRng> {
+    /// Build an IC Oneshot estimator driven by the batched sampler: every
+    /// Estimate call fans its `β` simulations out over `backend`, drawing
+    /// per-batch PRNG streams derived from `base_seed` and the call index.
+    /// For a fixed `base_seed` the estimates — and therefore every seed set
+    /// greedy selects — are identical on the sequential and parallel
+    /// [`Backend`]s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `beta == 0`.
+    pub fn with_backend(
+        graph: &'g InfluenceGraph,
+        beta: u64,
+        base_seed: u64,
+        backend: Backend,
+    ) -> Self {
+        Self::under_backend(Ic, graph, beta, base_seed, backend)
+    }
+}
+
+impl<'g, R: Rng32, D: Diffusion> OneshotEstimator<'g, R, D> {
+    /// [`OneshotEstimator::new`] under `model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `beta == 0`.
+    pub fn under(model: D, graph: &'g InfluenceGraph, beta: u64, rng: R) -> Self {
+        Self::build(model, graph, beta, Source::Stream(rng))
+    }
+
+    fn build(model: D, graph: &'g InfluenceGraph, beta: u64, source: Source<R>) -> Self {
         assert!(
             beta >= 1,
-            "Oneshot needs at least one simulation per estimate"
+            "{} needs at least one simulation per estimate",
+            D::ONESHOT_NAME
         );
         Self {
             graph,
+            model,
             beta,
-            source: Source::Stream(rng),
-            simulator: IcSimulator::for_graph(graph),
+            source,
+            simulator: model.simulator(graph),
             current_seeds: Vec::new(),
             cost: TraversalCost::zero(),
         }
@@ -73,16 +118,17 @@ impl<'g, R: Rng32> OneshotEstimator<'g, R> {
     /// and by the traversal-cost experiment at k = 1 with sample number 1).
     pub fn estimate_set(&mut self, seeds: &[VertexId]) -> f64 {
         let beta = self.beta;
+        let model = self.model;
+        let graph = self.graph;
         let (activated, cost) = match &mut self.source {
             Source::Stream(rng) => {
-                let graph = self.graph;
                 let simulator = &mut self.simulator;
                 sampler::fold_stream(
                     beta,
                     rng,
                     (0u64, TraversalCost::zero()),
                     |(activated, mut cost), _, rng| {
-                        let outcome = simulator.simulate(graph, seeds, rng);
+                        let outcome = model.simulate(simulator, graph, seeds, rng);
                         cost += outcome.cost;
                         (activated + outcome.activated as u64, cost)
                     },
@@ -96,7 +142,6 @@ impl<'g, R: Rng32> OneshotEstimator<'g, R> {
                 let call_seed = derive_seed(*base_seed, *next_call);
                 let backend = *backend;
                 *next_call += 1;
-                let graph = self.graph;
                 let budget = SampleBudget::new(beta);
                 // `run_batches_reusing` lets the single worker drive the
                 // estimator-owned simulator instead of allocating fresh O(n)
@@ -106,12 +151,12 @@ impl<'g, R: Rng32> OneshotEstimator<'g, R> {
                     call_seed,
                     backend,
                     &mut self.simulator,
-                    || IcSimulator::for_graph(graph),
+                    || model.simulator(graph),
                     |simulator, batch, rng| {
                         let mut activated = 0u64;
                         let mut cost = TraversalCost::zero();
                         for _ in 0..batch.len {
-                            let outcome = simulator.simulate(graph, seeds, rng);
+                            let outcome = model.simulate(simulator, graph, seeds, rng);
                             activated += outcome.activated as u64;
                             cost += outcome.cost;
                         }
@@ -130,43 +175,29 @@ impl<'g, R: Rng32> OneshotEstimator<'g, R> {
     }
 }
 
-impl<'g> OneshotEstimator<'g, DefaultRng> {
-    /// Build an Oneshot estimator driven by the batched sampler: every
-    /// Estimate call fans its `β` simulations out over `backend`, drawing
-    /// per-batch PRNG streams derived from `base_seed` and the call index.
-    /// For a fixed `base_seed` the estimates — and therefore every seed set
-    /// greedy selects — are identical on the sequential and parallel
-    /// [`Backend`]s.
+impl<'g, D: Diffusion> OneshotEstimator<'g, DefaultRng, D> {
+    /// [`OneshotEstimator::with_backend`] under `model`.
     ///
     /// # Panics
     ///
     /// Panics if `beta == 0`.
-    pub fn with_backend(
+    pub fn under_backend(
+        model: D,
         graph: &'g InfluenceGraph,
         beta: u64,
         base_seed: u64,
         backend: Backend,
     ) -> Self {
-        assert!(
-            beta >= 1,
-            "Oneshot needs at least one simulation per estimate"
-        );
-        Self {
-            graph,
-            beta,
-            source: Source::Batched {
-                base_seed,
-                backend,
-                next_call: 0,
-            },
-            simulator: IcSimulator::for_graph(graph),
-            current_seeds: Vec::new(),
-            cost: TraversalCost::zero(),
-        }
+        let source = Source::Batched {
+            base_seed,
+            backend,
+            next_call: 0,
+        };
+        Self::build(model, graph, beta, source)
     }
 }
 
-impl<'g, R: Rng32> InfluenceEstimator for OneshotEstimator<'g, R> {
+impl<R: Rng32, D: Diffusion> InfluenceEstimator for OneshotEstimator<'_, R, D> {
     fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
     }
@@ -196,7 +227,7 @@ impl<'g, R: Rng32> InfluenceEstimator for OneshotEstimator<'g, R> {
     }
 
     fn approach_name(&self) -> &'static str {
-        "Oneshot"
+        D::ONESHOT_NAME
     }
 
     fn sample_number(&self) -> u64 {
@@ -211,31 +242,32 @@ impl<'g, R: Rng32> InfluenceEstimator for OneshotEstimator<'g, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diffusion::Lt;
     use crate::greedy::greedy_select;
     use imgraph::DiGraph;
     use imrand::Pcg32;
 
+    /// `0 -> 1..4`. Every vertex has in-degree ≤ 1, so the weights are valid
+    /// LT weights and LT influence equals IC influence.
     fn star(prob: f64) -> InfluenceGraph {
-        // 0 -> 1..4
         let edges: Vec<_> = (1..5u32).map(|v| (0, v)).collect();
         InfluenceGraph::new(DiGraph::from_edges(5, &edges), vec![prob; 4])
     }
 
     #[test]
     fn estimate_of_hub_exceeds_leaf() {
-        let ig = star(0.5);
-        let mut est = OneshotEstimator::new(&ig, 512, Pcg32::seed_from_u64(1));
-        let hub = est.estimate(0);
-        let leaf = est.estimate(3);
-        assert!(
-            hub > leaf,
-            "hub estimate {hub} should exceed leaf estimate {leaf}"
-        );
-        assert!((leaf - 1.0).abs() < 0.05, "a leaf activates only itself");
-        assert!(
-            (hub - 3.0).abs() < 0.2,
-            "hub influence should be ≈ 1 + 4·0.5 = 3"
-        );
+        fn check<D: Diffusion>(model: D) {
+            let ig = star(0.5);
+            let mut est = OneshotEstimator::under(model, &ig, 512, Pcg32::seed_from_u64(1));
+            let name = est.approach_name();
+            let hub = est.estimate(0);
+            let leaf = est.estimate(3);
+            assert!(hub > leaf, "{name}: hub {hub} should exceed leaf {leaf}");
+            assert!((leaf - 1.0).abs() < 0.05, "{name}: a leaf activates itself");
+            assert!((hub - 3.0).abs() < 0.2, "{name}: hub ≈ 1 + 4·0.5 = 3");
+        }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
@@ -252,23 +284,31 @@ mod tests {
 
     #[test]
     fn traversal_cost_accumulates_per_simulation() {
-        let ig = star(1e-12);
-        let beta = 8;
-        let mut est = OneshotEstimator::new(&ig, beta, Pcg32::seed_from_u64(3));
-        let _ = est.estimate(0);
-        // Each simulation from {0}: scans vertex 0 and its 4 out-edges.
-        assert_eq!(est.traversal_cost().vertices, beta);
-        assert_eq!(est.traversal_cost().edges, 4 * beta);
+        fn check<D: Diffusion>(model: D) {
+            let ig = star(1e-12);
+            let beta = 8;
+            let mut est = OneshotEstimator::under(model, &ig, beta, Pcg32::seed_from_u64(3));
+            let _ = est.estimate(0);
+            // Each simulation from {0}: scans vertex 0 and its 4 out-edges.
+            assert_eq!(est.traversal_cost().vertices, beta);
+            assert_eq!(est.traversal_cost().edges, 4 * beta);
+        }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
     fn sample_size_is_zero() {
-        let ig = star(0.5);
-        let est = OneshotEstimator::new(&ig, 4, Pcg32::seed_from_u64(4));
-        assert_eq!(est.sample_size(), SampleSize::zero());
-        assert_eq!(est.approach_name(), "Oneshot");
-        assert_eq!(est.sample_number(), 4);
-        assert!(!est.is_submodular());
+        fn check<D: Diffusion>(model: D, name: &str) {
+            let ig = star(0.5);
+            let est = OneshotEstimator::under(model, &ig, 4, Pcg32::seed_from_u64(4));
+            assert_eq!(est.sample_size(), SampleSize::zero());
+            assert_eq!(est.approach_name(), name);
+            assert_eq!(est.sample_number(), 4);
+            assert!(!est.is_submodular());
+        }
+        check(Ic, "Oneshot");
+        check(Lt, "LT-Oneshot");
     }
 
     #[test]
@@ -288,9 +328,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one simulation")]
+    #[should_panic(expected = "LT-Oneshot needs at least one simulation")]
     fn zero_beta_panics() {
         let ig = star(0.5);
-        let _ = OneshotEstimator::new(&ig, 0, Pcg32::seed_from_u64(8));
+        let ic =
+            std::panic::catch_unwind(|| OneshotEstimator::new(&ig, 0, Pcg32::seed_from_u64(8)));
+        assert!(ic.is_err(), "IC Oneshot must refuse β = 0 too");
+        let _ = OneshotEstimator::under(Lt, &ig, 0, Pcg32::seed_from_u64(8));
     }
 }

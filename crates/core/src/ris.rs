@@ -9,11 +9,15 @@
 //! Greedy over this estimator is exactly greedy maximum coverage over the RR
 //! sets, which is why the approach reduces influence maximization to
 //! stochastic maximum coverage (Section 3.5.1).
+//!
+//! The diffusion model only decides how an RR set is sampled, so it is a
+//! Build argument ([`RisEstimator::under`]) and not part of the type.
 
 use imgraph::{InfluenceGraph, VertexId};
 use imrand::Rng32;
 
 use crate::cost::{SampleSize, TraversalCost};
+use crate::diffusion::{Diffusion, Ic};
 use crate::estimator::InfluenceEstimator;
 use crate::sampler::{self, Backend, SampleBudget};
 
@@ -25,8 +29,8 @@ pub struct RrSet {
     pub vertices: Vec<VertexId>,
     /// The target vertex `z` the set was generated for.
     pub target: VertexId,
-    /// Edges examined while generating the set (the paper's weight `w(R)` is
-    /// the in-degree sum of the member vertices; this counter equals it).
+    /// Edges examined while generating the set (under IC this equals the
+    /// paper's weight `w(R)`, the in-degree sum of the member vertices).
     pub edges_examined: u64,
 }
 
@@ -114,26 +118,38 @@ impl RrScratch {
     }
 }
 
-/// Stream discipline: draw `theta` RR sets in order from one shared generator
-/// (the paper-faithful Build of Algorithm 3.4).
+/// [`sample_rr_sets_stream`] under IC.
 pub fn generate_rr_sets<R: Rng32>(graph: &InfluenceGraph, theta: u64, rng: &mut R) -> Vec<RrSet> {
+    sample_rr_sets_stream(Ic, graph, theta, rng)
+}
+
+/// Stream discipline: draw `theta` RR sets under `model` in order from one
+/// shared generator (the paper-faithful Build of Algorithm 3.4).
+pub fn sample_rr_sets_stream<D: Diffusion, R: Rng32>(
+    model: D,
+    graph: &InfluenceGraph,
+    theta: u64,
+    rng: &mut R,
+) -> Vec<RrSet> {
     let mut scratch = RrScratch::for_graph(graph);
     sampler::fold_stream(
         theta,
         rng,
         Vec::with_capacity(theta as usize),
         |mut acc, _, rng| {
-            acc.push(scratch.generate(graph, rng));
+            acc.push(model.sample_rr_set(graph, &mut scratch, rng));
             acc
         },
     )
 }
 
-/// Batched discipline: draw `theta` RR sets with one PRNG stream per batch.
+/// Batched discipline: draw `theta` RR sets under `model` with one PRNG
+/// stream per batch.
 ///
 /// The output is a pure function of `(theta, base_seed)`: the sequential and
 /// parallel [`Backend`]s return byte-identical sets in the same order.
-pub fn generate_rr_sets_batched(
+pub fn sample_rr_sets_batched<D: Diffusion>(
+    model: D,
     graph: &InfluenceGraph,
     theta: u64,
     base_seed: u64,
@@ -144,12 +160,13 @@ pub fn generate_rr_sets_batched(
         base_seed,
         backend,
         || RrScratch::for_graph(graph),
-        |scratch, _, rng| scratch.generate(graph, rng),
+        |scratch, _, rng| model.sample_rr_set(graph, scratch, rng),
     )
 }
 
 /// The RIS influence estimator (a greedy-maximum-coverage view of `θ` RR sets).
 pub struct RisEstimator {
+    name: &'static str,
     /// RR sets by id; the member lists are kept for Update's inverted walk.
     rr_sets: Vec<Vec<VertexId>>,
     /// For every vertex, the ids of the RR sets containing it.
@@ -167,7 +184,7 @@ pub struct RisEstimator {
 }
 
 impl RisEstimator {
-    /// Build step: draw `θ ≥ 1` RR sets with the run's two generator kinds
+    /// Build step: draw `θ ≥ 1` IC RR sets with the run's two generator kinds
     /// (target choice and edge trials both come from `rng`, drawn in the order
     /// described in Section 4.1).
     ///
@@ -175,16 +192,10 @@ impl RisEstimator {
     ///
     /// Panics if `theta == 0` or the graph is empty.
     pub fn new<R: Rng32>(graph: &InfluenceGraph, theta: u64, rng: &mut R) -> Self {
-        assert!(theta >= 1, "RIS needs at least one RR set");
-        assert!(graph.num_vertices() > 0, "RIS needs a non-empty graph");
-        Self::from_rr_sets(
-            graph.num_vertices(),
-            theta,
-            generate_rr_sets(graph, theta, rng),
-        )
+        Self::under(Ic, graph, theta, rng)
     }
 
-    /// Build step driven by the batched sampler: `θ` RR sets drawn from
+    /// Build step driven by the batched sampler: `θ` IC RR sets drawn from
     /// per-batch PRNG streams derived from `base_seed`, optionally across
     /// worker threads. For a fixed `base_seed` the resulting estimator — and
     /// therefore every seed set greedy selects from it — is identical on the
@@ -199,15 +210,54 @@ impl RisEstimator {
         base_seed: u64,
         backend: Backend,
     ) -> Self {
-        assert!(theta >= 1, "RIS needs at least one RR set");
-        assert!(graph.num_vertices() > 0, "RIS needs a non-empty graph");
-        let rr = generate_rr_sets_batched(graph, theta, base_seed, backend);
-        Self::from_rr_sets(graph.num_vertices(), theta, rr)
+        Self::under_backend(Ic, graph, theta, base_seed, backend)
     }
 
-    /// Index a collection of generated RR sets into the coverage structures
-    /// greedy maximum coverage needs.
-    fn from_rr_sets(n: usize, theta: u64, generated: Vec<RrSet>) -> Self {
+    /// [`RisEstimator::new`] under `model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta == 0` or the graph is empty.
+    pub fn under<D: Diffusion, R: Rng32>(
+        model: D,
+        graph: &InfluenceGraph,
+        theta: u64,
+        rng: &mut R,
+    ) -> Self {
+        Self::build::<D>(graph, theta, || {
+            sample_rr_sets_stream(model, graph, theta, rng)
+        })
+    }
+
+    /// [`RisEstimator::with_backend`] under `model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta == 0` or the graph is empty.
+    pub fn under_backend<D: Diffusion>(
+        model: D,
+        graph: &InfluenceGraph,
+        theta: u64,
+        base_seed: u64,
+        backend: Backend,
+    ) -> Self {
+        Self::build::<D>(graph, theta, || {
+            sample_rr_sets_batched(model, graph, theta, base_seed, backend)
+        })
+    }
+
+    /// Sample the RR sets and index them into the coverage structures greedy
+    /// maximum coverage needs.
+    fn build<D: Diffusion>(
+        graph: &InfluenceGraph,
+        theta: u64,
+        sample: impl FnOnce() -> Vec<RrSet>,
+    ) -> Self {
+        let name = D::RIS_NAME;
+        assert!(theta >= 1, "{name} needs at least one RR set");
+        let n = graph.num_vertices();
+        assert!(n > 0, "{name} needs a non-empty graph");
+        let generated = sample();
         let mut rr_sets: Vec<Vec<VertexId>> = Vec::with_capacity(generated.len());
         let mut vertex_to_sets: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut cover_count = vec![0u32; n];
@@ -224,6 +274,7 @@ impl RisEstimator {
             rr_sets.push(rr.vertices);
         }
         Self {
+            name,
             covered: vec![false; rr_sets.len()],
             rr_sets,
             vertex_to_sets,
@@ -332,7 +383,7 @@ impl InfluenceEstimator for RisEstimator {
     }
 
     fn approach_name(&self) -> &'static str {
-        "RIS"
+        self.name
     }
 
     fn sample_number(&self) -> u64 {
@@ -347,9 +398,13 @@ impl InfluenceEstimator for RisEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diffusion::Lt;
     use crate::greedy::{celf_select, greedy_select};
     use imgraph::DiGraph;
     use imrand::Pcg32;
+
+    // Every vertex of these graphs has in-degree ≤ 1, so the probabilities
+    // are valid LT weights and LT RR sets follow the IC distribution.
 
     fn star(prob: f64) -> InfluenceGraph {
         let edges: Vec<_> = (1..5u32).map(|v| (0, v)).collect();
@@ -374,17 +429,21 @@ mod tests {
     #[test]
     fn rr_sets_on_deterministic_path_are_prefixes() {
         // On 0 -> 1 -> 2 -> 3 with probability 1, the RR set of target z is
-        // {0, 1, …, z}.
-        let ig = path(1.0, 4);
-        let mut rng = Pcg32::seed_from_u64(2);
-        for _ in 0..20 {
-            let rr = generate_rr_set(&ig, &mut rng);
-            let mut expected: Vec<VertexId> = (0..=rr.target).collect();
-            let mut got = rr.vertices.clone();
-            got.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(got, expected);
+        // {0, 1, …, z}, each vertex once.
+        fn check<D: Diffusion>(model: D) {
+            let ig = path(1.0, 4);
+            let mut scratch = RrScratch::for_graph(&ig);
+            let mut rng = Pcg32::seed_from_u64(2);
+            for _ in 0..20 {
+                let rr = model.sample_rr_set(&ig, &mut scratch, &mut rng);
+                let expected: Vec<VertexId> = (0..=rr.target).collect();
+                let mut got = rr.vertices.clone();
+                got.sort_unstable();
+                assert_eq!(got, expected);
+            }
         }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
@@ -408,41 +467,54 @@ mod tests {
     #[test]
     fn estimate_is_unbiased_for_singletons() {
         // On the 0.5-star, Inf(0) = 1 + 4·0.5 = 3 and Inf(leaf) = 1.
-        let ig = star(0.5);
-        let mut rng = Pcg32::seed_from_u64(4);
-        let mut est = RisEstimator::new(&ig, 40_000, &mut rng);
-        let hub = est.estimate(0);
-        let leaf = est.estimate(2);
-        assert!((hub - 3.0).abs() < 0.1, "hub estimate {hub}");
-        assert!((leaf - 1.0).abs() < 0.1, "leaf estimate {leaf}");
+        fn check<D: Diffusion>(model: D) {
+            let ig = star(0.5);
+            let mut rng = Pcg32::seed_from_u64(4);
+            let mut est = RisEstimator::under(model, &ig, 40_000, &mut rng);
+            let name = est.approach_name();
+            let hub = est.estimate(0);
+            let leaf = est.estimate(2);
+            assert!((hub - 3.0).abs() < 0.1, "{name}: hub estimate {hub}");
+            assert!((leaf - 1.0).abs() < 0.1, "{name}: leaf estimate {leaf}");
+        }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
     fn update_removes_covered_sets() {
-        let ig = star(1.0);
-        let mut rng = Pcg32::seed_from_u64(5);
-        let mut est = RisEstimator::new(&ig, 1_000, &mut rng);
-        // With probability 1, vertex 0 is in every RR set, so after selecting
-        // it every marginal estimate drops to 0.
-        assert!((est.estimate(0) - 5.0).abs() < 1e-9);
-        est.update(0);
-        for v in 0..5u32 {
-            assert_eq!(est.estimate(v), 0.0, "marginal of {v} should vanish");
+        fn check<D: Diffusion>(model: D) {
+            let ig = star(1.0);
+            let mut rng = Pcg32::seed_from_u64(5);
+            let mut est = RisEstimator::under(model, &ig, 1_000, &mut rng);
+            // With probability 1, vertex 0 is in every RR set, so after
+            // selecting it every marginal estimate drops to 0.
+            assert!((est.estimate(0) - 5.0).abs() < 1e-9);
+            est.update(0);
+            for v in 0..5u32 {
+                assert_eq!(est.estimate(v), 0.0, "marginal of {v} should vanish");
+            }
+            assert_eq!(est.current_seeds(), &[0]);
         }
-        assert_eq!(est.current_seeds(), &[0]);
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
     fn traversal_cost_matches_stored_vertices_plus_edges() {
-        let ig = path(1.0, 4);
-        let mut rng = Pcg32::seed_from_u64(6);
-        let est = RisEstimator::new(&ig, 100, &mut rng);
-        assert_eq!(est.traversal_cost().vertices, est.sample_size().vertices);
-        assert!(est.traversal_cost().edges >= est.traversal_cost().vertices - 100);
-        assert_eq!(est.sample_size().edges, 0, "RIS stores no edges");
-        assert_eq!(est.sample_number(), 100);
-        assert_eq!(est.approach_name(), "RIS");
-        assert!(est.is_submodular());
+        fn check<D: Diffusion>(model: D, name: &str) {
+            let ig = path(1.0, 4);
+            let mut rng = Pcg32::seed_from_u64(6);
+            let est = RisEstimator::under(model, &ig, 100, &mut rng);
+            assert_eq!(est.traversal_cost().vertices, est.sample_size().vertices);
+            assert!(est.traversal_cost().edges >= est.traversal_cost().vertices - 100);
+            assert_eq!(est.sample_size().edges, 0, "RIS stores no edges");
+            assert_eq!(est.sample_number(), 100);
+            assert_eq!(est.approach_name(), name);
+            assert!(est.is_submodular());
+        }
+        check(Ic, "RIS");
+        check(Lt, "LT-RIS");
     }
 
     #[test]
@@ -461,11 +533,15 @@ mod tests {
 
     #[test]
     fn greedy_with_ris_picks_the_hub() {
-        let ig = star(0.9);
-        let mut rng = Pcg32::seed_from_u64(8);
-        let mut est = RisEstimator::new(&ig, 2_000, &mut rng);
-        let result = greedy_select(&mut est, 1, &mut Pcg32::seed_from_u64(9));
-        assert_eq!(result.selection_order, vec![0]);
+        fn check<D: Diffusion>(model: D) {
+            let ig = star(0.9);
+            let mut rng = Pcg32::seed_from_u64(8);
+            let mut est = RisEstimator::under(model, &ig, 2_000, &mut rng);
+            let result = greedy_select(&mut est, 1, &mut Pcg32::seed_from_u64(9));
+            assert_eq!(result.selection_order, vec![0], "{}", est.approach_name());
+        }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
@@ -482,24 +558,30 @@ mod tests {
 
     #[test]
     fn estimate_set_covers_unions() {
-        let ig = path(1.0, 3);
-        let mut rng = Pcg32::seed_from_u64(10);
-        let est = RisEstimator::new(&ig, 5_000, &mut rng);
-        // Vertex 0 reaches everything, so its singleton already intersects all
-        // RR sets: estimate ≈ n = 3.
-        assert!((est.estimate_set(&[0]) - 3.0).abs() < 1e-9);
-        // Vertex 2 only reaches itself: it intersects only RR sets whose
-        // target is 2, about a third of them.
-        let tail = est.estimate_set(&[2]);
-        assert!((tail - 1.0).abs() < 0.1, "tail estimate {tail}");
-        assert!((est.estimate_set(&[0, 2]) - 3.0).abs() < 1e-9);
+        fn check<D: Diffusion>(model: D) {
+            let ig = path(1.0, 3);
+            let mut rng = Pcg32::seed_from_u64(10);
+            let est = RisEstimator::under(model, &ig, 5_000, &mut rng);
+            // Vertex 0 reaches everything, so its singleton already
+            // intersects all RR sets: estimate ≈ n = 3.
+            assert!((est.estimate_set(&[0]) - 3.0).abs() < 1e-9);
+            // Vertex 2 only reaches itself: it intersects only RR sets whose
+            // target is 2, about a third of them.
+            let tail = est.estimate_set(&[2]);
+            assert!((tail - 1.0).abs() < 0.1, "tail estimate {tail}");
+            assert!((est.estimate_set(&[0, 2]) - 3.0).abs() < 1e-9);
+        }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
-    #[should_panic(expected = "at least one RR set")]
+    #[should_panic(expected = "LT-RIS needs at least one RR set")]
     fn zero_theta_panics() {
         let ig = star(0.5);
-        let mut rng = Pcg32::seed_from_u64(11);
-        let _ = RisEstimator::new(&ig, 0, &mut rng);
+        let ic =
+            std::panic::catch_unwind(|| RisEstimator::new(&ig, 0, &mut Pcg32::seed_from_u64(11)));
+        assert!(ic.is_err(), "IC RIS must refuse θ = 0 too");
+        let _ = RisEstimator::under(Lt, &ig, 0, &mut Pcg32::seed_from_u64(11));
     }
 }

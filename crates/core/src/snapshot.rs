@@ -12,19 +12,24 @@
 //! `H⁽ⁱ⁾`, which makes the marginal gain a plain reachability query
 //! (`r_{G⁽ⁱ⁾}(S + v) − r_{G⁽ⁱ⁾}(S) = r_{H⁽ⁱ⁾}(v)`). The optimisation can be
 //! switched off to measure its effect (ablation bench).
+//!
+//! The diffusion model only decides how a snapshot is sampled, so it is a
+//! Build argument ([`SnapshotEstimator::under`]) and not part of the type.
 
-use imgraph::live_edge::{sample_snapshot, Snapshot};
+use imgraph::live_edge::Snapshot;
 use imgraph::reach::ReachWorkspace;
 use imgraph::{InfluenceGraph, VertexId};
 use imrand::Rng32;
 
 use crate::cost::{SampleSize, TraversalCost};
+use crate::diffusion::{Diffusion, Ic};
 use crate::estimator::InfluenceEstimator;
 use crate::sampler::{self, Backend, SampleBudget};
 
-/// Stream discipline: sample `tau` live-edge graphs in order from one shared
-/// generator (the paper-faithful Build of Algorithm 3.3).
-pub fn sample_snapshots_stream<R: Rng32>(
+/// Stream discipline: sample `tau` live-edge graphs under `model` in order
+/// from one shared generator (the paper-faithful Build of Algorithm 3.3).
+pub fn sample_snapshots_stream<D: Diffusion, R: Rng32>(
+    model: D,
     graph: &InfluenceGraph,
     tau: u64,
     rng: &mut R,
@@ -34,15 +39,17 @@ pub fn sample_snapshots_stream<R: Rng32>(
         rng,
         Vec::with_capacity(tau as usize),
         |mut acc, _, rng| {
-            acc.push(sample_snapshot(graph, rng));
+            acc.push(model.sample_snapshot(graph, rng));
             acc
         },
     )
 }
 
-/// Batched discipline: sample `tau` live-edge graphs with one PRNG stream per
-/// batch; identical output on the sequential and parallel [`Backend`]s.
-pub fn sample_snapshots_batched(
+/// Batched discipline: sample `tau` live-edge graphs under `model` with one
+/// PRNG stream per batch; identical output on the sequential and parallel
+/// [`Backend`]s.
+pub fn sample_snapshots_batched<D: Diffusion>(
+    model: D,
     graph: &InfluenceGraph,
     tau: u64,
     base_seed: u64,
@@ -53,12 +60,13 @@ pub fn sample_snapshots_batched(
         base_seed,
         backend,
         || (),
-        |(), _, rng| sample_snapshot(graph, rng),
+        |(), _, rng| model.sample_snapshot(graph, rng),
     )
 }
 
 /// The Snapshot (live-edge sampling) influence estimator.
 pub struct SnapshotEstimator {
+    name: &'static str,
     snapshots: Vec<Snapshot>,
     /// Per-snapshot "already reachable from the committed seeds" marks (only
     /// maintained when `use_reduction` is true).
@@ -77,32 +85,21 @@ pub struct SnapshotEstimator {
 }
 
 impl SnapshotEstimator {
-    /// Build step: sample `τ ≥ 1` live-edge graphs with the run's generator.
+    /// Build step: sample `τ ≥ 1` IC live-edge graphs with the run's
+    /// generator, with the subgraph-reduction Update.
     ///
     /// # Panics
     ///
     /// Panics if `tau == 0`.
     pub fn new<R: Rng32>(graph: &InfluenceGraph, tau: u64, rng: &mut R) -> Self {
-        Self::with_options(graph, tau, rng, true)
+        Self::under(Ic, graph, tau, rng, true)
     }
 
-    /// Build with the subgraph-reduction Update optimisation toggled.
-    pub fn with_options<R: Rng32>(
-        graph: &InfluenceGraph,
-        tau: u64,
-        rng: &mut R,
-        use_reduction: bool,
-    ) -> Self {
-        assert!(tau >= 1, "Snapshot needs at least one random graph");
-        let snapshots = sample_snapshots_stream(graph, tau, rng);
-        Self::from_snapshots(graph.num_vertices(), tau, snapshots, use_reduction)
-    }
-
-    /// Build step driven by the batched sampler: `τ` live-edge graphs drawn
-    /// from per-batch PRNG streams derived from `base_seed`, optionally across
-    /// worker threads. For a fixed `base_seed` the snapshots — and therefore
-    /// every seed set greedy selects — are identical on the sequential and
-    /// parallel [`Backend`]s.
+    /// Build step driven by the batched sampler: `τ` IC live-edge graphs
+    /// drawn from per-batch PRNG streams derived from `base_seed`, optionally
+    /// across worker threads. For a fixed `base_seed` the snapshots — and
+    /// therefore every seed set greedy selects — are identical on the
+    /// sequential and parallel [`Backend`]s.
     ///
     /// # Panics
     ///
@@ -114,12 +111,58 @@ impl SnapshotEstimator {
         backend: Backend,
         use_reduction: bool,
     ) -> Self {
-        assert!(tau >= 1, "Snapshot needs at least one random graph");
-        let snapshots = sample_snapshots_batched(graph, tau, base_seed, backend);
-        Self::from_snapshots(graph.num_vertices(), tau, snapshots, use_reduction)
+        Self::under_backend(Ic, graph, tau, base_seed, backend, use_reduction)
     }
 
-    fn from_snapshots(n: usize, tau: u64, snapshots: Vec<Snapshot>, use_reduction: bool) -> Self {
+    /// Build step under `model` from the run's generator, with the
+    /// subgraph-reduction Update optimisation toggled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau == 0`.
+    pub fn under<D: Diffusion, R: Rng32>(
+        model: D,
+        graph: &InfluenceGraph,
+        tau: u64,
+        rng: &mut R,
+        use_reduction: bool,
+    ) -> Self {
+        Self::build::<D>(graph, tau, use_reduction, || {
+            sample_snapshots_stream(model, graph, tau, rng)
+        })
+    }
+
+    /// [`SnapshotEstimator::with_backend`] under `model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau == 0`.
+    pub fn under_backend<D: Diffusion>(
+        model: D,
+        graph: &InfluenceGraph,
+        tau: u64,
+        base_seed: u64,
+        backend: Backend,
+        use_reduction: bool,
+    ) -> Self {
+        Self::build::<D>(graph, tau, use_reduction, || {
+            sample_snapshots_batched(model, graph, tau, base_seed, backend)
+        })
+    }
+
+    fn build<D: Diffusion>(
+        graph: &InfluenceGraph,
+        tau: u64,
+        use_reduction: bool,
+        sample: impl FnOnce() -> Vec<Snapshot>,
+    ) -> Self {
+        assert!(
+            tau >= 1,
+            "{} needs at least one random graph",
+            D::SNAPSHOT_NAME
+        );
+        let snapshots = sample();
+        let n = graph.num_vertices();
         // Build examines every edge of the influence graph once per snapshot.
         // Section 3.4.2 (and Table 8) account for that separately from the
         // Estimate/Update traversal cost — "Build touches each edge only τ
@@ -132,13 +175,13 @@ impl SnapshotEstimator {
             sample_size.vertices += n as u64;
             sample_size.edges += snap.live_edge_count() as u64;
         }
-        let cost = TraversalCost::zero();
         let blocked = if use_reduction {
             vec![vec![false; n]; snapshots.len()]
         } else {
             Vec::new()
         };
         Self {
+            name: D::SNAPSHOT_NAME,
             base_reach: vec![0; snapshots.len()],
             blocked,
             snapshots,
@@ -147,7 +190,7 @@ impl SnapshotEstimator {
             num_vertices: n,
             tau,
             use_reduction,
-            cost,
+            cost: TraversalCost::zero(),
             build_cost,
             sample_size,
         }
@@ -268,7 +311,7 @@ impl InfluenceEstimator for SnapshotEstimator {
     }
 
     fn approach_name(&self) -> &'static str {
-        "Snapshot"
+        self.name
     }
 
     fn sample_number(&self) -> u64 {
@@ -283,9 +326,13 @@ impl InfluenceEstimator for SnapshotEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diffusion::Lt;
     use crate::greedy::{celf_select, greedy_select};
     use imgraph::DiGraph;
     use imrand::Pcg32;
+
+    // Every vertex of these graphs has in-degree ≤ 1, so the probabilities
+    // are valid LT weights and LT snapshots follow the IC distribution.
 
     fn star(prob: f64) -> InfluenceGraph {
         let edges: Vec<_> = (1..5u32).map(|v| (0, v)).collect();
@@ -299,60 +346,72 @@ mod tests {
 
     #[test]
     fn deterministic_graph_estimates_exactly() {
-        let ig = path(1.0, 5);
-        let mut rng = Pcg32::seed_from_u64(1);
-        let mut est = SnapshotEstimator::new(&ig, 4, &mut rng);
-        assert!((est.estimate(0) - 5.0).abs() < 1e-12);
-        assert!((est.estimate(4) - 1.0).abs() < 1e-12);
+        fn check<D: Diffusion>(model: D) {
+            let ig = path(1.0, 5);
+            let mut rng = Pcg32::seed_from_u64(1);
+            let mut est = SnapshotEstimator::under(model, &ig, 4, &mut rng, true);
+            assert!((est.estimate(0) - 5.0).abs() < 1e-12);
+            assert!((est.estimate(4) - 1.0).abs() < 1e-12);
+        }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
     fn marginal_gains_shrink_after_update() {
-        let ig = path(1.0, 5);
-        let mut rng = Pcg32::seed_from_u64(2);
-        let mut est = SnapshotEstimator::new(&ig, 2, &mut rng);
-        let before = est.estimate(2);
-        est.update(0); // vertex 0 reaches everything on a deterministic path
-        let after = est.estimate(2);
-        assert!((before - 3.0).abs() < 1e-12);
-        assert!(
-            after.abs() < 1e-12,
-            "marginal gain after covering the path should be 0"
-        );
+        fn check<D: Diffusion>(model: D) {
+            let ig = path(1.0, 5);
+            let mut rng = Pcg32::seed_from_u64(2);
+            let mut est = SnapshotEstimator::under(model, &ig, 2, &mut rng, true);
+            let before = est.estimate(2);
+            est.update(0); // vertex 0 reaches everything on a deterministic path
+            let after = est.estimate(2);
+            assert!((before - 3.0).abs() < 1e-12);
+            assert!(
+                after.abs() < 1e-12,
+                "marginal gain after covering the path should be 0"
+            );
+            assert_eq!(est.current_seeds(), &[0]);
+        }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
     fn reduction_and_naive_paths_agree() {
-        let ig = star(0.6);
-        for seed in 0..5u64 {
-            let mut reduced =
-                SnapshotEstimator::with_options(&ig, 32, &mut Pcg32::seed_from_u64(seed), true);
-            let mut naive =
-                SnapshotEstimator::with_options(&ig, 32, &mut Pcg32::seed_from_u64(seed), false);
-            // Same snapshots because the same RNG stream was used.
-            let order = [0u32, 3, 1];
-            for &v in &order {
-                for candidate in 0..5u32 {
-                    let a = reduced.estimate(candidate);
-                    let b = naive.estimate(candidate);
-                    assert!(
-                        (a - b).abs() < 1e-9,
-                        "estimate mismatch for candidate {candidate} (seed {seed}): {a} vs {b}"
-                    );
+        fn check<D: Diffusion>(model: D) {
+            let ig = star(0.6);
+            for seed in 0..5u64 {
+                let build = |reduction| {
+                    let mut rng = Pcg32::seed_from_u64(seed);
+                    SnapshotEstimator::under(model, &ig, 32, &mut rng, reduction)
+                };
+                // Same snapshots because the same RNG stream was used.
+                let (mut reduced, mut naive) = (build(true), build(false));
+                let name = reduced.approach_name();
+                for v in [0u32, 3, 1] {
+                    for candidate in 0..5u32 {
+                        let a = reduced.estimate(candidate);
+                        let b = naive.estimate(candidate);
+                        assert!(
+                            (a - b).abs() < 1e-9,
+                            "{name}: estimate mismatch for {candidate} (seed {seed}): {a} vs {b}"
+                        );
+                    }
+                    reduced.update(v);
+                    naive.update(v);
                 }
-                reduced.update(v);
-                naive.update(v);
             }
         }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
     fn reduction_lowers_estimate_traversal_cost() {
         let ig = path(1.0, 50);
-        let mut reduced =
-            SnapshotEstimator::with_options(&ig, 8, &mut Pcg32::seed_from_u64(3), true);
-        let mut naive =
-            SnapshotEstimator::with_options(&ig, 8, &mut Pcg32::seed_from_u64(3), false);
+        let mut reduced = SnapshotEstimator::under(Ic, &ig, 8, &mut Pcg32::seed_from_u64(3), true);
+        let mut naive = SnapshotEstimator::under(Ic, &ig, 8, &mut Pcg32::seed_from_u64(3), false);
         // Select the head of the path, then estimate the tail: the reduced
         // estimator should traverse far fewer vertices afterwards.
         reduced.update(0);
@@ -373,29 +432,38 @@ mod tests {
 
     #[test]
     fn sample_size_matches_stored_snapshots() {
-        let ig = star(1.0);
-        let mut rng = Pcg32::seed_from_u64(4);
-        let est = SnapshotEstimator::new(&ig, 3, &mut rng);
-        // With probability 1 every snapshot stores all 4 edges and 5 vertices.
-        assert_eq!(est.sample_size(), SampleSize::new(15, 12));
-        // Build examined every edge once per snapshot; that cost is tracked
-        // separately from the Estimate/Update traversal cost.
-        assert_eq!(est.build_traversal_cost().edges, 12);
-        assert_eq!(est.traversal_cost().edges, 0);
-        assert_eq!(est.sample_number(), 3);
-        assert_eq!(est.approach_name(), "Snapshot");
-        assert!(est.is_submodular());
-        assert!(est.uses_reduction());
-        assert_eq!(est.snapshots().len(), 3);
+        fn check<D: Diffusion>(model: D, name: &str) {
+            let ig = star(1.0);
+            let mut rng = Pcg32::seed_from_u64(4);
+            let est = SnapshotEstimator::under(model, &ig, 3, &mut rng, true);
+            // With probability 1 every snapshot stores all 4 edges and 5
+            // vertices.
+            assert_eq!(est.sample_size(), SampleSize::new(15, 12), "{name}");
+            // Build examined every edge once per snapshot; that cost is
+            // tracked separately from the Estimate/Update traversal cost.
+            assert_eq!(est.build_traversal_cost().edges, 12, "{name}");
+            assert_eq!(est.traversal_cost(), TraversalCost::zero(), "{name}");
+            assert_eq!(est.sample_number(), 3);
+            assert_eq!(est.approach_name(), name);
+            assert!(est.is_submodular());
+            assert!(est.uses_reduction());
+            assert_eq!(est.snapshots().len(), 3);
+        }
+        check(Ic, "Snapshot");
+        check(Lt, "LT-Snapshot");
     }
 
     #[test]
     fn greedy_with_snapshot_picks_the_hub() {
-        let ig = star(0.9);
-        let mut rng = Pcg32::seed_from_u64(5);
-        let mut est = SnapshotEstimator::new(&ig, 64, &mut rng);
-        let result = greedy_select(&mut est, 1, &mut Pcg32::seed_from_u64(6));
-        assert_eq!(result.selection_order, vec![0]);
+        fn check<D: Diffusion>(model: D) {
+            let ig = star(0.9);
+            let mut rng = Pcg32::seed_from_u64(5);
+            let mut est = SnapshotEstimator::under(model, &ig, 64, &mut rng, true);
+            let result = greedy_select(&mut est, 1, &mut Pcg32::seed_from_u64(6));
+            assert_eq!(result.selection_order, vec![0], "{}", est.approach_name());
+        }
+        check(Ic);
+        check(Lt);
     }
 
     #[test]
@@ -420,10 +488,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one random graph")]
+    #[should_panic(expected = "LT-Snapshot needs at least one random graph")]
     fn zero_tau_panics() {
         let ig = star(0.5);
-        let mut rng = Pcg32::seed_from_u64(8);
-        let _ = SnapshotEstimator::new(&ig, 0, &mut rng);
+        let ic = std::panic::catch_unwind(|| {
+            SnapshotEstimator::new(&ig, 0, &mut Pcg32::seed_from_u64(8))
+        });
+        assert!(ic.is_err(), "IC Snapshot must refuse τ = 0 too");
+        let _ = SnapshotEstimator::under(Lt, &ig, 0, &mut Pcg32::seed_from_u64(8), true);
     }
 }

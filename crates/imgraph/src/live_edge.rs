@@ -25,6 +25,17 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Wrap the live edges a sampler kept over `n` vertices, with the number
+    /// of influence-graph edges it examined to draw them.
+    #[must_use]
+    pub fn from_live_edges(n: usize, live: &[(VertexId, VertexId)], edges_examined: usize) -> Self {
+        Self {
+            graph: DiGraph::from_edges(n, live),
+            live_edges: live.len(),
+            edges_examined,
+        }
+    }
+
     /// The live-edge graph itself.
     #[must_use]
     pub fn graph(&self) -> &DiGraph {
@@ -69,12 +80,7 @@ pub fn sample_snapshot<R: Rng32>(ig: &InfluenceGraph, rng: &mut R) -> Snapshot {
             }
         }
     }
-    let live_edges = live.len();
-    Snapshot {
-        graph: DiGraph::from_edges(n, &live),
-        live_edges,
-        edges_examined: ig.num_edges(),
-    }
+    Snapshot::from_live_edges(n, &live, ig.num_edges())
 }
 
 /// Sample `count` independent live-edge graphs (Snapshot's Build step).

@@ -6,15 +6,15 @@
 //!
 //! The paper's experiments use the independent cascade (IC) model, but its
 //! three algorithmic approaches only need an unbiased influence estimator, so
-//! they port directly to the linear threshold (LT) model. This example runs
-//! LT-Oneshot, LT-Snapshot and LT-RIS on the Karate club with the in-degree
-//! weighted cascade (whose weights sum to exactly 1 per vertex — the canonical
-//! LT weight assignment), compares the seed sets and influence they find, and
-//! contrasts the LT spread with the IC spread of the same seeds.
+//! the same estimators run under the linear threshold (LT) model when built
+//! with `under(Lt, …)`. This example runs LT-Oneshot, LT-Snapshot and LT-RIS
+//! on the Karate club with the in-degree weighted cascade (whose weights sum
+//! to exactly 1 per vertex — the canonical LT weight assignment), compares the
+//! seed sets and influence they find, and contrasts the LT spread with the IC
+//! spread of the same seeds.
 
-use im_core::greedy_select;
 use im_core::lt::{monte_carlo_lt_influence, weights_are_valid};
-use im_core::lt_estimators::{LtOneshotEstimator, LtRisEstimator, LtSnapshotEstimator};
+use im_core::{greedy_select, Lt};
 use im_study::prelude::*;
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
     );
 
     // LT-Oneshot.
-    let mut oneshot = LtOneshotEstimator::new(&graph, 256, default_rng(2));
+    let mut oneshot = OneshotEstimator::under(Lt, &graph, 256, default_rng(2));
     let oneshot_pick = greedy_select(&mut oneshot, k, &mut default_rng(3));
     let oneshot_seeds = oneshot_pick.seed_set();
     println!(
@@ -54,7 +54,7 @@ fn main() {
     );
 
     // LT-Snapshot.
-    let mut snapshot = LtSnapshotEstimator::new(&graph, 512, &mut default_rng(4));
+    let mut snapshot = SnapshotEstimator::under(Lt, &graph, 512, &mut default_rng(4), true);
     let snapshot_pick = greedy_select(&mut snapshot, k, &mut default_rng(5));
     let snapshot_seeds = snapshot_pick.seed_set();
     println!(
@@ -67,7 +67,7 @@ fn main() {
     );
 
     // LT-RIS.
-    let mut ris = LtRisEstimator::new(&graph, 65_536, &mut default_rng(6));
+    let mut ris = RisEstimator::under(Lt, &graph, 65_536, &mut default_rng(6));
     let ris_pick = greedy_select(&mut ris, k, &mut default_rng(7));
     let ris_seeds = ris_pick.seed_set();
     println!(

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests for the extension modules: heuristics,
 //! sketches, compressed RR sets, coarsening, sample-number determination, the
-//! LT-model estimators and the distribution divergences.
+//! estimators under the LT model and the distribution divergences.
 //!
 //! Each test exercises at least two crates together and checks an
 //! end-to-end property a downstream user would rely on (rather than a unit of
@@ -9,8 +9,8 @@
 use im_core::determination::{determine_all_sample_numbers, AccuracyTarget};
 use im_core::exact::{exact_greedy, exact_influence};
 use im_core::greedy_select;
-use im_core::lt_estimators::{LtOneshotEstimator, LtRisEstimator, LtSnapshotEstimator};
 use im_core::ris::{generate_rr_set, RisEstimator};
+use im_core::Lt;
 use im_study::prelude::*;
 use imgraph::coarsen::coarsen_by_certain_edges;
 use imheur::{DegreeDiscount, IrieSelector, RandomSelector, SingleDiscount, WeightedDegree};
@@ -205,11 +205,11 @@ fn determination_yields_sample_numbers_that_reach_exact_greedy() {
 fn lt_estimators_agree_with_each_other_on_seed_choice() {
     let graph = Dataset::Karate.influence_graph(ProbabilityModel::InDegreeWeighted, 0);
     let k = 2;
-    let mut oneshot = LtOneshotEstimator::new(&graph, 128, default_rng(1));
+    let mut oneshot = OneshotEstimator::under(Lt, &graph, 128, default_rng(1));
     let a = greedy_select(&mut oneshot, k, &mut default_rng(2)).seed_set();
-    let mut snapshot = LtSnapshotEstimator::new(&graph, 512, &mut default_rng(3));
+    let mut snapshot = SnapshotEstimator::under(Lt, &graph, 512, &mut default_rng(3), true);
     let b = greedy_select(&mut snapshot, k, &mut default_rng(4)).seed_set();
-    let mut ris = LtRisEstimator::new(&graph, 32_768, &mut default_rng(5));
+    let mut ris = RisEstimator::under(Lt, &graph, 32_768, &mut default_rng(5));
     let c = greedy_select(&mut ris, k, &mut default_rng(6)).seed_set();
     assert_eq!(
         b, c,
