@@ -7,7 +7,7 @@
 use im_core::PoolLayout;
 use imgraph::GraphDelta;
 
-use crate::protocol::TopKAlgorithm;
+use crate::protocol::{Request, TopKAlgorithm};
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,24 +80,6 @@ pub enum Command {
         /// artifact itself to carry a `PCMP` section.
         pool_layout: Option<PoolLayout>,
     },
-    /// `imserve reload`: hot-swap a running server's index for a freshly
-    /// validated artifact (same identity, epoch and lineage; typically a
-    /// compacted copy) without restarting or dropping in-flight queries.
-    Reload {
-        /// Server address.
-        addr: String,
-        /// Artifact path on the *server's* filesystem.
-        index: String,
-    },
-    /// `imserve promote`: turn a read-only follower writable, optionally
-    /// verifying its replication cursor reached the leader's last
-    /// acknowledged epoch first.
-    Promote {
-        /// Follower address.
-        addr: String,
-        /// Refuse unless the follower's cursor reached this epoch.
-        expected_epoch: Option<u64>,
-    },
     /// `imserve route`: a long-lived router process over N shard servers,
     /// exposing the cluster's operational surface — federated `/metrics`,
     /// `/events`, `/healthz` and `/readyz` — on `--metrics-addr`. Shard
@@ -112,29 +94,23 @@ pub enum Command {
         /// `/readyz` loudly instead of hanging the probe.
         deadline_ms: u64,
     },
-    /// `imserve query`: one-shot client request. With several `--addr`s the
-    /// query routes through a `ShardedService` over all of them.
-    Query {
+    /// `imserve query`, `mutate`, `compact --addr`, `reload` and `promote`:
+    /// send one request and print its reply. With several `--addr`s the
+    /// request routes through a `ShardedService` over all of them (a
+    /// mutation batch is broadcast, applied atomically on each).
+    Call {
         /// Server addresses (one per shard backend).
         addrs: Vec<String>,
         /// The request to send.
-        request: QuerySpec,
+        request: Request,
     },
-    /// `imserve mutate`: apply a batch of graph deltas atomically to a
-    /// running server (with several `--addr`s, broadcast through a
-    /// `ShardedService`).
-    Mutate {
-        /// Server addresses (one per shard backend).
-        addrs: Vec<String>,
-        /// The deltas to apply, in command-line order.
-        deltas: Vec<GraphDelta>,
-    },
-    /// `imserve compact`: fold a pending delta log into its snapshot
-    /// watermark — on a running server (`--addr`) or offline on an artifact
-    /// file (`--index`/`--out`).
+    /// `imserve compact --index … --out …`: fold an artifact file's pending
+    /// delta log into its snapshot watermark offline.
     Compact {
-        /// What to compact.
-        target: CompactTarget,
+        /// Input artifact path.
+        index: String,
+        /// Output artifact path (may equal `index` to compact in place).
+        out: String,
     },
     /// `imserve loadtest`: hammer a server (or, with several `--addr`s, a
     /// sharded deployment) and report latency percentiles.
@@ -151,42 +127,6 @@ pub enum Command {
         /// (`None` = closed loop).
         arrival_rps: Option<u64>,
     },
-}
-
-/// What `imserve compact` should act on.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompactTarget {
-    /// Send a `Compact` request to a running server.
-    Server {
-        /// Server address.
-        addr: String,
-    },
-    /// Compact an artifact file offline, writing the result to `out`.
-    File {
-        /// Input artifact path.
-        index: String,
-        /// Output artifact path (may equal `index` to compact in place).
-        out: String,
-    },
-}
-
-/// What `imserve query` should send.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QuerySpec {
-    /// `--estimate 0,5,9`
-    Estimate(Vec<u32>),
-    /// `--topk 3 [--algorithm greedy|singleton]`
-    TopK(usize, TopKAlgorithm),
-    /// `--info`
-    Info,
-    /// `--stats`
-    Stats,
-    /// `--metrics`
-    Metrics,
-    /// `--health`
-    Health,
-    /// `--events`
-    Events,
 }
 
 /// A parse failure: human-readable, printed with usage by `main`.
@@ -441,7 +381,10 @@ fn parse_mutate(args: &[String]) -> Result<Command, CliError> {
     if addrs.is_empty() {
         return Err(CliError("mutate requires --addr".to_string()));
     }
-    Ok(Command::Mutate { addrs, deltas })
+    Ok(Command::Call {
+        addrs,
+        request: Request::MutateBatch { deltas },
+    })
 }
 
 fn parse_compact(args: &[String]) -> Result<Command, CliError> {
@@ -458,24 +401,20 @@ fn parse_compact(args: &[String]) -> Result<Command, CliError> {
         }
         i += 1;
     }
-    let target = match (addr, index, out) {
-        (Some(addr), None, None) => CompactTarget::Server { addr },
-        (None, Some(index), Some(out)) => CompactTarget::File { index, out },
-        (None, Some(_), None) => {
-            return Err(CliError("compact --index requires --out".to_string()))
-        }
-        (None, None, _) => {
-            return Err(CliError(
-                "compact requires --addr or --index/--out".to_string(),
-            ))
-        }
-        (Some(_), _, _) => {
-            return Err(CliError(
-                "compact accepts either --addr or --index/--out, not both".to_string(),
-            ))
-        }
-    };
-    Ok(Command::Compact { target })
+    match (addr, index, out) {
+        (Some(addr), None, None) => Ok(Command::Call {
+            addrs: vec![addr],
+            request: Request::Compact,
+        }),
+        (None, Some(index), Some(out)) => Ok(Command::Compact { index, out }),
+        (None, Some(_), None) => Err(CliError("compact --index requires --out".to_string())),
+        (None, None, _) => Err(CliError(
+            "compact requires --addr or --index/--out".to_string(),
+        )),
+        (Some(_), _, _) => Err(CliError(
+            "compact accepts either --addr or --index/--out, not both".to_string(),
+        )),
+    }
 }
 
 fn parse_serve(args: &[String]) -> Result<Command, CliError> {
@@ -602,9 +541,11 @@ fn parse_reload(args: &[String]) -> Result<Command, CliError> {
         }
         i += 1;
     }
-    Ok(Command::Reload {
-        addr: addr.ok_or_else(|| CliError("reload requires --addr".to_string()))?,
-        index: index.ok_or_else(|| CliError("reload requires --index".to_string()))?,
+    Ok(Command::Call {
+        addrs: vec![addr.ok_or_else(|| CliError("reload requires --addr".to_string()))?],
+        request: Request::Reload {
+            path: index.ok_or_else(|| CliError("reload requires --index".to_string()))?,
+        },
     })
 }
 
@@ -625,9 +566,9 @@ fn parse_promote(args: &[String]) -> Result<Command, CliError> {
         }
         i += 1;
     }
-    Ok(Command::Promote {
-        addr: addr.ok_or_else(|| CliError("promote requires --addr".to_string()))?,
-        expected_epoch,
+    Ok(Command::Call {
+        addrs: vec![addr.ok_or_else(|| CliError("promote requires --addr".to_string()))?],
+        request: Request::Promote { expected_epoch },
     })
 }
 
@@ -669,7 +610,7 @@ fn parse_route(args: &[String]) -> Result<Command, CliError> {
 
 fn parse_query(args: &[String]) -> Result<Command, CliError> {
     let mut addrs: Vec<String> = Vec::new();
-    let mut request: Option<QuerySpec> = None;
+    let mut request: Option<Request> = None;
     let mut algorithm = TopKAlgorithm::Greedy;
     let mut i = 0;
     while i < args.len() {
@@ -677,28 +618,28 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
             "--addr" => addrs.push(take_value("--addr", args, &mut i)?.to_string()),
             "--estimate" => {
                 let seeds = parse_seed_list(take_value("--estimate", args, &mut i)?)?;
-                set_once(&mut request, QuerySpec::Estimate(seeds))?;
+                set_once(&mut request, Request::Estimate { seeds })?;
             }
             "--topk" => {
                 let k: usize = parse_number("--topk", take_value("--topk", args, &mut i)?)?;
                 if k == 0 {
                     return Err(CliError("--topk must be positive".to_string()));
                 }
-                set_once(&mut request, QuerySpec::TopK(k, algorithm))?;
+                set_once(&mut request, Request::TopK { k, algorithm })?;
             }
             "--algorithm" => {
                 algorithm = TopKAlgorithm::parse(take_value("--algorithm", args, &mut i)?)
                     .map_err(|e| CliError(e.to_string()))?;
                 // Applies to an already-parsed --topk as well.
-                if let Some(QuerySpec::TopK(_, a)) = &mut request {
+                if let Some(Request::TopK { algorithm: a, .. }) = &mut request {
                     *a = algorithm;
                 }
             }
-            "--info" => set_once(&mut request, QuerySpec::Info)?,
-            "--stats" => set_once(&mut request, QuerySpec::Stats)?,
-            "--metrics" => set_once(&mut request, QuerySpec::Metrics)?,
-            "--health" => set_once(&mut request, QuerySpec::Health)?,
-            "--events" => set_once(&mut request, QuerySpec::Events)?,
+            "--info" => set_once(&mut request, Request::Info)?,
+            "--stats" => set_once(&mut request, Request::Stats)?,
+            "--metrics" => set_once(&mut request, Request::Metrics)?,
+            "--health" => set_once(&mut request, Request::Health)?,
+            "--events" => set_once(&mut request, Request::Events)?,
             other => return Err(CliError(format!("unknown option {other:?} for query"))),
         }
         i += 1;
@@ -706,7 +647,7 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
     if addrs.is_empty() {
         return Err(CliError("query requires --addr".to_string()));
     }
-    Ok(Command::Query {
+    Ok(Command::Call {
         addrs,
         request: request.ok_or_else(|| {
             CliError(
@@ -718,7 +659,7 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
     })
 }
 
-fn set_once(slot: &mut Option<QuerySpec>, value: QuerySpec) -> Result<(), CliError> {
+fn set_once(slot: &mut Option<Request>, value: Request) -> Result<(), CliError> {
     if slot.is_some() {
         return Err(CliError(
             "query accepts exactly one of --estimate, --topk, --info, --stats, --metrics, \
@@ -967,24 +908,26 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Mutate {
+            Command::Call {
                 addrs: vec!["a:1".into()],
-                deltas: vec![
-                    GraphDelta::InsertEdge {
-                        source: 0,
-                        target: 33,
-                        probability: 0.5
-                    },
-                    GraphDelta::DeleteEdge {
-                        source: 0,
-                        target: 1
-                    },
-                    GraphDelta::SetProbability {
-                        source: 2,
-                        target: 3,
-                        probability: 1.0
-                    },
-                ],
+                request: Request::MutateBatch {
+                    deltas: vec![
+                        GraphDelta::InsertEdge {
+                            source: 0,
+                            target: 33,
+                            probability: 0.5
+                        },
+                        GraphDelta::DeleteEdge {
+                            source: 0,
+                            target: 1
+                        },
+                        GraphDelta::SetProbability {
+                            source: 2,
+                            target: 3,
+                            probability: 1.0
+                        },
+                    ],
+                },
             }
         );
         // Malformed specs are rejected with the flag named.
@@ -1034,13 +977,15 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert_eq!(
             cmd,
-            Command::Mutate {
+            Command::Call {
                 addrs: vec!["a:1".into()],
-                deltas: vec![GraphDelta::InsertEdge {
-                    source: 1,
-                    target: 2,
-                    probability: 0.25
-                }],
+                request: Request::MutateBatch {
+                    deltas: vec![GraphDelta::InsertEdge {
+                        source: 1,
+                        target: 2,
+                        probability: 0.25
+                    }],
+                },
             }
         );
     }
@@ -1049,17 +994,16 @@ mod tests {
     fn compact_parses_server_and_file_targets() {
         assert_eq!(
             parse(&args(&["compact", "--addr", "a:1"])).unwrap(),
-            Command::Compact {
-                target: CompactTarget::Server { addr: "a:1".into() },
+            Command::Call {
+                addrs: vec!["a:1".into()],
+                request: Request::Compact,
             }
         );
         assert_eq!(
             parse(&args(&["compact", "--index", "a.imx", "--out", "b.imx"])).unwrap(),
             Command::Compact {
-                target: CompactTarget::File {
-                    index: "a.imx".into(),
-                    out: "b.imx".into(),
-                },
+                index: "a.imx".into(),
+                out: "b.imx".into(),
             }
         );
         // Exactly one target, fully specified.
@@ -1171,9 +1115,9 @@ mod tests {
     fn query_metrics_parses_and_is_exclusive() {
         assert_eq!(
             parse(&args(&["query", "--addr", "a:1", "--metrics"])).unwrap(),
-            Command::Query {
+            Command::Call {
                 addrs: vec!["a:1".into()],
-                request: QuerySpec::Metrics,
+                request: Request::Metrics,
             }
         );
         assert!(parse(&args(&["query", "--addr", "a:1", "--metrics", "--stats"])).is_err());
@@ -1223,9 +1167,9 @@ mod tests {
     fn query_stats_parses_and_is_exclusive() {
         assert_eq!(
             parse(&args(&["query", "--addr", "a:1", "--stats"])).unwrap(),
-            Command::Query {
+            Command::Call {
                 addrs: vec!["a:1".into()],
-                request: QuerySpec::Stats,
+                request: Request::Stats,
             }
         );
         assert!(parse(&args(&["query", "--addr", "a:1", "--stats", "--info"])).is_err());
@@ -1236,9 +1180,11 @@ mod tests {
         let cmd = parse(&args(&["query", "--addr", "a:1", "--estimate", "0, 5,9"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Query {
+            Command::Call {
                 addrs: vec!["a:1".into()],
-                request: QuerySpec::Estimate(vec![0, 5, 9]),
+                request: Request::Estimate {
+                    seeds: vec![0, 5, 9]
+                },
             }
         );
         let cmd = parse(&args(&[
@@ -1253,9 +1199,12 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Query {
+            Command::Call {
                 addrs: vec!["a:1".into()],
-                request: QuerySpec::TopK(4, TopKAlgorithm::SingletonRank),
+                request: Request::TopK {
+                    k: 4,
+                    algorithm: TopKAlgorithm::SingletonRank
+                },
             }
         );
         // Algorithm flag before --topk also applies.
@@ -1271,9 +1220,12 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Query {
+            Command::Call {
                 addrs: vec!["a:1".into()],
-                request: QuerySpec::TopK(2, TopKAlgorithm::SingletonRank),
+                request: Request::TopK {
+                    k: 2,
+                    algorithm: TopKAlgorithm::SingletonRank
+                },
             }
         );
         assert!(parse(&args(&["query", "--addr", "a:1", "--estimate", "1,x"])).is_err());
@@ -1284,16 +1236,16 @@ mod tests {
     fn query_health_and_events_parse_and_are_exclusive() {
         assert_eq!(
             parse(&args(&["query", "--addr", "a:1", "--health"])).unwrap(),
-            Command::Query {
+            Command::Call {
                 addrs: vec!["a:1".into()],
-                request: QuerySpec::Health,
+                request: Request::Health,
             }
         );
         assert_eq!(
             parse(&args(&["query", "--addr", "a:1", "--events"])).unwrap(),
-            Command::Query {
+            Command::Call {
                 addrs: vec!["a:1".into()],
-                request: QuerySpec::Events,
+                request: Request::Events,
             }
         );
         assert!(parse(&args(&["query", "--addr", "a:1", "--health", "--stats"])).is_err());
@@ -1343,9 +1295,11 @@ mod tests {
     fn reload_and_promote_parse_with_required_flags() {
         assert_eq!(
             parse(&args(&["reload", "--addr", "a:1", "--index", "c.imx"])).unwrap(),
-            Command::Reload {
-                addr: "a:1".into(),
-                index: "c.imx".into(),
+            Command::Call {
+                addrs: vec!["a:1".into()],
+                request: Request::Reload {
+                    path: "c.imx".into()
+                },
             }
         );
         assert!(parse(&args(&["reload", "--addr", "a:1"])).is_err());
@@ -1354,9 +1308,11 @@ mod tests {
 
         assert_eq!(
             parse(&args(&["promote", "--addr", "f:1"])).unwrap(),
-            Command::Promote {
-                addr: "f:1".into(),
-                expected_epoch: None,
+            Command::Call {
+                addrs: vec!["f:1".into()],
+                request: Request::Promote {
+                    expected_epoch: None
+                },
             }
         );
         assert_eq!(
@@ -1368,9 +1324,11 @@ mod tests {
                 "12"
             ]))
             .unwrap(),
-            Command::Promote {
-                addr: "f:1".into(),
-                expected_epoch: Some(12),
+            Command::Call {
+                addrs: vec!["f:1".into()],
+                request: Request::Promote {
+                    expected_epoch: Some(12)
+                },
             }
         );
         assert!(parse(&args(&["promote"])).is_err());

@@ -3,24 +3,19 @@
 //! [`ServiceConnection`] speaks the wire protocol — id-tagged frames over one
 //! TCP connection, with an explicit version handshake on connect and support
 //! for *pipelining* (write many frames, then read the id-matched responses).
-//! [`RemoteService`] wraps it into the typed [`InfluenceService`] trait, so
-//! a remote server is interchangeable with an in-process engine.
+//! Its `call` is [`InfluenceService::call`], so the connection is itself the
+//! typed remote backend ([`RemoteService`]), interchangeable with an
+//! in-process engine; [`ReconnectingService`] adds re-dialling on top.
 
 use std::io::{BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use imgraph::GraphDelta;
-
 use crate::linebuf::LineBuffer;
 use crate::protocol::{
-    self, Outcome, Request, RequestFrame, Response, ResponseFrame, TopKAlgorithm, PROTOCOL_VERSION,
+    self, Outcome, Request, RequestFrame, Response, ResponseFrame, PROTOCOL_VERSION,
 };
-use crate::service::{
-    CompactionReport, GainCandidates, GainVector, InfluenceService, MetricsReport, MutationOutcome,
-    PromotionOutcome, ReloadOutcome, ServiceError, ServiceInfo, ServiceResult, ServiceStats,
-    SpreadEstimate, TopKSelection,
-};
+use crate::service::{unexpected, InfluenceService, ServiceError, ServiceResult};
 
 /// One persistent protocol connection: id-tagged frames, typed errors,
 /// pipelining — both the blocking batch form ([`ServiceConnection::pipeline`])
@@ -64,11 +59,7 @@ impl ServiceConnection {
             max_version: PROTOCOL_VERSION,
         })? {
             Response::Hello { version } => version,
-            other => {
-                return Err(ServiceError::Protocol(format!(
-                    "handshake answered with {other:?}"
-                )))
-            }
+            other => return unexpected("handshake", other),
         };
         if version != PROTOCOL_VERSION {
             return Err(ServiceError::Protocol(format!(
@@ -83,11 +74,6 @@ impl ServiceConnection {
     #[must_use]
     pub fn server_version(&self) -> u32 {
         self.server_version
-    }
-
-    /// Attach (or clear) the trace id stamped onto subsequent frames.
-    pub fn set_trace(&mut self, trace: Option<u64>) {
-        self.trace = trace;
     }
 
     /// Send one request and wait for its id-matched response.
@@ -166,15 +152,6 @@ impl ServiceConnection {
             None if outcome == ReadOutcome::Eof => Err(closed_by_peer()),
             None => Ok(None),
         }
-    }
-
-    /// Apply a per-request deadline to this connection: blocking reads and
-    /// writes fail with [`ServiceError::Transport`] (`TimedOut`/`WouldBlock`)
-    /// once the peer stays silent past `deadline`. `None` removes the bound.
-    pub fn set_deadline(&mut self, deadline: Option<Duration>) -> ServiceResult<()> {
-        self.reader.set_read_timeout(deadline)?;
-        self.writer.get_ref().set_write_timeout(deadline)?;
-        Ok(())
     }
 
     /// Pop the next reassembled line, if any.
@@ -274,267 +251,27 @@ enum ReadOutcome {
     Eof,
 }
 
-/// The remote backend: an [`InfluenceService`] over one TCP connection.
-#[derive(Debug)]
-pub struct RemoteService {
-    connection: ServiceConnection,
-}
+/// The remote backend: an [`InfluenceService`] over one TCP connection. A
+/// connection is already a relay — every typed method sends its request
+/// through [`ServiceConnection::call`] — so it is the connection itself.
+pub type RemoteService = ServiceConnection;
 
-impl RemoteService {
-    /// Connect (with handshake) to a serving `imserve` instance.
-    pub fn connect(addr: impl ToSocketAddrs) -> ServiceResult<Self> {
-        Ok(Self {
-            connection: ServiceConnection::connect(addr)?,
-        })
+impl InfluenceService for ServiceConnection {
+    fn call(&mut self, request: &Request) -> ServiceResult<Response> {
+        ServiceConnection::call(self, request)
     }
 
-    /// The underlying connection (for pipelining beyond the trait surface).
-    pub fn connection(&mut self) -> &mut ServiceConnection {
-        &mut self.connection
-    }
-
-    fn unexpected<T>(context: &str, other: Response) -> ServiceResult<T> {
-        Err(ServiceError::Protocol(format!(
-            "{context} answered with {other:?}"
-        )))
-    }
-}
-
-impl InfluenceService for RemoteService {
-    fn info(&mut self) -> ServiceResult<ServiceInfo> {
-        match self.connection.call(&Request::Info)? {
-            Response::Info {
-                graph_id,
-                model,
-                num_vertices,
-                num_edges,
-                pool_size,
-                confidence_99,
-                shard_offset,
-                global_pool,
-            } => Ok(ServiceInfo {
-                graph_id,
-                model,
-                num_vertices,
-                num_edges,
-                pool_size,
-                confidence_99,
-                shard_offset,
-                global_pool,
-            }),
-            other => Self::unexpected("Info", other),
-        }
-    }
-
-    fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
-        let request = Request::Estimate {
-            seeds: seeds.to_vec(),
-        };
-        match self.connection.call(&request)? {
-            Response::Estimate {
-                seeds,
-                spread,
-                covered,
-                pool,
-            } => Ok(SpreadEstimate {
-                seeds,
-                spread,
-                covered,
-                pool,
-            }),
-            other => Self::unexpected("Estimate", other),
-        }
-    }
-
-    fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection> {
-        match self.connection.call(&Request::TopK { k, algorithm })? {
-            Response::TopK {
-                seeds,
-                spread,
-                algorithm,
-            } => Ok(TopKSelection {
-                seeds,
-                spread,
-                algorithm,
-            }),
-            other => Self::unexpected("TopK", other),
-        }
-    }
-
-    fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
-        let request = Request::Gains {
-            selected: selected.to_vec(),
-        };
-        match self.connection.call(&request)? {
-            Response::Gains {
-                gains,
-                covered,
-                pool,
-            } => Ok(GainVector {
-                gains,
-                covered,
-                pool,
-            }),
-            other => Self::unexpected("Gains", other),
-        }
-    }
-
-    fn gain_candidates(
-        &mut self,
-        selected: &[u32],
-        limit: usize,
-        probe: &[u32],
-    ) -> ServiceResult<GainCandidates> {
-        let request = Request::GainCandidates {
-            selected: selected.to_vec(),
-            limit,
-            probe: probe.to_vec(),
-        };
-        match self.connection.call(&request)? {
-            Response::GainCandidates {
-                vertices,
-                counts,
-                bound,
-                probed,
-                covered,
-                pool,
-            } => Ok(GainCandidates {
-                vertices,
-                counts,
-                bound,
-                probed,
-                covered,
-                pool,
-            }),
-            other => Self::unexpected("GainCandidates", other),
-        }
-    }
-
-    fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
-        let request = Request::MutateBatch {
-            deltas: deltas.to_vec(),
-        };
-        match self.connection.call(&request)? {
-            Response::MutateBatch {
-                epoch,
-                applied,
-                resampled,
-                compacted,
-            } => Ok(MutationOutcome {
-                epoch,
-                applied,
-                resampled,
-                compacted,
-            }),
-            other => Self::unexpected("MutateBatch", other),
-        }
-    }
-
-    fn compact(&mut self) -> ServiceResult<CompactionReport> {
-        match self.connection.call(&Request::Compact)? {
-            Response::Compact { epoch, folded } => Ok(CompactionReport { epoch, folded }),
-            other => Self::unexpected("Compact", other),
-        }
-    }
-
-    fn set_deadline(&mut self, deadline: Option<Duration>) -> ServiceResult<()> {
-        self.connection.set_deadline(deadline)
-    }
-
-    fn stats(&mut self) -> ServiceResult<ServiceStats> {
-        match self.connection.call(&Request::Stats)? {
-            Response::Stats {
-                requests,
-                topk_cache_hits,
-                topk_cache_misses,
-                pool_size,
-                epoch,
-                deltas_applied,
-                sets_resampled,
-                log_len,
-                snapshot_epoch,
-                compactions,
-                uptime_secs,
-                requests_by_type,
-                pool_resident_bytes,
-                pool_layout,
-            } => Ok(ServiceStats {
-                requests,
-                topk_cache_hits,
-                topk_cache_misses,
-                pool_size,
-                epoch,
-                deltas_applied,
-                sets_resampled,
-                log_len,
-                snapshot_epoch,
-                compactions,
-                uptime_secs,
-                requests_by_type,
-                pool_resident_bytes,
-                pool_layout,
-                shards: Vec::new(),
-            }),
-            other => Self::unexpected("Stats", other),
-        }
-    }
-
-    fn metrics(&mut self) -> ServiceResult<MetricsReport> {
-        match self.connection.call(&Request::Metrics)? {
-            Response::Metrics(report) => Ok(report),
-            other => Self::unexpected("Metrics", other),
-        }
-    }
-
-    fn health(&mut self) -> ServiceResult<crate::service::HealthReport> {
-        match self.connection.call(&Request::Health)? {
-            Response::Health(report) => Ok(report),
-            other => Self::unexpected("Health", other),
-        }
-    }
-
-    fn events(&mut self) -> ServiceResult<Vec<crate::service::EventRecord>> {
-        match self.connection.call(&Request::Events)? {
-            Response::Events(events) => Ok(events),
-            other => Self::unexpected("Events", other),
-        }
-    }
-
-    fn reload(&mut self, path: &str) -> ServiceResult<ReloadOutcome> {
-        let request = Request::Reload {
-            path: path.to_string(),
-        };
-        match self.connection.call(&request)? {
-            Response::Reloaded {
-                epoch,
-                pool_size,
-                log_len,
-                swap_micros,
-            } => Ok(ReloadOutcome {
-                epoch,
-                pool_size,
-                log_len,
-                swap_micros,
-            }),
-            other => Self::unexpected("Reload", other),
-        }
-    }
-
-    fn promote(&mut self, expected_epoch: Option<u64>) -> ServiceResult<PromotionOutcome> {
-        match self.connection.call(&Request::Promote { expected_epoch })? {
-            Response::Promoted {
-                epoch,
-                was_read_only,
-            } => Ok(PromotionOutcome {
-                epoch,
-                was_read_only,
-            }),
-            other => Self::unexpected("Promote", other),
-        }
-    }
-
+    /// Attach (or clear) the trace id stamped onto subsequent frames.
     fn set_trace(&mut self, trace: Option<u64>) {
-        self.connection.set_trace(trace);
+        self.trace = trace;
+    }
+
+    /// Blocking reads and writes fail with [`ServiceError::Transport`]
+    /// (`TimedOut`/`WouldBlock`) once the peer stays silent past `deadline`.
+    fn set_deadline(&mut self, deadline: Option<Duration>) -> ServiceResult<()> {
+        self.reader.set_read_timeout(deadline)?;
+        self.writer.get_ref().set_write_timeout(deadline)?;
+        Ok(())
     }
 }
 
@@ -548,7 +285,9 @@ impl InfluenceService for RemoteService {
 /// transport or protocol failure and re-dials (replaying the configured
 /// deadline and trace id) on the next call. Request-level errors (`Query`,
 /// `Mutation`, …) pass through without touching the connection — the peer
-/// answered, it just said no.
+/// answered, it just said no. So does a reply of the wrong kind: the typed
+/// method above this relay rejects it, and the frame ids matched, so the
+/// stream is still in sync.
 ///
 /// Construction is lazy: [`ReconnectingService::new`] never dials, so a
 /// router can be assembled before every shard is up (the first call reports
@@ -639,14 +378,13 @@ impl ReconnectingService {
         }
         Ok(self.inner.as_mut().expect("connection just established"))
     }
+}
 
-    /// Run `op` over the live connection, dropping it on a connection-fatal
-    /// error so the next call re-dials.
-    fn run<T>(
-        &mut self,
-        op: impl FnOnce(&mut RemoteService) -> ServiceResult<T>,
-    ) -> ServiceResult<T> {
-        let result = op(self.service()?);
+impl InfluenceService for ReconnectingService {
+    /// Send `request` over the live connection, dropping it on a
+    /// connection-fatal error so the next call re-dials.
+    fn call(&mut self, request: &Request) -> ServiceResult<Response> {
+        let result = self.service()?.call(request);
         if matches!(
             result,
             Err(ServiceError::Transport(_) | ServiceError::Protocol(_))
@@ -655,41 +393,6 @@ impl ReconnectingService {
         }
         result
     }
-}
-
-impl InfluenceService for ReconnectingService {
-    fn info(&mut self) -> ServiceResult<ServiceInfo> {
-        self.run(|s| s.info())
-    }
-
-    fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
-        self.run(|s| s.estimate(seeds))
-    }
-
-    fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection> {
-        self.run(|s| s.top_k(k, algorithm))
-    }
-
-    fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
-        self.run(|s| s.gains(selected))
-    }
-
-    fn gain_candidates(
-        &mut self,
-        selected: &[u32],
-        limit: usize,
-        probe: &[u32],
-    ) -> ServiceResult<GainCandidates> {
-        self.run(|s| s.gain_candidates(selected, limit, probe))
-    }
-
-    fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
-        self.run(|s| s.mutate_batch(deltas))
-    }
-
-    fn compact(&mut self) -> ServiceResult<CompactionReport> {
-        self.run(|s| s.compact())
-    }
 
     fn set_deadline(&mut self, deadline: Option<Duration>) -> ServiceResult<()> {
         self.deadline = deadline;
@@ -697,30 +400,6 @@ impl InfluenceService for ReconnectingService {
             Some(service) => service.set_deadline(deadline),
             None => Ok(()),
         }
-    }
-
-    fn stats(&mut self) -> ServiceResult<ServiceStats> {
-        self.run(|s| s.stats())
-    }
-
-    fn metrics(&mut self) -> ServiceResult<MetricsReport> {
-        self.run(|s| s.metrics())
-    }
-
-    fn health(&mut self) -> ServiceResult<crate::service::HealthReport> {
-        self.run(|s| s.health())
-    }
-
-    fn events(&mut self) -> ServiceResult<Vec<crate::service::EventRecord>> {
-        self.run(|s| s.events())
-    }
-
-    fn reload(&mut self, path: &str) -> ServiceResult<ReloadOutcome> {
-        self.run(|s| s.reload(path))
-    }
-
-    fn promote(&mut self, expected_epoch: Option<u64>) -> ServiceResult<PromotionOutcome> {
-        self.run(|s| s.promote(expected_epoch))
     }
 
     fn set_trace(&mut self, trace: Option<u64>) {

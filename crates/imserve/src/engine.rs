@@ -1,8 +1,8 @@
 //! The query engine: a loaded index behind `Arc`, answering protocol requests.
 //!
 //! The engine is shared by every server worker. All request handling goes
-//! through [`QueryEngine::handle`], which takes the caller's own
-//! [`EstimateScratch`] so the `Estimate` hot path performs zero allocation.
+//! through [`QueryEngine::handle_service`], which takes the caller's own
+//! [`EstimateScratch`], so an `Estimate` allocates only its seed echo.
 //!
 //! Since the index became mutable (`MutateBatch` requests drive `imdyn`'s
 //! incremental RR-set maintenance), the serving state lives behind one
@@ -605,8 +605,8 @@ impl QueryEngine {
             .collect()
     }
 
-    /// Estimate the influence spread of an explicit seed set (zero
-    /// allocation via the caller's scratch).
+    /// Estimate the influence spread of an explicit seed set (the caller's
+    /// scratch is reused; only the echoed seed list is allocated).
     pub fn estimate(
         &self,
         seeds: &[u32],

@@ -4,9 +4,9 @@
 //! arbitrary seed sets; this crate turns it into a servable subsystem with
 //! **one typed query surface** over every backend:
 //!
-//! * [`service`] — the [`service::InfluenceService`] trait (`estimate`,
-//!   `top_k`, `gains`, `mutate_batch`, `compact`, `stats`, each returning a
-//!   typed `Result`) plus the in-process [`service::LocalService`];
+//! * [`service`] — the [`service::InfluenceService`] trait (one required
+//!   `call` over the wire `Request`, with the typed `estimate`, `top_k`, …
+//!   written once on top of it) plus the in-process [`service::LocalService`];
 //! * [`shard`] — [`shard::ShardedService`], a router fanning queries out
 //!   over N backends holding disjoint RR-set pool shards and merging their
 //!   integer coverage counts, byte-identical to a single-pool backend;
@@ -15,7 +15,7 @@
 //!   and metadata, built once (`imserve build`) and reloaded in
 //!   milliseconds, never resampled;
 //! * [`engine`] — a thread-safe [`engine::QueryEngine`] behind the local
-//!   backend: zero-allocation estimates via `EstimateScratch`, greedy `TopK`
+//!   backend: scratch-reusing estimates via `EstimateScratch`, greedy `TopK`
 //!   fronted by an epoch-keyed LRU cache, atomic mutation batches through
 //!   `imdyn`'s incremental RR-set maintenance, compaction, and an optional
 //!   mutation write-ahead log ([`wal`]) so acknowledged mutations survive a
@@ -27,7 +27,7 @@
 //!   connection over non-blocking sockets with a bounded compute pool,
 //!   blocking in `poll(2)` until a socket or a completion is ready, and the
 //!   threaded turn-queue fallback — plus the matching client
-//!   ([`client::RemoteService`] is the trait over TCP, with a non-blocking
+//!   ([`client::RemoteService`], the connection itself, with a non-blocking
 //!   `send`/`poll_response` pair for pipelined in-flight requests);
 //! * [`obs`] — the serving stack's observability surface:
 //!   [`obs::ServingMetrics`] bundles every counter/gauge/histogram (built on

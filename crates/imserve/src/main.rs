@@ -33,12 +33,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use imdyn::CompactionPolicy;
-use imserve::cli::{self, Command, CompactTarget, QuerySpec};
+use imserve::cli::{self, Command};
 use imserve::client::{ReconnectingService, RemoteService};
 use imserve::engine::{EngineConfig, QueryEngine};
 use imserve::index::{build_dataset_index_with_deltas, parse_dataset, parse_model, IndexArtifact};
 use imserve::loadtest::{self, LoadtestConfig};
-use imserve::protocol::{self, Response};
+use imserve::protocol::{self, Request, Response};
 use imserve::replica::ReplicaSet;
 use imserve::server::{self, ServerConfig};
 use imserve::service::{InfluenceService, ServiceError};
@@ -380,87 +380,76 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 std::thread::park();
             }
         }
-        Command::Reload { addr, index } => {
-            let mut service = RemoteService::connect(addr.as_str())?;
-            let outcome = service.reload(&index)?;
-            eprintln!(
-                "reloaded {index} at epoch {}: pool {}, {} pending deltas, swap held the \
-                 write lock for {}us",
-                outcome.epoch, outcome.pool_size, outcome.log_len, outcome.swap_micros
-            );
-            print_response(outcome.into())
-        }
-        Command::Promote {
-            addr,
-            expected_epoch,
-        } => {
-            let mut service = RemoteService::connect(addr.as_str())?;
-            let outcome = service.promote(expected_epoch)?;
-            eprintln!(
-                "{} at epoch {}",
-                if outcome.was_read_only {
-                    "promoted follower to writable"
-                } else {
-                    "already writable (promotion is idempotent)"
-                },
-                outcome.epoch
-            );
-            print_response(outcome.into())
-        }
-        Command::Query { addrs, request } => {
+        Command::Call { addrs, request } => {
             let mut service = open_service(&addrs)?;
-            match request {
-                QuerySpec::Estimate(seeds) => print_response(service.estimate(&seeds)?.into()),
-                QuerySpec::TopK(k, algorithm) => {
-                    print_response(service.top_k(k, algorithm)?.into())
-                }
-                QuerySpec::Info => print_response(service.info()?.into()),
-                QuerySpec::Stats => {
-                    let stats = service.stats()?;
+            let response = match &request {
+                // A router's own `stats` carries the per-shard epoch reports
+                // the wire `Stats` reply has no field for, so ask it through
+                // the vtable rather than through `Box`'s forwarding `call`.
+                Request::Stats => {
+                    let stats = (*service).stats()?;
                     for (i, shard) in stats.shards.iter().enumerate() {
                         eprintln!(
                             "shard {i}: epoch {} (watermark {}, {} pending)",
                             shard.epoch, shard.snapshot_epoch, shard.log_len
                         );
                     }
-                    print_response(stats.into())
+                    stats.into()
                 }
-                QuerySpec::Metrics => print_response(service.metrics()?.into()),
-                QuerySpec::Health => {
-                    let report = service.health()?;
+                request => service.call(request)?,
+            };
+            let mut degraded = false;
+            match (&request, &response) {
+                (_, Response::Health(report)) => {
                     eprint!("{}", report.render_text());
-                    let degraded = !report.ready;
-                    print_response(report.into())?;
-                    if degraded {
-                        return Err(Box::new(imserve::ServeError::Query(
-                            "service reports not ready".into(),
-                        )));
-                    }
-                    Ok(())
+                    degraded = !report.ready;
                 }
-                QuerySpec::Events => print_response(service.events()?.into()),
+                (
+                    Request::Reload { path },
+                    Response::Reloaded {
+                        epoch,
+                        pool_size,
+                        log_len,
+                        swap_micros,
+                    },
+                ) => eprintln!(
+                    "reloaded {path} at epoch {epoch}: pool {pool_size}, {log_len} pending \
+                     deltas, swap held the write lock for {swap_micros}us"
+                ),
+                (
+                    _,
+                    Response::Promoted {
+                        epoch,
+                        was_read_only,
+                    },
+                ) => eprintln!(
+                    "{} at epoch {epoch}",
+                    if *was_read_only {
+                        "promoted follower to writable"
+                    } else {
+                        "already writable (promotion is idempotent)"
+                    }
+                ),
+                _ => {}
             }
+            print_response(response)?;
+            if degraded {
+                return Err(Box::new(imserve::ServeError::Query(
+                    "service reports not ready".into(),
+                )));
+            }
+            Ok(())
         }
-        Command::Mutate { addrs, deltas } => {
-            let mut service = open_service(&addrs)?;
-            print_response(service.mutate_batch(&deltas)?.into())
+        Command::Compact { index, out } => {
+            let mut artifact = IndexArtifact::load(&index)?;
+            let folded = artifact.compact();
+            artifact.save(&out)?;
+            eprintln!(
+                "compacted {index}: folded {folded} deltas at epoch {} -> {out}",
+                artifact.epoch()
+            );
+            Ok(())
         }
-        Command::Compact { target } => match target {
-            CompactTarget::Server { addr } => {
-                let mut service = RemoteService::connect(addr.as_str())?;
-                print_response(service.compact()?.into())
-            }
-            CompactTarget::File { index, out } => {
-                let mut artifact = IndexArtifact::load(&index)?;
-                let folded = artifact.compact();
-                artifact.save(&out)?;
-                eprintln!(
-                    "compacted {index}: folded {folded} deltas at epoch {} -> {out}",
-                    artifact.epoch()
-                );
-                Ok(())
-            }
-        },
         Command::Loadtest {
             addrs,
             connections,

@@ -6,25 +6,30 @@
 //! [`crate::shard::ShardedService`] unchanged (`--addr "leader|follower"`
 //! syntax, see [`parse_replica_addrs`]).
 //!
-//! Routing discipline:
+//! Routing is one table over the request's kind:
 //!
-//! * **Reads** go to the *active* member (initially the leader). When it
-//!   fails at the transport or protocol layer, the set fails over: each
-//!   remaining member is probed for its epoch, and the first one **caught
-//!   up** to the highest epoch this set has observed becomes active —
-//!   byte-identity of the replication stream guarantees its answers match
-//!   the leader's at that epoch. A stale follower is never promoted to
-//!   active silently; if no member is eligible the caller gets a typed
-//!   [`ServiceError::Transport`] naming every attempt.
-//! * **Writes** (`mutate_batch`, `compact`) iterate members in declared
+//! * **Reads** (every request not listed below) go to the *active* member
+//!   (initially the leader). When it fails at the transport or protocol
+//!   layer, the set fails over: each remaining member is probed for its
+//!   epoch, and the first one **caught up** to the highest epoch this set
+//!   has observed becomes active — byte-identity of the replication stream
+//!   guarantees its answers match the leader's at that epoch. A stale
+//!   follower is never promoted to active silently; if no member is
+//!   eligible the caller gets a typed [`ServiceError::Transport`] naming
+//!   every attempt. A reply of the wrong kind is not such a failure: the
+//!   member answered, and the typed method above the set rejects it.
+//! * **Writes** (`MutateBatch`, `Compact`) iterate members in declared
 //!   order, skipping only unreachable ones: the first reachable member
 //!   answers. An unpromoted follower's typed
 //!   [`ServiceError::ReadOnly`] is a *correct* answer — it propagates to
 //!   the caller, who decides whether to `imserve promote` (writes never
 //!   silently land on a replica).
-//! * **Admin** (`reload`, `promote`) is deliberately *not* failed over:
+//! * **Admin** (`Reload`, `Promote`) is deliberately *not* failed over:
 //!   those target one specific node, so the set forwards them to the active
-//!   member only.
+//!   member only, and a dead active member's error is the answer.
+//!
+//! The catch-up bar rises with the epoch of every `MutateBatch`, `Compact`
+//! and `Stats` reply that passes through the set.
 //!
 //! Failed-over reads keep flowing to the follower until it fails in turn —
 //! a returning leader re-enters the rotation as a failover *candidate*, not
@@ -32,14 +37,8 @@
 
 use std::time::Duration;
 
-use imgraph::GraphDelta;
-
-use crate::protocol::TopKAlgorithm;
-use crate::service::{
-    CompactionReport, EventRecord, GainCandidates, GainVector, HealthReport, InfluenceService,
-    MetricsReport, MutationOutcome, PromotionOutcome, ReloadOutcome, ServiceError, ServiceInfo,
-    ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
-};
+use crate::protocol::{Request, Response};
+use crate::service::{InfluenceService, ServiceError, ServiceResult};
 
 /// An ordered set of interchangeable backends for one shard: the leader
 /// first, then its replication followers.
@@ -80,35 +79,21 @@ impl<S: InfluenceService> ReplicaSet<S> {
         }
     }
 
-    /// Number of members (leader included).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the set is empty (never true — construction requires one).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// The label of the member currently answering reads.
     #[must_use]
     pub fn active_label(&self) -> &str {
         &self.members[self.active].label
     }
 
-    /// Run a read on the active member, failing over to a caught-up
+    /// Send a read to the active member, failing over to a caught-up
     /// candidate when the active one is unreachable.
-    fn read<T>(&mut self, op: impl Fn(&mut S) -> ServiceResult<T>) -> ServiceResult<T> {
-        match op(&mut self.members[self.active].service) {
+    fn read(&mut self, request: &Request) -> ServiceResult<Response> {
+        match self.members[self.active].service.call(request) {
             Ok(value) => Ok(value),
             Err(e @ (ServiceError::Transport(_) | ServiceError::Protocol(_))) => {
-                let mut attempts = vec![format!("{}: {e}", self.members[self.active].label)];
-                let candidates: Vec<usize> = (0..self.members.len())
-                    .filter(|&i| i != self.active)
-                    .collect();
-                for i in candidates {
+                let active = self.active;
+                let mut attempts = vec![format!("{}: {e}", self.members[active].label)];
+                for i in (0..self.members.len()).filter(|&i| i != active) {
                     // A candidate must have replicated up to the highest
                     // epoch this set has seen — otherwise its (internally
                     // consistent) answers could travel back in time from
@@ -127,7 +112,7 @@ impl<S: InfluenceService> ReplicaSet<S> {
                         ));
                         continue;
                     }
-                    match op(&mut self.members[i].service) {
+                    match self.members[i].service.call(request) {
                         Ok(value) => {
                             self.active = i;
                             self.observed_epoch = self.observed_epoch.max(epoch);
@@ -147,12 +132,12 @@ impl<S: InfluenceService> ReplicaSet<S> {
         }
     }
 
-    /// Run a write against members in declared order, skipping only
-    /// unreachable ones.
-    fn write<T>(&mut self, op: impl Fn(&mut S) -> ServiceResult<T>) -> ServiceResult<T> {
+    /// Send a write to members in declared order, skipping only unreachable
+    /// ones.
+    fn write(&mut self, request: &Request) -> ServiceResult<Response> {
         let mut attempts = Vec::new();
         for member in &mut self.members {
-            match op(&mut member.service) {
+            match member.service.call(request) {
                 Ok(value) => return Ok(value),
                 Err(e @ (ServiceError::Transport(_) | ServiceError::Protocol(_))) => {
                     attempts.push(format!("{}: {e}", member.label));
@@ -170,49 +155,27 @@ impl<S: InfluenceService> ReplicaSet<S> {
             ),
         )))
     }
-
-    /// Note an epoch observed through this set (raises the catch-up bar).
-    fn observe_epoch(&mut self, epoch: u64) {
-        self.observed_epoch = self.observed_epoch.max(epoch);
-    }
 }
 
 impl<S: InfluenceService> InfluenceService for ReplicaSet<S> {
-    fn info(&mut self) -> ServiceResult<ServiceInfo> {
-        self.read(|s| s.info())
-    }
-
-    fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
-        self.read(|s| s.estimate(seeds))
-    }
-
-    fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection> {
-        self.read(move |s| s.top_k(k, algorithm))
-    }
-
-    fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
-        self.read(|s| s.gains(selected))
-    }
-
-    fn gain_candidates(
-        &mut self,
-        selected: &[u32],
-        limit: usize,
-        probe: &[u32],
-    ) -> ServiceResult<GainCandidates> {
-        self.read(|s| s.gain_candidates(selected, limit, probe))
-    }
-
-    fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
-        let outcome = self.write(|s| s.mutate_batch(deltas))?;
-        self.observe_epoch(outcome.epoch);
-        Ok(outcome)
-    }
-
-    fn compact(&mut self) -> ServiceResult<CompactionReport> {
-        let report = self.write(|s| s.compact())?;
-        self.observe_epoch(report.epoch);
-        Ok(report)
+    /// Route by request kind: writes in declared order, admin to the active
+    /// member alone, everything else as a read. Every epoch a reply reports
+    /// raises the catch-up bar.
+    fn call(&mut self, request: &Request) -> ServiceResult<Response> {
+        let response = match request {
+            Request::MutateBatch { .. } | Request::Compact => self.write(request)?,
+            Request::Reload { .. } | Request::Promote { .. } => {
+                return self.members[self.active].service.call(request)
+            }
+            _ => self.read(request)?,
+        };
+        if let Response::MutateBatch { epoch, .. }
+        | Response::Compact { epoch, .. }
+        | Response::Stats { epoch, .. } = response
+        {
+            self.observed_epoch = self.observed_epoch.max(epoch);
+        }
+        Ok(response)
     }
 
     fn set_deadline(&mut self, deadline: Option<Duration>) -> ServiceResult<()> {
@@ -220,32 +183,6 @@ impl<S: InfluenceService> InfluenceService for ReplicaSet<S> {
             member.service.set_deadline(deadline)?;
         }
         Ok(())
-    }
-
-    fn stats(&mut self) -> ServiceResult<ServiceStats> {
-        let stats = self.read(|s| s.stats())?;
-        self.observe_epoch(stats.epoch);
-        Ok(stats)
-    }
-
-    fn metrics(&mut self) -> ServiceResult<MetricsReport> {
-        self.read(|s| s.metrics())
-    }
-
-    fn health(&mut self) -> ServiceResult<HealthReport> {
-        self.read(|s| s.health())
-    }
-
-    fn events(&mut self) -> ServiceResult<Vec<EventRecord>> {
-        self.read(|s| s.events())
-    }
-
-    fn reload(&mut self, path: &str) -> ServiceResult<ReloadOutcome> {
-        self.members[self.active].service.reload(path)
-    }
-
-    fn promote(&mut self, expected_epoch: Option<u64>) -> ServiceResult<PromotionOutcome> {
-        self.members[self.active].service.promote(expected_epoch)
     }
 
     fn set_trace(&mut self, trace: Option<u64>) {
@@ -269,11 +206,13 @@ pub fn parse_replica_addrs(operand: &str) -> Result<Vec<String>, crate::error::S
 
 #[cfg(test)]
 mod tests {
+    use imgraph::GraphDelta;
+
     use super::*;
     use crate::service::RequestTypeCounts;
 
-    /// A scripted fake backend: answers reads at a fixed epoch, or fails
-    /// every call at the transport layer when `dead`.
+    /// A scripted fake backend: answers at a fixed epoch, or fails every
+    /// call at the transport layer when `dead`.
     struct FakeNode {
         epoch: u64,
         dead: bool,
@@ -297,8 +236,10 @@ mod tests {
                 ..Self::alive(epoch)
             }
         }
+    }
 
-        fn check(&mut self) -> ServiceResult<()> {
+    impl InfluenceService for FakeNode {
+        fn call(&mut self, request: &Request) -> ServiceResult<Response> {
             self.calls += 1;
             if self.dead {
                 return Err(ServiceError::Transport(std::io::Error::new(
@@ -306,99 +247,54 @@ mod tests {
                     "node is down",
                 )));
             }
-            Ok(())
-        }
-
-        fn stats_at(&self) -> ServiceStats {
-            ServiceStats {
-                requests: self.calls,
-                topk_cache_hits: 0,
-                topk_cache_misses: 0,
-                pool_size: 10,
-                epoch: self.epoch,
-                deltas_applied: 0,
-                sets_resampled: 0,
-                log_len: 0,
-                snapshot_epoch: 0,
-                compactions: 0,
-                uptime_secs: 0,
-                requests_by_type: RequestTypeCounts::default(),
-                pool_resident_bytes: 0,
-                pool_layout: "raw".to_string(),
-                shards: Vec::new(),
-            }
-        }
-    }
-
-    impl InfluenceService for FakeNode {
-        fn info(&mut self) -> ServiceResult<ServiceInfo> {
-            self.check()?;
-            Ok(ServiceInfo {
-                graph_id: "karate".into(),
-                model: "uc0.1".into(),
-                num_vertices: 34,
-                num_edges: 78,
-                pool_size: 10,
-                confidence_99: 0.0,
-                shard_offset: 0,
-                global_pool: 10,
-            })
-        }
-
-        fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
-            self.check()?;
-            Ok(SpreadEstimate {
-                seeds: seeds.to_vec(),
+            Ok(match request {
                 // Epoch-dependent answer: a stale replica is detectable.
-                spread: self.epoch as f64,
-                covered: self.epoch,
-                pool: 10,
+                Request::Estimate { seeds } => Response::Estimate {
+                    seeds: seeds.clone(),
+                    spread: self.epoch as f64,
+                    covered: self.epoch,
+                    pool: 10,
+                },
+                Request::Stats => Response::Stats {
+                    requests: self.calls,
+                    topk_cache_hits: 0,
+                    topk_cache_misses: 0,
+                    pool_size: 10,
+                    epoch: self.epoch,
+                    deltas_applied: 0,
+                    sets_resampled: 0,
+                    log_len: 0,
+                    snapshot_epoch: 0,
+                    compactions: 0,
+                    uptime_secs: 0,
+                    requests_by_type: RequestTypeCounts::default(),
+                    pool_resident_bytes: 0,
+                    pool_layout: "raw".to_string(),
+                },
+                Request::MutateBatch { .. } if self.read_only => {
+                    return Err(ServiceError::ReadOnly("write to the leader".into()))
+                }
+                Request::MutateBatch { deltas } => {
+                    self.epoch += deltas.len() as u64;
+                    Response::MutateBatch {
+                        epoch: self.epoch,
+                        applied: deltas.len(),
+                        resampled: 0,
+                        compacted: false,
+                    }
+                }
+                Request::Reload { .. } => Response::Reloaded {
+                    epoch: self.epoch,
+                    pool_size: 10,
+                    log_len: 0,
+                    swap_micros: 0,
+                },
+                Request::Promote { .. } => Response::Promoted {
+                    epoch: self.epoch,
+                    was_read_only: std::mem::take(&mut self.read_only),
+                },
+                other => unreachable!("no scripted answer to {other:?}"),
             })
-        }
-
-        fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection> {
-            self.check()?;
-            Ok(TopKSelection {
-                seeds: (0..k as u32).collect(),
-                spread: 0.0,
-                algorithm,
-            })
-        }
-
-        fn gains(&mut self, _selected: &[u32]) -> ServiceResult<GainVector> {
-            self.check()?;
-            Ok(GainVector {
-                gains: vec![0; 3],
-                covered: 0,
-                pool: 10,
-            })
-        }
-
-        fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
-            self.check()?;
-            if self.read_only {
-                return Err(ServiceError::ReadOnly("write to the leader".into()));
-            }
-            self.epoch += deltas.len() as u64;
-            Ok(MutationOutcome {
-                epoch: self.epoch,
-                applied: deltas.len(),
-                resampled: 0,
-                compacted: false,
-            })
-        }
-
-        fn compact(&mut self) -> ServiceResult<CompactionReport> {
-            self.check()?;
-            Ok(CompactionReport {
-                epoch: self.epoch,
-                folded: 0,
-            })
-        }
-
-        fn stats(&mut self) -> ServiceResult<ServiceStats> {
-            self.check()?;
-            Ok(self.stats_at())
         }
     }
 
@@ -429,7 +325,7 @@ mod tests {
             ("leader".to_string(), FakeNode::alive(5)),
             ("follower".to_string(), FakeNode::alive(5)),
         ]);
-        set.observe_epoch(5);
+        set.observed_epoch = 5;
         set.members[0].service.dead = true;
         let estimate = set.estimate(&[0]).unwrap();
         assert_eq!(estimate.covered, 5, "the follower answered at the bar");
@@ -446,7 +342,7 @@ mod tests {
             ("leader".to_string(), FakeNode::alive(9)),
             ("stale".to_string(), FakeNode::alive(4)),
         ]);
-        set.observe_epoch(9);
+        set.observed_epoch = 9;
         set.members[0].service.dead = true;
         let err = set.estimate(&[0]).unwrap_err();
         let message = err.to_string();
@@ -474,6 +370,42 @@ mod tests {
         let outcome = set.mutate_batch(&[delta()]).unwrap();
         assert_eq!(outcome.epoch, 6);
         assert_eq!(set.observed_epoch, 6, "writes raise the catch-up bar");
+    }
+
+    #[test]
+    fn admin_requests_reach_only_the_active_member_and_never_fail_over() {
+        let mut set = ReplicaSet::new(vec![
+            ("leader".to_string(), FakeNode::alive(5)),
+            ("follower".to_string(), FakeNode::follower(5)),
+        ]);
+        set.reload("k.imx").unwrap();
+        assert!(!set.promote(None).unwrap().was_read_only);
+        assert_eq!(set.members[0].service.calls, 2);
+        assert_eq!(set.members[1].service.calls, 0, "follower untouched");
+
+        // A dead active member's own error is the answer: admin is neither
+        // failed over nor iterated through the set.
+        set.members[0].service.dead = true;
+        for err in [
+            set.reload("k.imx").unwrap_err(),
+            set.promote(Some(5)).unwrap_err(),
+        ] {
+            assert!(matches!(err, ServiceError::Transport(_)), "{err}");
+            assert!(err.to_string().contains("node is down"), "{err}");
+        }
+        assert_eq!(set.members[1].service.calls, 0, "follower never tried");
+        assert_eq!(set.active_label(), "leader");
+
+        // Admin follows the active member: once a read has failed over, a
+        // promotion reaches the follower (and only it).
+        set.estimate(&[0]).unwrap();
+        assert_eq!(set.active_label(), "follower");
+        assert!(set.promote(Some(5)).unwrap().was_read_only);
+        assert_eq!(set.members[0].service.calls, 5, "leader: 4 admin + 1 read");
+        assert_eq!(
+            set.members[1].service.calls, 3,
+            "follower: probe, read, promote"
+        );
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! The unified influence-query surface: one typed trait over every backend.
+//! The unified influence-query surface: one request vocabulary over every
+//! backend.
 //!
-//! Before this module the workspace had three disjoint ways to ask the same
-//! influence question — in-process [`crate::engine::QueryEngine::handle`]
-//! with the externally-tagged [`crate::protocol::Response`] enum, the
-//! blocking TCP client, and direct oracle calls in the experiment harness —
-//! so every new capability had to be wired three times and there was no seam
-//! to plug sharding into. [`InfluenceService`] is that seam: a typed trait
-//! whose implementations are interchangeable.
+//! A question is asked in one vocabulary, the wire [`Request`] and its
+//! [`Response`]. [`InfluenceService::call`] is the trait's one required
+//! method; the typed methods (`estimate`, `top_k`, …) are written once here
+//! on top of it. The implementations fall into two kinds:
 //!
-//! * [`LocalService`] wraps an [`std::sync::Arc`]'d engine — zero-cost,
-//!   scratch-reusing, the in-process backend;
-//! * [`crate::client::RemoteService`] speaks protocol v2 over TCP;
-//! * [`crate::shard::ShardedService`] routes over N backends holding
-//!   disjoint RR-set pool shards and merges their integer coverage counts,
-//!   so its answers are byte-identical to a single-pool backend.
+//! * **backends** compute answers and keep typed methods of their own:
+//!   [`LocalService`] wraps an [`std::sync::Arc`]'d engine (the in-process,
+//!   scratch-reusing backend), and [`crate::shard::ShardedService`] routes
+//!   over N backends holding disjoint RR-set pool shards and merges their
+//!   integer coverage counts, so its answers are byte-identical to a
+//!   single-pool backend;
+//! * **relays** pass a request along and implement `call` alone:
+//!   [`crate::client::RemoteService`] (protocol v2 over TCP),
+//!   [`crate::client::ReconnectingService`], [`crate::replica::ReplicaSet`]
+//!   and `Box<S>`.
 //!
 //! Every method returns `Result<_, `[`ServiceError`]`>` with a typed error
 //! taxonomy instead of a stringly `Response::Error`, and the result types
@@ -30,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::QueryEngine;
 use crate::error::ServeError;
-use crate::protocol::TopKAlgorithm;
+use crate::protocol::{Request, Response, TopKAlgorithm};
 
 /// Everything that can go wrong while answering an influence query, typed by
 /// *whose fault it is* so callers can branch without parsing messages. The
@@ -944,7 +946,28 @@ impl HealthReport {
     }
 }
 
-/// One typed query surface over local, remote and sharded backends.
+/// The error raised when a request is answered with a reply of another
+/// kind (by a typed method, or by a peer's handshake).
+pub(crate) fn unexpected<T>(asked: &str, reply: Response) -> ServiceResult<T> {
+    Err(ServiceError::Protocol(format!(
+        "{asked} answered with {reply:?}"
+    )))
+}
+
+/// One query surface over local, remote and sharded backends.
+///
+/// [`InfluenceService::call`] is the only required method: one wire
+/// [`Request`] in, its [`Response`] out. Each typed method is provided on
+/// top of it — it builds its request, calls `call` and unwraps the matching
+/// reply. Relays implement `call` alone; backends that compute answers
+/// ([`LocalService`], [`crate::shard::ShardedService`]) also override the
+/// typed methods, and their `call` dispatches onto those overrides.
+///
+/// A reply of another kind is a [`ServiceError::Protocol`] naming both,
+/// raised here, above every relay: to a relay it is an answer, not a
+/// failure, so [`crate::client::ReconnectingService`] keeps its connection
+/// (the frame ids matched; the stream is in sync) and
+/// [`crate::replica::ReplicaSet`] does not fail over.
 ///
 /// Methods take `&mut self` because every implementation owns per-caller
 /// mutable state (an estimate scratch, a TCP connection, a shard router);
@@ -957,108 +980,266 @@ impl HealthReport {
 /// backend. That invariant is what lets the experiment harness and the load
 /// generator run unchanged against any backend.
 pub trait InfluenceService {
+    /// Answer one wire request, with the typed error channel intact.
+    fn call(&mut self, request: &Request) -> ServiceResult<Response>;
+
     /// Index metadata (graph and pool dimensions).
-    fn info(&mut self) -> ServiceResult<ServiceInfo>;
+    fn info(&mut self) -> ServiceResult<ServiceInfo> {
+        match self.call(&Request::Info)? {
+            Response::Info {
+                graph_id,
+                model,
+                num_vertices,
+                num_edges,
+                pool_size,
+                confidence_99,
+                shard_offset,
+                global_pool,
+            } => Ok(ServiceInfo {
+                graph_id,
+                model,
+                num_vertices,
+                num_edges,
+                pool_size,
+                confidence_99,
+                shard_offset,
+                global_pool,
+            }),
+            other => unexpected("Info", other),
+        }
+    }
 
     /// Estimate the influence spread of an explicit seed set.
-    fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate>;
+    fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
+        let request = Request::Estimate {
+            seeds: seeds.to_vec(),
+        };
+        match self.call(&request)? {
+            Response::Estimate {
+                seeds,
+                spread,
+                covered,
+                pool,
+            } => Ok(SpreadEstimate {
+                seeds,
+                spread,
+                covered,
+                pool,
+            }),
+            other => unexpected("Estimate", other),
+        }
+    }
 
     /// Select an influential seed set of size `k`.
-    fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection>;
+    fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection> {
+        match self.call(&Request::TopK { k, algorithm })? {
+            Response::TopK {
+                seeds,
+                spread,
+                algorithm,
+            } => Ok(TopKSelection {
+                seeds,
+                spread,
+                algorithm,
+            }),
+            other => unexpected("TopK", other),
+        }
+    }
 
     /// Per-vertex marginal coverage gains given `selected` (one round of
     /// greedy maximum coverage as data; the distributed-`TopK` primitive).
-    fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector>;
+    fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
+        let request = Request::Gains {
+            selected: selected.to_vec(),
+        };
+        match self.call(&request)? {
+            Response::Gains {
+                gains,
+                covered,
+                pool,
+            } => Ok(GainVector {
+                gains,
+                covered,
+                pool,
+            }),
+            other => unexpected("Gains", other),
+        }
+    }
 
     /// One greedy round, output-sensitively: this backend's top `limit`
     /// vertices by `(gain desc, id asc)` given `selected`, one bound on
     /// every vertex it did not list, and the exact gain at each `probe`
     /// vertex (see [`GainCandidates`]). `limit` is clamped to the vertex
     /// count; `limit == 0` lists nothing and costs only point reads.
-    ///
-    /// The default cuts the answer out of [`InfluenceService::gains`], so
-    /// test doubles and nested routers are correct by construction;
-    /// backends that can answer without materializing (or shipping) the
-    /// whole vector override it.
     fn gain_candidates(
         &mut self,
         selected: &[u32],
         limit: usize,
         probe: &[u32],
     ) -> ServiceResult<GainCandidates> {
-        let gains = self.gains(selected)?;
-        check_vertices("probed vertex", probe, gains.gains.len())?;
-        Ok(gains.candidates(limit, probe))
+        let request = Request::GainCandidates {
+            selected: selected.to_vec(),
+            limit,
+            probe: probe.to_vec(),
+        };
+        match self.call(&request)? {
+            Response::GainCandidates {
+                vertices,
+                counts,
+                bound,
+                probed,
+                covered,
+                pool,
+            } => Ok(GainCandidates {
+                vertices,
+                counts,
+                bound,
+                probed,
+                covered,
+                pool,
+            }),
+            other => unexpected("GainCandidates", other),
+        }
     }
 
     /// Apply a batch of graph mutations atomically (all-or-nothing per
     /// backend; a sharded service broadcasts to every shard).
-    fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome>;
+    fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
+        let request = Request::MutateBatch {
+            deltas: deltas.to_vec(),
+        };
+        match self.call(&request)? {
+            Response::MutateBatch {
+                epoch,
+                applied,
+                resampled,
+                compacted,
+            } => Ok(MutationOutcome {
+                epoch,
+                applied,
+                resampled,
+                compacted,
+            }),
+            other => unexpected("MutateBatch", other),
+        }
+    }
 
     /// Fold the pending delta log into the snapshot watermark now.
-    fn compact(&mut self) -> ServiceResult<CompactionReport>;
+    fn compact(&mut self) -> ServiceResult<CompactionReport> {
+        match self.call(&Request::Compact)? {
+            Response::Compact { epoch, folded } => Ok(CompactionReport { epoch, folded }),
+            other => unexpected("Compact", other),
+        }
+    }
 
-    /// Serving counters and the epoch timeline.
-    fn stats(&mut self) -> ServiceResult<ServiceStats>;
+    /// Serving counters and the epoch timeline (`shards` is filled only by
+    /// a router's own override: the wire reply has no such field).
+    fn stats(&mut self) -> ServiceResult<ServiceStats> {
+        match self.call(&Request::Stats)? {
+            Response::Stats {
+                requests,
+                topk_cache_hits,
+                topk_cache_misses,
+                pool_size,
+                epoch,
+                deltas_applied,
+                sets_resampled,
+                log_len,
+                snapshot_epoch,
+                compactions,
+                uptime_secs,
+                requests_by_type,
+                pool_resident_bytes,
+                pool_layout,
+            } => Ok(ServiceStats {
+                requests,
+                topk_cache_hits,
+                topk_cache_misses,
+                pool_size,
+                epoch,
+                deltas_applied,
+                sets_resampled,
+                log_len,
+                snapshot_epoch,
+                compactions,
+                uptime_secs,
+                requests_by_type,
+                pool_resident_bytes,
+                pool_layout,
+                shards: Vec::new(),
+            }),
+            other => unexpected("Stats", other),
+        }
+    }
 
     /// A point-in-time observability snapshot: every registered metric plus
-    /// the slow-query log. [`LocalService`] snapshots its engine's registry;
-    /// [`crate::client::RemoteService`] fetches the server's over the wire;
-    /// [`crate::shard::ShardedService`] reports its *router-side* registry
-    /// (fan-out counters and latencies — ask the shards directly for
-    /// engine-side metrics). The default declines, so minimal test doubles
-    /// keep compiling.
+    /// the slow-query log.
     fn metrics(&mut self) -> ServiceResult<MetricsReport> {
-        Err(ServiceError::Backend(
-            "metrics snapshot not supported by this backend".into(),
-        ))
+        match self.call(&Request::Metrics)? {
+            Response::Metrics(report) => Ok(report),
+            other => unexpected("Metrics", other),
+        }
     }
 
     /// A liveness/readiness verdict computed from real signals: WAL
     /// writability, shard reachability and epoch lockstep, reactor
-    /// backpressure. [`LocalService`] asks its engine;
-    /// [`crate::client::RemoteService`] sends the typed `Health` request;
-    /// [`crate::shard::ShardedService`] probes every shard and degrades its
-    /// readiness naming the failing shard. The default declines, so minimal
-    /// test doubles keep compiling.
+    /// backpressure.
     fn health(&mut self) -> ServiceResult<HealthReport> {
-        Err(ServiceError::Backend(
-            "health report not supported by this backend".into(),
-        ))
+        match self.call(&Request::Health)? {
+            Response::Health(report) => Ok(report),
+            other => unexpected("Health", other),
+        }
     }
 
     /// The backend's recent operational events (WAL failures, compactions,
-    /// torn broadcasts, backpressure episodes), oldest first. The default
-    /// declines, like [`InfluenceService::metrics`].
+    /// torn broadcasts, backpressure episodes), oldest first.
     fn events(&mut self) -> ServiceResult<Vec<EventRecord>> {
-        Err(ServiceError::Backend(
-            "event log not supported by this backend".into(),
-        ))
+        match self.call(&Request::Events)? {
+            Response::Events(events) => Ok(events),
+            other => unexpected("Events", other),
+        }
     }
 
     /// Hot-swap the backend's index for the artifact at `path` (a path on
     /// the *backend's* filesystem — typically a compacted copy written by
     /// `imserve compact --index`). The backend validates identity, graph
     /// fingerprint and epoch continuity before swapping; in-flight queries
-    /// finish on the old snapshot. The default declines, like
-    /// [`InfluenceService::metrics`].
+    /// finish on the old snapshot.
     fn reload(&mut self, path: &str) -> ServiceResult<ReloadOutcome> {
-        let _ = path;
-        Err(ServiceError::Backend(
-            "hot-swap reload not supported by this backend".into(),
-        ))
+        let request = Request::Reload {
+            path: path.to_string(),
+        };
+        match self.call(&request)? {
+            Response::Reloaded {
+                epoch,
+                pool_size,
+                log_len,
+                swap_micros,
+            } => Ok(ReloadOutcome {
+                epoch,
+                pool_size,
+                log_len,
+                swap_micros,
+            }),
+            other => unexpected("Reload", other),
+        }
     }
 
     /// Turn a read-only follower writable. With `expected_epoch` set the
     /// backend refuses (typed [`ServiceError::Promotion`] naming the gap)
     /// unless its replication cursor reached that epoch; `None` promotes
-    /// unconditionally (the operator accepts whatever was replicated). The
-    /// default declines, like [`InfluenceService::metrics`].
+    /// unconditionally (the operator accepts whatever was replicated).
     fn promote(&mut self, expected_epoch: Option<u64>) -> ServiceResult<PromotionOutcome> {
-        let _ = expected_epoch;
-        Err(ServiceError::Backend(
-            "promotion not supported by this backend".into(),
-        ))
+        match self.call(&Request::Promote { expected_epoch })? {
+            Response::Promoted {
+                epoch,
+                was_read_only,
+            } => Ok(PromotionOutcome {
+                epoch,
+                was_read_only,
+            }),
+            other => unexpected("Promote", other),
+        }
     }
 
     /// Join this service's subsequent calls to the caller's request trace.
@@ -1086,49 +1267,8 @@ pub trait InfluenceService {
 }
 
 impl<S: InfluenceService + ?Sized> InfluenceService for Box<S> {
-    fn info(&mut self) -> ServiceResult<ServiceInfo> {
-        (**self).info()
-    }
-    fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
-        (**self).estimate(seeds)
-    }
-    fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection> {
-        (**self).top_k(k, algorithm)
-    }
-    fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
-        (**self).gains(selected)
-    }
-    fn gain_candidates(
-        &mut self,
-        selected: &[u32],
-        limit: usize,
-        probe: &[u32],
-    ) -> ServiceResult<GainCandidates> {
-        (**self).gain_candidates(selected, limit, probe)
-    }
-    fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
-        (**self).mutate_batch(deltas)
-    }
-    fn compact(&mut self) -> ServiceResult<CompactionReport> {
-        (**self).compact()
-    }
-    fn stats(&mut self) -> ServiceResult<ServiceStats> {
-        (**self).stats()
-    }
-    fn metrics(&mut self) -> ServiceResult<MetricsReport> {
-        (**self).metrics()
-    }
-    fn health(&mut self) -> ServiceResult<HealthReport> {
-        (**self).health()
-    }
-    fn events(&mut self) -> ServiceResult<Vec<EventRecord>> {
-        (**self).events()
-    }
-    fn reload(&mut self, path: &str) -> ServiceResult<ReloadOutcome> {
-        (**self).reload(path)
-    }
-    fn promote(&mut self, expected_epoch: Option<u64>) -> ServiceResult<PromotionOutcome> {
-        (**self).promote(expected_epoch)
+    fn call(&mut self, request: &Request) -> ServiceResult<Response> {
+        (**self).call(request)
     }
     fn set_trace(&mut self, trace: Option<u64>) {
         (**self).set_trace(trace)
@@ -1140,7 +1280,9 @@ impl<S: InfluenceService + ?Sized> InfluenceService for Box<S> {
 
 /// The in-process backend: a cheap per-caller handle onto a shared
 /// [`QueryEngine`], owning the one piece of per-caller state (the estimate
-/// scratch) so the `estimate` hot path stays zero-allocation.
+/// scratch), so an `estimate` reuses its scratch and allocates only the
+/// seed list it echoes back. Its typed methods call the engine directly,
+/// skipping the [`Request`] and [`Response`] that `call` goes through.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -1176,6 +1318,10 @@ impl LocalService {
 }
 
 impl InfluenceService for LocalService {
+    fn call(&mut self, request: &Request) -> ServiceResult<Response> {
+        self.engine.handle_service(request, &mut self.scratch)
+    }
+
     fn info(&mut self) -> ServiceResult<ServiceInfo> {
         Ok(self.engine.info())
     }

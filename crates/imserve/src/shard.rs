@@ -83,11 +83,11 @@ use imgraph::GraphDelta;
 use imobs::EventField;
 
 use crate::obs::{ServingMetrics, ShardLane};
-use crate::protocol::TopKAlgorithm;
+use crate::protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
 use crate::service::{
-    CompactionReport, EventRecord, FamilyHelp, GainCandidates, GainVector, GaugeSample,
-    HealthReport, InfluenceService, MetricsReport, MutationOutcome, ServiceError, ServiceInfo,
-    ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
+    check_vertices, CompactionReport, EventRecord, FamilyHelp, GainCandidates, GainVector,
+    GaugeSample, HealthReport, InfluenceService, MetricsReport, MutationOutcome, ServiceError,
+    ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
 };
 
 /// Vertices each shard lists per selection round. Large enough that the
@@ -500,45 +500,9 @@ impl<S: InfluenceService + Send> ShardedService<S> {
         Ok(epoch)
     }
 
-    /// Sum every shard's gain vector elementwise (one greedy round over the
-    /// union pool). The vectors are fetched concurrently and summed in
-    /// shard-index order; integer addition commutes, so the sums equal the
-    /// sequential ones bit for bit.
-    fn summed_gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
-        let n = self.info.num_vertices;
-        let all = Self::merge_results(Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.gains(selected),
-        ))?;
-        let mut sum = vec![0u64; n];
-        let mut covered = 0u64;
-        let mut pool = 0u64;
-        for (i, gv) in all.iter().enumerate() {
-            if gv.gains.len() != n {
-                return Err(ServiceError::Shard(format!(
-                    "shard {i} answered {} gains for {n} vertices",
-                    gv.gains.len()
-                )));
-            }
-            for (acc, g) in sum.iter_mut().zip(&gv.gains) {
-                *acc += g;
-            }
-            covered += gv.covered;
-            pool += gv.pool;
-        }
-        Ok(GainVector {
-            gains: sum,
-            covered,
-            pool,
-        })
-    }
-
     /// Try to settle one selection round from the shards' candidate lists
     /// ([`threshold_round`] over this router's fan-out), counting whether it
-    /// did; `None` sends the caller to [`ShardedService::summed_gains`].
+    /// did; `None` sends the caller to the full vectors (`gains`).
     fn threshold_round(
         &mut self,
         selected: &[u32],
@@ -581,7 +545,7 @@ impl<S: InfluenceService + Send> ShardedService<S> {
             let chosen = match proven.as_deref() {
                 Some(&[chosen]) => chosen as usize,
                 _ => {
-                    let round = self.summed_gains(&selected)?;
+                    let round = self.gains(&selected)?;
                     let mut best: Option<(usize, u64)> = None;
                     for (v, &gain) in round.gains.iter().enumerate() {
                         if is_selected[v] {
@@ -611,7 +575,7 @@ impl<S: InfluenceService + Send> ShardedService<S> {
         if let Some(top) = self.threshold_round(&[], |_| false, k)? {
             return Ok(top);
         }
-        let singles = self.summed_gains(&[])?;
+        let singles = self.gains(&[])?;
         let mut ranked: Vec<(u32, u64)> = singles
             .gains
             .iter()
@@ -625,6 +589,43 @@ impl<S: InfluenceService + Send> ShardedService<S> {
 }
 
 impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
+    /// Dispatch onto this router's own methods. `Reload` and `Promote`
+    /// target one node, which a router is not: they are refused here, since
+    /// a provided method would call back into `call`.
+    fn call(&mut self, request: &Request) -> ServiceResult<Response> {
+        Ok(match request {
+            Request::Ping => Response::Pong,
+            Request::Hello { .. } => Response::Hello {
+                version: PROTOCOL_VERSION,
+            },
+            Request::Info => self.info()?.into(),
+            Request::Estimate { seeds } => self.estimate(seeds)?.into(),
+            Request::TopK { k, algorithm } => self.top_k(*k, *algorithm)?.into(),
+            Request::Gains { selected } => self.gains(selected)?.into(),
+            Request::GainCandidates {
+                selected,
+                limit,
+                probe,
+            } => self.gain_candidates(selected, *limit, probe)?.into(),
+            Request::MutateBatch { deltas } => self.mutate_batch(deltas)?.into(),
+            Request::Compact => self.compact()?.into(),
+            Request::Stats => self.stats()?.into(),
+            Request::Metrics => self.metrics()?.into(),
+            Request::Health => self.health()?.into(),
+            Request::Events => self.events()?.into(),
+            Request::Reload { .. } => {
+                return Err(ServiceError::Backend(
+                    "hot-swap reload not supported by this backend".into(),
+                ))
+            }
+            Request::Promote { .. } => {
+                return Err(ServiceError::Backend(
+                    "promotion not supported by this backend".into(),
+                ))
+            }
+        })
+    }
+
     fn info(&mut self) -> ServiceResult<ServiceInfo> {
         Ok(self.info.clone())
     }
@@ -681,8 +682,53 @@ impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
         Ok(selection)
     }
 
+    /// Sum every shard's gain vector elementwise (one greedy round over the
+    /// union pool). The vectors are fetched concurrently and summed in
+    /// shard-index order; integer addition commutes, so the sums equal the
+    /// sequential ones bit for bit.
     fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
-        self.summed_gains(selected)
+        let n = self.info.num_vertices;
+        let all = Self::merge_results(Self::fan_out(
+            &mut self.shards,
+            &self.obs,
+            &self.lanes,
+            self.trace.unwrap_or(0),
+            |shard| shard.gains(selected),
+        ))?;
+        let mut sum = vec![0u64; n];
+        let mut covered = 0u64;
+        let mut pool = 0u64;
+        for (i, gv) in all.iter().enumerate() {
+            if gv.gains.len() != n {
+                return Err(ServiceError::Shard(format!(
+                    "shard {i} answered {} gains for {n} vertices",
+                    gv.gains.len()
+                )));
+            }
+            for (acc, g) in sum.iter_mut().zip(&gv.gains) {
+                *acc += g;
+            }
+            covered += gv.covered;
+            pool += gv.pool;
+        }
+        Ok(GainVector {
+            gains: sum,
+            covered,
+            pool,
+        })
+    }
+
+    /// Cut out of the summed vectors ([`GainVector::candidates`]); the
+    /// router's own rounds use the threshold merge instead.
+    fn gain_candidates(
+        &mut self,
+        selected: &[u32],
+        limit: usize,
+        probe: &[u32],
+    ) -> ServiceResult<GainCandidates> {
+        let gains = self.gains(selected)?;
+        check_vertices("probed vertex", probe, gains.gains.len())?;
+        Ok(gains.candidates(limit, probe))
     }
 
     fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {

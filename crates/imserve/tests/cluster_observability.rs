@@ -14,12 +14,9 @@ use imgraph::GraphDelta;
 use imserve::client::{ReconnectingService, RemoteService};
 use imserve::engine::QueryEngine;
 use imserve::index::{parse_dataset, parse_model, IndexArtifact};
-use imserve::protocol::TopKAlgorithm;
+use imserve::protocol::{Request, Response, TopKAlgorithm};
 use imserve::replica::ReplicaSet;
-use imserve::service::{
-    CompactionReport, GainVector, InfluenceService, LocalService, MutationOutcome, ServiceError,
-    ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
-};
+use imserve::service::{InfluenceService, LocalService, ServiceError, ServiceResult};
 use imserve::shard::ShardedService;
 use imserve::{reactor, ReactorConfig, ServingMetrics};
 
@@ -299,48 +296,9 @@ impl DroppableShard {
 }
 
 impl InfluenceService for DroppableShard {
-    fn info(&mut self) -> ServiceResult<ServiceInfo> {
+    fn call(&mut self, request: &Request) -> ServiceResult<Response> {
         self.gate()?;
-        self.inner.info()
-    }
-
-    fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
-        self.gate()?;
-        self.inner.estimate(seeds)
-    }
-
-    fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection> {
-        self.gate()?;
-        self.inner.top_k(k, algorithm)
-    }
-
-    fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
-        self.gate()?;
-        self.inner.gains(selected)
-    }
-
-    fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
-        self.gate()?;
-        self.inner.mutate_batch(deltas)
-    }
-
-    fn compact(&mut self) -> ServiceResult<CompactionReport> {
-        self.gate()?;
-        self.inner.compact()
-    }
-
-    fn set_deadline(&mut self, _deadline: Option<std::time::Duration>) -> ServiceResult<()> {
-        Ok(())
-    }
-
-    fn stats(&mut self) -> ServiceResult<ServiceStats> {
-        self.gate()?;
-        self.inner.stats()
-    }
-
-    fn metrics(&mut self) -> ServiceResult<imserve::MetricsReport> {
-        self.gate()?;
-        self.inner.metrics()
+        self.inner.call(request)
     }
 }
 

@@ -2,22 +2,28 @@
 //!
 //! * local, remote (over TCP) and sharded backends answer every query
 //!   bit-identically — including after broadcast mutations;
+//! * every wire request goes through `InfluenceService::call` on every
+//!   backend and relay, and a reply of the wrong kind is a typed protocol
+//!   error raised once, above the relays;
 //! * pipelining matches responses to requests by id, and frames the server
 //!   cannot serve (unknown payload, outdated handshake) keep their id;
 //! * the typed error taxonomy survives the wire.
 
 mod fixtures;
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use imgraph::GraphDelta;
-use imserve::client::{RemoteService, ServiceConnection};
+use imserve::client::{ReconnectingService, RemoteService, ServiceConnection};
 use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, IndexArtifact};
-use imserve::protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
+use imserve::protocol::{self, Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
+use imserve::replica::ReplicaSet;
 use imserve::server::{self, ServerConfig};
-use imserve::service::{InfluenceService, LocalService, ServiceError};
+use imserve::service::{InfluenceService, LocalService, ServiceError, ServiceResult};
 use imserve::shard::ShardedService;
+use imserve::{reactor, ReactorConfig};
 
 const POOL: usize = 6_000;
 const SEED: u64 = 7;
@@ -601,4 +607,232 @@ fn loadtest_completes_against_a_single_worker_server() {
     assert_eq!(report.total_requests, 40);
     assert!(report.server_stats.is_some());
     handle.shutdown();
+}
+
+/// Whether a reply is volatile — counters, timings, or a sum a router takes
+/// over its shards (`Compact`'s `folded`) — so only its kind is held against
+/// the reference. Exhaustive: a new request kind fails to compile here until
+/// it is classified (and scripted below).
+fn volatile(request: &Request) -> bool {
+    match request {
+        Request::Reload { .. }
+        | Request::Compact
+        | Request::Stats
+        | Request::Metrics
+        | Request::Health
+        | Request::Events => true,
+        Request::Ping
+        | Request::Hello { .. }
+        | Request::Info
+        | Request::Estimate { .. }
+        | Request::TopK { .. }
+        | Request::Gains { .. }
+        | Request::GainCandidates { .. }
+        | Request::MutateBatch { .. }
+        | Request::Promote { .. } => false,
+    }
+}
+
+/// One request of every kind, in an order that keeps each deterministic:
+/// the reload swaps in the served artifact before any mutation moves the
+/// epoch, and the promotion finds a node that is already writable.
+fn call_script(n: u32, artifact: &str) -> Vec<Request> {
+    vec![
+        Request::Ping,
+        Request::Hello {
+            max_version: PROTOCOL_VERSION,
+        },
+        Request::Info,
+        Request::Estimate {
+            seeds: vec![0, 5, n - 1],
+        },
+        Request::TopK {
+            k: 3,
+            algorithm: TopKAlgorithm::Greedy,
+        },
+        Request::TopK {
+            k: 2,
+            algorithm: TopKAlgorithm::SingletonRank,
+        },
+        Request::Gains { selected: vec![0] },
+        Request::GainCandidates {
+            selected: vec![0],
+            limit: 5,
+            probe: vec![n - 1],
+        },
+        Request::Reload {
+            path: artifact.to_string(),
+        },
+        Request::Promote {
+            expected_epoch: None,
+        },
+        Request::MutateBatch {
+            deltas: batch_again(),
+        },
+        Request::Estimate { seeds: vec![0, 1] },
+        Request::Compact,
+        Request::Stats,
+        Request::Metrics,
+        Request::Health,
+        Request::Events,
+    ]
+}
+
+/// Run the script through `service.call` and hold every reply against the
+/// reference's. A router has no one node to reload or promote, and must say
+/// so with the typed `Backend` error rather than recurse.
+fn assert_calls_match(
+    reference: &[ServiceResult<Response>],
+    service: &mut dyn InfluenceService,
+    script: &[Request],
+    router: bool,
+    context: &str,
+) {
+    for (request, expected) in script.iter().zip(reference) {
+        let got = service.call(request);
+        let what = format!("{context}: {request:?}");
+        if router && matches!(request, Request::Reload { .. } | Request::Promote { .. }) {
+            match got {
+                Err(ServiceError::Backend(message)) => {
+                    assert!(message.contains("not supported"), "{what}: {message}")
+                }
+                other => panic!("{what}: expected the typed Backend error, got {other:?}"),
+            }
+            continue;
+        }
+        match (expected, got) {
+            (Ok(expected), Ok(got)) if !volatile(request) => assert_eq!(
+                protocol::encode(&got).unwrap(),
+                protocol::encode(expected).unwrap(),
+                "{what}"
+            ),
+            (Ok(expected), Ok(got)) => assert_eq!(
+                std::mem::discriminant(&got),
+                std::mem::discriminant(expected),
+                "{what}: {got:?}"
+            ),
+            (expected, got) => panic!("{what}: expected {expected:?}, got {got:?}"),
+        }
+    }
+}
+
+#[test]
+fn every_request_goes_through_call_on_every_backend_and_relay() {
+    let artifact = fixtures::temp_path("call_script", "imx");
+    build_dataset_index("karate", "uc0.1", POOL, SEED)
+        .unwrap()
+        .save(&*artifact)
+        .unwrap();
+    let engine = || {
+        Arc::new(
+            QueryEngine::builder(build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap())
+                .build()
+                .unwrap(),
+        )
+    };
+    let name = imserve::index::parse_dataset("karate").unwrap().name();
+    let shards = |count: usize| {
+        let shards = (0..count)
+            .map(|i| {
+                let artifact =
+                    IndexArtifact::build_shard(name, "uc0.1", karate_graph(), POOL, SEED, i, count);
+                LocalService::new(Arc::new(QueryEngine::builder(artifact).build().unwrap()))
+            })
+            .collect();
+        ShardedService::new(shards).unwrap()
+    };
+    let serve = || {
+        let config = ReactorConfig {
+            compute_threads: 1,
+            ..ReactorConfig::default()
+        };
+        reactor::spawn("127.0.0.1:0", engine(), &config).unwrap()
+    };
+
+    let mut local = LocalService::new(engine());
+    let script = call_script(local.info().unwrap().num_vertices as u32, artifact.as_str());
+    let kinds: HashSet<_> = script.iter().map(std::mem::discriminant).collect();
+    assert_eq!(kinds.len(), 15, "the script names every request kind");
+    let reference: Vec<_> = script.iter().map(|request| local.call(request)).collect();
+    assert!(
+        reference.iter().all(Result::is_ok),
+        "the reference answers every request: {reference:?}"
+    );
+
+    let (remote_server, reconnecting_server) = (serve(), serve());
+    let mut boxed: Box<dyn InfluenceService> = Box::new(LocalService::new(engine()));
+    let mut replicas = ReplicaSet::new(vec![
+        ("leader".to_string(), LocalService::new(engine())),
+        ("follower".to_string(), LocalService::new(engine())),
+    ]);
+    let mut remote = RemoteService::connect(remote_server.addr()).unwrap();
+    let mut reconnecting = ReconnectingService::new(reconnecting_server.addr().to_string());
+    let backends: [(&str, &mut dyn InfluenceService, bool); 6] = [
+        ("Box<dyn InfluenceService>", &mut boxed, false),
+        ("ReplicaSet<LocalService>", &mut replicas, false),
+        ("ShardedService over 1 shard", &mut shards(1), true),
+        ("ShardedService over 2 shards", &mut shards(2), true),
+        ("RemoteService over a reactor", &mut remote, false),
+        (
+            "ReconnectingService over a reactor",
+            &mut reconnecting,
+            false,
+        ),
+    ];
+    for (context, service, router) in backends {
+        assert_calls_match(&reference, service, &script, router, context);
+    }
+    assert_eq!(replicas.active_label(), "leader");
+    remote_server.shutdown();
+    reconnecting_server.shutdown();
+}
+
+/// A backend that answers `Pong` to whatever it is asked.
+struct PongNode;
+
+impl InfluenceService for PongNode {
+    fn call(&mut self, _request: &Request) -> ServiceResult<Response> {
+        Ok(Response::Pong)
+    }
+}
+
+#[test]
+fn a_reply_of_the_wrong_kind_is_a_protocol_error_naming_both_kinds() {
+    let mut node = PongNode;
+    let errors = [
+        ("Info", node.info().unwrap_err()),
+        ("Estimate", node.estimate(&[0]).unwrap_err()),
+        ("TopK", node.top_k(1, TopKAlgorithm::Greedy).unwrap_err()),
+        ("Gains", node.gains(&[]).unwrap_err()),
+        (
+            "GainCandidates",
+            node.gain_candidates(&[], 1, &[]).unwrap_err(),
+        ),
+        ("MutateBatch", node.mutate_batch(&[]).unwrap_err()),
+        ("Compact", node.compact().unwrap_err()),
+        ("Stats", node.stats().unwrap_err()),
+        ("Metrics", node.metrics().unwrap_err()),
+        ("Health", node.health().unwrap_err()),
+        ("Events", node.events().unwrap_err()),
+        ("Reload", node.reload("k.imx").unwrap_err()),
+        ("Promote", node.promote(None).unwrap_err()),
+    ];
+    for (asked, error) in errors {
+        match error {
+            ServiceError::Protocol(message) => {
+                assert_eq!(message, format!("{asked} answered with Pong"))
+            }
+            other => panic!("{asked}: expected a Protocol error, got {other:?}"),
+        }
+    }
+
+    // The error is raised above the relays: a replica set whose leader
+    // answers the wrong kind has had a reply, not a failure, and does not
+    // fail over to the healthy follower.
+    let mut set: ReplicaSet<Box<dyn InfluenceService>> = ReplicaSet::new(vec![
+        ("pong".to_string(), Box::new(PongNode)),
+        ("local".to_string(), Box::new(local_backend())),
+    ]);
+    assert!(matches!(set.estimate(&[0]), Err(ServiceError::Protocol(_))));
+    assert_eq!(set.active_label(), "pong");
 }

@@ -16,10 +16,9 @@ use std::time::Duration;
 use imgraph::GraphDelta;
 use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, IndexArtifact};
-use imserve::protocol::TopKAlgorithm;
+use imserve::protocol::{Request, Response, TopKAlgorithm};
 use imserve::service::{
-    CompactionReport, GainCandidates, GainVector, InfluenceService, LocalService, MutationOutcome,
-    ServiceError, ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
+    InfluenceService, LocalService, ServiceError, ServiceResult, TopKSelection,
 };
 use imserve::shard::ShardedService;
 
@@ -71,64 +70,27 @@ impl FaultyShard {
 }
 
 impl InfluenceService for FaultyShard {
-    fn info(&mut self) -> ServiceResult<ServiceInfo> {
+    fn call(&mut self, request: &Request) -> ServiceResult<Response> {
         self.gate()?;
-        self.inner.info()
-    }
-
-    fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
-        self.gate()?;
-        self.inner.estimate(seeds)
-    }
-
-    fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection> {
-        self.gate()?;
-        self.inner.top_k(k, algorithm)
-    }
-
-    fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
-        self.gate()?;
-        self.inner.gains(selected)
-    }
-
-    fn gain_candidates(
-        &mut self,
-        selected: &[u32],
-        limit: usize,
-        probe: &[u32],
-    ) -> ServiceResult<GainCandidates> {
-        self.gate()?;
-        if limit == 0 && *self.fault.lock().unwrap() == Some(Fault::DropBeforeProbes) {
+        let fault = *self.fault.lock().unwrap();
+        if let (Some(Fault::DropBeforeProbes), Request::GainCandidates { limit: 0, .. }) =
+            (fault, request)
+        {
             return Err(ServiceError::Transport(std::io::Error::new(
                 std::io::ErrorKind::ConnectionAborted,
                 "connection reset by shard",
             )));
         }
-        self.inner.gain_candidates(selected, limit, probe)
-    }
-
-    fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
-        self.gate()?;
-        self.inner.mutate_batch(deltas)
-    }
-
-    fn compact(&mut self) -> ServiceResult<CompactionReport> {
-        self.gate()?;
-        self.inner.compact()
+        let mut response = self.inner.call(request)?;
+        if let (Some(Fault::StaleEpoch), Response::Stats { epoch, .. }) = (fault, &mut response) {
+            *epoch += 1;
+        }
+        Ok(response)
     }
 
     fn set_deadline(&mut self, deadline: Option<Duration>) -> ServiceResult<()> {
         self.deadlines.lock().unwrap().push(deadline);
         Ok(())
-    }
-
-    fn stats(&mut self) -> ServiceResult<ServiceStats> {
-        self.gate()?;
-        let mut stats = self.inner.stats()?;
-        if *self.fault.lock().unwrap() == Some(Fault::StaleEpoch) {
-            stats.epoch += 1;
-        }
-        Ok(stats)
     }
 }
 
