@@ -1,39 +1,26 @@
 //! Ablation: space reduction for Snapshot and RIS (the paper's Section 7
 //! question).
 //!
-//! Measures (i) the compression ratio and decode throughput of delta/varint
-//! RR-set storage, (ii) the accuracy/space trade-off of bottom-k reachability
-//! sketches against exact descendant counts on a live-edge snapshot, and
-//! (iii) the wall-clock cost of building each representation.
+//! Measures the accuracy/space trade-off of bottom-k reachability sketches
+//! against exact descendant counts on a live-edge snapshot, and the
+//! wall-clock cost of building each. Compressed RR sets are the oracle's
+//! `PoolLayout::Compressed`, measured at scale by `imexp pool`
+//! (`BENCH_pool.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use im_core::ris::generate_rr_set;
 use imgraph::live_edge::sample_snapshot;
 use imnet::ProbabilityModel;
 use imrand::default_rng;
-use imsketch::{descendant_counts, CompressedRrSets, ReachabilitySketches};
+use imsketch::{descendant_counts, ReachabilitySketches};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let instance = im_bench::grqc_small(ProbabilityModel::uc01());
     let graph = &instance.graph;
 
-    // Series: compression ratio and sketch error, printed like the tables.
-    let theta = 5_000;
+    // Series: sketch error, printed like the tables.
     let mut rng = default_rng(1);
-    let mut compressed = CompressedRrSets::new();
-    for _ in 0..theta {
-        compressed.push(&generate_rr_set(graph, &mut rng).vertices);
-    }
     println!("\n--- Ablation: space reduction (ca-GrQc/8 uc0.1) ---");
-    println!(
-        "RR sets: θ = {theta}, stored ids = {}, raw = {} B, compressed = {} B, ratio = {:.2}x",
-        compressed.total_vertices(),
-        compressed.uncompressed_bytes(),
-        compressed.payload_bytes(),
-        compressed.compression_ratio()
-    );
-
     let snapshot = sample_snapshot(graph, &mut rng);
     let exact = descendant_counts(snapshot.graph());
     for k in [8usize, 32, 128] {
@@ -50,19 +37,6 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ablation_space_reduction");
     group.sample_size(10);
-    group.bench_function("compress_1000_rr_sets", |b| {
-        b.iter(|| {
-            let mut rng = default_rng(7);
-            let mut store = CompressedRrSets::new();
-            for _ in 0..1_000 {
-                store.push(&generate_rr_set(graph, &mut rng).vertices);
-            }
-            black_box(store.payload_bytes())
-        })
-    });
-    group.bench_function("decode_all_rr_sets", |b| {
-        b.iter(|| black_box(compressed.iter().map(|s| s.len()).sum::<usize>()))
-    });
     group.bench_function("bottomk32_sketch_build", |b| {
         b.iter(|| {
             let s = ReachabilitySketches::build(snapshot.graph(), 32, &mut default_rng(9));

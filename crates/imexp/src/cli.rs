@@ -1,11 +1,12 @@
 //! Strict, unit-testable argument parsing for the `imexp` binary.
 //!
-//! Parsing is a pure function from arguments to a [`Cli`] value, so every
-//! rejection rule — unknown flags, malformed `--scale` values, missing flag
-//! values, flag/command compatibility — is pinned by unit tests instead of
-//! living implicitly in `main`.
+//! [`SUBCOMMANDS`] is the binary's flag table; parsing walks it with
+//! `imserve`'s shared scanner ([`imserve::cli::scan`]) and [`usage`] renders
+//! it, so unknown flags, missing operands and stray words are refused — and
+//! the usage text printed — from one description. What each constructor
+//! keeps is its own: typed defaults and range checks.
 
-use imserve::cli::{parse_number, take_value};
+use imserve::cli::{positive, render_usage, scan, Flag, Given, Subcommand};
 // One error type across the workspace binaries: parse failures print the
 // same way whether `imexp` or `imserve` rejected the flag.
 pub use imserve::cli::CliError;
@@ -17,14 +18,14 @@ use crate::config::ExperimentScale;
 pub enum Cli {
     /// `imexp list`: print the registered experiment names.
     List,
-    /// `imexp all [--scale …] [--json]`: run every experiment.
+    /// `imexp all`: run every experiment.
     All {
         /// Scale preset of every run.
         scale: ExperimentScale,
         /// Emit pretty JSON instead of plain-text tables.
         json: bool,
     },
-    /// `imexp <experiment> [--scale …] [--json]`: run one experiment.
+    /// `imexp <experiment>`: run one experiment.
     Run {
         /// Registered experiment name.
         name: String,
@@ -33,33 +34,76 @@ pub enum Cli {
         /// Emit pretty JSON instead of plain-text tables.
         json: bool,
     },
-    /// `imexp index <dataset> [--model …] [--pool …] [--seed …] --out <path>`:
-    /// build and persist an `imserve` index artifact for a registry dataset.
-    Index {
-        /// Registry dataset name (`karate`, `ba-s`, …).
-        dataset: String,
-        /// Probability-model label (`uc0.1`, `uc0.01`, `iwc`, `owc`).
-        model: String,
-        /// RR sets to draw into the persisted pool.
-        pool: usize,
-        /// Base seed of the pool sample.
-        seed: u64,
-        /// Output path of the artifact.
-        out: String,
-    },
-    /// `imexp loadtest --backend local|remote|remote-reactor|sharded:N|all
-    /// [--dataset …] [--model …] [--pool …] [--seed …] [--connections …]
-    /// [--requests …] [--k …] [--arrival-rps R] [--bench-out <path>]`: run
-    /// the same workload through one or more `InfluenceService` backends
-    /// (with byte-identity verification for `sharded:N`), optionally
-    /// writing the per-backend latency trajectory as one JSON benchmark
-    /// document.
+    /// `imexp loadtest`: run the same workload through one or more
+    /// `InfluenceService` backends (with byte-identity verification for
+    /// `sharded:N`), optionally writing the per-backend latency trajectory
+    /// as one JSON benchmark document.
     Loadtest(crate::loadtest::LoadtestSpec),
-    /// `imexp pool [--nodes N] [--degree D] [--model M] [--pool N]
-    /// [--seed S] [--queries Q] [--k K] [--bench-out <path>]`: benchmark the
-    /// three `impool` pool-store layouts (raw, compressed, tiered) on the
-    /// streamed Chung–Lu fixture, optionally writing `BENCH_pool.json`.
+    /// `imexp pool`: benchmark the three `impool` pool-store layouts (raw,
+    /// compressed, tiered) on the streamed Chung–Lu fixture, optionally
+    /// writing `BENCH_pool.json`.
     Pool(crate::poolbench::PoolBenchSpec),
+}
+
+const SCALE: Flag = Flag::optional("--scale", "quick|standard|paper");
+const JSON: Flag = Flag::switch("--json");
+
+/// Any word that names no other entry is an experiment name.
+const EXPERIMENT: Subcommand = Subcommand {
+    name: "<experiment>",
+    flags: &[SCALE, JSON],
+};
+
+/// The `imexp` command line: every subcommand and every flag it accepts.
+pub const SUBCOMMANDS: &[Subcommand] = &[
+    EXPERIMENT,
+    Subcommand {
+        name: "all",
+        flags: &[SCALE, JSON],
+    },
+    Subcommand {
+        name: "list",
+        flags: &[],
+    },
+    Subcommand {
+        name: "loadtest",
+        flags: &[
+            Flag::required("--backend", "local|remote|remote-reactor|sharded:N|all"),
+            Flag::optional("--dataset", "<name>|chung-lu"),
+            Flag::optional("--model", "M"),
+            Flag::optional("--pool", "N"),
+            Flag::optional("--seed", "S"),
+            Flag::optional("--connections", "N"),
+            Flag::optional("--requests", "N"),
+            Flag::optional("--k", "K"),
+            Flag::optional("--arrival-rps", "R"),
+            Flag::optional("--bench-out", "<path>"),
+        ],
+    },
+    Subcommand {
+        name: "pool",
+        flags: &[
+            Flag::optional("--nodes", "N"),
+            Flag::optional("--degree", "D"),
+            Flag::optional("--model", "M"),
+            Flag::optional("--pool", "N"),
+            Flag::optional("--seed", "S"),
+            Flag::optional("--queries", "Q"),
+            Flag::optional("--k", "K"),
+            Flag::optional("--bench-out", "<path>"),
+        ],
+    },
+];
+
+/// The usage text: [`SUBCOMMANDS`] rendered, then the registered
+/// experiment names.
+#[must_use]
+pub fn usage() -> String {
+    format!(
+        "{}\nexperiments: {}",
+        render_usage("imexp", SUBCOMMANDS),
+        crate::experiments::experiment_names().join(", ")
+    )
 }
 
 fn parse_scale(value: &str) -> Result<ExperimentScale, CliError> {
@@ -75,160 +119,66 @@ fn parse_scale(value: &str) -> Result<ExperimentScale, CliError> {
 
 /// Parse the arguments after the program name.
 pub fn parse(args: &[String]) -> Result<Cli, CliError> {
-    let Some(command) = args.first() else {
+    let Some((command, rest)) = args.split_first() else {
         return Err(CliError("missing command".to_string()));
     };
-    if command == "index" {
-        return parse_index(&args[1..]);
+    if command.starts_with('-') {
+        return Err(CliError(format!(
+            "expected an experiment name, got option {command:?}"
+        )));
     }
-    if command == "loadtest" {
-        return parse_loadtest(&args[1..]);
-    }
-    if command == "pool" {
-        return parse_pool(&args[1..]);
-    }
-
-    let mut scale = ExperimentScale::Quick;
-    let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => scale = parse_scale(take_value("--scale", args, &mut i)?)?,
-            "--json" => json = true,
-            other => return Err(CliError(format!("unknown option {other:?}"))),
-        }
-        i += 1;
-    }
-
-    match command.as_str() {
-        "list" => {
-            if json || scale != ExperimentScale::Quick {
-                return Err(CliError(
-                    "list accepts no --scale or --json options".to_string(),
-                ));
-            }
-            Ok(Cli::List)
-        }
+    let sub = (SUBCOMMANDS.iter())
+        .find(|sub| sub.name == *command)
+        .unwrap_or(&EXPERIMENT);
+    let given = scan(command, sub.flags, rest)?;
+    let scale = (given.parsed("--scale", parse_scale)?).unwrap_or(ExperimentScale::Quick);
+    let json = given.has("--json");
+    match sub.name {
+        "list" => Ok(Cli::List),
         "all" => Ok(Cli::All { scale, json }),
-        name if name.starts_with('-') => Err(CliError(format!(
-            "expected an experiment name, got option {name:?}"
-        ))),
-        name => Ok(Cli::Run {
-            name: name.to_string(),
+        "loadtest" => parse_loadtest(&given),
+        "pool" => parse_pool(&given),
+        _ => Ok(Cli::Run {
+            name: command.clone(),
             scale,
             json,
         }),
     }
 }
 
-fn parse_index(args: &[String]) -> Result<Cli, CliError> {
-    let Some(dataset) = args.first() else {
-        return Err(CliError("index requires a dataset name".to_string()));
-    };
-    if dataset.starts_with('-') {
-        return Err(CliError(format!(
-            "expected a dataset name, got option {dataset:?}"
-        )));
-    }
-    let mut model = "uc0.1".to_string();
-    let mut pool = 100_000usize;
-    let mut seed = 7u64;
-    let mut out: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--model" => model = take_value("--model", args, &mut i)?.to_string(),
-            "--pool" => pool = parse_number("--pool", take_value("--pool", args, &mut i)?)?,
-            "--seed" => seed = parse_number("--seed", take_value("--seed", args, &mut i)?)?,
-            "--out" => out = Some(take_value("--out", args, &mut i)?.to_string()),
-            other => return Err(CliError(format!("unknown option {other:?} for index"))),
-        }
-        i += 1;
-    }
-    if pool == 0 {
-        return Err(CliError("--pool must be positive".to_string()));
-    }
-    Ok(Cli::Index {
-        dataset: dataset.clone(),
-        model,
-        pool,
-        seed,
-        out: out.ok_or_else(|| CliError("index requires --out".to_string()))?,
-    })
-}
-
-fn parse_loadtest(args: &[String]) -> Result<Cli, CliError> {
+fn parse_loadtest(given: &Given) -> Result<Cli, CliError> {
     use imserve::loadtest::LoadtestConfig;
     use imserve::service::BackendSpec;
 
     let mut backends: Vec<BackendSpec> = Vec::new();
-    let mut dataset = "karate".to_string();
-    let mut model = "uc0.1".to_string();
-    let mut pool = 20_000usize;
-    let mut seed = 7u64;
-    let mut bench_out: Option<String> = None;
-    let mut config = LoadtestConfig {
-        connections: 2,
-        requests_per_connection: 100,
-        ..LoadtestConfig::default()
+    for value in given.all("--backend") {
+        if value == "all" {
+            // The full latency trajectory, cheapest to dearest.
+            backends.extend([
+                BackendSpec::Local,
+                BackendSpec::Remote,
+                BackendSpec::RemoteReactor,
+                BackendSpec::Sharded(4),
+            ]);
+        } else {
+            backends.push(BackendSpec::parse(value).map_err(|e| CliError(e.to_string()))?);
+        }
+    }
+    let pool = given.number("--pool")?.unwrap_or(20_000);
+    let defaults = LoadtestConfig::default();
+    let config = LoadtestConfig {
+        connections: given.number("--connections")?.unwrap_or(2),
+        requests_per_connection: given.number("--requests")?.unwrap_or(100),
+        k: given.number("--k")?.unwrap_or(defaults.k),
+        arrival_rps: given.number("--arrival-rps")?,
+        ..defaults
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backend" => {
-                let value = take_value("--backend", args, &mut i)?;
-                if value == "all" {
-                    // The full latency trajectory, cheapest to dearest.
-                    backends.extend([
-                        BackendSpec::Local,
-                        BackendSpec::Remote,
-                        BackendSpec::RemoteReactor,
-                        BackendSpec::Sharded(4),
-                    ]);
-                } else {
-                    backends.push(BackendSpec::parse(value).map_err(|e| CliError(e.to_string()))?);
-                }
-            }
-            "--dataset" => dataset = take_value("--dataset", args, &mut i)?.to_string(),
-            "--model" => model = take_value("--model", args, &mut i)?.to_string(),
-            "--pool" => pool = parse_number("--pool", take_value("--pool", args, &mut i)?)?,
-            "--seed" => seed = parse_number("--seed", take_value("--seed", args, &mut i)?)?,
-            "--connections" => {
-                config.connections =
-                    parse_number("--connections", take_value("--connections", args, &mut i)?)?;
-            }
-            "--requests" => {
-                config.requests_per_connection =
-                    parse_number("--requests", take_value("--requests", args, &mut i)?)?;
-            }
-            "--k" => config.k = parse_number("--k", take_value("--k", args, &mut i)?)?,
-            "--arrival-rps" => {
-                config.arrival_rps = Some(parse_number(
-                    "--arrival-rps",
-                    take_value("--arrival-rps", args, &mut i)?,
-                )?);
-            }
-            "--bench-out" => {
-                bench_out = Some(take_value("--bench-out", args, &mut i)?.to_string());
-            }
-            other => return Err(CliError(format!("unknown option {other:?} for loadtest"))),
-        }
-        i += 1;
-    }
-    if pool == 0 {
-        return Err(CliError("--pool must be positive".to_string()));
-    }
-    for (flag, value) in [
-        ("--connections", config.connections),
-        ("--requests", config.requests_per_connection),
-        ("--k", config.k),
-    ] {
-        if value == 0 {
-            return Err(CliError(format!("{flag} must be positive")));
-        }
-    }
-    if config.arrival_rps == Some(0) {
-        return Err(CliError("--arrival-rps must be positive".to_string()));
+    positive("--pool", pool)?;
+    positive("--connections", config.connections)?;
+    positive("--requests", config.requests_per_connection)?;
+    positive("--k", config.k)?;
+    if let Some(rps) = config.arrival_rps {
+        positive("--arrival-rps", rps)?;
     }
     for backend in &backends {
         if let BackendSpec::Sharded(count) = backend {
@@ -239,60 +189,39 @@ fn parse_loadtest(args: &[String]) -> Result<Cli, CliError> {
             }
         }
     }
-    if backends.is_empty() {
-        return Err(CliError(
-            "loadtest requires --backend local|remote|remote-reactor|sharded:N|all".into(),
-        ));
-    }
     Ok(Cli::Loadtest(crate::loadtest::LoadtestSpec {
         backends,
-        dataset,
-        model,
+        dataset: given
+            .last("--dataset")
+            .unwrap_or_else(|| "karate".to_string()),
+        model: given.last("--model").unwrap_or_else(|| "uc0.1".to_string()),
         pool,
-        seed,
+        seed: given.number("--seed")?.unwrap_or(7),
         config,
-        bench_out,
+        bench_out: given.last("--bench-out"),
     }))
 }
 
-fn parse_pool(args: &[String]) -> Result<Cli, CliError> {
-    let mut spec = crate::poolbench::PoolBenchSpec::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => {
-                spec.nodes = parse_number("--nodes", take_value("--nodes", args, &mut i)?)?
-            }
-            "--degree" => {
-                let value = take_value("--degree", args, &mut i)?;
-                spec.degree = value
-                    .parse()
-                    .map_err(|_| CliError(format!("--degree expects a number, got {value:?}")))?;
-            }
-            "--model" => spec.model = take_value("--model", args, &mut i)?.to_string(),
-            "--pool" => spec.pool = parse_number("--pool", take_value("--pool", args, &mut i)?)?,
-            "--seed" => spec.seed = parse_number("--seed", take_value("--seed", args, &mut i)?)?,
-            "--queries" => {
-                spec.queries = parse_number("--queries", take_value("--queries", args, &mut i)?)?;
-            }
-            "--k" => spec.k = parse_number("--k", take_value("--k", args, &mut i)?)?,
-            "--bench-out" => {
-                spec.bench_out = Some(take_value("--bench-out", args, &mut i)?.to_string());
-            }
-            other => return Err(CliError(format!("unknown option {other:?} for pool"))),
-        }
-        i += 1;
-    }
-    for (flag, value) in [
-        ("--nodes", spec.nodes),
-        ("--pool", spec.pool),
-        ("--queries", spec.queries),
-        ("--k", spec.k),
-    ] {
-        if value == 0 {
-            return Err(CliError(format!("{flag} must be positive")));
-        }
-    }
+fn parse_pool(given: &Given) -> Result<Cli, CliError> {
+    let defaults = crate::poolbench::PoolBenchSpec::default();
+    let spec = crate::poolbench::PoolBenchSpec {
+        nodes: given.number("--nodes")?.unwrap_or(defaults.nodes),
+        degree: (given.parsed("--degree", |value| {
+            (value.parse())
+                .map_err(|_| CliError(format!("--degree expects a number, got {value:?}")))
+        })?)
+        .unwrap_or(defaults.degree),
+        model: given.last("--model").unwrap_or(defaults.model),
+        pool: given.number("--pool")?.unwrap_or(defaults.pool),
+        seed: given.number("--seed")?.unwrap_or(defaults.seed),
+        queries: given.number("--queries")?.unwrap_or(defaults.queries),
+        k: given.number("--k")?.unwrap_or(defaults.k),
+        bench_out: given.last("--bench-out").or(defaults.bench_out),
+    };
+    positive("--nodes", spec.nodes)?;
+    positive("--pool", spec.pool)?;
+    positive("--queries", spec.queries)?;
+    positive("--k", spec.k)?;
     if spec.degree.is_nan() || spec.degree <= 0.0 {
         return Err(CliError("--degree must be positive".to_string()));
     }
@@ -335,11 +264,27 @@ mod tests {
         );
     }
 
+    /// Rejection follows from the table: every entry refuses an unknown
+    /// option and a stray word, and every operand-taking flag refuses to end
+    /// the line without its operand.
     #[test]
     fn unknown_flags_are_rejected() {
+        for sub in SUBCOMMANDS {
+            for bad in ["--frobnicate", "stray"] {
+                let err = parse(&args(&[sub.name, bad])).unwrap_err();
+                assert_eq!(err.0, format!("unknown option {bad:?} for {}", sub.name));
+            }
+            for flag in sub.flags.iter().filter(|flag| flag.operand.is_some()) {
+                let err = parse(&args(&[sub.name, flag.name])).unwrap_err();
+                assert_eq!(err.0, format!("{} requires a value", flag.name));
+            }
+        }
         assert!(parse(&args(&["fig1", "--scael", "quick"])).is_err());
         assert!(parse(&args(&["all", "--verbose"])).is_err());
+        // `index` was a second `imserve build`; it is now just an unknown
+        // experiment whose dataset operand is a stray word.
         assert!(parse(&args(&["index", "karate", "--out", "x", "--fast"])).is_err());
+        assert!(parse(&args(&["index", "karate", "--out", "x"])).is_err());
     }
 
     #[test]
@@ -347,7 +292,6 @@ mod tests {
         let err = parse(&args(&["fig1", "--scale", "enormous"])).unwrap_err();
         assert!(err.0.contains("enormous"), "error names the bad value");
         assert!(err.0.contains("quick"), "error lists the accepted values");
-        assert!(parse(&args(&["fig1", "--scale"])).is_err(), "missing value");
     }
 
     #[test]
@@ -464,42 +408,5 @@ mod tests {
         assert!(parse(&args(&["pool", "--degree", "dense"])).is_err());
         assert!(parse(&args(&["pool", "--degree", "0"])).is_err());
         assert!(parse(&args(&["pool", "--layout", "raw"])).is_err());
-        assert!(
-            parse(&args(&["pool", "--bench-out"])).is_err(),
-            "missing value"
-        );
-    }
-
-    #[test]
-    fn index_parses_with_defaults_and_rejects_bad_values() {
-        assert_eq!(
-            parse(&args(&["index", "karate", "--out", "k.imx"])).unwrap(),
-            Cli::Index {
-                dataset: "karate".into(),
-                model: "uc0.1".into(),
-                pool: 100_000,
-                seed: 7,
-                out: "k.imx".into(),
-            }
-        );
-        assert_eq!(
-            parse(&args(&[
-                "index", "ba-s", "--model", "owc", "--pool", "5000", "--seed", "3", "--out",
-                "b.imx",
-            ]))
-            .unwrap(),
-            Cli::Index {
-                dataset: "ba-s".into(),
-                model: "owc".into(),
-                pool: 5_000,
-                seed: 3,
-                out: "b.imx".into(),
-            }
-        );
-        assert!(parse(&args(&["index"])).is_err(), "missing dataset");
-        assert!(parse(&args(&["index", "karate"])).is_err(), "missing --out");
-        assert!(parse(&args(&["index", "--out", "x"])).is_err());
-        assert!(parse(&args(&["index", "karate", "--pool", "lots", "--out", "x"])).is_err());
-        assert!(parse(&args(&["index", "karate", "--pool", "0", "--out", "x"])).is_err());
     }
 }

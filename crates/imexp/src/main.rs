@@ -1,35 +1,22 @@
 //! `imexp` — run the paper's experiments from the command line.
 //!
 //! ```text
-//! imexp <experiment> [--scale quick|standard|paper] [--json]
-//! imexp all [--scale quick]
 //! imexp list
-//! imexp index <dataset> [--model uc0.1] [--pool 100000] [--seed 7] --out <path>
+//! imexp table3 --scale standard --json
+//! imexp all
 //! ```
 //!
 //! Each experiment name corresponds to one table or figure of the paper; see
-//! `imexp list` or DESIGN.md for the mapping. `imexp index` persists the
-//! shared influence oracle of a dataset as an `imserve` index artifact, so
-//! the serving layer reuses exactly the pool the experiments evaluate with.
+//! `imexp list` or DESIGN.md for the mapping. The command line is the flag
+//! table in `imexp::cli`; a bad invocation prints the usage text rendered
+//! from it. The index artifact the serving layer loads is written by
+//! `imserve build`.
 
 use std::process::ExitCode;
 
 use imexp::cli::{self, Cli};
 use imexp::config::ExperimentScale;
 use imexp::experiments::{experiment_names, run_by_name};
-
-fn print_usage() {
-    eprintln!(
-        "usage: imexp <experiment|all|list> [--scale quick|standard|paper] [--json]\n\
-         \u{20}      imexp index <dataset> [--model uc0.1|uc0.01|iwc|owc] [--pool N] [--seed S] --out <path>\n\
-         \u{20}      imexp loadtest --backend local|remote|remote-reactor|sharded:N|all [--backend …] \
-         [--dataset <name>|chung-lu] [--model M] [--pool N] [--seed S] [--connections N] \
-         [--requests N] [--k K] [--arrival-rps R] [--bench-out <path>]\n\
-         \u{20}      imexp pool [--nodes N] [--degree D] [--model M] [--pool N] [--seed S] \
-         [--queries Q] [--k K] [--bench-out <path>]"
-    );
-    eprintln!("experiments: {}", experiment_names().join(", "));
-}
 
 fn print_report(name: &str, scale: ExperimentScale, json: bool) -> Result<(), String> {
     let report = run_by_name(name, scale).ok_or_else(|| format!("unknown experiment {name:?}"))?;
@@ -50,7 +37,7 @@ fn main() -> ExitCode {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
-            print_usage();
+            eprintln!("{}", cli::usage());
             return ExitCode::FAILURE;
         }
     };
@@ -76,34 +63,10 @@ fn main() -> ExitCode {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
-                print_usage();
+                eprintln!("{}", cli::usage());
                 ExitCode::FAILURE
             }
         },
-        Cli::Index {
-            dataset,
-            model,
-            pool,
-            seed,
-            out,
-        } => {
-            let artifact = match imserve::build_dataset_index(&dataset, &model, pool, seed) {
-                Ok(artifact) => artifact,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = artifact.save(&out) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "wrote index {} / {} (pool {}) -> {}",
-                artifact.meta.graph_id, artifact.meta.model, artifact.meta.pool_size, out
-            );
-            ExitCode::SUCCESS
-        }
         Cli::Loadtest(spec) => {
             let backends: Vec<String> = spec.backends.iter().map(ToString::to_string).collect();
             eprintln!(

@@ -284,33 +284,14 @@ impl EngineBuilder {
             // log whose epochs happen to line up must fail, not diverge
             // silently.
             let recovery = WriteAheadLog::recover(&path, &identity, base_seed)?;
+            // Replay is not client traffic: records land through the same
+            // checks as the replication stream (records already folded into
+            // the artifact are skipped, gaps and foreign lineages refused),
+            // never through `mutate_batch` and its request counters.
             for (i, record) in recovery.records.iter().enumerate() {
-                let epoch = engine.epoch();
-                if record.epoch_after() <= epoch {
-                    continue; // already folded into the loaded artifact
-                }
-                if record.epoch_before != epoch {
-                    return Err(ServeError::Wal(format!(
-                        "record {i} spans epochs {}..{} but the index is at epoch {epoch}; \
-                         history is missing — rebuild the index or remove the stale WAL",
-                        record.epoch_before,
-                        record.epoch_after()
-                    )));
-                }
-                // Lineage check: same identity and lined-up epochs are not
-                // enough — the record must have been applied to *this* graph
-                // (a rebuild with a different `--deltas` script shares both).
-                if record.graph_hash_before != engine.state().dynamic.fingerprint() {
-                    return Err(ServeError::Wal(format!(
-                        "record {i} (epoch {}) was recorded against a different graph than this \
-                         index holds at that epoch; the WAL belongs to another lineage of the \
-                         same index — rebuild the index or remove the stale WAL",
-                        record.epoch_before
-                    )));
-                }
                 engine
-                    .mutate_batch(&record.deltas)
-                    .map_err(|e| ServeError::Wal(format!("replaying record {i} failed: {e}")))?;
+                    .apply_record(record, "rebuild the index or remove the stale WAL")
+                    .map_err(|e| ServeError::Wal(format!("WAL record {i} not replayed: {e}")))?;
             }
             // Only now start appending: replay itself must not re-log
             // records.
@@ -818,6 +799,19 @@ impl QueryEngine {
         &self,
         record: &WalRecord,
     ) -> Result<Option<MutationOutcome>, ServiceError> {
+        self.apply_record(record, "resync the replica from a fresh artifact")
+    }
+
+    /// Apply one logged record — from the replication stream or, during
+    /// [`EngineBuilder::build`], from this engine's own WAL — behind the
+    /// checks both share: a record at or below the current epoch is skipped,
+    /// one beyond it (history is missing) or recorded against another graph
+    /// (the lineage fingerprint differs) is refused naming `remedy`.
+    fn apply_record(
+        &self,
+        record: &WalRecord,
+        remedy: &str,
+    ) -> Result<Option<MutationOutcome>, ServiceError> {
         self.check_wal_usable()?;
         if record.deltas.is_empty() {
             return Ok(None);
@@ -829,17 +823,20 @@ impl QueryEngine {
         }
         if record.epoch_before != epoch {
             return Err(ServiceError::Backend(format!(
-                "replication stream record spans epochs {}..{} but this replica is at epoch \
-                 {epoch}; history is missing — resync the replica from a fresh artifact",
+                "record spans epochs {}..{} but this engine is at epoch {epoch}; history is \
+                 missing — {remedy}",
                 record.epoch_before,
                 record.epoch_after()
             )));
         }
+        // Same identity and lined-up epochs are not enough: the record must
+        // have been applied to *this* graph (a rebuild with a different
+        // `--deltas` script, a diverged replica or a corrupt stream share
+        // both).
         if record.graph_hash_before != state.dynamic.fingerprint() {
             return Err(ServiceError::Backend(format!(
-                "replication divergence at epoch {epoch}: the leader's record was applied to a \
-                 different graph than this replica holds (lineage fingerprint mismatch) — the \
-                 stream is corrupt or the replica diverged; resync from a fresh artifact"
+                "lineage divergence at epoch {epoch}: the record was applied to a different \
+                 graph than this engine holds (lineage fingerprint mismatch) — {remedy}"
             )));
         }
         let dynamic = Arc::make_mut(&mut state.dynamic);
@@ -862,8 +859,8 @@ impl QueryEngine {
                 }))
             }
             Err(e) => Err(ServiceError::Backend(format!(
-                "replicated batch rejected at delta {} of {} ({}); the leader applied what this \
-                 replica cannot — resync from a fresh artifact",
+                "recorded batch rejected at delta {} of {} ({}); it was applied to a graph this \
+                 engine does not hold — {remedy}",
                 e.index + 1,
                 record.deltas.len(),
                 e.error

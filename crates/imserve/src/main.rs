@@ -1,16 +1,12 @@
 //! `imserve` — build, serve and query persistent influence indexes.
 //!
+//! The command line is the flag table in `imserve::cli`; run the binary
+//! with no arguments for the usage text rendered from it. A session:
+//!
 //! ```text
-//! imserve build    --dataset karate --model uc0.1 --pool 100000 --out karate.imx
-//! imserve serve    --index karate.imx --addr 127.0.0.1:7431 --workers 4
-//! imserve serve    --index karate.imx --threaded   # turn-queue fallback front end
-//! imserve query    --addr 127.0.0.1:7431 --estimate 0,33
-//! imserve query    --addr 127.0.0.1:7431 --topk 3 --algorithm greedy
-//! imserve query    --addr 127.0.0.1:7431 --stats
-//! imserve route    --addr 127.0.0.1:7431 --addr 127.0.0.1:7432 --metrics-addr 127.0.0.1:9200
-//! imserve mutate   --addr 127.0.0.1:7431 --insert 0,33,0.5 --delete 0,1
-//! imserve build    --dataset karate --deltas script.jsonl --out mutated.imx
-//! imserve loadtest --addr 127.0.0.1:7431 --connections 8 --requests 500
+//! imserve build --dataset karate --out karate.imx
+//! imserve serve --index karate.imx --addr 127.0.0.1:7431
+//! imserve query --addr 127.0.0.1:7431 --topk 3
 //! ```
 //!
 //! `mutate` applies deltas *incrementally* to a running server (only the
@@ -19,14 +15,7 @@
 //! smoke step diffs their served responses. `mutate` applies its deltas
 //! atomically (one CSR patch, dirty-union resampling), and `compact` folds
 //! the pending log into the snapshot watermark — live over TCP or offline on
-//! an artifact file:
-//!
-//! ```text
-//! imserve mutate  --addr 127.0.0.1:7431 --file script.jsonl
-//! imserve compact --addr 127.0.0.1:7431
-//! imserve compact --index karate.imx --out karate_compacted.imx
-//! imserve serve   --index karate.imx --compact-log-len 256
-//! ```
+//! an artifact file.
 
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -79,7 +68,7 @@ fn main() -> ExitCode {
         Ok(command) => command,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", cli::USAGE);
+            eprintln!("{}", cli::usage());
             return ExitCode::FAILURE;
         }
     };

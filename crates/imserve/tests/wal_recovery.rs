@@ -81,6 +81,32 @@ fn a_fresh_engine_replays_the_wal_and_matches_the_survivor() {
     assert_eq!(third.state().dynamic.oracle().to_bytes(), continuous);
 }
 
+/// Replaying the WAL restores history; it is not client traffic, so no
+/// request counter moves.
+#[test]
+fn wal_replay_is_not_counted_as_client_requests() {
+    let wal = temp_wal("uncounted");
+    let first = QueryEngine::builder(build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap())
+        .wal(&*wal)
+        .build()
+        .unwrap();
+    for batch in batches() {
+        first.mutate_batch(&batch).unwrap();
+    }
+    assert_eq!(first.stats().requests_by_type.mutate_batch, 2);
+    let epoch = first.epoch();
+    drop(first);
+
+    let rebuilt = QueryEngine::builder(build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap())
+        .wal(&*wal)
+        .build()
+        .unwrap();
+    assert_eq!(rebuilt.epoch(), epoch, "both records replayed");
+    let stats = rebuilt.stats();
+    assert_eq!(stats.requests_by_type.mutate_batch, 0);
+    assert_eq!(stats.requests, 1, "only the stats call itself");
+}
+
 #[test]
 fn saved_artifacts_skip_already_folded_records() {
     let wal = temp_wal("skip");

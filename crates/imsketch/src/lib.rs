@@ -1,4 +1,4 @@
-//! Sketch and compression substrates for influence maximization.
+//! Sketch substrates for influence maximization.
 //!
 //! Sections 3.4.3 and 3.5.3 of the paper survey the "efficient implementation"
 //! techniques layered on top of the Snapshot and RIS approaches, and Section 7
@@ -19,19 +19,17 @@
 //! * [`skim`] — sketch-space greedy seed selection over a set of live-edge
 //!   snapshots: a simplified SKIM that ranks candidates by sketch-estimated
 //!   coverage and rebuilds residual sketches after each selection.
-//! * [`rr_compress`] — delta/varint-compressed storage for RR-set collections,
-//!   answering the paper's space-reduction question for RIS with measured
-//!   compression ratios and a drop-in coverage-counting interface.
+//!
+//! Compressed RR sets, the other space-reduction answer, are a pool layout
+//! of the shared oracle (`impool`'s delta-varint `PoolLayout::Compressed`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bottomk;
 pub mod descendant;
-pub mod rr_compress;
 pub mod skim;
 
 pub use bottomk::{BottomKSketch, ReachabilitySketches};
 pub use descendant::descendant_counts;
-pub use rr_compress::CompressedRrSets;
 pub use skim::SketchGreedy;

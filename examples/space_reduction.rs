@@ -9,8 +9,9 @@
 //! Snapshot and RIS, e.g., by compressing reverse-reachable sets?" This example
 //! measures three answers this repository implements:
 //!
-//! 1. **Compressed RR sets** (`imsketch::CompressedRrSets`) — store RIS's RR
-//!    sets delta/varint-encoded and report the compression ratio;
+//! 1. **Compressed RR sets** (`PoolLayout::Compressed`) — store the shared
+//!    oracle's RR-set pool delta/varint-encoded, the layout the server ships,
+//!    and report its resident bytes against the raw layout;
 //! 2. **Bottom-k reachability sketches** (`imsketch::ReachabilitySketches`) —
 //!    replace Snapshot's per-snapshot reachable sets by fixed-size sketches and
 //!    report the estimation error they introduce;
@@ -18,7 +19,7 @@
 //!    probability-1 strongly connected components and report how much smaller
 //!    every subsequent sample becomes.
 
-use im_core::ris::generate_rr_set;
+use im_core::PoolLayout;
 use im_study::prelude::*;
 use imgraph::coarsen::coarsen_by_certain_edges;
 use imgraph::live_edge::sample_snapshot;
@@ -34,29 +35,17 @@ fn main() {
     );
 
     // --- 1. Compressed RR sets ----------------------------------------------
-    let theta = 20_000u64;
-    let mut rng = default_rng(1);
-    let mut compressed = CompressedRrSets::new();
-    for _ in 0..theta {
-        let rr = generate_rr_set(&graph, &mut rng);
-        compressed.push(&rr.vertices);
-    }
+    let theta = 20_000usize;
+    let mut oracle = InfluenceOracle::builder(theta).sample_with_rng(&graph, &mut default_rng(1));
+    let raw = oracle.pool_resident_bytes();
+    oracle.convert_layout(PoolLayout::Compressed);
+    let compressed = oracle.pool_resident_bytes();
     println!("1. compressed RR sets (θ = {theta}):");
-    println!(
-        "   stored vertex ids      : {}",
-        compressed.total_vertices()
-    );
-    println!(
-        "   raw u32 payload        : {} bytes",
-        compressed.uncompressed_bytes()
-    );
-    println!(
-        "   delta/varint payload   : {} bytes",
-        compressed.payload_bytes()
-    );
+    println!("   raw pool               : {raw} resident bytes");
+    println!("   delta/varint pool      : {compressed} resident bytes");
     println!(
         "   compression ratio      : {:.2}×\n",
-        compressed.compression_ratio()
+        raw as f64 / compressed as f64
     );
 
     // --- 2. Bottom-k sketches versus exact reachability ---------------------

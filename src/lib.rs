@@ -42,7 +42,7 @@
 //! | [`im_core`] | IC/LT diffusion, greedy framework, Oneshot / Snapshot / RIS (both models), CELF / CELF++ / UBLF pruning, exact influence, sample-number determination, influence oracle, worst-case bounds |
 //! | [`imdyn`] | incremental RR-set maintenance for evolving graphs: typed deltas, dirty-set resampling, rebuild-equivalence contract |
 //! | [`imheur`] | heuristic baselines: degree, degree discount, PageRank, IRIE, random |
-//! | [`imsketch`] | bottom-k reachability sketches, exact descendant counting, sketch-space greedy, compressed RR sets |
+//! | [`imsketch`] | bottom-k reachability sketches, exact descendant counting, sketch-space greedy |
 //! | [`imstats`] | seed-set distributions, Shannon entropy, divergences, confidence intervals, influence summary statistics, comparable ratios |
 //! | [`imexp`] | experiment drivers for every table and figure of the paper |
 //! | [`imserve`] | persistent influence-query service: typed `InfluenceService` trait over local/remote/sharded backends, binary RR-index build/load (whole pools or shards), query engine with TopK LRU cache and mutation WAL, TCP front ends (one wire protocol, v2 frames), loadtest |
@@ -81,7 +81,7 @@ pub mod prelude {
         IndexArtifact, InfluenceService, LocalService, QueryEngine, RemoteService, ShardedService,
         TopKAlgorithm,
     };
-    pub use imsketch::{CompressedRrSets, ReachabilitySketches, SketchGreedy};
+    pub use imsketch::{ReachabilitySketches, SketchGreedy};
     pub use imstats::{EmpiricalDistribution, SampleCurve, SummaryStats};
 }
 

@@ -9,8 +9,8 @@
 use im_core::determination::{determine_all_sample_numbers, AccuracyTarget};
 use im_core::exact::{exact_greedy, exact_influence};
 use im_core::greedy_select;
-use im_core::ris::{generate_rr_set, RisEstimator};
-use im_core::Lt;
+use im_core::ris::RisEstimator;
+use im_core::{Lt, PoolLayout};
 use im_study::prelude::*;
 use imgraph::coarsen::coarsen_by_certain_edges;
 use imheur::{DegreeDiscount, IrieSelector, RandomSelector, SingleDiscount, WeightedDegree};
@@ -81,34 +81,28 @@ fn sketch_greedy_matches_snapshot_greedy_on_separable_communities() {
 #[test]
 fn compressed_rr_sets_reproduce_the_ris_coverage_counts() {
     let graph = Dataset::Karate.influence_graph(ProbabilityModel::uc01(), 0);
-    let theta = 2_000u64;
-    // Build the estimator and an identically-seeded compressed store.
-    let mut rng = default_rng(9);
-    let estimator = RisEstimator::new(&graph, theta, &mut rng);
-    let mut rng = default_rng(9);
-    let mut compressed = CompressedRrSets::new();
-    for _ in 0..theta {
-        compressed.push(&generate_rr_set(&graph, &mut rng).vertices);
-    }
-    assert_eq!(compressed.len() as u64, theta);
-    assert_eq!(compressed.total_vertices(), estimator.total_rr_size());
-    // Coverage counts from the compressed form match the estimator's initial
-    // marginal estimates (scaled by n/θ).
-    let counts = compressed.coverage_counts(graph.num_vertices());
-    let mut est = estimator;
-    let n = graph.num_vertices() as f64;
-    for v in 0..graph.num_vertices() as VertexId {
-        let from_compressed = n * f64::from(counts[v as usize]) / theta as f64;
-        let from_estimator = est.estimate(v);
-        assert!(
-            (from_compressed - from_estimator).abs() < 1e-9,
-            "vertex {v}: {from_compressed} vs {from_estimator}"
-        );
-    }
+    let theta = 2_000usize;
+    // The estimator and an identically-seeded oracle whose pool is then
+    // stored delta-varint compressed, the layout the server ships.
+    let mut est = RisEstimator::new(&graph, theta as u64, &mut default_rng(9));
+    let mut oracle = InfluenceOracle::builder(theta).sample_with_rng(&graph, &mut default_rng(9));
+    let raw_bytes = oracle.pool_resident_bytes();
+    oracle.convert_layout(PoolLayout::Compressed);
     assert!(
-        compressed.compression_ratio() > 1.0,
+        oracle.pool_resident_bytes() < raw_bytes,
         "Karate RR sets should compress"
     );
+    // Coverage read back from the compressed pool matches the estimator's
+    // initial marginal estimates.
+    let from_compressed = oracle.singleton_influences();
+    for v in 0..graph.num_vertices() as VertexId {
+        let from_estimator = est.estimate(v);
+        assert!(
+            (from_compressed[v as usize] - from_estimator).abs() < 1e-9,
+            "vertex {v}: {} vs {from_estimator}",
+            from_compressed[v as usize]
+        );
+    }
 }
 
 #[test]

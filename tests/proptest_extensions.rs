@@ -1,5 +1,5 @@
 //! Property-based tests for the extension modules: exact influence, sketches,
-//! compressed RR sets, heuristics, divergences and confidence intervals.
+//! heuristics, divergences and confidence intervals.
 //!
 //! These complement `proptest_invariants.rs` (which covers the substrates and
 //! the three core estimators) with invariants of the modules added around
@@ -13,7 +13,7 @@ use im_core::ublf::influence_upper_bounds;
 use imgraph::{DiGraph, InfluenceGraph, VertexId};
 use imheur::{DegreeDiscount, MaxDegree, PageRankSelector, SeedSelector, SingleDiscount};
 use imrand::Pcg32;
-use imsketch::{descendant_counts, CompressedRrSets, ReachabilitySketches};
+use imsketch::{descendant_counts, ReachabilitySketches};
 use imstats::divergence::{
     jensen_shannon_divergence, overlap_coefficient, support_jaccard, total_variation_distance,
 };
@@ -133,25 +133,6 @@ proptest! {
             let exact = imgraph::reach::reachable_count(&graph, &[v]);
             prop_assert!((sketches.estimate_reachable(v) - exact as f64).abs() < 1e-9);
         }
-    }
-
-    /// Compressed RR-set storage round-trips arbitrary vertex-id sets and
-    /// never inflates them beyond the raw 4-bytes-per-id representation by
-    /// more than the one-byte-per-id varint floor.
-    #[test]
-    fn compressed_rr_sets_round_trip(sets in proptest::collection::vec(proptest::collection::vec(0u32..100_000, 0..50), 1..30)) {
-        let mut store = CompressedRrSets::new();
-        for set in &sets {
-            store.push(set);
-        }
-        prop_assert_eq!(store.len(), sets.len());
-        for (i, set) in sets.iter().enumerate() {
-            let mut canonical = set.clone();
-            canonical.sort_unstable();
-            canonical.dedup();
-            prop_assert_eq!(store.decode(i), canonical);
-        }
-        prop_assert!(store.payload_bytes() <= store.uncompressed_bytes().max(store.total_vertices() as usize * 5));
     }
 
     /// Every heuristic returns at most min(k, n) distinct, in-range seeds.
