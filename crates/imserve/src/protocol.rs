@@ -17,6 +17,13 @@
 //! ([`PROTOCOL_VERSION`]); a line that is not a frame of that version is
 //! answered with a typed error frame, never interpreted (see `DESIGN.md`).
 //!
+//! One field is packed: a framed `Gains` reply carries its n counts as one
+//! string, standard padded base64 of unsigned LEB128 varints, instead of n
+//! JSON integers (see [`ResponseFrame`]). It rides inside the line, so the
+//! framing is unchanged, and the integer-array form is refused. A line
+//! nested deeper than 128 arrays/objects is refused by the parser before it
+//! can exhaust a worker's stack.
+//!
 //! Responses to the same request against the same index are byte-identical —
 //! the engine is deterministic and no timestamps or volatile fields are ever
 //! put on the wire — so clients can cache and compare freely. The diagnostic
@@ -512,7 +519,15 @@ pub enum Outcome {
 }
 
 /// A response frame, id-matched to its request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `Serialize`/`Deserialize` are hand-written (not derived) for one body: an
+/// `Ok(Gains)` reply carries its `gains` as one packed string (standard
+/// padded base64 of the counts as unsigned LEB128 varints), not as n JSON
+/// integers. Every other body is the derived externally-tagged form. The
+/// decoder refuses the integer-array form of `gains`, so a peer from another
+/// build gets a typed error, never a wrong vector. A bare [`Response`] (what
+/// the CLI prints) is unaffected.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResponseFrame {
     /// Frame version (echoes the request frame's).
     pub v: u32,
@@ -520,6 +535,192 @@ pub struct ResponseFrame {
     pub id: u64,
     /// Success or typed failure.
     pub body: Outcome,
+}
+
+impl Serialize for ResponseFrame {
+    fn to_value(&self) -> serde::Value {
+        let body = match &self.body {
+            Outcome::Ok(Response::Gains {
+                gains,
+                covered,
+                pool,
+            }) => tagged(
+                "Ok",
+                tagged(
+                    "Gains",
+                    serde::Value::Object(vec![
+                        ("gains".to_string(), serde::Value::Str(pack_gains(gains))),
+                        ("covered".to_string(), covered.to_value()),
+                        ("pool".to_string(), pool.to_value()),
+                    ]),
+                ),
+            ),
+            body => body.to_value(),
+        };
+        serde::Value::Object(vec![
+            ("v".to_string(), self.v.to_value()),
+            ("id".to_string(), self.id.to_value()),
+            ("body".to_string(), body),
+        ])
+    }
+}
+
+impl Deserialize for ResponseFrame {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let (version, id) = (serde::de_field(v, "v")?, serde::de_field(v, "id")?);
+        // The same one-key tag match the derived `Outcome`/`Response` code
+        // makes, so a `Gains` body never reaches the derived array decoder.
+        let gains_body = v
+            .get("body")
+            .and_then(|body| variant_payload(body, "Ok"))
+            .and_then(|ok| variant_payload(ok, "Gains"));
+        let body = match gains_body {
+            Some(fields) => Outcome::Ok(Response::Gains {
+                gains: match fields.get("gains") {
+                    Some(serde::Value::Str(text)) => unpack_gains(text),
+                    Some(serde::Value::Array(_)) => {
+                        Err("an integer array is not accepted; gains travel packed".to_string())
+                    }
+                    Some(_) => Err("expected a packed base64 LEB128 string".to_string()),
+                    None => Err("missing".to_string()),
+                }
+                .map_err(|e| serde::Error(format!("field `gains`: {e}")))?,
+                covered: serde::de_field(fields, "covered")?,
+                pool: serde::de_field(fields, "pool")?,
+            }),
+            None => serde::de_field(v, "body")?,
+        };
+        Ok(Self {
+            v: version,
+            id,
+            body,
+        })
+    }
+}
+
+/// `{"<tag>": inner}`, the externally-tagged shape of an enum variant.
+fn tagged(tag: &str, inner: serde::Value) -> serde::Value {
+    serde::Value::Object(vec![(tag.to_string(), inner)])
+}
+
+/// The payload of `v` if it is exactly the one-key object `{"<tag>": …}`.
+fn variant_payload<'a>(v: &'a serde::Value, tag: &str) -> Option<&'a serde::Value> {
+    match v {
+        serde::Value::Object(pairs) if pairs.len() == 1 && pairs[0].0 == tag => Some(&pairs[0].1),
+        _ => None,
+    }
+}
+
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Each byte's 6-bit base64 value, or `u8::MAX` for a byte outside the
+/// alphabet (including `=`, which only [`unpack_gains`]' padding check reads).
+const BASE64_VALUES: [u8; 256] = {
+    let mut table = [u8::MAX; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[BASE64[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The wire form of a gain vector: each count as an unsigned LEB128 varint
+/// (seven bits per byte, low group first, high bit set on every byte but the
+/// last), the bytes in standard padded base64.
+fn pack_gains(gains: &[u64]) -> String {
+    let mut bytes = Vec::with_capacity(gains.len() + gains.len() / 2);
+    for &gain in gains {
+        let mut x = gain;
+        while x >= 0x80 {
+            bytes.push(x as u8 | 0x80);
+            x >>= 7;
+        }
+        bytes.push(x as u8);
+    }
+    let digit = |n: u32, shift: u32| BASE64[(n >> shift) as usize & 63];
+    let mut text = Vec::with_capacity(bytes.len().div_ceil(3) * 4);
+    let mut groups = bytes.chunks_exact(3);
+    for g in &mut groups {
+        let n = u32::from(g[0]) << 16 | u32::from(g[1]) << 8 | u32::from(g[2]);
+        text.extend([digit(n, 18), digit(n, 12), digit(n, 6), digit(n, 0)]);
+    }
+    match *groups.remainder() {
+        [a] => {
+            let n = u32::from(a) << 16;
+            text.extend([digit(n, 18), digit(n, 12), b'=', b'=']);
+        }
+        [a, b] => {
+            let n = u32::from(a) << 16 | u32::from(b) << 8;
+            text.extend([digit(n, 18), digit(n, 12), digit(n, 6), b'=']);
+        }
+        _ => {}
+    }
+    String::from_utf8(text).expect("base64 is ASCII")
+}
+
+/// The inverse of [`pack_gains`]. Total and canonical: it accepts exactly the
+/// strings `pack_gains` produces and names the first defect of any other.
+fn unpack_gains(text: &str) -> Result<Vec<u64>, String> {
+    let text = text.as_bytes();
+    if !text.len().is_multiple_of(4) {
+        return Err(format!(
+            "base64 length {} is not a multiple of 4",
+            text.len()
+        ));
+    }
+    let mut bytes = Vec::with_capacity(text.len() / 4 * 3);
+    for (q, quad) in text.chunks_exact(4).enumerate() {
+        let pad = if (q + 1) * 4 == text.len() {
+            quad.iter().rev().take_while(|&&c| c == b'=').count()
+        } else {
+            0
+        };
+        if pad > 2 {
+            return Err(format!("bad base64 padding at byte {}", q * 4));
+        }
+        let mut n = 0u32;
+        for (i, &c) in quad[..4 - pad].iter().enumerate() {
+            let value = BASE64_VALUES[usize::from(c)];
+            if value == u8::MAX {
+                return Err(format!(
+                    "bad base64 character {:?} at byte {}",
+                    char::from(c),
+                    q * 4 + i
+                ));
+            }
+            n |= u32::from(value) << (18 - 6 * i);
+        }
+        let kept = 3 - pad;
+        if n & (0x00FF_FFFF >> (8 * kept)) != 0 {
+            return Err(format!("non-zero base64 pad bits at byte {}", q * 4));
+        }
+        bytes.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8][..kept]);
+    }
+    let mut gains = Vec::with_capacity(bytes.len());
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let (start, mut value, mut shift) = (pos, 0u64, 0u32);
+        loop {
+            let Some(&b) = bytes.get(pos) else {
+                return Err(format!("varint {} truncated", gains.len()));
+            };
+            pos += 1;
+            if shift == 63 && b > 1 {
+                return Err(format!("varint {} exceeds u64::MAX", gains.len()));
+            }
+            value |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && pos - start > 1 {
+                    return Err(format!("varint {} is overlong", gains.len()));
+                }
+                break;
+            }
+            shift += 7;
+        }
+        gains.push(value);
+    }
+    Ok(gains)
 }
 
 /// Convert a typed service result into the wire `Response` it serializes as
@@ -702,34 +903,86 @@ pub fn parse_delta_script(text: &str) -> Result<Vec<GraphDelta>, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn requests_round_trip_over_the_wire() {
-        let frames = vec![
+    /// One of every request kind, with integers at their extremes.
+    fn request_corpus() -> Vec<Request> {
+        vec![
             Request::Ping,
+            Request::Hello { max_version: 2 },
             Request::Info,
             Request::Estimate {
-                seeds: vec![0, 5, 9],
+                seeds: vec![0, 5, 9, u32::MAX],
             },
             Request::TopK {
                 k: 3,
                 algorithm: TopKAlgorithm::Greedy,
             },
+            Request::MutateBatch {
+                deltas: vec![
+                    GraphDelta::InsertEdge {
+                        source: 0,
+                        target: 33,
+                        probability: 0.5,
+                    },
+                    GraphDelta::DeleteEdge {
+                        source: 0,
+                        target: 1,
+                    },
+                    GraphDelta::SetProbability {
+                        source: 2,
+                        target: 3,
+                        probability: 1.0,
+                    },
+                ],
+            },
+            Request::Compact,
+            Request::Gains {
+                selected: vec![0, 33],
+            },
+            Request::Gains { selected: vec![] },
+            Request::GainCandidates {
+                selected: vec![33],
+                limit: 64,
+                probe: vec![0, 2],
+            },
             Request::Stats,
-        ];
-        for frame in frames {
-            let line = encode(&frame).unwrap();
-            assert!(!line.contains('\n'), "frames must be single-line");
-            let back: Request = decode(&line).unwrap();
-            assert_eq!(back, frame);
-        }
+            Request::Metrics,
+            Request::Health,
+            Request::Events,
+            Request::Reload {
+                path: "/tmp/compacted.idx".into(),
+            },
+            Request::Promote {
+                expected_epoch: Some(u64::MAX),
+            },
+            Request::Promote {
+                expected_epoch: None,
+            },
+        ]
     }
 
-    #[test]
-    fn responses_round_trip_over_the_wire() {
-        let frames = vec![
+    /// One of every response kind, with integers at their extremes.
+    fn response_corpus() -> Vec<Response> {
+        use crate::service::{
+            EventFieldSample, EventRecord, FamilyHelp, GaugeSample, HealthReport, HistogramBucket,
+            HistogramSample, MetricSample, SlowQuery, SpanStage,
+        };
+        let mut health = HealthReport::new();
+        health.push("wal_writable", false, "disk \"full\"");
+        vec![
             Response::Pong,
             Response::Hello { version: 2 },
+            Response::Info {
+                graph_id: "Karate".into(),
+                model: "uc0.1".into(),
+                num_vertices: 34,
+                num_edges: 156,
+                pool_size: 20_000,
+                confidence_99: 0.31,
+                shard_offset: 0,
+                global_pool: u64::MAX,
+            },
             Response::Estimate {
                 seeds: vec![1],
                 spread: 3.5,
@@ -741,10 +994,30 @@ mod tests {
                 spread: 14.25,
                 algorithm: TopKAlgorithm::SingletonRank,
             },
+            Response::MutateBatch {
+                epoch: 5,
+                applied: 3,
+                resampled: 12,
+                compacted: true,
+            },
+            Response::Compact {
+                epoch: 5,
+                folded: 5,
+            },
             Response::Gains {
                 gains: vec![3, 0, 1],
                 covered: 4,
                 pool: 10,
+            },
+            Response::Gains {
+                gains: vec![0, 127, 128, 1 << 63, u64::MAX],
+                covered: 0,
+                pool: u64::MAX,
+            },
+            Response::Gains {
+                gains: vec![],
+                covered: 0,
+                pool: 0,
             },
             Response::GainCandidates {
                 vertices: vec![0, 2],
@@ -754,14 +1027,359 @@ mod tests {
                 covered: 4,
                 pool: 10,
             },
+            Response::Stats {
+                requests: 10,
+                topk_cache_hits: 1,
+                topk_cache_misses: 2,
+                pool_size: 5_000,
+                epoch: 3,
+                deltas_applied: 3,
+                sets_resampled: 17,
+                log_len: 3,
+                snapshot_epoch: 0,
+                compactions: 0,
+                uptime_secs: 12,
+                requests_by_type: RequestTypeCounts {
+                    estimate: 6,
+                    top_k: 3,
+                    gain_candidates: 8,
+                    stats: 1,
+                    ..RequestTypeCounts::default()
+                },
+                pool_resident_bytes: 81_920,
+                pool_layout: "compressed".to_string(),
+            },
+            Response::Metrics(MetricsReport {
+                counters: vec![MetricSample {
+                    name: "imserve_requests_total".into(),
+                    value: u64::MAX,
+                }],
+                gauges: vec![GaugeSample {
+                    name: "imserve_epoch".into(),
+                    value: -3,
+                }],
+                histograms: vec![HistogramSample {
+                    name: "imserve_request_latency_micros{type=\"estimate\"}".into(),
+                    count: 2,
+                    sum: 300,
+                    buckets: vec![
+                        HistogramBucket { le: 127, count: 1 },
+                        HistogramBucket { le: 255, count: 2 },
+                    ],
+                }],
+                slow_queries: vec![SlowQuery {
+                    trace: 7,
+                    total_micros: 15_000,
+                    stages: vec![SpanStage {
+                        stage: "execute".into(),
+                        at_micros: 14_000,
+                    }],
+                }],
+                help: vec![FamilyHelp {
+                    family: "imserve_epoch".into(),
+                    help: "Current index epoch.".into(),
+                }],
+            }),
+            Response::Health(health),
+            Response::Events(vec![EventRecord {
+                seq: 1,
+                level: "warn".into(),
+                code: "torn_broadcast".into(),
+                at_unix_micros: 1_700_000_000_000_000,
+                trace: 0xC0FFEE,
+                fields: vec![EventFieldSample {
+                    name: "shard".into(),
+                    value: "1".into(),
+                }],
+            }]),
+            Response::Reloaded {
+                epoch: 12,
+                pool_size: 20_000,
+                log_len: 0,
+                swap_micros: 87,
+            },
+            Response::Promoted {
+                epoch: 12,
+                was_read_only: true,
+            },
             Response::Error {
                 message: "nope".into(),
             },
-        ];
-        for frame in frames {
+        ]
+    }
+
+    /// The corpus as wire lines: every request framed (and one traced), every
+    /// response framed as `Ok`, and one `Err` frame of every kind.
+    fn corpus_lines() -> Vec<String> {
+        let mut lines: Vec<String> = request_corpus()
+            .into_iter()
+            .enumerate()
+            .map(|(i, req)| encode(&RequestFrame::new(i as u64, req)).unwrap())
+            .collect();
+        lines.push(
+            encode(&RequestFrame {
+                trace: Some(u64::MAX),
+                ..RequestFrame::new(u64::MAX, Request::Ping)
+            })
+            .unwrap(),
+        );
+        for (i, response) in response_corpus().into_iter().enumerate() {
+            lines.push(
+                encode(&ResponseFrame {
+                    v: PROTOCOL_VERSION,
+                    id: i as u64,
+                    body: Outcome::Ok(response),
+                })
+                .unwrap(),
+            );
+        }
+        for kind in [
+            ErrorKind::Protocol,
+            ErrorKind::Query,
+            ErrorKind::Mutation,
+            ErrorKind::Unsupported,
+            ErrorKind::Internal,
+            ErrorKind::ReadOnly,
+            ErrorKind::Promotion,
+        ] {
+            lines.push(
+                encode(&ResponseFrame {
+                    v: PROTOCOL_VERSION,
+                    id: 99,
+                    body: Outcome::Err(WireError {
+                        kind,
+                        message: "a \"quoted\"\n\tline \u{1}é".into(),
+                    }),
+                })
+                .unwrap(),
+            );
+        }
+        lines
+    }
+
+    #[test]
+    fn requests_round_trip_over_the_wire() {
+        for (i, frame) in request_corpus().into_iter().enumerate() {
+            let line = encode(&frame).unwrap();
+            assert!(!line.contains('\n'), "frames must be single-line");
+            let back: Request = decode(&line).unwrap();
+            assert_eq!(back, frame);
+            let framed = RequestFrame::new(i as u64, frame);
+            let back: RequestFrame = decode(&encode(&framed).unwrap()).unwrap();
+            assert_eq!(back, framed);
+        }
+    }
+
+    #[test]
+    fn responses_round_trip_over_the_wire() {
+        for (i, frame) in response_corpus().into_iter().enumerate() {
             let back: Response = decode(&encode(&frame).unwrap()).unwrap();
             assert_eq!(back, frame);
+            let framed = ResponseFrame {
+                v: PROTOCOL_VERSION,
+                id: i as u64,
+                body: Outcome::Ok(frame),
+            };
+            let back: ResponseFrame = decode(&encode(&framed).unwrap()).unwrap();
+            assert_eq!(back, framed);
         }
+    }
+
+    /// [`corpus_lines`] as the parent of the packed `Gains` form encoded it,
+    /// except the three `Ok(Gains)` replies, which are now packed.
+    const GOLDEN: [&str; 43] = [
+        r#"{"v":2,"id":0,"req":"Ping"}"#,
+        r#"{"v":2,"id":1,"req":{"Hello":{"max_version":2}}}"#,
+        r#"{"v":2,"id":2,"req":"Info"}"#,
+        r#"{"v":2,"id":3,"req":{"Estimate":{"seeds":[0,5,9,4294967295]}}}"#,
+        r#"{"v":2,"id":4,"req":{"TopK":{"k":3,"algorithm":"Greedy"}}}"#,
+        r#"{"v":2,"id":5,"req":{"MutateBatch":{"deltas":[{"InsertEdge":{"source":0,"target":33,"probability":0.5}},{"DeleteEdge":{"source":0,"target":1}},{"SetProbability":{"source":2,"target":3,"probability":1.0}}]}}}"#,
+        r#"{"v":2,"id":6,"req":"Compact"}"#,
+        r#"{"v":2,"id":7,"req":{"Gains":{"selected":[0,33]}}}"#,
+        r#"{"v":2,"id":8,"req":{"Gains":{"selected":[]}}}"#,
+        r#"{"v":2,"id":9,"req":{"GainCandidates":{"selected":[33],"limit":64,"probe":[0,2]}}}"#,
+        r#"{"v":2,"id":10,"req":"Stats"}"#,
+        r#"{"v":2,"id":11,"req":"Metrics"}"#,
+        r#"{"v":2,"id":12,"req":"Health"}"#,
+        r#"{"v":2,"id":13,"req":"Events"}"#,
+        r#"{"v":2,"id":14,"req":{"Reload":{"path":"/tmp/compacted.idx"}}}"#,
+        r#"{"v":2,"id":15,"req":{"Promote":{"expected_epoch":18446744073709551615}}}"#,
+        r#"{"v":2,"id":16,"req":{"Promote":{"expected_epoch":null}}}"#,
+        r#"{"v":2,"id":18446744073709551615,"req":"Ping","t":18446744073709551615}"#,
+        r#"{"v":2,"id":0,"body":{"Ok":"Pong"}}"#,
+        r#"{"v":2,"id":1,"body":{"Ok":{"Hello":{"version":2}}}}"#,
+        r#"{"v":2,"id":2,"body":{"Ok":{"Info":{"graph_id":"Karate","model":"uc0.1","num_vertices":34,"num_edges":156,"pool_size":20000,"confidence_99":0.31,"shard_offset":0,"global_pool":18446744073709551615}}}}"#,
+        r#"{"v":2,"id":3,"body":{"Ok":{"Estimate":{"seeds":[1],"spread":3.5,"covered":7,"pool":10}}}}"#,
+        r#"{"v":2,"id":4,"body":{"Ok":{"TopK":{"seeds":[33,0],"spread":14.25,"algorithm":"SingletonRank"}}}}"#,
+        r#"{"v":2,"id":5,"body":{"Ok":{"MutateBatch":{"epoch":5,"applied":3,"resampled":12,"compacted":true}}}}"#,
+        r#"{"v":2,"id":6,"body":{"Ok":{"Compact":{"epoch":5,"folded":5}}}}"#,
+        r#"{"v":2,"id":7,"body":{"Ok":{"Gains":{"gains":"AwAB","covered":4,"pool":10}}}}"#,
+        r#"{"v":2,"id":8,"body":{"Ok":{"Gains":{"gains":"AH+AAYCAgICAgICAgAH///////////8B","covered":0,"pool":18446744073709551615}}}}"#,
+        r#"{"v":2,"id":9,"body":{"Ok":{"Gains":{"gains":"","covered":0,"pool":0}}}}"#,
+        r#"{"v":2,"id":10,"body":{"Ok":{"GainCandidates":{"vertices":[0,2],"counts":[9,4],"bound":3,"probed":[4],"covered":4,"pool":10}}}}"#,
+        r#"{"v":2,"id":11,"body":{"Ok":{"Stats":{"requests":10,"topk_cache_hits":1,"topk_cache_misses":2,"pool_size":5000,"epoch":3,"deltas_applied":3,"sets_resampled":17,"log_len":3,"snapshot_epoch":0,"compactions":0,"uptime_secs":12,"requests_by_type":{"ping":0,"hello":0,"info":0,"estimate":6,"top_k":3,"gains":0,"gain_candidates":8,"mutate_batch":0,"compact":0,"stats":1,"metrics":0,"health":0,"events":0,"reload":0,"promote":0},"pool_resident_bytes":81920,"pool_layout":"compressed"}}}}"#,
+        r#"{"v":2,"id":12,"body":{"Ok":{"Metrics":{"counters":[{"name":"imserve_requests_total","value":18446744073709551615}],"gauges":[{"name":"imserve_epoch","value":-3}],"histograms":[{"name":"imserve_request_latency_micros{type=\"estimate\"}","count":2,"sum":300,"buckets":[{"le":127,"count":1},{"le":255,"count":2}]}],"slow_queries":[{"trace":7,"total_micros":15000,"stages":[{"stage":"execute","at_micros":14000}]}],"help":[{"family":"imserve_epoch","help":"Current index epoch."}]}}}}"#,
+        r#"{"v":2,"id":13,"body":{"Ok":{"Health":{"ready":false,"signals":[{"name":"wal_writable","ok":false,"detail":"disk \"full\""}]}}}}"#,
+        r#"{"v":2,"id":14,"body":{"Ok":{"Events":[{"seq":1,"level":"warn","code":"torn_broadcast","at_unix_micros":1700000000000000,"trace":12648430,"fields":[{"name":"shard","value":"1"}]}]}}}"#,
+        r#"{"v":2,"id":15,"body":{"Ok":{"Reloaded":{"epoch":12,"pool_size":20000,"log_len":0,"swap_micros":87}}}}"#,
+        r#"{"v":2,"id":16,"body":{"Ok":{"Promoted":{"epoch":12,"was_read_only":true}}}}"#,
+        r#"{"v":2,"id":17,"body":{"Ok":{"Error":{"message":"nope"}}}}"#,
+        r#"{"v":2,"id":99,"body":{"Err":{"kind":"Protocol","message":"a \"quoted\"\n\tline \u0001é"}}}"#,
+        r#"{"v":2,"id":99,"body":{"Err":{"kind":"Query","message":"a \"quoted\"\n\tline \u0001é"}}}"#,
+        r#"{"v":2,"id":99,"body":{"Err":{"kind":"Mutation","message":"a \"quoted\"\n\tline \u0001é"}}}"#,
+        r#"{"v":2,"id":99,"body":{"Err":{"kind":"Unsupported","message":"a \"quoted\"\n\tline \u0001é"}}}"#,
+        r#"{"v":2,"id":99,"body":{"Err":{"kind":"Internal","message":"a \"quoted\"\n\tline \u0001é"}}}"#,
+        r#"{"v":2,"id":99,"body":{"Err":{"kind":"ReadOnly","message":"a \"quoted\"\n\tline \u0001é"}}}"#,
+        r#"{"v":2,"id":99,"body":{"Err":{"kind":"Promotion","message":"a \"quoted\"\n\tline \u0001é"}}}"#,
+    ];
+
+    #[test]
+    fn the_corpus_encodes_to_the_golden_bytes() {
+        let lines = corpus_lines();
+        assert_eq!(lines.len(), GOLDEN.len());
+        for (line, golden) in lines.iter().zip(GOLDEN) {
+            assert_eq!(line, golden);
+        }
+        // Only a framed reply is packed: the bare `Response` the CLI prints
+        // keeps the integer array.
+        let bare = Response::Gains {
+            gains: vec![3, 0, 1],
+            covered: 4,
+            pool: 10,
+        };
+        assert_eq!(
+            encode(&bare).unwrap(),
+            r#"{"Gains":{"gains":[3,0,1],"covered":4,"pool":10}}"#
+        );
+    }
+
+    /// Gain vectors whose counts span every varint length.
+    fn gain_vectors() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(
+            (0u32..64, 0u64..=u64::MAX).prop_map(|(shift, x)| x >> shift),
+            0..40,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn packed_gains_round_trip(gains in gain_vectors()) {
+            let packed = pack_gains(&gains);
+            prop_assert_eq!(packed.len(), varint_bytes(&gains).div_ceil(3) * 4);
+            prop_assert_eq!(unpack_gains(&packed), Ok(gains));
+        }
+
+        #[test]
+        fn unpacking_is_total_and_canonical(
+            chars in proptest::collection::vec(0usize..70, 0..24),
+            gains in gain_vectors(),
+            at in 0usize..1000,
+            with in 0usize..70,
+        ) {
+            const ALPHABET: &[char] = &[
+                'A', 'B', 'Q', 'g', 'w', '/', '+', '0', '9', 'z', '=', '-', '_', ' ', 'é', '\0',
+            ];
+            let pick = |i: usize| {
+                if i < 64 {
+                    char::from(BASE64[i])
+                } else {
+                    ALPHABET[(i - 64) % ALPHABET.len()]
+                }
+            };
+            // An arbitrary string, and a one-character edit of a valid one,
+            // half of them in the last group, where padding and pad bits are.
+            let arbitrary: String = chars.iter().map(|&i| pick(i)).collect();
+            let mut edited: Vec<char> = pack_gains(&gains).chars().collect();
+            if !edited.is_empty() {
+                let len = edited.len();
+                let i = if at % 2 == 0 {
+                    at / 2 % len
+                } else {
+                    len - 1 - at / 2 % 4
+                };
+                edited[i] = pick(with);
+            }
+            let edited: String = edited.into_iter().collect();
+            for text in [arbitrary, edited] {
+                if let Ok(gains) = unpack_gains(&text) {
+                    prop_assert_eq!(pack_gains(&gains), text);
+                }
+            }
+        }
+    }
+
+    fn varint_bytes(gains: &[u64]) -> usize {
+        gains
+            .iter()
+            .map(|&g| (64 - g.leading_zeros() as usize).max(1).div_ceil(7))
+            .sum()
+    }
+
+    #[test]
+    fn packed_gains_edge_values_and_defects() {
+        for gains in [
+            vec![],
+            vec![0],
+            vec![127],
+            vec![128],
+            vec![1 << 63],
+            vec![u64::MAX],
+            vec![0, 127, 128, 1 << 63, u64::MAX],
+        ] {
+            assert_eq!(unpack_gains(&pack_gains(&gains)), Ok(gains));
+        }
+        for (text, defect) in [
+            ("A", "base64 length 1 is not a multiple of 4"),
+            ("A===", "bad base64 padding at byte 0"),
+            ("AA=A", "bad base64 character '=' at byte 2"),
+            ("AA==AAAA", "bad base64 character '=' at byte 2"),
+            ("A$==", "bad base64 character '$' at byte 1"),
+            ("AR==", "non-zero base64 pad bits at byte 0"),
+            ("AAB=", "non-zero base64 pad bits at byte 0"),
+            ("gA==", "varint 0 truncated"),
+            ("AIAA", "varint 1 is overlong"),
+            ("////////////Ag==", "varint 0 exceeds u64::MAX"),
+        ] {
+            assert_eq!(unpack_gains(text), Err(defect.to_string()), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_gains_reply_in_the_array_form_or_malformed_is_a_protocol_error() {
+        let parent = r#"{"v":2,"id":4,"body":{"Ok":{"Gains":{"gains":[412,0],"covered":7099,"pool":20000}}}}"#;
+        for (line, reason) in [
+            (parent, "an integer array is not accepted"),
+            (
+                &parent.replace("[412,0]", r#""gA==""#)[..],
+                "varint 0 truncated",
+            ),
+            (
+                &parent.replace("[412,0]", "7")[..],
+                "expected a packed base64 LEB128 string",
+            ),
+            (&parent.replace(r#""gains":[412,0],"#, "")[..], "missing"),
+        ] {
+            match decode::<ResponseFrame>(line) {
+                Err(ServeError::Protocol(message)) => {
+                    assert!(message.contains("field `gains`"), "{message}");
+                    assert!(message.contains(reason), "{message}");
+                }
+                other => panic!("{line}: expected a typed Protocol error, got {other:?}"),
+            }
+        }
+        let packed = parent.replace("[412,0]", r#""nAMA""#);
+        let frame: ResponseFrame = decode(&packed).unwrap();
+        assert_eq!(
+            frame.body,
+            Outcome::Ok(Response::Gains {
+                gains: vec![412, 0],
+                covered: 7099,
+                pool: 20000,
+            })
+        );
+        assert_eq!(encode(&frame).unwrap(), packed);
     }
 
     #[test]

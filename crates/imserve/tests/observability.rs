@@ -5,6 +5,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use imserve::client::RemoteService;
 use imserve::engine::QueryEngine;
@@ -52,6 +53,14 @@ fn metrics_request_and_scrape_endpoint_reflect_served_traffic() {
     .unwrap();
 
     let mut service = RemoteService::connect(handle.addr()).unwrap();
+    // Whether a completion ends a parked wait, or lands while the loop is
+    // still busy from the tick that dispatched it, is a race a preempted
+    // loop thread loses every time: ping-pong until one has ended a wait
+    // (`Ping` is in none of the lanes checked below).
+    imserve::testkit::wait_until("a completion wake-up", Duration::from_secs(20), || {
+        service.call(&Request::Ping).unwrap();
+        engine.obs().reactor_wakeups_completion.get() >= 1
+    });
     service.estimate(&[0]).unwrap();
     service.estimate(&[0, 33]).unwrap();
     // Same selection twice: a cache miss then a hit.
@@ -85,7 +94,12 @@ fn metrics_request_and_scrape_endpoint_reflect_served_traffic() {
             "imserve_reactor_wakeups_total{{cause=\"{cause}\"}}"
         ))
     };
-    assert!(woke("socket") >= 1 && woke("completion") >= 1);
+    assert!(
+        woke("socket") >= 1 && woke("completion") >= 1,
+        "socket {}, completion {}",
+        woke("socket"),
+        woke("completion")
+    );
     assert_eq!(woke("timeout"), 0);
     let waits = report
         .histogram("imserve_reactor_poll_wait_micros")

@@ -13,7 +13,8 @@
 //! The suite also exercises the client's non-blocking `send`/`poll_response`
 //! pair against the reactor: many frames in flight on one connection, replies
 //! drained incrementally without blocking — and, on each front end, the one
-//! line neither may buffer: a request that never ends.
+//! line neither may buffer: a request that never ends. A short line nested
+//! too deep to parse is refused like any other malformed line.
 
 mod fixtures;
 
@@ -231,6 +232,39 @@ fn the_reactor_refuses_an_endless_request_line() {
     );
     let handle = handle.unwrap();
     assert_an_endless_line_is_refused(handle.addr(), &engine);
+    handle.shutdown();
+}
+
+/// A short line nested far past the parser's depth limit (100 000 `[`,
+/// about 100 KB) gets one typed `Protocol` frame from a compute worker
+/// instead of overflowing its stack and aborting the process, and the server
+/// answers the next connection.
+#[test]
+fn the_reactor_refuses_a_deeply_nested_line() {
+    let engine = fresh_engine();
+    let handle = reactor::spawn(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        &ReactorConfig::default(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let line = format!("{{\"v\":2,\"id\":1,\"req\":{}\n", "[".repeat(100_000));
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert!(
+        reply.starts_with(r#"{"v":2,"id":0,"body":{"Err":{"kind":"Protocol""#),
+        "{reply}"
+    );
+    assert!(reply.contains("nesting deeper than 128 levels"), "{reply}");
+    assert_eq!(engine.obs().parse_errors.get(), 1);
+
+    let pong = ServiceConnection::connect(handle.addr())
+        .unwrap()
+        .call(&Request::Ping)
+        .unwrap();
+    assert_eq!(pong, Response::Pong);
     handle.shutdown();
 }
 
