@@ -15,7 +15,7 @@ use crate::linebuf::LineBuffer;
 use crate::protocol::{
     self, Outcome, Request, RequestFrame, Response, ResponseFrame, PROTOCOL_VERSION,
 };
-use crate::service::{unexpected, InfluenceService, ServiceError, ServiceResult};
+use crate::service::{unexpected, InfluenceService, Pending, ServiceError, ServiceResult};
 
 /// One persistent protocol connection: id-tagged frames, typed errors,
 /// pipelining — both the blocking batch form ([`ServiceConnection::pipeline`])
@@ -261,6 +261,22 @@ impl InfluenceService for ServiceConnection {
         ServiceConnection::call(self, request)
     }
 
+    /// Write and flush the frame; the reply stays in the socket until
+    /// [`InfluenceService::finish`] reads it.
+    fn begin(&mut self, request: &Request) -> Pending {
+        match self.send(request).and_then(|id| self.flush().map(|()| id)) {
+            Ok(id) => Pending::Sent(id),
+            Err(e) => Pending::Answered(Err(e)),
+        }
+    }
+
+    fn finish(&mut self, pending: Pending) -> ServiceResult<Response> {
+        match pending {
+            Pending::Sent(id) => self.receive(id)?,
+            Pending::Answered(answer) => answer,
+        }
+    }
+
     /// Attach (or clear) the trace id stamped onto subsequent frames.
     fn set_trace(&mut self, trace: Option<u64>) {
         self.trace = trace;
@@ -384,7 +400,25 @@ impl InfluenceService for ReconnectingService {
     /// Send `request` over the live connection, dropping it on a
     /// connection-fatal error so the next call re-dials.
     fn call(&mut self, request: &Request) -> ServiceResult<Response> {
-        let result = self.service()?.call(request);
+        let pending = self.begin(request);
+        self.finish(pending)
+    }
+
+    fn begin(&mut self, request: &Request) -> Pending {
+        match self.service() {
+            Ok(service) => service.begin(request),
+            Err(e) => Pending::Answered(Err(e)),
+        }
+    }
+
+    fn finish(&mut self, pending: Pending) -> ServiceResult<Response> {
+        let result = match (&mut self.inner, pending) {
+            (Some(service), pending) => service.finish(pending),
+            (None, Pending::Answered(answer)) => answer,
+            (None, Pending::Sent(id)) => Err(ServiceError::Protocol(format!(
+                "frame {id} was sent on a connection since dropped"
+            ))),
+        };
         if matches!(
             result,
             Err(ServiceError::Transport(_) | ServiceError::Protocol(_))

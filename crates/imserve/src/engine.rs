@@ -378,6 +378,13 @@ impl QueryEngine {
         self.state.read().expect("serving state poisoned")
     }
 
+    /// Whether a reader would get the serving state now, without waiting:
+    /// no writer holds it or is queued for it. The reactor asks before it
+    /// answers a point request on its loop thread.
+    pub(crate) fn state_is_free(&self) -> bool {
+        self.state.try_read().is_ok()
+    }
+
     /// The current index epoch (total deltas ever applied).
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -416,7 +423,7 @@ impl QueryEngine {
                 Ok(Response::Pong)
             }
             // A client that cannot parse this version never gets here: the
-            // front end refuses its handshake (`server::answer_line`).
+            // front end refuses its handshake (`server::answer_request`).
             Request::Hello { .. } => {
                 self.obs.hello.count.inc();
                 Ok(Response::Hello {
@@ -1225,6 +1232,56 @@ mod tests {
         build_dataset_index("karate", "uc0.1", POOL, SEED)
             .unwrap()
             .oracle
+    }
+
+    /// The reactor's table: point requests on the loop, passes and writes
+    /// on a worker — and a state-reading point request goes to a worker
+    /// too while a writer holds the serving state.
+    #[test]
+    fn point_requests_leave_the_loop_while_a_writer_holds_the_state() {
+        use crate::reactor::answers_on_loop;
+        let engine = karate_engine();
+        let estimate = Request::Estimate { seeds: vec![0, 33] };
+        let probes = Request::GainCandidates {
+            selected: vec![0],
+            limit: 0,
+            probe: vec![33],
+        };
+        let on_loop = [
+            Request::Ping,
+            Request::Health,
+            Request::Info,
+            estimate.clone(),
+        ];
+        for request in on_loop.iter().chain([&probes]) {
+            assert!(answers_on_loop(request, &engine), "{request:?}");
+        }
+        let passes = [
+            Request::TopK {
+                k: 2,
+                algorithm: TopKAlgorithm::Greedy,
+            },
+            Request::Gains { selected: vec![] },
+            Request::GainCandidates {
+                selected: vec![0],
+                limit: 4,
+                probe: vec![],
+            },
+            Request::Stats,
+            Request::Metrics,
+            Request::Compact,
+        ];
+        for request in &passes {
+            assert!(!answers_on_loop(request, &engine), "{request:?}");
+        }
+        let writer = engine.state.write().unwrap();
+        assert!(!engine.state_is_free());
+        for request in [&estimate, &probes, &Request::Info] {
+            assert!(!answers_on_loop(request, &engine), "{request:?}");
+        }
+        assert!(answers_on_loop(&Request::Ping, &engine), "reads no state");
+        drop(writer);
+        assert!(answers_on_loop(&estimate, &engine));
     }
 
     #[test]

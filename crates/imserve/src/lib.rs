@@ -24,8 +24,10 @@
 //!   ends speaking one newline-delimited JSON protocol (id-tagged frames with
 //!   a version handshake and typed errors; any other line gets a typed error
 //!   frame): the default event-driven readiness loop multiplexing every
-//!   connection over non-blocking sockets with a bounded compute pool,
-//!   blocking in `poll(2)` until a socket or a completion is ready, and the
+//!   connection over non-blocking sockets, answering point requests
+//!   (`Estimate`, `Info`, `Ping`, `Health`, …) itself and handing the rest to
+//!   a bounded compute pool, blocking in `poll(2)` until a socket or a
+//!   completion is ready, and the
 //!   threaded turn-queue fallback — plus the matching client
 //!   ([`client::RemoteService`], the connection itself, with a non-blocking
 //!   `send`/`poll_response` pair for pipelined in-flight requests);

@@ -40,6 +40,10 @@ const REACTOR_WAKEUPS_HELP: &str =
      became ready, the compute pool finished a request, or the wait's deadline (idle reaping, \
      accept retry) passed.";
 
+const REACTOR_REQUESTS_HELP: &str =
+    "Request lines the reactor answered, by where: on its loop thread (point requests and \
+     unparsable lines) or handed to its compute pool (everything that makes a pass or writes).";
+
 const ROUTER_ROUNDS_HELP: &str =
     "Router selection rounds, by how they were settled: the threshold merge over per-shard \
      candidate lists, or the full gain-vector sum it falls back to.";
@@ -188,6 +192,11 @@ pub struct ServingMetrics {
     pub reactor_poll_wait_micros: Arc<Histogram>,
     /// Descriptors one wake-up reported ready.
     pub reactor_ready_sockets: Arc<Histogram>,
+    /// Request lines the reactor answered on its loop thread (point
+    /// requests, and lines that are not frames): no hand-off, no completion.
+    pub reactor_answered_loop: Arc<Counter>,
+    /// Request lines the reactor handed to its compute pool.
+    pub reactor_answered_worker: Arc<Counter>,
     /// `accept` calls that failed for a reason other than an empty queue
     /// (`EMFILE` and kin); the listener is left unwatched until a connection
     /// is reaped or the wait times out.
@@ -398,6 +407,14 @@ impl ServingMetrics {
             reactor_ready_sockets: registry.histogram(
                 "imserve_reactor_ready_sockets",
                 "Descriptors reported ready per reactor wake-up.",
+            ),
+            reactor_answered_loop: registry.counter(
+                "imserve_reactor_requests_total{path=\"loop\"}",
+                REACTOR_REQUESTS_HELP,
+            ),
+            reactor_answered_worker: registry.counter(
+                "imserve_reactor_requests_total{path=\"worker\"}",
+                REACTOR_REQUESTS_HELP,
             ),
             accept_errors: registry.counter(
                 "imserve_accept_errors_total",

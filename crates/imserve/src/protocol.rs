@@ -669,37 +669,52 @@ fn unpack_gains(text: &str) -> Result<Vec<u64>, String> {
             text.len()
         ));
     }
+    let bad_character = |at: usize| {
+        let c = char::from(text[at]);
+        Err(format!("bad base64 character {c:?} at byte {at}"))
+    };
     let mut bytes = Vec::with_capacity(text.len() / 4 * 3);
-    for (q, quad) in text.chunks_exact(4).enumerate() {
-        let pad = if (q + 1) * 4 == text.len() {
-            quad.iter().rev().take_while(|&&c| c == b'=').count()
-        } else {
-            0
-        };
+    let last = text.len().saturating_sub(4);
+    // Every quad but the last carries three bytes and no padding, so only
+    // the last one needs the padding rules.
+    for (q, quad) in text[..last].chunks_exact(4).enumerate() {
+        let values = [0, 1, 2, 3].map(|i| BASE64_VALUES[usize::from(quad[i])]);
+        if let Some(i) = values.iter().position(|&value| value == u8::MAX) {
+            return bad_character(q * 4 + i);
+        }
+        let n = values
+            .iter()
+            .fold(0u32, |n, &value| n << 6 | u32::from(value));
+        bytes.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
+    }
+    if let Some(quad) = text.get(last..).filter(|quad| !quad.is_empty()) {
+        let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
         if pad > 2 {
-            return Err(format!("bad base64 padding at byte {}", q * 4));
+            return Err(format!("bad base64 padding at byte {last}"));
         }
         let mut n = 0u32;
         for (i, &c) in quad[..4 - pad].iter().enumerate() {
             let value = BASE64_VALUES[usize::from(c)];
             if value == u8::MAX {
-                return Err(format!(
-                    "bad base64 character {:?} at byte {}",
-                    char::from(c),
-                    q * 4 + i
-                ));
+                return bad_character(last + i);
             }
             n |= u32::from(value) << (18 - 6 * i);
         }
         let kept = 3 - pad;
         if n & (0x00FF_FFFF >> (8 * kept)) != 0 {
-            return Err(format!("non-zero base64 pad bits at byte {}", q * 4));
+            return Err(format!("non-zero base64 pad bits at byte {last}"));
         }
         bytes.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8][..kept]);
     }
     let mut gains = Vec::with_capacity(bytes.len());
     let mut pos = 0;
     while pos < bytes.len() {
+        // Most counts fit one byte.
+        if bytes[pos] < 0x80 {
+            gains.push(u64::from(bytes[pos]));
+            pos += 1;
+            continue;
+        }
         let (start, mut value, mut shift) = (pos, 0u64, 0u32);
         loop {
             let Some(&b) = bytes.get(pos) else {

@@ -60,13 +60,19 @@
 //!
 //! 1. **read** — if the socket was reported readable, drain it into a line
 //!    buffer until `WouldBlock`;
-//! 2. **dispatch** — cut complete request lines out of the buffer and hand
-//!    them to the bounded compute pool, tagged `(connection, sequence)`;
+//! 2. **answer or dispatch** — cut complete request lines out of the buffer,
+//!    parse each, and either answer it on the loop (see *Where a request is
+//!    answered*) or hand it to the bounded compute pool, tagged
+//!    `(connection, sequence)`;
 //! 3. **complete** — collect finished replies from the pool; replies may
-//!    finish out of order (a cheap `Ping` overtakes a greedy `TopK`), so
-//!    they park in a per-connection reorder map until their sequence is next
-//!    — the protocol promises in-order responses per connection;
-//! 4. **write** — flush the in-order reply bytes until `WouldBlock`;
+//!    finish out of order (an `Estimate` answered on the loop overtakes a
+//!    greedy `TopK` still computing), so they park in a per-connection
+//!    reorder map until their sequence is next — the protocol promises
+//!    in-order responses per connection;
+//! 4. **write** — flush the in-order reply bytes until `WouldBlock` (once for
+//!    the pool's replies before reading, and again right after phase 2 for
+//!    what the loop answered itself, so such a reply leaves in the tick its
+//!    request arrived in);
 //! 5. **reap** — drop the connection on EOF (once every dispatched request
 //!    has been answered and flushed), on I/O or framing failure, or after
 //!    [`ReactorConfig::idle_timeout`] without traffic. A request line that
@@ -81,18 +87,40 @@
 //! Two bounds keep one connection from exhausting the process:
 //!
 //! * at most [`ReactorConfig::max_inflight_per_connection`] requests may be
-//!   inside the compute pool per connection — beyond that the loop stops
-//!   *cutting lines* for that connection (bytes already read stay buffered,
-//!   and the socket stops being read), so a pipelining client is throttled
-//!   by its own unanswered backlog;
+//!   owed per connection — inside the compute pool, or answered and parked
+//!   behind an earlier one — beyond that the loop stops *cutting lines* for
+//!   that connection (bytes already read stay buffered, and the socket stops
+//!   being read), so a pipelining client is throttled by its own unanswered
+//!   backlog, and a burst of point requests is answered at most that many
+//!   per connection per tick;
 //! * once a connection's unflushed reply bytes exceed
 //!   [`ReactorConfig::max_write_backlog`], reading from it stops until the
 //!   client drains its responses — a slow reader throttles only itself.
 //!
-//! Requests execute on a small fixed compute pool (one `EstimateScratch`
-//! each) through the same `answer_line` core as the threaded front end, so
-//! for identical request streams the two servers produce byte-identical
-//! response streams.
+//! # Where a request is answered
+//!
+//! A hand-off to the compute pool is two thread switches and a wake-up
+//! (loop → worker → loop), which for a request worth a few point reads costs
+//! more than the request. So the split is a fixed table by request kind
+//! (`answers_on_loop`), not an option or a threshold:
+//!
+//! * **on the loop**, from its own `EstimateScratch`: `Ping`, `Hello`,
+//!   `Health`, and — while no writer holds or waits for the serving state,
+//!   so a mutation in progress never stalls the loop — `Info`, `Estimate`
+//!   and `GainCandidates { limit: 0 }` (point reads of the seeds' and
+//!   probes' posting lists). A line that is not a frame is refused there
+//!   too;
+//! * **on a worker**: everything that makes a pool pass, writes, or
+//!   renders a report — `TopK`, `Gains`, `GainCandidates` with a limit,
+//!   `MutateBatch`, `Compact`, `Reload`, `Promote`, `Stats`, `Metrics`,
+//!   `Events`.
+//!
+//! An `Estimate`'s cost grows with its seeds' posting lists (at most `n`
+//! seeds), which the loop pays in full; a pass never runs there.
+//! `imserve_reactor_requests_total{path="loop"|"worker"}` counts the split.
+//! Both paths answer through the same `decode_line` / `answer_request` core
+//! as the threaded front end, so for identical request streams the two
+//! servers produce byte-identical response streams.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ffi::c_short;
@@ -110,8 +138,10 @@ use crate::error::ServeError;
 use crate::linebuf::{LineBuffer, LineError};
 use crate::obs::ServingMetrics;
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use crate::protocol::MAX_FRAME_LEN;
-use crate::server::{answer_line, refuse_oversized_line, ServerHandle};
+use crate::protocol::{Request, MAX_FRAME_LEN};
+use crate::server::{
+    answer_request, decode_line, refuse_oversized_line, Decoded, Line, ServerHandle,
+};
 
 /// Reactor tuning knobs.
 #[derive(Debug, Clone)]
@@ -121,8 +151,9 @@ pub struct ReactorConfig {
     /// Drop a connection after this long without receiving a byte (`None`
     /// keeps idle connections forever; they cost one slab slot each).
     pub idle_timeout: Option<Duration>,
-    /// Requests one connection may have inside the compute pool before the
-    /// loop stops reading it (pipelining backpressure).
+    /// Requests one connection may be owed replies to (computing, or
+    /// answered and parked behind an earlier one) before the loop stops
+    /// reading it (pipelining backpressure).
     pub max_inflight_per_connection: usize,
     /// Unflushed reply bytes one connection may accumulate before the loop
     /// stops reading it (slow-reader backpressure).
@@ -140,11 +171,25 @@ impl Default for ReactorConfig {
     }
 }
 
-/// A request travelling loop → compute pool.
+/// Whether the loop answers `request` itself — the fixed table of the
+/// module docs. Point requests that read the serving state qualify only
+/// while no writer holds it or waits for it, so a mutation in progress
+/// stalls the worker that asked, never the loop.
+pub(crate) fn answers_on_loop(request: &Request, engine: &QueryEngine) -> bool {
+    match request {
+        Request::Ping | Request::Hello { .. } | Request::Health => true,
+        Request::Info | Request::Estimate { .. } | Request::GainCandidates { limit: 0, .. } => {
+            engine.state_is_free()
+        }
+        _ => false,
+    }
+}
+
+/// A request travelling loop → compute pool, parsed by the loop.
 struct Job {
     connection: u64,
     sequence: u64,
-    line: String,
+    request: Decoded,
     /// When the loop dispatched this job; the gap to worker pickup is the
     /// compute-pool queue wait the request's span records.
     enqueued: Instant,
@@ -213,10 +258,69 @@ impl Connection {
         self.write_buf.len() - self.written
     }
 
+    /// Requests cut from the stream whose replies are not yet in
+    /// `write_buf`: computing in the pool, or answered and parked.
+    fn owed(&self) -> usize {
+        self.inflight + self.reorder.len()
+    }
+
     /// At or over either backpressure bound.
     fn over_bounds(&self, config: &ReactorConfig) -> bool {
-        self.inflight >= config.max_inflight_per_connection
+        self.owed() >= config.max_inflight_per_connection
             || self.backlog() > config.max_write_backlog
+    }
+
+    /// Queue `reply` for sequence `sequence`, or mark the connection dead
+    /// when it could not be encoded (the client would fall out of sync).
+    fn answer(&mut self, sequence: u64, reply: Result<String, ServeError>) {
+        match reply {
+            Ok(reply) => {
+                self.reorder.insert(sequence, (reply, Instant::now()));
+            }
+            Err(_) => self.dead = true,
+        }
+    }
+
+    /// Move the replies that are next in order to the wire buffer (timing
+    /// how long each was parked), then write until the socket stops
+    /// accepting. Returns whether any byte was written.
+    fn flush(&mut self, obs: &ServingMetrics) -> bool {
+        while let Some((reply, parked)) = self.reorder.remove(&self.next_to_flush) {
+            obs.reorder_wait_micros
+                .record(parked.elapsed().as_micros() as u64);
+            self.write_buf.extend_from_slice(reply.as_bytes());
+            self.write_buf.push(b'\n');
+            self.next_to_flush += 1;
+        }
+        let flush_began = Instant::now();
+        let mut flushed_any = false;
+        while self.written < self.write_buf.len() {
+            match self.stream.write(&self.write_buf[self.written..]) {
+                Ok(0) => {
+                    self.dead = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.written += n;
+                    flushed_any = true;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+        }
+        if flushed_any {
+            obs.write_flush_micros
+                .record(flush_began.elapsed().as_micros() as u64);
+        }
+        if self.written == self.write_buf.len() && self.written > 0 {
+            self.write_buf.clear();
+            self.written = 0;
+        }
+        flushed_any
     }
 
     /// Whether the loop reads this connection at all in its current state.
@@ -409,7 +513,8 @@ pub fn spawn(
                         Err(_) => return, // loop gone: shut down
                     };
                     let queue_wait = job.enqueued.elapsed().as_micros() as u64;
-                    let reply = answer_line(&engine, &job.line, &mut scratch, Some(queue_wait));
+                    let reply =
+                        answer_request(&engine, job.request, &mut scratch, Some(queue_wait));
                     if done_tx
                         .send(Completion {
                             connection: job.connection,
@@ -433,7 +538,6 @@ pub fn spawn(
 
     let stop_flag = Arc::clone(&stop);
     let loop_config = config.clone();
-    let obs = Arc::clone(engine.obs());
     let event_loop = std::thread::Builder::new()
         .name("imserve-reactor".to_string())
         .spawn(move || {
@@ -444,7 +548,7 @@ pub fn spawn(
                 &stop_flag,
                 &job_tx,
                 &done_rx,
-                &obs,
+                &engine,
             );
         })
         .expect("reactor thread spawns");
@@ -464,8 +568,11 @@ fn run_loop(
     stop: &AtomicBool,
     job_tx: &Sender<Job>,
     done_rx: &Receiver<Completion>,
-    obs: &ServingMetrics,
+    engine: &QueryEngine,
 ) {
+    let obs = &**engine.obs();
+    // The loop's own scratch, for the point requests it answers itself.
+    let scratch = &mut engine.new_scratch();
     let mut connections: HashMap<u64, Connection> = HashMap::new();
     let mut next_connection_id = 0u64;
     let mut acceptor = Acceptor {
@@ -512,14 +619,7 @@ fn run_loop(
                     // computed; its reply is then simply dropped.
                     if let Some(connection) = connections.get_mut(&completion.connection) {
                         connection.inflight -= 1;
-                        match completion.reply {
-                            Ok(reply) => {
-                                connection
-                                    .reorder
-                                    .insert(completion.sequence, (reply, Instant::now()));
-                            }
-                            Err(_) => connection.dead = true,
-                        }
+                        connection.answer(completion.sequence, completion.reply);
                     }
                 }
                 Err(TryRecvError::Empty) => break,
@@ -537,49 +637,8 @@ fn run_loop(
                 continue;
             }
 
-            // In-order flush: move consecutive finished replies to the wire
-            // buffer, recording how long each was parked out of order.
-            while let Some((reply, parked)) = connection.reorder.remove(&connection.next_to_flush) {
-                obs.reorder_wait_micros
-                    .record(parked.elapsed().as_micros() as u64);
-                connection.write_buf.extend_from_slice(reply.as_bytes());
-                connection.write_buf.push(b'\n');
-                connection.next_to_flush += 1;
-            }
-
-            // Phase 4: write until the socket stops accepting.
-            let flush_began = Instant::now();
-            let mut flushed_any = false;
-            while connection.written < connection.write_buf.len() {
-                match connection
-                    .stream
-                    .write(&connection.write_buf[connection.written..])
-                {
-                    Ok(0) => {
-                        connection.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        connection.written += n;
-                        flushed_any = true;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        connection.dead = true;
-                        break;
-                    }
-                }
-            }
-            if flushed_any {
-                obs.write_flush_micros
-                    .record(flush_began.elapsed().as_micros() as u64);
-            }
-            if connection.written == connection.write_buf.len() && connection.written > 0 {
-                connection.write_buf.clear();
-                connection.written = 0;
-            }
+            // Phase 4 (replies the pool finished): in order, then write.
+            progress |= connection.flush(obs);
 
             // Phase 1: read — unless this connection is over either
             // backpressure bound.
@@ -638,8 +697,9 @@ fn run_loop(
                 }
             }
 
-            // Phase 2: dispatch complete lines, up to the in-flight bound.
-            while connection.inflight < config.max_inflight_per_connection {
+            // Phase 2: answer or dispatch complete lines, up to the bounds.
+            let mut answered_here = false;
+            while !connection.over_bounds(config) {
                 let Some(line) = connection.lines.next_line() else {
                     break;
                 };
@@ -654,17 +714,10 @@ fn run_loop(
                         // Say why, in turn behind the replies still owed,
                         // then stop reading: the connection drains and is
                         // reaped like one whose peer hung up.
-                        match refuse_oversized_line(obs) {
-                            Ok(reply) => {
-                                connection
-                                    .reorder
-                                    .insert(connection.next_sequence, (reply, Instant::now()));
-                                connection.next_sequence += 1;
-                                connection.eof = true;
-                            }
-                            Err(_) => connection.dead = true,
-                        }
-                        progress = true;
+                        connection.answer(connection.next_sequence, refuse_oversized_line(obs));
+                        connection.next_sequence += 1;
+                        connection.eof = true;
+                        answered_here = true;
                         break;
                     }
                 };
@@ -673,19 +726,39 @@ fn run_loop(
                 }
                 let sequence = connection.next_sequence;
                 connection.next_sequence += 1;
-                connection.inflight += 1;
-                if job_tx
-                    .send(Job {
-                        connection: id,
-                        sequence,
-                        line,
-                        enqueued: Instant::now(),
-                    })
-                    .is_err()
-                {
-                    return; // compute pool gone
+                match decode_line(engine, &line) {
+                    Line::Answered(reply) => {
+                        obs.reactor_answered_loop.inc();
+                        connection.answer(sequence, reply);
+                        answered_here = true;
+                    }
+                    Line::Request(request) if answers_on_loop(&request.frame.req, engine) => {
+                        obs.reactor_answered_loop.inc();
+                        let reply = answer_request(engine, request, scratch, None);
+                        connection.answer(sequence, reply);
+                        answered_here = true;
+                    }
+                    Line::Request(request) => {
+                        obs.reactor_answered_worker.inc();
+                        connection.inflight += 1;
+                        let job = Job {
+                            connection: id,
+                            sequence,
+                            request,
+                            enqueued: Instant::now(),
+                        };
+                        if job_tx.send(job).is_err() {
+                            return; // compute pool gone
+                        }
+                    }
                 }
                 progress = true;
+            }
+            // Phase 4 again, for what the loop just answered itself: the
+            // reply leaves in the tick its request arrived in.
+            if answered_here {
+                progress = true;
+                connection.flush(obs);
             }
 
             // Phase 5: reap.

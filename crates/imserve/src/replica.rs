@@ -38,7 +38,7 @@
 use std::time::Duration;
 
 use crate::protocol::{Request, Response};
-use crate::service::{InfluenceService, ServiceError, ServiceResult};
+use crate::service::{InfluenceService, Pending, ServiceError, ServiceResult};
 
 /// An ordered set of interchangeable backends for one shard: the leader
 /// first, then its replication followers.
@@ -49,6 +49,9 @@ pub struct ReplicaSet<S> {
     /// Highest epoch observed through this set — the catch-up bar a
     /// failover candidate must meet.
     observed_epoch: u64,
+    /// The read between [`InfluenceService::begin`] and `finish`, kept for
+    /// the failover its answer may call for.
+    reading: Option<Request>,
 }
 
 #[derive(Debug)]
@@ -76,7 +79,19 @@ impl<S: InfluenceService> ReplicaSet<S> {
                 .collect(),
             active: 0,
             observed_epoch: 0,
+            reading: None,
         }
+    }
+
+    /// Raise the catch-up bar to the epoch `response` reports, if any.
+    fn observe(&mut self, response: Response) -> Response {
+        if let Response::MutateBatch { epoch, .. }
+        | Response::Compact { epoch, .. }
+        | Response::Stats { epoch, .. } = response
+        {
+            self.observed_epoch = self.observed_epoch.max(epoch);
+        }
+        response
     }
 
     /// The label of the member currently answering reads.
@@ -88,7 +103,19 @@ impl<S: InfluenceService> ReplicaSet<S> {
     /// Send a read to the active member, failing over to a caught-up
     /// candidate when the active one is unreachable.
     fn read(&mut self, request: &Request) -> ServiceResult<Response> {
-        match self.members[self.active].service.call(request) {
+        let first = self.members[self.active].service.call(request);
+        self.fail_over(request, first)
+    }
+
+    /// Settle a read the active member answered with `first`: its answer,
+    /// unless it failed at the transport or protocol layer — then the first
+    /// caught-up candidate's.
+    fn fail_over(
+        &mut self,
+        request: &Request,
+        first: ServiceResult<Response>,
+    ) -> ServiceResult<Response> {
+        match first {
             Ok(value) => Ok(value),
             Err(e @ (ServiceError::Transport(_) | ServiceError::Protocol(_))) => {
                 let active = self.active;
@@ -169,13 +196,37 @@ impl<S: InfluenceService> InfluenceService for ReplicaSet<S> {
             }
             _ => self.read(request)?,
         };
-        if let Response::MutateBatch { epoch, .. }
-        | Response::Compact { epoch, .. }
-        | Response::Stats { epoch, .. } = response
-        {
-            self.observed_epoch = self.observed_epoch.max(epoch);
+        Ok(self.observe(response))
+    }
+
+    /// A read goes out on the active member now; a failover, if its answer
+    /// calls for one, happens in [`InfluenceService::finish`]. Writes and
+    /// admin are answered here.
+    fn begin(&mut self, request: &Request) -> Pending {
+        match request {
+            Request::MutateBatch { .. }
+            | Request::Compact
+            | Request::Reload { .. }
+            | Request::Promote { .. } => Pending::Answered(self.call(request)),
+            _ => {
+                self.reading = Some(request.clone());
+                self.members[self.active].service.begin(request)
+            }
         }
-        Ok(response)
+    }
+
+    fn finish(&mut self, pending: Pending) -> ServiceResult<Response> {
+        let Some(request) = self.reading.take() else {
+            return match pending {
+                Pending::Answered(answer) => answer,
+                Pending::Sent(id) => Err(ServiceError::Protocol(format!(
+                    "frame {id} was not sent by this replica set"
+                ))),
+            };
+        };
+        let first = self.members[self.active].service.finish(pending);
+        let response = self.fail_over(&request, first)?;
+        Ok(self.observe(response))
     }
 
     fn set_deadline(&mut self, deadline: Option<Duration>) -> ServiceResult<()> {
@@ -334,6 +385,31 @@ mod tests {
         // dead leader).
         set.estimate(&[0]).unwrap();
         assert_eq!(set.active_label(), "follower");
+    }
+
+    /// A router puts a read on every shard with `begin` before it collects
+    /// any reply with `finish`: the split read fails over exactly like a call.
+    #[test]
+    fn a_read_begun_and_finished_apart_fails_over_like_a_call() {
+        let mut set = ReplicaSet::new(vec![
+            ("leader".to_string(), FakeNode::alive(5)),
+            ("follower".to_string(), FakeNode::alive(5)),
+        ]);
+        set.observed_epoch = 5;
+        set.members[0].service.dead = true;
+        let pending = set.begin(&Request::Estimate { seeds: vec![0] });
+        let reply = set.finish(pending).unwrap();
+        assert!(matches!(reply, Response::Estimate { covered: 5, .. }));
+        assert_eq!(set.active_label(), "follower");
+        // A write is answered inside `begin`, in declared order.
+        set.members[0].service.dead = false;
+        let pending = set.begin(&Request::MutateBatch {
+            deltas: vec![delta()],
+        });
+        assert!(matches!(pending, Pending::Answered(Ok(_))));
+        assert_eq!(set.members[0].service.epoch, 6, "the leader took it");
+        set.finish(pending).unwrap();
+        assert_eq!(set.observed_epoch, 6);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! discipline (long selections snapshot the state and hold no lock).
 //!
 //! The event-driven front end in [`crate::reactor`] is the default server;
-//! both front ends answer through the same `answer_line` core, so their
-//! responses are byte-identical for identical request streams.
+//! both front ends answer through the same core (`decode_line`, then
+//! `answer_request`), so their responses are byte-identical for identical
+//! request streams.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -305,7 +306,7 @@ fn serve_turn(
     while let Some(line) = connection.lines.next_line() {
         let (reply, hang_up) = match line {
             Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => (answer_line(engine, &line, scratch, None)?, false),
+            Ok(line) => (answer_line(engine, &line, scratch)?, false),
             Err(LineError::NotUtf8) => {
                 return Err(ServeError::Protocol(
                     "request line is not valid UTF-8".to_string(),
@@ -348,8 +349,9 @@ pub(crate) fn refuse_oversized_line(obs: &ServingMetrics) -> Result<String, Serv
     })
 }
 
-/// Answer one request line — the shared core of both front ends (threaded
-/// pool and reactor), which is what makes their responses byte-identical.
+/// Answer one request line where it was read — [`decode_line`], then
+/// [`answer_request`], the shared core of both front ends (threaded pool
+/// and reactor), which is what makes their responses byte-identical.
 ///
 /// An id-tagged [`RequestFrame`] gets an id-matched [`ResponseFrame`] with
 /// the typed error taxonomy. Any other line is still answered, with one
@@ -357,92 +359,141 @@ pub(crate) fn refuse_oversized_line(obs: &ServingMetrics) -> Result<String, Serv
 /// version/id envelope parses but whose payload does not echoes its id with
 /// `Unsupported`; anything else (garbage, a bare unframed request) has no id
 /// to echo and gets id 0 with `Protocol`.
-///
-/// Every answered frame records a request span: parse, execute and encode
-/// durations, plus the `queue_wait_micros` the front end measured before
-/// this call (the reactor's dispatch-to-worker gap; the threaded pool
-/// passes `None`). The span joins the client's trace id when the frame
-/// carries one (`"t"`), so a router's fan-out legs stitch into the original
-/// request's trace; otherwise a fresh process-unique id is minted. Slow
-/// spans land in the engine's slow-query log. None of this touches the
-/// reply bytes.
 pub(crate) fn answer_line(
     engine: &QueryEngine,
     line: &str,
     scratch: &mut im_core::EstimateScratch,
+) -> Result<String, ServeError> {
+    match decode_line(engine, line) {
+        Line::Request(request) => answer_request(engine, request, scratch, None),
+        Line::Answered(reply) => reply,
+    }
+}
+
+/// A request line after [`decode_line`].
+pub(crate) enum Line {
+    /// A frame to answer with [`answer_request`].
+    Request(Decoded),
+    /// Not a servable frame: its typed error reply, already counted.
+    Answered(Result<String, ServeError>),
+}
+
+/// A parsed request frame on its way to [`answer_request`], with what the
+/// span and the wire counters need from its line.
+pub(crate) struct Decoded {
+    pub(crate) frame: RequestFrame,
+    /// When the line began to be parsed, and how long that took.
+    began: Instant,
+    parse_micros: u64,
+    /// The line's length, newline included.
+    line_bytes: u64,
+}
+
+/// Parse one request line. A line that is not a frame is answered here
+/// (see [`answer_line`]), with its bytes in both directions counted.
+pub(crate) fn decode_line(engine: &QueryEngine, line: &str) -> Line {
+    let began = Instant::now();
+    let line_bytes = line.len() as u64 + 1;
+    let frame_error = match protocol::decode::<RequestFrame>(line) {
+        Ok(frame) => {
+            return Line::Request(Decoded {
+                frame,
+                began,
+                parse_micros: began.elapsed().as_micros() as u64,
+                line_bytes,
+            })
+        }
+        Err(frame_error) => frame_error,
+    };
+    let obs = engine.obs();
+    obs.parse_errors.inc();
+    let (id, kind, message) = match protocol::decode::<FrameEnvelope>(line) {
+        // The line *is* a frame with an unrecognized or malformed request
+        // payload (e.g. a newer client's variant): echo its id so a
+        // pipelining client stays in sync.
+        Ok(envelope) => (
+            envelope.id,
+            ErrorKind::Unsupported,
+            format!("unrecognized or malformed v2 request payload: {frame_error}"),
+        ),
+        Err(_) => (
+            0,
+            ErrorKind::Protocol,
+            format!(
+                "not a protocol v{PROTOCOL_VERSION} frame ({frame_error}); every request \
+                 line is {{\"v\":{PROTOCOL_VERSION},\"id\":…,\"req\":…}}"
+            ),
+        ),
+    };
+    let reply = protocol::encode(&ResponseFrame {
+        v: PROTOCOL_VERSION,
+        id,
+        body: Outcome::Err(WireError { kind, message }),
+    });
+    Line::Answered(count_wire_bytes(obs, line_bytes, reply))
+}
+
+/// Answer a parsed frame: execute, encode, record its span and count its
+/// bytes.
+///
+/// The span holds parse, execute and encode durations, plus the
+/// `queue_wait_micros` the front end measured between parse and this call
+/// (the reactor's dispatch-to-worker gap; `None` for a request answered
+/// where it was parsed). It joins the client's trace id when the frame
+/// carries one (`"t"`), so a router's fan-out legs stitch into the original
+/// request's trace; otherwise a fresh process-unique id is minted. Slow
+/// spans land in the engine's slow-query log. None of this touches the
+/// reply bytes.
+pub(crate) fn answer_request(
+    engine: &QueryEngine,
+    request: Decoded,
+    scratch: &mut im_core::EstimateScratch,
     queue_wait_micros: Option<u64>,
 ) -> Result<String, ServeError> {
     let obs = engine.obs();
-    let began = Instant::now();
+    let frame = request.frame;
+    let trace = frame.trace.unwrap_or_else(imobs::next_trace_id);
+    let mut span = imobs::Span::begin(trace);
     if let Some(wait) = queue_wait_micros {
         obs.queue_wait_micros.record(wait);
+        span.event_with_micros("queue_wait", wait);
     }
-    let reply = match protocol::decode::<RequestFrame>(line) {
-        Ok(frame) => {
-            let parse_micros = began.elapsed().as_micros() as u64;
-            let trace = frame.trace.unwrap_or_else(imobs::next_trace_id);
-            let mut span = imobs::Span::begin(trace);
-            if let Some(wait) = queue_wait_micros {
-                span.event_with_micros("queue_wait", wait);
-            }
-            span.event_with_micros("parse", parse_micros);
-            let executed = Instant::now();
-            let body = match unsupported_version(&frame) {
-                Some(message) => Outcome::Err(WireError {
-                    kind: ErrorKind::Unsupported,
-                    message,
-                }),
-                None => match engine.handle_service(&frame.req, scratch) {
-                    Ok(response) => Outcome::Ok(response),
-                    Err(e) => Outcome::Err(WireError::from_service(&e)),
-                },
-            };
-            span.event_with_micros("execute", executed.elapsed().as_micros() as u64);
-            let encoded = Instant::now();
-            let reply = protocol::encode(&ResponseFrame {
-                v: PROTOCOL_VERSION,
-                id: frame.id,
-                body,
-            });
-            span.event_with_micros("encode", encoded.elapsed().as_micros() as u64);
-            let mut record = span.finish();
-            // Total = queue wait + everything measured here (the span began
-            // after parse, so its own clock misses the front of the line).
-            record.total_micros =
-                queue_wait_micros.unwrap_or(0) + began.elapsed().as_micros() as u64;
-            obs.observe_span(record);
-            reply
-        }
-        Err(frame_error) => {
-            obs.parse_errors.inc();
-            let (id, kind, message) = match protocol::decode::<FrameEnvelope>(line) {
-                // The line *is* a frame with an unrecognized or malformed
-                // request payload (e.g. a newer client's variant): echo its
-                // id so a pipelining client stays in sync.
-                Ok(envelope) => (
-                    envelope.id,
-                    ErrorKind::Unsupported,
-                    format!("unrecognized or malformed v2 request payload: {frame_error}"),
-                ),
-                Err(_) => (
-                    0,
-                    ErrorKind::Protocol,
-                    format!(
-                        "not a protocol v{PROTOCOL_VERSION} frame ({frame_error}); every \
-                         request line is {{\"v\":{PROTOCOL_VERSION},\"id\":…,\"req\":…}}"
-                    ),
-                ),
-            };
-            protocol::encode(&ResponseFrame {
-                v: PROTOCOL_VERSION,
-                id,
-                body: Outcome::Err(WireError { kind, message }),
-            })
-        }
+    span.event_with_micros("parse", request.parse_micros);
+    let executed = Instant::now();
+    let body = match unsupported_version(&frame) {
+        Some(message) => Outcome::Err(WireError {
+            kind: ErrorKind::Unsupported,
+            message,
+        }),
+        None => match engine.handle_service(&frame.req, scratch) {
+            Ok(response) => Outcome::Ok(response),
+            Err(e) => Outcome::Err(WireError::from_service(&e)),
+        },
     };
-    // Both directions are counted here, once, for both front ends: a line
-    // and its newline in, a line and its newline out.
-    obs.wire_bytes_received.add(line.len() as u64 + 1);
+    span.event_with_micros("execute", executed.elapsed().as_micros() as u64);
+    let encoded = Instant::now();
+    let reply = protocol::encode(&ResponseFrame {
+        v: PROTOCOL_VERSION,
+        id: frame.id,
+        body,
+    });
+    span.event_with_micros("encode", encoded.elapsed().as_micros() as u64);
+    let mut record = span.finish();
+    // Total = parse to now (the span began after parse, so its own clock
+    // misses the front of the line; any queue wait lies in between).
+    record.total_micros = request.began.elapsed().as_micros() as u64;
+    obs.observe_span(record);
+    count_wire_bytes(obs, request.line_bytes, reply)
+}
+
+/// Both directions are counted here, once, for both front ends: a line and
+/// its newline in, a line and its newline out.
+fn count_wire_bytes(
+    obs: &ServingMetrics,
+    line_bytes: u64,
+    reply: Result<String, ServeError>,
+) -> Result<String, ServeError> {
+    obs.wire_bytes_received.add(line_bytes);
     if let Ok(reply) = &reply {
         obs.wire_bytes_sent.add(reply.len() as u64 + 1);
     }
@@ -513,7 +564,7 @@ mod tests {
             r#"{"v":2,"id":2,"req":{"NoSuch":{}}}"#,
             "garbage",
         ] {
-            let reply = answer_line(&engine, line, &mut scratch, None).unwrap();
+            let reply = answer_line(&engine, line, &mut scratch).unwrap();
             received += line.len() as u64 + 1;
             sent += reply.len() as u64 + 1;
         }

@@ -12,10 +12,11 @@
 //!   over N backends holding disjoint RR-set pool shards and merges their
 //!   integer coverage counts, so its answers are byte-identical to a
 //!   single-pool backend;
-//! * **relays** pass a request along and implement `call` alone:
-//!   [`crate::client::RemoteService`] (protocol v2 over TCP),
-//!   [`crate::client::ReconnectingService`], [`crate::replica::ReplicaSet`]
-//!   and `Box<S>`.
+//! * **relays** pass a request along: [`crate::client::RemoteService`]
+//!   (protocol v2 over TCP), [`crate::client::ReconnectingService`],
+//!   [`crate::replica::ReplicaSet`] and `Box<S>`. They implement `call`, and
+//!   its two halves `begin` / `finish` (send now, read the reply later) so a
+//!   router can have one request in flight on every shard at once.
 //!
 //! Every method returns `Result<_, `[`ServiceError`]`>` with a typed error
 //! taxonomy instead of a stringly `Response::Error`, and the result types
@@ -954,20 +955,95 @@ pub(crate) fn unexpected<T>(asked: &str, reply: Response) -> ServiceResult<T> {
     )))
 }
 
+/// `TryFrom<Response>` for a typed result: the one reply variant that
+/// carries it, field for field (plus any field the wire does not carry,
+/// after a `;`); any other reply is [`unexpected`] for the request kind
+/// named.
+macro_rules! from_reply {
+    ($typed:ty, $asked:literal, $variant:ident { $($field:ident),* } $(; $extra:ident: $value:expr)?) => {
+        impl TryFrom<Response> for $typed {
+            type Error = ServiceError;
+            fn try_from(reply: Response) -> ServiceResult<Self> {
+                match reply {
+                    Response::$variant { $($field),* } => Ok(Self { $($field,)* $($extra: $value)? }),
+                    other => unexpected($asked, other),
+                }
+            }
+        }
+    };
+    ($typed:ty, $asked:literal, $variant:ident(_)) => {
+        impl TryFrom<Response> for $typed {
+            type Error = ServiceError;
+            fn try_from(reply: Response) -> ServiceResult<Self> {
+                match reply {
+                    Response::$variant(payload) => Ok(payload),
+                    other => unexpected($asked, other),
+                }
+            }
+        }
+    };
+}
+
+from_reply! { ServiceInfo, "Info", Info {
+    graph_id, model, num_vertices, num_edges, pool_size, confidence_99, shard_offset, global_pool
+} }
+from_reply! { SpreadEstimate, "Estimate", Estimate { seeds, spread, covered, pool } }
+from_reply! { TopKSelection, "TopK", TopK { seeds, spread, algorithm } }
+from_reply! { GainVector, "Gains", Gains { gains, covered, pool } }
+from_reply! { GainCandidates, "GainCandidates", GainCandidates {
+    vertices, counts, bound, probed, covered, pool
+} }
+from_reply! { MutationOutcome, "MutateBatch", MutateBatch { epoch, applied, resampled, compacted } }
+from_reply! { CompactionReport, "Compact", Compact { epoch, folded } }
+from_reply! { ReloadOutcome, "Reload", Reloaded { epoch, pool_size, log_len, swap_micros } }
+from_reply! { PromotionOutcome, "Promote", Promoted { epoch, was_read_only } }
+from_reply! { MetricsReport, "Metrics", Metrics(_) }
+from_reply! { HealthReport, "Health", Health(_) }
+from_reply! { Vec<EventRecord>, "Events", Events(_) }
+// `shards` is filled only by a router's own `stats`: the wire reply has no
+// such field.
+from_reply! { ServiceStats, "Stats", Stats {
+    requests, topk_cache_hits, topk_cache_misses, pool_size, epoch, deltas_applied,
+    sets_resampled, log_len, snapshot_epoch, compactions, uptime_secs, requests_by_type,
+    pool_resident_bytes, pool_layout
+}; shards: Vec::new() }
+
+/// A request handed to a backend by [`InfluenceService::begin`], whose
+/// answer [`InfluenceService::finish`] collects.
+// `Answered` is the large variant (a `Response`); a `Pending` lives for one
+// fan-out leg, so boxing it would buy an allocation per in-process answer.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Pending {
+    /// Answered already: a backend without a wire of its own computes (or
+    /// relays) the answer inside `begin`.
+    Answered(ServiceResult<Response>),
+    /// Written to a connection as frame `id`; the reply is still on its way.
+    Sent(u64),
+}
+
 /// One query surface over local, remote and sharded backends.
 ///
 /// [`InfluenceService::call`] is the only required method: one wire
 /// [`Request`] in, its [`Response`] out. Each typed method is provided on
-/// top of it — it builds its request, calls `call` and unwraps the matching
-/// reply. Relays implement `call` alone; backends that compute answers
-/// ([`LocalService`], [`crate::shard::ShardedService`]) also override the
-/// typed methods, and their `call` dispatches onto those overrides.
+/// top of it — it builds its request, calls `call` and converts the reply
+/// with the typed result's `TryFrom<Response>`. Relays implement `call`
+/// and its two halves (below), never a typed method; backends that compute
+/// answers ([`LocalService`],
+/// [`crate::shard::ShardedService`]) also override the typed methods, and
+/// their `call` dispatches onto those overrides.
 ///
 /// A reply of another kind is a [`ServiceError::Protocol`] naming both,
 /// raised here, above every relay: to a relay it is an answer, not a
 /// failure, so [`crate::client::ReconnectingService`] keeps its connection
 /// (the frame ids matched; the stream is in sync) and
 /// [`crate::replica::ReplicaSet`] does not fail over.
+///
+/// `call` is also available in two halves, [`InfluenceService::begin`] and
+/// [`InfluenceService::finish`], so a caller holding several backends (a
+/// shard router) can put one request on every connection before it waits
+/// for any reply. In-process backends keep the provided pair, which answers
+/// inside `begin`.
 ///
 /// Methods take `&mut self` because every implementation owns per-caller
 /// mutable state (an estimate scratch, a TCP connection, a shard router);
@@ -983,87 +1059,44 @@ pub trait InfluenceService {
     /// Answer one wire request, with the typed error channel intact.
     fn call(&mut self, request: &Request) -> ServiceResult<Response>;
 
+    /// Start answering `request` without waiting for the answer. Every
+    /// `begin` must be followed by one [`InfluenceService::finish`] of its
+    /// [`Pending`] before this service is used again.
+    fn begin(&mut self, request: &Request) -> Pending {
+        Pending::Answered(self.call(request))
+    }
+
+    /// Collect the answer of the request [`InfluenceService::begin`] started.
+    fn finish(&mut self, pending: Pending) -> ServiceResult<Response> {
+        match pending {
+            Pending::Answered(answer) => answer,
+            Pending::Sent(id) => Err(ServiceError::Protocol(format!(
+                "frame {id} was not sent by this backend"
+            ))),
+        }
+    }
+
     /// Index metadata (graph and pool dimensions).
     fn info(&mut self) -> ServiceResult<ServiceInfo> {
-        match self.call(&Request::Info)? {
-            Response::Info {
-                graph_id,
-                model,
-                num_vertices,
-                num_edges,
-                pool_size,
-                confidence_99,
-                shard_offset,
-                global_pool,
-            } => Ok(ServiceInfo {
-                graph_id,
-                model,
-                num_vertices,
-                num_edges,
-                pool_size,
-                confidence_99,
-                shard_offset,
-                global_pool,
-            }),
-            other => unexpected("Info", other),
-        }
+        self.call(&Request::Info)?.try_into()
     }
 
     /// Estimate the influence spread of an explicit seed set.
     fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
-        let request = Request::Estimate {
-            seeds: seeds.to_vec(),
-        };
-        match self.call(&request)? {
-            Response::Estimate {
-                seeds,
-                spread,
-                covered,
-                pool,
-            } => Ok(SpreadEstimate {
-                seeds,
-                spread,
-                covered,
-                pool,
-            }),
-            other => unexpected("Estimate", other),
-        }
+        let seeds = seeds.to_vec();
+        self.call(&Request::Estimate { seeds })?.try_into()
     }
 
     /// Select an influential seed set of size `k`.
     fn top_k(&mut self, k: usize, algorithm: TopKAlgorithm) -> ServiceResult<TopKSelection> {
-        match self.call(&Request::TopK { k, algorithm })? {
-            Response::TopK {
-                seeds,
-                spread,
-                algorithm,
-            } => Ok(TopKSelection {
-                seeds,
-                spread,
-                algorithm,
-            }),
-            other => unexpected("TopK", other),
-        }
+        self.call(&Request::TopK { k, algorithm })?.try_into()
     }
 
     /// Per-vertex marginal coverage gains given `selected` (one round of
     /// greedy maximum coverage as data; the distributed-`TopK` primitive).
     fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
-        let request = Request::Gains {
-            selected: selected.to_vec(),
-        };
-        match self.call(&request)? {
-            Response::Gains {
-                gains,
-                covered,
-                pool,
-            } => Ok(GainVector {
-                gains,
-                covered,
-                pool,
-            }),
-            other => unexpected("Gains", other),
-        }
+        let selected = selected.to_vec();
+        self.call(&Request::Gains { selected })?.try_into()
     }
 
     /// One greedy round, output-sensitively: this backend's top `limit`
@@ -1082,122 +1115,44 @@ pub trait InfluenceService {
             limit,
             probe: probe.to_vec(),
         };
-        match self.call(&request)? {
-            Response::GainCandidates {
-                vertices,
-                counts,
-                bound,
-                probed,
-                covered,
-                pool,
-            } => Ok(GainCandidates {
-                vertices,
-                counts,
-                bound,
-                probed,
-                covered,
-                pool,
-            }),
-            other => unexpected("GainCandidates", other),
-        }
+        self.call(&request)?.try_into()
     }
 
     /// Apply a batch of graph mutations atomically (all-or-nothing per
     /// backend; a sharded service broadcasts to every shard).
     fn mutate_batch(&mut self, deltas: &[GraphDelta]) -> ServiceResult<MutationOutcome> {
-        let request = Request::MutateBatch {
-            deltas: deltas.to_vec(),
-        };
-        match self.call(&request)? {
-            Response::MutateBatch {
-                epoch,
-                applied,
-                resampled,
-                compacted,
-            } => Ok(MutationOutcome {
-                epoch,
-                applied,
-                resampled,
-                compacted,
-            }),
-            other => unexpected("MutateBatch", other),
-        }
+        let deltas = deltas.to_vec();
+        self.call(&Request::MutateBatch { deltas })?.try_into()
     }
 
     /// Fold the pending delta log into the snapshot watermark now.
     fn compact(&mut self) -> ServiceResult<CompactionReport> {
-        match self.call(&Request::Compact)? {
-            Response::Compact { epoch, folded } => Ok(CompactionReport { epoch, folded }),
-            other => unexpected("Compact", other),
-        }
+        self.call(&Request::Compact)?.try_into()
     }
 
     /// Serving counters and the epoch timeline (`shards` is filled only by
     /// a router's own override: the wire reply has no such field).
     fn stats(&mut self) -> ServiceResult<ServiceStats> {
-        match self.call(&Request::Stats)? {
-            Response::Stats {
-                requests,
-                topk_cache_hits,
-                topk_cache_misses,
-                pool_size,
-                epoch,
-                deltas_applied,
-                sets_resampled,
-                log_len,
-                snapshot_epoch,
-                compactions,
-                uptime_secs,
-                requests_by_type,
-                pool_resident_bytes,
-                pool_layout,
-            } => Ok(ServiceStats {
-                requests,
-                topk_cache_hits,
-                topk_cache_misses,
-                pool_size,
-                epoch,
-                deltas_applied,
-                sets_resampled,
-                log_len,
-                snapshot_epoch,
-                compactions,
-                uptime_secs,
-                requests_by_type,
-                pool_resident_bytes,
-                pool_layout,
-                shards: Vec::new(),
-            }),
-            other => unexpected("Stats", other),
-        }
+        self.call(&Request::Stats)?.try_into()
     }
 
     /// A point-in-time observability snapshot: every registered metric plus
     /// the slow-query log.
     fn metrics(&mut self) -> ServiceResult<MetricsReport> {
-        match self.call(&Request::Metrics)? {
-            Response::Metrics(report) => Ok(report),
-            other => unexpected("Metrics", other),
-        }
+        self.call(&Request::Metrics)?.try_into()
     }
 
     /// A liveness/readiness verdict computed from real signals: WAL
     /// writability, shard reachability and epoch lockstep, reactor
     /// backpressure.
     fn health(&mut self) -> ServiceResult<HealthReport> {
-        match self.call(&Request::Health)? {
-            Response::Health(report) => Ok(report),
-            other => unexpected("Health", other),
-        }
+        self.call(&Request::Health)?.try_into()
     }
 
     /// The backend's recent operational events (WAL failures, compactions,
     /// torn broadcasts, backpressure episodes), oldest first.
     fn events(&mut self) -> ServiceResult<Vec<EventRecord>> {
-        match self.call(&Request::Events)? {
-            Response::Events(events) => Ok(events),
-            other => unexpected("Events", other),
-        }
+        self.call(&Request::Events)?.try_into()
     }
 
     /// Hot-swap the backend's index for the artifact at `path` (a path on
@@ -1206,23 +1161,8 @@ pub trait InfluenceService {
     /// fingerprint and epoch continuity before swapping; in-flight queries
     /// finish on the old snapshot.
     fn reload(&mut self, path: &str) -> ServiceResult<ReloadOutcome> {
-        let request = Request::Reload {
-            path: path.to_string(),
-        };
-        match self.call(&request)? {
-            Response::Reloaded {
-                epoch,
-                pool_size,
-                log_len,
-                swap_micros,
-            } => Ok(ReloadOutcome {
-                epoch,
-                pool_size,
-                log_len,
-                swap_micros,
-            }),
-            other => unexpected("Reload", other),
-        }
+        let path = path.to_string();
+        self.call(&Request::Reload { path })?.try_into()
     }
 
     /// Turn a read-only follower writable. With `expected_epoch` set the
@@ -1230,16 +1170,7 @@ pub trait InfluenceService {
     /// unless its replication cursor reached that epoch; `None` promotes
     /// unconditionally (the operator accepts whatever was replicated).
     fn promote(&mut self, expected_epoch: Option<u64>) -> ServiceResult<PromotionOutcome> {
-        match self.call(&Request::Promote { expected_epoch })? {
-            Response::Promoted {
-                epoch,
-                was_read_only,
-            } => Ok(PromotionOutcome {
-                epoch,
-                was_read_only,
-            }),
-            other => unexpected("Promote", other),
-        }
+        self.call(&Request::Promote { expected_epoch })?.try_into()
     }
 
     /// Join this service's subsequent calls to the caller's request trace.
@@ -1269,6 +1200,12 @@ pub trait InfluenceService {
 impl<S: InfluenceService + ?Sized> InfluenceService for Box<S> {
     fn call(&mut self, request: &Request) -> ServiceResult<Response> {
         (**self).call(request)
+    }
+    fn begin(&mut self, request: &Request) -> Pending {
+        (**self).begin(request)
+    }
+    fn finish(&mut self, pending: Pending) -> ServiceResult<Response> {
+        (**self).finish(pending)
     }
     fn set_trace(&mut self, trace: Option<u64>) {
         (**self).set_trace(trace)

@@ -59,10 +59,14 @@
 //! [`threshold_round`]; `imserve_router_topk_rounds_total{path=…}` counts
 //! how rounds were settled.
 //!
-//! **Concurrent fan-out.** Per-shard requests are issued concurrently (shard
-//! 0's leg on the calling thread, one scoped thread for each other shard;
-//! remote shards overlap their network round trips, local shards overlap
-//! their pool scans on a multi-core host) and the results are merged in
+//! **Pipelined fan-out.** A fan-out is one [`Request`] put on every shard
+//! with [`InfluenceService::begin`] before any reply is awaited, then the
+//! replies collected with [`InfluenceService::finish`] in shard-index order,
+//! all on the calling thread. Remote shards therefore compute and answer
+//! concurrently — every frame is on the wire before the first read — and a
+//! fan-out spawns no thread: a routed point request costs one write and one
+//! read per shard, not a thread start and a join besides. In-process shards
+//! answer inside `begin`, one after another. The results are merged in
 //! shard-index order, so the merged integers — and
 //! therefore the derived spreads and selections — are byte-identical to the
 //! sequential fan-out and to a single-pool backend. Failure semantics are
@@ -86,8 +90,8 @@ use crate::obs::{ServingMetrics, ShardLane};
 use crate::protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
 use crate::service::{
     check_vertices, CompactionReport, EventRecord, FamilyHelp, GainCandidates, GainVector,
-    GaugeSample, HealthReport, InfluenceService, MetricsReport, MutationOutcome, ServiceError,
-    ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
+    GaugeSample, HealthReport, InfluenceService, MetricsReport, MutationOutcome, Pending,
+    ServiceError, ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
 };
 
 /// Vertices each shard lists per selection round. Large enough that the
@@ -199,7 +203,7 @@ pub struct ShardedService<S: InfluenceService> {
     trace: Option<u64>,
 }
 
-impl<S: InfluenceService + Send> ShardedService<S> {
+impl<S: InfluenceService> ShardedService<S> {
     /// Assemble a router over `shards`, validating that they serve the same
     /// graph at the same epoch (anything else means the backends were not
     /// built from one shard layout, or have diverged).
@@ -341,13 +345,7 @@ impl<S: InfluenceService + Send> ShardedService<S> {
     /// report instead of failing it: its series are absent and its
     /// `imserve_shard_up{shard="i"}` gauge reads `0`.
     pub fn cluster_metrics(&mut self) -> MetricsReport {
-        let results = Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.metrics(),
-        );
+        let results = self.fan_out::<MetricsReport>(&Request::Metrics);
         let mut merged = self.obs.report();
         merged.help.push(FamilyHelp {
             family: "imserve_shard_up".into(),
@@ -370,80 +368,71 @@ impl<S: InfluenceService + Send> ShardedService<S> {
         merged
     }
 
-    /// Run `op` on every shard concurrently — shard 0's leg on the calling
-    /// thread, one scoped thread for each other shard, so N shards cost N−1
-    /// spawns and one shard none — and collect the per-shard results in
-    /// shard-index order, the order every merge below depends on. Each
-    /// leg records into its shard's lane (send/recv/error counters and the
-    /// round-trip histogram); `obs` counts the fan-out itself and its event
-    /// log receives one event per failing leg — `shard_deadline_missed` for
-    /// a transport timeout, `shard_fanout_error` otherwise — stamped with
-    /// `trace` (the caller's active trace id, `0` when untraced).
-    fn fan_out<T: Send>(
-        shards: &mut [S],
-        obs: &ServingMetrics,
-        lanes: &[ShardLane],
-        trace: u64,
-        op: impl Fn(&mut S) -> ServiceResult<T> + Sync,
-    ) -> Vec<ServiceResult<T>> {
-        obs.shard_fanouts.inc();
-        let run = |i: usize, shard: &mut S| -> ServiceResult<T> {
-            let lane = &lanes[i];
-            lane.sends.inc();
-            let began = Instant::now();
-            let result = op(shard);
-            lane.rtt_micros.record(began.elapsed().as_micros() as u64);
-            match &result {
-                Ok(_) => lane.recvs.inc(),
-                Err(e) => {
-                    lane.errors.inc();
-                    let deadline_missed = matches!(
-                        e,
-                        ServiceError::Transport(io) if matches!(
-                            io.kind(),
-                            std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                        )
-                    );
-                    let code = if deadline_missed {
-                        "shard_deadline_missed"
-                    } else {
-                        "shard_fanout_error"
-                    };
-                    obs.event_log.warn(
-                        code,
-                        trace,
-                        vec![
-                            EventField::u64("shard", i as u64),
-                            EventField::text("error", e.to_string()),
-                        ],
-                    );
+    /// Put `request` on every shard, then collect the replies as `T` in
+    /// shard-index order, the order every merge below depends on (see
+    /// *Pipelined fan-out* in the module docs): no thread is spawned, and
+    /// every leg is collected, failed or not, so no connection is left with
+    /// a reply unread. Each leg records into its shard's lane (send/recv/error
+    /// counters and the round-trip histogram, from its `begin` to its
+    /// `finish`); `obs` counts the fan-out itself and its event log receives
+    /// one event per failing leg — `shard_deadline_missed` for a transport
+    /// timeout, `shard_fanout_error` otherwise — stamped with the caller's
+    /// active trace id (`0` when untraced).
+    fn fan_out<T>(&mut self, request: &Request) -> Vec<ServiceResult<T>>
+    where
+        T: TryFrom<Response, Error = ServiceError>,
+    {
+        self.obs.shard_fanouts.inc();
+        let legs: Vec<(Instant, Pending)> = (self.shards.iter_mut().zip(&self.lanes))
+            .map(|(shard, lane)| {
+                lane.sends.inc();
+                (Instant::now(), shard.begin(request))
+            })
+            .collect();
+        let trace = self.trace.unwrap_or(0);
+        let replies = self.shards.iter_mut().zip(&self.lanes).zip(legs);
+        (replies.enumerate())
+            .map(|(i, ((shard, lane), (began, pending)))| {
+                let result = shard.finish(pending).and_then(T::try_from);
+                lane.rtt_micros.record(began.elapsed().as_micros() as u64);
+                match &result {
+                    Ok(_) => lane.recvs.inc(),
+                    Err(e) => {
+                        lane.errors.inc();
+                        let deadline_missed = matches!(
+                            e,
+                            ServiceError::Transport(io) if matches!(
+                                io.kind(),
+                                std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
+                            )
+                        );
+                        let code = if deadline_missed {
+                            "shard_deadline_missed"
+                        } else {
+                            "shard_fanout_error"
+                        };
+                        self.obs.event_log.warn(
+                            code,
+                            trace,
+                            vec![
+                                EventField::u64("shard", i as u64),
+                                EventField::text("error", e.to_string()),
+                            ],
+                        );
+                    }
                 }
-            }
-            result
-        };
-        let Some((first, rest)) = shards.split_first_mut() else {
-            return Vec::new();
-        };
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rest
-                .iter_mut()
-                .enumerate()
-                .map(|(i, shard)| {
-                    let run = &run;
-                    scope.spawn(move || run(i + 1, shard))
-                })
-                .collect();
-            let mut results = Vec::with_capacity(1 + handles.len());
-            results.push(run(0, first));
-            results.extend(handles.into_iter().map(|handle| {
-                handle.join().unwrap_or_else(|_| {
-                    Err(ServiceError::Backend(
-                        "shard fan-out worker panicked".into(),
-                    ))
-                })
-            }));
-            results
-        })
+                result
+            })
+            .collect()
+    }
+
+    /// [`ShardedService::fan_out`], failing on the lowest-indexed shard
+    /// error (see [`ShardedService::merge_results`]).
+    fn fan_out_all<T>(&mut self, request: &Request) -> ServiceResult<Vec<T>>
+    where
+        T: TryFrom<Response, Error = ServiceError>,
+    {
+        Self::merge_results(self.fan_out(request))
     }
 
     /// Type a shard's fan-out failure. Request-level rejections (`Query`,
@@ -474,13 +463,7 @@ impl<S: InfluenceService + Send> ShardedService<S> {
     /// shard). Makes out-of-band mutations visible — and the `top_k` memo
     /// safe — at the cost of the verification round.
     fn refresh_epoch(&mut self) -> ServiceResult<u64> {
-        let all = Self::merge_results(Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.stats(),
-        ))?;
+        let all = self.fan_out_all::<ServiceStats>(&Request::Stats)?;
         let mut epoch: Option<u64> = None;
         for (i, stats) in all.iter().enumerate() {
             let observed = stats.epoch;
@@ -509,17 +492,17 @@ impl<S: InfluenceService + Send> ShardedService<S> {
         is_selected: impl Fn(u32) -> bool,
         want: usize,
     ) -> ServiceResult<Option<Vec<u32>>> {
-        let (shards, obs, lanes) = (&mut self.shards, &self.obs, &self.lanes);
-        let trace = self.trace.unwrap_or(0);
         let top = threshold_round(
             want,
             want.max(CANDIDATES_PER_SHARD),
             self.info.num_vertices,
             is_selected,
             |limit, probe| {
-                Self::merge_results(Self::fan_out(shards, obs, lanes, trace, |shard| {
-                    shard.gain_candidates(selected, limit, probe)
-                }))
+                self.fan_out_all(&Request::GainCandidates {
+                    selected: selected.to_vec(),
+                    limit,
+                    probe: probe.to_vec(),
+                })
             },
         )?;
         match top {
@@ -588,7 +571,7 @@ impl<S: InfluenceService + Send> ShardedService<S> {
     }
 }
 
-impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
+impl<S: InfluenceService> InfluenceService for ShardedService<S> {
     /// Dispatch onto this router's own methods. `Reload` and `Promote`
     /// target one node, which a router is not: they are refused here, since
     /// a provided method would call back into `call`.
@@ -631,13 +614,9 @@ impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
     }
 
     fn estimate(&mut self, seeds: &[u32]) -> ServiceResult<SpreadEstimate> {
-        let all = Self::merge_results(Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.estimate(seeds),
-        ))?;
+        let all: Vec<SpreadEstimate> = self.fan_out_all(&Request::Estimate {
+            seeds: seeds.to_vec(),
+        })?;
         let mut covered = 0u64;
         let mut pool = 0u64;
         for estimate in &all {
@@ -688,13 +667,9 @@ impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
     /// sequential ones bit for bit.
     fn gains(&mut self, selected: &[u32]) -> ServiceResult<GainVector> {
         let n = self.info.num_vertices;
-        let all = Self::merge_results(Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.gains(selected),
-        ))?;
+        let all: Vec<GainVector> = self.fan_out_all(&Request::Gains {
+            selected: selected.to_vec(),
+        })?;
         let mut sum = vec![0u64; n];
         let mut covered = 0u64;
         let mut pool = 0u64;
@@ -740,13 +715,9 @@ impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
         // applied anywhere and the batch is simply invalid — the caller sees
         // shard 0's error untouched, exactly as a single-pool backend would
         // report it.
-        let results = Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.mutate_batch(deltas),
-        );
+        let results = self.fan_out::<MutationOutcome>(&Request::MutateBatch {
+            deltas: deltas.to_vec(),
+        });
         if results.iter().all(Result::is_err) {
             let first = results.into_iter().next().expect("at least one shard");
             return Err(first.expect_err("all results are errors"));
@@ -816,13 +787,7 @@ impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
     }
 
     fn compact(&mut self) -> ServiceResult<CompactionReport> {
-        let all = Self::merge_results(Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.compact(),
-        ))?;
+        let all = self.fan_out_all::<CompactionReport>(&Request::Compact)?;
         let mut epoch: Option<u64> = None;
         let mut folded = 0usize;
         for (i, report) in all.into_iter().enumerate() {
@@ -846,25 +811,18 @@ impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
 
     fn set_deadline(&mut self, deadline: Option<std::time::Duration>) -> ServiceResult<()> {
         // Propagate to every shard so a dead backend fails its fan-out leg
-        // within the deadline instead of hanging the whole router.
-        Self::merge_results(Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.set_deadline(deadline),
-        ))?;
+        // within the deadline instead of hanging the whole router. A local
+        // setting, not a request: nothing crosses the wire.
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            shard
+                .set_deadline(deadline)
+                .map_err(|e| Self::shard_error(i, e))?;
+        }
         Ok(())
     }
 
     fn stats(&mut self) -> ServiceResult<ServiceStats> {
-        let all = Self::merge_results(Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.stats(),
-        ))?;
+        let all = self.fan_out_all::<ServiceStats>(&Request::Stats)?;
         let mut merged: Option<ServiceStats> = None;
         let mut shard_reports: Vec<EpochReport> = Vec::with_capacity(all.len());
         for (i, stats) in all.into_iter().enumerate() {
@@ -922,13 +880,7 @@ impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
     /// Never fails: an unreachable shard degrades the report, it does not
     /// error the probe — `/readyz` must keep answering while degraded.
     fn health(&mut self) -> ServiceResult<HealthReport> {
-        let results = Self::fan_out(
-            &mut self.shards,
-            &self.obs,
-            &self.lanes,
-            self.trace.unwrap_or(0),
-            |shard| shard.stats(),
-        );
+        let results = self.fan_out::<ServiceStats>(&Request::Stats);
         let mut report = HealthReport::new();
         let mut epochs: Vec<(usize, u64)> = Vec::with_capacity(results.len());
         for (i, result) in results.into_iter().enumerate() {
@@ -997,6 +949,90 @@ impl<S: InfluenceService + Send> InfluenceService for ShardedService<S> {
         self.trace = trace;
         for shard in &mut self.shards {
             shard.set_trace(trace);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+
+    use super::*;
+    use crate::engine::QueryEngine;
+    use crate::index::{parse_dataset, parse_model, IndexArtifact};
+    use crate::service::LocalService;
+
+    /// `(shard, half, thread)` for every `begin` and `finish`, in order.
+    type Log = Arc<Mutex<Vec<(usize, &'static str, ThreadId)>>>;
+
+    /// A local shard that logs each half of every call it is asked.
+    struct Logged {
+        inner: LocalService,
+        shard: usize,
+        log: Log,
+    }
+
+    impl Logged {
+        fn note(&self, half: &'static str) {
+            let thread = std::thread::current().id();
+            self.log.lock().unwrap().push((self.shard, half, thread));
+        }
+    }
+
+    impl InfluenceService for Logged {
+        fn call(&mut self, request: &Request) -> ServiceResult<Response> {
+            self.inner.call(request)
+        }
+
+        fn begin(&mut self, request: &Request) -> Pending {
+            self.note("begin");
+            Pending::Answered(self.inner.call(request))
+        }
+
+        fn finish(&mut self, pending: Pending) -> ServiceResult<Response> {
+            self.note("finish");
+            match pending {
+                Pending::Answered(answer) => answer,
+                Pending::Sent(_) => unreachable!("a local shard answers in begin"),
+            }
+        }
+    }
+
+    /// Every fan-out puts its request on all shards before it collects any
+    /// reply, and runs every leg on the caller's thread.
+    #[test]
+    fn a_fan_out_sends_to_every_shard_before_it_reads_and_spawns_no_thread() {
+        const SHARDS: usize = 3;
+        let graph = parse_dataset("karate")
+            .unwrap()
+            .influence_graph(parse_model("uc0.1").unwrap(), 7);
+        let log = Log::default();
+        let shards = (0..SHARDS)
+            .map(|shard| {
+                let artifact =
+                    IndexArtifact::build_shard("karate", "uc0.1", graph.clone(), 900, 7, shard, 3);
+                let engine = Arc::new(QueryEngine::builder(artifact).build().unwrap());
+                let inner = LocalService::new(engine);
+                let log = Arc::clone(&log);
+                Logged { inner, shard, log }
+            })
+            .collect();
+        let mut router = ShardedService::new(shards).unwrap();
+        router.estimate(&[0, 33]).unwrap();
+        router.top_k(3, TopKAlgorithm::Greedy).unwrap();
+        router.gains(&[0]).unwrap();
+        let log = log.lock().unwrap();
+        let caller = std::thread::current().id();
+        let fan_out: Vec<(usize, &str)> = (0..SHARDS)
+            .map(|shard| (shard, "begin"))
+            .chain((0..SHARDS).map(|shard| (shard, "finish")))
+            .collect();
+        assert!(log.len() >= 4 * fan_out.len(), "{} halves", log.len());
+        for chunk in log.chunks(fan_out.len()) {
+            let halves: Vec<(usize, &str)> = chunk.iter().map(|&(s, h, _)| (s, h)).collect();
+            assert_eq!(halves, fan_out);
+            assert!(chunk.iter().all(|&(_, _, thread)| thread == caller));
         }
     }
 }

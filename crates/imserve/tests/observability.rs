@@ -56,9 +56,10 @@ fn metrics_request_and_scrape_endpoint_reflect_served_traffic() {
     // Whether a completion ends a parked wait, or lands while the loop is
     // still busy from the tick that dispatched it, is a race a preempted
     // loop thread loses every time: ping-pong until one has ended a wait
-    // (`Ping` is in none of the lanes checked below).
+    // (`Events` goes to the compute pool, unlike `Ping`, and is in none of
+    // the lanes checked below).
     imserve::testkit::wait_until("a completion wake-up", Duration::from_secs(20), || {
-        service.call(&Request::Ping).unwrap();
+        service.call(&Request::Events).unwrap();
         engine.obs().reactor_wakeups_completion.get() >= 1
     });
     service.estimate(&[0]).unwrap();

@@ -196,10 +196,12 @@ fn a_ping_pong_wakes_on_sockets_and_completions_never_on_a_timer() {
     let handle = reactor::spawn("127.0.0.1:0", engine, &ReactorConfig::default()).unwrap();
     let mut connection = ServiceConnection::connect(handle.addr()).unwrap();
     let before = wakeups(&obs);
-    for i in 0..100u32 {
-        let seeds = vec![i % 34];
-        let reply = connection.call(&Request::Estimate { seeds }).unwrap();
-        assert!(matches!(reply, Response::Estimate { .. }));
+    // `TopK` goes to the compute pool (cached after the first: a hand-off
+    // and a completion each, no pass).
+    for _ in 0..100 {
+        let algorithm = TopKAlgorithm::Greedy;
+        let reply = connection.call(&Request::TopK { k: 2, algorithm }).unwrap();
+        assert!(matches!(reply, Response::TopK { .. }));
     }
     let after = wakeups(&obs);
     // Not >= 100 each: a request that lands while the loop is still
@@ -224,6 +226,112 @@ fn a_ping_pong_wakes_on_sockets_and_completions_never_on_a_timer() {
         .unwrap();
     let ready = report.histogram("imserve_reactor_ready_sockets").unwrap();
     assert!(waits.count >= total(after) && ready.count >= total(after));
+    handle.shutdown();
+}
+
+/// `(loop, worker)` request lines so far.
+fn answered(obs: &ServingMetrics) -> (u64, u64) {
+    (
+        obs.reactor_answered_loop.get(),
+        obs.reactor_answered_worker.get(),
+    )
+}
+
+/// Point requests — here with seed and probe lists as long as the graph —
+/// are answered on the loop thread: one at a time or pipelined, they hand
+/// nothing to the compute pool and so cost no completion wake-up.
+#[test]
+fn point_requests_cost_no_hand_off_and_no_completion_wakeup() {
+    let engine = engine(500);
+    let obs = Arc::clone(engine.obs());
+    let handle = reactor::spawn("127.0.0.1:0", engine, &ReactorConfig::default()).unwrap();
+    let mut connection = ServiceConnection::connect(handle.addr()).unwrap();
+    let all: Vec<u32> = (0..34).collect();
+    let mut burst = vec![
+        Request::Ping,
+        Request::Info,
+        Request::Health,
+        Request::GainCandidates {
+            selected: vec![0, 33],
+            limit: 0,
+            probe: all.clone(),
+        },
+    ];
+    burst.extend((0..100).map(|i| Request::Estimate {
+        seeds: if i % 2 == 0 {
+            all.clone()
+        } else {
+            vec![i % 34]
+        },
+    }));
+    let before = (wakeups(&obs), answered(&obs));
+    for request in &burst {
+        connection.call(request).unwrap();
+    }
+    for reply in connection.pipeline(&burst).unwrap() {
+        reply.unwrap();
+    }
+    let after = (wakeups(&obs), answered(&obs));
+    assert_eq!(after.1 .0 - before.1 .0, 2 * burst.len() as u64);
+    assert_eq!(after.1 .1, before.1 .1, "nothing was handed to a worker");
+    assert_eq!(
+        after.0 .1, before.0 .1,
+        "no completion wake-up: {before:?} -> {after:?}"
+    );
+    assert_eq!(after.0 .2, 0, "no timeout wake-up");
+    handle.shutdown();
+}
+
+/// No head-of-line blocking behind the compute pool: while its one worker
+/// works through a queue of cold selections from one connection, estimates
+/// over every vertex from another connection are all answered first.
+#[test]
+fn estimates_are_answered_while_the_compute_pool_is_busy() {
+    let engine = engine(60_000);
+    let obs = Arc::clone(engine.obs());
+    let config = ReactorConfig {
+        compute_threads: 1,
+        ..ReactorConfig::default()
+    };
+    let handle = reactor::spawn("127.0.0.1:0", engine, &config).unwrap();
+    let selections: Vec<usize> = (10..34).collect();
+    let mut selecting = TcpStream::connect(handle.addr()).unwrap();
+    let burst: String = (selections.iter().enumerate())
+        .map(|(id, &k)| {
+            let algorithm = TopKAlgorithm::Greedy;
+            frame(id as u64 + 1, Request::TopK { k, algorithm })
+        })
+        .collect();
+    selecting.write_all(burst.as_bytes()).unwrap();
+    wait_until("the selections to be queued", || {
+        answered(&obs).1 == selections.len() as u64
+    });
+    let mut estimating = ServiceConnection::connect(handle.addr()).unwrap();
+    for _ in 0..20 {
+        let seeds = (0..34).collect();
+        let reply = estimating.call(&Request::Estimate { seeds }).unwrap();
+        assert!(matches!(reply, Response::Estimate { .. }));
+    }
+    // The selections are still being worked through ...
+    selecting.set_nonblocking(true).unwrap();
+    let mut early = Vec::new();
+    let _ = selecting.read_to_end(&mut early);
+    let done_early = early.iter().filter(|&&b| b == b'\n').count();
+    assert!(
+        done_early < selections.len(),
+        "all {done_early} selections finished before 20 estimates"
+    );
+    // ... and all of them still arrive, in order.
+    selecting.set_nonblocking(false).unwrap();
+    let mut rest = String::new();
+    let mut reader = BufReader::new(&selecting);
+    for _ in done_early..selections.len() {
+        reader.read_line(&mut rest).unwrap();
+    }
+    let replies = String::from_utf8(early).unwrap() + &rest;
+    for (line, id) in replies.lines().zip(1..) {
+        assert!(line.starts_with(&reply_id_prefix(id)), "{line:.80}");
+    }
     handle.shutdown();
 }
 
