@@ -70,10 +70,13 @@ pub use estimator::InfluenceEstimator;
 pub use exact::{exact_greedy, exact_influence};
 pub use greedy::{celf_select, greedy_select, GreedyResult};
 pub use oneshot::OneshotEstimator;
-pub use oracle::{shard_layout, EstimateScratch, InfluenceOracle, OracleBuilder, ShardRange};
+pub use oracle::{
+    settle_round, shard_layout, EstimateScratch, InfluenceOracle, OracleBuilder, ShardRange,
+    TopGains, ROUND_CANDIDATES,
+};
 // Pool storage-engine surface (re-exported so oracle callers pick layouts
 // without depending on impool directly).
-pub use impool::{Pool, PoolLayout, TieredConfig};
+pub use impool::{ListRef, Pool, PoolLayout, TieredConfig};
 pub use ris::RisEstimator;
 pub use sampler::{Backend, SampleBudget};
 pub use seed_set::SeedSet;

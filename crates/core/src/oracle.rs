@@ -12,6 +12,8 @@ use imgraph::binio::{self, BinError, BinReader, BinWriter};
 use imgraph::{GraphDelta, InfluenceGraph, VertexId};
 use impool::{Pool, PoolLayout, TieredConfig};
 use imrand::Rng32;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::ris::RrScratch;
 use crate::sampler::{self, Backend, SampleBudget};
@@ -706,6 +708,9 @@ impl InfluenceOracle {
             // lists in their mutation overlay).
             self.pool.replace_set(set_id, &old_trace, &trace);
         }
+        // The batch is done: a compressed pool re-encodes what it dirtied,
+        // so no overlay outlives the batch.
+        self.pool.fold_overlay();
     }
 
     /// Materialize the posting list of one vertex (the RR-set ids containing
@@ -1027,6 +1032,21 @@ impl InfluenceOracle {
     /// directly on the shared oracle produces the same limit object). Returns
     /// the seeds in selection order together with the oracle estimate of their
     /// joint influence.
+    ///
+    /// Each round picks the *first* argmax of the marginal coverage gains
+    /// (the highest gain, and among equal gains the lowest id). Only some
+    /// rounds pay a whole-pool pass for it. A pass also lists its top
+    /// [`ROUND_CANDIDATES`] vertices by `(gain desc, id asc)` and keeps one
+    /// bound: the largest gain of a vertex it did not list. A later round
+    /// reads the current gains of just the listed vertices (point reads)
+    /// and settles on their first argmax iff it is strictly greater than the
+    /// bound ([`settle_round`]); otherwise it makes a pass, which refreshes
+    /// the list. The rule is exact, not a heuristic: coverage gains only
+    /// shrink as seeds are added, so an unlisted vertex gains at most the
+    /// bound now, and a winner strictly above it beats every such vertex —
+    /// strictly, because at equality an unlisted vertex with a lower id
+    /// would be the first argmax. The seeds and the influence are therefore
+    /// identical to a pass per round.
     #[must_use]
     pub fn greedy_seed_set(&self, k: usize) -> (Vec<VertexId>, f64) {
         let n = self.num_vertices;
@@ -1035,22 +1055,42 @@ impl InfluenceOracle {
         let mut covered_count = 0usize;
         let mut selected: Vec<VertexId> = Vec::with_capacity(k);
         let mut is_selected = vec![false; n];
+        // The last pass's listed vertices, and the most any other one gained.
+        let mut candidates: Vec<VertexId> = Vec::new();
+        let mut bound = 0u64;
         for _ in 0..k {
-            let mut best: Option<(VertexId, usize)> = None;
-            self.pool.sweep_postings(|v, list| {
-                if is_selected[v as usize] {
-                    return;
+            let ranked = candidates
+                .iter()
+                .filter(|&&v| !is_selected[v as usize])
+                .map(|&v| {
+                    let mut gain = 0u64;
+                    // Random access to one list: the point read, not a sweep.
+                    self.pool
+                        .for_each_posting_inline(v, |id| gain += u64::from(!covered[id as usize]));
+                    (v, gain)
+                })
+                .collect();
+            let chosen = match settle_round(ranked, 1, bound) {
+                Some(top) => top[0],
+                None => {
+                    let mut top = TopGains::new(ROUND_CANDIDATES);
+                    self.pool.sweep_postings(|v, list| {
+                        if !is_selected[v as usize] {
+                            let mut gain = 0u64;
+                            list.for_each(|id| gain += u64::from(!covered[id as usize]));
+                            top.offer(v, gain);
+                        }
+                    });
+                    let (listed, unlisted) = top.finish();
+                    let Some(&(first, _)) = listed.first() else {
+                        break;
+                    };
+                    candidates = listed.into_iter().map(|(v, _)| v).collect();
+                    bound = unlisted;
+                    first
                 }
-                let mut gain = 0usize;
-                list.for_each(|id| gain += usize::from(!covered[id as usize]));
-                match best {
-                    Some((_, best_gain)) if gain <= best_gain => {}
-                    _ => best = Some((v, gain)),
-                }
-            });
-            let Some((chosen, _)) = best else { break };
+            };
             is_selected[chosen as usize] = true;
-            // Random access to one list: the point read, not a sweep.
             self.pool.for_each_posting_inline(chosen, |id| {
                 if !covered[id as usize] {
                     covered[id as usize] = true;
@@ -1062,6 +1102,89 @@ impl InfluenceOracle {
         let influence = n as f64 * covered_count as f64 / self.pool_size as f64;
         (selected, influence)
     }
+}
+
+/// Vertices a whole-pool gain pass lists for the selection rounds after it
+/// ([`InfluenceOracle::greedy_seed_set`]), and each pool shard lists per
+/// routed round. Large enough that the bound separates a winner on almost
+/// every round measured, small enough that re-reading the listed vertices
+/// costs a few point reads and a shard's reply a few KB.
+pub const ROUND_CANDIDATES: usize = 64;
+
+/// The best `limit` vertices of one gain pass by `(gain desc, id asc)`, and
+/// a bound on the rest: a bounded heap fed one `(vertex, gain)` at a time.
+#[derive(Debug)]
+pub struct TopGains {
+    limit: usize,
+    /// Keyed so the root is the listed vertex the next better one evicts:
+    /// lowest gain, and among equal gains the highest id.
+    listed: BinaryHeap<Reverse<(u64, Reverse<VertexId>)>>,
+    bound: u64,
+}
+
+impl TopGains {
+    /// An empty ranking that keeps the best `limit` offers.
+    #[must_use]
+    pub fn new(limit: usize) -> Self {
+        TopGains {
+            limit,
+            listed: BinaryHeap::new(),
+            bound: 0,
+        }
+    }
+
+    /// Offer vertex `v` with gain `gain` (called once per vertex per pass,
+    /// so inlined into callers in other crates too).
+    #[inline]
+    pub fn offer(&mut self, v: VertexId, gain: u64) {
+        let entry = Reverse((gain, Reverse(v)));
+        if self.listed.len() < self.limit {
+            self.listed.push(entry);
+            return;
+        }
+        match self.listed.peek_mut() {
+            Some(mut worst) if entry < *worst => {
+                self.bound = self.bound.max(worst.0 .0);
+                *worst = entry;
+            }
+            _ => self.bound = self.bound.max(gain),
+        }
+    }
+
+    /// The kept vertices with their gains, by `(gain desc, id asc)`, and the
+    /// largest gain offered but not kept (`0` when every offer was kept).
+    #[must_use]
+    pub fn finish(self) -> (Vec<(VertexId, u64)>, u64) {
+        let listed = self
+            .listed
+            .into_sorted_vec()
+            .into_iter()
+            .map(|Reverse((gain, Reverse(v)))| (v, gain))
+            .collect();
+        (listed, self.bound)
+    }
+}
+
+/// Settle one selection round from exact gains of its candidates: the top
+/// `want` of `ranked` by `(gain desc, id asc)` — `1` for a greedy round's
+/// first argmax, `k` for a singleton ranking — iff the `want`-th gain is
+/// strictly greater than `bound`, the most any vertex missing from `ranked`
+/// can gain; `None` when the candidates cannot prove it (fewer than `want`
+/// of them, or a tie at the bound, where an unranked vertex with a lower id
+/// could be the answer).
+#[must_use]
+pub fn settle_round(
+    mut ranked: Vec<(VertexId, u64)>,
+    want: usize,
+    bound: u64,
+) -> Option<Vec<VertexId>> {
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let proven = want
+        .checked_sub(1)
+        .and_then(|last| ranked.get(last))
+        .is_some_and(|&(_, gain)| gain > bound);
+    ranked.truncate(want);
+    proven.then(|| ranked.into_iter().map(|(v, _)| v).collect())
 }
 
 #[cfg(test)]
@@ -1740,6 +1863,92 @@ mod tests {
                 .pool_resident_bytes()
                 < build(PoolLayout::Raw).pool_resident_bytes()
         );
+    }
+
+    /// A compressed pool ends every batch canonical: the overlay is folded
+    /// into a fresh data region whose bytes, resident size and exports equal
+    /// a from-scratch build at the same version, while a clone taken before
+    /// the batch keeps its old lists. Tiered pools — resident or
+    /// file-backed — keep the overlay and stay byte-identical.
+    #[test]
+    fn a_compressed_pool_folds_each_batch_back_to_a_fresh_encode() {
+        use imgraph::MutableInfluenceGraph;
+        let ig = star(0.5);
+        let build = |graph: &InfluenceGraph, layout: PoolLayout| {
+            InfluenceOracle::builder(2_000)
+                .seed(21)
+                .incremental()
+                .layout(layout)
+                .sample(graph)
+        };
+        let has_overlay = |o: &InfluenceOracle| match o.pool() {
+            Pool::Compressed(p) | Pool::Tiered(p) => p.has_overlay(),
+            Pool::Raw(_) => panic!("expected a packed pool"),
+        };
+        let mut compressed = build(&ig, PoolLayout::Compressed);
+        let mut tiered = build(&ig, PoolLayout::Tiered);
+        let (mut cold, cold_path) = demote_to_file(&compressed, 1_000, "fold");
+        let batches = [
+            vec![
+                GraphDelta::InsertEdge {
+                    source: 3,
+                    target: 0,
+                    probability: 0.6,
+                },
+                GraphDelta::SetProbability {
+                    source: 0,
+                    target: 1,
+                    probability: 0.9,
+                },
+            ],
+            vec![GraphDelta::DeleteEdge {
+                source: 0,
+                target: 2,
+            }],
+        ];
+        let mut mutable = MutableInfluenceGraph::from_graph(&ig);
+        for batch in &batches {
+            let snapshot = compressed.clone();
+            let snapshot_bytes = snapshot.to_bytes();
+            for delta in batch {
+                mutable.apply(delta).unwrap();
+            }
+            let after = mutable.materialize();
+            for o in [&mut compressed, &mut tiered, &mut cold] {
+                assert!(o.apply_delta_batch(&after, batch).unwrap() > 0);
+            }
+            assert!(!has_overlay(&compressed), "compressed folded");
+            assert!(has_overlay(&tiered), "tiered keeps its overlay");
+            assert!(has_overlay(&cold), "cold keeps its overlay");
+            let (postings, traces) = compressed.pool().to_raw_lists();
+            // The hub's list spans ~10 blocks: the fold wrote skip headers.
+            assert!(postings[0].len() > 4 * impool::BLOCK_IDS);
+            let fresh = impool::PackedPool::from_lists(5, 2_000, &postings, traces.as_deref());
+            assert_eq!(
+                compressed.pool_resident_bytes(),
+                Pool::Compressed(fresh).resident_bytes()
+            );
+            let rebuilt = build(&after, PoolLayout::Compressed);
+            assert_eq!(compressed.to_bytes(), rebuilt.to_bytes());
+            assert_eq!(
+                compressed.pool_resident_bytes(),
+                rebuilt.pool_resident_bytes()
+            );
+            for hint in [PoolLayout::Compressed, PoolLayout::Tiered] {
+                assert_eq!(
+                    compressed.encode_pcmp_payload(hint),
+                    rebuilt.encode_pcmp_payload(hint)
+                );
+            }
+            for o in [&tiered, &cold] {
+                assert_eq!(o.to_bytes(), rebuilt.to_bytes(), "{}", o.pool_layout());
+                assert_eq!(o.greedy_seed_set(3), rebuilt.greedy_seed_set(3));
+            }
+            // The snapshot still answers from the bytes it was taken with.
+            assert_eq!(snapshot.to_bytes(), snapshot_bytes);
+            assert_ne!(snapshot.to_bytes(), rebuilt.to_bytes());
+        }
+        std::fs::remove_file(&cold_path).ok();
     }
 
     /// A whole-pool pass over a file-backed pool streams: one

@@ -33,10 +33,14 @@
 //!
 //! Mutation (`replace_set`, the incremental-maintenance primitive) is
 //! implemented on the compressed backends as a resident *overlay*: a dirtied
-//! list is materialized once, shadowing its encoded form. Reads merge the
-//! overlay transparently; re-encoding to a `PCMP` payload
-//! ([`Pool::encode_pcmp_payload`]) folds it back into canonical compressed
-//! form.
+//! list is materialized once, shadowing its encoded form, and reads merge the
+//! overlay transparently. On a compressed pool the overlay lives for one
+//! batch: [`Pool::fold_overlay`], called when the batch's edits are done,
+//! re-encodes the dirtied lists into a fresh resident data region, so between
+//! batches the pool is canonical — no overlay, no hash probe on any scan, and
+//! resident bytes equal to a fresh encode. A tiered pool keeps its overlay
+//! over the cold region, growing with every batch, until it is re-encoded to
+//! a `PCMP` payload ([`Pool::encode_pcmp_payload`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -346,6 +350,20 @@ impl Pool {
         match self {
             Pool::Raw(p) => p.replace_set(set, old_members, new_members),
             Pool::Compressed(p) | Pool::Tiered(p) => p.replace_set(set, old_members, new_members),
+        }
+    }
+
+    /// End a mutation batch: fold a compressed pool's overlay back into a
+    /// fresh resident data region, so between batches the pool holds exactly
+    /// the bytes [`PackedPool::from_lists`] would encode from the same lists
+    /// and no scan probes an overlay. Only the dirtied lists are re-encoded;
+    /// untouched runs are copied whole. Clones taken before the fold keep
+    /// their old bytes. A no-op on raw pools (edited in place) and on tiered
+    /// pools, whose overlay shadows a cold region until the pool is
+    /// re-encoded ([`Pool::encode_pcmp_payload`]).
+    pub fn fold_overlay(&mut self) {
+        if let Pool::Compressed(p) = self {
+            p.fold_overlay();
         }
     }
 

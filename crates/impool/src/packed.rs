@@ -8,7 +8,10 @@
 //!   one block (single-block lists need none: the directory entry is the
 //!   skip),
 //! * a **mutation overlay** — dirtied lists materialized as plain `Vec<u32>`,
-//!   shadowing their encoded form until the next re-encode.
+//!   shadowing their encoded form. On a resident region it lives for one
+//!   mutation batch: [`SegmentStore::fold`] re-encodes it into a fresh data
+//!   region when the batch ends. A cold region keeps it until the pool is
+//!   re-encoded to a `PCMP` payload.
 //!
 //! The data region is either fully resident ([`Region::Resident`]) or cold
 //! in a backing file ([`Region::Cold`]) with only lists at or above the hot
@@ -375,6 +378,66 @@ impl SegmentStore {
         self.overlay.insert(i, list);
     }
 
+    /// Fold the overlay back into a fresh resident data region: runs of
+    /// untouched lists are copied in one piece, each dirtied list is encoded
+    /// with its skip headers, and the directory, skip headers and data are
+    /// new `Arc`s, so a clone taken earlier keeps reading its old bytes. The
+    /// result equals [`SegmentStore::from_lists`] of the same lists. Returns
+    /// whether anything was folded: a cold region keeps its overlay (its
+    /// encoded bytes live in the backing file), and an empty overlay is
+    /// already canonical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the encoded data region would exceed `u32::MAX` bytes.
+    pub(crate) fn fold(&mut self) -> bool {
+        let Region::Resident(old) = &self.region else {
+            return false;
+        };
+        if self.overlay.is_empty() {
+            return false;
+        }
+        let mut dirty: Vec<u32> = self.overlay.keys().copied().collect();
+        dirty.sort_unstable();
+        let old_offsets = &self.offsets[..];
+        let count = self.count();
+        let mut data = Vec::with_capacity(old.len());
+        let mut offsets = Vec::with_capacity(count + 1);
+        offsets.push(0u32);
+        let mut skips = (*self.skips).clone();
+        let to_u32 = |end: usize| u32::try_from(end).expect("pool segment data exceeds 4 GiB");
+        // Copy the untouched lists `from..to` as one run, shifting their
+        // directory entries by where the run lands.
+        let copy_run = |data: &mut Vec<u8>, offsets: &mut Vec<u32>, from: usize, to: usize| {
+            let (a, b) = (old_offsets[from] as usize, old_offsets[to] as usize);
+            let base = data.len();
+            data.extend_from_slice(&old[a..b]);
+            offsets.extend(
+                old_offsets[from + 1..=to]
+                    .iter()
+                    .map(|&o| to_u32(o as usize - a + base)),
+            );
+        };
+        let mut next = 0usize;
+        for i in dirty {
+            copy_run(&mut data, &mut offsets, next, i as usize);
+            let entries = encode_list(&self.overlay[&i], &mut data);
+            if entries.len() > 1 {
+                skips.insert(i, entries.into_boxed_slice());
+            } else {
+                skips.remove(&i);
+            }
+            offsets.push(to_u32(data.len()));
+            next = i as usize + 1;
+        }
+        copy_run(&mut data, &mut offsets, next, count);
+        self.offsets = Arc::new(offsets);
+        self.skips = Arc::new(skips);
+        self.region = Region::Resident(Arc::new(data));
+        self.overlay = FxHashMap::default();
+        true
+    }
+
     /// Demote the data region to `file` at absolute offset `base`, pinning
     /// lists of at least `hot_list_bytes` encoded bytes. No-op if already
     /// cold.
@@ -486,7 +549,7 @@ impl PackedPool {
         self.postings.len_of(v)
     }
 
-    /// Whether any list has been dirtied since the last encode.
+    /// Whether any list has been dirtied since the last fold or encode.
     #[must_use]
     pub fn has_overlay(&self) -> bool {
         !self.postings.overlay.is_empty()
@@ -550,6 +613,19 @@ impl PackedPool {
         }
     }
 
+    /// Fold both directions' overlays into fresh resident data regions (see
+    /// [`crate::Pool::fold_overlay`]). A folded region no longer matches the
+    /// `PCMP` payload it was decoded from, so it forgets that payload's
+    /// offset: demoting it takes a re-load from a freshly written artifact.
+    pub(crate) fn fold_overlay(&mut self) {
+        if self.postings.fold() {
+            self.postings_data_off = None;
+        }
+        if self.traces.as_mut().is_some_and(SegmentStore::fold) {
+            self.traces_data_off = None;
+        }
+    }
+
     pub(crate) fn build_traces(&mut self) {
         if self.traces.is_some() {
             return;
@@ -608,6 +684,91 @@ mod tests {
         assert_eq!(store.list(0), ls[0]);
     }
 
+    /// Directory, skip headers and data region, the three things a fold
+    /// rebuilds.
+    type Encoded = (Vec<u32>, Vec<(u32, Vec<SkipEntry>)>, Vec<u8>);
+
+    fn encoded(store: &SegmentStore) -> Encoded {
+        let Region::Resident(data) = &store.region else {
+            panic!("expected a resident region")
+        };
+        let mut skips: Vec<_> = store.skips.iter().map(|(&i, s)| (i, s.to_vec())).collect();
+        skips.sort_unstable_by_key(|&(i, _)| i);
+        (store.offsets.to_vec(), skips, data.to_vec())
+    }
+
+    #[test]
+    fn fold_re_encodes_the_overlay_like_a_fresh_encode() {
+        let mut want = lists();
+        let mut store = SegmentStore::from_lists(&want);
+        let before = store.clone();
+        // List 1 grows past two blocks (gains skip headers), list 0 shrinks
+        // to one block (loses its four), lists 2 and 3 stay encoded.
+        want[1] = (0..300).map(|i| i * 2 + 1).collect();
+        want[0] = vec![3, 6];
+        store.edit(1, |l| *l = want[1].clone());
+        store.edit(0, |l| *l = want[0].clone());
+        assert!(store.fold());
+        assert!(store.overlay.is_empty());
+        assert!(!store.fold(), "nothing left to fold");
+        let fresh = SegmentStore::from_lists(&want);
+        assert_eq!(encoded(&store), encoded(&fresh));
+        assert_eq!(store.skips[&1].len(), 3);
+        assert!(!store.skips.contains_key(&0));
+        assert_eq!(store.resident_bytes(), fresh.resident_bytes());
+        for (i, l) in want.iter().enumerate() {
+            assert_eq!(store.list(i as u32), *l, "list {i}");
+        }
+        // The clone taken before the edits still holds the old bytes.
+        for (i, l) in lists().iter().enumerate() {
+            assert_eq!(before.list(i as u32), *l, "old list {i}");
+        }
+        assert_eq!(
+            encoded(&before),
+            encoded(&SegmentStore::from_lists(&lists()))
+        );
+    }
+
+    #[test]
+    fn fold_copies_untouched_runs_around_a_dirtied_tail_and_head() {
+        let mut want: Vec<Vec<u32>> = (0..50u32).map(|v| (v..v + v % 7).collect()).collect();
+        let mut store = SegmentStore::from_lists(&want);
+        for i in [0usize, 17, 18, 49] {
+            want[i] = (100..100 + 129 + i as u32).collect();
+            let list = want[i].clone();
+            store.edit(i as u32, |l| *l = list);
+        }
+        assert!(store.fold());
+        assert_eq!(encoded(&store), encoded(&SegmentStore::from_lists(&want)));
+    }
+
+    #[test]
+    fn replace_set_then_fold_leaves_a_canonical_pool() {
+        let postings = vec![vec![0, 1], vec![0], vec![1], vec![]];
+        let traces = vec![vec![0, 1], vec![0, 2]];
+        let mut pool = PackedPool::from_lists(4, 2, &postings, Some(&traces));
+        pool.postings_data_off = Some(40);
+        pool.traces_data_off = Some(80);
+        pool.replace_set(0, &[0, 1], &[0, 3]);
+        assert!(pool.has_overlay());
+        pool.fold_overlay();
+        assert!(!pool.has_overlay());
+        // Folded bytes are not the payload's any more: no demotion onto it.
+        assert_eq!((pool.postings_data_off, pool.traces_data_off), (None, None));
+        let fresh = PackedPool::from_lists(
+            4,
+            2,
+            &[vec![0, 1], vec![], vec![1], vec![0]],
+            Some(&[vec![0, 3], vec![0, 2]]),
+        );
+        assert_eq!(encoded(&pool.postings), encoded(&fresh.postings));
+        assert_eq!(
+            encoded(pool.traces.as_ref().unwrap()),
+            encoded(fresh.traces.as_ref().unwrap())
+        );
+        assert_eq!(pool.resident_bytes(), fresh.resident_bytes());
+    }
+
     #[test]
     fn cold_region_reads_match_resident() {
         let ls = lists();
@@ -638,6 +799,10 @@ mod tests {
             assert_eq!(store.list(i as u32), *l, "cold list {i}");
             assert_eq!(store.len_of(i as u32), l.len(), "cold len {i}");
         }
+        // A cold region keeps its overlay: its encoded bytes are the file's.
+        store.edit(1, |l| l.push(9));
+        assert!(!store.fold());
+        assert_eq!(store.list(1), vec![7, 9]);
         std::fs::remove_file(&path).ok();
     }
 

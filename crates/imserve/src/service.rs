@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use im_core::EstimateScratch;
+use im_core::{EstimateScratch, TopGains};
 use imdyn::EpochReport;
 use imgraph::GraphDelta;
 use serde::{Deserialize, Serialize};
@@ -240,9 +240,9 @@ pub(crate) fn check_vertices(what: &str, vertices: &[u32], n: usize) -> ServiceR
 
 impl GainVector {
     /// Cut this round down to its [`GainCandidates`]: the top `limit`
-    /// vertices by `(gain desc, id asc)` (a bounded heap over the vector —
-    /// `limit` is clamped to the vertex count before anything is sized by
-    /// it), the bound on the rest, and the gains at `probe`.
+    /// vertices by `(gain desc, id asc)` ([`TopGains`] over the vector, the
+    /// ranking a greedy pass keeps in-process), the bound on the rest, and
+    /// the gains at `probe`.
     ///
     /// # Panics
     ///
@@ -250,35 +250,17 @@ impl GainVector {
     /// `probe` before they get here).
     #[must_use]
     pub fn candidates(&self, limit: usize, probe: &[u32]) -> GainCandidates {
-        use std::cmp::Reverse;
         let probed = probe.iter().map(|&v| self.gains[v as usize]).collect();
         let limit = limit.min(self.gains.len());
         if limit == 0 {
             return GainCandidates::probes_only(probed, self.covered, self.pool);
         }
-        // Keyed so the heap's root is the listed vertex the next better one
-        // evicts: lowest gain, and among equal gains the highest id.
-        let mut listed = std::collections::BinaryHeap::with_capacity(limit);
-        let mut bound = 0;
+        let mut top = TopGains::new(limit);
         for (v, &gain) in self.gains.iter().enumerate() {
-            let entry = Reverse((gain, Reverse(v as u32)));
-            if listed.len() < limit {
-                listed.push(entry);
-                continue;
-            }
-            let mut worst = listed.peek_mut().expect("limit is positive");
-            if entry < *worst {
-                bound = bound.max(worst.0 .0);
-                *worst = entry;
-            } else {
-                bound = bound.max(gain);
-            }
+            top.offer(v as u32, gain);
         }
-        let (vertices, counts) = listed
-            .into_sorted_vec()
-            .into_iter()
-            .map(|Reverse((gain, Reverse(v)))| (v, gain))
-            .unzip();
+        let (listed, bound) = top.finish();
+        let (vertices, counts) = listed.into_iter().unzip();
         GainCandidates {
             vertices,
             counts,

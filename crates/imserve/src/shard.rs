@@ -43,10 +43,11 @@
 //! **Output-sensitive selection.** A round's answer is one vertex (or `k`,
 //! for the singleton ranking), so a round should not cost `n` integers per
 //! shard. Each shard answers [`InfluenceService::gain_candidates`]: its top
-//! 64 vertices by `(gain desc, id asc)` and one *bound*, the largest gain it
-//! did not list. The candidates are the union of the lists (minus the seeds
-//! already picked); a vertex outside every list gains at most `bound_s` on
-//! shard `s`, hence at most `U = Σ bound_s` in total. The router asks every
+//! [`im_core::ROUND_CANDIDATES`] (64) vertices by `(gain desc, id asc)` and
+//! one *bound*, the largest gain it did not list. The candidates are the
+//! union of the lists (minus the seeds already picked); a vertex outside
+//! every list gains at most `bound_s` on shard `s`, hence at most
+//! `U = Σ bound_s` in total. The router asks every
 //! shard for the exact gain of each candidate (point reads, no pool pass —
 //! skipped when every list already holds every candidate), sums them in
 //! shard-index order, and accepts the first argmax over the candidates
@@ -82,6 +83,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use im_core::{settle_round, ROUND_CANDIDATES};
 use imdyn::EpochReport;
 use imgraph::GraphDelta;
 use imobs::EventField;
@@ -94,17 +96,12 @@ use crate::service::{
     ServiceError, ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
 };
 
-/// Vertices each shard lists per selection round. Large enough that the
-/// bounds separate a winner on every round measured so far (the fallback
-/// counter says when they do not), small enough that a round's replies are a
-/// few KB whatever the graph's size.
-const CANDIDATES_PER_SHARD: usize = 64;
-
 /// Settle one selection round from per-shard candidate lists: the top `want`
 /// vertices of the shards' summed gains by `(total desc, id asc)` — `1` for
 /// a greedy round's first argmax, `k` for the singleton ranking — or `None`
-/// when the lists cannot prove them (see the module docs for the rule and
-/// why it is strict).
+/// when the lists cannot prove them: [`settle_round`], the rule in-process
+/// greedy settles its rounds by, over the summed totals with the sum of the
+/// shards' bounds as the bound (see the module docs for why it is strict).
 ///
 /// `ask(limit, probe)` fans one `gain_candidates` request out and returns
 /// the shards' replies in shard-index order. It is called once with
@@ -147,7 +144,7 @@ pub fn threshold_round(
             }
         }
     }
-    let mut ranked: Vec<(u32, u64)> = if listed.values().all(|&(_, hits)| hits == lists.len()) {
+    let ranked: Vec<(u32, u64)> = if listed.values().all(|&(_, hits)| hits == lists.len()) {
         listed.iter().map(|(&v, &(total, _))| (v, total)).collect()
     } else {
         let candidates: Vec<u32> = listed.keys().copied().collect();
@@ -166,13 +163,7 @@ pub fn threshold_round(
         }
         candidates.into_iter().zip(totals).collect()
     };
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let proven = want
-        .checked_sub(1)
-        .and_then(|last| ranked.get(last))
-        .is_some_and(|&(_, total)| total > unlisted_bound);
-    ranked.truncate(want);
-    Ok(proven.then(|| ranked.into_iter().map(|(v, _)| v).collect()))
+    Ok(settle_round(ranked, want, unlisted_bound))
 }
 
 /// A router over N shard backends (see the module docs for the invariant).
@@ -494,7 +485,7 @@ impl<S: InfluenceService> ShardedService<S> {
     ) -> ServiceResult<Option<Vec<u32>>> {
         let top = threshold_round(
             want,
-            want.max(CANDIDATES_PER_SHARD),
+            want.max(ROUND_CANDIDATES),
             self.info.num_vertices,
             is_selected,
             |limit, probe| {

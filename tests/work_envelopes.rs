@@ -4,6 +4,7 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
+use im_study::im_core::{ListRef, PoolLayout, TieredConfig, ROUND_CANDIDATES};
 use im_study::imexp::fixture::ScaleFixture;
 use im_study::imserve::client::RemoteService;
 use im_study::imserve::engine::QueryEngine;
@@ -121,4 +122,111 @@ fn a_routed_estimate_costs_each_shard_no_hand_off() {
     for server in servers {
         server.shutdown();
     }
+}
+
+/// Cold reads per greedy `TopK`: one whole-pool pass, then the later rounds
+/// settled from the pass's candidate list by point reads. A `TopK(k=4)` on a
+/// file-backed tiered pool may move `Pool::cold_reads` by one pass's sweep
+/// windows plus `3·64 + 4` point reads — in bytes, one pass's region plus
+/// three reads of the 64 longest cold lists and one of the 4 longest —
+/// where a pass per round costs four passes.
+#[test]
+fn a_greedy_top_k_on_a_tiered_pool_costs_one_pass_and_point_reads() {
+    let fixture = ScaleFixture::new(100_000, 4.0, 7);
+    let graph = fixture.influence_graph(ProbabilityModel::InDegreeWeighted);
+    let mut artifact = IndexArtifact::build("fixture", "iwc", graph, 10_000, 7);
+    artifact.convert_pool_layout(PoolLayout::Tiered);
+    let path =
+        std::env::temp_dir().join(format!("work-envelope-tiered-{}.imx", std::process::id()));
+    artifact.save(&path).unwrap();
+    let loaded = IndexArtifact::load(&path);
+    std::fs::remove_file(&path).ok();
+    let engine = QueryEngine::builder(loaded.unwrap()).build().unwrap();
+    let cold_reads = || engine.state().dynamic.oracle().pool().cold_reads();
+
+    let k = 4;
+    let point_reads = (k - 1) * ROUND_CANDIDATES + k;
+    // Encoded sizes of the cold lists, longest first: a list of at least
+    // the hot threshold is pinned resident and costs no read.
+    let hot = TieredConfig::default().hot_list_bytes;
+    let mut cold_lists = Vec::new();
+    engine
+        .state()
+        .dynamic
+        .oracle()
+        .pool()
+        .sweep_postings(|_, list| match list {
+            ListRef::Encoded(bytes) if bytes.len() < hot => cold_lists.push(bytes.len() as u64),
+            _ => {}
+        });
+    cold_lists.sort_unstable_by(|a, b| b.cmp(a));
+    let longest = |count: usize| cold_lists.iter().take(count).sum::<u64>();
+    // Each later round re-reads at most 64 candidates; each pick reads its
+    // own list once.
+    let point_read_bytes = (k - 1) as u64 * longest(ROUND_CANDIDATES) + longest(k);
+
+    let before = cold_reads();
+    engine.gains(&[]).unwrap();
+    let after = cold_reads();
+    let pass = (after.0 - before.0, after.1 - before.1);
+    assert!(
+        3 * pass.1 > point_read_bytes,
+        "the fixture's region ({} bytes) must outweigh the point reads' {point_read_bytes}",
+        pass.1
+    );
+
+    let before = cold_reads();
+    let selection = engine.top_k(k, TopKAlgorithm::Greedy).unwrap();
+    let after = cold_reads();
+    let top_k = (after.0 - before.0, after.1 - before.1);
+    assert_eq!(selection.seeds.len(), k);
+    assert!(
+        top_k.0 <= pass.0 + point_reads as u64 && top_k.1 <= pass.1 + point_read_bytes,
+        "TopK({k}) read {top_k:?} (reads, bytes); one pass reads {pass:?} and \
+         {point_reads} point reads at most {point_read_bytes} bytes"
+    );
+}
+
+/// Resident bytes under writes: a compressed pool folds each batch's overlay
+/// back into its encoded form, so after 20 batches it holds what a fresh
+/// encode of the same lists would, not the overlay's materialized lists.
+#[test]
+fn a_compressed_pool_stays_the_size_of_a_fresh_encode_under_writes() {
+    let fixture = ScaleFixture::new(3_000, 4.0, 7);
+    let graph = fixture.influence_graph(ProbabilityModel::uc01());
+    let edges: Vec<(u32, u32)> = (0..3_000u32)
+        .filter_map(|u| graph.graph().out_neighbors(u).first().map(|&v| (u, v)))
+        .collect();
+    let mut artifact = IndexArtifact::build("fixture", "uc0.1", graph, 40_000, 7);
+    artifact.convert_pool_layout(PoolLayout::Compressed);
+    let engine = QueryEngine::builder(artifact).build().unwrap();
+    let fresh_encode = || {
+        let state = engine.state();
+        let pool = state.dynamic.oracle().pool();
+        assert_eq!(pool.layout(), PoolLayout::Compressed);
+        pool.convert(PoolLayout::Raw)
+            .convert(PoolLayout::Compressed)
+            .resident_bytes() as f64
+    };
+    let initial = engine.stats().pool_resident_bytes as f64;
+    assert_eq!(initial, fresh_encode());
+    for (batch, chunk) in edges.chunks(8).take(20).enumerate() {
+        let deltas: Vec<GraphDelta> = chunk
+            .iter()
+            .map(|&(source, target)| GraphDelta::SetProbability {
+                source,
+                target,
+                probability: 0.9 - 0.04 * batch as f64,
+            })
+            .collect();
+        engine.mutate_batch(&deltas).unwrap();
+    }
+    assert_eq!(engine.epoch(), 160);
+    let resident = engine.stats().pool_resident_bytes as f64;
+    let fresh = fresh_encode();
+    assert!(
+        (resident - fresh).abs() <= 0.01 * fresh,
+        "{resident} bytes resident after 20 batches; a fresh encode is {fresh} \
+         (before the batches: {initial})"
+    );
 }
