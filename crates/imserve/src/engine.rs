@@ -1350,7 +1350,7 @@ mod tests {
         }
         // The greedy answer equals the oracle's own greedy selection.
         match first {
-            Response::TopK { seeds, spread, .. } => {
+            Response::TopK(TopKSelection { seeds, spread, .. }) => {
                 let (expected_seeds, expected_spread) = karate_oracle().greedy_seed_set(3);
                 assert_eq!(seeds, expected_seeds);
                 assert_eq!(spread, expected_spread);
@@ -1414,7 +1414,7 @@ mod tests {
             build_dataset_index_with_deltas("karate", "uc0.1", POOL, SEED, &deltas).unwrap();
         let (expected_seeds, expected_spread) = rebuilt.oracle.greedy_seed_set(3);
         match after {
-            Response::TopK { seeds, spread, .. } => {
+            Response::TopK(TopKSelection { seeds, spread, .. }) => {
                 assert_eq!(seeds, expected_seeds);
                 assert_eq!(spread, expected_spread);
             }
@@ -1456,12 +1456,12 @@ mod tests {
             },
             &mut scratch,
         ) {
-            Response::MutateBatch {
+            Response::MutateBatch(MutationOutcome {
                 epoch,
                 applied,
                 resampled,
                 compacted,
-            } => {
+            }) => {
                 assert_eq!(epoch, 3);
                 assert_eq!(applied, 3);
                 assert!(resampled > 0);
@@ -1533,7 +1533,7 @@ mod tests {
         let before = engine.handle(&estimate, &mut scratch);
 
         match engine.handle(&Request::Compact, &mut scratch) {
-            Response::Compact { epoch, folded } => {
+            Response::Compact(CompactionReport { epoch, folded }) => {
                 assert_eq!(epoch, 2, "compaction never moves the epoch");
                 assert_eq!(folded, 2);
             }
@@ -1583,9 +1583,9 @@ mod tests {
             },
             &mut scratch,
         ) {
-            Response::MutateBatch {
+            Response::MutateBatch(MutationOutcome {
                 epoch, compacted, ..
-            } => {
+            }) => {
                 assert_eq!(epoch, 2);
                 assert!(compacted, "log-length 2 policy must fire on a 2-batch");
             }
@@ -1683,7 +1683,7 @@ mod tests {
             },
             &mut scratch,
         ) {
-            Response::TopK { seeds, .. } => {
+            Response::TopK(TopKSelection { seeds, .. }) => {
                 let expected: Vec<u32> = karate_oracle()
                     .top_influential_vertices(2)
                     .iter()
@@ -1714,13 +1714,13 @@ mod tests {
         let engine = karate_engine();
         let mut scratch = engine.new_scratch();
         match engine.handle(&Request::Info, &mut scratch) {
-            Response::Info {
+            Response::Info(ServiceInfo {
                 graph_id,
                 model,
                 num_vertices,
                 pool_size,
                 ..
-            } => {
+            }) => {
                 assert_eq!(graph_id, "Karate");
                 assert_eq!(model, "uc0.1");
                 assert_eq!(num_vertices, 34);

@@ -37,7 +37,9 @@
 //! The nested artifacts carry their own magic and checksum, so each layer can
 //! also be produced and validated independently.
 
+use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use im_core::sampler::Backend;
 use im_core::{InfluenceOracle, PoolLayout, TieredConfig};
@@ -460,9 +462,33 @@ impl IndexArtifact {
         ))
     }
 
-    /// Write the artifact to a file.
+    /// Write the artifact to a file, replacing any file at `path` whole.
+    ///
+    /// The bytes go to a uniquely named temporary file beside `path`, which
+    /// is then renamed over it. A process holding the old file open (a
+    /// tiered pool reads its cold blocks through such a handle) keeps reading
+    /// the old artifact, never a rewritten one. The temporary file is removed
+    /// if writing or renaming fails.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
-        std::fs::write(path, self.to_bytes()).map_err(ServeError::from)
+        static SAVES: AtomicU64 = AtomicU64::new(0);
+        let path = path.as_ref();
+        let mut temp = path.as_os_str().to_owned();
+        temp.push(format!(
+            ".{}.{}.tmp",
+            std::process::id(),
+            SAVES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&temp)?;
+        let saved = file
+            .write_all(&self.to_bytes())
+            .and_then(|()| std::fs::rename(&temp, path));
+        if saved.is_err() {
+            let _ = std::fs::remove_file(&temp);
+        }
+        saved.map_err(ServeError::from)
     }
 
     /// Read an artifact from a file.

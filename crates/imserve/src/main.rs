@@ -393,31 +393,19 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                     eprint!("{}", report.render_text());
                     degraded = !report.ready;
                 }
-                (
-                    Request::Reload { path },
-                    Response::Reloaded {
-                        epoch,
-                        pool_size,
-                        log_len,
-                        swap_micros,
-                    },
-                ) => eprintln!(
-                    "reloaded {path} at epoch {epoch}: pool {pool_size}, {log_len} pending \
-                     deltas, swap held the write lock for {swap_micros}us"
+                (Request::Reload { path }, Response::Reloaded(reload)) => eprintln!(
+                    "reloaded {path} at epoch {}: pool {}, {} pending deltas, swap held the \
+                     write lock for {}us",
+                    reload.epoch, reload.pool_size, reload.log_len, reload.swap_micros
                 ),
-                (
-                    _,
-                    Response::Promoted {
-                        epoch,
-                        was_read_only,
-                    },
-                ) => eprintln!(
-                    "{} at epoch {epoch}",
-                    if *was_read_only {
+                (_, Response::Promoted(promotion)) => eprintln!(
+                    "{} at epoch {}",
+                    if promotion.was_read_only {
                         "promoted follower to writable"
                     } else {
                         "already writable (promotion is idempotent)"
-                    }
+                    },
+                    promotion.epoch
                 ),
                 _ => {}
             }

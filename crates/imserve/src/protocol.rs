@@ -24,6 +24,11 @@
 //! nested deeper than 128 arrays/objects is refused by the parser before it
 //! can exhaust a worker's stack.
 //!
+//! Each reply type is declared once, in [`crate::service`]; its [`Response`]
+//! variant carries it whole, and the `replies!` list here pairs the two once.
+//! `Estimate`, `Gains` and `Stats` keep named fields, for the reasons on
+//! [`Response`].
+//!
 //! Responses to the same request against the same index are byte-identical —
 //! the engine is deterministic and no timestamps or volatile fields are ever
 //! put on the wire — so clients can cache and compare freely. The diagnostic
@@ -34,8 +39,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ServeError;
 use crate::service::{
-    CompactionReport, GainCandidates, GainVector, MetricsReport, MutationOutcome, PromotionOutcome,
-    ReloadOutcome, RequestTypeCounts, ServiceError, ServiceInfo, SpreadEstimate, TopKSelection,
+    unexpected, CompactionReport, EventRecord, GainCandidates, GainVector, HealthReport,
+    MetricsReport, MutationOutcome, PromotionOutcome, ReloadOutcome, RequestTypeCounts,
+    ServiceError, ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
 };
 
 /// The protocol version this build speaks (the only one).
@@ -187,6 +193,19 @@ pub enum Request {
 }
 
 /// A server response (one per request, same order).
+///
+/// Each reply type is declared once, as a struct in [`crate::service`], and
+/// its variant here carries it whole: `TopK(TopKSelection)` encodes as
+/// `{"TopK":{"seeds":…}}`, the same bytes a struct variant with those fields
+/// would write. The pairing of each type with its variant is written once, in
+/// the `replies!` list below, which generates `From<T> for Response` and
+/// `TryFrom<Response> for T`. Three variants keep named fields:
+///
+/// * `Estimate` and `Gains`, because the benchmark crate
+///   (`benchmark/src/lab.rs`) builds both field by field, and `Gains` has the
+///   hand-written packed frame codec of [`ResponseFrame`];
+/// * `Stats`, because [`ServiceStats`] also carries the per-shard `shards`
+///   reports only a router fills, which never go on the wire.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Liveness answer.
@@ -197,27 +216,7 @@ pub enum Response {
         version: u32,
     },
     /// Index metadata.
-    Info {
-        /// Graph identifier from the index metadata.
-        graph_id: String,
-        /// Probability-model label from the index metadata.
-        model: String,
-        /// Vertices of the indexed graph.
-        num_vertices: usize,
-        /// Edges of the indexed graph.
-        num_edges: usize,
-        /// RR sets in the loaded pool.
-        pool_size: usize,
-        /// The oracle's 99 % confidence half-width `1.29·n/√pool`.
-        confidence_99: f64,
-        /// First global set id of the served pool (`0` for a whole pool) —
-        /// what lets a shard router verify its backends tile the global
-        /// pool without overlap.
-        shard_offset: u64,
-        /// RR sets in the whole global pool this one belongs to (equal to
-        /// `pool_size` for an unsharded index).
-        global_pool: u64,
-    },
+    Info(ServiceInfo),
     /// Spread estimate for an explicit seed set.
     Estimate {
         /// The seeds echoed back (as received).
@@ -232,35 +231,11 @@ pub enum Response {
         pool: u64,
     },
     /// A selected seed set.
-    TopK {
-        /// The chosen seeds in selection order.
-        seeds: Vec<u32>,
-        /// The oracle estimate of the joint influence of `seeds`.
-        spread: f64,
-        /// The strategy that produced the set.
-        algorithm: TopKAlgorithm,
-    },
+    TopK(TopKSelection),
     /// Outcome of an atomically applied mutation batch.
-    MutateBatch {
-        /// The index epoch after the batch (total deltas ever applied).
-        epoch: u64,
-        /// Deltas applied (the whole batch; atomic batches never apply a
-        /// prefix).
-        applied: usize,
-        /// Distinct RR sets resampled (the union of the batch's dirty sets).
-        resampled: usize,
-        /// Whether the batch triggered an automatic compaction (the engine's
-        /// compaction policy fired after the batch landed).
-        compacted: bool,
-    },
+    MutateBatch(MutationOutcome),
     /// Outcome of a compaction.
-    Compact {
-        /// The index epoch — unchanged by compaction, now equal to the
-        /// snapshot watermark.
-        epoch: u64,
-        /// Pending deltas folded into the watermark.
-        folded: usize,
-    },
+    Compact(CompactionReport),
     /// Per-vertex marginal coverage gains (answer to [`Request::Gains`]).
     Gains {
         /// Marginal gain of every vertex, indexed by vertex id.
@@ -270,23 +245,8 @@ pub enum Response {
         /// RR sets in the answering pool.
         pool: u64,
     },
-    /// Answer to [`Request::GainCandidates`] — two parallel arrays rather
-    /// than pairs, so the frame stays flat.
-    GainCandidates {
-        /// The top vertices by `(gain desc, id asc)`.
-        vertices: Vec<u32>,
-        /// `counts[i]` is the marginal gain of `vertices[i]`.
-        counts: Vec<u64>,
-        /// Upper bound on the gain of every vertex not in `vertices` (see
-        /// [`GainCandidates::bound`]).
-        bound: u64,
-        /// `probed[i]` is the marginal gain of the request's `probe[i]`.
-        probed: Vec<u64>,
-        /// Pool RR sets covered by the selected set.
-        covered: u64,
-        /// RR sets in the answering pool.
-        pool: u64,
-    },
+    /// Answer to [`Request::GainCandidates`].
+    GainCandidates(GainCandidates),
     /// Serving counters, pool dimensions and the current index epoch.
     Stats {
         /// Total requests handled (including failed ones).
@@ -325,29 +285,14 @@ pub enum Response {
     /// `Stats`, deliberately volatile.
     Metrics(MetricsReport),
     /// A health verdict (answer to [`Request::Health`]). Volatile.
-    Health(crate::service::HealthReport),
+    Health(HealthReport),
     /// Recent operational events (answer to [`Request::Events`]), oldest
     /// first. Volatile.
-    Events(Vec<crate::service::EventRecord>),
+    Events(Vec<EventRecord>),
     /// Outcome of a hot-swap reload (answer to [`Request::Reload`]).
-    Reloaded {
-        /// The index epoch (identical before and after the swap).
-        epoch: u64,
-        /// RR sets in the served pool after the swap.
-        pool_size: usize,
-        /// Pending delta-log length after the swap.
-        log_len: usize,
-        /// Microseconds the validated swap took under the write lock.
-        swap_micros: u64,
-    },
+    Reloaded(ReloadOutcome),
     /// Outcome of a promotion (answer to [`Request::Promote`]).
-    Promoted {
-        /// The node's epoch at the moment it became writable.
-        epoch: u64,
-        /// Whether this call actually flipped the node writable (`false`
-        /// when it was already a leader).
-        was_read_only: bool,
-    },
+    Promoted(PromotionOutcome),
     /// The request could not be answered — the flattened form
     /// [`crate::QueryEngine::handle`] returns in process; on the wire errors
     /// travel typed, as [`Outcome::Err`].
@@ -738,146 +683,71 @@ fn unpack_gains(text: &str) -> Result<Vec<u64>, String> {
     Ok(gains)
 }
 
-/// Convert a typed service result into the wire `Response` it serializes as
-/// (shared by the server's frame adapter and the CLI's output printing).
-impl From<SpreadEstimate> for Response {
-    fn from(e: SpreadEstimate) -> Self {
-        Response::Estimate {
-            seeds: e.seeds,
-            spread: e.spread,
-            covered: e.covered,
-            pool: e.pool,
+/// Pair each typed service result with the one [`Response`] variant that
+/// carries it, generating `From<T> for Response` (how the server and the CLI
+/// put a typed answer on the wire) and `TryFrom<Response> for T` (how a typed
+/// method reads one back; a reply of any other kind is [`unexpected`] for the
+/// request kind named). A newtype variant carries the type whole; a variant
+/// with named fields lists them, then after a `;` any field of the type the
+/// wire does not carry, with its value.
+macro_rules! replies {
+    ($($typed:ty => $asked:literal, $variant:ident $shape:tt;)*) => {
+        $(replies!(@pair $typed, $asked, $variant $shape);)*
+    };
+    (@pair $typed:ty, $asked:literal, $variant:ident (_)) => {
+        impl From<$typed> for Response {
+            fn from(reply: $typed) -> Self {
+                Response::$variant(reply)
+            }
         }
-    }
-}
-
-impl From<TopKSelection> for Response {
-    fn from(t: TopKSelection) -> Self {
-        Response::TopK {
-            seeds: t.seeds,
-            spread: t.spread,
-            algorithm: t.algorithm,
+        impl TryFrom<Response> for $typed {
+            type Error = ServiceError;
+            fn try_from(reply: Response) -> ServiceResult<Self> {
+                match reply {
+                    Response::$variant(reply) => Ok(reply),
+                    other => unexpected($asked, other),
+                }
+            }
         }
-    }
-}
-
-impl From<GainVector> for Response {
-    fn from(g: GainVector) -> Self {
-        Response::Gains {
-            gains: g.gains,
-            covered: g.covered,
-            pool: g.pool,
+    };
+    (@pair $typed:ty, $asked:literal, $variant:ident {
+        $($field:ident),* $(; $extra:ident: $value:expr)?
+    }) => {
+        impl From<$typed> for Response {
+            fn from(reply: $typed) -> Self {
+                Response::$variant { $($field: reply.$field),* }
+            }
         }
-    }
-}
-
-impl From<GainCandidates> for Response {
-    fn from(c: GainCandidates) -> Self {
-        Response::GainCandidates {
-            vertices: c.vertices,
-            counts: c.counts,
-            bound: c.bound,
-            probed: c.probed,
-            covered: c.covered,
-            pool: c.pool,
+        impl TryFrom<Response> for $typed {
+            type Error = ServiceError;
+            fn try_from(reply: Response) -> ServiceResult<Self> {
+                match reply {
+                    Response::$variant { $($field),* } => Ok(Self { $($field,)* $($extra: $value)? }),
+                    other => unexpected($asked, other),
+                }
+            }
         }
-    }
+    };
 }
 
-impl From<MutationOutcome> for Response {
-    fn from(m: MutationOutcome) -> Self {
-        Response::MutateBatch {
-            epoch: m.epoch,
-            applied: m.applied,
-            resampled: m.resampled,
-            compacted: m.compacted,
-        }
-    }
-}
-
-impl From<CompactionReport> for Response {
-    fn from(c: CompactionReport) -> Self {
-        Response::Compact {
-            epoch: c.epoch,
-            folded: c.folded,
-        }
-    }
-}
-
-impl From<ServiceInfo> for Response {
-    fn from(i: ServiceInfo) -> Self {
-        Response::Info {
-            graph_id: i.graph_id,
-            model: i.model,
-            num_vertices: i.num_vertices,
-            num_edges: i.num_edges,
-            pool_size: i.pool_size,
-            confidence_99: i.confidence_99,
-            shard_offset: i.shard_offset,
-            global_pool: i.global_pool,
-        }
-    }
-}
-
-/// The per-shard epoch reports never travel on the wire (they are the
-/// router's own aggregation); everything else maps one-to-one.
-impl From<crate::service::ServiceStats> for Response {
-    fn from(s: crate::service::ServiceStats) -> Self {
-        Response::Stats {
-            requests: s.requests,
-            topk_cache_hits: s.topk_cache_hits,
-            topk_cache_misses: s.topk_cache_misses,
-            pool_size: s.pool_size,
-            epoch: s.epoch,
-            deltas_applied: s.deltas_applied,
-            sets_resampled: s.sets_resampled,
-            log_len: s.log_len,
-            snapshot_epoch: s.snapshot_epoch,
-            compactions: s.compactions,
-            uptime_secs: s.uptime_secs,
-            requests_by_type: s.requests_by_type,
-            pool_resident_bytes: s.pool_resident_bytes,
-            pool_layout: s.pool_layout,
-        }
-    }
-}
-
-impl From<MetricsReport> for Response {
-    fn from(m: MetricsReport) -> Self {
-        Response::Metrics(m)
-    }
-}
-
-impl From<crate::service::HealthReport> for Response {
-    fn from(h: crate::service::HealthReport) -> Self {
-        Response::Health(h)
-    }
-}
-
-impl From<Vec<crate::service::EventRecord>> for Response {
-    fn from(events: Vec<crate::service::EventRecord>) -> Self {
-        Response::Events(events)
-    }
-}
-
-impl From<ReloadOutcome> for Response {
-    fn from(r: ReloadOutcome) -> Self {
-        Response::Reloaded {
-            epoch: r.epoch,
-            pool_size: r.pool_size,
-            log_len: r.log_len,
-            swap_micros: r.swap_micros,
-        }
-    }
-}
-
-impl From<PromotionOutcome> for Response {
-    fn from(p: PromotionOutcome) -> Self {
-        Response::Promoted {
-            epoch: p.epoch,
-            was_read_only: p.was_read_only,
-        }
-    }
+replies! {
+    ServiceInfo => "Info", Info(_);
+    SpreadEstimate => "Estimate", Estimate { seeds, spread, covered, pool };
+    TopKSelection => "TopK", TopK(_);
+    GainVector => "Gains", Gains { gains, covered, pool };
+    GainCandidates => "GainCandidates", GainCandidates(_);
+    MutationOutcome => "MutateBatch", MutateBatch(_);
+    CompactionReport => "Compact", Compact(_);
+    ServiceStats => "Stats", Stats {
+        requests, topk_cache_hits, topk_cache_misses, pool_size, epoch, deltas_applied,
+        sets_resampled, log_len, snapshot_epoch, compactions, uptime_secs, requests_by_type,
+        pool_resident_bytes, pool_layout; shards: Vec::new()
+    };
+    MetricsReport => "Metrics", Metrics(_);
+    HealthReport => "Health", Health(_);
+    Vec<EventRecord> => "Events", Events(_);
+    ReloadOutcome => "Reload", Reloaded(_);
+    PromotionOutcome => "Promote", Promoted(_);
 }
 
 /// Encode a frame as its JSON wire line (no trailing newline).
@@ -980,15 +850,15 @@ mod tests {
     /// One of every response kind, with integers at their extremes.
     fn response_corpus() -> Vec<Response> {
         use crate::service::{
-            EventFieldSample, EventRecord, FamilyHelp, GaugeSample, HealthReport, HistogramBucket,
-            HistogramSample, MetricSample, SlowQuery, SpanStage,
+            EventFieldSample, FamilyHelp, GaugeSample, HistogramBucket, HistogramSample,
+            MetricSample, SlowQuery, SpanStage,
         };
         let mut health = HealthReport::new();
         health.push("wal_writable", false, "disk \"full\"");
         vec![
             Response::Pong,
             Response::Hello { version: 2 },
-            Response::Info {
+            Response::Info(ServiceInfo {
                 graph_id: "Karate".into(),
                 model: "uc0.1".into(),
                 num_vertices: 34,
@@ -997,28 +867,28 @@ mod tests {
                 confidence_99: 0.31,
                 shard_offset: 0,
                 global_pool: u64::MAX,
-            },
+            }),
             Response::Estimate {
                 seeds: vec![1],
                 spread: 3.5,
                 covered: 7,
                 pool: 10,
             },
-            Response::TopK {
+            Response::TopK(TopKSelection {
                 seeds: vec![33, 0],
                 spread: 14.25,
                 algorithm: TopKAlgorithm::SingletonRank,
-            },
-            Response::MutateBatch {
+            }),
+            Response::MutateBatch(MutationOutcome {
                 epoch: 5,
                 applied: 3,
                 resampled: 12,
                 compacted: true,
-            },
-            Response::Compact {
+            }),
+            Response::Compact(CompactionReport {
                 epoch: 5,
                 folded: 5,
-            },
+            }),
             Response::Gains {
                 gains: vec![3, 0, 1],
                 covered: 4,
@@ -1034,14 +904,14 @@ mod tests {
                 covered: 0,
                 pool: 0,
             },
-            Response::GainCandidates {
+            Response::GainCandidates(GainCandidates {
                 vertices: vec![0, 2],
                 counts: vec![9, 4],
                 bound: 3,
                 probed: vec![4],
                 covered: 4,
                 pool: 10,
-            },
+            }),
             Response::Stats {
                 requests: 10,
                 topk_cache_hits: 1,
@@ -1107,16 +977,16 @@ mod tests {
                     value: "1".into(),
                 }],
             }]),
-            Response::Reloaded {
+            Response::Reloaded(ReloadOutcome {
                 epoch: 12,
                 pool_size: 20_000,
                 log_len: 0,
                 swap_micros: 87,
-            },
-            Response::Promoted {
+            }),
+            Response::Promoted(PromotionOutcome {
                 epoch: 12,
                 was_read_only: true,
-            },
+            }),
             Response::Error {
                 message: "nope".into(),
             },
@@ -1570,16 +1440,16 @@ mod tests {
             assert_eq!(back, request);
         }
         for response in [
-            Response::Reloaded {
+            Response::Reloaded(ReloadOutcome {
                 epoch: 12,
                 pool_size: 20_000,
                 log_len: 0,
                 swap_micros: 87,
-            },
-            Response::Promoted {
+            }),
+            Response::Promoted(PromotionOutcome {
                 epoch: 12,
                 was_read_only: true,
-            },
+            }),
         ] {
             let back: Response = decode(&encode(&response).unwrap()).unwrap();
             assert_eq!(back, response);
@@ -1654,19 +1524,19 @@ mod tests {
         let back: Request = decode(&encode(&Request::Compact).unwrap()).unwrap();
         assert_eq!(back, Request::Compact);
 
-        let response = Response::MutateBatch {
+        let response = Response::MutateBatch(MutationOutcome {
             epoch: 5,
             applied: 3,
             resampled: 12,
             compacted: true,
-        };
+        });
         let back: Response = decode(&encode(&response).unwrap()).unwrap();
         assert_eq!(back, response);
 
-        let response = Response::Compact {
+        let response = Response::Compact(CompactionReport {
             epoch: 5,
             folded: 5,
-        };
+        });
         let back: Response = decode(&encode(&response).unwrap()).unwrap();
         assert_eq!(back, response);
     }

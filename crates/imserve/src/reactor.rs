@@ -1059,8 +1059,8 @@ mod tests {
         assert_eq!(replies.len(), batch.len());
         for (request, reply) in batch.iter().zip(&replies) {
             match (request, reply.as_ref().unwrap()) {
-                (Request::TopK { .. }, Response::TopK { seeds, .. }) => {
-                    assert_eq!(seeds.len(), 3);
+                (Request::TopK { .. }, Response::TopK(selection)) => {
+                    assert_eq!(selection.seeds.len(), 3);
                 }
                 (Request::Estimate { seeds }, Response::Estimate { seeds: echoed, .. }) => {
                     assert_eq!(seeds, echoed);

@@ -38,7 +38,9 @@
 use std::time::Duration;
 
 use crate::protocol::{Request, Response};
-use crate::service::{InfluenceService, Pending, ServiceError, ServiceResult};
+use crate::service::{
+    CompactionReport, InfluenceService, MutationOutcome, Pending, ServiceError, ServiceResult,
+};
 
 /// An ordered set of interchangeable backends for one shard: the leader
 /// first, then its replication followers.
@@ -85,8 +87,8 @@ impl<S: InfluenceService> ReplicaSet<S> {
 
     /// Raise the catch-up bar to the epoch `response` reports, if any.
     fn observe(&mut self, response: Response) -> Response {
-        if let Response::MutateBatch { epoch, .. }
-        | Response::Compact { epoch, .. }
+        if let Response::MutateBatch(MutationOutcome { epoch, .. })
+        | Response::Compact(CompactionReport { epoch, .. })
         | Response::Stats { epoch, .. } = response
         {
             self.observed_epoch = self.observed_epoch.max(epoch);
@@ -260,7 +262,7 @@ mod tests {
     use imgraph::GraphDelta;
 
     use super::*;
-    use crate::service::RequestTypeCounts;
+    use crate::service::{PromotionOutcome, ReloadOutcome, RequestTypeCounts, ServiceInfo};
 
     /// A scripted fake backend: answers at a fixed epoch, or fails every
     /// call at the transport layer when `dead`.
@@ -327,23 +329,23 @@ mod tests {
                 }
                 Request::MutateBatch { deltas } => {
                     self.epoch += deltas.len() as u64;
-                    Response::MutateBatch {
+                    Response::MutateBatch(MutationOutcome {
                         epoch: self.epoch,
                         applied: deltas.len(),
                         resampled: 0,
                         compacted: false,
-                    }
+                    })
                 }
-                Request::Reload { .. } => Response::Reloaded {
+                Request::Reload { .. } => Response::Reloaded(ReloadOutcome {
                     epoch: self.epoch,
                     pool_size: 10,
                     log_len: 0,
                     swap_micros: 0,
-                },
-                Request::Promote { .. } => Response::Promoted {
+                }),
+                Request::Promote { .. } => Response::Promoted(PromotionOutcome {
                     epoch: self.epoch,
                     was_read_only: std::mem::take(&mut self.read_only),
-                },
+                }),
                 other => unreachable!("no scripted answer to {other:?}"),
             })
         }
@@ -410,6 +412,56 @@ mod tests {
         assert_eq!(set.members[0].service.epoch, 6, "the leader took it");
         set.finish(pending).unwrap();
         assert_eq!(set.observed_epoch, 6);
+    }
+
+    /// The replies that report an epoch (a batch, a compaction, stats)
+    /// raise the catch-up bar to it, never lower it; any other reply leaves
+    /// the bar alone, even one whose counts happen to exceed it. Every reply
+    /// passes through unchanged.
+    #[test]
+    fn only_epoch_reports_move_the_catch_up_bar() {
+        let batch = |epoch| {
+            Response::MutateBatch(MutationOutcome {
+                epoch,
+                applied: 1,
+                resampled: 0,
+                compacted: false,
+            })
+        };
+        let info = Response::Info(ServiceInfo {
+            graph_id: "g".into(),
+            model: "uc0.1".into(),
+            num_vertices: 9,
+            num_edges: 9,
+            pool_size: 9,
+            confidence_99: 1.0,
+            shard_offset: 0,
+            global_pool: 9,
+        });
+        for (reply, bar) in [
+            (batch(7), 7),
+            (batch(2), 5),
+            (
+                Response::Compact(CompactionReport {
+                    epoch: 7,
+                    folded: 2,
+                }),
+                7,
+            ),
+            (FakeNode::alive(7).call(&Request::Stats).unwrap(), 7),
+            (info, 5),
+            (
+                FakeNode::alive(9)
+                    .call(&Request::Estimate { seeds: vec![0] })
+                    .unwrap(),
+                5,
+            ),
+        ] {
+            let mut set = ReplicaSet::new(vec![("leader".to_string(), FakeNode::alive(5))]);
+            set.observed_epoch = 5;
+            assert_eq!(set.observe(reply.clone()), reply);
+            assert_eq!(set.observed_epoch, bar, "after {reply:?}");
+        }
     }
 
     #[test]

@@ -23,6 +23,15 @@
 //! carry the integer coverage counts (`covered`, `pool`) that make exact
 //! cross-shard merging possible — floating-point combination of per-shard
 //! spreads would not reproduce the single-pool answer bit for bit.
+//!
+//! Each result type here is the one declaration of its reply: the
+//! [`Response`] variant carries it whole (`Response::TopK(TopKSelection)`),
+//! and the `replies!` list in [`crate::protocol`] generates the conversions
+//! both ways. [`SpreadEstimate`], [`GainVector`] and [`ServiceStats`] are the
+//! exceptions, mapped field by field onto a variant with named fields: the
+//! benchmark crate builds the `Estimate` and `Gains` variants directly,
+//! `Gains` frames have a hand-written packed codec, and `ServiceStats.shards`
+//! never goes on the wire.
 
 use std::sync::Arc;
 
@@ -110,8 +119,9 @@ pub type ServiceResult<T> = Result<T, ServiceError>;
 
 /// Index metadata as served: dimensions of the graph and pool behind the
 /// service. For a sharded service the pool size is the union pool and the
-/// confidence half-width is derived from it.
-#[derive(Debug, Clone, PartialEq)]
+/// confidence half-width is derived from it. The payload of
+/// [`Response::Info`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceInfo {
     /// Stable identifier of the indexed graph.
     pub graph_id: String,
@@ -152,8 +162,9 @@ pub struct SpreadEstimate {
     pub pool: u64,
 }
 
-/// A selected seed set with its estimated joint influence.
-#[derive(Debug, Clone, PartialEq)]
+/// A selected seed set with its estimated joint influence (the payload of
+/// [`Response::TopK`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TopKSelection {
     /// The chosen seeds in selection order.
     pub seeds: Vec<u32>,
@@ -180,8 +191,10 @@ pub struct GainVector {
 
 /// One greedy round answered output-sensitively: a backend's best few
 /// vertices and one bound on all the others, instead of every vertex's gain
-/// (see [`InfluenceService::gain_candidates`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// (see [`InfluenceService::gain_candidates`]). The payload of
+/// [`Response::GainCandidates`]: two parallel arrays rather than pairs, so
+/// the frame stays flat.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GainCandidates {
     /// The backend's top `limit` vertices by `(gain desc, id asc)`.
     pub vertices: Vec<u32>,
@@ -272,23 +285,28 @@ impl GainVector {
     }
 }
 
-/// What an applied mutation batch did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What an applied mutation batch did (the payload of
+/// [`Response::MutateBatch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MutationOutcome {
     /// The index epoch after the batch (total deltas ever applied).
     pub epoch: u64,
-    /// Deltas applied by this batch.
+    /// Deltas applied: the whole batch, since an atomic batch never applies
+    /// a prefix.
     pub applied: usize,
-    /// Distinct RR sets resampled (summed over shards).
+    /// Distinct RR sets resampled: the union of the batch's dirty sets
+    /// (summed over shards).
     pub resampled: usize,
-    /// Whether the batch triggered an automatic compaction (any shard).
+    /// Whether the engine's compaction policy fired after the batch landed
+    /// (on any shard).
     pub compacted: bool,
 }
 
-/// What a compaction did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a compaction did (the payload of [`Response::Compact`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompactionReport {
-    /// The index epoch — unchanged by compaction.
+    /// The index epoch — unchanged by compaction, now equal to the snapshot
+    /// watermark.
     pub epoch: u64,
     /// Pending deltas folded into the watermark (summed over shards).
     pub folded: usize,
@@ -297,8 +315,8 @@ pub struct CompactionReport {
 /// What a hot-swap reload did. The swap never changes answers — the new
 /// artifact must replay to the identical epoch and fingerprint — so the
 /// outcome only reports the (unchanged) logical position and the new
-/// physical shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// physical shape. The payload of [`Response::Reloaded`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReloadOutcome {
     /// The index epoch (identical before and after the swap).
     pub epoch: u64,
@@ -311,8 +329,8 @@ pub struct ReloadOutcome {
     pub swap_micros: u64,
 }
 
-/// What a promotion did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a promotion did (the payload of [`Response::Promoted`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PromotionOutcome {
     /// The node's epoch at the moment it became writable.
     pub epoch: u64,
@@ -936,59 +954,6 @@ pub(crate) fn unexpected<T>(asked: &str, reply: Response) -> ServiceResult<T> {
         "{asked} answered with {reply:?}"
     )))
 }
-
-/// `TryFrom<Response>` for a typed result: the one reply variant that
-/// carries it, field for field (plus any field the wire does not carry,
-/// after a `;`); any other reply is [`unexpected`] for the request kind
-/// named.
-macro_rules! from_reply {
-    ($typed:ty, $asked:literal, $variant:ident { $($field:ident),* } $(; $extra:ident: $value:expr)?) => {
-        impl TryFrom<Response> for $typed {
-            type Error = ServiceError;
-            fn try_from(reply: Response) -> ServiceResult<Self> {
-                match reply {
-                    Response::$variant { $($field),* } => Ok(Self { $($field,)* $($extra: $value)? }),
-                    other => unexpected($asked, other),
-                }
-            }
-        }
-    };
-    ($typed:ty, $asked:literal, $variant:ident(_)) => {
-        impl TryFrom<Response> for $typed {
-            type Error = ServiceError;
-            fn try_from(reply: Response) -> ServiceResult<Self> {
-                match reply {
-                    Response::$variant(payload) => Ok(payload),
-                    other => unexpected($asked, other),
-                }
-            }
-        }
-    };
-}
-
-from_reply! { ServiceInfo, "Info", Info {
-    graph_id, model, num_vertices, num_edges, pool_size, confidence_99, shard_offset, global_pool
-} }
-from_reply! { SpreadEstimate, "Estimate", Estimate { seeds, spread, covered, pool } }
-from_reply! { TopKSelection, "TopK", TopK { seeds, spread, algorithm } }
-from_reply! { GainVector, "Gains", Gains { gains, covered, pool } }
-from_reply! { GainCandidates, "GainCandidates", GainCandidates {
-    vertices, counts, bound, probed, covered, pool
-} }
-from_reply! { MutationOutcome, "MutateBatch", MutateBatch { epoch, applied, resampled, compacted } }
-from_reply! { CompactionReport, "Compact", Compact { epoch, folded } }
-from_reply! { ReloadOutcome, "Reload", Reloaded { epoch, pool_size, log_len, swap_micros } }
-from_reply! { PromotionOutcome, "Promote", Promoted { epoch, was_read_only } }
-from_reply! { MetricsReport, "Metrics", Metrics(_) }
-from_reply! { HealthReport, "Health", Health(_) }
-from_reply! { Vec<EventRecord>, "Events", Events(_) }
-// `shards` is filled only by a router's own `stats`: the wire reply has no
-// such field.
-from_reply! { ServiceStats, "Stats", Stats {
-    requests, topk_cache_hits, topk_cache_misses, pool_size, epoch, deltas_applied,
-    sets_resampled, log_len, snapshot_epoch, compactions, uptime_secs, requests_by_type,
-    pool_resident_bytes, pool_layout
-}; shards: Vec::new() }
 
 /// A request handed to a backend by [`InfluenceService::begin`], whose
 /// answer [`InfluenceService::finish`] collects.

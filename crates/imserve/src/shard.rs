@@ -166,6 +166,17 @@ pub fn threshold_round(
     Ok(settle_round(ranked, want, unlisted_bound))
 }
 
+/// `sum + count` for a count shard `i` reported, or a typed
+/// [`ServiceError::Shard`] naming the shard when the sum leaves `u64`: these
+/// integers come off the wire, and no union pool can hold that many sets.
+fn add_shard_count(i: usize, what: &str, sum: u64, count: u64) -> ServiceResult<u64> {
+    sum.checked_add(count).ok_or_else(|| {
+        ServiceError::Shard(format!(
+            "shard {i} reported {what} {count}, overflowing the union's sum {sum}"
+        ))
+    })
+}
+
 /// A router over N shard backends (see the module docs for the invariant).
 #[derive(Debug)]
 pub struct ShardedService<S: InfluenceService> {
@@ -608,11 +619,10 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
         let all: Vec<SpreadEstimate> = self.fan_out_all(&Request::Estimate {
             seeds: seeds.to_vec(),
         })?;
-        let mut covered = 0u64;
-        let mut pool = 0u64;
-        for estimate in &all {
-            covered += estimate.covered;
-            pool += estimate.pool;
+        let (mut covered, mut pool) = (0u64, 0u64);
+        for (i, estimate) in all.iter().enumerate() {
+            covered = add_shard_count(i, "covered", covered, estimate.covered)?;
+            pool = add_shard_count(i, "pool", pool, estimate.pool)?;
         }
         // Re-derive the union spread from the summed integers: the same
         // expression a whole-pool oracle evaluates, hence bit-identical.
@@ -662,8 +672,7 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
             selected: selected.to_vec(),
         })?;
         let mut sum = vec![0u64; n];
-        let mut covered = 0u64;
-        let mut pool = 0u64;
+        let (mut covered, mut pool) = (0u64, 0u64);
         for (i, gv) in all.iter().enumerate() {
             if gv.gains.len() != n {
                 return Err(ServiceError::Shard(format!(
@@ -671,11 +680,21 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
                     gv.gains.len()
                 )));
             }
-            for (acc, g) in sum.iter_mut().zip(&gv.gains) {
-                *acc += g;
+            // One flag for the whole vector, not a branch per vertex, so the
+            // loop stays as cheap as the unchecked sum.
+            let mut overflowed = false;
+            for (acc, &g) in sum.iter_mut().zip(&gv.gains) {
+                let (total, carry) = acc.overflowing_add(g);
+                *acc = total;
+                overflowed |= carry;
             }
-            covered += gv.covered;
-            pool += gv.pool;
+            if overflowed {
+                return Err(ServiceError::Shard(format!(
+                    "shard {i} reported gains overflowing the union's sums"
+                )));
+            }
+            covered = add_shard_count(i, "covered", covered, gv.covered)?;
+            pool = add_shard_count(i, "pool", pool, gv.pool)?;
         }
         Ok(GainVector {
             gains: sum,

@@ -11,6 +11,7 @@ use imserve::client::ServiceConnection;
 use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, IndexArtifact};
 use imserve::protocol::{Request, Response, TopKAlgorithm};
+use imserve::service::{CompactionReport, MutationOutcome};
 
 use imdyn::CompactionPolicy;
 use imgraph::GraphDelta;
@@ -73,12 +74,12 @@ fn compacted_snapshot_restored_into_a_server_matches_the_pre_compaction_server()
         })
         .unwrap()
     {
-        Response::MutateBatch {
+        Response::MutateBatch(MutationOutcome {
             epoch,
             applied,
             resampled,
             compacted,
-        } => {
+        }) => {
             assert_eq!(epoch, 3);
             assert_eq!(applied, 3);
             assert!(resampled > 0);
@@ -100,7 +101,7 @@ fn compacted_snapshot_restored_into_a_server_matches_the_pre_compaction_server()
         &mut scratch,
     );
     match engine.handle(&Request::Compact, &mut scratch) {
-        Response::Compact { epoch, folded } => {
+        Response::Compact(CompactionReport { epoch, folded }) => {
             assert_eq!(epoch, 3, "compaction never moves the epoch");
             assert_eq!(folded, 3);
         }
@@ -168,7 +169,7 @@ fn compacted_snapshot_restored_into_a_server_matches_the_pre_compaction_server()
             .call(&Request::MutateBatch { deltas: vec![next] })
             .unwrap()
         {
-            Response::MutateBatch { epoch, .. } => assert_eq!(epoch, 4),
+            Response::MutateBatch(MutationOutcome { epoch, .. }) => assert_eq!(epoch, 4),
             other => panic!("unexpected response {other:?}"),
         }
     }
@@ -206,11 +207,13 @@ fn policy_triggered_compaction_over_tcp_is_invisible_to_queries() {
         })
         .unwrap()
     {
-        Response::MutateBatch { compacted, .. } => assert!(compacted, "policy must fire"),
+        Response::MutateBatch(MutationOutcome { compacted, .. }) => {
+            assert!(compacted, "policy must fire")
+        }
         other => panic!("unexpected response {other:?}"),
     }
     match b.call(&Request::MutateBatch { deltas }).unwrap() {
-        Response::MutateBatch { compacted, .. } => assert!(!compacted),
+        Response::MutateBatch(MutationOutcome { compacted, .. }) => assert!(!compacted),
         other => panic!("unexpected response {other:?}"),
     }
     for request in &query_mix() {

@@ -10,6 +10,7 @@ use imserve::client::ServiceConnection;
 use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, build_dataset_index_with_deltas, IndexArtifact};
 use imserve::protocol::{Request, Response, TopKAlgorithm};
+use imserve::service::{MutationOutcome, ServiceInfo};
 
 use imgraph::GraphDelta;
 
@@ -53,12 +54,12 @@ fn mutated_server_matches_a_from_scratch_rebuild_over_tcp() {
         })
         .unwrap()
     {
-        Response::MutateBatch {
+        Response::MutateBatch(MutationOutcome {
             epoch,
             applied,
             resampled,
             ..
-        } => {
+        }) => {
             assert_eq!(epoch, 3);
             assert_eq!(applied, 3);
             assert!(resampled > 0);
@@ -105,16 +106,16 @@ fn mutated_server_matches_a_from_scratch_rebuild_over_tcp() {
         b.call(&Request::Info).unwrap(),
     ) {
         (
-            Response::Info {
+            Response::Info(ServiceInfo {
                 num_edges: ea,
                 num_vertices: na,
                 ..
-            },
-            Response::Info {
+            }),
+            Response::Info(ServiceInfo {
                 num_edges: eb,
                 num_vertices: nb,
                 ..
-            },
+            }),
         ) => {
             assert_eq!(ea, eb);
             assert_eq!(na, nb);

@@ -8,6 +8,7 @@ use imserve::client::ServiceConnection;
 use imserve::index::IndexArtifact;
 use imserve::loadtest::{self, LoadtestConfig};
 use imserve::protocol::{Request, Response, TopKAlgorithm};
+use imserve::service::{ServiceInfo, TopKSelection};
 use imserve::ServiceError;
 
 const POOL: usize = 20_000;
@@ -62,7 +63,7 @@ fn concurrent_tcp_queries_match_the_in_process_oracle() {
                     })
                     .unwrap()
                 {
-                    Response::TopK { seeds, spread, .. } => {
+                    Response::TopK(TopKSelection { seeds, spread, .. }) => {
                         assert_eq!(seeds, expected_seeds);
                         assert_eq!(spread, expected_spread);
                     }
@@ -88,13 +89,13 @@ fn concurrent_tcp_queries_match_the_in_process_oracle() {
 
     // Info reflects the persisted metadata.
     match connection.call(&Request::Info).unwrap() {
-        Response::Info {
+        Response::Info(ServiceInfo {
             graph_id,
             model,
             num_vertices,
             pool_size,
             ..
-        } => {
+        }) => {
             assert_eq!(graph_id, "Karate");
             assert_eq!(model, "uc0.1");
             assert_eq!(num_vertices, 34);

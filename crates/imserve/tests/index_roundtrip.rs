@@ -295,3 +295,52 @@ fn earlier_format_versions_are_rejected_with_a_rebuild_hint() {
         }
     }
 }
+
+/// Saving an artifact over a served file replaces the file instead of
+/// rewriting it in place: an engine that loaded the old tiered artifact keeps
+/// reading its cold blocks through the handle it holds and answers bit for
+/// bit as before, and no temporary file is left beside the target.
+#[test]
+fn saving_over_a_served_artifact_leaves_its_answers_unchanged() {
+    use std::sync::Arc;
+
+    use im_core::PoolLayout;
+    use imserve::engine::QueryEngine;
+    use imserve::service::{InfluenceService, LocalService};
+
+    let tiered = |seed| {
+        let mut artifact =
+            imserve::index::build_dataset_index("karate", "uc0.1", 20_000, seed).unwrap();
+        artifact.convert_pool_layout(PoolLayout::Tiered);
+        artifact
+    };
+    let name = format!("imserve-save-over-served-{}.imx", std::process::id());
+    let path = std::env::temp_dir().join(&name);
+    tiered(7).save(&path).unwrap();
+    let engine = QueryEngine::builder(IndexArtifact::load(&path).unwrap())
+        .build()
+        .unwrap();
+    let mut service = LocalService::new(Arc::new(engine));
+    let seed_sets: [Vec<u32>; 4] = [vec![10], vec![0, 33], vec![11, 16, 26], (0..34).collect()];
+    let answers = |service: &mut LocalService| -> Vec<(u64, u64, u64)> {
+        seed_sets
+            .iter()
+            .map(|seeds| {
+                let e = service.estimate(seeds).unwrap();
+                (e.covered, e.pool, e.spread.to_bits())
+            })
+            .collect()
+    };
+    let before = answers(&mut service);
+
+    tiered(8).save(&path).unwrap();
+    let after = answers(&mut service);
+    let leftovers: Vec<String> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter(|file| file.starts_with(&name) && *file != name)
+        .collect();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(after, before);
+    assert!(leftovers.is_empty(), "temporary files left: {leftovers:?}");
+}

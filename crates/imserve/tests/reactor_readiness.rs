@@ -110,7 +110,9 @@ fn a_peer_that_half_closes_mid_request_is_not_polled_for_its_eof() {
         assert!(line.starts_with(&reply_id_prefix(id)), "{line}");
         let reply: protocol::ResponseFrame = protocol::decode(line).unwrap();
         match reply.body {
-            protocol::Outcome::Ok(Response::TopK { seeds, .. }) => assert_eq!(seeds.len(), k),
+            protocol::Outcome::Ok(Response::TopK(selection)) => {
+                assert_eq!(selection.seeds.len(), k);
+            }
             other => panic!("request {id} answered with {other:?}"),
         }
     }
@@ -201,7 +203,7 @@ fn a_ping_pong_wakes_on_sockets_and_completions_never_on_a_timer() {
     for _ in 0..100 {
         let algorithm = TopKAlgorithm::Greedy;
         let reply = connection.call(&Request::TopK { k: 2, algorithm }).unwrap();
-        assert!(matches!(reply, Response::TopK { .. }));
+        assert!(matches!(reply, Response::TopK(_)));
     }
     let after = wakeups(&obs);
     // Not >= 100 each: a request that lands while the loop is still

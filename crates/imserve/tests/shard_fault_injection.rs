@@ -39,6 +39,9 @@ enum Fault {
     /// The shard answers a selection round's candidate list, then dies
     /// before the exact-count probes that follow reach it.
     DropBeforeProbes,
+    /// The shard answers an `Estimate` claiming `u64::MAX` covered sets, a
+    /// count no union of pools can sum to.
+    InflatedCovered,
 }
 
 /// Shared remote control of one shard's injected fault.
@@ -64,7 +67,9 @@ impl FaultyShard {
                 std::io::ErrorKind::TimedOut,
                 "shard deadline exceeded",
             ))),
-            Some(Fault::StaleEpoch | Fault::DropBeforeProbes) | None => Ok(()),
+            Some(Fault::StaleEpoch | Fault::DropBeforeProbes | Fault::InflatedCovered) | None => {
+                Ok(())
+            }
         }
     }
 }
@@ -82,8 +87,12 @@ impl InfluenceService for FaultyShard {
             )));
         }
         let mut response = self.inner.call(request)?;
-        if let (Some(Fault::StaleEpoch), Response::Stats { epoch, .. }) = (fault, &mut response) {
-            *epoch += 1;
+        match (fault, &mut response) {
+            (Some(Fault::StaleEpoch), Response::Stats { epoch, .. }) => *epoch += 1,
+            (Some(Fault::InflatedCovered), Response::Estimate { covered, .. }) => {
+                *covered = u64::MAX;
+            }
+            _ => {}
         }
         Ok(response)
     }
@@ -242,6 +251,27 @@ fn stale_epoch_shard_is_caught_before_a_selection_is_served() {
     let after = fx.router.top_k(3, TopKAlgorithm::Greedy).unwrap();
     assert_eq!(after.seeds, before.seeds);
     assert_eq!(after.spread.to_bits(), before.spread.to_bits());
+}
+
+/// The router sums the integers its shards report, and those come off the
+/// wire: a count that overflows the union's sum is a typed error naming the
+/// shard, never a panic or a silently wrapped total.
+#[test]
+fn an_overflowing_shard_count_is_a_typed_error_naming_the_shard() {
+    let mut fx = fixture();
+    let healthy = fx.router.estimate(&[0, 33]).unwrap();
+
+    set_fault(&fx, 1, Some(Fault::InflatedCovered));
+    match fx.router.estimate(&[0, 33]) {
+        Err(ServiceError::Shard(message)) => {
+            assert!(message.contains("shard 1"), "names the shard: {message}");
+            assert!(message.contains("covered"), "names the count: {message}");
+        }
+        other => panic!("expected a Shard error, got {other:?}"),
+    }
+
+    set_fault(&fx, 1, None);
+    assert_eq!(fx.router.estimate(&[0, 33]).unwrap(), healthy);
 }
 
 #[test]

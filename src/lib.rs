@@ -113,7 +113,7 @@ mod tests {
         let response = engine.handle(&request, &mut scratch);
         let (expected, _) = artifact.oracle.greedy_seed_set(2);
         match response {
-            imserve::Response::TopK { seeds, .. } => assert_eq!(seeds, expected),
+            imserve::Response::TopK(selection) => assert_eq!(selection.seeds, expected),
             other => panic!("unexpected response {other:?}"),
         }
     }
