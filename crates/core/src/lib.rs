@@ -71,8 +71,8 @@ pub use exact::{exact_greedy, exact_influence};
 pub use greedy::{celf_select, greedy_select, GreedyResult};
 pub use oneshot::OneshotEstimator;
 pub use oracle::{
-    settle_round, shard_layout, EstimateScratch, InfluenceOracle, OracleBuilder, ShardRange,
-    TopGains, ROUND_CANDIDATES,
+    drive_greedy, settle_round, shard_layout, EstimateScratch, GreedyPass, GreedyRounds,
+    InfluenceOracle, OracleBuilder, ShardRange, TopGains, ROUND_CANDIDATES,
 };
 // Pool storage-engine surface (re-exported so oracle callers pick layouts
 // without depending on impool directly).

@@ -1034,73 +1034,88 @@ impl InfluenceOracle {
     /// joint influence.
     ///
     /// Each round picks the *first* argmax of the marginal coverage gains
-    /// (the highest gain, and among equal gains the lowest id). Only some
-    /// rounds pay a whole-pool pass for it. A pass also lists its top
-    /// [`ROUND_CANDIDATES`] vertices by `(gain desc, id asc)` and keeps one
-    /// bound: the largest gain of a vertex it did not list. A later round
-    /// reads the current gains of just the listed vertices (point reads)
-    /// and settles on their first argmax iff it is strictly greater than the
-    /// bound ([`settle_round`]); otherwise it makes a pass, which refreshes
-    /// the list. The rule is exact, not a heuristic: coverage gains only
-    /// shrink as seeds are added, so an unlisted vertex gains at most the
-    /// bound now, and a winner strictly above it beats every such vertex —
-    /// strictly, because at equality an unlisted vertex with a lower id
-    /// would be the first argmax. The seeds and the influence are therefore
-    /// identical to a pass per round.
+    /// (the highest gain, and among equal gains the lowest id). The rounds
+    /// are [`drive_greedy`]'s: a whole-pool pass lists its top
+    /// [`ROUND_CANDIDATES`] vertices and a bound on the rest, and the later
+    /// rounds settle by point reads of the listed vertices until the bound
+    /// stops separating a winner. The seeds and the influence are identical
+    /// to a pass per round.
     #[must_use]
     pub fn greedy_seed_set(&self, k: usize) -> (Vec<VertexId>, f64) {
-        let n = self.num_vertices;
-        let k = k.min(n);
-        let mut covered = vec![false; self.pool_size];
-        let mut covered_count = 0usize;
-        let mut selected: Vec<VertexId> = Vec::with_capacity(k);
-        let mut is_selected = vec![false; n];
-        // The last pass's listed vertices, and the most any other one gained.
-        let mut candidates: Vec<VertexId> = Vec::new();
-        let mut bound = 0u64;
-        for _ in 0..k {
-            let ranked = candidates
-                .iter()
-                .filter(|&&v| !is_selected[v as usize])
-                .map(|&v| {
-                    let mut gain = 0u64;
-                    // Random access to one list: the point read, not a sweep.
-                    self.pool
-                        .for_each_posting_inline(v, |id| gain += u64::from(!covered[id as usize]));
-                    (v, gain)
-                })
-                .collect();
-            let chosen = match settle_round(ranked, 1, bound) {
-                Some(top) => top[0],
-                None => {
-                    let mut top = TopGains::new(ROUND_CANDIDATES);
-                    self.pool.sweep_postings(|v, list| {
-                        if !is_selected[v as usize] {
-                            let mut gain = 0u64;
-                            list.for_each(|id| gain += u64::from(!covered[id as usize]));
-                            top.offer(v, gain);
-                        }
-                    });
-                    let (listed, unlisted) = top.finish();
-                    let Some(&(first, _)) = listed.first() else {
-                        break;
-                    };
-                    candidates = listed.into_iter().map(|(v, _)| v).collect();
-                    bound = unlisted;
-                    first
-                }
-            };
-            is_selected[chosen as usize] = true;
-            self.pool.for_each_posting_inline(chosen, |id| {
-                if !covered[id as usize] {
-                    covered[id as usize] = true;
-                    covered_count += 1;
-                }
-            });
-            selected.push(chosen);
-        }
-        let influence = n as f64 * covered_count as f64 / self.pool_size as f64;
+        let mut rounds = OracleRounds {
+            oracle: self,
+            covered: vec![false; self.pool_size],
+            covered_count: 0,
+            is_selected: vec![false; self.num_vertices],
+        };
+        let Ok(selected) = drive_greedy(&mut rounds, self.num_vertices, k);
+        let influence =
+            self.num_vertices as f64 * rounds.covered_count as f64 / self.pool_size as f64;
         (selected, influence)
+    }
+}
+
+/// [`InfluenceOracle::greedy_seed_set`]'s side of [`drive_greedy`]: the
+/// sets the picks so far cover, kept up to date by `select`.
+struct OracleRounds<'a> {
+    oracle: &'a InfluenceOracle,
+    covered: Vec<bool>,
+    covered_count: usize,
+    is_selected: Vec<bool>,
+}
+
+impl GreedyRounds for OracleRounds<'_> {
+    type Error = std::convert::Infallible;
+
+    #[inline]
+    fn pass(&mut self, _selected: &[VertexId]) -> Result<Option<GreedyPass>, Self::Error> {
+        let (covered, is_selected) = (&self.covered, &self.is_selected);
+        let mut top = TopGains::new(ROUND_CANDIDATES);
+        self.oracle.pool.sweep_postings(|v, list| {
+            if !is_selected[v as usize] {
+                let mut gain = 0u64;
+                list.for_each(|id| gain += u64::from(!covered[id as usize]));
+                top.offer(v, gain);
+            }
+        });
+        let (listed, bound) = top.finish();
+        Ok(listed.first().map(|&(winner, _)| GreedyPass {
+            winner,
+            candidates: listed.iter().map(|&(v, _)| v).collect(),
+            bound,
+        }))
+    }
+
+    #[inline]
+    fn probe(
+        &mut self,
+        _selected: &[VertexId],
+        candidates: &[VertexId],
+    ) -> Result<Vec<u64>, Self::Error> {
+        let covered = &self.covered;
+        Ok(candidates
+            .iter()
+            .map(|&v| {
+                let mut gain = 0u64;
+                // Random access to one list: the point read, not a sweep.
+                self.oracle
+                    .pool
+                    .for_each_posting_inline(v, |id| gain += u64::from(!covered[id as usize]));
+                gain
+            })
+            .collect())
+    }
+
+    #[inline]
+    fn select(&mut self, v: VertexId) {
+        self.is_selected[v as usize] = true;
+        let (covered, count) = (&mut self.covered, &mut self.covered_count);
+        self.oracle.pool.for_each_posting_inline(v, |id| {
+            if !covered[id as usize] {
+                covered[id as usize] = true;
+                *count += 1;
+            }
+        });
     }
 }
 
@@ -1185,6 +1200,96 @@ pub fn settle_round(
         .is_some_and(|&(_, gain)| gain > bound);
     ranked.truncate(want);
     proven.then(|| ranked.into_iter().map(|(v, _)| v).collect())
+}
+
+/// What one whole-pool gain pass of a greedy round yields
+/// ([`GreedyRounds::pass`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GreedyPass {
+    /// The round's first argmax over the unselected vertices.
+    pub winner: VertexId,
+    /// Vertices the pass listed, which the later rounds probe (the winner
+    /// need not be one of them).
+    pub candidates: Vec<VertexId>,
+    /// The most any unselected vertex outside `candidates` gained.
+    pub bound: u64,
+}
+
+/// The pool access one greedy selection needs from [`drive_greedy`]: a pool
+/// in process ([`InfluenceOracle::greedy_seed_set`]) or a group of pool
+/// shards behind a router. Gains are marginal coverage counts given the
+/// vertices selected so far, in selection order.
+pub trait GreedyRounds {
+    /// Why a round could not be answered (a shard's failure; never, in
+    /// process).
+    type Error;
+
+    /// One whole-pool pass: the round's winner, the vertices it lists and a
+    /// bound on the rest; `None` when no unselected vertex is left.
+    fn pass(&mut self, selected: &[VertexId]) -> Result<Option<GreedyPass>, Self::Error>;
+
+    /// The exact gains of `candidates` (none of them selected), in order.
+    fn probe(
+        &mut self,
+        selected: &[VertexId],
+        candidates: &[VertexId],
+    ) -> Result<Vec<u64>, Self::Error>;
+
+    /// `v` is the round's pick. Only a side that keeps coverage state
+    /// between calls needs it.
+    #[inline]
+    fn select(&mut self, _v: VertexId) {}
+}
+
+/// Greedy maximum coverage over `n` vertices, `min(k, n)` rounds, each the
+/// first argmax of the marginal gains — the one round loop behind both the
+/// in-process and the routed selection.
+///
+/// Only some rounds pay a pass. A round first probes the last pass's
+/// candidates (minus the picks since) and settles on their first argmax iff
+/// it is strictly greater than that pass's bound ([`settle_round`]);
+/// otherwise it makes a pass, which refreshes the candidates and the bound.
+/// The rule is exact, not a heuristic: coverage gains only shrink as seeds
+/// are added, so a vertex the pass did not list gains at most the bound
+/// now, and a winner strictly above it beats every such vertex — strictly,
+/// because at equality an unlisted vertex with a lower id would be the
+/// first argmax. The picks are therefore those of a pass per round.
+pub fn drive_greedy<R: GreedyRounds>(
+    rounds: &mut R,
+    n: usize,
+    k: usize,
+) -> Result<Vec<VertexId>, R::Error> {
+    let k = k.min(n);
+    let mut selected: Vec<VertexId> = Vec::with_capacity(k);
+    let mut is_selected = vec![false; n];
+    // The last pass's listed vertices, and the most any other one gained.
+    let mut candidates: Vec<VertexId> = Vec::new();
+    let mut bound = 0u64;
+    while selected.len() < k {
+        candidates.retain(|&v| !is_selected[v as usize]);
+        let settled = if candidates.is_empty() {
+            None
+        } else {
+            let gains = rounds.probe(&selected, &candidates)?;
+            let ranked = candidates.iter().copied().zip(gains).collect();
+            settle_round(ranked, 1, bound)
+        };
+        let chosen = match settled {
+            Some(top) => top[0],
+            None => {
+                let Some(pass) = rounds.pass(&selected)? else {
+                    break;
+                };
+                candidates = pass.candidates;
+                bound = pass.bound;
+                pass.winner
+            }
+        };
+        is_selected[chosen as usize] = true;
+        rounds.select(chosen);
+        selected.push(chosen);
+    }
+    Ok(selected)
 }
 
 #[cfg(test)]

@@ -46,7 +46,8 @@ const REACTOR_REQUESTS_HELP: &str =
 
 const ROUTER_ROUNDS_HELP: &str =
     "Router selection rounds, by how they were settled: the threshold merge over per-shard \
-     candidate lists, or the full gain-vector sum it falls back to.";
+     candidate lists, or the full gain-vector sum it falls back to. A greedy round settled \
+     from the candidates carried over from an earlier round counts as path=\"threshold\".";
 
 /// One request type's hot-path handles: a lifetime counter and a latency
 /// histogram (microseconds).
@@ -239,6 +240,9 @@ pub struct ServingMetrics {
     /// Router selection rounds that fell back to summing full gain vectors
     /// because the shards' bounds did not separate a winner.
     pub router_rounds_full: Arc<Counter>,
+    /// Whole-pool gain passes the router asked of its shards: fan-outs of a
+    /// limit-bearing `GainCandidates` or a `Gains`, each one pass per shard.
+    pub router_shard_passes: Arc<Counter>,
     per_shard: Mutex<Vec<ShardLane>>,
 
     /// Spans of the slowest requests (threshold-gated ring buffer).
@@ -463,6 +467,11 @@ impl ServingMetrics {
             router_rounds_full: registry.counter(
                 "imserve_router_topk_rounds_total{path=\"full\"}",
                 ROUTER_ROUNDS_HELP,
+            ),
+            router_shard_passes: registry.counter(
+                "imserve_router_shard_passes_total",
+                "Whole-pool gain passes the shard router asked of every shard: fan-outs of a \
+                 GainCandidates with a list limit, or of a Gains (0 when unsharded).",
             ),
             per_shard: Mutex::new(Vec::new()),
             slow_log: SlowLog::new(SLOW_LOG_CAPACITY, slow_threshold_micros),

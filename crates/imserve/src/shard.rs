@@ -19,8 +19,8 @@
 //! * `top_k` runs the greedy rounds *in the router*: each round finds the
 //!   first argmax of the shards' elementwise-summed integer gain vectors —
 //!   reproducing, pick for pick, the selection greedy makes on the union
-//!   pool — without, as a rule, moving those vectors (see
-//!   *Output-sensitive selection* below);
+//!   pool — without, as a rule, moving those vectors or making a pool pass
+//!   per round (see *Output-sensitive selection* below);
 //! * mutations are **broadcast** to every shard and the returned epochs are
 //!   verified to stay in lockstep; any divergence (a torn broadcast) is
 //!   reported as [`ServiceError::Shard`] rather than silently merged.
@@ -60,6 +60,19 @@
 //! [`threshold_round`]; `imserve_router_topk_rounds_total{path=…}` counts
 //! how rounds were settled.
 //!
+//! **Candidates carried across rounds.** Listing is a whole-pool pass on
+//! every shard, and a greedy `TopK(k)` pays it once, not `k` times. Gains
+//! only shrink as seeds are added, so a vertex outside the union a listed
+//! round drew gains at most that round's `U` in every later round too. A
+//! later round therefore first probes the carried union minus the picks
+//! since (one `limit: 0` fan-out: point reads, answered on each shard's
+//! front-end loop) and settles by the same strict rule against the carried
+//! `U`; only a round that probe cannot prove lists afresh, which refreshes
+//! the union and `U`. The round loop is [`im_core::drive_greedy`], the one
+//! in-process greedy runs too; `RoutedRounds` is the router's side of it.
+//! Such rounds count as `path="threshold"`, and
+//! `imserve_router_shard_passes_total` counts the pass fan-outs.
+//!
 //! **Pipelined fan-out.** A fan-out is one [`Request`] put on every shard
 //! with [`InfluenceService::begin`] before any reply is awaited, then the
 //! replies collected with [`InfluenceService::finish`] in shard-index order,
@@ -79,11 +92,12 @@
 //! deadline with [`InfluenceService::set_deadline`] so a dead shard degrades
 //! the answer loudly instead of hanging the router.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use im_core::{settle_round, ROUND_CANDIDATES};
+use im_core::{drive_greedy, settle_round, GreedyPass, GreedyRounds, ROUND_CANDIDATES};
 use imdyn::EpochReport;
 use imgraph::GraphDelta;
 use imobs::EventField;
@@ -115,8 +129,22 @@ pub fn threshold_round(
     limit: usize,
     num_vertices: usize,
     is_selected: impl Fn(u32) -> bool,
-    mut ask: impl FnMut(usize, &[u32]) -> ServiceResult<Vec<GainCandidates>>,
+    ask: impl FnMut(usize, &[u32]) -> ServiceResult<Vec<GainCandidates>>,
 ) -> ServiceResult<Option<Vec<u32>>> {
+    let (ranked, bound) = listed_round(limit, num_vertices, is_selected, ask)?;
+    Ok(settle_round(ranked, want, bound))
+}
+
+/// The candidates of one listed round — the union of the shards' lists,
+/// each with its exact summed gain, by ascending id — and the sum of the
+/// shards' bounds, the most any other unselected vertex gains
+/// ([`threshold_round`] before it settles).
+fn listed_round(
+    limit: usize,
+    num_vertices: usize,
+    is_selected: impl Fn(u32) -> bool,
+    mut ask: impl FnMut(usize, &[u32]) -> ServiceResult<Vec<GainCandidates>>,
+) -> ServiceResult<(Vec<(u32, u64)>, u64)> {
     let lists = ask(limit, &[])?;
     // vertex -> (gain summed over the lists holding it, how many do).
     let mut listed: BTreeMap<u32, (u64, usize)> = BTreeMap::new();
@@ -148,22 +176,31 @@ pub fn threshold_round(
         listed.iter().map(|(&v, &(total, _))| (v, total)).collect()
     } else {
         let candidates: Vec<u32> = listed.keys().copied().collect();
-        let mut totals = vec![0u64; candidates.len()];
-        for (i, reply) in ask(0, &candidates)?.iter().enumerate() {
-            if reply.probed.len() != candidates.len() {
-                return Err(ServiceError::Shard(format!(
-                    "shard {i} answered {} probes for {} candidates",
-                    reply.probed.len(),
-                    candidates.len()
-                )));
-            }
-            for (total, gain) in totals.iter_mut().zip(&reply.probed) {
-                *total = total.saturating_add(*gain);
-            }
-        }
+        let totals = probe_totals(&ask(0, &candidates)?, &candidates)?;
         candidates.into_iter().zip(totals).collect()
     };
-    Ok(settle_round(ranked, want, unlisted_bound))
+    Ok((ranked, unlisted_bound))
+}
+
+/// The summed exact gains of `candidates` from the shards' probe replies,
+/// in shard-index order; a reply with a count missing or extra is a typed
+/// [`ServiceError::Shard`] naming the shard.
+fn probe_totals(replies: &[GainCandidates], candidates: &[u32]) -> ServiceResult<Vec<u64>> {
+    let mut totals = vec![0u64; candidates.len()];
+    for (i, reply) in replies.iter().enumerate() {
+        if reply.probed.len() != candidates.len() {
+            return Err(ServiceError::Shard(format!(
+                "shard {i} answered {} probes for {} candidates",
+                reply.probed.len(),
+                candidates.len()
+            )));
+        }
+        for (total, gain) in totals.iter_mut().zip(&reply.probed) {
+            // Saturating: these integers come off the wire.
+            *total = total.saturating_add(*gain);
+        }
+    }
+    Ok(totals)
 }
 
 /// `sum + count` for a count shard `i` reported, or a typed
@@ -187,12 +224,12 @@ pub struct ShardedService<S: InfluenceService> {
     /// broadcast outcome, `stats`, or the pre-`top_k` refresh).
     epoch: u64,
     /// One memoized selection: `(k, algorithm, epoch) -> selection`. The
-    /// router-driven greedy costs `k` gain rounds per shard, so repeated
-    /// identical selections (the common loadtest shape) shouldn't pay it
-    /// twice; backend-side LRU caches cannot help here because the router
-    /// never calls backend `top_k`. Guarded by the pre-`top_k` epoch
-    /// refresh, so a selection computed for a departed epoch cannot be
-    /// served.
+    /// router-driven greedy costs each shard a pool pass plus a probe per
+    /// later round, so repeated identical selections (the common loadtest
+    /// shape) shouldn't pay it twice; backend-side LRU caches cannot help
+    /// here because the router never calls backend `top_k`. Guarded by the
+    /// pre-`top_k` epoch refresh, so a selection computed for a departed
+    /// epoch cannot be served.
     memo: Option<(usize, TopKAlgorithm, u64, TopKSelection)>,
     /// Router-side metrics: fan-out counts plus one labelled lane per shard.
     obs: Arc<ServingMetrics>,
@@ -385,6 +422,12 @@ impl<S: InfluenceService> ShardedService<S> {
         T: TryFrom<Response, Error = ServiceError>,
     {
         self.obs.shard_fanouts.inc();
+        if matches!(
+            request,
+            Request::Gains { .. } | Request::GainCandidates { limit: 1.., .. }
+        ) {
+            self.obs.router_shard_passes.inc();
+        }
         let legs: Vec<(Instant, Pending)> = (self.shards.iter_mut().zip(&self.lanes))
             .map(|(shard, lane)| {
                 lane.sends.inc();
@@ -485,18 +528,16 @@ impl<S: InfluenceService> ShardedService<S> {
         Ok(epoch)
     }
 
-    /// Try to settle one selection round from the shards' candidate lists
-    /// ([`threshold_round`] over this router's fan-out), counting whether it
-    /// did; `None` sends the caller to the full vectors (`gains`).
-    fn threshold_round(
+    /// One listed round over this router's fan-out ([`listed_round`] with
+    /// lists of `limit`): the union's exact totals and the summed bound.
+    fn listed_round(
         &mut self,
         selected: &[u32],
         is_selected: impl Fn(u32) -> bool,
-        want: usize,
-    ) -> ServiceResult<Option<Vec<u32>>> {
-        let top = threshold_round(
-            want,
-            want.max(ROUND_CANDIDATES),
+        limit: usize,
+    ) -> ServiceResult<(Vec<(u32, u64)>, u64)> {
+        listed_round(
+            limit,
             self.info.num_vertices,
             is_selected,
             |limit, probe| {
@@ -506,49 +547,23 @@ impl<S: InfluenceService> ShardedService<S> {
                     probe: probe.to_vec(),
                 })
             },
-        )?;
-        match top {
-            Some(_) => self.obs.router_rounds_threshold.inc(),
-            None => self.obs.router_rounds_full.inc(),
-        }
-        Ok(top)
+        )
     }
 
-    /// Router-driven greedy maximum coverage over the union pool —
-    /// replicates [`im_core::InfluenceOracle::greedy_seed_set`] exactly:
-    /// each round picks the *first* vertex attaining the maximal summed
-    /// gain (strictly-greater to win, so ties keep the lowest id), from the
-    /// candidate lists when they prove it and from the full vectors when
-    /// they do not.
+    /// Router-driven greedy maximum coverage over the union pool:
+    /// [`drive_greedy`], the round loop of
+    /// [`im_core::InfluenceOracle::greedy_seed_set`], over the shards (see
+    /// [`RoutedRounds`]), so the picks are the union pool's pick for pick.
     fn greedy(&mut self, k: usize) -> ServiceResult<Vec<u32>> {
         let n = self.info.num_vertices;
-        let k = k.min(n);
-        let mut selected: Vec<u32> = Vec::with_capacity(k);
-        let mut is_selected = vec![false; n];
-        for _ in 0..k {
-            let proven = self.threshold_round(&selected, |v| is_selected[v as usize], 1)?;
-            let chosen = match proven.as_deref() {
-                Some(&[chosen]) => chosen as usize,
-                _ => {
-                    let round = self.gains(&selected)?;
-                    let mut best: Option<(usize, u64)> = None;
-                    for (v, &gain) in round.gains.iter().enumerate() {
-                        if is_selected[v] {
-                            continue;
-                        }
-                        match best {
-                            Some((_, best_gain)) if gain <= best_gain => {}
-                            _ => best = Some((v, gain)),
-                        }
-                    }
-                    let Some((chosen, _)) = best else { break };
-                    chosen
-                }
-            };
-            is_selected[chosen] = true;
-            selected.push(chosen as u32);
-        }
-        Ok(selected)
+        drive_greedy(
+            &mut RoutedRounds {
+                router: self,
+                full_round: false,
+            },
+            n,
+            k,
+        )
     }
 
     /// Rank vertices by singleton coverage (the integer form of singleton
@@ -557,9 +572,12 @@ impl<S: InfluenceService> ShardedService<S> {
     /// by vertex id; coverage order equals influence order because the
     /// union pool divisor is shared).
     fn singleton_rank(&mut self, k: usize) -> ServiceResult<Vec<u32>> {
-        if let Some(top) = self.threshold_round(&[], |_| false, k)? {
+        let (ranked, bound) = self.listed_round(&[], |_| false, k.max(ROUND_CANDIDATES))?;
+        if let Some(top) = settle_round(ranked, k, bound) {
+            self.obs.router_rounds_threshold.inc();
             return Ok(top);
         }
+        self.obs.router_rounds_full.inc();
         let singles = self.gains(&[])?;
         let mut ranked: Vec<(u32, u64)> = singles
             .gains
@@ -570,6 +588,76 @@ impl<S: InfluenceService> ShardedService<S> {
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(k);
         Ok(ranked.into_iter().map(|(v, _)| v).collect())
+    }
+}
+
+/// The router's side of [`drive_greedy`]. A pass is a listed round: every
+/// shard's top [`ROUND_CANDIDATES`] and bound, the union probed when the
+/// lists disagree, and — when the bound does not separate a winner — the
+/// summed full vectors. A probe is one `GainCandidates{limit: 0}` fan-out,
+/// point reads that each shard's front end answers without a pool pass.
+/// Each round is counted at its pick: `path="full"` when its pass summed
+/// the full vectors, `path="threshold"` otherwise (from the lists, or from
+/// the carried candidates).
+struct RoutedRounds<'a, S: InfluenceService> {
+    router: &'a mut ShardedService<S>,
+    /// Whether the round in progress fell back to the full vectors.
+    full_round: bool,
+}
+
+impl<S: InfluenceService> GreedyRounds for RoutedRounds<'_, S> {
+    type Error = ServiceError;
+
+    #[inline]
+    fn pass(&mut self, selected: &[u32]) -> ServiceResult<Option<GreedyPass>> {
+        let mut is_selected = vec![false; self.router.info.num_vertices];
+        for &v in selected {
+            is_selected[v as usize] = true;
+        }
+        let (ranked, bound) =
+            self.router
+                .listed_round(selected, |v| is_selected[v as usize], ROUND_CANDIDATES)?;
+        let candidates = ranked.iter().map(|&(v, _)| v).collect();
+        let winner = match settle_round(ranked, 1, bound) {
+            Some(top) => top[0],
+            None => {
+                self.full_round = true;
+                let round = self.router.gains(selected)?;
+                // The first argmax: the highest gain, then the lowest id.
+                let best = (round.gains.iter().enumerate())
+                    .filter(|&(v, _)| !is_selected[v])
+                    .min_by_key(|&(v, &gain)| (Reverse(gain), v));
+                let Some((winner, _)) = best else {
+                    return Ok(None);
+                };
+                winner as u32
+            }
+        };
+        Ok(Some(GreedyPass {
+            winner,
+            candidates,
+            bound,
+        }))
+    }
+
+    #[inline]
+    fn probe(&mut self, selected: &[u32], candidates: &[u32]) -> ServiceResult<Vec<u64>> {
+        let replies: Vec<GainCandidates> = self.router.fan_out_all(&Request::GainCandidates {
+            selected: selected.to_vec(),
+            limit: 0,
+            probe: candidates.to_vec(),
+        })?;
+        probe_totals(&replies, candidates)
+    }
+
+    #[inline]
+    fn select(&mut self, _v: u32) {
+        let obs = &self.router.obs;
+        if std::mem::take(&mut self.full_round) {
+            obs.router_rounds_full.inc();
+        } else {
+            obs.router_rounds_threshold.inc();
+        }
     }
 }
 

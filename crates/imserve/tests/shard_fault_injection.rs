@@ -42,6 +42,9 @@ enum Fault {
     /// The shard answers an `Estimate` claiming `u64::MAX` covered sets, a
     /// count no union of pools can sum to.
     InflatedCovered,
+    /// The shard answers exact-count probes (`GainCandidates` with no list)
+    /// with one count fewer than it was asked for.
+    ShortProbes,
 }
 
 /// Shared remote control of one shard's injected fault.
@@ -67,9 +70,13 @@ impl FaultyShard {
                 std::io::ErrorKind::TimedOut,
                 "shard deadline exceeded",
             ))),
-            Some(Fault::StaleEpoch | Fault::DropBeforeProbes | Fault::InflatedCovered) | None => {
-                Ok(())
-            }
+            Some(
+                Fault::StaleEpoch
+                | Fault::DropBeforeProbes
+                | Fault::InflatedCovered
+                | Fault::ShortProbes,
+            )
+            | None => Ok(()),
         }
     }
 }
@@ -91,6 +98,9 @@ impl InfluenceService for FaultyShard {
             (Some(Fault::StaleEpoch), Response::Stats { epoch, .. }) => *epoch += 1,
             (Some(Fault::InflatedCovered), Response::Estimate { covered, .. }) => {
                 *covered = u64::MAX;
+            }
+            (Some(Fault::ShortProbes), Response::GainCandidates(reply)) => {
+                reply.probed.pop();
             }
             _ => {}
         }
@@ -207,6 +217,32 @@ fn shard_lost_between_the_candidate_lists_and_the_probes_is_named() {
     let after = fx.router.top_k(3, TopKAlgorithm::Greedy).unwrap();
     assert_eq!(after.seeds, before.seeds);
     assert_eq!(after.spread.to_bits(), before.spread.to_bits());
+}
+
+/// On Karate every shard lists all 34 vertices, so the first round needs
+/// no probe and the only probes are the later rounds' reads of the
+/// candidates carried over: a shard that answers them short must fail the
+/// selection with the typed error naming it, and nothing may be memoized.
+#[test]
+fn short_answers_to_carried_probes_are_named_and_never_memoized() {
+    let mut fx = fixture();
+    // Memoize another selection, so a hit cannot hide the fault.
+    fx.router.top_k(2, TopKAlgorithm::Greedy).unwrap();
+
+    set_fault(&fx, 1, Some(Fault::ShortProbes));
+    match fx.router.top_k(3, TopKAlgorithm::Greedy) {
+        Err(ServiceError::Shard(message)) => {
+            assert!(message.contains("shard 1"), "names the shard: {message}");
+            assert!(message.contains("probes"), "names the cause: {message}");
+        }
+        other => panic!("expected a Shard error, got {other:?}"),
+    }
+
+    set_fault(&fx, 1, None);
+    let after = fx.router.top_k(3, TopKAlgorithm::Greedy).unwrap();
+    let expected = reference_selection(3);
+    assert_eq!(after.seeds, expected.seeds);
+    assert_eq!(after.spread.to_bits(), expected.spread.to_bits());
 }
 
 #[test]

@@ -75,8 +75,8 @@ fn hand_offs(engine: &QueryEngine) -> [u64; 3] {
 
 /// Hand-offs per request: a routed `Estimate` is one line answered on each
 /// shard's loop, handed to no worker and costing no completion wake-up; a
-/// routed `TopK(k)` hands each shard its epoch check and at least one pass
-/// per round.
+/// routed `TopK(k)` hands each shard its epoch check and one pass, and
+/// probes the later rounds' candidates on the loop.
 #[test]
 fn a_routed_estimate_costs_each_shard_no_hand_off() {
     const SHARDS: usize = 2;
@@ -112,11 +112,29 @@ fn a_routed_estimate_costs_each_shard_no_hand_off() {
         );
     }
 
-    let before = counts();
-    let k = 3;
-    router.top_k(k, TopKAlgorithm::Greedy).unwrap();
-    for (shard, (b, a)) in before.iter().zip(counts()).enumerate() {
-        assert!(a[1] - b[1] > k as u64, "shard {shard}: {b:?} -> {a:?}");
+    // Each whole-pool pass is one worker request per shard, and the router
+    // counts its pass fan-outs; the epoch `Stats` is the only other one.
+    // Here the first round's lists settle it and every later round settles
+    // from the candidates carried over, probed on the loop: 2 per shard for
+    // any `k`, where a pass per round cost `k + 1`.
+    for k in [3, 4] {
+        let obs = router.obs().clone();
+        let (full, passes) = (obs.router_rounds_full.get(), obs.router_shard_passes.get());
+        let before = counts();
+        router.top_k(k, TopKAlgorithm::Greedy).unwrap();
+        let passes = obs.router_shard_passes.get() - passes;
+        assert_eq!(
+            obs.router_rounds_full.get(),
+            full,
+            "TopK({k}) summed full vectors"
+        );
+        for (shard, (b, a)) in before.iter().zip(counts()).enumerate() {
+            let worker = a[1] - b[1];
+            assert!(
+                worker == 1 + passes && worker == 2,
+                "TopK({k}), shard {shard}: {b:?} -> {a:?} after {passes} passes"
+            );
+        }
     }
     drop(router);
     for server in servers {
