@@ -18,9 +18,9 @@
 //! vertex count, so worker-owned scratches stay valid across epochs.
 //!
 //! Every `TopK` cache key embeds the index **epoch** (the number of deltas
-//! ever applied). A mutation therefore structurally invalidates every cached
-//! seed set: a stale answer cannot be served because its key can no longer be
-//! constructed.
+//! ever applied; see [`TopKCache`]). A mutation therefore structurally
+//! invalidates every cached seed set: a stale answer cannot be served because
+//! its key can no longer be constructed.
 //!
 //! The engine also runs the index *lifecycle*: `MutateBatch` applies an
 //! atomic delta batch (one in-place CSR patch, dirty-union resampling),
@@ -36,11 +36,11 @@ use std::time::Instant;
 
 use im_core::EstimateScratch;
 use imdyn::{CompactionPolicy, DynamicOracle};
-use imgraph::GraphDelta;
+use imgraph::{BatchError, GraphDelta};
 
 use crate::error::ServeError;
 use crate::index::{IndexArtifact, IndexMeta};
-use crate::lru::LruCache;
+use crate::lru::TopKCache;
 use crate::obs::ServingMetrics;
 use crate::protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
 use crate::service::{
@@ -65,49 +65,6 @@ pub(crate) fn index_identity(meta: &IndexMeta, shard: Option<&crate::index::Shar
         meta.pool_size,
         shard.map_or(0, |s| s.offset)
     )
-}
-
-/// Engine construction options.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// `TopK` LRU cache capacity.
-    pub cache_capacity: usize,
-    /// When to fold the pending delta log away automatically. The default
-    /// never fires; compaction then happens only on explicit `Compact`
-    /// requests.
-    pub compaction_policy: CompactionPolicy,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-            compaction_policy: CompactionPolicy::DISABLED,
-        }
-    }
-}
-
-/// Cache key for a `TopK` answer.
-///
-/// `graph_id` and `model` are constant for one engine but kept in the key
-/// anyway: a fleet-level cache (or an engine hot-swapped onto a new index)
-/// must never serve a seed set computed for a different influence graph.
-/// `epoch` versions the key under mutation: entries computed before a delta
-/// can never match a lookup made after it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct TopKKey {
-    graph_id: String,
-    model: String,
-    epoch: u64,
-    k: usize,
-    algorithm: TopKAlgorithm,
-}
-
-/// A cached `TopK` answer.
-#[derive(Debug, Clone)]
-struct TopKValue {
-    seeds: Vec<u32>,
-    spread: f64,
 }
 
 /// The mutable serving state: the dynamic oracle plus the metadata that
@@ -160,7 +117,7 @@ impl ServingState {
 #[derive(Debug)]
 pub struct QueryEngine {
     state: RwLock<ServingState>,
-    topk_cache: Mutex<LruCache<TopKKey, TopKValue>>,
+    topk_cache: Mutex<TopKCache>,
     /// Mutation durability: when present, every accepted batch is appended
     /// (and synced) before the mutation call returns. Taken under the state
     /// write lock, so records land in application order.
@@ -169,9 +126,9 @@ pub struct QueryEngine {
     /// (not process-global) so engines in parallel tests never share
     /// counters; front ends clone the `Arc` to record their own stages.
     obs: Arc<ServingMetrics>,
-    /// Construction options, kept so a hot-swapped artifact inherits the
-    /// same compaction policy the engine was built with.
-    config: EngineConfig,
+    /// Kept so a hot-swapped artifact inherits the compaction policy the
+    /// engine was built with.
+    compaction_policy: CompactionPolicy,
     /// When set, client mutations are refused with a typed
     /// [`ServiceError::ReadOnly`]; only [`QueryEngine::apply_replicated`]
     /// (the replication stream) moves the epoch. Cleared by
@@ -201,31 +158,27 @@ pub struct QueryEngine {
 #[derive(Debug)]
 pub struct EngineBuilder {
     index: IndexArtifact,
-    config: EngineConfig,
+    cache_capacity: usize,
+    compaction_policy: CompactionPolicy,
     wal: Option<std::path::PathBuf>,
     metrics: Option<Arc<ServingMetrics>>,
     read_only: bool,
 }
 
 impl EngineBuilder {
-    /// `TopK` LRU cache capacity (default [`DEFAULT_CACHE_CAPACITY`]).
+    /// `TopK` cache capacity (default [`DEFAULT_CACHE_CAPACITY`]).
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.cache_capacity = capacity;
+        self.cache_capacity = capacity;
         self
     }
 
-    /// Auto-compaction policy (default disabled).
+    /// When to fold the pending delta log away automatically. The default
+    /// never fires; compaction then happens only on explicit `Compact`
+    /// requests.
     #[must_use]
     pub fn compaction_policy(mut self, policy: CompactionPolicy) -> Self {
-        self.config.compaction_policy = policy;
-        self
-    }
-
-    /// Apply a whole [`EngineConfig`] at once.
-    #[must_use]
-    pub fn config(mut self, config: &EngineConfig) -> Self {
-        self.config = config.clone();
+        self.compaction_policy = policy;
         self
     }
 
@@ -278,7 +231,12 @@ impl EngineBuilder {
         // none of them may replay another's log.
         let identity = index_identity(&self.index.meta, self.index.shard.as_ref());
         let base_seed = self.index.meta.base_seed;
-        let mut engine = QueryEngine::construct(self.index, &self.config, self.metrics);
+        let mut engine = QueryEngine::construct(
+            self.index,
+            self.cache_capacity,
+            self.compaction_policy,
+            self.metrics,
+        );
         if let Some(path) = self.wal {
             // The WAL is bound to one index identity: replaying a foreign
             // log whose epochs happen to line up must fail, not diverge
@@ -310,7 +268,8 @@ impl QueryEngine {
     pub fn builder(index: IndexArtifact) -> EngineBuilder {
         EngineBuilder {
             index,
-            config: EngineConfig::default(),
+            cache_capacity: DEFAULT_CACHE_CAPACITY,
+            compaction_policy: CompactionPolicy::DISABLED,
             wal: None,
             metrics: None,
             read_only: false,
@@ -327,7 +286,8 @@ impl QueryEngine {
     /// re-attaches the state on load).
     fn construct(
         index: IndexArtifact,
-        config: &EngineConfig,
+        cache_capacity: usize,
+        compaction_policy: CompactionPolicy,
         metrics: Option<Arc<ServingMetrics>>,
     ) -> Self {
         let IndexArtifact {
@@ -341,7 +301,7 @@ impl QueryEngine {
         let dynamic = Arc::new(
             DynamicOracle::from_parts(graph, oracle, log, snapshot_epoch)
                 .expect("index artifacts always carry consistent incremental pools")
-                .with_policy(config.compaction_policy),
+                .with_policy(compaction_policy),
         );
         let obs = metrics.unwrap_or_else(ServingMetrics::with_defaults);
         // `from_parts` hashed the graph from scratch; every later read of
@@ -353,10 +313,10 @@ impl QueryEngine {
                 shard,
                 dynamic,
             }),
-            topk_cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            topk_cache: Mutex::new(TopKCache::new(cache_capacity, &obs)),
             wal: None,
             obs,
-            config: config.clone(),
+            compaction_policy,
             read_only: AtomicBool::new(false),
             wal_poisoned: AtomicBool::new(false),
         }
@@ -698,37 +658,22 @@ impl QueryEngine {
             ));
         }
         let mut state = self.state.write().expect("serving state poisoned");
-        let epoch_before = state.dynamic.epoch();
-        let hash_before = state.dynamic.fingerprint();
-        let dynamic = Arc::make_mut(&mut state.dynamic);
-        match dynamic.apply_batch(deltas) {
-            Ok(outcome) => {
-                state.meta.num_edges = state.dynamic.graph().num_edges();
-                self.bump_mutation_counters(outcome.applied, outcome.resampled);
-                self.wal_append(epoch_before, hash_before, deltas)?;
-                self.note_epoch_moved(epoch_before, state.dynamic.epoch());
-                let compacted = self.maybe_compact_with_events(&mut state);
-                self.obs
-                    .mutate_batch
-                    .latency_micros
-                    .record(began.elapsed().as_micros() as u64);
-                Ok(MutationOutcome {
-                    epoch: state.dynamic.epoch(),
-                    applied: outcome.applied,
-                    resampled: outcome.resampled,
-                    compacted,
-                })
-            }
-            // Atomic batches reject as a unit: nothing was applied and the
-            // epoch did not move.
-            Err(e) => Err(ServiceError::Mutation(format!(
-                "batch rejected at delta {} of {} ({}); nothing applied, epoch {}",
+        let epoch = state.dynamic.epoch();
+        // Atomic batches reject as a unit: nothing was applied and the epoch
+        // did not move.
+        let outcome = self.commit(&mut state, deltas, |e| {
+            ServiceError::Mutation(format!(
+                "batch rejected at delta {} of {} ({}); nothing applied, epoch {epoch}",
                 e.index + 1,
                 deltas.len(),
-                e.error,
-                state.dynamic.epoch()
-            ))),
-        }
+                e.error
+            ))
+        })?;
+        self.obs
+            .mutate_batch
+            .latency_micros
+            .record(began.elapsed().as_micros() as u64);
+        Ok(outcome)
     }
 
     /// Fold the pending delta log into the snapshot watermark now.
@@ -846,33 +791,48 @@ impl QueryEngine {
                  graph than this engine holds (lineage fingerprint mismatch) — {remedy}"
             )));
         }
-        let dynamic = Arc::make_mut(&mut state.dynamic);
-        match dynamic.apply_batch(&record.deltas) {
-            Ok(outcome) => {
-                state.meta.num_edges = state.dynamic.graph().num_edges();
-                self.bump_mutation_counters(outcome.applied, outcome.resampled);
-                self.wal_append(
-                    record.epoch_before,
-                    record.graph_hash_before,
-                    &record.deltas,
-                )?;
-                self.note_epoch_moved(record.epoch_before, state.dynamic.epoch());
-                let compacted = self.maybe_compact_with_events(&mut state);
-                Ok(Some(MutationOutcome {
-                    epoch: state.dynamic.epoch(),
-                    applied: outcome.applied,
-                    resampled: outcome.resampled,
-                    compacted,
-                }))
-            }
-            Err(e) => Err(ServiceError::Backend(format!(
+        self.commit(&mut state, &record.deltas, |e| {
+            ServiceError::Backend(format!(
                 "recorded batch rejected at delta {} of {} ({}); it was applied to a graph this \
                  engine does not hold — {remedy}",
                 e.index + 1,
                 record.deltas.len(),
                 e.error
-            ))),
-        }
+            ))
+        })
+        .map(Some)
+    }
+
+    /// The one commit path for a batch, under the state write lock: apply it
+    /// atomically, then count it, append it to the WAL, announce the epoch
+    /// move and run the compaction policy. A rejected batch changes nothing
+    /// and comes back worded by `reject`.
+    fn commit(
+        &self,
+        state: &mut ServingState,
+        deltas: &[GraphDelta],
+        reject: impl FnOnce(BatchError) -> ServiceError,
+    ) -> Result<MutationOutcome, ServiceError> {
+        let epoch_before = state.dynamic.epoch();
+        let hash_before = state.dynamic.fingerprint();
+        let outcome = Arc::make_mut(&mut state.dynamic)
+            .apply_batch(deltas)
+            .map_err(reject)?;
+        state.meta.num_edges = state.dynamic.graph().num_edges();
+        self.obs.deltas_applied.add(outcome.applied as u64);
+        self.obs.sets_resampled.add(outcome.resampled as u64);
+        self.obs
+            .mutate_resampled_sets
+            .record(outcome.resampled as u64);
+        self.wal_append(epoch_before, hash_before, deltas)?;
+        self.note_epoch_moved(epoch_before, state.dynamic.epoch());
+        let compacted = self.maybe_compact_with_events(state);
+        Ok(MutationOutcome {
+            epoch: state.dynamic.epoch(),
+            applied: outcome.applied,
+            resampled: outcome.resampled,
+            compacted,
+        })
     }
 
     /// Load the artifact at `path` (on this process's filesystem) and
@@ -929,7 +889,7 @@ impl QueryEngine {
         } = artifact;
         let dynamic = DynamicOracle::from_parts(graph, oracle, log, snapshot_epoch)
             .map_err(|e| ServiceError::Backend(format!("reload: artifact is unusable: {e}")))?
-            .with_policy(self.config.compaction_policy);
+            .with_policy(self.compaction_policy);
         // Assembling the incoming oracle hashed its graph from scratch; the
         // served side below is an O(1) read.
         self.obs.lineage_full_hashes.inc();
@@ -1041,15 +1001,15 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// Append an accepted batch to the WAL, if one is attached. Called under
-    /// the state write lock so records land in application order (both
-    /// callers have already refused an empty batch). An append failure is a
-    /// [`ServiceError::Backend`] and the one error after which the in-memory
-    /// state is ahead of the durable one: the batch is applied but cannot be
-    /// acknowledged, so the engine goes fail-stop for mutations (the
-    /// unlogged batch is an epoch gap that would strand every later record)
-    /// while queries keep serving; a restart replays the WAL back to the
-    /// state before the batch.
+    /// Append an accepted batch to the WAL, if one is attached. Called by
+    /// [`QueryEngine::commit`] under the state write lock so records land in
+    /// application order (its callers have already refused an empty batch).
+    /// An append failure is a [`ServiceError::Backend`] and the one error
+    /// after which the in-memory state is ahead of the durable one: the
+    /// batch is applied but cannot be acknowledged, so the engine goes
+    /// fail-stop for mutations (the unlogged batch is an epoch gap that would
+    /// strand every later record) while queries keep serving; a restart
+    /// replays the WAL back to the state before the batch.
     fn wal_append(
         &self,
         epoch_before: u64,
@@ -1134,14 +1094,8 @@ impl QueryEngine {
         true
     }
 
-    fn bump_mutation_counters(&self, applied: usize, resampled: usize) {
-        self.obs.deltas_applied.add(applied as u64);
-        self.obs.sets_resampled.add(resampled as u64);
-        self.obs.mutate_resampled_sets.record(resampled as u64);
-    }
-
     /// Select an influential seed set of size `k`, fronted by the
-    /// epoch-keyed LRU cache.
+    /// epoch-keyed [`TopKCache`].
     pub fn top_k(&self, k: usize, algorithm: TopKAlgorithm) -> Result<TopKSelection, ServiceError> {
         let began = Instant::now();
         self.obs.top_k.count.inc();
@@ -1152,33 +1106,19 @@ impl QueryEngine {
         // compute with no lock held: the key is labelled with the snapshot's
         // epoch, so even if a mutation lands mid-selection the answer is
         // cached where post-mutation lookups can never find it.
-        let (dynamic, key) = {
-            let state = self.state();
-            let key = TopKKey {
-                graph_id: state.meta.graph_id.clone(),
-                model: state.meta.model.clone(),
-                epoch: state.dynamic.epoch(),
-                k,
-                algorithm,
-            };
-            (Arc::clone(&state.dynamic), key)
-        };
-        if let Some(hit) = self
+        let dynamic = Arc::clone(&self.state().dynamic);
+        let epoch = dynamic.epoch();
+        let cached = self
             .topk_cache
             .lock()
             .expect("cache lock poisoned")
-            .get(&key)
-        {
-            self.obs.topk_cache_hits.inc();
+            .get(epoch, k, algorithm);
+        if let Some(hit) = cached {
             self.obs
                 .top_k
                 .latency_micros
                 .record(began.elapsed().as_micros() as u64);
-            return Ok(TopKSelection {
-                seeds: hit.seeds.clone(),
-                spread: hit.spread,
-                algorithm,
-            });
+            return Ok(hit);
         }
 
         let oracle = dynamic.oracle();
@@ -1191,23 +1131,20 @@ impl QueryEngine {
                 (seeds, spread)
             }
         };
-        self.obs.topk_cache_misses.inc();
-        self.topk_cache.lock().expect("cache lock poisoned").insert(
-            key,
-            TopKValue {
-                seeds: seeds.clone(),
-                spread,
-            },
-        );
+        let selection = TopKSelection {
+            seeds,
+            spread,
+            algorithm,
+        };
+        self.topk_cache
+            .lock()
+            .expect("cache lock poisoned")
+            .insert(epoch, k, selection.clone());
         self.obs
             .top_k
             .latency_micros
             .record(began.elapsed().as_micros() as u64);
-        Ok(TopKSelection {
-            seeds,
-            spread,
-            algorithm,
-        })
+        Ok(selection)
     }
 }
 

@@ -16,10 +16,10 @@
 //!   milliseconds, never resampled;
 //! * [`engine`] — a thread-safe [`engine::QueryEngine`] behind the local
 //!   backend: scratch-reusing estimates via `EstimateScratch`, greedy `TopK`
-//!   fronted by an epoch-keyed LRU cache, atomic mutation batches through
-//!   `imdyn`'s incremental RR-set maintenance, compaction, and an optional
-//!   mutation write-ahead log ([`wal`]) so acknowledged mutations survive a
-//!   crash between index saves;
+//!   fronted by an epoch-keyed [`lru::TopKCache`], atomic mutation batches
+//!   through `imdyn`'s incremental RR-set maintenance, compaction, and an
+//!   optional mutation write-ahead log ([`wal`]) so acknowledged mutations
+//!   survive a crash between index saves;
 //! * [`reactor`] / [`server`] / [`client`] — two dependency-free TCP front
 //!   ends speaking one newline-delimited JSON protocol (id-tagged frames with
 //!   a version handshake and typed errors; any other line gets a typed error
@@ -94,7 +94,7 @@ pub mod testkit;
 pub mod wal;
 
 pub use client::{ReconnectingService, RemoteService};
-pub use engine::{EngineBuilder, EngineConfig, QueryEngine, ServingState};
+pub use engine::{EngineBuilder, QueryEngine, ServingState};
 pub use error::ServeError;
 pub use index::{build_dataset_index, build_dataset_index_with_deltas, IndexArtifact, IndexMeta};
 pub use obs::{route_ops_request, spawn_ops_endpoint, OpsResponse, ServingMetrics};

@@ -12,7 +12,8 @@
 //! Each connection runs its own deterministic PCG32 stream, issuing a mix of
 //! `Estimate` (singleton and 3-seed) and periodic `TopK` requests — the
 //! shape a production influence service sees: estimates dominate, selections
-//! recur and hit the engine's LRU cache (or the shard router's memo).
+//! recur and hit the epoch-keyed `TopK` cache (the engine's, or the shard
+//! router's one-entry one).
 //!
 //! Two arrival disciplines:
 //!

@@ -24,7 +24,7 @@ use std::time::Duration;
 use imdyn::CompactionPolicy;
 use imserve::cli::{self, Command};
 use imserve::client::{ReconnectingService, RemoteService};
-use imserve::engine::{EngineConfig, QueryEngine};
+use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index_with_deltas, parse_dataset, parse_model, IndexArtifact};
 use imserve::loadtest::{self, LoadtestConfig};
 use imserve::protocol::{self, Request, Response};
@@ -170,10 +170,8 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
             let mut builder = QueryEngine::builder(artifact)
-                .config(&EngineConfig {
-                    cache_capacity: cache,
-                    compaction_policy: policy,
-                })
+                .cache_capacity(cache)
+                .compaction_policy(policy)
                 .metrics(imserve::ServingMetrics::new(slow_micros));
             if let Some(path) = &wal {
                 eprintln!("mutation WAL enabled at {path}");

@@ -31,10 +31,11 @@
 //! answer one query at different epochs — a cross-epoch merge no single
 //! pool could produce. The router verifies lockstep epochs wherever it can
 //! do so without taxing the hot path: at construction, on every broadcast
-//! outcome, on `stats`, and before every `top_k` (whose memo must never
-//! serve a selection for an epoch the shards have left). A fresh
-//! out-of-band mutation therefore surfaces as [`ServiceError::Shard`] at
-//! the next selection or stats call instead of staying invisible.
+//! outcome, on `stats`, and before every `top_k` (whose cache is keyed by
+//! that epoch, so it never serves a selection for an epoch the shards have
+//! left). A fresh out-of-band mutation therefore surfaces as
+//! [`ServiceError::Shard`] at the next selection or stats call instead of
+//! staying invisible.
 //!
 //! The router is itself an [`InfluenceService`], so sharded deployments nest
 //! (shards of shards) and every caller — CLI, load generator, experiment
@@ -102,6 +103,7 @@ use imdyn::EpochReport;
 use imgraph::GraphDelta;
 use imobs::EventField;
 
+use crate::lru::TopKCache;
 use crate::obs::{ServingMetrics, ShardLane};
 use crate::protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
 use crate::service::{
@@ -214,6 +216,10 @@ fn add_shard_count(i: usize, what: &str, sum: u64, count: u64) -> ServiceResult<
     })
 }
 
+/// Selections the router caches: one, the last. A workload alternating two
+/// `k`s therefore recomputes every selection.
+const ROUTER_CACHE_CAPACITY: usize = 1;
+
 /// A router over N shard backends (see the module docs for the invariant).
 #[derive(Debug)]
 pub struct ShardedService<S: InfluenceService> {
@@ -223,14 +229,15 @@ pub struct ShardedService<S: InfluenceService> {
     /// The lockstep epoch as of the last verification (construction,
     /// broadcast outcome, `stats`, or the pre-`top_k` refresh).
     epoch: u64,
-    /// One memoized selection: `(k, algorithm, epoch) -> selection`. The
-    /// router-driven greedy costs each shard a pool pass plus a probe per
-    /// later round, so repeated identical selections (the common loadtest
-    /// shape) shouldn't pay it twice; backend-side LRU caches cannot help
-    /// here because the router never calls backend `top_k`. Guarded by the
-    /// pre-`top_k` epoch refresh, so a selection computed for a departed
-    /// epoch cannot be served.
-    memo: Option<(usize, TopKAlgorithm, u64, TopKSelection)>,
+    /// The last selection, keyed by `(epoch, k, algorithm)`
+    /// ([`ROUTER_CACHE_CAPACITY`] entry). The router-driven greedy costs
+    /// each shard a pool pass plus a probe per later round, so repeated
+    /// identical selections (the common loadtest shape) shouldn't pay it
+    /// twice; backend-side caches cannot help here because the router never
+    /// calls backend `top_k`. Looked up at the epoch the pre-`top_k` refresh
+    /// just verified, so a selection computed for a departed epoch cannot be
+    /// served.
+    cache: TopKCache,
     /// Router-side metrics: fan-out counts plus one labelled lane per shard.
     obs: Arc<ServingMetrics>,
     /// Pre-fetched per-shard lane handles (index-aligned with `shards`), so
@@ -350,7 +357,7 @@ impl<S: InfluenceService> ShardedService<S> {
             shards,
             info,
             epoch: epoch.unwrap_or(0),
-            memo: None,
+            cache: TopKCache::new(ROUTER_CACHE_CAPACITY, &obs),
             obs,
             lanes,
             trace: None,
@@ -505,7 +512,7 @@ impl<S: InfluenceService> ShardedService<S> {
 
     /// Re-read every shard's epoch (concurrently), verify they are still in
     /// lockstep, and record the common value (one cheap `stats` round per
-    /// shard). Makes out-of-band mutations visible — and the `top_k` memo
+    /// shard). Makes out-of-band mutations visible — and the `top_k` cache
     /// safe — at the cost of the verification round.
     fn refresh_epoch(&mut self) -> ServiceResult<u64> {
         let all = self.fan_out_all::<ServiceStats>(&Request::Stats)?;
@@ -726,15 +733,13 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
         if k == 0 {
             return Err(ServiceError::Query("k must be positive".into()));
         }
-        // Selections are expensive and memoized, so verify the lockstep
-        // epoch first: a mutation applied behind this router's back must
-        // invalidate the memo (and a torn broadcast must surface) rather
-        // than silently serving a stale seed set.
+        // Selections are expensive and cached by epoch, so verify the
+        // lockstep epoch first: a mutation applied behind this router's back
+        // must move the key (and a torn broadcast must surface) rather than
+        // silently serving a stale seed set.
         let epoch = self.refresh_epoch()?;
-        if let Some((mk, malg, mepoch, selection)) = &self.memo {
-            if *mk == k && *malg == algorithm && *mepoch == epoch {
-                return Ok(selection.clone());
-            }
+        if let Some(hit) = self.cache.get(epoch, k, algorithm) {
+            return Ok(hit);
         }
         let seeds = match algorithm {
             TopKAlgorithm::Greedy => self.greedy(k)?,
@@ -746,7 +751,7 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
             spread,
             algorithm,
         };
-        self.memo = Some((k, algorithm, self.epoch, selection.clone()));
+        self.cache.insert(epoch, k, selection.clone());
         Ok(selection)
     }
 
@@ -826,9 +831,9 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
             .find(|(_, r)| r.is_err())
             .map(|(i, r)| (i, r.as_ref()))
         {
-            // Partial application: the epochs have diverged, so the memo
-            // (keyed by the lockstep epoch) must not survive.
-            self.memo = None;
+            // Partial application: the epochs have diverged, so no cached
+            // selection (keyed by the lockstep epoch) may survive.
+            self.cache.clear();
             self.obs.event_log.error(
                 "torn_broadcast",
                 self.trace.unwrap_or(0),
@@ -871,7 +876,6 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
         }
         let first = first.expect("at least one shard");
         self.epoch = first.epoch;
-        self.memo = None;
         // Mutations change edge counts; refresh the merged metadata from
         // shard 0 (dimension equality was just verified via the outcomes).
         let refreshed = self.shards[0].info()?;
@@ -1132,5 +1136,87 @@ mod tests {
             assert_eq!(halves, fan_out);
             assert!(chunk.iter().all(|&(_, _, thread)| thread == caller));
         }
+    }
+
+    /// Edges of certain influence from `source` to every vertex in `targets`:
+    /// enough to move `source` into any greedy selection.
+    fn fan(source: u32, targets: std::ops::Range<u32>) -> Vec<GraphDelta> {
+        targets
+            .map(|target| GraphDelta::InsertEdge {
+                source,
+                target,
+                probability: 1.0,
+            })
+            .collect()
+    }
+
+    /// The router's selection cache counts into the router's own metrics
+    /// (the shard engines never see a `TopK`), holds one entry, and is keyed
+    /// by the lockstep epoch: a mutation through the router or behind it
+    /// makes the next selection a miss that matches the mutated whole pool.
+    #[test]
+    fn the_router_cache_is_counted_and_keyed_by_epoch() {
+        const POOL: usize = 2_000;
+        const SEED: u64 = 7;
+        let graph = parse_dataset("karate")
+            .unwrap()
+            .influence_graph(parse_model("uc0.1").unwrap(), SEED);
+        let engines: Vec<Arc<QueryEngine>> = (0..2)
+            .map(|i| {
+                let artifact =
+                    IndexArtifact::build_shard("karate", "uc0.1", graph.clone(), POOL, SEED, i, 2);
+                Arc::new(QueryEngine::builder(artifact).build().unwrap())
+            })
+            .collect();
+        let mut router = ShardedService::new(
+            engines
+                .iter()
+                .map(|e| LocalService::new(Arc::clone(e)))
+                .collect(),
+        )
+        .unwrap();
+        let whole = QueryEngine::builder(
+            crate::index::build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap(),
+        )
+        .build()
+        .unwrap();
+        let obs = Arc::clone(router.obs());
+        let counts = || (obs.topk_cache_misses.get(), obs.topk_cache_hits.get());
+        let greedy = |router: &mut ShardedService<LocalService>, k| {
+            router.top_k(k, TopKAlgorithm::Greedy).unwrap()
+        };
+
+        let first = greedy(&mut router, 3);
+        assert_eq!(greedy(&mut router, 3), first);
+        assert_eq!(counts(), (1, 1));
+        for engine in &engines {
+            let stats = engine.stats();
+            assert_eq!((stats.topk_cache_misses, stats.topk_cache_hits), (0, 0));
+        }
+
+        // One entry: alternating `k` misses every time.
+        greedy(&mut router, 4);
+        assert_eq!(greedy(&mut router, 3), first);
+        assert_eq!(counts(), (3, 1));
+
+        // A mutation through the router moves the key.
+        let through = fan(16, 0..12);
+        router.mutate_batch(&through).unwrap();
+        whole.mutate_batch(&through).unwrap();
+        let after = greedy(&mut router, 3);
+        assert_eq!(counts(), (4, 1));
+        assert_eq!(after, whole.top_k(3, TopKAlgorithm::Greedy).unwrap());
+        assert_ne!(after.seeds, first.seeds);
+
+        // So does a lockstep mutation behind the router's back.
+        let behind = fan(26, 12..24);
+        for engine in &engines {
+            engine.mutate_batch(&behind).unwrap();
+        }
+        whole.mutate_batch(&behind).unwrap();
+        let last = greedy(&mut router, 3);
+        assert_eq!(counts(), (5, 1));
+        assert_eq!(last, whole.top_k(3, TopKAlgorithm::Greedy).unwrap());
+        assert_ne!(last.seeds, after.seeds);
     }
 }
