@@ -52,7 +52,7 @@ pub struct InfluenceOracle {
     num_vertices: usize,
     /// Present iff the pool was drawn with per-set PRNG streams
     /// ([`OracleBuilder::incremental`]), which is what makes
-    /// [`InfluenceOracle::apply_delta`] possible.
+    /// [`InfluenceOracle::apply_delta_batch`] possible.
     incremental: Option<IncrementalState>,
     // Interior mutability is deliberately avoided: `estimate` takes `&self`
     // and allocates per call, which is fine for the experiment harness. The
@@ -119,7 +119,7 @@ pub fn shard_layout(global_pool: usize, shards: usize) -> Vec<ShardRange> {
 /// * [`OracleBuilder::sample`] draws the pool from seeded batch streams —
 ///   per-batch streams by default, one stream *per RR set* with
 ///   [`OracleBuilder::incremental`] (the discipline that makes
-///   [`InfluenceOracle::apply_delta`] exact), optionally offset into a
+///   [`InfluenceOracle::apply_delta_batch`] exact), optionally offset into a
 ///   global set-id space with [`OracleBuilder::shard_offset`] so N shard
 ///   pools union byte-identically into one pool;
 /// * [`OracleBuilder::sample_with_rng`] is the paper-faithful sequential
@@ -182,7 +182,7 @@ impl OracleBuilder {
     /// Draw every RR set from its **own** PRNG stream (seeded by running the
     /// base seed and the set's global id through SplitMix64) instead of
     /// per-batch streams. Per-set streams are what make
-    /// [`InfluenceOracle::apply_delta`] exact rather than approximate:
+    /// [`InfluenceOracle::apply_delta_batch`] exact rather than approximate:
     /// regenerating set `i` in isolation replays precisely the draws a
     /// from-scratch rebuild at the same version would feed it.
     #[must_use]
@@ -517,7 +517,7 @@ impl InfluenceOracle {
     }
 
     /// Whether this pool carries the per-set state needed by
-    /// [`InfluenceOracle::apply_delta`].
+    /// [`InfluenceOracle::apply_delta_batch`].
     #[must_use]
     pub fn is_incremental(&self) -> bool {
         self.incremental.is_some()
@@ -561,7 +561,7 @@ impl InfluenceOracle {
     /// that both match the values the pool was originally drawn with and
     /// that the pool was built with per-set streams
     /// ([`OracleBuilder::incremental`]); with a wrong seed or offset, later
-    /// [`InfluenceOracle::apply_delta`] calls would resample dirty sets from
+    /// [`InfluenceOracle::apply_delta_batch`] calls would resample dirty sets from
     /// streams a rebuild would not use.
     pub fn attach_incremental(&mut self, base_seed: u64, set_id_offset: u64) {
         // Iterating vertices in increasing order yields sorted traces — the
@@ -573,55 +573,6 @@ impl InfluenceOracle {
             base_seed,
             set_id_offset,
         });
-    }
-
-    /// Incrementally maintain the pool under one graph mutation.
-    ///
-    /// `graph_after` must be the influence graph *with the delta already
-    /// applied* (same fixed vertex set). The reverse BFS that generates an RR
-    /// set only examines the in-edges of vertices *inside* the set, so a
-    /// mutation of edge `(u, v)` can change the outcome of exactly those sets
-    /// that contain the head vertex `v`: any set not containing `v` replays
-    /// the same traversal — and consumes the same random draws from its own
-    /// stream — on the mutated graph. This method therefore resamples only
-    /// the posting list of `v`, each dirty set from its own derived stream,
-    /// and the result is **byte-identical** (via [`InfluenceOracle::to_bytes`])
-    /// to `builder(pool_size).seed(base_seed).incremental().sample(graph_after)`.
-    ///
-    /// Returns the number of RR sets resampled. Errors (non-incremental pool,
-    /// mismatched graph, out-of-range head) leave the oracle untouched.
-    pub fn apply_delta(
-        &mut self,
-        graph_after: &InfluenceGraph,
-        delta: &GraphDelta,
-    ) -> Result<usize, String> {
-        let (base_seed, offset) = match &self.incremental {
-            Some(state) => (state.base_seed, state.set_id_offset),
-            None => {
-                return Err(
-                    "oracle pool was not built incrementally (use OracleBuilder::incremental)"
-                        .into(),
-                )
-            }
-        };
-        if graph_after.num_vertices() != self.num_vertices {
-            return Err(format!(
-                "mutated graph has {} vertices but the pool indexes {}",
-                graph_after.num_vertices(),
-                self.num_vertices
-            ));
-        }
-        let head = delta.head();
-        if head as usize >= self.num_vertices {
-            return Err(format!(
-                "delta head {head} out of range for {} vertices",
-                self.num_vertices
-            ));
-        }
-
-        let dirty = self.pool.postings(head);
-        self.resample_sets(graph_after, base_seed, offset, &dirty);
-        Ok(dirty.len())
     }
 
     /// Incrementally maintain the pool under an atomic **batch** of graph
@@ -638,8 +589,8 @@ impl InfluenceOracle {
     /// would. The result is therefore **byte-identical** (via
     /// [`InfluenceOracle::to_bytes`]) both to a from-scratch incremental
     /// build on `graph_after` and to applying the same deltas one at a time
-    /// through [`InfluenceOracle::apply_delta`] — but a set dirtied by `k`
-    /// deltas of the batch is resampled once, not `k` times.
+    /// as one-element batches — but a set dirtied by `k` deltas of the batch
+    /// is resampled once, not `k` times.
     ///
     /// Returns the number of RR sets resampled (the union's size). Errors
     /// (non-incremental pool, mismatched graph, out-of-range head) leave the
@@ -678,28 +629,12 @@ impl InfluenceOracle {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        self.resample_sets(graph_after, base_seed, offset, &dirty);
-        Ok(dirty.len())
-    }
-
-    /// Resample the given RR sets on `graph_after`, each from its own derived
-    /// stream (keyed by global id `offset + local id`), keeping posting lists
-    /// and traces inverse to each other (the shared core of
-    /// [`InfluenceOracle::apply_delta`] and
-    /// [`InfluenceOracle::apply_delta_batch`]).
-    fn resample_sets(
-        &mut self,
-        graph_after: &InfluenceGraph,
-        base_seed: u64,
-        offset: u64,
-        dirty: &[u32],
-    ) {
         let mut scratch = RrScratch::for_graph(graph_after);
-        for &set_id in dirty {
+        for &set_id in &dirty {
             // The set's previous members, to be unindexed from their postings.
             let old_trace = self.pool.trace(set_id);
-            // Regenerate the set from its own stream, exactly as a rebuild
-            // at this version would.
+            // Regenerate the set from its own stream (keyed by global id
+            // `offset + local id`), exactly as a rebuild at this version would.
             let mut rng = sampler::batch_rng(base_seed, offset + u64::from(set_id));
             let mut trace = scratch.generate(graph_after, &mut rng).vertices;
             trace.sort_unstable();
@@ -711,6 +646,7 @@ impl InfluenceOracle {
         // The batch is done: a compressed pool re-encodes what it dirtied,
         // so no overlay outlives the batch.
         self.pool.fold_overlay();
+        Ok(dirty.len())
     }
 
     /// Materialize the posting list of one vertex (the RR-set ids containing
@@ -1570,7 +1506,9 @@ mod tests {
         for delta in &deltas {
             mutable.apply(delta).unwrap();
             let after = mutable.materialize();
-            let resampled = oracle.apply_delta(&after, delta).unwrap();
+            let resampled = oracle
+                .apply_delta_batch(&after, std::slice::from_ref(delta))
+                .unwrap();
             let rebuilt = InfluenceOracle::builder(2_500)
                 .seed(21)
                 .backend(Backend::Sequential)
@@ -1636,7 +1574,7 @@ mod tests {
         for delta in &deltas {
             mutable.apply(delta).unwrap();
             per_delta
-                .apply_delta(&mutable.materialize(), delta)
+                .apply_delta_batch(&mutable.materialize(), std::slice::from_ref(delta))
                 .unwrap();
         }
         let after = mutable.materialize();
@@ -1680,7 +1618,9 @@ mod tests {
         };
         let mut plain =
             InfluenceOracle::builder(100).sample_with_rng(&ig, &mut Pcg32::seed_from_u64(2));
-        assert!(plain.apply_delta(&ig, &delta).is_err());
+        assert!(plain
+            .apply_delta_batch(&ig, std::slice::from_ref(&delta))
+            .is_err());
 
         let mut incremental = InfluenceOracle::builder(100)
             .seed(2)
@@ -1691,12 +1631,16 @@ mod tests {
             let edges: Vec<_> = (1..3u32).map(|v| (0, v)).collect();
             InfluenceGraph::new(imgraph::DiGraph::from_edges(3, &edges), vec![0.5; 2])
         };
-        assert!(incremental.apply_delta(&smaller, &delta).is_err());
+        assert!(incremental
+            .apply_delta_batch(&smaller, std::slice::from_ref(&delta))
+            .is_err());
         let out_of_range = GraphDelta::DeleteEdge {
             source: 0,
             target: 99,
         };
-        assert!(incremental.apply_delta(&ig, &out_of_range).is_err());
+        assert!(incremental
+            .apply_delta_batch(&ig, std::slice::from_ref(&out_of_range))
+            .is_err());
     }
 
     #[test]
@@ -1825,9 +1769,13 @@ mod tests {
         mutable.apply(&delta).unwrap();
         let after = mutable.materialize();
         let mut single = single;
-        single.apply_delta(&after, &delta).unwrap();
+        single
+            .apply_delta_batch(&after, std::slice::from_ref(&delta))
+            .unwrap();
         for shard in &mut shards {
-            shard.apply_delta(&after, &delta).unwrap();
+            shard
+                .apply_delta_batch(&after, std::slice::from_ref(&delta))
+                .unwrap();
         }
         check_union(&single, &shards);
     }
@@ -1946,9 +1894,15 @@ mod tests {
         for delta in &deltas {
             mutable.apply(delta).unwrap();
             let after = mutable.materialize();
-            let n_raw = raw.apply_delta(&after, delta).unwrap();
+            let n_raw = raw
+                .apply_delta_batch(&after, std::slice::from_ref(delta))
+                .unwrap();
             for o in [&mut compressed, &mut tiered, &mut cold] {
-                assert_eq!(o.apply_delta(&after, delta).unwrap(), n_raw);
+                assert_eq!(
+                    o.apply_delta_batch(&after, std::slice::from_ref(delta))
+                        .unwrap(),
+                    n_raw
+                );
             }
             check_epoch(&raw, [&compressed, &tiered, &cold]);
         }

@@ -436,7 +436,7 @@ impl DynamicOracle {
         self.patch_graph(edges_before, &[delta], &[effect]);
         let resampled = self
             .oracle
-            .apply_delta(&self.graph, &delta)
+            .apply_delta_batch(&self.graph, std::slice::from_ref(&delta))
             .expect("dynamic oracle state is incremental and dimension-consistent");
         self.log.push(delta);
         self.stats.deltas_applied += 1;

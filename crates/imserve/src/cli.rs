@@ -86,11 +86,6 @@ pub enum Command {
         /// Leader address to follow (follower mode): the engine starts
         /// read-only and applies the leader's WAL stream until promoted.
         follow: Option<String>,
-        /// Override the loaded artifact's pool layout before serving
-        /// (`None` keeps the persisted layout). Note a `tiered` override on
-        /// a `POOL` artifact stays fully resident — cold demotion needs the
-        /// artifact itself to carry a `PCMP` section.
-        pool_layout: Option<PoolLayout>,
     },
     /// `imserve route`: a long-lived router process over N shard servers,
     /// exposing the cluster's operational surface — federated `/metrics`,
@@ -348,7 +343,6 @@ pub fn render_usage(binary: &str, table: &[Subcommand]) -> String {
     text
 }
 
-const POOL_LAYOUT: Flag = Flag::optional("--pool-layout", "raw|compressed|tiered");
 const ADDR: Flag = Flag::required("--addr", "host:port");
 
 const BUILD: Subcommand = Subcommand {
@@ -360,7 +354,7 @@ const BUILD: Subcommand = Subcommand {
         Flag::optional("--seed", "S"),
         Flag::optional("--deltas", "<script>"),
         Flag::optional("--shard", "i/N"),
-        POOL_LAYOUT,
+        Flag::optional("--pool-layout", "raw|compressed|tiered"),
         Flag::required("--out", "<path>"),
     ],
 };
@@ -381,7 +375,6 @@ const SERVE: Subcommand = Subcommand {
         Flag::optional("--slow-micros", "N"),
         Flag::optional("--repl-addr", "host:port"),
         Flag::optional("--follow", "host:port"),
-        POOL_LAYOUT,
     ],
 };
 
@@ -737,7 +730,6 @@ fn serve(given: &Given) -> Result<Command, CliError> {
             .unwrap_or(crate::obs::DEFAULT_SLOW_THRESHOLD_MICROS),
         repl_addr,
         follow: given.last("--follow"),
-        pool_layout: given.parsed("--pool-layout", parse_pool_layout)?,
     })
 }
 
@@ -891,26 +883,20 @@ mod tests {
                 Command::Build { pool_layout, .. } => assert_eq!(pool_layout, layout),
                 other => panic!("unexpected command {other:?}"),
             }
-            match parse(&args(&[
+            // The served layout is the artifact's: serve takes no override.
+            let err = parse(&args(&[
                 "serve",
                 "--index",
                 "x.imx",
                 "--pool-layout",
                 label,
             ]))
-            .unwrap()
-            {
-                Command::Serve { pool_layout, .. } => assert_eq!(pool_layout, Some(layout)),
-                other => panic!("unexpected command {other:?}"),
-            }
+            .unwrap_err();
+            assert_eq!(err.0, "unknown option \"--pool-layout\" for serve");
         }
-        // Raw is the build default; serve keeps the persisted layout.
+        // Raw is the build default.
         match parse(&args(&["build", "--dataset", "k", "--out", "x"])).unwrap() {
             Command::Build { pool_layout, .. } => assert_eq!(pool_layout, PoolLayout::Raw),
-            other => panic!("unexpected command {other:?}"),
-        }
-        match parse(&args(&["serve", "--index", "x.imx"])).unwrap() {
-            Command::Serve { pool_layout, .. } => assert_eq!(pool_layout, None),
             other => panic!("unexpected command {other:?}"),
         }
         let err = parse(&args(&[

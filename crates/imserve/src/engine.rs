@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
-use im_core::EstimateScratch;
+use im_core::{EstimateScratch, PoolLayout};
 use imdyn::{CompactionPolicy, DynamicOracle};
 use imgraph::{BatchError, GraphDelta};
 
@@ -339,10 +339,13 @@ impl QueryEngine {
     }
 
     /// Whether a reader would get the serving state now, without waiting:
-    /// no writer holds it or is queued for it. The reactor asks before it
-    /// answers a point request on its loop thread.
-    pub(crate) fn state_is_free(&self) -> bool {
-        self.state.try_read().is_ok()
+    /// no writer holds it or is queued for it, and, for a reader of posting
+    /// lists (`reads_pool`), the pool is not tiered (no list is a `pread`).
+    /// The reactor asks before it answers a point request on its loop thread.
+    pub(crate) fn state_is_free(&self, reads_pool: bool) -> bool {
+        self.state.try_read().is_ok_and(|state| {
+            !reads_pool || state.dynamic.oracle().pool_layout() != PoolLayout::Tiered
+        })
     }
 
     /// The current index epoch (total deltas ever applied).
@@ -1212,7 +1215,7 @@ mod tests {
             assert!(!answers_on_loop(request, &engine), "{request:?}");
         }
         let writer = engine.state.write().unwrap();
-        assert!(!engine.state_is_free());
+        assert!(!engine.state_is_free(false));
         for request in [&estimate, &probes, &Request::Info] {
             assert!(!answers_on_loop(request, &engine), "{request:?}");
         }

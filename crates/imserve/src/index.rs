@@ -244,7 +244,7 @@ impl IndexArtifact {
     }
 
     /// Convert the pool store to another physical layout in place (the
-    /// `--pool-layout` switch behind `imserve build` and `serve`). Purely
+    /// `--pool-layout` switch behind `imserve build`). Purely
     /// physical: queries and the `DLTA`/`SNAP` lineage are unchanged, and
     /// [`IndexArtifact::to_bytes`] picks the matching pool section (`POOL`
     /// for raw, `PCMP` otherwise).

@@ -141,13 +141,9 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
             slow_micros,
             repl_addr,
             follow,
-            pool_layout,
         } => {
             let started = std::time::Instant::now();
-            let mut artifact = IndexArtifact::load(&index)?;
-            if let Some(layout) = pool_layout {
-                artifact.convert_pool_layout(layout);
-            }
+            let artifact = IndexArtifact::load(&index)?;
             eprintln!(
                 "loaded index {} ({} vertices, pool {} [{} layout, {} resident bytes], \
                  epoch {}) in {:.0}ms",

@@ -12,20 +12,29 @@
 //! response, a router's federated scrape, the loadtest delta — is a method
 //! of that one type. Nothing is pushed anywhere.
 //!
+//! The request kinds are listed once, in `request_kinds!` below. That list
+//! generates the per-kind [`RequestLanes`] (`imserve_requests_total` and
+//! `imserve_request_latency_micros`, labelled `type="<kind>"`), the
+//! `requests_by_type` counts [`RequestTypeCounts`] that `Stats` carries, and
+//! the snapshot from one to the other, so a `Stats` key and its metric label
+//! are the same name by construction.
+//!
 //! None of this touches the query wire format: responses stay byte-identical
 //! with metrics enabled, because metrics only ever travel on their own
 //! endpoint or inside the deliberately volatile `Stats`/`Metrics` responses.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use imobs::{Counter, EventLog, Gauge, Histogram, Registry, SlowLog};
+use serde::{Deserialize, Serialize};
 
 use crate::service::{
     FamilyHelp, GaugeSample, HistogramBucket, HistogramSample, MetricSample, MetricsReport,
-    RequestTypeCounts, SlowQuery, SpanStage,
+    SlowQuery, SpanStage,
 };
 
 /// Default slow-query retention threshold (`serve --slow-micros` overrides).
@@ -50,13 +59,113 @@ const ROUTER_ROUNDS_HELP: &str =
      from the candidates carried over from an earlier round counts as path=\"threshold\".";
 
 /// One request type's hot-path handles: a lifetime counter and a latency
-/// histogram (microseconds).
+/// histogram (microseconds). `Compact` and `Reload` record their own
+/// durations (a reload's is the swap under the write lock).
 #[derive(Debug, Clone)]
 pub struct RequestLane {
     /// Lifetime requests of this type.
     pub count: Arc<Counter>,
     /// End-to-end handling latency in microseconds.
     pub latency_micros: Arc<Histogram>,
+}
+
+impl RequestLane {
+    fn register(registry: &Registry, kind: &str) -> Self {
+        Self {
+            count: registry.counter(
+                &format!("imserve_requests_total{{type=\"{kind}\"}}"),
+                "Lifetime requests handled, by request type.",
+            ),
+            latency_micros: registry.histogram(
+                &format!("imserve_request_latency_micros{{type=\"{kind}\"}}"),
+                "End-to-end request handling latency in microseconds, by request type.",
+            ),
+        }
+    }
+}
+
+/// Declare the request kinds once. Each kind's name is its key in `Stats`'
+/// `requests_by_type` and its `type="…"` label on `/metrics`, and the list's
+/// order is both the key order and the registration order. Generates the
+/// wire counts [`RequestTypeCounts`], the per-kind [`RequestLanes`] that
+/// [`ServingMetrics`] holds, and the snapshot from the one to the other.
+macro_rules! request_kinds {
+    ($($(#[doc = $doc:literal])+ $kind:ident,)+) => {
+        /// Lifetime request counts split by request type — the per-type half
+        /// of the operational picture `query --stats` reports. Travels on the
+        /// wire inside `Response::Stats` (volatile, like every other stats
+        /// field).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct RequestTypeCounts {
+            $($(#[doc = $doc])+ pub $kind: u64,)+
+        }
+
+        impl RequestTypeCounts {
+            /// Total requests across every type.
+            #[must_use]
+            pub fn total(&self) -> u64 {
+                0 $(+ self.$kind)+
+            }
+
+            /// Field-wise sum (how a shard router aggregates its backends).
+            #[must_use]
+            pub fn merged(&self, other: &Self) -> Self {
+                Self { $($kind: self.$kind + other.$kind,)+ }
+            }
+        }
+
+        /// One [`RequestLane`] per request kind (wire and in-process paths
+        /// both record here).
+        #[derive(Debug, Clone)]
+        pub struct RequestLanes {
+            $($(#[doc = $doc])+ pub $kind: RequestLane,)+
+        }
+
+        impl RequestLanes {
+            fn register(registry: &Registry) -> Self {
+                Self { $($kind: RequestLane::register(registry, stringify!($kind)),)+ }
+            }
+
+            /// Lifetime request counts split by type (the `ServiceStats` view).
+            #[must_use]
+            pub fn request_counts(&self) -> RequestTypeCounts {
+                RequestTypeCounts { $($kind: self.$kind.count.get(),)+ }
+            }
+        }
+    };
+}
+
+request_kinds! {
+    /// `Ping` liveness checks.
+    ping,
+    /// `Hello` version handshakes.
+    hello,
+    /// `Info` metadata requests.
+    info,
+    /// `Estimate` spread queries.
+    estimate,
+    /// `TopK` selections.
+    top_k,
+    /// `Gains` marginal-coverage queries.
+    gains,
+    /// `GainCandidates` output-sensitive greedy rounds.
+    gain_candidates,
+    /// `MutateBatch` atomic batches.
+    mutate_batch,
+    /// `Compact` requests.
+    compact,
+    /// `Stats` requests.
+    stats,
+    /// `Metrics` snapshot requests.
+    metrics,
+    /// `Health` probes.
+    health,
+    /// `Events` snapshot requests.
+    events,
+    /// `Reload` hot-swap requests.
+    reload,
+    /// `Promote` admin requests.
+    promote,
 }
 
 /// One shard's fan-out handles on the router side.
@@ -82,37 +191,7 @@ pub struct ServingMetrics {
     registry: Registry,
     started: Instant,
 
-    /// Per-request-type lanes (wire and in-process paths both record here).
-    pub ping: RequestLane,
-    /// `Hello` handshake lane.
-    pub hello: RequestLane,
-    /// `Info` lane.
-    pub info: RequestLane,
-    /// `Estimate` lane (the hot path).
-    pub estimate: RequestLane,
-    /// `TopK` lane.
-    pub top_k: RequestLane,
-    /// `Gains` lane.
-    pub gains: RequestLane,
-    /// `GainCandidates` lane (a shard router's greedy rounds).
-    pub gain_candidates: RequestLane,
-    /// `MutateBatch` lane.
-    pub mutate_batch: RequestLane,
-    /// `Compact` lane.
-    pub compact: RequestLane,
-    /// `Stats` lane.
-    pub stats: RequestLane,
-    /// `Metrics` snapshot lane.
-    pub metrics: RequestLane,
-    /// `Health` probe lane.
-    pub health: RequestLane,
-    /// `Events` snapshot lane.
-    pub events: RequestLane,
-    /// `Reload` hot-swap lane (the latency histogram records the swap time
-    /// under the write lock).
-    pub reload: RequestLane,
-    /// `Promote` admin lane.
-    pub promote: RequestLane,
+    requests: RequestLanes,
 
     /// Requests answered with an error (any type).
     pub request_errors: Arc<Counter>,
@@ -256,38 +335,24 @@ pub struct ServingMetrics {
     pub event_log: EventLog,
 }
 
+/// A request kind's lane reads as a field of the metric set
+/// (`obs.estimate.count`), like every other handle it holds.
+impl Deref for ServingMetrics {
+    type Target = RequestLanes;
+
+    fn deref(&self) -> &RequestLanes {
+        &self.requests
+    }
+}
+
 impl ServingMetrics {
     /// A fresh metric set with every family registered, retaining slow
     /// queries at `slow_threshold_micros`.
     #[must_use]
     pub fn new(slow_threshold_micros: u64) -> Arc<Self> {
         let registry = Registry::new();
-        let lane = |kind: &str| RequestLane {
-            count: registry.counter(
-                &format!("imserve_requests_total{{type=\"{kind}\"}}"),
-                "Lifetime requests handled, by request type.",
-            ),
-            latency_micros: registry.histogram(
-                &format!("imserve_request_latency_micros{{type=\"{kind}\"}}"),
-                "End-to-end request handling latency in microseconds, by request type.",
-            ),
-        };
         let m = Self {
-            ping: lane("ping"),
-            hello: lane("hello"),
-            info: lane("info"),
-            estimate: lane("estimate"),
-            top_k: lane("top_k"),
-            gains: lane("gains"),
-            gain_candidates: lane("gain_candidates"),
-            mutate_batch: lane("mutate_batch"),
-            compact: lane("compact"),
-            stats: lane("stats"),
-            metrics: lane("metrics"),
-            health: lane("health"),
-            events: lane("events"),
-            reload: lane("reload"),
-            promote: lane("promote"),
+            requests: RequestLanes::register(&registry),
             request_errors: registry.counter(
                 "imserve_request_errors_total",
                 "Requests answered with an error.",
@@ -549,28 +614,6 @@ impl ServingMetrics {
         self.pool_cold_read_bytes
             .add(bytes.checked_sub(seen.1).unwrap_or(bytes));
         *seen = (reads, bytes);
-    }
-
-    /// Lifetime request counts split by type (the `ServiceStats` view).
-    #[must_use]
-    pub fn request_counts(&self) -> RequestTypeCounts {
-        RequestTypeCounts {
-            ping: self.ping.count.get(),
-            hello: self.hello.count.get(),
-            info: self.info.count.get(),
-            estimate: self.estimate.count.get(),
-            top_k: self.top_k.count.get(),
-            gains: self.gains.count.get(),
-            gain_candidates: self.gain_candidates.count.get(),
-            mutate_batch: self.mutate_batch.count.get(),
-            compact: self.compact.count.get(),
-            stats: self.stats.count.get(),
-            metrics: self.metrics.count.get(),
-            health: self.health.count.get(),
-            events: self.events.count.get(),
-            reload: self.reload.count.get(),
-            promote: self.promote.count.get(),
-        }
     }
 
     /// Offer a finished span to the slow log (counting retentions).

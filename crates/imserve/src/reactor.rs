@@ -108,8 +108,9 @@
 //!   `Health`, and — while no writer holds or waits for the serving state,
 //!   so a mutation in progress never stalls the loop — `Info`, `Estimate`
 //!   and `GainCandidates { limit: 0 }` (point reads of the seeds' and
-//!   probes' posting lists). A line that is not a frame is refused there
-//!   too;
+//!   probes' posting lists). The last two stay off the loop when the pool
+//!   is tiered, since a cold list is a `pread` from the index file. A line
+//!   that is not a frame is refused on the loop too;
 //! * **on a worker**: everything that makes a pool pass, writes, or
 //!   renders a report — `TopK`, `Gains`, `GainCandidates` with a limit,
 //!   `MutateBatch`, `Compact`, `Reload`, `Promote`, `Stats`, `Metrics`,
@@ -174,12 +175,15 @@ impl Default for ReactorConfig {
 /// Whether the loop answers `request` itself — the fixed table of the
 /// module docs. Point requests that read the serving state qualify only
 /// while no writer holds it or waits for it, so a mutation in progress
-/// stalls the worker that asked, never the loop.
+/// stalls the worker that asked, never the loop; point reads of posting
+/// lists qualify only on a pool that is not tiered, so a cold file's read
+/// (or its failure) stalls a worker, never the loop.
 pub(crate) fn answers_on_loop(request: &Request, engine: &QueryEngine) -> bool {
     match request {
         Request::Ping | Request::Hello { .. } | Request::Health => true,
-        Request::Info | Request::Estimate { .. } | Request::GainCandidates { limit: 0, .. } => {
-            engine.state_is_free()
+        Request::Info => engine.state_is_free(false),
+        Request::Estimate { .. } | Request::GainCandidates { limit: 0, .. } => {
+            engine.state_is_free(true)
         }
         _ => false,
     }

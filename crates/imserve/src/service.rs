@@ -44,6 +44,9 @@ use crate::engine::QueryEngine;
 use crate::error::ServeError;
 use crate::protocol::{Request, Response, TopKAlgorithm};
 
+// Generated with the metric lanes from the one list of request kinds.
+pub use crate::obs::RequestTypeCounts;
+
 /// Everything that can go wrong while answering an influence query, typed by
 /// *whose fault it is* so callers can branch without parsing messages. The
 /// first four variants travel over protocol v2 as
@@ -337,87 +340,6 @@ pub struct PromotionOutcome {
     /// Whether this call actually flipped the node writable (`false` when
     /// it was already a leader — promotion is idempotent).
     pub was_read_only: bool,
-}
-
-/// Lifetime request counts split by request type — the per-type half of the
-/// operational picture `query --stats` reports. Travels on the wire inside
-/// `Response::Stats` (volatile, like every other stats field).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RequestTypeCounts {
-    /// `Ping` liveness checks.
-    pub ping: u64,
-    /// `Hello` version handshakes.
-    pub hello: u64,
-    /// `Info` metadata requests.
-    pub info: u64,
-    /// `Estimate` spread queries.
-    pub estimate: u64,
-    /// `TopK` selections.
-    pub top_k: u64,
-    /// `Gains` marginal-coverage queries.
-    pub gains: u64,
-    /// `GainCandidates` output-sensitive greedy rounds.
-    pub gain_candidates: u64,
-    /// `MutateBatch` atomic batches.
-    pub mutate_batch: u64,
-    /// `Compact` requests.
-    pub compact: u64,
-    /// `Stats` requests.
-    pub stats: u64,
-    /// `Metrics` snapshot requests.
-    pub metrics: u64,
-    /// `Health` probes.
-    pub health: u64,
-    /// `Events` snapshot requests.
-    pub events: u64,
-    /// `Reload` hot-swap requests.
-    pub reload: u64,
-    /// `Promote` admin requests.
-    pub promote: u64,
-}
-
-impl RequestTypeCounts {
-    /// Total requests across every type.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.ping
-            + self.hello
-            + self.info
-            + self.estimate
-            + self.top_k
-            + self.gains
-            + self.gain_candidates
-            + self.mutate_batch
-            + self.compact
-            + self.stats
-            + self.metrics
-            + self.health
-            + self.events
-            + self.reload
-            + self.promote
-    }
-
-    /// Field-wise sum (how a shard router aggregates its backends).
-    #[must_use]
-    pub fn merged(&self, other: &Self) -> Self {
-        Self {
-            ping: self.ping + other.ping,
-            hello: self.hello + other.hello,
-            info: self.info + other.info,
-            estimate: self.estimate + other.estimate,
-            top_k: self.top_k + other.top_k,
-            gains: self.gains + other.gains,
-            gain_candidates: self.gain_candidates + other.gain_candidates,
-            mutate_batch: self.mutate_batch + other.mutate_batch,
-            compact: self.compact + other.compact,
-            stats: self.stats + other.stats,
-            metrics: self.metrics + other.metrics,
-            health: self.health + other.health,
-            events: self.events + other.events,
-            reload: self.reload + other.reload,
-            promote: self.promote + other.promote,
-        }
-    }
 }
 
 /// Serving counters, pool dimensions and the epoch timeline.
