@@ -1,26 +1,21 @@
 //! Shared fixtures for the Criterion benches.
 //!
-//! Each bench target in `benches/` regenerates the series of one table or
-//! figure of the paper at a reduced scale *and* measures the wall-clock cost
-//! of the kernel that dominates that experiment. The fixtures here keep the
-//! bench bodies small and make sure every bench uses the same instances and
-//! seeds, so numbers are comparable across benches.
+//! The bench targets in `benches/` time kernels and ablations: the CELF,
+//! lazy/pruned, snapshot and space reductions, the parallel sampler, the LT
+//! model, the heuristics, sample-number determination, `imdyn` delta
+//! application and the serving engine's estimate path. The paper's tables and
+//! figures are not benches: `imexp all --scale quick --json` regenerates them
+//! as the committed `BENCH_paper.json`. The fixtures here keep the bench
+//! bodies small and make sure every bench uses the same instances and seeds,
+//! so numbers are comparable across benches.
 
-use im_core::InfluenceOracle;
-use imexp::{InstanceConfig, PreparedInstance, SweepConfig};
-use imgraph::InfluenceGraph;
+use imexp::{InstanceConfig, PreparedInstance};
 use imnet::{Dataset, ProbabilityModel};
 
 /// The Karate club under a given probability model, with a medium oracle.
 #[must_use]
 pub fn karate(model: ProbabilityModel) -> PreparedInstance {
     PreparedInstance::prepare(InstanceConfig::new(Dataset::Karate, model), 50_000, 17)
-}
-
-/// The Physicians analog under a given probability model.
-#[must_use]
-pub fn physicians(model: ProbabilityModel) -> PreparedInstance {
-    PreparedInstance::prepare(InstanceConfig::new(Dataset::Physicians, model), 50_000, 17)
 }
 
 /// A scaled-down ca-GrQc analog (factor 8) under a given probability model.
@@ -45,26 +40,6 @@ pub fn ba_sparse(model: ProbabilityModel) -> PreparedInstance {
     PreparedInstance::prepare(InstanceConfig::new(Dataset::BaSparse, model), 50_000, 17)
 }
 
-/// A bare influence graph without an oracle (for benches that only need runs).
-#[must_use]
-pub fn graph(dataset: Dataset, model: ProbabilityModel) -> InfluenceGraph {
-    dataset.influence_graph(model, 17)
-}
-
-/// A small sweep used by the figure benches: powers of two up to `2^max_exp`,
-/// `trials` trials each, serial execution so Criterion timings are stable.
-#[must_use]
-pub fn small_sweep(max_exp: u32, trials: usize) -> SweepConfig {
-    SweepConfig::powers_of_two(max_exp, trials).with_parallel(false)
-}
-
-/// A tiny oracle for benches that need one built inline.
-#[must_use]
-pub fn small_oracle(graph: &InfluenceGraph, pool: usize) -> InfluenceOracle {
-    let mut rng = imrand::default_rng(29);
-    InfluenceOracle::builder(pool).sample_with_rng(graph, &mut rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,8 +50,5 @@ mod tests {
         assert_eq!(k.graph.num_vertices(), 34);
         let g = grqc_small(ProbabilityModel::OutDegreeWeighted);
         assert!(g.graph.num_vertices() < 1_000);
-        assert_eq!(small_sweep(3, 5).sample_numbers, vec![1, 2, 4, 8]);
-        let oracle = small_oracle(&graph(Dataset::Karate, ProbabilityModel::uc001()), 1_000);
-        assert_eq!(oracle.pool_size(), 1_000);
     }
 }

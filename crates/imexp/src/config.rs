@@ -135,13 +135,6 @@ impl SweepConfig {
         self
     }
 
-    /// Disable/enable threading (builder style): `true` = one worker per
-    /// core, `false` = sequential.
-    #[must_use]
-    pub fn with_parallel(self, parallel: bool) -> Self {
-        self.with_threads(if parallel { 0 } else { 1 })
-    }
-
     /// Keep only sample numbers `≤ cap` (the per-approach caps differ: β and τ
     /// go up to 2¹⁶ in the paper, θ up to 2²⁴).
     #[must_use]
@@ -175,6 +168,16 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
+    /// The scale's name on the command line (`--scale quick`).
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            ExperimentScale::Quick => "quick",
+            ExperimentScale::Standard => "standard",
+            ExperimentScale::Paper => "paper",
+        }
+    }
+
     /// Trials per configuration on small networks (`T` in the paper: 1,000).
     #[must_use]
     pub fn trials_small(&self) -> usize {
@@ -290,9 +293,9 @@ mod tests {
         assert_eq!(sweep.trials, 10);
         let capped = sweep.capped_at(5);
         assert_eq!(capped.sample_numbers, vec![1, 2, 4]);
-        let reseeded = capped.with_base_seed(7).with_parallel(false);
+        let reseeded = capped.with_base_seed(7).with_threads(1);
         assert_eq!(reseeded.base_seed, 7);
-        assert_eq!(reseeded.threads, 1, "with_parallel(false) pins one worker");
+        assert_eq!(reseeded.threads, 1);
         assert_eq!(reseeded.with_threads(4).threads, 4);
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Both drivers follow the same conventions as the per-table/figure drivers —
 //! they return an [`ExperimentReport`] with rendered tables — so the `imexp`
-//! binary, the benches and the tests can treat them uniformly.
+//! binary and the tests can treat them uniformly.
 
 use im_core::determination::{determine_all_sample_numbers, AccuracyTarget};
 use imheur::{

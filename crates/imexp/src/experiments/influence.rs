@@ -2,7 +2,7 @@
 
 use imnet::{Dataset, ProbabilityModel};
 
-use crate::config::{ApproachKind, ExperimentScale, SweepConfig};
+use crate::config::{ApproachKind, ExperimentScale};
 use crate::experiments::{instance_for, trials_for, ExperimentReport};
 use crate::report::{fmt_float, TextTable};
 use crate::runner::PreparedInstance;
@@ -241,42 +241,9 @@ pub fn fig6(scale: ExperimentScale) -> ExperimentReport {
     report
 }
 
-/// Helper shared by tests and benches: a cut-down Figure 4-style sweep with an
-/// explicit sweep configuration (so callers control the cost precisely).
-#[must_use]
-pub fn influence_distribution_table(
-    instance: &PreparedInstance,
-    approach: ApproachKind,
-    k: usize,
-    sweep: &SweepConfig,
-) -> TextTable {
-    let analyzed = instance.sweep(approach, k, sweep);
-    let mut table = TextTable::new(
-        format!(
-            "Influence distribution, {} on {}",
-            approach.name(),
-            instance.label()
-        ),
-        &["sample number", "mean", "median", "sd", "p1", "p99"],
-    );
-    for a in &analyzed.analyses {
-        let s = &a.influence_stats;
-        table.add_row(vec![
-            a.sample_number.to_string(),
-            fmt_float(s.mean),
-            fmt_float(s.median),
-            fmt_float(s.std_dev),
-            fmt_float(s.p01),
-            fmt_float(s.p99),
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::InstanceConfig;
 
     #[test]
     fn table4_reports_three_ranks_for_both_networks() {
@@ -293,29 +260,6 @@ mod tests {
         assert!(
             top_uc01 > top_uc001,
             "uc0.1 top influence {top_uc01} should exceed uc0.01 {top_uc001}"
-        );
-    }
-
-    #[test]
-    fn influence_distribution_table_has_one_row_per_sample_number() {
-        let instance = PreparedInstance::prepare(
-            InstanceConfig::new(Dataset::Karate, ProbabilityModel::uc01()),
-            5_000,
-            1,
-        );
-        let sweep = SweepConfig {
-            sample_numbers: vec![1, 32],
-            trials: 20,
-            base_seed: 5,
-            threads: 0,
-        };
-        let table = influence_distribution_table(&instance, ApproachKind::Snapshot, 4, &sweep);
-        assert_eq!(table.num_rows(), 2);
-        let mean_small: f64 = table.rows()[0][1].parse().unwrap();
-        let mean_large: f64 = table.rows()[1][1].parse().unwrap();
-        assert!(
-            mean_large >= mean_small * 0.9,
-            "mean should not collapse with more samples"
         );
     }
 }

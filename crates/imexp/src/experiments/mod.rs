@@ -89,6 +89,36 @@ impl std::fmt::Display for ExperimentReport {
     }
 }
 
+/// The paper's numbers as one document: what `imexp all --json` prints and
+/// `BENCH_paper.json` commits. The reports keep their run order, which is
+/// [`experiment_names`] order, and `invocation` is the command line that
+/// regenerates the document.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PaperDocument {
+    /// The schema tag, `imexp-paper/v1`.
+    pub schema: String,
+    /// The `imexp` command line that printed this document.
+    pub invocation: String,
+    /// The scale every report ran at (`quick`, `standard` or `paper`).
+    pub scale: String,
+    /// One report per experiment, in run order.
+    pub reports: Vec<ExperimentReport>,
+}
+
+impl PaperDocument {
+    /// The document of an `imexp all --scale <scale> --json` run that
+    /// produced `reports`.
+    #[must_use]
+    pub fn new(scale: ExperimentScale, reports: Vec<ExperimentReport>) -> Self {
+        Self {
+            schema: "imexp-paper/v1".to_string(),
+            invocation: format!("imexp all --scale {} --json", scale.name()),
+            scale: scale.name().to_string(),
+            reports,
+        }
+    }
+}
+
 /// The dataset specification an experiment should use at a given scale:
 /// exact data sets are untouched, analogs are scaled down by the scale's
 /// factor (1 at paper scale).
@@ -139,8 +169,8 @@ pub fn trials_for(dataset: Dataset, scale: ExperimentScale) -> usize {
     }
 }
 
-/// The registry of all experiment drivers, used by the `imexp` binary and the
-/// benches.
+/// The registry of all experiment drivers, in the order `imexp all` runs
+/// them and `BENCH_paper.json` lists them.
 #[must_use]
 pub fn experiment_names() -> Vec<&'static str> {
     vec![
@@ -209,6 +239,31 @@ mod tests {
         assert!(rendered.contains("== demo"));
         assert!(rendered.contains("note: something"));
         assert!(format!("{report}").contains("demo experiment"));
+    }
+
+    #[test]
+    fn the_paper_document_embeds_its_invocation_and_keeps_report_order() {
+        let reports = vec![
+            ExperimentReport::new("table3", "network statistics"),
+            ExperimentReport::new("fig1", "entropy decay"),
+        ];
+        let document = PaperDocument::new(ExperimentScale::Quick, reports);
+        let json = serde_json::to_string_pretty(&document).unwrap();
+        for field in [
+            r#""schema": "imexp-paper/v1""#,
+            r#""invocation": "imexp all --scale quick --json""#,
+            r#""scale": "quick""#,
+        ] {
+            assert!(json.contains(field), "{field} in {json}");
+        }
+        let parsed: PaperDocument = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed, document);
+        let ids: Vec<&str> = parsed.reports.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids, ["table3", "fig1"]);
+        assert_eq!(
+            PaperDocument::new(ExperimentScale::Standard, Vec::new()).invocation,
+            "imexp all --scale standard --json"
+        );
     }
 
     #[test]

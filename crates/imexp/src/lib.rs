@@ -14,8 +14,9 @@
 //!   rows mirror the paper's.
 //!
 //! The `imexp` binary exposes every driver on the command line
-//! (`imexp fig1 --quick`), and the Criterion benches in `crates/bench` call
-//! the same drivers. [`loadtest`] additionally drives the unified
+//! (`imexp fig1 --scale quick`), and `imexp all --scale quick --json` prints
+//! all of them as one [`experiments::PaperDocument`], committed as
+//! `BENCH_paper.json`. [`loadtest`] additionally drives the unified
 //! `InfluenceService` surface: the same workload against the local, remote
 //! and sharded backends (`imexp loadtest --backend sharded:2`), with
 //! byte-identity verification of the sharded merge. [`poolbench`] compares

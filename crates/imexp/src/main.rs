@@ -3,33 +3,22 @@
 //! ```text
 //! imexp list
 //! imexp table3 --scale standard --json
-//! imexp all
+//! imexp all --scale quick --json > BENCH_paper.json
 //! ```
 //!
 //! Each experiment name corresponds to one table or figure of the paper; see
-//! `imexp list` or DESIGN.md for the mapping. The command line is the flag
-//! table in `imexp::cli`; a bad invocation prints the usage text rendered
-//! from it. The index artifact the serving layer loads is written by
-//! `imserve build`.
+//! `imexp list` or DESIGN.md for the mapping. `imexp all --json` prints one
+//! document (schema `imexp-paper/v1`, invocation embedded) holding every
+//! report in `imexp list` order. At quick scale that document is the
+//! committed `BENCH_paper.json`, which CI regenerates and compares. The
+//! command line is the flag table in `imexp::cli`; a bad invocation prints
+//! the usage text rendered from it. The index artifact the serving layer
+//! loads is written by `imserve build`.
 
 use std::process::ExitCode;
 
 use imexp::cli::{self, Cli};
-use imexp::config::ExperimentScale;
-use imexp::experiments::{experiment_names, run_by_name};
-
-fn print_report(name: &str, scale: ExperimentScale, json: bool) -> Result<(), String> {
-    let report = run_by_name(name, scale).ok_or_else(|| format!("unknown experiment {name:?}"))?;
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("report serialises")
-        );
-    } else {
-        println!("{report}");
-    }
-    Ok(())
-}
+use imexp::experiments::{experiment_names, run_by_name, PaperDocument};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,19 +39,36 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Cli::All { scale, json } => {
-            for name in experiment_names() {
+            // Text streams report by report; JSON is one document at the end.
+            let reports = (experiment_names().into_iter()).map(|name| {
                 eprintln!("running {name} …");
-                if let Err(e) = print_report(name, scale, json) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
+                let report = run_by_name(name, scale).expect("registered experiments run");
+                if !json {
+                    println!("{report}");
                 }
+                report
+            });
+            let document = PaperDocument::new(scale, reports.collect());
+            if json {
+                println!(
+                    "{}",
+                    serde_json::to_string_pretty(&document).expect("document serialises")
+                );
             }
             ExitCode::SUCCESS
         }
-        Cli::Run { name, scale, json } => match print_report(&name, scale, json) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
+        Cli::Run { name, scale, json } => match run_by_name(&name, scale) {
+            Some(report) if json => {
+                let json = serde_json::to_string_pretty(&report).expect("report serialises");
+                println!("{json}");
+                ExitCode::SUCCESS
+            }
+            Some(report) => {
+                println!("{report}");
+                ExitCode::SUCCESS
+            }
+            None => {
+                eprintln!("error: unknown experiment {name:?}");
                 eprintln!("{}", cli::usage());
                 ExitCode::FAILURE
             }

@@ -520,7 +520,9 @@ impl QueryEngine {
     ///   degradation);
     /// * `reactor_backpressure` — no connection is currently paused at its
     ///   in-flight/backlog bound (sampled each reactor tick; an engine not
-    ///   behind a reactor reads the gauge's resting zero).
+    ///   behind a reactor reads the gauge's resting zero);
+    /// * `worker_panics` — no request has panicked in a compute worker (a
+    ///   truncated cold file, say); degraded until restart.
     #[must_use]
     pub fn health(&self) -> HealthReport {
         self.obs.health.count.inc();
@@ -539,6 +541,12 @@ impl QueryEngine {
             "reactor_backpressure",
             throttled == 0,
             format!("{throttled} connection(s) paused at their in-flight/backlog bound"),
+        );
+        let panics = self.obs.worker_panics.get();
+        report.push(
+            "worker_panics",
+            panics == 0,
+            format!("{panics} request(s) panicked in a compute worker (see /events)"),
         );
         report
     }

@@ -287,10 +287,10 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
             );
             // Printed on stdout so scripts can scrape the resolved port.
             println!("imserve listening on {}", handle.addr());
-            // Serve until killed; the acceptor thread owns the listener.
-            loop {
-                std::thread::park();
-            }
+            // Serve until killed; the front end's thread owns the listener,
+            // and if it ever returns the process must not linger portless.
+            handle.wait();
+            Err("the front end stopped serving (see /events)".into())
         }
         Command::Route {
             addrs,

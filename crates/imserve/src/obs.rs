@@ -277,6 +277,9 @@ pub struct ServingMetrics {
     pub reactor_answered_loop: Arc<Counter>,
     /// Request lines the reactor handed to its compute pool.
     pub reactor_answered_worker: Arc<Counter>,
+    /// Requests that panicked in a compute worker, each answered with a
+    /// typed `Internal` error while the worker kept serving.
+    pub worker_panics: Arc<Counter>,
     /// `accept` calls that failed for a reason other than an empty queue
     /// (`EMFILE` and kin); the listener is left unwatched until a connection
     /// is reaped or the wait times out.
@@ -484,6 +487,10 @@ impl ServingMetrics {
             reactor_answered_worker: registry.counter(
                 "imserve_reactor_requests_total{path=\"worker\"}",
                 REACTOR_REQUESTS_HELP,
+            ),
+            worker_panics: registry.counter(
+                "imserve_worker_panics_total",
+                "Requests that panicked in a compute worker and were answered with an Internal error.",
             ),
             accept_errors: registry.counter(
                 "imserve_accept_errors_total",

@@ -123,12 +123,14 @@
 //! as the threaded front end, so for identical request streams the two
 //! servers produce byte-identical response streams.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::ffi::c_short;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -139,7 +141,9 @@ use crate::error::ServeError;
 use crate::linebuf::{LineBuffer, LineError};
 use crate::obs::ServingMetrics;
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use crate::protocol::{Request, MAX_FRAME_LEN};
+use crate::protocol::{
+    self, ErrorKind, Outcome, Request, ResponseFrame, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
 use crate::server::{
     answer_request, decode_line, refuse_oversized_line, Decoded, Line, ServerHandle,
 };
@@ -517,8 +521,18 @@ pub fn spawn(
                         Err(_) => return, // loop gone: shut down
                     };
                     let queue_wait = job.enqueued.elapsed().as_micros() as u64;
-                    let reply =
-                        answer_request(&engine, job.request, &mut scratch, Some(queue_wait));
+                    let frame = (job.request.frame.id, job.request.frame.trace);
+                    // A panic costs its own reply, never the worker: the
+                    // engine's state sits behind read guards a panic does
+                    // not poison, and the scratch is rebuilt in case the
+                    // panic left it half written.
+                    let answered = panic::catch_unwind(AssertUnwindSafe(|| {
+                        answer_request(&engine, job.request, &mut scratch, Some(queue_wait))
+                    }));
+                    let reply = answered.unwrap_or_else(|payload| {
+                        scratch = engine.new_scratch();
+                        answer_panicked(engine.obs(), worker_id, frame, &*payload)
+                    });
                     if done_tx
                         .send(Completion {
                             connection: job.connection,
@@ -564,7 +578,50 @@ pub fn spawn(
     })
 }
 
-/// The event loop proper (runs on its own thread until `stop`).
+/// The reply to a job whose answer panicked on compute worker `worker`: a
+/// typed `Internal` error for its frame `(id, trace)`, so the connection
+/// stays in step. The panic is counted and logged.
+fn answer_panicked(
+    obs: &ServingMetrics,
+    worker: usize,
+    (id, trace): (u64, Option<u64>),
+    payload: &(dyn Any + Send),
+) -> Result<String, ServeError> {
+    let cause = (payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a panic without a message".to_string());
+    obs.worker_panics.inc();
+    obs.request_errors.inc();
+    obs.event_log.error(
+        "worker_panicked",
+        trace.unwrap_or(0),
+        vec![
+            imobs::EventField::u64("worker", worker as u64),
+            imobs::EventField::text("cause", cause.clone()),
+        ],
+    );
+    protocol::encode(&ResponseFrame {
+        v: PROTOCOL_VERSION,
+        id,
+        body: Outcome::Err(WireError {
+            kind: ErrorKind::Internal,
+            message: format!("the request panicked on a compute worker: {cause}"),
+        }),
+    })
+}
+
+/// The loop's last word when its compute pool is gone: without workers it
+/// cannot answer, so it stops and [`ServerHandle::wait`] returns.
+fn pool_gone(obs: &ServingMetrics) {
+    obs.event_log.error(
+        "reactor_stopped",
+        0,
+        vec![imobs::EventField::str("cause", "compute pool gone")],
+    );
+}
+
+/// The event loop proper (runs on its own thread until `stop`, or until
+/// the compute pool is gone, which it logs).
 fn run_loop(
     listener: &TcpListener,
     mut wake: &UnixStream,
@@ -627,7 +684,7 @@ fn run_loop(
                     }
                 }
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Disconnected) => return pool_gone(obs),
             }
         }
 
@@ -752,7 +809,7 @@ fn run_loop(
                             enqueued: Instant::now(),
                         };
                         if job_tx.send(job).is_err() {
-                            return; // compute pool gone
+                            return pool_gone(obs);
                         }
                     }
                 }

@@ -69,6 +69,14 @@ impl ServerHandle {
         self.addr
     }
 
+    /// Block until the front end stops serving: on [`ServerHandle::shutdown`]
+    /// or when it no longer can (the reactor's compute pool is gone).
+    pub fn wait(mut self) {
+        if let Some(handle) = self.acceptor.take() {
+            let _ = handle.join();
+        }
+    }
+
     /// Stop accepting connections and join the acceptor thread.
     ///
     /// In-flight connections are drained by their workers; workers themselves

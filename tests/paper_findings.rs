@@ -1,5 +1,5 @@
 //! Integration tests asserting the paper's qualitative findings hold on this
-//! implementation (the "shape" reproduction the benches quantify).
+//! implementation (the "shape" reproduction `BENCH_paper.json` quantifies).
 
 use im_study::prelude::*;
 
