@@ -135,26 +135,12 @@ pub fn put_f64(buf: &mut Vec<u8>, x: f64) {
     buf.extend_from_slice(&x.to_bits().to_le_bytes());
 }
 
-/// Append a length-prefixed `u32` slice.
-pub fn put_u32_slice(buf: &mut Vec<u8>, xs: &[u32]) {
-    put_u64(buf, xs.len() as u64);
-    for &x in xs {
-        put_u32(buf, x);
-    }
-}
-
 /// Append a length-prefixed `f64` slice.
 pub fn put_f64_slice(buf: &mut Vec<u8>, xs: &[f64]) {
     put_u64(buf, xs.len() as u64);
     for &x in xs {
         put_f64(buf, x);
     }
-}
-
-/// Append a length-prefixed byte string.
-pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,11 +11,9 @@
 //! Storage is a bounded ring of per-slot mutexes indexed by an atomic
 //! sequence counter — writers never contend on a shared lock (two writers
 //! collide only when the ring wraps onto the same slot), and the ring
-//! keeps the most recent `capacity` events. An optional JSON-lines stderr
-//! sink mirrors every event as it is recorded, for operators tailing the
-//! process log.
+//! keeps the most recent `capacity` events.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Default ring capacity: enough recent history for an incident timeline
@@ -163,7 +161,7 @@ fn escape_json(s: &str, out: &mut String) {
 }
 
 impl Event {
-    /// Render the event as one JSON object line (the stderr sink format).
+    /// Render the event as one JSON object line (the `/events` format).
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
@@ -218,7 +216,6 @@ impl Event {
 pub struct EventLog {
     seq: AtomicU64,
     slots: Vec<Mutex<Option<Event>>>,
-    json_stderr: AtomicBool,
 }
 
 impl Default for EventLog {
@@ -235,13 +232,7 @@ impl EventLog {
         Self {
             seq: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            json_stderr: AtomicBool::new(false),
         }
-    }
-
-    /// Enable or disable the JSON-lines stderr sink (off by default).
-    pub fn set_stderr_sink(&self, enabled: bool) {
-        self.json_stderr.store(enabled, Ordering::Relaxed);
     }
 
     /// Record one event under `trace` (`0` for no trace).
@@ -265,9 +256,6 @@ impl EventLog {
             trace,
             fields,
         };
-        if self.json_stderr.load(Ordering::Relaxed) {
-            eprintln!("{}", event.to_json());
-        }
         let slot = (seq % self.slots.len() as u64) as usize;
         *self.slots[slot].lock().expect("event slot lock") = Some(event);
     }

@@ -25,8 +25,8 @@
 //!   (router → shard) stitch into one causal trace.
 //! - [`SlowLog`] — a bounded ring of the worst [`SpanRecord`]s over a
 //!   configurable latency threshold.
-//! - [`events`] — a leveled, typed-field operational event log with a
-//!   bounded ring and an optional JSON-lines stderr sink.
+//! - [`events`] — a leveled, typed-field operational event log in a
+//!   bounded ring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -225,23 +225,6 @@ impl Pool {
         }
     }
 
-    /// Visit RR set `set`'s sorted member trace, monomorphized per layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool carries no traces.
-    #[inline]
-    pub fn for_each_trace_inline(&self, set: u32, mut f: impl FnMut(u32)) {
-        match self {
-            Pool::Raw(p) => {
-                for &v in p.trace_slice(set) {
-                    f(v);
-                }
-            }
-            Pool::Compressed(p) | Pool::Tiered(p) => p.scan_trace(set, &mut f),
-        }
-    }
-
     /// Visit every posting list, vertices `0..num_vertices` in order, ids
     /// increasing — the sequence `for_each_posting_inline(0)`, `(1)`, …
     /// yields, dispatched on layout once per pass instead of once per list.

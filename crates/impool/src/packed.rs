@@ -529,19 +529,6 @@ impl PackedPool {
         self.postings.scan(v, f);
     }
 
-    /// Visit RR set `set`'s trace (monomorphized hot path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool carries no traces.
-    #[inline]
-    pub fn scan_trace(&self, set: u32, f: &mut impl FnMut(u32)) {
-        self.traces
-            .as_ref()
-            .expect("compressed pool has no traces")
-            .scan(set, f);
-    }
-
     /// Length of vertex `v`'s posting list.
     #[inline]
     #[must_use]

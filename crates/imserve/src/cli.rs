@@ -54,11 +54,8 @@ pub enum Command {
         index: String,
         /// Bind address (`host:port`; port 0 picks an ephemeral port).
         addr: String,
-        /// Front end: the event-driven reactor (default) or the threaded
-        /// turn-queue fallback (`--threaded`).
-        reactor: bool,
-        /// Worker threads (reactor: compute-pool threads; threaded: turn
-        /// workers).
+        /// Compute-pool threads: the reactor answers point requests on its
+        /// event loop and hands every other request to these.
         workers: usize,
         /// `TopK` LRU cache capacity.
         cache: usize,
@@ -364,8 +361,6 @@ const SERVE: Subcommand = Subcommand {
     flags: &[
         Flag::required("--index", "<path>"),
         Flag::optional("--addr", "host:port"),
-        Flag::switch("--reactor"),
-        Flag::switch("--threaded"),
         Flag::optional("--workers", "N"),
         Flag::optional("--cache", "N"),
         Flag::optional("--compact-log-len", "N"),
@@ -454,7 +449,7 @@ several --addr values route through a sharded service; route takes |-separated r
 query sends exactly one request; mutate applies its deltas atomically, in order
 delta scripts hold one JSON delta per line, e.g. {\"DeleteEdge\":{\"source\":0,\"target\":1}}
 compact takes --addr (a running server) or --index with --out (an artifact file)
---reactor (the default) and --threaded pick the front end; --repl-addr needs --wal
+--repl-addr needs --wal
 --shard i/N builds shard i of a global pool; tiered leaves cold pool blocks in the artifact file";
 
 /// The usage text: [`SUBCOMMANDS`] rendered, then the notes the table
@@ -686,11 +681,6 @@ fn compact(given: &Given) -> Result<Command, CliError> {
 }
 
 fn serve(given: &Given) -> Result<Command, CliError> {
-    if given.has("--reactor") && given.has("--threaded") {
-        return Err(CliError(
-            "--reactor and --threaded are mutually exclusive".to_string(),
-        ));
-    }
     let workers = given.number("--workers")?.unwrap_or(4usize);
     positive("--workers", workers)?;
     let cache = (given.number("--cache")?).unwrap_or(crate::engine::DEFAULT_CACHE_CAPACITY);
@@ -719,7 +709,6 @@ fn serve(given: &Given) -> Result<Command, CliError> {
         addr: given
             .last("--addr")
             .unwrap_or_else(|| "127.0.0.1:7431".to_string()),
-        reactor: !given.has("--threaded"),
         workers,
         cache,
         compact_log_len,
@@ -1156,22 +1145,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_front_end_flags_parse_and_exclude_each_other() {
-        // Reactor is the default.
-        match parse(&args(&["serve", "--index", "x.imx"])).unwrap() {
-            Command::Serve { reactor, .. } => assert!(reactor),
-            other => panic!("unexpected command {other:?}"),
+    fn serve_front_end_flags_are_unknown_options() {
+        // One front end: neither switch names a choice any more.
+        for flag in ["--threaded", "--reactor"] {
+            let err = parse(&args(&["serve", "--index", "x.imx", flag])).unwrap_err();
+            assert_eq!(err.0, format!("unknown option \"{flag}\" for serve"));
         }
-        match parse(&args(&["serve", "--index", "x.imx", "--threaded"])).unwrap() {
-            Command::Serve { reactor, .. } => assert!(!reactor),
-            other => panic!("unexpected command {other:?}"),
-        }
-        match parse(&args(&["serve", "--index", "x.imx", "--reactor"])).unwrap() {
-            Command::Serve { reactor, .. } => assert!(reactor),
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert!(parse(&args(&["serve", "--index", "x", "--reactor", "--threaded"])).is_err());
-        assert!(parse(&args(&["serve", "--index", "x", "--threaded", "--reactor"])).is_err());
     }
 
     #[test]

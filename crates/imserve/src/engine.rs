@@ -31,7 +31,7 @@
 //! snapshot taken before it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 use im_core::{EstimateScratch, PoolLayout};
@@ -43,6 +43,7 @@ use crate::index::{IndexArtifact, IndexMeta};
 use crate::lru::TopKCache;
 use crate::obs::ServingMetrics;
 use crate::protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
+use crate::replication::FollowerStatus;
 use crate::service::{
     check_vertices, CompactionReport, EventRecord, GainCandidates, GainVector, HealthReport,
     MetricsReport, MutationOutcome, PromotionOutcome, ReloadOutcome, ServiceError, ServiceInfo,
@@ -140,6 +141,10 @@ pub struct QueryEngine {
     /// unrecoverable — so once an append fails, further mutations are
     /// refused before they touch the state.
     wal_poisoned: AtomicBool,
+    /// The replication stream this engine follows, if any: set once by
+    /// [`crate::replication::spawn_follower`], read by
+    /// [`QueryEngine::health`] for its `replication` signal.
+    pub(crate) follower: OnceLock<Arc<FollowerStatus>>,
 }
 
 /// Staged construction of a [`QueryEngine`] — cache capacity, compaction
@@ -319,6 +324,7 @@ impl QueryEngine {
             compaction_policy,
             read_only: AtomicBool::new(false),
             wal_poisoned: AtomicBool::new(false),
+            follower: OnceLock::new(),
         }
     }
 
@@ -386,7 +392,7 @@ impl QueryEngine {
                 Ok(Response::Pong)
             }
             // A client that cannot parse this version never gets here: the
-            // front end refuses its handshake (`server::answer_request`).
+            // front end refuses its handshake (`reactor::answer_request`).
             Request::Hello { .. } => {
                 self.obs.hello.count.inc();
                 Ok(Response::Hello {
@@ -522,7 +528,10 @@ impl QueryEngine {
     ///   in-flight/backlog bound (sampled each reactor tick; an engine not
     ///   behind a reactor reads the gauge's resting zero);
     /// * `worker_panics` — no request has panicked in a compute worker (a
-    ///   truncated cold file, say); degraded until restart.
+    ///   truncated cold file, say); degraded until restart;
+    /// * `replication` — on a follower only: the stream to the leader is up,
+    ///   or the follower was promoted (a leader now, so the dead stream
+    ///   behind it must not fail readiness).
     #[must_use]
     pub fn health(&self) -> HealthReport {
         self.obs.health.count.inc();
@@ -548,6 +557,20 @@ impl QueryEngine {
             panics == 0,
             format!("{panics} request(s) panicked in a compute worker (see /events)"),
         );
+        if let Some(status) = self.follower.get() {
+            let connected = status.connected.load(Ordering::SeqCst);
+            let promoted = !self.is_read_only();
+            let cursor = status.last_applied_epoch.load(Ordering::SeqCst);
+            let detail = if promoted {
+                format!("promoted; no longer following (cursor stopped at epoch {cursor})")
+            } else {
+                match status.last_error() {
+                    Some(error) if !connected => error,
+                    _ => format!("streaming; cursor at epoch {cursor}"),
+                }
+            };
+            report.push("replication", connected || promoted, detail);
+        }
         report
     }
 

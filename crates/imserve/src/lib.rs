@@ -20,17 +20,18 @@
 //!   through `imdyn`'s incremental RR-set maintenance, compaction, and an
 //!   optional mutation write-ahead log ([`wal`]) so acknowledged mutations
 //!   survive a crash between index saves;
-//! * [`reactor`] / [`server`] / [`client`] — two dependency-free TCP front
-//!   ends speaking one newline-delimited JSON protocol (id-tagged frames with
-//!   a version handshake and typed errors; any other line gets a typed error
-//!   frame): the default event-driven readiness loop multiplexing every
-//!   connection over non-blocking sockets, answering point requests
-//!   (`Estimate`, `Info`, `Ping`, `Health`, …) itself and handing the rest to
-//!   a bounded compute pool, blocking in `poll(2)` until a socket or a
-//!   completion is ready, and the
-//!   threaded turn-queue fallback — plus the matching client
-//!   ([`client::RemoteService`], the connection itself, with a non-blocking
-//!   `send`/`poll_response` pair for pipelined in-flight requests);
+//! * [`reactor`] / [`client`] — the dependency-free TCP front end speaking
+//!   one newline-delimited JSON protocol (id-tagged frames with a version
+//!   handshake and typed errors; any other line gets a typed error frame):
+//!   an event-driven readiness loop multiplexing every connection over
+//!   non-blocking sockets, answering point requests (`Estimate`, `Info`,
+//!   `Ping`, `Health`, …) itself and handing the rest to a bounded compute
+//!   pool, blocking in `poll(2)` until a socket or a completion is ready —
+//!   plus the matching client ([`client::RemoteService`], the connection
+//!   itself, with a non-blocking `send`/`poll_response` pair for pipelined
+//!   in-flight requests). [`server`] is the threaded turn queue that the
+//!   equivalence suites and benchmarks compare the reactor against; `serve`
+//!   does not run it;
 //! * [`obs`] — the serving stack's observability surface:
 //!   [`obs::ServingMetrics`] bundles every counter/gauge/histogram (built on
 //!   the std-only `imobs` primitives) plus a slow-query span log and a
@@ -99,13 +100,13 @@ pub use error::ServeError;
 pub use index::{build_dataset_index, build_dataset_index_with_deltas, IndexArtifact, IndexMeta};
 pub use obs::{route_ops_request, spawn_ops_endpoint, OpsResponse, ServingMetrics};
 pub use protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
-pub use reactor::ReactorConfig;
+pub use reactor::{ReactorConfig, ServerHandle};
 pub use replica::{parse_replica_addrs, ReplicaSet};
 pub use replication::{
     apply_stream, spawn_follower, spawn_leader, FollowerHandle, FollowerStatus, LeaderHandle,
     ReplicationFaults,
 };
-pub use server::{spawn, ServerConfig, ServerHandle};
+pub use server::ServerConfig;
 pub use service::{
     BackendSpec, EventRecord, HealthReport, HealthSignal, InfluenceService, LocalService,
     MetricsReport, RequestTypeCounts, ServiceError, ServiceInfo, ServiceStats,

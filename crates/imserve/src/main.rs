@@ -29,7 +29,6 @@ use imserve::index::{build_dataset_index_with_deltas, parse_dataset, parse_model
 use imserve::loadtest::{self, LoadtestConfig};
 use imserve::protocol::{self, Request, Response};
 use imserve::replica::ReplicaSet;
-use imserve::server::{self, ServerConfig};
 use imserve::service::{InfluenceService, ServiceError};
 use imserve::shard::ShardedService;
 
@@ -131,7 +130,6 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
         Command::Serve {
             index,
             addr,
-            reactor,
             workers,
             cache,
             compact_log_len,
@@ -179,15 +177,14 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 builder = builder.read_only(true);
             }
             let engine = Arc::new(builder.build()?);
-            let follower_status = follow.as_ref().map(|leader| {
-                let status = Arc::new(imserve::FollowerStatus::default());
+            let _follower = follow.as_ref().map(|leader| {
                 let handle = imserve::spawn_follower(
                     leader.as_str(),
                     Arc::clone(&engine),
-                    Arc::clone(&status),
+                    Arc::new(imserve::FollowerStatus::default()),
                 );
                 eprintln!("following leader at {leader} (read-only until promoted)");
-                (status, handle)
+                handle
             });
             let _leader = match &repl_addr {
                 Some(repl_addr) => {
@@ -209,46 +206,12 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
             };
             if let Some(metrics_addr) = &metrics_addr {
                 let ops_engine = Arc::clone(&engine);
-                let ops_status = follower_status
-                    .as_ref()
-                    .map(|(status, _)| Arc::clone(status));
                 let bound = imserve::spawn_ops_endpoint(metrics_addr.as_str(), move |path| {
-                    let ops_status = ops_status.clone();
-                    let health_engine = Arc::clone(&ops_engine);
                     imserve::route_ops_request(
                         path,
                         || ops_engine.render_metrics(),
                         || ops_engine.obs().event_log.render_json_lines(),
-                        move || {
-                            let mut report = health_engine.health();
-                            if let Some(status) = &ops_status {
-                                let connected =
-                                    status.connected.load(std::sync::atomic::Ordering::SeqCst);
-                                // A promoted node is a leader now: the dead
-                                // stream behind it must not fail readiness.
-                                let promoted = !health_engine.is_read_only();
-                                let detail = if promoted {
-                                    format!(
-                                        "promoted; no longer following (cursor stopped at epoch {})",
-                                        status
-                                            .last_applied_epoch
-                                            .load(std::sync::atomic::Ordering::SeqCst)
-                                    )
-                                } else {
-                                    match status.last_error() {
-                                        Some(error) if !connected => error,
-                                        _ => format!(
-                                            "streaming; cursor at epoch {}",
-                                            status
-                                                .last_applied_epoch
-                                                .load(std::sync::atomic::Ordering::SeqCst)
-                                        ),
-                                    }
-                                };
-                                report.push("replication", connected || promoted, detail);
-                            }
-                            report
-                        },
+                        || ops_engine.health(),
                     )
                 })?;
                 eprintln!(
@@ -258,33 +221,14 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 // Printed on stdout so scripts can scrape the resolved port.
                 println!("imserve metrics on {bound}");
             }
-            let handle = if reactor {
-                imserve::reactor::spawn(
-                    addr.as_str(),
-                    engine,
-                    &imserve::ReactorConfig {
-                        compute_threads: workers,
-                        ..imserve::ReactorConfig::default()
-                    },
-                )?
-            } else {
-                server::spawn(
-                    addr.as_str(),
-                    engine,
-                    &ServerConfig {
-                        workers,
-                        ..ServerConfig::default()
-                    },
-                )?
-            };
-            eprintln!(
-                "front end: {}",
-                if reactor {
-                    "reactor (event loop)"
-                } else {
-                    "threaded (turn queue)"
-                }
-            );
+            let handle = imserve::reactor::spawn(
+                addr.as_str(),
+                engine,
+                &imserve::ReactorConfig {
+                    compute_threads: workers,
+                    ..imserve::ReactorConfig::default()
+                },
+            )?;
             // Printed on stdout so scripts can scrape the resolved port.
             println!("imserve listening on {}", handle.addr());
             // Serve until killed; the front end's thread owns the listener,

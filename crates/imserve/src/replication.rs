@@ -122,8 +122,9 @@ pub struct ReplicationFaults {
     pub refuse_connections: AtomicBool,
 }
 
-/// Live state of one follower loop, shared with the ops endpoint (`/readyz`
-/// degrades while the stream is down) and with tests.
+/// Live state of one follower loop, shared with the engine's health report
+/// (`/readyz` and the typed `Health` request degrade while the stream is
+/// down) and with tests.
 #[derive(Debug, Default)]
 pub struct FollowerStatus {
     /// Whether the stream to the leader is currently established.
@@ -446,11 +447,16 @@ fn tail_wal(
 /// Spawn the follower loop: dial `leader`, handshake, apply the stream, and
 /// re-dial with exponential backoff on any failure. The loop exits once the
 /// engine stops being read-only (promotion) or the handle is shut down.
+///
+/// `status` is registered on `engine` (once per engine: a second call keeps
+/// the first status), so the engine's health report carries the stream's
+/// `replication` signal.
 pub fn spawn_follower(
     leader: impl Into<String>,
     engine: Arc<QueryEngine>,
     status: Arc<FollowerStatus>,
 ) -> FollowerHandle {
+    let _ = engine.follower.set(Arc::clone(&status));
     let leader = leader.into();
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);

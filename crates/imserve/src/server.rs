@@ -1,4 +1,11 @@
-//! The std-only threaded TCP front end (the `--threaded` fallback).
+//! The threaded turn-queue front end: a reference, not a production path.
+//!
+//! `imserve serve` runs [`crate::reactor`] only; nothing in the binary
+//! reaches this module. It is kept as the second implementation that the
+//! front-end equivalence suites, the benchmark's lab row and
+//! `imexp loadtest --backend remote` compare the reactor against, and it
+//! answers through the reactor's answer core (`reactor::answer_line`), so
+//! the two are byte-identical for identical request streams.
 //!
 //! Architecture: one acceptor thread owns the `TcpListener`; accepted
 //! connections live in a shared turn queue drained by a fixed pool of worker
@@ -10,28 +17,20 @@
 //! server under the load generator's lingering probe connection). Workers
 //! share the engine behind an `Arc`; see `engine` for the locking
 //! discipline (long selections snapshot the state and hold no lock).
-//!
-//! The event-driven front end in [`crate::reactor`] is the default server;
-//! both front ends answer through the same core (`decode_line`, then
-//! `answer_request`), so their responses are byte-identical for identical
-//! request streams.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::QueryEngine;
 use crate::error::ServeError;
 use crate::linebuf::{LineBuffer, LineError};
 use crate::obs::ServingMetrics;
-use crate::protocol::{
-    self, ErrorKind, FrameEnvelope, Outcome, Request, RequestFrame, ResponseFrame, WireError,
-    MAX_FRAME_LEN, PROTOCOL_VERSION,
-};
+use crate::protocol::MAX_FRAME_LEN;
+use crate::reactor::{answer_line, refuse_oversized_line, ServerHandle};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -50,43 +49,6 @@ impl Default for ServerConfig {
         Self {
             workers: 4,
             idle_timeout: Some(std::time::Duration::from_secs(60)),
-        }
-    }
-}
-
-/// A handle to a running server: its bound address and a shutdown switch.
-#[derive(Debug)]
-pub struct ServerHandle {
-    pub(crate) addr: SocketAddr,
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) acceptor: Option<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The address the server actually bound (resolves ephemeral port 0).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Block until the front end stops serving: on [`ServerHandle::shutdown`]
-    /// or when it no longer can (the reactor's compute pool is gone).
-    pub fn wait(mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Stop accepting connections and join the acceptor thread.
-    ///
-    /// In-flight connections are drained by their workers; workers themselves
-    /// are detached and exit once the connection queue closes and empties.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a wake-up connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
         }
     }
 }
@@ -339,197 +301,12 @@ fn serve_turn(
     Ok(read_any || answered)
 }
 
-/// The one typed frame (id 0, `Protocol`) a front end answers before closing
-/// a connection whose request line outgrew [`MAX_FRAME_LEN`]; counts the
-/// refusal.
-pub(crate) fn refuse_oversized_line(obs: &ServingMetrics) -> Result<String, ServeError> {
-    obs.oversized_frames.inc();
-    protocol::encode(&ResponseFrame {
-        v: PROTOCOL_VERSION,
-        id: 0,
-        body: Outcome::Err(WireError {
-            kind: ErrorKind::Protocol,
-            message: format!(
-                "request line exceeds {MAX_FRAME_LEN} bytes without a newline; closing the \
-                 connection"
-            ),
-        }),
-    })
-}
-
-/// Answer one request line where it was read — [`decode_line`], then
-/// [`answer_request`], the shared core of both front ends (threaded pool
-/// and reactor), which is what makes their responses byte-identical.
-///
-/// An id-tagged [`RequestFrame`] gets an id-matched [`ResponseFrame`] with
-/// the typed error taxonomy. Any other line is still answered, with one
-/// typed error frame, and the connection stays usable: a frame whose
-/// version/id envelope parses but whose payload does not echoes its id with
-/// `Unsupported`; anything else (garbage, a bare unframed request) has no id
-/// to echo and gets id 0 with `Protocol`.
-pub(crate) fn answer_line(
-    engine: &QueryEngine,
-    line: &str,
-    scratch: &mut im_core::EstimateScratch,
-) -> Result<String, ServeError> {
-    match decode_line(engine, line) {
-        Line::Request(request) => answer_request(engine, request, scratch, None),
-        Line::Answered(reply) => reply,
-    }
-}
-
-/// A request line after [`decode_line`].
-pub(crate) enum Line {
-    /// A frame to answer with [`answer_request`].
-    Request(Decoded),
-    /// Not a servable frame: its typed error reply, already counted.
-    Answered(Result<String, ServeError>),
-}
-
-/// A parsed request frame on its way to [`answer_request`], with what the
-/// span and the wire counters need from its line.
-pub(crate) struct Decoded {
-    pub(crate) frame: RequestFrame,
-    /// When the line began to be parsed, and how long that took.
-    began: Instant,
-    parse_micros: u64,
-    /// The line's length, newline included.
-    line_bytes: u64,
-}
-
-/// Parse one request line. A line that is not a frame is answered here
-/// (see [`answer_line`]), with its bytes in both directions counted.
-pub(crate) fn decode_line(engine: &QueryEngine, line: &str) -> Line {
-    let began = Instant::now();
-    let line_bytes = line.len() as u64 + 1;
-    let frame_error = match protocol::decode::<RequestFrame>(line) {
-        Ok(frame) => {
-            return Line::Request(Decoded {
-                frame,
-                began,
-                parse_micros: began.elapsed().as_micros() as u64,
-                line_bytes,
-            })
-        }
-        Err(frame_error) => frame_error,
-    };
-    let obs = engine.obs();
-    obs.parse_errors.inc();
-    let (id, kind, message) = match protocol::decode::<FrameEnvelope>(line) {
-        // The line *is* a frame with an unrecognized or malformed request
-        // payload (e.g. a newer client's variant): echo its id so a
-        // pipelining client stays in sync.
-        Ok(envelope) => (
-            envelope.id,
-            ErrorKind::Unsupported,
-            format!("unrecognized or malformed v2 request payload: {frame_error}"),
-        ),
-        Err(_) => (
-            0,
-            ErrorKind::Protocol,
-            format!(
-                "not a protocol v{PROTOCOL_VERSION} frame ({frame_error}); every request \
-                 line is {{\"v\":{PROTOCOL_VERSION},\"id\":…,\"req\":…}}"
-            ),
-        ),
-    };
-    let reply = protocol::encode(&ResponseFrame {
-        v: PROTOCOL_VERSION,
-        id,
-        body: Outcome::Err(WireError { kind, message }),
-    });
-    Line::Answered(count_wire_bytes(obs, line_bytes, reply))
-}
-
-/// Answer a parsed frame: execute, encode, record its span and count its
-/// bytes.
-///
-/// The span holds parse, execute and encode durations, plus the
-/// `queue_wait_micros` the front end measured between parse and this call
-/// (the reactor's dispatch-to-worker gap; `None` for a request answered
-/// where it was parsed). It joins the client's trace id when the frame
-/// carries one (`"t"`), so a router's fan-out legs stitch into the original
-/// request's trace; otherwise a fresh process-unique id is minted. Slow
-/// spans land in the engine's slow-query log. None of this touches the
-/// reply bytes.
-pub(crate) fn answer_request(
-    engine: &QueryEngine,
-    request: Decoded,
-    scratch: &mut im_core::EstimateScratch,
-    queue_wait_micros: Option<u64>,
-) -> Result<String, ServeError> {
-    let obs = engine.obs();
-    let frame = request.frame;
-    let trace = frame.trace.unwrap_or_else(imobs::next_trace_id);
-    let mut span = imobs::Span::begin(trace);
-    if let Some(wait) = queue_wait_micros {
-        obs.queue_wait_micros.record(wait);
-        span.event_with_micros("queue_wait", wait);
-    }
-    span.event_with_micros("parse", request.parse_micros);
-    let executed = Instant::now();
-    let body = match unsupported_version(&frame) {
-        Some(message) => Outcome::Err(WireError {
-            kind: ErrorKind::Unsupported,
-            message,
-        }),
-        None => match engine.handle_service(&frame.req, scratch) {
-            Ok(response) => Outcome::Ok(response),
-            Err(e) => Outcome::Err(WireError::from_service(&e)),
-        },
-    };
-    span.event_with_micros("execute", executed.elapsed().as_micros() as u64);
-    let encoded = Instant::now();
-    let reply = protocol::encode(&ResponseFrame {
-        v: PROTOCOL_VERSION,
-        id: frame.id,
-        body,
-    });
-    span.event_with_micros("encode", encoded.elapsed().as_micros() as u64);
-    let mut record = span.finish();
-    // Total = parse to now (the span began after parse, so its own clock
-    // misses the front of the line; any queue wait lies in between).
-    record.total_micros = request.began.elapsed().as_micros() as u64;
-    obs.observe_span(record);
-    count_wire_bytes(obs, request.line_bytes, reply)
-}
-
-/// Both directions are counted here, once, for both front ends: a line and
-/// its newline in, a line and its newline out.
-fn count_wire_bytes(
-    obs: &ServingMetrics,
-    line_bytes: u64,
-    reply: Result<String, ServeError>,
-) -> Result<String, ServeError> {
-    obs.wire_bytes_received.add(line_bytes);
-    if let Ok(reply) = &reply {
-        obs.wire_bytes_sent.add(reply.len() as u64 + 1);
-    }
-    reply
-}
-
-/// Why a well-formed frame cannot be served by this build, if it cannot:
-/// another frame version, or a `Hello` from a client that cannot parse the
-/// one version spoken here.
-fn unsupported_version(frame: &RequestFrame) -> Option<String> {
-    let found = match frame.req {
-        _ if frame.v != PROTOCOL_VERSION => format!("frame version {}", frame.v),
-        Request::Hello { max_version } if max_version < PROTOCOL_VERSION => {
-            format!("a handshake offering at most protocol version {max_version}")
-        }
-        _ => return None,
-    };
-    Some(format!(
-        "{found} is not supported (this server speaks protocol v{PROTOCOL_VERSION} only)"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::ServiceConnection;
     use crate::index::build_dataset_index;
-    use crate::protocol::Response;
+    use crate::protocol::{Request, Response};
 
     #[test]
     fn serves_and_shuts_down() {
@@ -556,28 +333,6 @@ mod tests {
             .unwrap();
         assert_eq!(response, Response::Pong);
         handle.shutdown();
-    }
-
-    #[test]
-    fn every_answered_line_counts_its_bytes_in_both_directions() {
-        let engine = QueryEngine::builder(build_dataset_index("karate", "uc0.1", 500, 3).unwrap())
-            .build()
-            .unwrap();
-        let mut scratch = engine.new_scratch();
-        let (mut received, mut sent) = (0, 0);
-        // A served frame, a refused payload and plain garbage all crossed
-        // the wire, newline included.
-        for line in [
-            r#"{"v":2,"id":1,"req":{"GainCandidates":{"selected":[],"limit":3,"probe":[0]}}}"#,
-            r#"{"v":2,"id":2,"req":{"NoSuch":{}}}"#,
-            "garbage",
-        ] {
-            let reply = answer_line(&engine, line, &mut scratch).unwrap();
-            received += line.len() as u64 + 1;
-            sent += reply.len() as u64 + 1;
-        }
-        assert_eq!(engine.obs().wire_bytes_received.get(), received);
-        assert_eq!(engine.obs().wire_bytes_sent.get(), sent);
     }
 
     #[test]

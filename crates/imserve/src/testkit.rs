@@ -15,7 +15,7 @@
 //! it lives in the library (not `tests/`) so the crash-point property test,
 //! the cluster suite and any downstream consumer share one harness.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,10 +24,10 @@ use std::time::{Duration, Instant};
 use crate::engine::QueryEngine;
 use crate::error::ServeError;
 use crate::index::IndexArtifact;
+use crate::reactor::{self, ReactorConfig, ServerHandle};
 use crate::replication::{
     spawn_follower, spawn_leader, FollowerHandle, FollowerStatus, LeaderHandle, ReplicationFaults,
 };
-use crate::server::{self, ServerConfig, ServerHandle};
 
 /// Distinguishes concurrently running clusters (and sequential clusters in
 /// one process) so their WAL files never collide.
@@ -193,7 +193,7 @@ impl TestCluster {
         let (addr, repl_addr) = self
             .leader_ports
             .map_or((ephemeral(), ephemeral()), |(a, r)| (a, r));
-        let server = bind_retry(|| server::spawn(addr, Arc::clone(&engine), &cluster_config()))?;
+        let server = bind_retry(|| reactor::spawn(addr, Arc::clone(&engine), &cluster_config()))?;
         let repl = bind_retry(|| {
             spawn_leader(
                 repl_addr,
@@ -233,7 +233,7 @@ impl TestCluster {
                 .build()?,
         );
         let addr = self.follower_ports[i].unwrap_or_else(ephemeral);
-        let server = bind_retry(|| server::spawn(addr, Arc::clone(&engine), &cluster_config()))?;
+        let server = bind_retry(|| reactor::spawn(addr, Arc::clone(&engine), &cluster_config()))?;
         let status = Arc::new(FollowerStatus::default());
         let repl = spawn_follower(
             repl_addr.to_string(),
@@ -331,11 +331,12 @@ impl Drop for TestCluster {
     }
 }
 
-/// Server tuning for harness nodes: small but concurrent.
-fn cluster_config() -> ServerConfig {
-    ServerConfig {
-        workers: 2,
+/// Front-end tuning for harness nodes: small but concurrent.
+fn cluster_config() -> ReactorConfig {
+    ReactorConfig {
+        compute_threads: 2,
         idle_timeout: Some(Duration::from_secs(30)),
+        ..ReactorConfig::default()
     }
 }
 
@@ -392,17 +393,4 @@ pub fn truncate_last_record(path: &Path) -> Result<u64, ServeError> {
     let file = std::fs::OpenOptions::new().write(true).open(path)?;
     file.set_len(keep as u64)?;
     Ok(removed)
-}
-
-/// Wait until `addr` accepts TCP connections (a server is up), bounded.
-///
-/// # Panics
-///
-/// Panics if nothing listens within the harness bound.
-pub fn wait_listening(addr: SocketAddr) {
-    wait_until(
-        &format!("{addr} to accept connections"),
-        DEFAULT_WAIT,
-        || TcpStream::connect_timeout(&addr, Duration::from_millis(100)).is_ok(),
-    );
 }

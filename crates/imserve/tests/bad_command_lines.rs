@@ -8,8 +8,9 @@ use std::process::Command;
 
 use imserve::cli::SUBCOMMANDS;
 
-/// Run the binary on `args` and check it refused them with the full usage.
-fn assert_refused(args: &[&str]) {
+/// Run the binary on `args`, check it refused them with the full usage, and
+/// return what it printed on stderr.
+fn assert_refused(args: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_imserve"))
         .args(args)
         .output()
@@ -32,6 +33,7 @@ fn assert_refused(args: &[&str]) {
             );
         }
     }
+    stderr.into_owned()
 }
 
 #[test]
@@ -40,5 +42,11 @@ fn bad_command_lines_exit_non_zero_with_the_full_usage() {
     assert_refused(&["conquer"]);
     for sub in SUBCOMMANDS {
         assert_refused(&[sub.name, "--frobnicate"]);
+    }
+    // One front end: the switches that used to pick one are unknown.
+    for flag in ["--threaded", "--reactor"] {
+        let stderr = assert_refused(&["serve", "--index", "x.imx", flag]);
+        let refusal = format!("error: unknown option \"{flag}\" for serve\n");
+        assert!(stderr.starts_with(&refusal), "{stderr}");
     }
 }

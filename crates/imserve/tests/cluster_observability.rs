@@ -4,20 +4,25 @@
 //! when a backend dies and recovers when it returns, and a torn broadcast
 //! over real TCP shards lands in the router's event ring carrying the
 //! originating trace id. And the counts that make a routed selection's cost
-//! an observable: requests by type and wire bytes per shard.
+//! an observable: requests by type and wire bytes per shard. A follower's
+//! typed `Health` carries its `replication` signal through a leader's death
+//! and its own promotion.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use imgraph::GraphDelta;
 use imserve::client::{ReconnectingService, RemoteService};
 use imserve::engine::QueryEngine;
-use imserve::index::{parse_dataset, parse_model, IndexArtifact};
+use imserve::index::{build_dataset_index, parse_dataset, parse_model, IndexArtifact};
 use imserve::protocol::{Request, Response, TopKAlgorithm};
 use imserve::replica::ReplicaSet;
 use imserve::service::{InfluenceService, LocalService, ServiceError, ServiceResult};
 use imserve::shard::ShardedService;
+use imserve::testkit::{wait_until, TestCluster};
 use imserve::{reactor, ReactorConfig, ServingMetrics};
 
 const POOL: usize = 2_000;
@@ -392,4 +397,38 @@ fn readyz_degrades_naming_the_dead_shard_and_recovers() {
     let (status, body) = scrape(addr, "/readyz");
     assert!(status.contains("200"), "{status}");
     assert_eq!(body, "ready\n");
+}
+
+#[test]
+fn a_followers_typed_health_carries_its_replication_signal() {
+    let artifact = build_dataset_index("karate", "uc0.1", POOL, SEED).unwrap();
+    let mut cluster = TestCluster::launch(artifact, 1).unwrap();
+    cluster.wait_follower_connected(0);
+    let mut follower = RemoteService::connect(cluster.follower_addr(0)).unwrap();
+    let replication = |report: &imserve::HealthReport| {
+        let signal = report.signal("replication").cloned();
+        signal.unwrap_or_else(|| panic!("no replication signal: {report:?}"))
+    };
+
+    let streaming = follower.health().unwrap();
+    assert!(replication(&streaming).ok, "{streaming:?}");
+    assert!(streaming.ready, "{streaming:?}");
+
+    cluster.kill_leader();
+    let status = Arc::clone(&cluster.followers[0].as_ref().unwrap().status);
+    wait_until(
+        "the follower to lose its stream",
+        Duration::from_secs(10),
+        || !status.connected.load(Ordering::SeqCst),
+    );
+    let orphaned = follower.health().unwrap();
+    assert!(!replication(&orphaned).ok, "{orphaned:?}");
+    assert!(!orphaned.ready, "{orphaned:?}");
+
+    follower.promote(None).unwrap();
+    let promoted = follower.health().unwrap();
+    let signal = replication(&promoted);
+    assert!(signal.ok, "{promoted:?}");
+    assert!(signal.detail.starts_with("promoted"), "{promoted:?}");
+    assert!(promoted.ready, "{promoted:?}");
 }

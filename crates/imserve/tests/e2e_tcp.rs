@@ -26,6 +26,7 @@ fn served_karate() -> (fixtures::ServerGuard, IndexArtifact) {
 fn concurrent_tcp_queries_match_the_in_process_oracle() {
     let (handle, reference) = served_karate();
     let addr = handle.addr();
+    let on_loop_before = loop_answered(addr);
 
     // The loaded index the server answers from must agree with the freshly
     // built one — reloading never resamples the pool.
@@ -110,7 +111,25 @@ fn concurrent_tcp_queries_match_the_in_process_oracle() {
     assert!(matches!(bad, Err(ServiceError::Query(_))), "{bad:?}");
     assert_eq!(connection.call(&Request::Ping).unwrap(), Response::Pong);
 
+    // The suites exercise the front end `serve` runs: the point requests
+    // above were answered on the reactor's event loop.
+    assert!(loop_answered(addr) > on_loop_before);
+
     handle.shutdown();
+}
+
+/// The served engine's count of requests answered on the reactor's loop.
+fn loop_answered(addr: std::net::SocketAddr) -> u64 {
+    match ServiceConnection::connect(addr)
+        .unwrap()
+        .call(&Request::Metrics)
+        .unwrap()
+    {
+        Response::Metrics(report) => {
+            report.counter("imserve_reactor_requests_total{path=\"loop\"}")
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
 }
 
 #[test]

@@ -20,7 +20,8 @@ use std::time::{Duration, Instant};
 
 use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, IndexArtifact};
-use imserve::server::{self, ServerConfig, ServerHandle};
+use imserve::reactor::{self, ReactorConfig};
+use imserve::ServerHandle;
 
 /// Process-wide sequence number feeding [`unique_path`]: two fixtures minted
 /// in the same process never collide even within one clock tick.
@@ -87,19 +88,19 @@ pub fn karate_from_disk(pool: usize, seed: u64) -> IndexArtifact {
     IndexArtifact::load(path.as_str()).expect("artifact loads")
 }
 
-/// Spawn the threaded front end for `engine` on an ephemeral loopback port,
-/// retrying the bind a few times: `127.0.0.1:0` itself cannot race, but
-/// fixtures that re-bind a just-released pinned port (server restarts) can,
-/// and funneling every spawn through one helper keeps the retry policy in
-/// one place.
-pub fn spawn_server(addr: &str, engine: Arc<QueryEngine>, workers: usize) -> ServerGuard {
-    let config = ServerConfig {
-        workers,
-        ..ServerConfig::default()
+/// Spawn the production front end (the reactor, with `compute_threads`
+/// compute workers) for `engine` at `addr`, retrying the bind a few times:
+/// `127.0.0.1:0` itself cannot race, but fixtures that re-bind a
+/// just-released pinned port (server restarts) can, and funneling every
+/// spawn through one helper keeps the retry policy in one place.
+pub fn spawn_server(addr: &str, engine: Arc<QueryEngine>, compute_threads: usize) -> ServerGuard {
+    let config = ReactorConfig {
+        compute_threads,
+        ..ReactorConfig::default()
     };
     let mut last_error = None;
     for _ in 0..100 {
-        match server::spawn(addr, Arc::clone(&engine), &config) {
+        match reactor::spawn(addr, Arc::clone(&engine), &config) {
             Ok(handle) => return ServerGuard(Some(handle)),
             Err(e) => {
                 last_error = Some(e);
@@ -112,17 +113,17 @@ pub fn spawn_server(addr: &str, engine: Arc<QueryEngine>, workers: usize) -> Ser
 
 /// Build an engine over `artifact` and serve it on an ephemeral port — the
 /// one-liner most suites want.
-pub fn serve_artifact(artifact: IndexArtifact, workers: usize) -> ServerGuard {
+pub fn serve_artifact(artifact: IndexArtifact, compute_threads: usize) -> ServerGuard {
     let engine = Arc::new(
         QueryEngine::builder(artifact)
             .build()
             .expect("engine builds"),
     );
-    spawn_server("127.0.0.1:0", engine, workers)
+    spawn_server("127.0.0.1:0", engine, compute_threads)
 }
 
 /// Scope guard around a [`ServerHandle`]: shuts the server down on drop, so
-/// a panicking test reaps its acceptor and worker threads instead of leaking
+/// a panicking test reaps its event loop and compute threads instead of leaking
 /// them into the next test's timing.
 pub struct ServerGuard(Option<ServerHandle>);
 

@@ -16,8 +16,6 @@
 //! line neither may buffer: a request that never ends. A short line nested
 //! too deep to parse is refused like any other malformed line.
 
-mod fixtures;
-
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -27,6 +25,7 @@ use imserve::engine::QueryEngine;
 use imserve::index::build_dataset_index;
 use imserve::protocol::{self, Request, RequestFrame, Response, TopKAlgorithm, MAX_FRAME_LEN};
 use imserve::reactor;
+use imserve::server::{self, ServerConfig};
 use imserve::ReactorConfig;
 
 const POOL: usize = 2_000;
@@ -110,7 +109,15 @@ fn run_scripts(addr: SocketAddr) -> Vec<Vec<String>> {
 
 #[test]
 fn reactor_and_threaded_front_ends_answer_byte_identically() {
-    let threaded = fixtures::spawn_server("127.0.0.1:0", fresh_engine(), 2);
+    let threaded = server::spawn(
+        "127.0.0.1:0",
+        fresh_engine(),
+        &ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
     let reactor = reactor::spawn(
         "127.0.0.1:0",
         fresh_engine(),
@@ -271,7 +278,15 @@ fn the_reactor_refuses_a_deeply_nested_line() {
 #[test]
 fn the_threaded_server_refuses_an_endless_request_line() {
     let engine = fresh_engine();
-    let handle = fixtures::spawn_server("127.0.0.1:0", Arc::clone(&engine), 2);
+    let handle = server::spawn(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        &ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
     assert_an_endless_line_is_refused(handle.addr(), &engine);
     handle.shutdown();
 }

@@ -20,7 +20,6 @@ use imserve::engine::QueryEngine;
 use imserve::index::{build_dataset_index, IndexArtifact};
 use imserve::protocol::{self, Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
 use imserve::replica::ReplicaSet;
-use imserve::server::{self, ServerConfig};
 use imserve::service::{InfluenceService, LocalService, ServiceError, ServiceResult};
 use imserve::shard::ShardedService;
 use imserve::{reactor, ReactorConfig};
@@ -584,12 +583,13 @@ fn loadtest_completes_against_a_single_worker_server() {
             .build()
             .unwrap(),
     );
-    let handle = server::spawn(
+    let handle = reactor::spawn(
         "127.0.0.1:0",
         Arc::clone(&engine),
-        &ServerConfig {
-            workers: 1,
+        &ReactorConfig {
+            compute_threads: 1,
             idle_timeout: Some(std::time::Duration::from_secs(30)),
+            ..ReactorConfig::default()
         },
     )
     .unwrap();
