@@ -388,13 +388,13 @@ impl QueryEngine {
     ) -> Result<Response, ServiceError> {
         let result = match request {
             Request::Ping => {
-                self.obs.ping.count.inc();
+                let _lane = self.obs.ping.start();
                 Ok(Response::Pong)
             }
             // A client that cannot parse this version never gets here: the
             // front end refuses its handshake (`reactor::answer_request`).
             Request::Hello { .. } => {
-                self.obs.hello.count.inc();
+                let _lane = self.obs.hello.start();
                 Ok(Response::Hello {
                     version: PROTOCOL_VERSION,
                 })
@@ -433,7 +433,7 @@ impl QueryEngine {
     /// in the global set-id space for shard indexes).
     #[must_use]
     pub fn info(&self) -> ServiceInfo {
-        self.obs.info.count.inc();
+        let _lane = self.obs.info.start();
         let state = self.state();
         let (shard_offset, global_pool) = match state.shard {
             Some(shard) => (shard.offset, shard.global_pool),
@@ -455,7 +455,7 @@ impl QueryEngine {
     /// one engine is one pool; the sharded router fills it).
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        self.obs.stats.count.inc();
+        let _lane = self.obs.stats.start();
         let state = self.state();
         let requests_by_type = self.obs.request_counts();
         ServiceStats {
@@ -503,7 +503,7 @@ impl QueryEngine {
     /// differently, and that is exempt from the byte-identity invariant.
     #[must_use]
     pub fn metrics_report(&self) -> MetricsReport {
-        self.obs.metrics.count.inc();
+        let _lane = self.obs.metrics.start();
         self.sync_state_gauges();
         self.obs.report()
     }
@@ -534,7 +534,7 @@ impl QueryEngine {
     ///   behind it must not fail readiness).
     #[must_use]
     pub fn health(&self) -> HealthReport {
-        self.obs.health.count.inc();
+        let _lane = self.obs.health.start();
         let mut report = HealthReport::new();
         let poisoned = self.wal_poisoned.load(Ordering::Relaxed);
         let wal_detail = if poisoned {
@@ -578,7 +578,7 @@ impl QueryEngine {
     /// first (the `Events` request's payload).
     #[must_use]
     pub fn event_records(&self) -> Vec<EventRecord> {
-        self.obs.events.count.inc();
+        let _lane = self.obs.events.start();
         self.obs
             .event_log
             .entries()
@@ -594,18 +594,13 @@ impl QueryEngine {
         seeds: &[u32],
         scratch: &mut EstimateScratch,
     ) -> Result<SpreadEstimate, ServiceError> {
-        let began = Instant::now();
-        self.obs.estimate.count.inc();
+        let _lane = self.obs.estimate.start();
         let state = self.state();
         let oracle = state.dynamic.oracle();
         let n = oracle.num_vertices();
         check_vertices("seed", seeds, n)?;
         let covered = oracle.covered_with(seeds, scratch) as u64;
         let pool = oracle.pool_size() as u64;
-        self.obs
-            .estimate
-            .latency_micros
-            .record(began.elapsed().as_micros() as u64);
         Ok(SpreadEstimate {
             seeds: seeds.to_vec(),
             spread: n as f64 * covered as f64 / pool as f64,
@@ -619,16 +614,11 @@ impl QueryEngine {
     /// [`im_core::InfluenceOracle::coverage_gains`]). Computed on an `Arc`
     /// snapshot with no lock held.
     pub fn gains(&self, selected: &[u32]) -> Result<GainVector, ServiceError> {
-        let began = Instant::now();
-        self.obs.gains.count.inc();
+        let _lane = self.obs.gains.start();
         let dynamic = Arc::clone(&self.state().dynamic);
         let oracle = dynamic.oracle();
         check_vertices("selected seed", selected, oracle.num_vertices())?;
         let (gains, covered) = oracle.coverage_gains(selected);
-        self.obs
-            .gains
-            .latency_micros
-            .record(began.elapsed().as_micros() as u64);
         Ok(GainVector {
             gains,
             covered,
@@ -648,8 +638,7 @@ impl QueryEngine {
         limit: usize,
         probe: &[u32],
     ) -> Result<GainCandidates, ServiceError> {
-        let began = Instant::now();
-        self.obs.gain_candidates.count.inc();
+        let _lane = self.obs.gain_candidates.start();
         let dynamic = Arc::clone(&self.state().dynamic);
         let oracle = dynamic.oracle();
         let n = oracle.num_vertices();
@@ -668,10 +657,6 @@ impl QueryEngine {
             }
             .candidates(limit, probe)
         };
-        self.obs
-            .gain_candidates
-            .latency_micros
-            .record(began.elapsed().as_micros() as u64);
         Ok(candidates)
     }
 
@@ -682,8 +667,7 @@ impl QueryEngine {
     /// batch costs the batch, an append and an fsync, never a pass over the
     /// graph.
     pub fn mutate_batch(&self, deltas: &[GraphDelta]) -> Result<MutationOutcome, ServiceError> {
-        let began = Instant::now();
-        self.obs.mutate_batch.count.inc();
+        let _lane = self.obs.mutate_batch.start();
         self.check_writable()?;
         self.check_wal_usable()?;
         if deltas.is_empty() {
@@ -703,18 +687,13 @@ impl QueryEngine {
                 e.error
             ))
         })?;
-        self.obs
-            .mutate_batch
-            .latency_micros
-            .record(began.elapsed().as_micros() as u64);
         Ok(outcome)
     }
 
     /// Fold the pending delta log into the snapshot watermark now.
     #[must_use = "the report says how many deltas were folded"]
     pub fn compact(&self) -> CompactionReport {
-        let began = Instant::now();
-        self.obs.compact.count.inc();
+        let lane = self.obs.compact.start();
         let mut state = self.state.write().expect("serving state poisoned");
         self.obs.event_log.info(
             "compaction_started",
@@ -727,15 +706,13 @@ impl QueryEngine {
         );
         let outcome = Arc::make_mut(&mut state.dynamic).compact();
         self.obs.compactions.inc();
-        let duration_micros = began.elapsed().as_micros() as u64;
-        self.obs.compact.latency_micros.record(duration_micros);
         self.obs.event_log.info(
             "compaction_finished",
             0,
             vec![
                 EventField::str("trigger", "request"),
                 EventField::u64("folded", outcome.folded as u64),
-                EventField::u64("duration_micros", duration_micros),
+                EventField::u64("duration_micros", lane.elapsed_micros()),
             ],
         );
         CompactionReport {
@@ -870,10 +847,11 @@ impl QueryEngine {
     }
 
     /// Load the artifact at `path` (on this process's filesystem) and
-    /// hot-swap it in via [`QueryEngine::reload`].
+    /// hot-swap it in as [`QueryEngine::reload`] does; the `reload` lane's
+    /// time includes the load.
     pub fn reload_from_path(&self, path: &std::path::Path) -> Result<ReloadOutcome, ServiceError> {
-        let artifact = IndexArtifact::load(path)?;
-        self.reload(artifact)
+        let _lane = self.obs.reload.start();
+        self.swap_in(IndexArtifact::load(path)?)
     }
 
     /// Atomically swap a freshly validated artifact into the running engine
@@ -892,8 +870,17 @@ impl QueryEngine {
     /// Cached `TopK` answers stay valid across the swap by construction —
     /// their keys embed the (unchanged) epoch and the pool is required to be
     /// bit-identical.
+    ///
+    /// The `reload` lane times the whole call (validation, assembling the
+    /// incoming oracle, the swap); `imserve_index_swap_micros` times the
+    /// swap under the write lock alone.
     pub fn reload(&self, artifact: IndexArtifact) -> Result<ReloadOutcome, ServiceError> {
-        self.obs.reload.count.inc();
+        let _lane = self.obs.reload.start();
+        self.swap_in(artifact)
+    }
+
+    /// The reload itself, behind the lane each entry point starts.
+    fn swap_in(&self, artifact: IndexArtifact) -> Result<ReloadOutcome, ServiceError> {
         // Validate identity and build the replacement oracle *outside* the
         // write lock: readers keep flowing while the artifact is hashed.
         let new_identity = index_identity(&artifact.meta, artifact.shard.as_ref());
@@ -952,7 +939,6 @@ impl QueryEngine {
         drop(state);
         let swap_micros = began.elapsed().as_micros() as u64;
         self.obs.index_swap_micros.record(swap_micros);
-        self.obs.reload.latency_micros.record(swap_micros);
         self.obs.event_log.info(
             "index_swapped",
             0,
@@ -979,7 +965,7 @@ impl QueryEngine {
     /// operator accepts whatever was replicated. Idempotent on an
     /// already-writable node.
     pub fn promote(&self, expected_epoch: Option<u64>) -> Result<PromotionOutcome, ServiceError> {
-        self.obs.promote.count.inc();
+        let _lane = self.obs.promote.start();
         // Under the write lock so a concurrent replication apply cannot move
         // the epoch between the gap check and the flag flip.
         let state = self.state.write().expect("serving state poisoned");
@@ -1131,8 +1117,7 @@ impl QueryEngine {
     /// Select an influential seed set of size `k`, fronted by the
     /// epoch-keyed [`TopKCache`].
     pub fn top_k(&self, k: usize, algorithm: TopKAlgorithm) -> Result<TopKSelection, ServiceError> {
-        let began = Instant::now();
-        self.obs.top_k.count.inc();
+        let _lane = self.obs.top_k.start();
         if k == 0 {
             return Err(ServiceError::Query("k must be positive".into()));
         }
@@ -1148,10 +1133,6 @@ impl QueryEngine {
             .expect("cache lock poisoned")
             .get(epoch, k, algorithm);
         if let Some(hit) = cached {
-            self.obs
-                .top_k
-                .latency_micros
-                .record(began.elapsed().as_micros() as u64);
             return Ok(hit);
         }
 
@@ -1174,10 +1155,6 @@ impl QueryEngine {
             .lock()
             .expect("cache lock poisoned")
             .insert(epoch, k, selection.clone());
-        self.obs
-            .top_k
-            .latency_micros
-            .record(began.elapsed().as_micros() as u64);
         Ok(selection)
     }
 }

@@ -3,21 +3,22 @@
 //! behind `serve --metrics-addr`.
 //!
 //! [`ServingMetrics`] is the one struct threaded through the layers — the
-//! engine, both front ends, the WAL, and the shard router all hold `Arc`
+//! engine, the front end, the WAL, and the shard router all hold `Arc`
 //! handles onto its counters/gauges/histograms, so recording stays lock-free
 //! and allocation-free on every hot path (the `EstimateScratch` discipline).
-//! Every number is counted once, here, and leaves this module one way:
-//! [`ServingMetrics::report`] snapshots the registry into the wire
-//! [`MetricsReport`], and every face — `/metrics` text, the `Metrics`
-//! response, a router's federated scrape, the loadtest delta — is a method
-//! of that one type. Nothing is pushed anywhere.
+//! Each family is declared once, as one entry of the `serving_metrics!`
+//! table (doc, field, kind, series name, help text, in registration order).
+//! Every number leaves this module one way: [`ServingMetrics::report`]
+//! snapshots the registry into the wire [`MetricsReport`], and every face —
+//! `/metrics` text, the `Metrics` response, a router's federated scrape, the
+//! loadtest delta — is a method of that one type. Nothing is pushed anywhere.
 //!
-//! The request kinds are listed once, in `request_kinds!` below. That list
-//! generates the per-kind [`RequestLanes`] (`imserve_requests_total` and
+//! The request kinds are listed once, in `request_kinds!`, which generates
+//! the per-kind [`RequestLanes`] (`imserve_requests_total` and
 //! `imserve_request_latency_micros`, labelled `type="<kind>"`), the
 //! `requests_by_type` counts [`RequestTypeCounts`] that `Stats` carries, and
-//! the snapshot from one to the other, so a `Stats` key and its metric label
-//! are the same name by construction.
+//! the snapshot between them. A lane moves only through
+//! [`RequestLane::start`]'s guard, so every kind is timed when counted.
 //!
 //! None of this touches the query wire format: responses stay byte-identical
 //! with metrics enabled, because metrics only ever travel on their own
@@ -59,8 +60,8 @@ const ROUTER_ROUNDS_HELP: &str =
      from the candidates carried over from an earlier round counts as path=\"threshold\".";
 
 /// One request type's hot-path handles: a lifetime counter and a latency
-/// histogram (microseconds). `Compact` and `Reload` record their own
-/// durations (a reload's is the swap under the write lock).
+/// histogram (microseconds). Both move through [`RequestLane::start`], so a
+/// kind is timed whenever it is counted, error replies included.
 #[derive(Debug, Clone)]
 pub struct RequestLane {
     /// Lifetime requests of this type.
@@ -81,6 +82,39 @@ impl RequestLane {
                 "End-to-end request handling latency in microseconds, by request type.",
             ),
         }
+    }
+
+    /// Count one request of this kind and start its clock. Dropping the
+    /// guard records the latency, on whichever path the request leaves by.
+    #[must_use = "the request is timed until the guard drops"]
+    pub fn start(&self) -> LaneTimer<'_> {
+        self.count.inc();
+        LaneTimer {
+            lane: self,
+            began: Instant::now(),
+        }
+    }
+}
+
+/// A request in flight on its [`RequestLane`]: records the elapsed
+/// microseconds into the lane's histogram when dropped. Allocation-free.
+#[derive(Debug)]
+pub struct LaneTimer<'a> {
+    lane: &'a RequestLane,
+    began: Instant,
+}
+
+impl LaneTimer<'_> {
+    /// Microseconds since [`RequestLane::start`].
+    #[must_use]
+    pub fn elapsed_micros(&self) -> u64 {
+        self.began.elapsed().as_micros() as u64
+    }
+}
+
+impl Drop for LaneTimer<'_> {
+    fn drop(&mut self) {
+        self.lane.latency_micros.record(self.elapsed_micros());
     }
 }
 
@@ -179,163 +213,253 @@ pub struct ShardLane {
     pub errors: Arc<Counter>,
     /// Round-trip time of this shard's sub-requests in microseconds.
     pub rtt_micros: Arc<Histogram>,
+    /// `1` if this shard answered the last federated scrape's `Metrics`
+    /// fan-out, `0` otherwise (set by the router's `cluster_metrics`).
+    pub up: Arc<Gauge>,
 }
 
-/// Every metric the serving stack records, under one registry.
-///
-/// Constructed once per engine (or per shard router) and shared by `Arc`;
-/// all `Arc<Counter>`/`Arc<Gauge>`/`Arc<Histogram>` fields are safe to
-/// record from any thread without further coordination.
-#[derive(Debug)]
-pub struct ServingMetrics {
-    registry: Registry,
-    started: Instant,
+/// The handle type of a table entry's kind.
+macro_rules! family_handle {
+    (counter) => {
+        Counter
+    };
+    (gauge) => {
+        Gauge
+    };
+    (histogram) => {
+        Histogram
+    };
+}
 
-    requests: RequestLanes,
+/// Declare the [`ServingMetrics`] families once. Each entry is one family's
+/// doc comment, field, kind (`counter`, `gauge` or `histogram`), series name
+/// and help text, and the table's order is the registration order, which is
+/// the order the `Metrics` reply lists them in. Generates the struct — its
+/// handle fields beside the few fields that are not registry handles — and
+/// [`ServingMetrics::new`], which registers every entry after the request
+/// lanes.
+macro_rules! serving_metrics {
+    ($($(#[doc = $doc:literal])+ $field:ident: $kind:ident($name:literal, $help:expr),)+) => {
+        /// Every metric the serving stack records, under one registry.
+        ///
+        /// Constructed once per engine (or per shard router) and shared by
+        /// `Arc`; all `Arc<Counter>`/`Arc<Gauge>`/`Arc<Histogram>` fields are
+        /// safe to record from any thread without further coordination.
+        #[derive(Debug)]
+        pub struct ServingMetrics {
+            registry: Registry,
+            started: Instant,
+            requests: RequestLanes,
+            $($(#[doc = $doc])+ pub $field: Arc<family_handle!($kind)>,)+
+            /// The pool's own cold-read `(reads, bytes)` at the last mirror.
+            pool_cold_seen: Mutex<(u64, u64)>,
+            per_shard: Mutex<Vec<ShardLane>>,
+            /// Spans of the slowest requests (threshold-gated ring buffer).
+            pub slow_log: SlowLog,
+            /// Structured operational events (WAL failures, compactions, torn
+            /// broadcasts, backpressure episodes) — a bounded ring, exposed on
+            /// `/events` and the `Events` protocol request.
+            pub event_log: EventLog,
+        }
 
+        impl ServingMetrics {
+            /// A fresh metric set with every family registered, retaining
+            /// slow queries at `slow_threshold_micros`.
+            #[must_use]
+            pub fn new(slow_threshold_micros: u64) -> Arc<Self> {
+                let registry = Registry::new();
+                Arc::new(Self {
+                    requests: RequestLanes::register(&registry),
+                    $($field: registry.$kind($name, $help),)+
+                    pool_cold_seen: Mutex::new((0, 0)),
+                    per_shard: Mutex::new(Vec::new()),
+                    slow_log: SlowLog::new(SLOW_LOG_CAPACITY, slow_threshold_micros),
+                    event_log: EventLog::default(),
+                    registry,
+                    started: Instant::now(),
+                })
+            }
+        }
+    };
+}
+
+serving_metrics! {
     /// Requests answered with an error (any type).
-    pub request_errors: Arc<Counter>,
+    request_errors: counter("imserve_request_errors_total", "Requests answered with an error."),
     /// Lines that failed to parse as a request frame.
-    pub parse_errors: Arc<Counter>,
+    parse_errors: counter("imserve_parse_errors_total",
+        "Lines that did not parse as a request frame."),
     /// Request lines refused (and their connections closed) for exceeding
     /// [`crate::protocol::MAX_FRAME_LEN`] before their newline.
-    pub oversized_frames: Arc<Counter>,
+    oversized_frames: counter("imserve_oversized_frames_total",
+        "Request lines refused for exceeding the frame bound before their newline."),
     /// Request-line bytes taken off the wire (newline included), counted
     /// where both front ends answer a line.
-    pub wire_bytes_received: Arc<Counter>,
+    wire_bytes_received: counter("imserve_wire_bytes_received_total",
+        "Request-line bytes received (newline included)."),
     /// Reply-line bytes put on the wire (newline included).
-    pub wire_bytes_sent: Arc<Counter>,
+    wire_bytes_sent: counter("imserve_wire_bytes_sent_total",
+        "Reply-line bytes sent (newline included)."),
 
     /// `TopK` answers served from the LRU cache.
-    pub topk_cache_hits: Arc<Counter>,
+    topk_cache_hits: counter("imserve_topk_cache_hits_total",
+        "TopK answers served from the LRU cache."),
     /// `TopK` answers computed and inserted into the cache.
-    pub topk_cache_misses: Arc<Counter>,
+    topk_cache_misses: counter("imserve_topk_cache_misses_total",
+        "TopK answers computed and inserted into the cache."),
     /// Deltas applied by this process.
-    pub deltas_applied: Arc<Counter>,
+    deltas_applied: counter("imserve_deltas_applied_total",
+        "Graph deltas applied by this process."),
     /// RR sets resampled by this process.
-    pub sets_resampled: Arc<Counter>,
+    sets_resampled: counter("imserve_sets_resampled_total", "RR sets resampled by this process."),
     /// Compactions performed (manual plus policy-triggered).
-    pub compactions: Arc<Counter>,
+    compactions: counter("imserve_compactions_total",
+        "Delta-log compactions performed (manual plus policy-triggered)."),
 
     /// Bytes appended to the mutation WAL.
-    pub wal_appended_bytes: Arc<Counter>,
+    wal_appended_bytes: counter("imserve_wal_appended_bytes_total",
+        "Bytes appended to the mutation write-ahead log."),
     /// WAL fsyncs performed (one per acknowledged batch).
-    pub wal_fsyncs: Arc<Counter>,
+    wal_fsyncs: counter("imserve_wal_fsyncs_total",
+        "WAL fsyncs performed (one per acknowledged batch)."),
     /// Duration of one WAL append, encode through fsync (microseconds).
-    pub wal_append_micros: Arc<Histogram>,
+    wal_append_micros: histogram("imserve_wal_append_micros",
+        "Duration of one WAL append (encode, write, fsync) in microseconds."),
     /// Dirty RR sets resampled by each applied batch (the per-batch
     /// distribution behind the `sets_resampled` running total).
-    pub mutate_resampled_sets: Arc<Histogram>,
+    mutate_resampled_sets: histogram("imserve_mutate_resampled_sets",
+        "Dirty RR sets resampled per applied mutation batch."),
     /// From-scratch O(n + m) lineage-fingerprint passes: one per engine
     /// construction and one per `reload` (the incoming artifact). Mutations,
     /// WAL replay and replicated records read the maintained value and never
     /// move this.
-    pub lineage_full_hashes: Arc<Counter>,
+    lineage_full_hashes: counter("imserve_lineage_full_hashes_total",
+        "From-scratch O(n + m) lineage-fingerprint passes (engine build and reload only)."),
 
     /// Validated index hot-swaps performed, timed under the write lock
     /// (microseconds) — readers never see a partially swapped state.
-    pub index_swap_micros: Arc<Histogram>,
+    index_swap_micros: histogram("imserve_index_swap_micros",
+        "Validated index hot-swap duration under the write lock, in microseconds."),
     /// WAL records shipped to replication followers by this leader.
-    pub repl_records_shipped: Arc<Counter>,
+    repl_records_shipped: counter("imserve_repl_records_shipped_total",
+        "WAL records shipped to replication followers."),
     /// Replicated WAL records applied by this follower.
-    pub repl_records_applied: Arc<Counter>,
+    repl_records_applied: counter("imserve_repl_records_applied_total",
+        "Replicated WAL records applied by this follower."),
     /// Follower replication connections accepted by this leader.
-    pub repl_connections: Arc<Counter>,
+    repl_connections: counter("imserve_repl_connections_total",
+        "Follower replication connections accepted."),
     /// `1` while this follower's replication stream is connected to its
     /// leader, `0` while redialing.
-    pub repl_connected: Arc<Gauge>,
+    repl_connected: gauge("imserve_repl_connected",
+        "1 while the follower's replication stream is connected, 0 while redialing."),
 
     /// Times the reactor stopped reading a connection because its
     /// in-flight/backlog bounds were hit.
-    pub backpressure_stalls: Arc<Counter>,
+    backpressure_stalls: counter("imserve_backpressure_stalls_total",
+        "Times the reactor paused reading a connection at its in-flight or backlog bound."),
     /// Connections currently paused at their in-flight or backlog bound
     /// (sampled each reactor tick; the readiness signal for backpressure).
-    pub throttled_connections: Arc<Gauge>,
+    throttled_connections: gauge("imserve_throttled_connections",
+        "Connections currently paused at their in-flight or backlog bound."),
     /// Requests dispatched to compute and not yet completed.
-    pub inflight: Arc<Gauge>,
+    inflight: gauge("imserve_inflight_requests",
+        "Requests dispatched to compute and not yet completed."),
     /// Completed-but-unflushed responses parked in reorder buffers.
-    pub reorder_depth: Arc<Gauge>,
+    reorder_depth: gauge("imserve_reorder_buffer_depth",
+        "Completed responses parked in reorder buffers, across connections."),
     /// Bytes buffered for write-back across all connections.
-    pub write_backlog_bytes: Arc<Gauge>,
+    write_backlog_bytes: gauge("imserve_write_backlog_bytes",
+        "Bytes buffered for write-back across all connections."),
     /// Currently open connections.
-    pub open_connections: Arc<Gauge>,
+    open_connections: gauge("imserve_open_connections", "Currently open client connections."),
 
     /// Reactor wake-ups caused by a ready client socket or listener.
-    pub reactor_wakeups_socket: Arc<Counter>,
+    reactor_wakeups_socket: counter("imserve_reactor_wakeups_total{cause=\"socket\"}",
+        REACTOR_WAKEUPS_HELP),
     /// Reactor wake-ups caused by the compute pool finishing a request.
-    pub reactor_wakeups_completion: Arc<Counter>,
+    reactor_wakeups_completion: counter("imserve_reactor_wakeups_total{cause=\"completion\"}",
+        REACTOR_WAKEUPS_HELP),
     /// Reactor wake-ups caused by the wait's deadline (idle reaping, or the
     /// retry of a failed accept) passing with nothing ready.
-    pub reactor_wakeups_timeout: Arc<Counter>,
+    reactor_wakeups_timeout: counter("imserve_reactor_wakeups_total{cause=\"timeout\"}",
+        REACTOR_WAKEUPS_HELP),
     /// Time the reactor spent blocked in one readiness wait (microseconds)
     /// — the production twin of the benchmark's `imserve.reactor.residual_us`.
-    pub reactor_poll_wait_micros: Arc<Histogram>,
+    reactor_poll_wait_micros: histogram("imserve_reactor_poll_wait_micros",
+        "Time the reactor spent blocked in one readiness wait, in microseconds."),
     /// Descriptors one wake-up reported ready.
-    pub reactor_ready_sockets: Arc<Histogram>,
+    reactor_ready_sockets: histogram("imserve_reactor_ready_sockets",
+        "Descriptors reported ready per reactor wake-up."),
     /// Request lines the reactor answered on its loop thread (point
     /// requests, and lines that are not frames): no hand-off, no completion.
-    pub reactor_answered_loop: Arc<Counter>,
+    reactor_answered_loop: counter("imserve_reactor_requests_total{path=\"loop\"}",
+        REACTOR_REQUESTS_HELP),
     /// Request lines the reactor handed to its compute pool.
-    pub reactor_answered_worker: Arc<Counter>,
+    reactor_answered_worker: counter("imserve_reactor_requests_total{path=\"worker\"}",
+        REACTOR_REQUESTS_HELP),
     /// Requests that panicked in a compute worker, each answered with a
     /// typed `Internal` error while the worker kept serving.
-    pub worker_panics: Arc<Counter>,
+    worker_panics: counter("imserve_worker_panics_total",
+        "Requests that panicked in a compute worker and were answered with an Internal error."),
     /// `accept` calls that failed for a reason other than an empty queue
     /// (`EMFILE` and kin); the listener is left unwatched until a connection
     /// is reaped or the wait times out.
-    pub accept_errors: Arc<Counter>,
+    accept_errors: counter("imserve_accept_errors_total",
+        "Failed accept calls (descriptor exhaustion and kin), listener paused after each."),
 
     /// Time from dispatch into the compute queue to a worker picking the
     /// request up (microseconds).
-    pub queue_wait_micros: Arc<Histogram>,
+    queue_wait_micros: histogram("imserve_queue_wait_micros",
+        "Compute-pool queue wait in microseconds (dispatch to worker pickup)."),
     /// Time a completed response waited in a reorder buffer for its
     /// predecessors (microseconds).
-    pub reorder_wait_micros: Arc<Histogram>,
+    reorder_wait_micros: histogram("imserve_reorder_wait_micros",
+        "Reorder-buffer wait in microseconds (completion to in-order flush)."),
     /// Duration of write-back flushes (microseconds).
-    pub write_flush_micros: Arc<Histogram>,
+    write_flush_micros: histogram("imserve_write_flush_micros",
+        "Write-back flush duration in microseconds."),
 
     /// Current index epoch (mirrored at snapshot time).
-    pub epoch: Arc<Gauge>,
+    epoch: gauge("imserve_epoch", "Current index epoch."),
     /// Pending delta-log length (mirrored at snapshot time).
-    pub log_len: Arc<Gauge>,
+    log_len: gauge("imserve_log_len", "Pending (uncompacted) delta-log length."),
     /// Snapshot watermark epoch (mirrored at snapshot time).
-    pub snapshot_epoch: Arc<Gauge>,
+    snapshot_epoch: gauge("imserve_snapshot_epoch", "Snapshot watermark epoch (last compaction)."),
     /// RR sets in the served pool (mirrored at snapshot time).
-    pub pool_size: Arc<Gauge>,
+    pool_size: gauge("imserve_pool_size", "RR sets in the served pool."),
     /// Reads the pool store issued against its cold backing file — point
     /// reads and sweep windows alike (mirrored at snapshot time from
     /// [`im_core::Pool::cold_reads`]; stays 0 for raw and compressed pools).
-    pub pool_cold_reads: Arc<Counter>,
+    pool_cold_reads: counter("imserve_pool_cold_reads_total",
+        "Reads the pool store issued against its cold backing file."),
     /// Bytes those reads returned (mirrored at snapshot time).
-    pub pool_cold_read_bytes: Arc<Counter>,
-    /// The pool's own `(reads, bytes)` at the last mirror.
-    pool_cold_seen: Mutex<(u64, u64)>,
+    pool_cold_read_bytes: counter("imserve_pool_cold_read_bytes_total",
+        "Bytes the pool store read from its cold backing file."),
     /// Seconds this process has served (mirrored at snapshot time).
-    pub uptime_seconds: Arc<Gauge>,
+    uptime_seconds: gauge("imserve_uptime_seconds", "Seconds this serving process has been up."),
 
     /// Fan-out operations the shard router performed (0 for an unsharded
     /// server; the family is always registered so scrapes are uniform).
-    pub shard_fanouts: Arc<Counter>,
+    shard_fanouts: counter("imserve_shard_fanouts_total",
+        "Fan-out operations performed by the shard router (0 when unsharded)."),
     /// Router selection rounds settled by the threshold merge over per-shard
     /// candidate lists (0 when unsharded, like every router family).
-    pub router_rounds_threshold: Arc<Counter>,
+    router_rounds_threshold: counter("imserve_router_topk_rounds_total{path=\"threshold\"}",
+        ROUTER_ROUNDS_HELP),
     /// Router selection rounds that fell back to summing full gain vectors
     /// because the shards' bounds did not separate a winner.
-    pub router_rounds_full: Arc<Counter>,
+    router_rounds_full: counter("imserve_router_topk_rounds_total{path=\"full\"}",
+        ROUTER_ROUNDS_HELP),
     /// Whole-pool gain passes the router asked of its shards: fan-outs of a
     /// limit-bearing `GainCandidates` or a `Gains`, each one pass per shard.
-    pub router_shard_passes: Arc<Counter>,
-    per_shard: Mutex<Vec<ShardLane>>,
+    router_shard_passes: counter("imserve_router_shard_passes_total",
+        "Whole-pool gain passes the shard router asked of every shard: fan-outs of a \
+         GainCandidates with a list limit, or of a Gains (0 when unsharded)."),
 
-    /// Spans of the slowest requests (threshold-gated ring buffer).
-    pub slow_log: SlowLog,
     /// Spans retained by the slow log (lifetime).
-    pub slow_queries: Arc<Counter>,
-
-    /// Structured operational events (WAL failures, compactions, torn
-    /// broadcasts, backpressure episodes) — a bounded ring, exposed on
-    /// `/events` and the `Events` protocol request.
-    pub event_log: EventLog,
+    slow_queries: counter("imserve_slow_queries_total",
+        "Requests slower than the slow-query threshold."),
 }
 
 /// A request kind's lane reads as a field of the metric set
@@ -349,215 +473,6 @@ impl Deref for ServingMetrics {
 }
 
 impl ServingMetrics {
-    /// A fresh metric set with every family registered, retaining slow
-    /// queries at `slow_threshold_micros`.
-    #[must_use]
-    pub fn new(slow_threshold_micros: u64) -> Arc<Self> {
-        let registry = Registry::new();
-        let m = Self {
-            requests: RequestLanes::register(&registry),
-            request_errors: registry.counter(
-                "imserve_request_errors_total",
-                "Requests answered with an error.",
-            ),
-            parse_errors: registry.counter(
-                "imserve_parse_errors_total",
-                "Lines that did not parse as a request frame.",
-            ),
-            oversized_frames: registry.counter(
-                "imserve_oversized_frames_total",
-                "Request lines refused for exceeding the frame bound before their newline.",
-            ),
-            wire_bytes_received: registry.counter(
-                "imserve_wire_bytes_received_total",
-                "Request-line bytes received (newline included).",
-            ),
-            wire_bytes_sent: registry.counter(
-                "imserve_wire_bytes_sent_total",
-                "Reply-line bytes sent (newline included).",
-            ),
-            topk_cache_hits: registry.counter(
-                "imserve_topk_cache_hits_total",
-                "TopK answers served from the LRU cache.",
-            ),
-            topk_cache_misses: registry.counter(
-                "imserve_topk_cache_misses_total",
-                "TopK answers computed and inserted into the cache.",
-            ),
-            deltas_applied: registry.counter(
-                "imserve_deltas_applied_total",
-                "Graph deltas applied by this process.",
-            ),
-            sets_resampled: registry.counter(
-                "imserve_sets_resampled_total",
-                "RR sets resampled by this process.",
-            ),
-            compactions: registry.counter(
-                "imserve_compactions_total",
-                "Delta-log compactions performed (manual plus policy-triggered).",
-            ),
-            wal_appended_bytes: registry.counter(
-                "imserve_wal_appended_bytes_total",
-                "Bytes appended to the mutation write-ahead log.",
-            ),
-            wal_fsyncs: registry.counter(
-                "imserve_wal_fsyncs_total",
-                "WAL fsyncs performed (one per acknowledged batch).",
-            ),
-            wal_append_micros: registry.histogram(
-                "imserve_wal_append_micros",
-                "Duration of one WAL append (encode, write, fsync) in microseconds.",
-            ),
-            mutate_resampled_sets: registry.histogram(
-                "imserve_mutate_resampled_sets",
-                "Dirty RR sets resampled per applied mutation batch.",
-            ),
-            lineage_full_hashes: registry.counter(
-                "imserve_lineage_full_hashes_total",
-                "From-scratch O(n + m) lineage-fingerprint passes (engine build and reload only).",
-            ),
-            index_swap_micros: registry.histogram(
-                "imserve_index_swap_micros",
-                "Validated index hot-swap duration under the write lock, in microseconds.",
-            ),
-            repl_records_shipped: registry.counter(
-                "imserve_repl_records_shipped_total",
-                "WAL records shipped to replication followers.",
-            ),
-            repl_records_applied: registry.counter(
-                "imserve_repl_records_applied_total",
-                "Replicated WAL records applied by this follower.",
-            ),
-            repl_connections: registry.counter(
-                "imserve_repl_connections_total",
-                "Follower replication connections accepted.",
-            ),
-            repl_connected: registry.gauge(
-                "imserve_repl_connected",
-                "1 while the follower's replication stream is connected, 0 while redialing.",
-            ),
-            backpressure_stalls: registry.counter(
-                "imserve_backpressure_stalls_total",
-                "Times the reactor paused reading a connection at its in-flight or backlog bound.",
-            ),
-            throttled_connections: registry.gauge(
-                "imserve_throttled_connections",
-                "Connections currently paused at their in-flight or backlog bound.",
-            ),
-            inflight: registry.gauge(
-                "imserve_inflight_requests",
-                "Requests dispatched to compute and not yet completed.",
-            ),
-            reorder_depth: registry.gauge(
-                "imserve_reorder_buffer_depth",
-                "Completed responses parked in reorder buffers, across connections.",
-            ),
-            write_backlog_bytes: registry.gauge(
-                "imserve_write_backlog_bytes",
-                "Bytes buffered for write-back across all connections.",
-            ),
-            open_connections: registry.gauge(
-                "imserve_open_connections",
-                "Currently open client connections.",
-            ),
-            reactor_wakeups_socket: registry.counter(
-                "imserve_reactor_wakeups_total{cause=\"socket\"}",
-                REACTOR_WAKEUPS_HELP,
-            ),
-            reactor_wakeups_completion: registry.counter(
-                "imserve_reactor_wakeups_total{cause=\"completion\"}",
-                REACTOR_WAKEUPS_HELP,
-            ),
-            reactor_wakeups_timeout: registry.counter(
-                "imserve_reactor_wakeups_total{cause=\"timeout\"}",
-                REACTOR_WAKEUPS_HELP,
-            ),
-            reactor_poll_wait_micros: registry.histogram(
-                "imserve_reactor_poll_wait_micros",
-                "Time the reactor spent blocked in one readiness wait, in microseconds.",
-            ),
-            reactor_ready_sockets: registry.histogram(
-                "imserve_reactor_ready_sockets",
-                "Descriptors reported ready per reactor wake-up.",
-            ),
-            reactor_answered_loop: registry.counter(
-                "imserve_reactor_requests_total{path=\"loop\"}",
-                REACTOR_REQUESTS_HELP,
-            ),
-            reactor_answered_worker: registry.counter(
-                "imserve_reactor_requests_total{path=\"worker\"}",
-                REACTOR_REQUESTS_HELP,
-            ),
-            worker_panics: registry.counter(
-                "imserve_worker_panics_total",
-                "Requests that panicked in a compute worker and were answered with an Internal error.",
-            ),
-            accept_errors: registry.counter(
-                "imserve_accept_errors_total",
-                "Failed accept calls (descriptor exhaustion and kin), listener paused after each.",
-            ),
-            queue_wait_micros: registry.histogram(
-                "imserve_queue_wait_micros",
-                "Compute-pool queue wait in microseconds (dispatch to worker pickup).",
-            ),
-            reorder_wait_micros: registry.histogram(
-                "imserve_reorder_wait_micros",
-                "Reorder-buffer wait in microseconds (completion to in-order flush).",
-            ),
-            write_flush_micros: registry.histogram(
-                "imserve_write_flush_micros",
-                "Write-back flush duration in microseconds.",
-            ),
-            epoch: registry.gauge("imserve_epoch", "Current index epoch."),
-            log_len: registry.gauge("imserve_log_len", "Pending (uncompacted) delta-log length."),
-            snapshot_epoch: registry.gauge(
-                "imserve_snapshot_epoch",
-                "Snapshot watermark epoch (last compaction).",
-            ),
-            pool_size: registry.gauge("imserve_pool_size", "RR sets in the served pool."),
-            pool_cold_reads: registry.counter(
-                "imserve_pool_cold_reads_total",
-                "Reads the pool store issued against its cold backing file.",
-            ),
-            pool_cold_read_bytes: registry.counter(
-                "imserve_pool_cold_read_bytes_total",
-                "Bytes the pool store read from its cold backing file.",
-            ),
-            pool_cold_seen: Mutex::new((0, 0)),
-            uptime_seconds: registry.gauge(
-                "imserve_uptime_seconds",
-                "Seconds this serving process has been up.",
-            ),
-            shard_fanouts: registry.counter(
-                "imserve_shard_fanouts_total",
-                "Fan-out operations performed by the shard router (0 when unsharded).",
-            ),
-            router_rounds_threshold: registry.counter(
-                "imserve_router_topk_rounds_total{path=\"threshold\"}",
-                ROUTER_ROUNDS_HELP,
-            ),
-            router_rounds_full: registry.counter(
-                "imserve_router_topk_rounds_total{path=\"full\"}",
-                ROUTER_ROUNDS_HELP,
-            ),
-            router_shard_passes: registry.counter(
-                "imserve_router_shard_passes_total",
-                "Whole-pool gain passes the shard router asked of every shard: fan-outs of a \
-                 GainCandidates with a list limit, or of a Gains (0 when unsharded).",
-            ),
-            per_shard: Mutex::new(Vec::new()),
-            slow_log: SlowLog::new(SLOW_LOG_CAPACITY, slow_threshold_micros),
-            slow_queries: registry.counter(
-                "imserve_slow_queries_total",
-                "Requests slower than the slow-query threshold.",
-            ),
-            event_log: EventLog::default(),
-            registry,
-            started: Instant::now(),
-        };
-        Arc::new(m)
-    }
-
     /// A fresh metric set at the default slow-query threshold.
     #[must_use]
     pub fn with_defaults() -> Arc<Self> {
@@ -571,7 +486,7 @@ impl ServingMetrics {
     }
 
     /// The hot-path handles for shard `index`, registering its labelled
-    /// counter/histogram families on first use. Idempotent per index.
+    /// counter/gauge/histogram families on first use. Idempotent per index.
     pub fn shard_lane(&self, index: usize) -> ShardLane {
         let mut lanes = self.per_shard.lock().expect("shard lane lock");
         while lanes.len() <= index {
@@ -592,6 +507,10 @@ impl ServingMetrics {
                 rtt_micros: self.registry.histogram(
                     &format!("imserve_shard_rtt_micros{{shard=\"{i}\"}}"),
                     "Round-trip time of sub-requests per shard in microseconds.",
+                ),
+                up: self.registry.gauge(
+                    &format!("imserve_shard_up{{shard=\"{i}\"}}"),
+                    "1 if the shard answered this scrape's Metrics fan-out, 0 otherwise.",
                 ),
             });
         }

@@ -348,6 +348,74 @@ fn handshake_refusal(hello: &ReplHello, identity: &str, base_seed: u64) -> Optio
     }
 }
 
+/// The leader's read side of its WAL: one open handle that reads only the
+/// bytes appended since the last poll, so a poll costs what was appended,
+/// never the log's whole history. Nothing truncates a served WAL (the only
+/// `set_len` is start-up recovery), so a file shorter than what was already
+/// read — operator error, a harness truncating it — is refused rather than
+/// read past.
+struct WalTail {
+    file: std::fs::File,
+    path: PathBuf,
+    /// The identity header, verified before the first record is returned.
+    header: Vec<u8>,
+    /// Bytes read but not yet consumed: whole records waiting to ship, then
+    /// at most one torn record still being appended.
+    pending: Vec<u8>,
+    /// File offset of `pending[0]`.
+    offset: u64,
+}
+
+impl WalTail {
+    fn open(path: &Path, header: Vec<u8>) -> Result<Self, ServeError> {
+        Ok(Self {
+            file: std::fs::File::open(path)?,
+            path: path.to_path_buf(),
+            header,
+            pending: Vec::new(),
+            offset: 0,
+        })
+    }
+
+    /// Read what was appended since the last poll and return the unconsumed
+    /// bytes after the header (empty until the header is whole and checked)
+    /// with their file offset.
+    fn poll(&mut self) -> Result<(u64, &[u8]), ServeError> {
+        let read = self.offset + self.pending.len() as u64;
+        let len = self.file.metadata()?.len();
+        if len < read {
+            return Err(ServeError::Wal(format!(
+                "WAL at {} shrank under the tailer (from {read} to {len} bytes)",
+                self.path.display()
+            )));
+        }
+        if len > read {
+            self.file.read_to_end(&mut self.pending)?;
+        }
+        if self.offset == 0 {
+            let n = self.header.len();
+            if self.pending.len() < n {
+                return Ok((0, &[])); // header still being written
+            }
+            if self.pending[..n] != self.header[..] {
+                return Err(ServeError::Wal(format!(
+                    "WAL at {} carries a different identity header than the index this leader \
+                     serves — refusing to ship foreign records",
+                    self.path.display()
+                )));
+            }
+            self.consume(n);
+        }
+        Ok((self.offset, &self.pending))
+    }
+
+    /// Drop the first `n` bytes [`WalTail::poll`] returned.
+    fn consume(&mut self, n: usize) {
+        self.pending.drain(..n);
+        self.offset += n as u64;
+    }
+}
+
 /// Tail the WAL file from the record after `resume_epoch`, shipping each
 /// complete record as a length-prefixed frame. Returns when the follower
 /// hangs up (write failure), the stop flag is set, or a fault cuts the
@@ -363,58 +431,24 @@ fn tail_wal(
     faults: &ReplicationFaults,
     stop: &AtomicBool,
 ) -> Result<(), ServeError> {
-    let header = wal::encode_header(identity, base_seed);
-    let mut offset = 0usize; // bytes of the file already consumed
-    let mut header_checked = false;
+    let mut tail = WalTail::open(wal_path, wal::encode_header(identity, base_seed))?;
     let mut frames_sent = 0u64;
 
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        // Reread the whole file each poll. WAL files between compactions are
-        // small (records are folded into the artifact on export) and the
-        // tailer is off the hot path; the simplicity buys an important
-        // property — a *shrunk* file (operator error, harness truncation
-        // below our offset) is detected instead of read past.
-        let bytes = std::fs::read(wal_path)?;
-        if bytes.len() < offset {
-            return Err(ServeError::Wal(format!(
-                "WAL at {} shrank under the tailer (from {offset} to {} bytes)",
-                wal_path.display(),
-                bytes.len()
-            )));
-        }
-        if !header_checked {
-            if bytes.len() < header.len() {
-                // Header still being written; wait.
-                std::thread::sleep(TAIL_POLL);
-                continue;
-            }
-            if bytes[..header.len()] != header[..] {
-                return Err(ServeError::Wal(format!(
-                    "WAL at {} carries a different identity header than the index this leader \
-                     serves — refusing to ship foreign records",
-                    wal_path.display()
-                )));
-            }
-            offset = header.len();
-            header_checked = true;
-        }
-
-        let mut shipped_any = false;
-        while bytes.len() - offset >= 4 {
-            let len =
-                u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-            if bytes.len() - offset - 4 < len {
-                break; // torn tail mid-append: wait for the rest
-            }
-            let payload = &bytes[offset + 4..offset + 4 + len];
+        let (offset, bytes) = tail.poll()?;
+        let mut at = 0usize;
+        // A torn tail is a record mid-append: the next poll reads the rest.
+        while let Some(payload) = wal::framed_payload(&bytes[at..]) {
+            let frame = &bytes[at..at + 4 + payload.len()];
             // Decode for the resume filter (and as a shipping-side sanity
             // check: a corrupt record never leaves the leader).
-            let record = WalRecord::decode_payload(payload)
-                .map_err(|e| ServeError::Wal(format!("tailer at byte {offset}: {e}")))?;
-            offset += 4 + len;
+            let record = WalRecord::decode_payload(payload).map_err(|e| {
+                ServeError::Wal(format!("tailer at byte {}: {e}", offset + at as u64))
+            })?;
+            at += frame.len();
             if record.epoch_after() <= resume_epoch {
                 continue; // already folded into the follower's cursor
             }
@@ -427,13 +461,12 @@ fn tail_wal(
                 let _ = writer.shutdown(Shutdown::Both);
                 return Ok(()); // injected mid-stream kill
             }
-            writer.write_all(&(len as u32).to_le_bytes())?;
-            writer.write_all(payload)?;
+            writer.write_all(frame)?; // shipped as it sits on disk
             frames_sent += 1;
             engine.obs().repl_records_shipped.inc();
-            shipped_any = true;
         }
-        if shipped_any {
+        if at > 0 {
+            tail.consume(at);
             writer.flush()?;
         } else {
             // Nothing new: probe the follower with a zero-byte write is not
@@ -742,6 +775,122 @@ mod tests {
         hello.v = REPL_VERSION;
         let refusal = handshake_refusal(&hello, identity, 8).expect("wrong seed is refused");
         assert!(refusal.contains("identity mismatch"), "{refusal}");
+    }
+
+    /// One length-prefixed WAL record starting at `epoch_before`, as
+    /// `WriteAheadLog::append` lays it out.
+    fn wal_frame(epoch_before: u64) -> Vec<u8> {
+        let payload = WalRecord {
+            epoch_before,
+            graph_hash_before: 0,
+            deltas: vec![imgraph::GraphDelta::DeleteEdge {
+                source: 0,
+                target: 1,
+            }],
+        }
+        .encode_payload();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    fn append_to(path: &Path, bytes: &[u8]) {
+        let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
+    fn temp_wal(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("imserve_tail_{tag}_{}.dlta", std::process::id()))
+    }
+
+    #[test]
+    fn a_wal_that_shrinks_under_the_tailer_is_refused() {
+        let path = temp_wal("shrink");
+        let header = wal::encode_header("karate/uc0.1 pool=100 offset=0", 7);
+        let mut bytes = header.clone();
+        bytes.extend(wal_frame(0));
+        bytes.extend(wal_frame(1));
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut tail = WalTail::open(&path, header.clone()).unwrap();
+        let (offset, ready) = tail.poll().unwrap();
+        assert_eq!(offset, header.len() as u64);
+        let n = ready.len();
+        assert_eq!(n, bytes.len() - header.len());
+        tail.consume(n);
+
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(header.len() as u64)
+            .unwrap();
+        let err = tail.poll().unwrap_err().to_string();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("shrank under the tailer"), "{err}");
+        assert!(
+            err.contains(&format!("from {} to {} bytes", bytes.len(), header.len())),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn records_appended_after_a_large_consumed_prefix_are_shipped() {
+        const PREFIX: u64 = 5_000;
+        let engine = QueryEngine::builder(
+            crate::index::build_dataset_index("karate", "uc0.1", 200, 7).unwrap(),
+        )
+        .build()
+        .unwrap();
+        let (identity, base_seed) = (engine.identity(), engine.base_seed());
+        let path = temp_wal("prefix");
+        let mut bytes = wal::encode_header(&identity, base_seed);
+        for epoch in 0..PREFIX {
+            bytes.extend(wal_frame(epoch));
+        }
+        std::fs::write(&path, &bytes).unwrap();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut follower = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        follower
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (mut leader, _) = listener.accept().unwrap();
+        let stop = AtomicBool::new(false);
+        let faults = ReplicationFaults::default();
+        std::thread::scope(|scope| {
+            let tailer = scope.spawn(|| {
+                tail_wal(
+                    &mut leader,
+                    &engine,
+                    &path,
+                    &identity,
+                    base_seed,
+                    PREFIX - 1, // the follower holds all but the prefix's last record
+                    &faults,
+                    &stop,
+                )
+            });
+            let mut next_epoch = || {
+                let mut len = [0u8; 4];
+                follower.read_exact(&mut len).unwrap();
+                let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+                follower.read_exact(&mut payload).unwrap();
+                WalRecord::decode_payload(&payload).unwrap().epoch_before
+            };
+            // The prefix's last record arrives, so the tailer has read the
+            // whole prefix; what is appended now reaches a later poll.
+            assert_eq!(next_epoch(), PREFIX - 1);
+            let appended: Vec<u8> = (PREFIX..PREFIX + 3).flat_map(wal_frame).collect();
+            append_to(&path, &appended);
+            for epoch in PREFIX..PREFIX + 3 {
+                assert_eq!(next_epoch(), epoch);
+            }
+            stop.store(true, Ordering::SeqCst);
+            tailer.join().unwrap().unwrap();
+        });
+        std::fs::remove_file(&path).ok();
+        assert_eq!(engine.obs().repl_records_shipped.get(), 4);
     }
 
     #[test]

@@ -107,9 +107,9 @@ use crate::lru::TopKCache;
 use crate::obs::{ServingMetrics, ShardLane};
 use crate::protocol::{Request, Response, TopKAlgorithm, PROTOCOL_VERSION};
 use crate::service::{
-    check_vertices, CompactionReport, EventRecord, FamilyHelp, GainCandidates, GainVector,
-    GaugeSample, HealthReport, InfluenceService, MetricsReport, MutationOutcome, Pending,
-    ServiceError, ServiceInfo, ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
+    check_vertices, CompactionReport, EventRecord, GainCandidates, GainVector, HealthReport,
+    InfluenceService, MetricsReport, MutationOutcome, Pending, ServiceError, ServiceInfo,
+    ServiceResult, ServiceStats, SpreadEstimate, TopKSelection,
 };
 
 /// Settle one selection round from per-shard candidate lists: the top `want`
@@ -216,6 +216,23 @@ fn add_shard_count(i: usize, what: &str, sum: u64, count: u64) -> ServiceResult<
     })
 }
 
+/// The router's one lockstep check over `(shard, epoch)` pairs: the epoch
+/// every pair shares with the first (`None` for no pairs), or the first pair
+/// that diverges from it. Each caller words its own refusal or health
+/// signal, naming the diverging shard.
+fn lockstep<T: PartialEq>(
+    epochs: impl IntoIterator<Item = (usize, T)>,
+) -> Result<Option<T>, (usize, T)> {
+    let mut epochs = epochs.into_iter();
+    let Some((_, first)) = epochs.next() else {
+        return Ok(None);
+    };
+    match epochs.find(|(_, epoch)| *epoch != first) {
+        Some(diverged) => Err(diverged),
+        None => Ok(Some(first)),
+    }
+}
+
 /// Selections the router caches: one, the last. A workload alternating two
 /// `k`s therefore recomputes every selection.
 const ROUTER_CACHE_CAPACITY: usize = 1;
@@ -258,22 +275,19 @@ impl<S: InfluenceService> ShardedService<S> {
             return Err(ServiceError::Shard("no shard backends given".into()));
         }
         let mut merged: Option<ServiceInfo> = None;
-        let mut epoch: Option<u64> = None;
+        let mut epochs: Vec<u64> = Vec::with_capacity(shards.len());
         // Each backend's claimed global range, for the coverage check below.
         let mut ranges: Vec<(u64, u64, u64)> = Vec::with_capacity(shards.len());
         for (i, shard) in shards.iter_mut().enumerate() {
             let info = shard.info()?;
-            let stats = shard.stats()?;
+            epochs.push(shard.stats()?.epoch);
             ranges.push((
                 info.shard_offset,
                 info.shard_offset + info.pool_size as u64,
                 info.global_pool,
             ));
             match &mut merged {
-                None => {
-                    merged = Some(info);
-                    epoch = Some(stats.epoch);
-                }
+                None => merged = Some(info),
                 Some(m) => {
                     if info.graph_id != m.graph_id
                         || info.model != m.model
@@ -292,17 +306,16 @@ impl<S: InfluenceService> ShardedService<S> {
                             m.num_edges
                         )));
                     }
-                    if Some(stats.epoch) != epoch {
-                        return Err(ServiceError::Shard(format!(
-                            "shard {i} is at epoch {} but shard 0 is at {}",
-                            stats.epoch,
-                            epoch.unwrap_or(0)
-                        )));
-                    }
                     m.pool_size += info.pool_size;
                 }
             }
         }
+        let epoch = lockstep(epochs.iter().copied().enumerate()).map_err(|(i, epoch)| {
+            ServiceError::Shard(format!(
+                "shard {i} is at epoch {epoch} but shard 0 is at {}",
+                epochs[0]
+            ))
+        })?;
         // The backends must cover one contiguous, disjoint slice of the
         // global set-id space — no duplicates (the same address listed
         // twice would double-count its covered sets), no overlaps, no
@@ -356,7 +369,7 @@ impl<S: InfluenceService> ShardedService<S> {
         Ok(Self {
             shards,
             info,
-            epoch: epoch.unwrap_or(0),
+            epoch: epoch.expect("at least one shard"),
             cache: TopKCache::new(ROUTER_CACHE_CAPACITY, &obs),
             obs,
             lanes,
@@ -392,24 +405,15 @@ impl<S: InfluenceService> ShardedService<S> {
     /// `imserve_shard_up{shard="i"}` gauge reads `0`.
     pub fn cluster_metrics(&mut self) -> MetricsReport {
         let results = self.fan_out::<MetricsReport>(&Request::Metrics);
+        for (lane, result) in self.lanes.iter().zip(&results) {
+            lane.up.set(i64::from(result.is_ok()));
+        }
         let mut merged = self.obs.report();
-        merged.help.push(FamilyHelp {
-            family: "imserve_shard_up".into(),
-            help: "1 if the shard answered this scrape's Metrics fan-out, 0 otherwise.".into(),
-        });
-        for (i, result) in results.into_iter().enumerate() {
-            let up = match result {
-                Ok(report) => {
-                    merged.merge(&report.with_shard_label(i));
-                    merged.merge(&report);
-                    1
-                }
-                Err(_) => 0,
-            };
-            merged.gauges.push(GaugeSample {
-                name: format!("imserve_shard_up{{shard=\"{i}\"}}"),
-                value: up,
-            });
+        for (i, report) in results.iter().enumerate() {
+            if let Ok(report) = report {
+                merged.merge(&report.with_shard_label(i));
+                merged.merge(report);
+            }
         }
         merged
     }
@@ -516,23 +520,16 @@ impl<S: InfluenceService> ShardedService<S> {
     /// safe — at the cost of the verification round.
     fn refresh_epoch(&mut self) -> ServiceResult<u64> {
         let all = self.fan_out_all::<ServiceStats>(&Request::Stats)?;
-        let mut epoch: Option<u64> = None;
-        for (i, stats) in all.iter().enumerate() {
-            let observed = stats.epoch;
-            match epoch {
-                None => epoch = Some(observed),
-                Some(e) if e == observed => {}
-                Some(e) => {
-                    return Err(ServiceError::Shard(format!(
-                        "shard {i} is at epoch {observed} but shard 0 is at {e}; the shards \
-                         were mutated outside this router or a broadcast was torn"
-                    )))
-                }
-            }
-        }
-        let epoch = epoch.expect("at least one shard");
-        self.epoch = epoch;
-        Ok(epoch)
+        let epochs = all.iter().map(|s| s.epoch).enumerate();
+        let epoch = lockstep(epochs).map_err(|(i, observed)| {
+            ServiceError::Shard(format!(
+                "shard {i} is at epoch {observed} but shard 0 is at {}; the shards were \
+                 mutated outside this router or a broadcast was torn",
+                all[0].epoch
+            ))
+        })?;
+        self.epoch = epoch.expect("at least one shard");
+        Ok(self.epoch)
     }
 
     /// One listed round over this router's fan-out ([`listed_round`] with
@@ -851,63 +848,38 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
         }
         let outcomes: Vec<MutationOutcome> =
             results.into_iter().map(|r| r.expect("no errors")).collect();
-        let mut first: Option<MutationOutcome> = None;
-        let mut resampled = 0usize;
-        let mut compacted = false;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match &first {
-                None => {
-                    resampled += outcome.resampled;
-                    compacted |= outcome.compacted;
-                    first = Some(outcome);
-                }
-                Some(f) => {
-                    if outcome.epoch != f.epoch || outcome.applied != f.applied {
-                        return Err(ServiceError::Shard(format!(
-                            "shard {i} reports epoch {} ({} applied) but shard 0 reports \
-                             epoch {} ({} applied)",
-                            outcome.epoch, outcome.applied, f.epoch, f.applied
-                        )));
-                    }
-                    resampled += outcome.resampled;
-                    compacted |= outcome.compacted;
-                }
-            }
-        }
-        let first = first.expect("at least one shard");
+        let first = outcomes[0];
+        let moves = outcomes.iter().map(|o| (o.epoch, o.applied));
+        lockstep(moves.enumerate()).map_err(|(i, (epoch, applied))| {
+            ServiceError::Shard(format!(
+                "shard {i} reports epoch {epoch} ({applied} applied) but shard 0 reports epoch \
+                 {} ({} applied)",
+                first.epoch, first.applied
+            ))
+        })?;
         self.epoch = first.epoch;
         // Mutations change edge counts; refresh the merged metadata from
         // shard 0 (dimension equality was just verified via the outcomes).
         let refreshed = self.shards[0].info()?;
         self.info.num_edges = refreshed.num_edges;
         Ok(MutationOutcome {
-            epoch: first.epoch,
-            applied: first.applied,
-            resampled,
-            compacted,
+            resampled: outcomes.iter().map(|o| o.resampled).sum(),
+            compacted: outcomes.iter().any(|o| o.compacted),
+            ..first
         })
     }
 
     fn compact(&mut self) -> ServiceResult<CompactionReport> {
         let all = self.fan_out_all::<CompactionReport>(&Request::Compact)?;
-        let mut epoch: Option<u64> = None;
-        let mut folded = 0usize;
-        for (i, report) in all.into_iter().enumerate() {
-            match epoch {
-                None => epoch = Some(report.epoch),
-                Some(e) if e == report.epoch => {}
-                Some(e) => {
-                    return Err(ServiceError::Shard(format!(
-                        "shard {i} compacted at epoch {} but shard 0 at {e}",
-                        report.epoch
-                    )))
-                }
-            }
-            folded += report.folded;
-        }
+        let epoch = lockstep(all.iter().map(|r| r.epoch).enumerate()).map_err(|(i, epoch)| {
+            ServiceError::Shard(format!(
+                "shard {i} compacted at epoch {epoch} but shard 0 at {}",
+                all[0].epoch
+            ))
+        })?;
         Ok(CompactionReport {
             epoch: epoch.expect("at least one shard"),
-            folded,
+            folded: all.iter().map(|r| r.folded).sum(),
         })
     }
 
@@ -925,48 +897,44 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
 
     fn stats(&mut self) -> ServiceResult<ServiceStats> {
         let all = self.fan_out_all::<ServiceStats>(&Request::Stats)?;
-        let mut merged: Option<ServiceStats> = None;
-        let mut shard_reports: Vec<EpochReport> = Vec::with_capacity(all.len());
-        for (i, stats) in all.into_iter().enumerate() {
-            shard_reports.push(EpochReport {
-                epoch: stats.epoch,
-                snapshot_epoch: stats.snapshot_epoch,
-                log_len: stats.log_len,
-            });
-            match &mut merged {
-                None => merged = Some(stats),
-                Some(m) => {
-                    // Epochs are lockstep-critical; watermarks may differ
-                    // (shards compact on their own policies), so the merged
-                    // view reports the most conservative pair.
-                    if stats.epoch != m.epoch {
-                        return Err(ServiceError::Shard(format!(
-                            "shard {i} is at epoch {} but shard 0 is at {}",
-                            stats.epoch, m.epoch
-                        )));
-                    }
-                    m.requests += stats.requests;
-                    m.topk_cache_hits += stats.topk_cache_hits;
-                    m.topk_cache_misses += stats.topk_cache_misses;
-                    m.pool_size += stats.pool_size;
-                    m.deltas_applied += stats.deltas_applied;
-                    m.sets_resampled += stats.sets_resampled;
-                    m.log_len = m.log_len.max(stats.log_len);
-                    m.snapshot_epoch = m.snapshot_epoch.min(stats.snapshot_epoch);
-                    m.compactions += stats.compactions;
-                    // The group has served as long as its oldest member.
-                    m.uptime_secs = m.uptime_secs.max(stats.uptime_secs);
-                    m.requests_by_type = m.requests_by_type.merged(&stats.requests_by_type);
-                    m.pool_resident_bytes += stats.pool_resident_bytes;
-                    if m.pool_layout != stats.pool_layout {
-                        m.pool_layout = "mixed".to_string();
-                    }
-                }
+        // Epochs are lockstep-critical; watermarks may differ (shards compact
+        // on their own policies), so the merged view reports the most
+        // conservative pair.
+        lockstep(all.iter().map(|s| s.epoch).enumerate()).map_err(|(i, epoch)| {
+            ServiceError::Shard(format!(
+                "shard {i} is at epoch {epoch} but shard 0 is at {}",
+                all[0].epoch
+            ))
+        })?;
+        let shards = (all.iter())
+            .map(|s| EpochReport {
+                epoch: s.epoch,
+                snapshot_epoch: s.snapshot_epoch,
+                log_len: s.log_len,
+            })
+            .collect();
+        let mut all = all.into_iter();
+        let mut m = all.next().expect("at least one shard");
+        for stats in all {
+            m.requests += stats.requests;
+            m.topk_cache_hits += stats.topk_cache_hits;
+            m.topk_cache_misses += stats.topk_cache_misses;
+            m.pool_size += stats.pool_size;
+            m.deltas_applied += stats.deltas_applied;
+            m.sets_resampled += stats.sets_resampled;
+            m.log_len = m.log_len.max(stats.log_len);
+            m.snapshot_epoch = m.snapshot_epoch.min(stats.snapshot_epoch);
+            m.compactions += stats.compactions;
+            // The group has served as long as its oldest member.
+            m.uptime_secs = m.uptime_secs.max(stats.uptime_secs);
+            m.requests_by_type = m.requests_by_type.merged(&stats.requests_by_type);
+            m.pool_resident_bytes += stats.pool_resident_bytes;
+            if m.pool_layout != stats.pool_layout {
+                m.pool_layout = "mixed".to_string();
             }
         }
-        let mut stats = merged.expect("at least one shard");
-        stats.shards = shard_reports;
-        Ok(stats)
+        m.shards = shards;
+        Ok(m)
     }
 
     /// Federated cluster metrics — see [`ShardedService::cluster_metrics`].
@@ -1004,25 +972,24 @@ impl<S: InfluenceService> InfluenceService for ShardedService<S> {
                 }
             }
         }
-        match epochs.split_first() {
-            Some((&(first_idx, first_epoch), rest)) => {
-                match rest.iter().find(|&&(_, e)| e != first_epoch) {
-                    Some(&(i, e)) => report.push(
-                        "epoch_lockstep",
-                        false,
-                        format!(
-                            "shard {i} is at epoch {e} but shard {first_idx} is at \
-                             {first_epoch}; merged answers would mix epochs"
-                        ),
+        match lockstep(epochs.iter().copied()) {
+            Ok(Some(epoch)) => report.push(
+                "epoch_lockstep",
+                true,
+                format!("all reachable shards at epoch {epoch}"),
+            ),
+            Ok(None) => report.push("epoch_lockstep", false, "no shard is reachable"),
+            Err((i, e)) => {
+                let (first, first_epoch) = epochs[0];
+                report.push(
+                    "epoch_lockstep",
+                    false,
+                    format!(
+                        "shard {i} is at epoch {e} but shard {first} is at {first_epoch}; \
+                         merged answers would mix epochs"
                     ),
-                    None => report.push(
-                        "epoch_lockstep",
-                        true,
-                        format!("all reachable shards at epoch {first_epoch}"),
-                    ),
-                }
+                );
             }
-            None => report.push("epoch_lockstep", false, "no shard is reachable"),
         }
         Ok(report)
     }

@@ -157,6 +157,15 @@ pub fn encode_header(identity: &str, base_seed: u64) -> Vec<u8> {
     header
 }
 
+/// The payload of the record framed at the start of `bytes` (a `u32` length
+/// prefix, then that many bytes), or `None` while the frame is torn — how
+/// recovery and the replication tailer both walk a log.
+#[must_use]
+pub(crate) fn framed_payload(bytes: &[u8]) -> Option<&[u8]> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().expect("4 bytes"));
+    bytes[4..].get(..len as usize)
+}
+
 /// The header version of a WAL file written by another format version, if
 /// `bytes` opens with a complete magic + version prefix naming one.
 fn foreign_version(bytes: &[u8]) -> Option<u32> {
@@ -241,23 +250,18 @@ impl WriteAheadLog {
 
         let mut records = Vec::new();
         let mut at = header_len.min(bytes.len());
-        let mut valid_len = at;
-        while bytes.len() - at >= 4 {
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-            if bytes.len() - at - 4 < len {
-                break; // torn tail: the length prefix outran the file
-            }
-            let record = WalRecord::decode_payload(&bytes[at + 4..at + 4 + len])
+        // A torn tail is a length prefix that outran the file.
+        while let Some(payload) = framed_payload(&bytes[at..]) {
+            let record = WalRecord::decode_payload(payload)
                 .map_err(|e| ServeError::Wal(format!("record {}: {e}", records.len())))?;
             records.push(record);
-            at += 4 + len;
-            valid_len = at;
+            at += 4 + payload.len();
         }
-        let truncated_bytes = bytes.len() - valid_len;
+        let truncated_bytes = bytes.len() - at;
         if truncated_bytes > 0 {
             // Drop the torn tail so the next append starts on a record
             // boundary.
-            file.set_len(valid_len as u64)?;
+            file.set_len(at as u64)?;
         }
         file.seek(SeekFrom::End(0))?;
         Ok(Recovery {
