@@ -8,7 +8,6 @@
 //! `Inf(S)` is `1.29·n/√pool` (each RR set intersecting `S` is a Bernoulli
 //! trial with success probability `Inf(S)/n`).
 
-use imgraph::binio::{self, BinError, BinReader, BinWriter};
 use imgraph::{GraphDelta, InfluenceGraph, VertexId};
 use impool::{Pool, PoolLayout, TieredConfig};
 use imrand::Rng32;
@@ -18,15 +17,6 @@ use std::collections::BinaryHeap;
 use crate::ris::RrScratch;
 use crate::sampler::{self, Backend, SampleBudget};
 use crate::seed_set::SeedSet;
-
-/// Magic bytes of a serialized RR-set pool.
-pub const POOL_MAGIC: [u8; 4] = *b"IMPL";
-/// Current RR-set pool format version.
-pub const POOL_VERSION: u32 = 1;
-
-const POOL_HEAD_TAG: [u8; 4] = *b"HEAD";
-const POOL_LEN_TAG: [u8; 4] = *b"PLEN";
-const POOL_IDS_TAG: [u8; 4] = *b"PIDS";
 
 /// Append `set_id` to the posting list of every member vertex of one RR set
 /// (shared by the stream and batched build paths).
@@ -325,11 +315,12 @@ impl OracleBuilder {
         }
     }
 
-    /// Reassemble an oracle from previously exported posting lists — the
-    /// import half of the persistence layer. Validates the invariants the
-    /// query paths rely on and constructs the oracle **without any
-    /// sampling**: no graph and no random generator are involved, so loading
-    /// a persisted pool can never resample it.
+    /// Assemble an oracle from caller-supplied posting lists (no traces, so
+    /// not incremental until [`InfluenceOracle::attach_incremental`]).
+    /// Validates the invariants the query paths rely on and constructs the
+    /// oracle **without any sampling**: no graph and no random generator are
+    /// involved. Persisted pools load through
+    /// [`InfluenceOracle::from_pcmp_payload`] instead.
     ///
     /// Invariants checked: the builder's pool is non-empty, at least one
     /// vertex, every set id `< pool_size`, and every posting list strictly
@@ -456,15 +447,18 @@ impl InfluenceOracle {
         })
     }
 
-    /// Decode a compressed `PCMP` pool payload ([`impool::decode_pcmp_payload`])
-    /// into an oracle, returning the layout hint the payload was stamped with
-    /// (`Compressed` or `Tiered`). The decoder's eager validation is what
-    /// makes [`InfluenceOracle::from_pool`] sound here.
+    /// Decode a `PCMP` pool payload ([`impool::decode_pcmp_payload`]) into an
+    /// oracle whose pool has the layout the payload was stamped with, and
+    /// return that layout. The only pool decoder: the decoder's eager
+    /// validation is what makes [`InfluenceOracle::from_pool`] sound here, and
+    /// the signature is the no-resampling guarantee (no graph, no generator,
+    /// only bytes).
     pub fn from_pcmp_payload(payload: &[u8]) -> Result<(Self, PoolLayout), String> {
         let (packed, hint) = impool::decode_pcmp_payload(payload).map_err(|e| e.to_string())?;
         let pool = match hint {
+            PoolLayout::Raw => Pool::Compressed(packed).convert(PoolLayout::Raw),
+            PoolLayout::Compressed => Pool::Compressed(packed),
             PoolLayout::Tiered => Pool::Tiered(packed),
-            _ => Pool::Compressed(packed),
         };
         Ok((Self::from_pool(pool)?, hint))
     }
@@ -553,11 +547,12 @@ impl InfluenceOracle {
     /// Re-attach incremental state to a pool that was reloaded from bytes.
     ///
     /// The per-set traces are derivable from the posting lists (they are each
-    /// other's inverse), so persistence never stores them: this inverts the
-    /// posting lists in `O(Σ|R|)` and records `base_seed` as the stream
-    /// derivation root and `set_id_offset` as the pool's position in the
-    /// global set-id space (zero for a whole pool, the shard's start for a
-    /// shard pool). The caller asserts — typically via artifact metadata —
+    /// other's inverse). A `PCMP` payload of an incremental pool carries them;
+    /// for a pool without them (one [`OracleBuilder::assemble`]d from posting
+    /// lists) this inverts the posting lists in `O(Σ|R|)`. Either way it
+    /// records `base_seed` as the stream derivation root and `set_id_offset`
+    /// as the pool's position in the global set-id space (zero for a whole
+    /// pool, the shard's start for a shard pool). The caller asserts — typically via artifact metadata —
     /// that both match the values the pool was originally drawn with and
     /// that the pool was built with per-set streams
     /// ([`OracleBuilder::incremental`]); with a wrong seed or offset, later
@@ -651,91 +646,19 @@ impl InfluenceOracle {
 
     /// Materialize the posting list of one vertex (the RR-set ids containing
     /// it, strictly increasing). Layout-independent; for bulk export prefer
-    /// [`InfluenceOracle::to_bytes`].
+    /// [`InfluenceOracle::encode_pcmp_payload`].
     #[must_use]
     pub fn posting_list(&self, v: VertexId) -> Vec<u32> {
         self.pool.postings(v)
     }
 
-    /// Serialize the RR-set pool to the workspace binary format.
-    ///
-    /// Layout (see `imgraph::binio` for the framing): a `HEAD` section with
-    /// `n` and `pool_size`, a `PLEN` section with each vertex's posting-list
-    /// length, and a `PIDS` section with the concatenated ids — i.e. the
-    /// posting lists in CSR form, which reload without any per-list parsing.
+    /// The pool's canonical comparison bytes: its `PCMP` payload at the
+    /// [`PoolLayout::Compressed`] hint, whatever the layout. Two oracles hold
+    /// the same pool (posting lists and, when present, traces) iff these
+    /// bytes are equal, which is what every byte-identity check compares.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = BinWriter::new(POOL_MAGIC, POOL_VERSION);
-
-        let mut head = Vec::with_capacity(16);
-        binio::put_u64(&mut head, self.num_vertices as u64);
-        binio::put_u64(&mut head, self.pool_size as u64);
-        w.section(POOL_HEAD_TAG, &head);
-
-        let mut lens = Vec::with_capacity(self.num_vertices * 4);
-        let mut ids = Vec::new();
-        self.pool.sweep_postings(|_, list| {
-            let before = ids.len();
-            list.for_each(|id| binio::put_u32(&mut ids, id));
-            binio::put_u32(&mut lens, ((ids.len() - before) / 4) as u32);
-        });
-        w.section(POOL_LEN_TAG, &lens);
-        w.section(POOL_IDS_TAG, &ids);
-        w.finish()
-    }
-
-    /// Deserialize an RR-set pool written by [`InfluenceOracle::to_bytes`].
-    ///
-    /// The signature is the no-resampling guarantee: no graph, no generator —
-    /// only bytes. Corruption that survives the checksum (or hand-crafted
-    /// input) is rejected with a typed [`BinError`], never a panic.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, BinError> {
-        let sections = BinReader::new(bytes, POOL_MAGIC, POOL_VERSION)?.sections()?;
-
-        let mut head = binio::require_section(&sections, POOL_HEAD_TAG)?;
-        let n = usize::try_from(head.u64()?)
-            .map_err(|_| BinError::Corrupt("vertex count exceeds usize".into()))?;
-        let pool = usize::try_from(head.u64()?)
-            .map_err(|_| BinError::Corrupt("pool size exceeds usize".into()))?;
-
-        let mut len_payload = binio::require_section(&sections, POOL_LEN_TAG)?;
-        if len_payload.remaining()
-            != n.checked_mul(4)
-                .ok_or_else(|| BinError::Corrupt("posting-length section size overflows".into()))?
-        {
-            return Err(BinError::Corrupt(format!(
-                "posting-length section holds {} bytes, expected {}",
-                len_payload.remaining(),
-                n * 4
-            )));
-        }
-        let mut ids_payload = binio::require_section(&sections, POOL_IDS_TAG)?;
-        let mut vertex_to_sets: Vec<Vec<u32>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = len_payload.u32()? as usize;
-            // Guard the allocation against forged lengths: the ids section
-            // must still hold at least `len` entries.
-            if len > ids_payload.remaining() / 4 {
-                return Err(BinError::Truncated {
-                    needed: len * 4,
-                    available: ids_payload.remaining(),
-                });
-            }
-            let mut list = Vec::with_capacity(len);
-            for _ in 0..len {
-                list.push(ids_payload.u32()?);
-            }
-            vertex_to_sets.push(list);
-        }
-        if ids_payload.remaining() != 0 {
-            return Err(BinError::Corrupt(format!(
-                "{} trailing bytes in posting-id section",
-                ids_payload.remaining()
-            )));
-        }
-        Self::builder(pool)
-            .assemble(n, vertex_to_sets)
-            .map_err(BinError::Corrupt)
+        self.encode_pcmp_payload(PoolLayout::Compressed)
     }
 
     /// Number of RR sets in the pool.
@@ -1387,37 +1310,22 @@ mod tests {
             .seed(21)
             .backend(Backend::Sequential)
             .sample(&ig);
-        let bytes = oracle.to_bytes();
-        let back = InfluenceOracle::from_bytes(&bytes).expect("round trip");
+        let payload = oracle.encode_pcmp_payload(PoolLayout::Raw);
+        let (back, hint) = InfluenceOracle::from_pcmp_payload(&payload).expect("round trip");
+        assert_eq!(hint, PoolLayout::Raw);
+        assert_eq!(back.pool_layout(), PoolLayout::Raw);
         assert_eq!(back.pool_size(), oracle.pool_size());
         assert_eq!(back.num_vertices(), oracle.num_vertices());
         for v in 0..5u32 {
             assert_eq!(back.posting_list(v), oracle.posting_list(v));
         }
         // Re-encoding is byte-identical, and estimates are bit-identical.
-        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.encode_pcmp_payload(PoolLayout::Raw), payload);
+        assert_eq!(back.to_bytes(), oracle.to_bytes());
         for v in 0..5u32 {
             assert_eq!(back.estimate(&[v]), oracle.estimate(&[v]));
         }
         assert_eq!(back.estimate(&[0, 3, 4]), oracle.estimate(&[0, 3, 4]));
-    }
-
-    #[test]
-    fn pool_corruption_and_truncation_are_typed_errors() {
-        let ig = star(0.7);
-        let oracle =
-            InfluenceOracle::builder(500).sample_with_rng(&ig, &mut Pcg32::seed_from_u64(15));
-        let bytes = oracle.to_bytes();
-        for cut in [0, 7, 16, bytes.len() / 2, bytes.len() - 1] {
-            assert!(InfluenceOracle::from_bytes(&bytes[..cut]).is_err());
-        }
-        let mut damaged = bytes.clone();
-        let mid = damaged.len() / 2;
-        damaged[mid] ^= 0x01;
-        assert!(matches!(
-            InfluenceOracle::from_bytes(&damaged),
-            Err(BinError::ChecksumMismatch { .. })
-        ));
     }
 
     #[test]
@@ -1463,8 +1371,10 @@ mod tests {
             .backend(Backend::Sequential)
             .incremental()
             .sample(&ig);
-        let mut reloaded = InfluenceOracle::from_bytes(&native.to_bytes()).unwrap();
+        let lists = (0..5u32).map(|v| native.posting_list(v)).collect();
+        let mut reloaded = InfluenceOracle::builder(2_000).assemble(5, lists).unwrap();
         assert!(!reloaded.is_incremental());
+        assert!(!reloaded.pool().has_traces());
         reloaded.attach_incremental(5, 0);
         for set_id in 0..2_000u32 {
             assert_eq!(reloaded.trace(set_id), native.trace(set_id));

@@ -9,7 +9,7 @@
 //! * `tiered`     — the same blocks demoted to a `PCMP` payload file, with
 //!   only hot lists, skip headers and directories resident (the measurement
 //!   round-trips through an actual file, exactly like `IndexArtifact::load`
-//!   on a v5 tiered index).
+//!   on a v6 tiered index).
 //!
 //! Per layout the driver records resident pool bytes, bytes per RR set, the
 //! coverage-scan throughput of a full greedy gains pass (`coverage_gains`

@@ -423,22 +423,15 @@ impl Pool {
     }
 
     /// Encode this pool as a `PCMP` section payload (self-checksummed; see
-    /// [`decode_pcmp_payload`]). Any layout encodes — the payload is the
-    /// canonical compressed form.
+    /// [`decode_pcmp_payload`]) stamped with `hint`. Any layout encodes — the
+    /// payload is the canonical compressed form, the one on-disk pool format.
     #[must_use]
     pub fn encode_pcmp_payload(&self, hint: PoolLayout) -> Vec<u8> {
         match self {
             Pool::Compressed(p) | Pool::Tiered(p) => pcmp::encode(p, hint),
-            Pool::Raw(_) => {
-                let (postings, traces) = self.to_raw_lists();
-                let packed = PackedPool::from_lists(
-                    self.num_vertices(),
-                    self.pool_size(),
-                    &postings,
-                    traces.as_deref(),
-                );
-                pcmp::encode(&packed, hint)
-            }
+            Pool::Raw(_) => self
+                .convert(PoolLayout::Compressed)
+                .encode_pcmp_payload(hint),
         }
     }
 

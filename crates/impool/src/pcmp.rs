@@ -1,11 +1,12 @@
-//! `PCMP` section payload: the persisted form of a compressed pool.
+//! `PCMP` section payload: the persisted form of every pool, whatever its
+//! layout.
 //!
 //! Layout (all fixed-width integers little-endian):
 //!
 //! ```text
 //! magic            4B   b"IMCP"
 //! codec version    u32  (= PCMP_CODEC_VERSION)
-//! layout hint      u8   1 = compressed, 2 = tiered
+//! layout hint      u8   0 = raw, 1 = compressed, 2 = tiered
 //! block size       u32  ids per block (= codec::BLOCK_IDS)
 //! num_vertices     u64
 //! pool_size        u64
@@ -19,13 +20,16 @@
 //!            data_len:u64  data:u8[data_len]
 //! ```
 //!
-//! The data region is the delta-varint blocked encoding of
-//! [`crate::codec`]; the directory and skip headers are persisted so a
-//! tiered loader keeps them resident while leaving the data region cold in
-//! the file. Decoding validates *everything* eagerly — checksum, directory
+//! The hint only records which layout to restore on load: the body is the
+//! same compressed form for every layout. The data region is the
+//! delta-varint blocked encoding of [`crate::codec`]; the directory and skip
+//! headers are persisted so a tiered loader keeps them resident while
+//! leaving the data region cold in the file. Decoding validates *everything* eagerly — checksum, directory
 //! monotonicity, per-list strict monotonicity and id bounds, exact byte
 //! lengths, and skip-header agreement with the data — so scans never have
-//! to re-check and corruption is always rejected typed at load time.
+//! to re-check and corruption is always rejected typed at load time. No
+//! capacity is reserved from a header field beyond what the bytes left can
+//! hold, so a forged count fails as truncation, not as an allocation.
 
 use crate::codec::{read_varint, PoolCodecError, SkipEntry, BLOCK_IDS};
 use crate::packed::{PackedPool, Region, SegmentStore};
@@ -38,6 +42,7 @@ pub const PCMP_MAGIC: [u8; 4] = *b"IMCP";
 /// Current (and only) payload codec version.
 pub const PCMP_CODEC_VERSION: u32 = 1;
 
+const HINT_RAW: u8 = 0;
 const HINT_COMPRESSED: u8 = 1;
 const HINT_TIERED: u8 = 2;
 
@@ -91,9 +96,9 @@ fn get_u64(bytes: &[u8], pos: &mut usize, context: &'static str) -> Result<u64, 
 /// lists, never on mutation history or current residency.
 pub(crate) fn encode(pool: &PackedPool, hint: PoolLayout) -> Vec<u8> {
     let hint_byte = match hint {
+        PoolLayout::Raw => HINT_RAW,
+        PoolLayout::Compressed => HINT_COMPRESSED,
         PoolLayout::Tiered => HINT_TIERED,
-        // A raw hint is meaningless in a PCMP section; store compressed.
-        PoolLayout::Compressed | PoolLayout::Raw => HINT_COMPRESSED,
     };
     let mut out = Vec::new();
     out.extend_from_slice(&PCMP_MAGIC);
@@ -150,7 +155,8 @@ fn encode_segment(out: &mut Vec<u8>, store: &SegmentStore) {
 fn validate_list(slice: &[u8], bound: u32) -> Result<Vec<SkipEntry>, PoolCodecError> {
     let mut pos = 0;
     let len = read_varint(slice, &mut pos)? as usize;
-    let mut skips = Vec::with_capacity(len.div_ceil(BLOCK_IDS));
+    // Every block takes at least one byte, so the slice bounds the count.
+    let mut skips = Vec::with_capacity(len.div_ceil(BLOCK_IDS).min(slice.len()));
     let mut remaining = len;
     let mut last: Option<u32> = None;
     while remaining > 0 {
@@ -212,7 +218,9 @@ fn decode_segment(
             reason: "segment directory length disagrees with header",
         });
     }
-    let mut offsets = Vec::with_capacity(dir_len);
+    // Each entry takes 4 bytes: reserve no more than the payload can hold,
+    // so a forged length fails as truncation below.
+    let mut offsets = Vec::with_capacity(dir_len.min(bytes.len().saturating_sub(*pos) / 4));
     for _ in 0..dir_len {
         offsets.push(get_u32(bytes, pos, "segment directory entry")?);
     }
@@ -236,7 +244,7 @@ fn decode_segment(
             });
         }
         let blocks = get_u32(bytes, pos, "skip directory block count")? as usize;
-        let mut entries = Vec::with_capacity(blocks.min(1 << 16));
+        let mut entries = Vec::with_capacity(blocks.min(bytes.len().saturating_sub(*pos) / 8));
         for _ in 0..blocks {
             let first_id = get_u32(bytes, pos, "skip entry first id")?;
             let offset = get_u32(bytes, pos, "skip entry offset")?;
@@ -329,6 +337,7 @@ pub fn decode_pcmp_payload(bytes: &[u8]) -> Result<(PackedPool, PoolLayout), Poo
         return Err(PoolCodecError::ChecksumMismatch);
     }
     let hint = match get_u8(body, &mut pos, "PCMP layout hint")? {
+        HINT_RAW => PoolLayout::Raw,
         HINT_COMPRESSED => PoolLayout::Compressed,
         HINT_TIERED => PoolLayout::Tiered,
         _ => {

@@ -44,8 +44,8 @@ pub enum Command {
         /// local sets' PRNG streams derive from their global ids, so the N
         /// artifacts union byte-identically into the whole-pool build).
         shard: Option<(usize, usize)>,
-        /// Physical pool-store layout persisted in the artifact: `raw`
-        /// (`POOL` section), `compressed` or `tiered` (`PCMP` section).
+        /// Physical pool-store layout persisted in the artifact (`raw`,
+        /// `compressed` or `tiered`, stamped into its `PCMP` section).
         pool_layout: PoolLayout,
     },
     /// `imserve serve`: load an index and answer TCP queries.

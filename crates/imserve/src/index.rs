@@ -12,10 +12,8 @@
 //! ```text
 //! magic "IMSX" | version | META (JSON)   — graph_id, model, dimensions, seed
 //!                        | GRPH (nested) — InfluenceGraph artifact ("IMGB")
-//!                        | POOL (nested) — RR-set pool artifact ("IMPL")
-//!                        |   or
-//!                        | PCMP          — compressed pool payload ("IMCP");
-//!                        |                 exactly one of POOL/PCMP present
+//!                        | PCMP          — pool payload ("IMCP"), stamped
+//!                        |                 with the pool's layout
 //!                        | DLTA          — pending mutation log
 //!                        | SNAP          — snapshot epoch + log watermark
 //!                        | SHRD          — shard stream offset + global pool
@@ -23,16 +21,16 @@
 //!                        | checksum
 //! ```
 //!
-//! `GRPH` and the pool section always hold the *current* version of the graph
-//! and pool;
-//! the `DLTA` section records the deltas applied since the last compaction,
-//! so a reloaded index can keep mutating (the pool is incrementally
-//! maintainable, see `imdyn`) and its recent lineage stays auditable. The
-//! `SNAP` section records the **snapshot epoch**: how many deltas were folded
-//! away by compactions before the pending log, so the index epoch —
-//! `snapshot_epoch + log length` — stays monotonic across compactions. One
-//! format version is read (see [`INDEX_VERSION`]); any other is refused on
-//! load with a rebuild hint.
+//! `GRPH` and `PCMP` always hold the *current* version of the graph and pool.
+//! Every layout persists its pool in the one `PCMP` codec; the stamped layout
+//! hint (raw, compressed or tiered) is restored on load. The `DLTA` section
+//! records the deltas applied since the last compaction, so a reloaded index
+//! can keep mutating (the pool is incrementally maintainable, see `imdyn`)
+//! and its recent lineage stays auditable. The `SNAP` section records the
+//! **snapshot epoch**: how many deltas were folded away by compactions
+//! before the pending log, so the index epoch — `snapshot_epoch + log
+//! length` — stays monotonic across compactions. One format version is read
+//! (see [`INDEX_VERSION`]); any other is refused on load with a rebuild hint.
 //!
 //! The nested artifacts carry their own magic and checksum, so each layer can
 //! also be produced and validated independently.
@@ -56,17 +54,16 @@ use crate::error::ServeError;
 /// Magic bytes of a serialized index artifact.
 pub const INDEX_MAGIC: [u8; 4] = *b"IMSX";
 /// The index format version — the only one read or written. `SHRD` is
-/// optional (shard artifacts only), `SNAP` and `DLTA` are required, and
-/// exactly one of `POOL` (raw layout) / `PCMP` (compressed or tiered layout)
-/// carries the pool. No deployed artifacts exist, so there is no read path
-/// for earlier versions: they are refused on load naming the version found
-/// and `imserve build`.
-pub const INDEX_VERSION: u32 = 5;
+/// optional (shard artifacts only); `SNAP`, `DLTA` and `PCMP` are required,
+/// and `PCMP` carries the pool in every layout (version 5 carried a raw pool
+/// in a separate `POOL` section). No deployed artifacts exist, so there is no
+/// read path for earlier versions: they are refused on load naming the
+/// version found and `imserve build`.
+pub const INDEX_VERSION: u32 = 6;
 
 const META_TAG: [u8; 4] = *b"META";
 const GRAPH_TAG: [u8; 4] = *b"GRPH";
-const POOL_TAG: [u8; 4] = *b"POOL";
-const PACKED_POOL_TAG: [u8; 4] = *b"PCMP";
+const PCMP_TAG: [u8; 4] = *b"PCMP";
 const SHARD_TAG: [u8; 4] = *b"SHRD";
 
 /// Descriptive metadata persisted with (and keyed into) every index.
@@ -246,8 +243,8 @@ impl IndexArtifact {
     /// Convert the pool store to another physical layout in place (the
     /// `--pool-layout` switch behind `imserve build`). Purely
     /// physical: queries and the `DLTA`/`SNAP` lineage are unchanged, and
-    /// [`IndexArtifact::to_bytes`] picks the matching pool section (`POOL`
-    /// for raw, `PCMP` otherwise).
+    /// [`IndexArtifact::to_bytes`] stamps the layout into the `PCMP`
+    /// section so a load restores it.
     pub fn convert_pool_layout(&mut self, layout: PoolLayout) {
         self.oracle.convert_layout(layout);
     }
@@ -281,13 +278,10 @@ impl IndexArtifact {
             serde_json::to_string(&self.meta).expect("index metadata always serializes");
         w.section(META_TAG, meta_json.as_bytes());
         w.section(GRAPH_TAG, &influence_graph_to_bytes(&self.graph));
-        // The pool travels raw (`POOL`, the "IMPL" artifact) or delta-varint
-        // compressed (`PCMP`) depending on its layout; the persisted hint
+        // Every layout travels delta-varint compressed; the persisted hint
         // restores the same layout on load.
-        match self.oracle.pool_layout() {
-            PoolLayout::Raw => w.section(POOL_TAG, &self.oracle.to_bytes()),
-            layout => w.section(PACKED_POOL_TAG, &self.oracle.encode_pcmp_payload(layout)),
-        }
+        let layout = self.oracle.pool_layout();
+        w.section(PCMP_TAG, &self.oracle.encode_pcmp_payload(layout));
         w.section(DELTA_TAG, &self.log.encode_payload());
         // The watermark: snapshot epoch plus the total epoch as a
         // cross-check against a spliced or hand-edited log section.
@@ -315,10 +309,9 @@ impl IndexArtifact {
     }
 
     /// [`IndexArtifact::from_bytes`] plus the absolute byte offset of the
-    /// `PCMP` payload within `bytes` (`None` for `POOL` artifacts), which is
-    /// what [`IndexArtifact::load`] needs to demote a tiered pool onto the
-    /// backing file.
-    fn from_bytes_tracking_pool(bytes: &[u8]) -> Result<(Self, Option<u64>), BinError> {
+    /// `PCMP` payload within `bytes`, which is what [`IndexArtifact::load`]
+    /// needs to demote a tiered pool onto the backing file.
+    fn from_bytes_tracking_pool(bytes: &[u8]) -> Result<(Self, u64), BinError> {
         let reader = BinReader::new(bytes, INDEX_MAGIC, INDEX_VERSION)?;
         // `BinReader` refused anything newer; anything older is refused here.
         let version = reader.version();
@@ -360,37 +353,16 @@ impl IndexArtifact {
             None => None,
         };
 
-        // Exactly one pool section: raw `POOL` or compressed `PCMP`. Both
-        // decode to the same logical pool — the layouts are byte-identical
-        // under every query — but only `PCMP` records the block structure a
-        // tiered load can leave cold.
-        let pool_section = sections.iter().find(|(tag, _)| *tag == POOL_TAG);
-        let pcmp_section = sections.iter().find(|(tag, _)| *tag == PACKED_POOL_TAG);
-        let (mut oracle, pcmp_offset) = match (pool_section, pcmp_section) {
-            (Some(_), Some(_)) => {
-                return Err(BinError::Corrupt(
-                    "artifact carries both POOL and PCMP sections".into(),
-                ))
-            }
-            (Some((_, payload)), None) => (InfluenceOracle::from_bytes(payload.rest())?, None),
-            (None, Some((_, payload))) => {
-                let payload_bytes = payload.rest();
-                // Where the payload sits in the artifact: the slice borrows
-                // from `bytes`, so the offset is plain pointer arithmetic.
-                let offset = payload_bytes.as_ptr() as usize - bytes.as_ptr() as usize;
-                let (oracle, _hint) = InfluenceOracle::from_pcmp_payload(payload_bytes)
-                    .map_err(|e| BinError::Corrupt(format!("compressed pool section: {e}")))?;
-                (oracle, Some(offset as u64))
-            }
-            (None, None) => {
-                binio::require_section(&sections, POOL_TAG)?;
-                unreachable!("require_section errors on a missing POOL section")
-            }
-        };
+        let payload_bytes = binio::require_section(&sections, PCMP_TAG)?.rest();
+        // Where the payload sits in the artifact: the slice borrows from
+        // `bytes`, so the offset is plain pointer arithmetic.
+        let pcmp_offset = (payload_bytes.as_ptr() as usize - bytes.as_ptr() as usize) as u64;
+        let (mut oracle, _hint) = InfluenceOracle::from_pcmp_payload(payload_bytes)
+            .map_err(|e| BinError::Corrupt(format!("PCMP pool section: {e}")))?;
         // The metadata records the seed the per-set streams derive from; the
-        // traces themselves are the inverse of the posting lists, so the
-        // incremental state is reconstructible without storing it. Shards
-        // additionally re-attach their global stream offset.
+        // payload carries the traces (the posting lists' inverse), so only
+        // the seed is attached. Shards additionally re-attach their global
+        // stream offset.
         oracle.attach_incremental(meta.base_seed, shard.map_or(0, |s| s.offset));
 
         // Always written (empty for fresh builds), so a missing section means
@@ -440,7 +412,12 @@ impl IndexArtifact {
         }
 
         if let Some(s) = shard {
-            let end = s.offset + meta.pool_size as u64;
+            let end = s.offset.checked_add(meta.pool_size as u64).ok_or_else(|| {
+                BinError::Corrupt(format!(
+                    "shard section offset {} plus pool of {} overflows the set-id space",
+                    s.offset, meta.pool_size
+                ))
+            })?;
             if end > s.global_pool {
                 return Err(BinError::Corrupt(format!(
                     "shard section claims sets {}..{end} of a global pool of {}",
@@ -467,8 +444,9 @@ impl IndexArtifact {
     /// The bytes go to a uniquely named temporary file beside `path`, which
     /// is then renamed over it. A process holding the old file open (a
     /// tiered pool reads its cold blocks through such a handle) keeps reading
-    /// the old artifact, never a rewritten one. The temporary file is removed
-    /// if writing or renaming fails.
+    /// the old artifact, never a rewritten one. The temporary file is synced
+    /// before the rename, so a crash cannot leave a torn file where a whole
+    /// one stood, and it is removed if writing, syncing or renaming fails.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
         static SAVES: AtomicU64 = AtomicU64::new(0);
         let path = path.as_ref();
@@ -484,6 +462,7 @@ impl IndexArtifact {
             .open(&temp)?;
         let saved = file
             .write_all(&self.to_bytes())
+            .and_then(|()| file.sync_all())
             .and_then(|()| std::fs::rename(&temp, path));
         if saved.is_err() {
             let _ = std::fs::remove_file(&temp);
@@ -501,12 +480,10 @@ impl IndexArtifact {
         let path = path.as_ref();
         let (mut artifact, pcmp_offset) = Self::from_bytes_tracking_pool(&std::fs::read(path)?)?;
         if artifact.oracle.pool_layout() == PoolLayout::Tiered {
-            if let Some(offset) = pcmp_offset {
-                let file = std::sync::Arc::new(std::fs::File::open(path)?);
-                artifact
-                    .oracle
-                    .attach_cold_pool_file(file, offset, TieredConfig::default());
-            }
+            let file = std::sync::Arc::new(std::fs::File::open(path)?);
+            artifact
+                .oracle
+                .attach_cold_pool_file(file, pcmp_offset, TieredConfig::default());
         }
         Ok(artifact)
     }

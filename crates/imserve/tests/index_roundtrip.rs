@@ -5,6 +5,7 @@
 use im_core::sampler::Backend;
 use imgraph::binio::BinError;
 use imgraph::{DiGraph, InfluenceGraph};
+use imserve::index::ShardInfo;
 use imserve::IndexArtifact;
 use proptest::prelude::*;
 
@@ -27,8 +28,8 @@ fn arb_influence_graph() -> impl Strategy<Value = InfluenceGraph> {
 }
 
 /// Strategy: a complete artifact with a small pool, in a random pool-store
-/// layout (so the framing properties cover the `POOL` and `PCMP` sections
-/// alike).
+/// layout (so the framing properties cover every layout hint the `PCMP`
+/// section is stamped with).
 fn arb_artifact() -> impl Strategy<Value = IndexArtifact> {
     (arb_influence_graph(), 1usize..200, 0u64..1000, 0usize..3).prop_map(
         |(graph, pool, seed, layout)| {
@@ -234,10 +235,11 @@ fn tiered_artifacts_load_cold_and_answer_identically() {
     }
 }
 
-/// A forged artifact carrying both `POOL` and `PCMP` is rejected.
+/// The pool travels only as `PCMP`. A current-version artifact whose pool
+/// sits under version 5's raw-pool tag instead is refused typed as missing
+/// `PCMP`, never read through a second codec.
 #[test]
 fn conflicting_pool_sections_are_rejected() {
-    use im_core::PoolLayout;
     use imgraph::binio::fnv1a64;
 
     let artifact = IndexArtifact::build(
@@ -247,22 +249,49 @@ fn conflicting_pool_sections_are_rejected() {
         50,
         3,
     );
-    // Splice the PCMP payload of the compressed encoding into the raw
-    // artifact as an *extra* section (before the checksum), re-stamping the
-    // checksum so the one-pool-section rule is what fires.
-    let raw_bytes = artifact.to_bytes();
-    let pcmp_payload = artifact.oracle.encode_pcmp_payload(PoolLayout::Compressed);
-    let mut both = raw_bytes[..raw_bytes.len() - 8].to_vec();
-    both.extend_from_slice(b"PCMP");
-    both.extend_from_slice(&(pcmp_payload.len() as u64).to_le_bytes());
-    both.extend_from_slice(&pcmp_payload);
-    let sum = fnv1a64(&both);
-    both.extend_from_slice(&sum.to_le_bytes());
-    match IndexArtifact::from_bytes(&both) {
+    let mut bytes = artifact.to_bytes();
+    // Walk the sections (tag, u64 length, payload) after the 8-byte header
+    // and retag the pool section, re-stamping the checksum so the missing
+    // section is what fires.
+    let mut at = 8;
+    while &bytes[at..at + 4] != b"PCMP" {
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
+        at += 12 + len as usize;
+    }
+    bytes[at..at + 4].copy_from_slice("POOL".as_bytes());
+    let len = bytes.len();
+    let sum = fnv1a64(&bytes[..len - 8]);
+    bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
+    match IndexArtifact::from_bytes(&bytes) {
         Err(BinError::Corrupt(reason)) => {
-            assert!(reason.contains("both POOL and PCMP"), "{reason}");
+            assert!(reason.contains("missing section \"PCMP\""), "{reason}");
         }
-        other => panic!("double pool section must be rejected, got {other:?}"),
+        other => panic!("a pool outside PCMP must be rejected, got {other:?}"),
+    }
+}
+
+/// A forged shard section whose offset plus the pool size overflows `u64`
+/// is refused typed, naming the shard section, in debug and release alike.
+#[test]
+fn overflowing_shard_offsets_are_rejected() {
+    let mut artifact = IndexArtifact::build_shard(
+        "shard-check",
+        "uc0.5",
+        InfluenceGraph::new(DiGraph::from_edges(3, &[(0, 1), (1, 2)]), vec![0.5, 0.5]),
+        50,
+        3,
+        0,
+        2,
+    );
+    artifact.shard = Some(ShardInfo {
+        offset: u64::MAX - 10,
+        global_pool: u64::MAX,
+    });
+    match IndexArtifact::from_bytes(&artifact.to_bytes()) {
+        Err(BinError::Corrupt(reason)) => {
+            assert!(reason.contains("shard section"), "{reason}");
+        }
+        other => panic!("an overflowing shard offset must be rejected, got {other:?}"),
     }
 }
 
