@@ -18,12 +18,15 @@ use crate::ris::RrScratch;
 use crate::sampler::{self, Backend, SampleBudget};
 use crate::seed_set::SeedSet;
 
-/// Append `set_id` to the posting list of every member vertex of one RR set
-/// (shared by the stream and batched build paths).
-fn index_rr_set(vertex_to_sets: &mut [Vec<u32>], set_id: u32, vertices: &[VertexId]) {
-    for &v in vertices {
-        vertex_to_sets[v as usize].push(set_id);
+/// Refuse an empty pool or graph: no query can be answered from either.
+fn check_nonempty(pool_size: usize, num_vertices: usize) -> Result<(), String> {
+    if pool_size == 0 {
+        return Err("oracle needs a non-empty RR-set pool".into());
     }
+    if num_vertices == 0 {
+        return Err("oracle needs a non-empty graph".into());
+    }
+    Ok(())
 }
 
 /// A shared, read-only influence estimator backed by a pool of RR sets.
@@ -33,13 +36,13 @@ fn index_rr_set(vertex_to_sets: &mut [Vec<u32>], set_id: u32, vertices: &[Vertex
 /// per-set traces) may live uncompressed in RAM, delta-varint compressed, or
 /// tiered to a cold index file — every query path scans through the store
 /// and returns identical results in identical order regardless of layout.
+/// Every oracle is built by [`OracleBuilder`] or decoded by
+/// [`InfluenceOracle::from_pcmp_payload`], through one private constructor.
 #[derive(Debug, Clone)]
 pub struct InfluenceOracle {
     /// The pool store: posting lists (vertex → RR-set ids, increasing) plus,
     /// for incremental pools, the inverse traces.
     pool: Pool,
-    pool_size: usize,
-    num_vertices: usize,
     /// Present iff the pool was drawn with per-set PRNG streams
     /// ([`OracleBuilder::incremental`]), which is what makes
     /// [`InfluenceOracle::apply_delta_batch`] possible.
@@ -49,7 +52,6 @@ pub struct InfluenceOracle {
     // serving hot path passes an explicit [`EstimateScratch`] to
     // `estimate_with` instead, keeping `&self` queries shareable across
     // threads with zero per-query allocation.
-    _private: (),
 }
 
 /// The extra state an incrementally maintainable pool carries: the base seed
@@ -117,6 +119,9 @@ pub fn shard_layout(global_pool: usize, shards: usize) -> Vec<ShardRange> {
 /// * [`OracleBuilder::assemble`] is the no-sampling import half of the
 ///   persistence layer (posting lists in, validated oracle out).
 ///
+/// Each makes its pool once, raw, every list at exact capacity; store it
+/// compressed or tiered with [`InfluenceOracle::convert_layout`].
+///
 /// ```
 /// use im_core::sampler::Backend;
 /// use im_core::InfluenceOracle;
@@ -137,7 +142,6 @@ pub struct OracleBuilder {
     backend: Backend,
     incremental: bool,
     set_id_offset: u64,
-    layout: PoolLayout,
 }
 
 impl OracleBuilder {
@@ -145,19 +149,6 @@ impl OracleBuilder {
     #[must_use]
     pub fn seed(mut self, base_seed: u64) -> Self {
         self.base_seed = base_seed;
-        self
-    }
-
-    /// Physical pool layout of the built oracle (default
-    /// [`PoolLayout::Raw`]). The layout changes *where bytes live*, never a
-    /// query result: every layout answers byte-identically (including
-    /// [`InfluenceOracle::to_bytes`]) at every maintenance epoch. A
-    /// [`PoolLayout::Tiered`] build starts fully resident — its data regions
-    /// demote to a cold file only once the oracle is re-loaded from a
-    /// persisted index artifact.
-    #[must_use]
-    pub fn layout(mut self, layout: PoolLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -195,9 +186,8 @@ impl OracleBuilder {
     }
 
     fn check_dimensions(&self, graph: &InfluenceGraph) -> usize {
-        assert!(self.pool_size > 0, "oracle needs a non-empty RR-set pool");
         let n = graph.num_vertices();
-        assert!(n > 0, "oracle needs a non-empty graph");
+        check_nonempty(self.pool_size, n).unwrap_or_else(|e| panic!("{e}"));
         assert!(
             self.set_id_offset as u128 + self.pool_size as u128 <= u128::from(u32::MAX),
             "pool size exceeds u32 set ids"
@@ -214,66 +204,78 @@ impl OracleBuilder {
     #[must_use]
     pub fn sample(&self, graph: &InfluenceGraph) -> InfluenceOracle {
         let n = self.check_dimensions(graph);
-        if self.incremental {
-            let base_seed = self.base_seed;
-            let offset = self.set_id_offset;
-            let members = sampler::sample_batched(
-                &SampleBudget::new(self.pool_size as u64),
-                base_seed,
-                self.backend,
-                || RrScratch::for_graph(graph),
-                |scratch, set_id, _| {
-                    // Ignore the batch stream: every set derives its own,
-                    // keyed by its *global* id.
-                    let mut rng = sampler::batch_rng(base_seed, offset + set_id);
-                    scratch.generate(graph, &mut rng).vertices
-                },
-            );
-            let mut vertex_to_sets: Vec<Vec<u32>> = vec![Vec::new(); n];
-            let mut traces: Vec<Vec<VertexId>> = Vec::with_capacity(self.pool_size);
-            for (set_id, mut vertices) in members.into_iter().enumerate() {
-                index_rr_set(&mut vertex_to_sets, set_id as u32, &vertices);
-                // Traces are kept sorted: the canonical form reconstruction
-                // by posting-list inversion also produces (see
-                // `attach_incremental`).
-                vertices.sort_unstable();
-                traces.push(vertices);
-            }
-            let pool =
-                Pool::raw(n, self.pool_size, vertex_to_sets, Some(traces)).convert(self.layout);
-            InfluenceOracle {
-                pool,
-                pool_size: self.pool_size,
-                num_vertices: n,
-                incremental: Some(IncrementalState {
-                    base_seed,
-                    set_id_offset: offset,
-                }),
-                _private: (),
-            }
-        } else {
-            // Workers return only the member lists; the posting lists are
-            // merged in deterministic batch order on the calling thread.
-            let members = sampler::sample_batched(
-                &SampleBudget::new(self.pool_size as u64),
-                self.base_seed,
-                self.backend,
-                || RrScratch::for_graph(graph),
-                |scratch, _, rng| scratch.generate(graph, rng).vertices,
-            );
-            let mut vertex_to_sets: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for (set_id, vertices) in members.into_iter().enumerate() {
-                index_rr_set(&mut vertex_to_sets, set_id as u32, &vertices);
-            }
-            let pool = Pool::raw(n, self.pool_size, vertex_to_sets, None).convert(self.layout);
-            InfluenceOracle {
-                pool,
-                pool_size: self.pool_size,
-                num_vertices: n,
-                incremental: None,
-                _private: (),
+        let (base_seed, offset) = (self.base_seed, self.set_id_offset);
+        // Workers draw each batch's member lists into one flat buffer
+        // (`ends[i]` closes the batch's set `i`): two allocations per batch,
+        // not one per set, and all of them freed once the pool's own lists
+        // are built from them, in set order, on the calling thread.
+        let batches = sampler::run_batches(
+            &SampleBudget::new(self.pool_size as u64),
+            base_seed,
+            self.backend,
+            || RrScratch::for_graph(graph),
+            |scratch, batch, batch_rng| {
+                let mut members = Vec::new();
+                let mut ends = Vec::with_capacity(batch.len as usize);
+                for set_id in batch.start..batch.start + batch.len {
+                    let rr = if self.incremental {
+                        // Ignore the batch stream: every set derives its own,
+                        // keyed by its *global* id.
+                        scratch.generate(graph, &mut sampler::batch_rng(base_seed, offset + set_id))
+                    } else {
+                        scratch.generate(graph, batch_rng)
+                    };
+                    members.extend_from_slice(&rr.vertices);
+                    ends.push(members.len() as u32);
+                }
+                (members, ends)
+            },
+        );
+        let sets = || {
+            batches.iter().flat_map(|(members, ends)| {
+                ends.iter().scan(0, |start, &end| {
+                    let set = &members[*start..end as usize];
+                    *start = end as usize;
+                    Some(set)
+                })
+            })
+        };
+        // Posting lists sized exactly by a counting pass, so there is no
+        // growth slack to trim later.
+        let mut lens = vec![0u32; n];
+        for &v in sets().flatten() {
+            lens[v as usize] += 1;
+        }
+        let mut vertex_to_sets: Vec<Vec<u32>> = lens
+            .into_iter()
+            .map(|len| Vec::with_capacity(len as usize))
+            .collect();
+        for (set_id, vertices) in sets().enumerate() {
+            for &v in vertices {
+                vertex_to_sets[v as usize].push(set_id as u32);
             }
         }
+        // An incremental pool keeps each set's members as its trace, sorted:
+        // the canonical form posting-list inversion also produces (see
+        // `attach_incremental`).
+        let traces = self.incremental.then(|| {
+            sets()
+                .map(|members| {
+                    let mut trace = members.to_vec();
+                    trace.sort_unstable();
+                    trace
+                })
+                .collect()
+        });
+        drop(batches);
+        let incremental = self.incremental.then_some(IncrementalState {
+            base_seed,
+            set_id_offset: offset,
+        });
+        InfluenceOracle::new(
+            Pool::raw(n, self.pool_size, vertex_to_sets, traces),
+            incremental,
+        )
     }
 
     /// Draw the pool sequentially from one caller-supplied stream (the
@@ -298,21 +300,16 @@ impl OracleBuilder {
         let n = self.check_dimensions(graph);
         // Stream discipline over the shared RR-set scratch; posting lists are
         // filled as sets are drawn so the member lists are never all held at
-        // once (pools go up to 10⁷ sets).
+        // once (pools go up to 10⁷ sets). The raw pool trims their growth
+        // slack in place.
         let mut vertex_to_sets: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut scratch = RrScratch::for_graph(graph);
         sampler::fold_stream(self.pool_size as u64, rng, (), |(), set_id, rng| {
-            let rr = scratch.generate(graph, rng);
-            index_rr_set(&mut vertex_to_sets, set_id as u32, &rr.vertices);
+            for &v in &scratch.generate(graph, rng).vertices {
+                vertex_to_sets[v as usize].push(set_id as u32);
+            }
         });
-        let pool = Pool::raw(n, self.pool_size, vertex_to_sets, None).convert(self.layout);
-        InfluenceOracle {
-            pool,
-            pool_size: self.pool_size,
-            num_vertices: n,
-            incremental: None,
-            _private: (),
-        }
+        InfluenceOracle::new(Pool::raw(n, self.pool_size, vertex_to_sets, None), None)
     }
 
     /// Assemble an oracle from caller-supplied posting lists (no traces, so
@@ -332,12 +329,7 @@ impl OracleBuilder {
         vertex_to_sets: Vec<Vec<u32>>,
     ) -> Result<InfluenceOracle, String> {
         let pool_size = self.pool_size;
-        if pool_size == 0 {
-            return Err("oracle needs a non-empty RR-set pool".into());
-        }
-        if num_vertices == 0 {
-            return Err("oracle needs a non-empty graph".into());
-        }
+        check_nonempty(pool_size, num_vertices)?;
         if vertex_to_sets.len() != num_vertices {
             return Err(format!(
                 "{} posting lists for {num_vertices} vertices",
@@ -362,14 +354,8 @@ impl OracleBuilder {
                 prev = Some(id);
             }
         }
-        let pool = Pool::raw(num_vertices, pool_size, vertex_to_sets, None).convert(self.layout);
-        Ok(InfluenceOracle {
-            pool,
-            pool_size,
-            num_vertices,
-            incremental: None,
-            _private: (),
-        })
+        let pool = Pool::raw(num_vertices, pool_size, vertex_to_sets, None);
+        Ok(InfluenceOracle::new(pool, None))
     }
 }
 
@@ -390,7 +376,7 @@ impl EstimateScratch {
     #[must_use]
     pub fn for_oracle(oracle: &InfluenceOracle) -> Self {
         Self {
-            marks: vec![0u32; oracle.pool_size],
+            marks: vec![0u32; oracle.pool_size()],
             epoch: 0,
         }
     }
@@ -423,44 +409,27 @@ impl InfluenceOracle {
             backend: Backend::Sequential,
             incremental: false,
             set_id_offset: 0,
-            layout: PoolLayout::Raw,
         }
     }
 
-    /// Adopt an already-validated pool store as an oracle (the import path
-    /// for compressed `PCMP` index sections, whose decoder enforces the same
-    /// invariants [`OracleBuilder::assemble`] checks on raw lists: strictly
-    /// increasing posting lists with every id inside the pool).
-    pub fn from_pool(pool: Pool) -> Result<Self, String> {
-        if pool.pool_size() == 0 {
-            return Err("oracle needs a non-empty RR-set pool".into());
-        }
-        if pool.num_vertices() == 0 {
-            return Err("oracle needs a non-empty graph".into());
-        }
-        Ok(InfluenceOracle {
-            pool_size: pool.pool_size(),
-            num_vertices: pool.num_vertices(),
-            pool,
-            incremental: None,
-            _private: (),
-        })
+    /// The one constructor: every sampled, assembled and decoded oracle
+    /// ends here, with its pool already in its final layout.
+    fn new(pool: Pool, incremental: Option<IncrementalState>) -> Self {
+        InfluenceOracle { pool, incremental }
     }
 
     /// Decode a `PCMP` pool payload ([`impool::decode_pcmp_payload`]) into an
     /// oracle whose pool has the layout the payload was stamped with, and
-    /// return that layout. The only pool decoder: the decoder's eager
-    /// validation is what makes [`InfluenceOracle::from_pool`] sound here, and
-    /// the signature is the no-resampling guarantee (no graph, no generator,
+    /// return that layout. The only pool decoder: the decoder validates every
+    /// list eagerly (strictly increasing, every id inside the pool), and the
+    /// signature is the no-resampling guarantee (no graph, no generator,
     /// only bytes).
     pub fn from_pcmp_payload(payload: &[u8]) -> Result<(Self, PoolLayout), String> {
         let (packed, hint) = impool::decode_pcmp_payload(payload).map_err(|e| e.to_string())?;
-        let pool = match hint {
-            PoolLayout::Raw => Pool::Compressed(packed).convert(PoolLayout::Raw),
-            PoolLayout::Compressed => Pool::Compressed(packed),
-            PoolLayout::Tiered => Pool::Tiered(packed),
-        };
-        Ok((Self::from_pool(pool)?, hint))
+        let mut pool = Pool::Compressed(packed);
+        check_nonempty(pool.pool_size(), pool.num_vertices())?;
+        pool.set_layout(hint);
+        Ok((Self::new(pool, None), hint))
     }
 
     /// The pool store behind this oracle.
@@ -486,9 +455,7 @@ impl InfluenceOracle {
     /// every query (and [`InfluenceOracle::to_bytes`]) answers identically
     /// before and after.
     pub fn convert_layout(&mut self, layout: PoolLayout) {
-        if self.pool.layout() != layout {
-            self.pool = self.pool.convert(layout);
-        }
+        self.pool.set_layout(layout);
     }
 
     /// Encode the pool as a `PCMP` index-section payload (any layout; see
@@ -537,7 +504,7 @@ impl InfluenceOracle {
     pub fn trace(&self, set_id: u32) -> Option<Vec<VertexId>> {
         if self.incremental.is_none()
             || !self.pool.has_traces()
-            || set_id as usize >= self.pool_size
+            || set_id as usize >= self.pool_size()
         {
             return None;
         }
@@ -604,20 +571,20 @@ impl InfluenceOracle {
                 )
             }
         };
-        if graph_after.num_vertices() != self.num_vertices {
+        if graph_after.num_vertices() != self.num_vertices() {
             return Err(format!(
                 "mutated graph has {} vertices but the pool indexes {}",
                 graph_after.num_vertices(),
-                self.num_vertices
+                self.num_vertices()
             ));
         }
         let mut dirty: Vec<u32> = Vec::new();
         for delta in deltas {
             let head = delta.head();
-            if head as usize >= self.num_vertices {
+            if head as usize >= self.num_vertices() {
                 return Err(format!(
                     "delta head {head} out of range for {} vertices",
-                    self.num_vertices
+                    self.num_vertices()
                 ));
             }
             self.pool.for_each_posting_inline(head, |id| dirty.push(id));
@@ -664,19 +631,19 @@ impl InfluenceOracle {
     /// Number of RR sets in the pool.
     #[must_use]
     pub fn pool_size(&self) -> usize {
-        self.pool_size
+        self.pool.pool_size()
     }
 
     /// Number of vertices of the underlying graph.
     #[must_use]
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.pool.num_vertices()
     }
 
     /// The oracle's 99 % confidence half-width `1.29·n/√pool` (Section 5.2).
     #[must_use]
     pub fn confidence_99(&self) -> f64 {
-        1.29 * self.num_vertices as f64 / (self.pool_size as f64).sqrt()
+        1.29 * self.num_vertices() as f64 / (self.pool_size() as f64).sqrt()
     }
 
     /// Estimate `Inf(S)` as `n · (fraction of pool RR sets intersecting S)`.
@@ -688,7 +655,7 @@ impl InfluenceOracle {
         if seeds.len() == 1 {
             // Fast path: a singleton's coverage is just its posting-list length.
             let hits = self.pool.posting_len(seeds[0]);
-            return self.num_vertices as f64 * hits as f64 / self.pool_size as f64;
+            return self.num_vertices() as f64 * hits as f64 / self.pool_size() as f64;
         }
         // Merge the posting lists and count distinct RR-set ids.
         let mut ids: Vec<u32> = Vec::new();
@@ -697,7 +664,7 @@ impl InfluenceOracle {
         }
         ids.sort_unstable();
         ids.dedup();
-        self.num_vertices as f64 * ids.len() as f64 / self.pool_size as f64
+        self.num_vertices() as f64 * ids.len() as f64 / self.pool_size() as f64
     }
 
     /// Allocation-free estimate of `Inf(S)` using a reusable scratch.
@@ -713,7 +680,7 @@ impl InfluenceOracle {
     #[must_use]
     pub fn estimate_with(&self, seeds: &[VertexId], scratch: &mut EstimateScratch) -> f64 {
         let covered = self.covered_with(seeds, scratch);
-        self.num_vertices as f64 * covered as f64 / self.pool_size as f64
+        self.num_vertices() as f64 * covered as f64 / self.pool_size() as f64
     }
 
     /// The number of distinct pool RR sets intersecting `S` — the integer
@@ -729,7 +696,7 @@ impl InfluenceOracle {
     pub fn covered_with(&self, seeds: &[VertexId], scratch: &mut EstimateScratch) -> usize {
         assert_eq!(
             scratch.marks.len(),
-            self.pool_size,
+            self.pool_size(),
             "scratch sized for a different oracle pool"
         );
         if seeds.is_empty() {
@@ -777,7 +744,7 @@ impl InfluenceOracle {
         let (covered, covered_count) = self.covered_marks(selected);
         // The one whole-pool pass: swept, not point-read, so a tiered pool
         // streams its cold region instead of issuing a read per vertex.
-        let mut gains = Vec::with_capacity(self.num_vertices);
+        let mut gains = Vec::with_capacity(self.num_vertices());
         self.pool.sweep_postings(|_, list| {
             let mut gain = 0u64;
             list.for_each(|id| gain += u64::from(!covered[id as usize]));
@@ -817,7 +784,7 @@ impl InfluenceOracle {
 
     /// Which pool RR sets `selected` covers, and how many.
     fn covered_marks(&self, selected: &[VertexId]) -> (Vec<bool>, u64) {
-        let mut covered = vec![false; self.pool_size];
+        let mut covered = vec![false; self.pool_size()];
         let mut covered_count = 0u64;
         for &s in selected {
             self.pool.for_each_posting_inline(s, |id| {
@@ -849,9 +816,10 @@ impl InfluenceOracle {
     /// model of Table 1.
     #[must_use]
     pub fn singleton_influences(&self) -> Vec<f64> {
-        let mut influences = Vec::with_capacity(self.num_vertices);
+        let mut influences = Vec::with_capacity(self.num_vertices());
         self.pool.sweep_postings(|_, list| {
-            influences.push(self.num_vertices as f64 * list.len() as f64 / self.pool_size as f64);
+            influences
+                .push(self.num_vertices() as f64 * list.len() as f64 / self.pool_size() as f64);
         });
         influences
     }
@@ -880,7 +848,7 @@ impl InfluenceOracle {
     /// set, used in Table 1's cost model.
     #[must_use]
     pub fn expected_rr_size(&self) -> f64 {
-        self.singleton_influences().iter().sum::<f64>() / self.num_vertices as f64
+        self.singleton_influences().iter().sum::<f64>() / self.num_vertices() as f64
     }
 
     /// Greedy maximum coverage over the oracle's own RR-set pool.
@@ -903,13 +871,13 @@ impl InfluenceOracle {
     pub fn greedy_seed_set(&self, k: usize) -> (Vec<VertexId>, f64) {
         let mut rounds = OracleRounds {
             oracle: self,
-            covered: vec![false; self.pool_size],
+            covered: vec![false; self.pool_size()],
             covered_count: 0,
-            is_selected: vec![false; self.num_vertices],
+            is_selected: vec![false; self.num_vertices()],
         };
-        let Ok(selected) = drive_greedy(&mut rounds, self.num_vertices, k);
+        let Ok(selected) = drive_greedy(&mut rounds, self.num_vertices(), k);
         let influence =
-            self.num_vertices as f64 * rounds.covered_count as f64 / self.pool_size as f64;
+            self.num_vertices() as f64 * rounds.covered_count as f64 / self.pool_size() as f64;
         (selected, influence)
     }
 }
@@ -1727,11 +1695,12 @@ mod tests {
         use imgraph::MutableInfluenceGraph;
         let ig = star(0.5);
         let build = |layout: PoolLayout| {
-            InfluenceOracle::builder(2_000)
+            let mut oracle = InfluenceOracle::builder(2_000)
                 .seed(21)
                 .incremental()
-                .layout(layout)
-                .sample(&ig)
+                .sample(&ig);
+            oracle.convert_layout(layout);
+            oracle
         };
         let mut raw = build(PoolLayout::Raw);
         let mut compressed = build(PoolLayout::Compressed);
@@ -1825,12 +1794,11 @@ mod tests {
         std::fs::remove_file(&cold_path).ok();
         // The compressed pool is the smaller one on this dense star pool.
         assert!(
-            InfluenceOracle::builder(2_000)
-                .seed(21)
-                .layout(PoolLayout::Compressed)
-                .sample(&ig)
-                .pool_resident_bytes()
-                < build(PoolLayout::Raw).pool_resident_bytes()
+            {
+                let mut compressed = InfluenceOracle::builder(2_000).seed(21).sample(&ig);
+                compressed.convert_layout(PoolLayout::Compressed);
+                compressed.pool_resident_bytes()
+            } < build(PoolLayout::Raw).pool_resident_bytes()
         );
     }
 
@@ -1844,11 +1812,12 @@ mod tests {
         use imgraph::MutableInfluenceGraph;
         let ig = star(0.5);
         let build = |graph: &InfluenceGraph, layout: PoolLayout| {
-            InfluenceOracle::builder(2_000)
+            let mut oracle = InfluenceOracle::builder(2_000)
                 .seed(21)
                 .incremental()
-                .layout(layout)
-                .sample(graph)
+                .sample(graph);
+            oracle.convert_layout(layout);
+            oracle
         };
         let has_overlay = |o: &InfluenceOracle| match o.pool() {
             Pool::Compressed(p) | Pool::Tiered(p) => p.has_overlay(),

@@ -19,6 +19,9 @@
 //!   skip headers, the hot lists and the mutation overlay stay resident, so
 //!   a served index can exceed RAM.
 //!
+//! A pool is made once, raw ([`Pool::raw`] trims its lists to exact
+//! capacity in place), and changes layout only by [`Pool::convert`].
+//!
 //! Callers reach a pool in one of two shapes and the code picks the path by
 //! which one they use: **random access** to single lists
 //! ([`Pool::for_each_posting_inline`], [`Pool::postings`], [`Pool::trace`],
@@ -253,7 +256,8 @@ impl Pool {
     pub fn sweep_traces(&self, mut f: impl FnMut(u32, ListRef<'_>)) {
         match self {
             Pool::Raw(p) => {
-                for (set, trace) in p.trace_table().iter().enumerate() {
+                let traces = p.traces().expect("raw pool has no traces");
+                for (set, trace) in traces.iter().enumerate() {
                     f(set as u32, ListRef::Plain(trace));
                 }
             }
@@ -292,7 +296,7 @@ impl Pool {
     #[must_use]
     pub fn has_traces(&self) -> bool {
         match self {
-            Pool::Raw(p) => p.has_traces(),
+            Pool::Raw(p) => p.traces().is_some(),
             Pool::Compressed(p) | Pool::Tiered(p) => p.has_traces(),
         }
     }
@@ -371,7 +375,7 @@ impl Pool {
     }
 
     /// Export the pool as raw posting lists plus optional traces (the
-    /// canonical form persistence and conversion work from).
+    /// lists a conversion to the raw layout keeps).
     #[must_use]
     pub fn to_raw_lists(&self) -> (Vec<Vec<u32>>, Option<Vec<Vec<u32>>>) {
         let mut postings = Vec::with_capacity(self.num_vertices());
@@ -386,39 +390,41 @@ impl Pool {
 
     /// Convert this pool to another layout, preserving every list exactly.
     ///
+    /// A raw pool is encoded straight from its tables, and a compressed pool
+    /// shares its encoded regions with the tiered pool it becomes. Every
+    /// other conversion decodes the lists in one sweep per direction, so a
+    /// tiered pool becoming compressed is re-encoded fully resident, with no
+    /// cold region or overlay carried over.
+    ///
     /// Converting *to* [`PoolLayout::Tiered`] yields a tiered pool whose
     /// cold region is still resident (there is no backing file yet); demote
     /// it with [`Pool::attach_cold_file`] after the artifact containing its
     /// `PCMP` section has been written.
     #[must_use]
     pub fn convert(&self, layout: PoolLayout) -> Self {
-        if layout == self.layout() {
-            return self.clone();
-        }
-        match layout {
-            PoolLayout::Raw => {
+        let packed = match (self, layout) {
+            _ if layout == self.layout() => return self.clone(),
+            (Pool::Raw(p), _) => p.encode(),
+            (Pool::Compressed(p), PoolLayout::Tiered) => p.clone(),
+            _ => {
                 let (postings, traces) = self.to_raw_lists();
-                Pool::raw(self.num_vertices(), self.pool_size(), postings, traces)
-            }
-            PoolLayout::Compressed | PoolLayout::Tiered => {
-                let packed = match self {
-                    Pool::Compressed(p) | Pool::Tiered(p) => p.clone(),
-                    Pool::Raw(_) => {
-                        let (postings, traces) = self.to_raw_lists();
-                        PackedPool::from_lists(
-                            self.num_vertices(),
-                            self.pool_size(),
-                            &postings,
-                            traces.as_deref(),
-                        )
-                    }
-                };
-                if layout == PoolLayout::Compressed {
-                    Pool::Compressed(packed)
-                } else {
-                    Pool::Tiered(packed)
+                let raw = RawPool::new(self.num_vertices(), self.pool_size(), postings, traces);
+                if layout == PoolLayout::Raw {
+                    return Pool::Raw(raw);
                 }
+                raw.encode()
             }
+        };
+        match layout {
+            PoolLayout::Tiered => Pool::Tiered(packed),
+            _ => Pool::Compressed(packed),
+        }
+    }
+
+    /// [`Pool::convert`] in place (a no-op at the same layout).
+    pub fn set_layout(&mut self, layout: PoolLayout) {
+        if layout != self.layout() {
+            *self = self.convert(layout);
         }
     }
 

@@ -1,6 +1,6 @@
 //! The uncompressed reference backend: `Vec<Vec<u32>>` both ways.
 
-use crate::{for_each_membership_change, set_membership};
+use crate::{for_each_membership_change, set_membership, PackedPool};
 
 /// Uncompressed in-RAM pool store — the layout the original oracle used and
 /// the semantic reference every other backend is equivalence-tested against.
@@ -15,7 +15,10 @@ pub struct RawPool {
 }
 
 impl RawPool {
-    /// Build from posting lists and optional traces.
+    /// Build from posting lists and optional traces, taking them as they
+    /// are. Every list's growth slack is trimmed in place (a no-op for lists
+    /// allocated at size), so [`crate::Pool::resident_bytes`] counts the ids
+    /// held, however the lists were filled.
     ///
     /// # Panics
     ///
@@ -26,12 +29,16 @@ impl RawPool {
     pub fn new(
         num_vertices: usize,
         pool_size: usize,
-        postings: Vec<Vec<u32>>,
-        traces: Option<Vec<Vec<u32>>>,
+        mut postings: Vec<Vec<u32>>,
+        mut traces: Option<Vec<Vec<u32>>>,
     ) -> Self {
         assert_eq!(postings.len(), num_vertices, "posting table length");
         if let Some(t) = &traces {
             assert_eq!(t.len(), pool_size, "trace table length");
+        }
+        for table in std::iter::once(&mut postings).chain(traces.as_mut()) {
+            table.shrink_to_fit();
+            table.iter_mut().for_each(Vec::shrink_to_fit);
         }
         RawPool {
             num_vertices,
@@ -53,13 +60,9 @@ impl RawPool {
         &self.postings
     }
 
-    /// Every trace, in set order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store carries no traces.
-    pub(crate) fn trace_table(&self) -> &[Vec<u32>] {
-        self.traces.as_ref().expect("raw pool has no traces")
+    /// Every trace, in set order, if the store carries them.
+    pub(crate) fn traces(&self) -> Option<&[Vec<u32>]> {
+        self.traces.as_deref()
     }
 
     /// Borrow RR set `set`'s trace (raw-only zero-cost accessor).
@@ -70,7 +73,17 @@ impl RawPool {
     #[inline]
     #[must_use]
     pub fn trace_slice(&self, set: u32) -> &[u32] {
-        &self.trace_table()[set as usize]
+        &self.traces().expect("raw pool has no traces")[set as usize]
+    }
+
+    /// Encode both tables into a fully resident compressed pool.
+    pub(crate) fn encode(&self) -> PackedPool {
+        PackedPool::from_lists(
+            self.num_vertices,
+            self.pool_size,
+            &self.postings,
+            self.traces(),
+        )
     }
 
     pub(crate) fn num_vertices(&self) -> usize {
@@ -79,10 +92,6 @@ impl RawPool {
 
     pub(crate) fn pool_size(&self) -> usize {
         self.pool_size
-    }
-
-    pub(crate) fn has_traces(&self) -> bool {
-        self.traces.is_some()
     }
 
     /// See [`crate::Pool::replace_set`].

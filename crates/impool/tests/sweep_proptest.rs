@@ -196,3 +196,38 @@ fn cold_sweep_reads_scale_with_bytes_not_lists() {
     let _ = by_point_scans(&cold);
     assert_eq!(cold.cold_reads().0 - before, n as u64);
 }
+
+/// Converting a file-backed tiered pool to the compressed layout sweeps each
+/// cold region once and re-encodes its lists, overlay included: the result
+/// is as resident as the compressed pool encoded from the same lists, and it
+/// never reads the file again.
+#[test]
+fn a_cold_pool_converted_to_compressed_is_fully_resident() {
+    let n = 500usize;
+    let sets: Vec<Vec<u32>> = (0..64u32)
+        .map(|s| (0..n as u32).filter(|v| (v + s) % 7 == 0).collect())
+        .collect();
+    let mut raw = raw_pool(n, &sets, true);
+    let (mut cold, _file) = file_backed(&raw, 4096);
+    for pool in [&mut raw, &mut cold] {
+        pool.replace_set(5, &sets[5], &[1, 2, 3]);
+    }
+    let resident = raw.convert(PoolLayout::Compressed);
+    assert!(cold.resident_bytes() < resident.resident_bytes());
+
+    let before = cold.cold_reads();
+    let converted = cold.convert(PoolLayout::Compressed);
+    let after = cold.cold_reads();
+    assert_eq!(converted.resident_bytes(), resident.resident_bytes());
+    assert_eq!(after.0 - before.0, 2, "one sweep window per direction");
+    assert_eq!(converted.layout(), PoolLayout::Compressed);
+    assert_eq!(converted.cold_reads(), (0, 0));
+    assert!(matches!(&converted, Pool::Compressed(p) if !p.has_overlay()));
+    assert_eq!(converted.to_raw_lists(), raw.to_raw_lists());
+    assert_eq!(
+        by_sweep(&converted, 64),
+        by_point_scans(&raw),
+        "answers like the raw pool"
+    );
+    assert_eq!(cold.cold_reads(), after, "the converted pool reads no file");
+}

@@ -359,10 +359,16 @@ impl IndexArtifact {
         let pcmp_offset = (payload_bytes.as_ptr() as usize - bytes.as_ptr() as usize) as u64;
         let (mut oracle, _hint) = InfluenceOracle::from_pcmp_payload(payload_bytes)
             .map_err(|e| BinError::Corrupt(format!("PCMP pool section: {e}")))?;
-        // The metadata records the seed the per-set streams derive from; the
-        // payload carries the traces (the posting lists' inverse), so only
-        // the seed is attached. Shards additionally re-attach their global
-        // stream offset.
+        // Every index pool carries its traces (builds are incremental, and
+        // load, conversion and mutation keep them), and their directory's
+        // bytes bound the pool size; without them only the header would.
+        if !oracle.pool().has_traces() {
+            return Err(BinError::Corrupt(
+                "PCMP pool section carries no traces; an index pool always does".into(),
+            ));
+        }
+        // So only the seed the per-set streams derive from is attached, and
+        // a shard's global stream offset.
         oracle.attach_incremental(meta.base_seed, shard.map_or(0, |s| s.offset));
 
         // Always written (empty for fresh builds), so a missing section means

@@ -270,6 +270,28 @@ fn conflicting_pool_sections_are_rejected() {
     }
 }
 
+/// An index whose `PCMP` pool has no traces is refused typed before the
+/// traces are rebuilt from its postings. Every index pool carries them, so
+/// only a forgery lacks them, and without them nothing bounds the claimed
+/// pool size: here 2^20 sets in a payload of a few dozen bytes, whose
+/// inverted trace table alone would be 24 MiB of empty lists.
+#[test]
+fn trace_less_pools_are_rejected() {
+    let graph = InfluenceGraph::new(DiGraph::from_edges(3, &[(0, 1), (1, 2)]), vec![0.5, 0.5]);
+    let mut artifact = IndexArtifact::build("trace-check", "uc0.5", graph, 50, 3);
+    let forged_pool = 1 << 20;
+    artifact.oracle = im_core::InfluenceOracle::builder(forged_pool)
+        .assemble(3, vec![vec![0, 7], vec![7], vec![]])
+        .expect("valid posting lists");
+    artifact.meta.pool_size = forged_pool;
+    match IndexArtifact::from_bytes(&artifact.to_bytes()) {
+        Err(BinError::Corrupt(reason)) => {
+            assert!(reason.contains("no traces"), "{reason}");
+        }
+        other => panic!("a trace-less pool must be rejected, got {other:?}"),
+    }
+}
+
 /// A forged shard section whose offset plus the pool size overflows `u64`
 /// is refused typed, naming the shard section, in debug and release alike.
 #[test]
