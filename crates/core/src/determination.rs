@@ -19,7 +19,7 @@ use imrand::Rng32;
 
 use crate::bounds::{oneshot_sample_bound, snapshot_sample_bound, BoundParams};
 use crate::greedy::greedy_select;
-use crate::ris::{generate_rr_set, RisEstimator};
+use crate::ris::{RisEstimator, RrScratch};
 
 /// Accuracy target shared by every determination routine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,11 +89,12 @@ pub fn tim_kpt_estimate<R: Rng32>(
     let mut rr_sets_used = 0u64;
 
     let max_rounds = (log2_n.floor() as u32).max(1);
+    let mut scratch = RrScratch::for_graph(graph);
     for round in 1..=max_rounds {
         let c_i = (lambda * f64::from(1u32 << round)).ceil().max(1.0) as u64;
         let mut kappa_sum = 0.0f64;
         for _ in 0..c_i {
-            let rr = generate_rr_set(graph, rng);
+            let rr = scratch.generate(graph, rng);
             rr_sets_used += 1;
             let width = rr.edges_examined as f64;
             let kappa = if m == 0.0 {

@@ -34,57 +34,22 @@ pub struct RrSet {
     pub edges_examined: u64,
 }
 
-/// Generate a single RR set for the given target via reverse BFS.
-pub fn generate_rr_set_for_target<R: Rng32>(
-    graph: &InfluenceGraph,
-    target: VertexId,
-    rng: &mut R,
-    visited_epoch: &mut [u32],
-    epoch: u32,
-    queue: &mut Vec<VertexId>,
-) -> RrSet {
-    queue.clear();
-    visited_epoch[target as usize] = epoch;
-    queue.push(target);
-    let mut edges_examined = 0u64;
-    let mut head = 0usize;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        // Examine every incoming edge (u, v); u joins the RR set if the edge
-        // is live.
-        for (u, p) in graph.in_edges_with_prob(v) {
-            edges_examined += 1;
-            if visited_epoch[u as usize] == epoch {
-                continue;
-            }
-            if rng.bernoulli(p) {
-                visited_epoch[u as usize] = epoch;
-                queue.push(u);
-            }
-        }
-    }
-    RrSet {
-        vertices: queue.clone(),
-        target,
-        edges_examined,
-    }
-}
-
-/// Generate one RR set for a uniformly random target (the paper's "RR set").
+/// Generate one RR set for a uniformly random target (the paper's "RR set")
+/// on a fresh scratch. Repeated draws should reuse one [`RrScratch`].
 pub fn generate_rr_set<R: Rng32>(graph: &InfluenceGraph, rng: &mut R) -> RrSet {
     let n = graph.num_vertices();
     assert!(n > 0, "cannot sample an RR set from an empty graph");
-    let target = rng.gen_index(n) as VertexId;
-    let mut visited = vec![0u32; n];
-    let mut queue = Vec::new();
-    generate_rr_set_for_target(graph, target, rng, &mut visited, 1, &mut queue)
+    RrScratch::for_graph(graph).generate(graph, rng)
 }
 
-/// Reusable per-worker scratch for RR-set generation (epoch marks + queue).
+/// Reusable per-worker scratch for RR-set generation: an `n`-bit visited
+/// bitmap and the BFS queue.
+///
+/// The bitmap is all zero between sets: each set clears exactly the bits it
+/// set by walking its own members, so a set costs what it examines and never
+/// `O(n)`.
 pub struct RrScratch {
-    visited: Vec<u32>,
-    epoch: u32,
+    visited: Vec<u64>,
     queue: Vec<VertexId>,
 }
 
@@ -93,29 +58,67 @@ impl RrScratch {
     #[must_use]
     pub fn for_graph(graph: &InfluenceGraph) -> Self {
         Self {
-            visited: vec![0u32; graph.num_vertices()],
-            epoch: 0,
+            visited: vec![0; graph.num_vertices().div_ceil(64)],
             queue: Vec::new(),
         }
     }
 
     /// Draw one RR set for a uniformly random target, reusing the scratch.
     pub fn generate<R: Rng32>(&mut self, graph: &InfluenceGraph, rng: &mut R) -> RrSet {
-        if self.epoch == u32::MAX {
-            self.visited.iter_mut().for_each(|x| *x = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
         let target = rng.gen_index(graph.num_vertices()) as VertexId;
-        generate_rr_set_for_target(
-            graph,
-            target,
-            rng,
-            &mut self.visited,
-            self.epoch,
-            &mut self.queue,
-        )
+        self.generate_for_target(graph, target, rng)
     }
+
+    /// The RR-set kernel: a reverse BFS from `target` that examines every
+    /// in-edge `(u, v)` of each member `v` (the in-row's sources and
+    /// probabilities are read as two sequential runs) and, unless `u` is
+    /// already a member, flips the edge with its probability; `u` joins on
+    /// a live edge. One Bernoulli draw per examined edge whose source is not
+    /// yet a member, in in-row order: the draw order every pool's bytes rest
+    /// on.
+    pub fn generate_for_target<R: Rng32>(
+        &mut self,
+        graph: &InfluenceGraph,
+        target: VertexId,
+        rng: &mut R,
+    ) -> RrSet {
+        let (visited, queue) = (&mut self.visited, &mut self.queue);
+        queue.clear();
+        mark(visited, target);
+        queue.push(target);
+        let mut edges_examined = 0u64;
+        let mut head = 0usize;
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            for (u, p) in graph.in_edges_with_prob(v) {
+                edges_examined += 1;
+                if is_marked(visited, u) {
+                    continue;
+                }
+                if rng.bernoulli(p) {
+                    mark(visited, u);
+                    queue.push(u);
+                }
+            }
+        }
+        for &v in queue.iter() {
+            visited[v as usize / 64] = 0;
+        }
+        RrSet {
+            vertices: queue.clone(),
+            target,
+            edges_examined,
+        }
+    }
+}
+
+fn mark(bits: &mut [u64], v: VertexId) {
+    bits[v as usize / 64] |= 1 << (v % 64);
+}
+
+fn is_marked(bits: &[u64], v: VertexId) -> bool {
+    bits[v as usize / 64] & (1 << (v % 64)) != 0
 }
 
 /// [`sample_rr_sets_stream`] under IC.
@@ -450,18 +453,43 @@ mod tests {
     fn rr_set_weight_counts_in_edges_of_members() {
         // Deterministic path, target 3: members {0,1,2,3}, in-degree sum = 3.
         let ig = path(1.0, 4);
-        let mut visited = vec![0u32; 4];
-        let mut queue = Vec::new();
-        let rr = generate_rr_set_for_target(
-            &ig,
-            3,
-            &mut Pcg32::seed_from_u64(3),
-            &mut visited,
-            1,
-            &mut queue,
-        );
+        let rr =
+            RrScratch::for_graph(&ig).generate_for_target(&ig, 3, &mut Pcg32::seed_from_u64(3));
         assert_eq!(rr.vertices.len(), 4);
         assert_eq!(rr.edges_examined, 3);
+    }
+
+    #[test]
+    fn a_reused_scratch_draws_what_a_fresh_one_draws() {
+        // Hub-heavy: vertex 0 is an in- and out-neighbour of every other
+        // vertex, plus a ring, so sets are large and overlap in the hub's
+        // bitmap word. `prob` maps a head's in-degree to its in-edges'
+        // probability; 1/d is a valid LT weight.
+        fn hub(prob: impl Fn(usize) -> f64) -> InfluenceGraph {
+            let n = 300u32;
+            let mut edges: Vec<(u32, u32)> = (1..n).flat_map(|v| [(0, v), (v, 0)]).collect();
+            edges.extend((1..n).map(|v| (v, v % (n - 1) + 1)));
+            let graph = DiGraph::from_edges(n as usize, &edges);
+            let probabilities = edges
+                .iter()
+                .map(|&(_, v)| prob(graph.in_degree(v)))
+                .collect();
+            InfluenceGraph::new(graph, probabilities)
+        }
+        fn check<D: Diffusion>(model: D, ig: &InfluenceGraph) {
+            let mut reused = RrScratch::for_graph(ig);
+            let mut total = 0;
+            for set in 0..3_000u64 {
+                let stream = || Pcg32::seed_from_u64(set);
+                let got = model.sample_rr_set(ig, &mut reused, &mut stream());
+                let fresh = model.sample_rr_set(ig, &mut RrScratch::for_graph(ig), &mut stream());
+                assert_eq!(got, fresh, "{}: set {set}", D::RIS_NAME);
+                total += got.vertices.len();
+            }
+            assert!(total > 3_000 * 3, "{}: sets too small to test", D::RIS_NAME);
+        }
+        check(Ic, &hub(|_| 0.2));
+        check(Lt, &hub(|d| 1.0 / d as f64));
     }
 
     #[test]

@@ -51,6 +51,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::time::Instant;
+
 use im_core::sampler::Backend;
 use im_core::InfluenceOracle;
 use imgraph::{
@@ -130,6 +132,9 @@ pub struct BatchOutcome {
     /// Whether the CSR's adjacency was patched (exactly once, iff any delta
     /// was structural).
     pub materialized: bool,
+    /// Wall time of the resample step (dirty-set union, redraw and pool
+    /// swap), in microseconds.
+    pub resample_micros: u64,
 }
 
 /// One maintained pool's position in the epoch timeline: where its snapshot
@@ -470,16 +475,19 @@ impl DynamicOracle {
                 resampled: 0,
                 structural: 0,
                 materialized: false,
+                resample_micros: 0,
             });
         }
         let edges_before = self.mutable.num_edges();
         let effect = self.mutable.apply_batch(deltas)?;
         let materialized = effect.structural > 0;
         self.patch_graph(edges_before, deltas, &effect.effects);
+        let began = Instant::now();
         let resampled = self
             .oracle
             .apply_delta_batch(&self.graph, deltas)
             .expect("dynamic oracle state is incremental and dimension-consistent");
+        let resample_micros = began.elapsed().as_micros() as u64;
         for delta in deltas {
             self.log.push(*delta);
         }
@@ -493,6 +501,7 @@ impl DynamicOracle {
             resampled,
             structural: effect.structural,
             materialized,
+            resample_micros,
         })
     }
 

@@ -190,14 +190,18 @@ impl DiGraph {
         }
     }
 
-    /// Overwrite `out` with the transpose, reusing its allocations.
-    pub(crate) fn transpose_into(&self, out: &mut Self) {
-        out.out_offsets.clone_from(&self.in_offsets);
-        out.out_targets.clone_from(&self.in_sources);
-        out.out_edge_ids.clone_from(&self.in_edge_ids);
-        out.in_offsets.clone_from(&self.out_offsets);
-        out.in_sources.clone_from(&self.out_targets);
-        out.in_edge_ids.clone_from(&self.out_edge_ids);
+    /// The reverse-CSR positions of `v`'s in-row: `in_edges(v)` is
+    /// `in_edge_ids()[in_row(v)]` zipped with the sources.
+    #[must_use]
+    pub(crate) fn in_row(&self, v: VertexId) -> std::ops::Range<usize> {
+        let v = v as usize;
+        self.in_offsets[v]..self.in_offsets[v + 1]
+    }
+
+    /// Insertion-order edge id of every reverse-CSR position, row by row.
+    #[must_use]
+    pub(crate) fn in_edge_ids(&self) -> &[u32] {
+        &self.in_edge_ids
     }
 
     /// Remove the edges `deleted` (`(edge id, endpoints)`, ascending by id)
@@ -206,6 +210,10 @@ impl DiGraph {
     /// edge list: surviving edges keep their relative order and are
     /// renumbered densely, so every row stays sorted by edge id.
     ///
+    /// `in_weights` is a column parallel to the reverse CSR (one entry per
+    /// in-row position); it moves with its entries in the same pass, and
+    /// `inserted_weights[j]` lands beside `inserted[j]`.
+    ///
     /// One sequential pass per array; only the rows of the named endpoints
     /// are examined entry by entry.
     ///
@@ -213,7 +221,13 @@ impl DiGraph {
     ///
     /// Panics if an endpoint is out of range or the edited graph has more
     /// than `u32::MAX` edges.
-    pub(crate) fn patch(&mut self, deleted: &[(u32, Edge)], inserted: &[Edge]) {
+    pub(crate) fn patch(
+        &mut self,
+        deleted: &[(u32, Edge)],
+        inserted: &[Edge],
+        in_weights: &mut Vec<f64>,
+        inserted_weights: &[f64],
+    ) {
         let (n, m) = (self.num_vertices(), self.num_edges());
         assert!(
             m - deleted.len() + inserted.len() <= u32::MAX as usize,
@@ -223,20 +237,26 @@ impl DiGraph {
             assert!((u as usize) < n, "edge source {u} out of range (n = {n})");
             assert!((v as usize) < n, "edge target {v} out of range (n = {n})");
         }
+        debug_assert_eq!(inserted.len(), inserted_weights.len());
+        // The forward rows carry no column: a zero-sized one costs nothing.
         patch_direction(
             &mut self.out_offsets,
             &mut self.out_targets,
             &mut self.out_edge_ids,
+            &mut vec![(); m],
             deleted,
             inserted,
+            &vec![(); inserted.len()],
             |(u, v)| (u, v),
         );
         patch_direction(
             &mut self.in_offsets,
             &mut self.in_sources,
             &mut self.in_edge_ids,
+            in_weights,
             deleted,
             inserted,
+            inserted_weights,
             |(u, v)| (v, u),
         );
     }
@@ -260,26 +280,31 @@ impl DiGraph {
     }
 }
 
-/// [`DiGraph::patch`] for one adjacency direction; `orient` maps an edge to
-/// its `(row, neighbour)` in that direction.
-fn patch_direction(
+/// [`DiGraph::patch`] for one adjacency direction and its parallel column
+/// `weights`; `orient` maps an edge to its `(row, neighbour)` in that
+/// direction.
+#[allow(clippy::too_many_arguments)]
+fn patch_direction<W: Copy>(
     offsets: &mut [usize],
     neighbours: &mut Vec<VertexId>,
     edge_ids: &mut Vec<u32>,
+    weights: &mut Vec<W>,
     deleted: &[(u32, Edge)],
     inserted: &[Edge],
+    inserted_weights: &[W],
     orient: impl Fn(Edge) -> (VertexId, VertexId),
 ) {
     // Inserted edges get provisional ids above every old id, in order; the
     // dense renumbering below then lands them on their final ids. The sort
     // is stable, so one row's new entries stay in edge-id order.
     let first_new_id = edge_ids.len();
-    let mut appended: Vec<(VertexId, VertexId, u32)> = inserted
+    let mut appended: Vec<(VertexId, VertexId, u32, W)> = inserted
         .iter()
+        .zip(inserted_weights)
         .enumerate()
-        .map(|(j, &edge)| {
+        .map(|(j, (&edge, &weight))| {
             let (row, neighbour) = orient(edge);
-            (row, neighbour, (first_new_id + j) as u32)
+            (row, neighbour, (first_new_id + j) as u32, weight)
         })
         .collect();
     appended.sort_by_key(|&(row, ..)| row);
@@ -295,6 +320,7 @@ fn patch_direction(
     let new_len = neighbours.len() - deleted.len() + appended.len();
     let mut new_neighbours = Vec::with_capacity(new_len);
     let mut new_edge_ids = Vec::with_capacity(new_len);
+    let mut new_weights = Vec::with_capacity(new_len);
     let mut appended = appended.into_iter().peekable();
     let mut copied = 0; // old entries below this position are dealt with
     let mut unshifted = 0; // offsets from this index on still hold old values
@@ -307,15 +333,18 @@ fn patch_direction(
         // Untouched rows in between move as one block.
         new_neighbours.extend_from_slice(&neighbours[copied..start]);
         new_edge_ids.extend_from_slice(&edge_ids[copied..start]);
+        new_weights.extend_from_slice(&weights[copied..start]);
         for at in start..end {
             if !is_deleted(edge_ids[at]) {
                 new_neighbours.push(neighbours[at]);
                 new_edge_ids.push(edge_ids[at]);
+                new_weights.push(weights[at]);
             }
         }
-        while let Some((_, neighbour, id)) = appended.next_if(|a| a.0 as usize == row) {
+        while let Some((_, neighbour, id, weight)) = appended.next_if(|a| a.0 as usize == row) {
             new_neighbours.push(neighbour);
             new_edge_ids.push(id);
+            new_weights.push(weight);
         }
         copied = end;
         shift = new_neighbours.len() as isize - end as isize;
@@ -323,7 +352,9 @@ fn patch_direction(
     shift_offsets(&mut offsets[unshifted..], shift);
     new_neighbours.extend_from_slice(&neighbours[copied..]);
     new_edge_ids.extend_from_slice(&edge_ids[copied..]);
+    new_weights.extend_from_slice(&weights[copied..]);
     debug_assert_eq!(new_neighbours.len(), new_len);
+    debug_assert_eq!(new_weights.len(), new_len);
 
     if !deleted.is_empty() {
         // Dense renumbering: an id drops by the number of deleted ids below it.
@@ -333,6 +364,7 @@ fn patch_direction(
     }
     *neighbours = new_neighbours;
     *edge_ids = new_edge_ids;
+    *weights = new_weights;
 }
 
 fn shift_offsets(offsets: &mut [usize], shift: isize) {

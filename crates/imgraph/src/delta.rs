@@ -363,6 +363,12 @@ impl MutableInfluenceGraph {
     ///
     /// On error the graph is left untouched.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<DeltaEffect, DeltaError> {
+        self.apply_undoable(delta).map(|(effect, _)| effect)
+    }
+
+    /// [`MutableInfluenceGraph::apply`], also returning the step that takes
+    /// the delta back.
+    fn apply_undoable(&mut self, delta: &GraphDelta) -> Result<(DeltaEffect, Undo), DeltaError> {
         let located = self.check(delta)?;
         match *delta {
             GraphDelta::InsertEdge {
@@ -376,21 +382,23 @@ impl MutableInfluenceGraph {
                 );
                 self.edges.push((source, target));
                 self.probabilities.push(probability);
-                Ok(DeltaEffect {
+                let effect = DeltaEffect {
                     head: target,
                     edge_id: (self.edges.len() - 1) as u32,
                     structural: true,
-                })
+                };
+                Ok((effect, Undo::Pop))
             }
             GraphDelta::DeleteEdge { target, .. } => {
                 let at = located.expect("check located the edge");
-                self.edges.remove(at);
-                self.probabilities.remove(at);
-                Ok(DeltaEffect {
+                let edge = self.edges.remove(at);
+                let probability = self.probabilities.remove(at);
+                let effect = DeltaEffect {
                     head: target,
                     edge_id: at as u32,
                     structural: true,
-                })
+                };
+                Ok((effect, Undo::Reinsert(at, edge, probability)))
             }
             GraphDelta::SetProbability {
                 target,
@@ -398,24 +406,41 @@ impl MutableInfluenceGraph {
                 ..
             } => {
                 let at = located.expect("check located the edge");
-                self.probabilities[at] = probability;
-                Ok(DeltaEffect {
+                let old = std::mem::replace(&mut self.probabilities[at], probability);
+                let effect = DeltaEffect {
                     head: target,
                     edge_id: at as u32,
                     structural: false,
-                })
+                };
+                Ok((effect, Undo::Restore(at, old)))
             }
+        }
+    }
+
+    fn undo(&mut self, step: Undo) {
+        match step {
+            Undo::Pop => {
+                self.edges.pop();
+                self.probabilities.pop();
+            }
+            Undo::Reinsert(at, edge, probability) => {
+                self.edges.insert(at, edge);
+                self.probabilities.insert(at, probability);
+            }
+            Undo::Restore(at, probability) => self.probabilities[at] = probability,
         }
     }
 
     /// Apply a whole batch of deltas atomically.
     ///
     /// Unlike a loop over [`MutableInfluenceGraph::apply`], the batch is
-    /// **all-or-nothing**: the deltas are staged against a scratch copy and
-    /// committed only if every one of them validates, so a failed batch
+    /// **all-or-nothing**: the deltas are applied in place, each leaving the
+    /// step that takes it back, and the first one that fails to validate
+    /// takes the applied prefix back in reverse order, so a failed batch
     /// leaves the graph untouched (the per-delta path keeps the valid prefix
-    /// applied instead). Deltas still take effect in order *within* the
-    /// batch — a delete may name an edge inserted earlier in the same batch.
+    /// applied instead). Staging costs the batch, not a copy of the edge
+    /// list. Deltas still take effect in order *within* the batch — a
+    /// delete may name an edge inserted earlier in the same batch.
     ///
     /// The returned [`BatchEffect`] aggregates what batched incremental
     /// maintenance needs: the per-delta effects (which
@@ -423,19 +448,26 @@ impl MutableInfluenceGraph {
     /// the whole batch), the sorted set of distinct dirty head vertices and
     /// whether any delta was structural.
     pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<BatchEffect, BatchError> {
-        let mut staged = self.clone();
+        let mut undo = Vec::with_capacity(deltas.len());
         let mut effects = Vec::with_capacity(deltas.len());
         for (index, delta) in deltas.iter().enumerate() {
-            match staged.apply(delta) {
-                Ok(effect) => effects.push(effect),
-                Err(error) => return Err(BatchError { index, error }),
+            match self.apply_undoable(delta) {
+                Ok((effect, step)) => {
+                    effects.push(effect);
+                    undo.push(step);
+                }
+                Err(error) => {
+                    for step in undo.into_iter().rev() {
+                        self.undo(step);
+                    }
+                    return Err(BatchError { index, error });
+                }
             }
         }
         let mut dirty_heads: Vec<VertexId> = effects.iter().map(|e| e.head).collect();
         dirty_heads.sort_unstable();
         dirty_heads.dedup();
         let structural = effects.iter().filter(|e| e.structural).count();
-        *self = staged;
         Ok(BatchEffect {
             effects,
             dirty_heads,
@@ -458,6 +490,18 @@ impl MutableInfluenceGraph {
             self.probabilities.clone(),
         )
     }
+}
+
+/// The step that takes one applied delta back (see
+/// [`MutableInfluenceGraph::apply_batch`]).
+#[derive(Debug)]
+enum Undo {
+    /// Drop the inserted edge, the last one.
+    Pop,
+    /// Put the deleted edge and its probability back at their index.
+    Reinsert(usize, Edge, f64),
+    /// Write back the overwritten probability.
+    Restore(usize, f64),
 }
 
 /// An append-only log of graph mutations.
@@ -1056,6 +1100,43 @@ mod tests {
         assert_eq!(err.index, 1);
         assert!(matches!(err.error, DeltaError::VertexOutOfRange { .. }));
         assert!(err.to_string().contains("batch delta 1"));
+        assert_eq!(mutable, snapshot, "failed batches must not mutate");
+
+        // Every kind of step is taken back, in reverse order: an insert, two
+        // writes to one edge, a delete of that edge from the middle of the
+        // list, and a delete of the edge just inserted.
+        let err = mutable
+            .apply_batch(&[
+                GraphDelta::InsertEdge {
+                    source: 3,
+                    target: 0,
+                    probability: 0.125,
+                },
+                GraphDelta::SetProbability {
+                    source: 1,
+                    target: 3,
+                    probability: 0.5,
+                },
+                GraphDelta::SetProbability {
+                    source: 1,
+                    target: 3,
+                    probability: 1.0,
+                },
+                GraphDelta::DeleteEdge {
+                    source: 1,
+                    target: 3,
+                },
+                GraphDelta::DeleteEdge {
+                    source: 3,
+                    target: 0,
+                },
+                GraphDelta::DeleteEdge {
+                    source: 3,
+                    target: 0,
+                },
+            ])
+            .unwrap_err();
+        assert_eq!(err.index, 5);
         assert_eq!(mutable, snapshot, "failed batches must not mutate");
 
         // The empty batch is a no-op with an empty effect.

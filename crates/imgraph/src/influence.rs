@@ -1,7 +1,5 @@
 //! The influence graph `G = (V, E, p)`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CsrPatch, DiGraph, Edge, VertexId};
 
 /// The influence-probability domain: `p ∈ (0, 1]` and finite.
@@ -26,18 +24,19 @@ fn checked_probability(p: f64) -> f64 {
 /// A directed graph whose edges carry influence probabilities `p(e) ∈ (0, 1]`.
 ///
 /// This is the input object of the influence-maximization problem
-/// (Problem 2.1). Probabilities are stored in a flat array indexed by edge id,
-/// so the same array serves both the forward graph (used by Oneshot/Snapshot)
-/// and the cached transpose (used by RIS reverse traversals).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// (Problem 2.1). The one [`DiGraph`] stores both directions. Probabilities
+/// are kept twice: by edge id, for the forward traversals of Oneshot and
+/// Snapshot, and in reverse-CSR order beside each in-row, so an RIS reverse
+/// traversal reads a vertex's sources and their probabilities as two
+/// sequential runs.
+#[derive(Debug, Clone)]
 pub struct InfluenceGraph {
     graph: DiGraph,
     /// `probabilities[edge_id]` is `p(e)` for the edge with that insertion id.
     probabilities: Vec<f64>,
-    /// Lazily constructed transpose would complicate sharing; we build it
-    /// eagerly because RIS always needs it and it is cheap relative to the
-    /// experiments run on the graph.
-    transpose: DiGraph,
+    /// The same probabilities, parallel to the reverse CSR:
+    /// `in_probabilities[i] = probabilities[in_edge_ids[i]]`.
+    in_probabilities: Vec<f64>,
     /// Cached sum of all edge probabilities, `m̃ = Σ_e p(e)`: the expected
     /// number of live edges, used throughout the traversal-cost analysis.
     prob_sum: f64,
@@ -67,12 +66,16 @@ impl InfluenceGraph {
                 "edge {i} has invalid probability {p}; probabilities must lie in (0, 1]"
             );
         }
-        let transpose = graph.transpose();
+        let in_probabilities = graph
+            .in_edge_ids()
+            .iter()
+            .map(|&id| probabilities[id as usize])
+            .collect();
         let prob_sum = probabilities.iter().sum();
         Self {
             graph,
             probabilities,
-            transpose,
+            in_probabilities,
             prob_sum,
         }
     }
@@ -94,13 +97,6 @@ impl InfluenceGraph {
     #[must_use]
     pub fn graph(&self) -> &DiGraph {
         &self.graph
-    }
-
-    /// The transposed graph `G⊤` with edge ids preserved, so
-    /// [`InfluenceGraph::probability`] remains valid for its edges.
-    #[must_use]
-    pub fn transpose(&self) -> &DiGraph {
-        &self.transpose
     }
 
     /// Number of vertices `n`.
@@ -127,37 +123,11 @@ impl InfluenceGraph {
         &self.probabilities
     }
 
-    /// Overwrite the probability of the edge with the given insertion id.
-    ///
-    /// The one-write case of [`InfluenceGraph::apply_patch`]: a
-    /// `SetProbability` delta touches no adjacency, so the CSR and its
-    /// transpose are reused as-is, and the cached probability sum is
-    /// recomputed by the same full summation [`InfluenceGraph::new`]
-    /// performs — bit-identical to rebuilding the graph from scratch with
-    /// the updated probability array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge_id` is out of range or `p` lies outside `(0, 1]`.
-    pub fn set_probability(&mut self, edge_id: u32, p: f64) {
-        self.write_probabilities(&[(edge_id, p)]);
-        self.prob_sum = self.probabilities.iter().sum();
-    }
-
-    fn write_probabilities(&mut self, writes: &[(u32, f64)]) {
-        for &(edge_id, p) in writes {
-            assert!(
-                (edge_id as usize) < self.probabilities.len(),
-                "edge id {edge_id} out of range for {} edges",
-                self.probabilities.len()
-            );
-            self.probabilities[edge_id as usize] = checked_probability(p);
-        }
-    }
-
-    /// Apply a delta batch's net change in place: patch every probability
-    /// slot, drop the deleted edges and append the inserted ones in one
-    /// sequential pass per CSR array, then sum the probabilities **once**.
+    /// Apply a delta batch's net change in place: write every reweighted
+    /// edge's probability into both arrays (the in-row copy found in its
+    /// head's row), drop the deleted edges and append the inserted ones in
+    /// one sequential pass per CSR array, then sum the probabilities
+    /// **once**.
     ///
     /// The result equals — field for field, `probability_sum()` to the bit —
     /// the graph [`crate::MutableInfluenceGraph::materialize`] rebuilds from
@@ -167,13 +137,29 @@ impl InfluenceGraph {
     ///
     /// # Panics
     ///
-    /// Panics if the patch names an edge id or vertex out of range or a
-    /// probability outside `(0, 1]` — it was resolved against another graph.
+    /// Panics if the patch names an edge id or vertex out of range, an edge
+    /// that is not in its head's in-row, or a probability outside `(0, 1]` —
+    /// it was resolved against another graph.
     pub fn apply_patch(&mut self, patch: &CsrPatch) {
-        self.write_probabilities(&patch.reweighted);
+        for &(edge_id, head, p) in &patch.reweighted {
+            let p = checked_probability(p);
+            let row = self.graph.in_row(head);
+            let at = self.graph.in_edge_ids()[row.clone()]
+                .binary_search(&edge_id)
+                .unwrap_or_else(|_| panic!("edge {edge_id} is not in the in-row of {head}"));
+            self.in_probabilities[row.start + at] = p;
+            self.probabilities[edge_id as usize] = p;
+        }
         if patch.is_structural() {
-            self.graph.patch(&patch.deleted, &patch.inserted);
-            self.graph.transpose_into(&mut self.transpose);
+            for &p in &patch.inserted_probabilities {
+                checked_probability(p);
+            }
+            self.graph.patch(
+                &patch.deleted,
+                &patch.inserted,
+                &mut self.in_probabilities,
+                &patch.inserted_probabilities,
+            );
             // Survivors keep their order; the inserted edges take the
             // largest ids.
             if !patch.deleted.is_empty() {
@@ -185,12 +171,8 @@ impl InfluenceGraph {
                     keep
                 });
             }
-            self.probabilities.extend(
-                patch
-                    .inserted_probabilities
-                    .iter()
-                    .map(|&p| checked_probability(p)),
-            );
+            self.probabilities
+                .extend_from_slice(&patch.inserted_probabilities);
             assert_eq!(self.probabilities.len(), self.graph.num_edges());
         }
         self.prob_sum = self.probabilities.iter().sum();
@@ -217,8 +199,10 @@ impl InfluenceGraph {
     /// (i.e. the probability of the original edge `(u, v)`).
     pub fn in_edges_with_prob(&self, v: VertexId) -> impl Iterator<Item = (VertexId, f64)> + '_ {
         self.graph
-            .in_edges(v)
-            .map(move |(u, eid)| (u, self.probability(eid)))
+            .in_neighbors(v)
+            .iter()
+            .copied()
+            .zip(self.in_probabilities[self.graph.in_row(v)].iter().copied())
     }
 
     /// The expected in-weight `Σ_{u ∈ Γ⁻(v)} p(u, v)` of a vertex; equals 1 for
@@ -241,12 +225,7 @@ impl InfluenceGraph {
     /// the traversal-cost appendix.
     #[must_use]
     pub fn reversed(&self) -> Self {
-        Self {
-            graph: self.transpose.clone(),
-            probabilities: self.probabilities.clone(),
-            transpose: self.graph.clone(),
-            prob_sum: self.prob_sum,
-        }
+        Self::new(self.graph.transpose(), self.probabilities.clone())
     }
 }
 
@@ -289,7 +268,7 @@ mod tests {
     #[test]
     fn transpose_preserves_probabilities() {
         let ig = path_graph();
-        let t = ig.transpose();
+        let t = ig.graph().transpose();
         // In the transpose, vertex 1 has an out-edge to 0 with the id of the
         // original (0, 1) edge.
         let (target, eid) = t.out_edges(1).next().unwrap();

@@ -53,17 +53,12 @@ fn fold(hash: u64, word: u64) -> u64 {
 
 /// One row's term: 0 for an empty row, otherwise a mix of the vertex id and
 /// the row's entries in order.
-fn row_term(
-    salt: u64,
-    vertex: VertexId,
-    row: impl Iterator<Item = (VertexId, u32)>,
-    probabilities: &[f64],
-) -> u64 {
+fn row_term(salt: u64, vertex: VertexId, row: impl Iterator<Item = (VertexId, f64)>) -> u64 {
     let mut hash = mix(salt ^ u64::from(vertex));
     let mut entries = 0u64;
-    for (neighbour, edge_id) in row {
+    for (neighbour, probability) in row {
         hash = fold(hash, u64::from(neighbour));
-        hash = fold(hash, probabilities[edge_id as usize].to_bits());
+        hash = fold(hash, probability.to_bits());
         entries += 1;
     }
     if entries == 0 {
@@ -82,14 +77,12 @@ fn row_term(
 /// Panics if a vertex is out of range.
 #[must_use]
 pub fn row_terms(graph: &InfluenceGraph, heads: &[VertexId], sources: &[VertexId]) -> u64 {
-    let probabilities = graph.probabilities();
-    let csr = graph.graph();
     let ins = heads
         .iter()
-        .map(|&v| row_term(IN_ROW_SALT, v, csr.in_edges(v), probabilities));
+        .map(|&v| row_term(IN_ROW_SALT, v, graph.in_edges_with_prob(v)));
     let outs = sources
         .iter()
-        .map(|&u| row_term(OUT_ROW_SALT, u, csr.out_edges(u), probabilities));
+        .map(|&u| row_term(OUT_ROW_SALT, u, graph.out_edges_with_prob(u)));
     ins.chain(outs).fold(0, u64::wrapping_add)
 }
 
@@ -97,13 +90,11 @@ pub fn row_terms(graph: &InfluenceGraph, heads: &[VertexId], sources: &[VertexId
 /// both CSR directions, O(n + m), no allocation.
 #[must_use]
 pub fn fingerprint(graph: &InfluenceGraph) -> u64 {
-    let probabilities = graph.probabilities();
-    let csr = graph.graph();
     let mut sum = mix(VERTEX_COUNT_SALT ^ graph.num_vertices() as u64);
-    for v in csr.vertices() {
+    for v in graph.graph().vertices() {
         sum = sum
-            .wrapping_add(row_term(IN_ROW_SALT, v, csr.in_edges(v), probabilities))
-            .wrapping_add(row_term(OUT_ROW_SALT, v, csr.out_edges(v), probabilities));
+            .wrapping_add(row_term(IN_ROW_SALT, v, graph.in_edges_with_prob(v)))
+            .wrapping_add(row_term(OUT_ROW_SALT, v, graph.out_edges_with_prob(v)));
     }
     sum
 }

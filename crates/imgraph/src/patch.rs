@@ -13,7 +13,7 @@
 //! [`InfluenceGraph::apply_patch`]: crate::InfluenceGraph::apply_patch
 //! [`MutableInfluenceGraph::materialize`]: crate::MutableInfluenceGraph::materialize
 
-use crate::{DeltaEffect, Edge, GraphDelta};
+use crate::{DeltaEffect, Edge, GraphDelta, VertexId};
 
 /// What one delta batch does to a graph of known size, net of everything
 /// that cancels inside the batch.
@@ -27,10 +27,11 @@ pub struct CsrPatch {
     pub(crate) inserted: Vec<Edge>,
     /// `inserted[j]`'s probability at the end of the batch.
     pub(crate) inserted_probabilities: Vec<f64>,
-    /// Probability writes to pre-batch edges, `(pre-batch id, probability)`
-    /// in application order (a later write to the same id wins; a write to
-    /// an edge the batch also deletes is dropped with the edge).
-    pub(crate) reweighted: Vec<(u32, f64)>,
+    /// Probability writes to pre-batch edges, `(pre-batch id, head,
+    /// probability)` in application order (a later write to the same id
+    /// wins; a write to an edge the batch also deletes is dropped with the
+    /// edge). The head names the in-row that holds the edge's second copy.
+    pub(crate) reweighted: Vec<(u32, VertexId, f64)>,
 }
 
 impl CsrPatch {
@@ -63,9 +64,13 @@ impl CsrPatch {
                     patch.inserted.remove(at - live);
                     patch.inserted_probabilities.remove(at - live);
                 }
-                GraphDelta::SetProbability { probability, .. } if at < live => {
+                GraphDelta::SetProbability {
+                    target,
+                    probability,
+                    ..
+                } if at < live => {
                     let (_, id) = patch.pre_batch_id(effect.edge_id);
-                    patch.reweighted.push((id, probability));
+                    patch.reweighted.push((id, target, probability));
                 }
                 GraphDelta::SetProbability { probability, .. } => {
                     patch.inserted_probabilities[at - live] = probability;
@@ -133,7 +138,13 @@ mod tests {
         patched.apply_patch(&patch);
         let reference = mutable.materialize();
         assert_eq!(patched.graph(), reference.graph());
-        assert_eq!(patched.transpose(), reference.transpose());
+        for v in reference.graph().vertices() {
+            assert_eq!(
+                patched.in_edges_with_prob(v).collect::<Vec<_>>(),
+                reference.in_edges_with_prob(v).collect::<Vec<_>>(),
+                "in-row of {v}"
+            );
+        }
         assert_eq!(patched.probabilities(), reference.probabilities());
         assert_eq!(
             patched.probability_sum().to_bits(),
@@ -196,7 +207,7 @@ mod tests {
                 del(1, 2),
             ],
         );
-        assert_eq!(patch.reweighted, vec![(4, 0.5), (1, 1.0)]);
+        assert_eq!(patch.reweighted, vec![(4, 2, 0.5), (1, 2, 1.0)]);
         assert_eq!(patch.inserted_probabilities, vec![0.25]);
         // Attribute-only batches are not structural.
         let patch = assert_patch_equals_materialize(&graph, &[setp(0, 1, 0.125), setp(2, 0, 1.0)]);

@@ -835,6 +835,9 @@ impl QueryEngine {
         self.obs
             .mutate_resampled_sets
             .record(outcome.resampled as u64);
+        self.obs
+            .mutate_resample_micros
+            .record(outcome.resample_micros);
         self.wal_append(epoch_before, hash_before, deltas)?;
         self.note_epoch_moved(epoch_before, state.dynamic.epoch());
         let compacted = self.maybe_compact_with_events(state);

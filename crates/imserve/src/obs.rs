@@ -329,6 +329,10 @@ serving_metrics! {
     /// distribution behind the `sets_resampled` running total).
     mutate_resampled_sets: histogram("imserve_mutate_resampled_sets",
         "Dirty RR sets resampled per applied mutation batch."),
+    /// Time each applied batch spent resampling its dirty RR sets
+    /// (microseconds) — the write path's largest stage.
+    mutate_resample_micros: histogram("imserve_mutate_resample_micros",
+        "Time an applied mutation batch spent resampling its dirty RR sets, in microseconds."),
     /// From-scratch O(n + m) lineage-fingerprint passes: one per engine
     /// construction and one per `reload` (the incoming artifact). Mutations,
     /// WAL replay and replicated records read the maintained value and never

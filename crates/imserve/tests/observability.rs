@@ -384,11 +384,14 @@ fn durable_batches_replay_and_replication_never_rehash_the_graph() {
     let dirty = report.histogram("imserve_mutate_resampled_sets").unwrap();
     assert_eq!(dirty.count, BATCHES);
     assert_eq!(dirty.sum, report.counter("imserve_sets_resampled_total"));
+    let resample = report.histogram("imserve_mutate_resample_micros").unwrap();
+    assert_eq!(resample.count, BATCHES);
     let text = leader.render_metrics();
     for needle in [
         "# TYPE imserve_lineage_full_hashes_total counter",
         "# TYPE imserve_wal_append_micros histogram",
         "# TYPE imserve_mutate_resampled_sets histogram",
+        "# TYPE imserve_mutate_resample_micros histogram",
     ] {
         assert!(text.contains(needle), "scrape missing {needle:?}");
     }
