@@ -9,7 +9,7 @@
 //! trial with success probability `Inf(S)/n`).
 
 use imgraph::{GraphDelta, InfluenceGraph, VertexId};
-use impool::{Pool, PoolLayout, TieredConfig};
+use impool::{ListRef, Pool, PoolLayout, TieredConfig};
 use imrand::Rng32;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -726,7 +726,10 @@ impl InfluenceOracle {
     /// One round of greedy maximum coverage, exposed as data: given the
     /// already-selected seed set, return every vertex's marginal coverage
     /// gain (the number of its pool RR sets not yet covered by `selected`)
-    /// plus the covered count itself.
+    /// plus the covered count itself. One whole-pool gain pass that decodes
+    /// no posting list on a pool with traces, only the traces of the sets
+    /// `selected` covers; with `selected` empty it is a sweep of list
+    /// lengths on any pool.
     ///
     /// This is the shard-side primitive of *distributed* greedy selection: a
     /// router summing these integer gain vectors across pool shards and
@@ -742,15 +745,54 @@ impl InfluenceOracle {
     #[must_use]
     pub fn coverage_gains(&self, selected: &[VertexId]) -> (Vec<u64>, u64) {
         let (covered, covered_count) = self.covered_marks(selected);
-        // The one whole-pool pass: swept, not point-read, so a tiered pool
-        // streams its cold region instead of issuing a read per vertex.
         let mut gains = Vec::with_capacity(self.num_vertices());
-        self.pool.sweep_postings(|_, list| {
-            let mut gain = 0u64;
-            list.for_each(|id| gain += u64::from(!covered[id as usize]));
-            gains.push(gain);
-        });
+        self.gain_pass(&covered, covered_count > 0, |_, gain| gains.push(gain));
         (gains, covered_count)
+    }
+
+    /// The one whole-pool gain pass: `f(v, gain)` for every vertex in
+    /// order, where `gain` counts `v`'s RR sets that `covered` leaves
+    /// uncovered (`any_covered` says whether it marks any).
+    ///
+    /// The pass pays for what is covered, not for the whole pool. With
+    /// nothing covered a gain is a list's length. Otherwise, on a pool with
+    /// traces, which are exactly the inverse of its posting lists
+    /// ([`Pool::replace_set`] keeps them so, and `PCMP` decoding refuses a
+    /// payload where they are not),
+    /// `gain(v) = |P(v)| − #{covered s : v ∈ T(s)}`: one trace sweep
+    /// decodes the covered sets' traces into per-vertex hit counts, and one
+    /// posting sweep reads each list's length without decoding it. A pool
+    /// without traces (the study's oracles) decodes every list and tests
+    /// each id. All are sweeps, not point reads, so a tiered pool streams
+    /// each cold region it needs once instead of issuing a read per list.
+    fn gain_pass(&self, covered: &[bool], any_covered: bool, mut f: impl FnMut(VertexId, u64)) {
+        let mut hits = Vec::new();
+        if any_covered {
+            if !self.pool.has_traces() {
+                self.pool
+                    .sweep_postings(|v, list| f(v, uncovered(list, covered)));
+                return;
+            }
+            hits = vec![0u32; self.num_vertices()];
+            self.pool.sweep_traces(|set, members| {
+                if covered[set as usize] {
+                    members.for_each(|v| hits[v as usize] += 1);
+                }
+            });
+        }
+        self.pool.sweep_postings(|v, list| {
+            let hit = hits.get(v as usize).map_or(0, |&h| h as usize);
+            f(v, (list.len() - hit) as u64);
+        });
+    }
+
+    /// The gains of `vertices` (in the order given) given `covered`, by
+    /// point reads of their lists.
+    fn gains_at(&self, covered: &[bool], vertices: &[VertexId]) -> Vec<u64> {
+        vertices
+            .iter()
+            .map(|&v| self.pool.with_posting(v, |list| uncovered(list, covered)))
+            .collect()
     }
 
     /// [`InfluenceOracle::coverage_gains`] at `vertices` only: the marginal
@@ -770,16 +812,7 @@ impl InfluenceOracle {
         vertices: &[VertexId],
     ) -> (Vec<u64>, u64) {
         let (covered, covered_count) = self.covered_marks(selected);
-        let gains = vertices
-            .iter()
-            .map(|&v| {
-                let mut gain = 0u64;
-                self.pool
-                    .for_each_posting_inline(v, |id| gain += u64::from(!covered[id as usize]));
-                gain
-            })
-            .collect();
-        (gains, covered_count)
+        (self.gains_at(&covered, vertices), covered_count)
     }
 
     /// Which pool RR sets `selected` covers, and how many.
@@ -866,7 +899,9 @@ impl InfluenceOracle {
     /// [`ROUND_CANDIDATES`] vertices and a bound on the rest, and the later
     /// rounds settle by point reads of the listed vertices until the bound
     /// stops separating a winner. The seeds and the influence are identical
-    /// to a pass per round.
+    /// to a pass per round. A pass is [`InfluenceOracle::coverage_gains`]'s:
+    /// the first round's, with nothing covered, reads list lengths only, and
+    /// a later one on a pool with traces adds the covered sets' traces.
     #[must_use]
     pub fn greedy_seed_set(&self, k: usize) -> (Vec<VertexId>, f64) {
         let mut rounds = OracleRounds {
@@ -880,6 +915,16 @@ impl InfluenceOracle {
             self.num_vertices() as f64 * rounds.covered_count as f64 / self.pool_size() as f64;
         (selected, influence)
     }
+}
+
+/// How many of one posting list's RR sets `covered` leaves uncovered: the
+/// per-id gain test, shared by point reads and by the gain pass of a pool
+/// without traces.
+#[inline]
+fn uncovered(list: ListRef<'_>, covered: &[bool]) -> u64 {
+    let mut gain = 0u64;
+    list.for_each(|id| gain += u64::from(!covered[id as usize]));
+    gain
 }
 
 /// [`InfluenceOracle::greedy_seed_set`]'s side of [`drive_greedy`]: the
@@ -896,15 +941,14 @@ impl GreedyRounds for OracleRounds<'_> {
 
     #[inline]
     fn pass(&mut self, _selected: &[VertexId]) -> Result<Option<GreedyPass>, Self::Error> {
-        let (covered, is_selected) = (&self.covered, &self.is_selected);
+        let is_selected = &self.is_selected;
         let mut top = TopGains::new(ROUND_CANDIDATES);
-        self.oracle.pool.sweep_postings(|v, list| {
-            if !is_selected[v as usize] {
-                let mut gain = 0u64;
-                list.for_each(|id| gain += u64::from(!covered[id as usize]));
-                top.offer(v, gain);
-            }
-        });
+        self.oracle
+            .gain_pass(&self.covered, self.covered_count > 0, |v, gain| {
+                if !is_selected[v as usize] {
+                    top.offer(v, gain);
+                }
+            });
         let (listed, bound) = top.finish();
         Ok(listed.first().map(|&(winner, _)| GreedyPass {
             winner,
@@ -919,18 +963,8 @@ impl GreedyRounds for OracleRounds<'_> {
         _selected: &[VertexId],
         candidates: &[VertexId],
     ) -> Result<Vec<u64>, Self::Error> {
-        let covered = &self.covered;
-        Ok(candidates
-            .iter()
-            .map(|&v| {
-                let mut gain = 0u64;
-                // Random access to one list: the point read, not a sweep.
-                self.oracle
-                    .pool
-                    .for_each_posting_inline(v, |id| gain += u64::from(!covered[id as usize]));
-                gain
-            })
-            .collect())
+        // Random access to a few lists: point reads, not a sweep.
+        Ok(self.oracle.gains_at(&self.covered, candidates))
     }
 
     #[inline]

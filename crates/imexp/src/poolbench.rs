@@ -12,9 +12,12 @@
 //!   on a v6 tiered index).
 //!
 //! Per layout the driver records resident pool bytes, bytes per RR set, the
-//! coverage-scan throughput of a full greedy gains pass (`coverage_gains`
-//! over every posting list) and the latency distribution of single
-//! `estimate` queries over a deterministic stream of seed sets. Before any
+//! coverage-scan throughput of one greedy gain pass with the most
+//! influential vertex selected (`coverage_gains(&[top])`, a greedy's second
+//! round: every posting list's length plus the traces of the sets the top
+//! vertex covers; with nothing selected a pass would only read lengths) and
+//! the latency distribution of single `estimate` queries over a
+//! deterministic stream of seed sets. Before any
 //! timing it asserts the layouts are *bit-identical* on a probe set —
 //! spreads compared by `f64::to_bits` — so the numbers can never come from
 //! diverging answers.
@@ -75,8 +78,8 @@ pub struct LayoutRun {
     pub resident_bytes: u64,
     /// `resident_bytes / pool` — the headline metric of the comparison.
     pub bytes_per_set: f64,
-    /// Wall micros of one full `coverage_gains` pass over the pool (median
-    /// of three).
+    /// Wall micros of one `coverage_gains` pass over the pool with the most
+    /// influential vertex selected (median of three).
     pub coverage_scan_micros: f64,
     /// RR sets scanned per second by that pass.
     pub coverage_scan_sets_per_sec: f64,
@@ -159,13 +162,17 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// Measure one oracle under its current layout.
 fn measure(oracle: &InfluenceOracle, queries: &[Vec<u32>]) -> LayoutRun {
     let pool = oracle.pool_size().max(1);
+    // A greedy's second-round pass: with the top vertex selected it decodes
+    // the traces of the sets that vertex covers, where a pass with nothing
+    // selected would read list lengths only.
+    let top = oracle.top_influential_vertices(1)[0].0;
     // Median of three passes: at reduced scale one pass is tens of
     // microseconds, too short for CI's tiered-vs-compressed latency envelope
     // to rest on a single sample.
     let mut scans: Vec<f64> = (0..3)
         .map(|_| {
             let start = Instant::now();
-            let (gains, _) = oracle.coverage_gains(&[]);
+            let (gains, _) = oracle.coverage_gains(&[top]);
             let micros = start.elapsed().as_secs_f64() * 1e6;
             // Keep the scan from being optimised away.
             assert!(!gains.is_empty(), "coverage scan returned no gains");

@@ -24,11 +24,11 @@
 //!
 //! Callers reach a pool in one of two shapes and the code picks the path by
 //! which one they use: **random access** to single lists
-//! ([`Pool::for_each_posting_inline`], [`Pool::postings`], [`Pool::trace`],
-//! [`Pool::replace_set`] — on a tiered pool one `pread` per cold list), or an
-//! **ordered pass** over every list ([`Pool::sweep_postings`],
-//! [`Pool::sweep_traces`] — on a tiered pool a handful of sequential reads
-//! per pass, however many lists there are).
+//! ([`Pool::with_posting`], [`Pool::for_each_posting_inline`],
+//! [`Pool::postings`], [`Pool::trace`], [`Pool::replace_set`] — on a tiered
+//! pool one `pread` per cold list), or an **ordered pass** over every list
+//! ([`Pool::sweep_postings`], [`Pool::sweep_traces`] — on a tiered pool a
+//! handful of sequential reads per pass, however many lists there are).
 //!
 //! Every backend answers every query with **identical results in identical
 //! order** — the oracle layered on top stays byte-identical across layouts,
@@ -219,12 +219,26 @@ impl Pool {
     #[inline]
     pub fn for_each_posting_inline(&self, v: u32, mut f: impl FnMut(u32)) {
         match self {
+            // The raw loop is written out, not routed through `with_posting`:
+            // through the closure, the estimate path (`covered_with`)
+            // compiles to different code.
             Pool::Raw(p) => {
                 for &id in p.posting_slice(v) {
                     f(id);
                 }
             }
-            Pool::Compressed(p) | Pool::Tiered(p) => p.scan_postings(v, &mut f),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.with_posting(v, |list| list.for_each(f)),
+        }
+    }
+
+    /// Hand vertex `v`'s posting list to `f` as a [`ListRef`] — the point
+    /// read for callers that want the list itself (its length without a
+    /// decode, or a visitor shared with [`Pool::sweep_postings`]).
+    #[inline]
+    pub fn with_posting<R>(&self, v: u32, f: impl FnOnce(ListRef<'_>) -> R) -> R {
+        match self {
+            Pool::Raw(p) => f(ListRef::Plain(p.posting_slice(v))),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.with_posting(v, f),
         }
     }
 

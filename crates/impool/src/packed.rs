@@ -19,15 +19,17 @@
 //! always resident, and they give a cold region two access shapes, chosen by
 //! what the caller does:
 //!
-//! * a **point read** ([`SegmentStore::scan`], `len_of`, `list`, `edit` —
-//!   estimates, `trace`, `replace_set`) is one `pread` of exactly that
-//!   list's bytes, not a search: the directory says where they are;
+//! * a **point read** ([`SegmentStore::with_list`], `len_of`, `list`,
+//!   `edit` — estimates, `trace`, `replace_set`) is one `pread` of exactly
+//!   that list's bytes, not a search: the directory says where they are;
 //! * a **pass** over every list in index order ([`SegmentStore::sweep`] —
-//!   coverage gains, greedy rounds, trace inversion, export, re-encode)
-//!   walks the directory and streams the data region through one reused
-//!   buffer in list-aligned windows of [`SWEEP_WINDOW_BYTES`], so it costs a
-//!   handful of sequential reads — it pays for the bytes it decodes, not
-//!   for the number of lists it visits.
+//!   coverage gains and greedy rounds (posting lengths, plus the traces of
+//!   covered sets), trace inversion, export, re-encode) walks the directory
+//!   and streams the data region through one reused buffer in list-aligned
+//!   windows of [`SWEEP_WINDOW_BYTES`], so it costs a handful of sequential
+//!   reads — it pays for the bytes it reads, not for the number of lists it
+//!   visits. A gain pass decodes no posting list: it reads each list's
+//!   length and decodes only the traces of the sets already covered.
 //!
 //! Both shapes are overlay-aware and yield the same ids in the same order.
 
@@ -271,20 +273,21 @@ impl SegmentStore {
         }
     }
 
-    /// Visit list `i` in increasing id order (overlay-aware). The point
-    /// read: on a cold region, one `pread` of this list alone.
+    /// Hand list `i` to `f` (overlay-aware). The point read: on a cold
+    /// region, one `pread` of this list alone.
     #[inline]
-    pub(crate) fn scan(&self, i: u32, f: &mut (impl FnMut(u32) + ?Sized)) {
+    pub(crate) fn with_list<R>(&self, i: u32, f: impl FnOnce(ListRef<'_>) -> R) -> R {
         match self.overlay.get(&i) {
-            Some(list) => ListRef::Plain(list).for_each(f),
-            None => self.with_bytes(i, |bytes| ListRef::Encoded(bytes).for_each(f)),
+            Some(list) => f(ListRef::Plain(list)),
+            None => self.with_bytes(i, |bytes| f(ListRef::Encoded(bytes))),
         }
     }
 
     /// Visit every list in index order (overlay-aware) — the same sequence
-    /// as `scan(0)`, `scan(1)`, … but, on a cold region, streamed through
-    /// one buffer in a handful of sequential reads instead of one `pread`
-    /// per list. Hot copies are ignored: the window holds their bytes too.
+    /// as `with_list(0)`, `with_list(1)`, … but, on a cold region, streamed
+    /// through one buffer in a handful of sequential reads instead of one
+    /// `pread` per list. Hot copies are ignored: the window holds their
+    /// bytes too.
     #[inline]
     pub(crate) fn sweep(&self, f: impl FnMut(u32, ListRef<'_>)) {
         self.sweep_windowed(SWEEP_WINDOW_BYTES, f);
@@ -360,12 +363,7 @@ impl SegmentStore {
 
     /// Materialize list `i`.
     pub(crate) fn list(&self, i: u32) -> Vec<u32> {
-        if let Some(list) = self.overlay.get(&i) {
-            return list.clone();
-        }
-        let mut out = Vec::new();
-        self.scan(i, &mut |id| out.push(id));
-        out
+        self.with_list(i, |list| list.to_vec())
     }
 
     /// Edit list `i` in place via the overlay.
@@ -523,10 +521,10 @@ impl PackedPool {
         }
     }
 
-    /// Visit vertex `v`'s posting list (monomorphized hot path).
+    /// Hand vertex `v`'s posting list to `f` (monomorphized hot path).
     #[inline]
-    pub fn scan_postings(&self, v: u32, f: &mut impl FnMut(u32)) {
-        self.postings.scan(v, f);
+    pub fn with_posting<R>(&self, v: u32, f: impl FnOnce(ListRef<'_>) -> R) -> R {
+        self.postings.with_list(v, f)
     }
 
     /// Length of vertex `v`'s posting list.

@@ -26,8 +26,9 @@
 //! headers are persisted so a tiered loader keeps them resident while
 //! leaving the data region cold in the file. Decoding validates *everything* eagerly — checksum, directory
 //! monotonicity, per-list strict monotonicity and id bounds, exact byte
-//! lengths, and skip-header agreement with the data — so scans never have
-//! to re-check and corruption is always rejected typed at load time. No
+//! lengths, skip-header agreement with the data, and traces that are exactly
+//! the inverse of the postings — so scans never have to re-check and
+//! corruption is always rejected typed at load time. No
 //! capacity is reserved from a header field beyond what the bytes left can
 //! hold, so a forged count fails as truncation, not as an allocation.
 
@@ -297,6 +298,46 @@ fn decode_segment(
     })
 }
 
+/// Refuse traces that are not exactly the inverse of the postings
+/// (`s ∈ P(v)` iff `v ∈ T(s)`): a gain pass subtracts covered traces from
+/// posting lengths, so a payload whose two directions disagree would answer
+/// wrong gains. Both stores hold validated lists. Postings swept in
+/// increasing `v` meet set `s`'s members in the order its sorted trace holds
+/// them, so each posting id must be the next unread member of its set's
+/// trace; when the id totals agree as well, every trace is read to its end.
+/// `O(ids)`, holding the traces flat (each id takes at least one of the
+/// region's bytes, so their count fits the `u32` directory) and one span
+/// per set.
+fn check_inverse(postings: &SegmentStore, traces: &SegmentStore) -> Result<(), PoolCodecError> {
+    let mut members = Vec::new();
+    // Per set: its next unread member and the end of its trace in `members`.
+    let mut spans = Vec::with_capacity(traces.count());
+    traces.sweep(|_, trace| {
+        let start = members.len() as u32;
+        trace.for_each(|v| members.push(v));
+        spans.push((start, members.len() as u32));
+    });
+    let (mut matched, mut inverse) = (0usize, true);
+    postings.sweep(|v, sets| {
+        sets.for_each(|set| {
+            let (next, end) = &mut spans[set as usize];
+            if *next < *end && members[*next as usize] == v {
+                *next += 1;
+                matched += 1;
+            } else {
+                inverse = false;
+            }
+        });
+    });
+    if inverse && matched == members.len() {
+        Ok(())
+    } else {
+        Err(PoolCodecError::Corrupt {
+            reason: "traces do not invert postings",
+        })
+    }
+}
+
 /// Decode (and fully validate) a `PCMP` payload into a resident
 /// [`PackedPool`] plus the layout hint it was built with.
 ///
@@ -385,6 +426,9 @@ pub fn decode_pcmp_payload(bytes: &[u8]) -> Result<(PackedPool, PoolLayout), Poo
         return Err(PoolCodecError::Corrupt {
             reason: "trailing bytes in PCMP payload",
         });
+    }
+    if let Some(traces) = &traces {
+        check_inverse(&postings.store, &traces.store)?;
     }
     let (trace_store, traces_data_off) = match traces {
         Some(seg) => (Some(seg.store), Some(seg.data_off)),

@@ -205,6 +205,67 @@ fn a_greedy_top_k_on_a_tiered_pool_costs_one_pass_and_point_reads() {
     );
 }
 
+/// Cold reads per gain pass on a file-backed tiered pool. With nothing
+/// selected a pass reads each posting list's length and no trace: it
+/// streams the posting region once and reads no trace byte. With a
+/// selection it also decodes the covered sets' traces: it streams each
+/// region at most once, plus the point read of the selected vertex's own
+/// list that marks what it covers.
+#[test]
+fn a_gain_pass_on_a_tiered_pool_reads_each_cold_region_at_most_once() {
+    let fixture = ScaleFixture::new(20_000, 4.0, 7);
+    let graph = fixture.influence_graph(ProbabilityModel::InDegreeWeighted);
+    let mut artifact = IndexArtifact::build("fixture", "iwc", graph, 4_000, 7);
+    artifact.convert_pool_layout(PoolLayout::Tiered);
+    let path = std::env::temp_dir().join(format!("work-envelope-pass-{}.imx", std::process::id()));
+    artifact.save(&path).unwrap();
+    let loaded = IndexArtifact::load(&path);
+    std::fs::remove_file(&path).ok();
+    let oracle = loaded.unwrap().oracle;
+    let pool = oracle.pool();
+    assert!(pool.has_traces());
+    let cold_reads_of = |f: &dyn Fn()| {
+        let before = pool.cold_reads();
+        f();
+        let after = pool.cold_reads();
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let postings = cold_reads_of(&|| pool.sweep_postings(|_, _| {}));
+    let traces = cold_reads_of(&|| pool.sweep_traces(|_, _| {}));
+    assert!(postings.1 > 0 && traces.1 > 0, "both regions are cold");
+
+    let empty = cold_reads_of(&|| drop(oracle.coverage_gains(&[])));
+    assert_eq!(
+        empty, postings,
+        "a pass with nothing selected reads no trace byte"
+    );
+
+    // The most influential vertex whose list is cold, so marking what it
+    // covers is one point read.
+    let hot = TieredConfig::default().hot_list_bytes;
+    let mut seed = None;
+    pool.sweep_postings(|v, list| {
+        let cold = matches!(list, ListRef::Encoded(bytes) if bytes.len() < hot);
+        if cold && seed.is_none_or(|(_, len)| list.len() > len) {
+            seed = Some((v, list.len()));
+        }
+    });
+    let (seed, _) = seed.expect("a cold list");
+    let point = cold_reads_of(&|| drop(pool.postings(seed)));
+    assert_eq!(point.0, 1);
+    let selected = cold_reads_of(&|| drop(oracle.coverage_gains(&[seed])));
+    assert!(
+        selected.0 <= postings.0 + traces.0 + point.0
+            && selected.1 <= postings.1 + traces.1 + point.1,
+        "a pass with one seed read {selected:?} (reads, bytes); the posting region is \
+         {postings:?}, the trace region {traces:?} and the seed's list {point:?}"
+    );
+    assert!(
+        selected.1 > postings.1 + point.1,
+        "a pass with one seed read no trace: {selected:?}"
+    );
+}
+
 /// Resident bytes under writes: a compressed pool folds each batch's overlay
 /// back into its encoded form, so after 20 batches it holds what a fresh
 /// encode of the same lists would, not the overlay's materialized lists.
