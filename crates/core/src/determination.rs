@@ -151,7 +151,7 @@ pub fn imm_theta(num_vertices: usize, target: &AccuracyTarget, opt_lower_bound: 
 /// phase: draw `θ₀` RR sets, run greedy maximum coverage on them, and scale
 /// the covered fraction down by `(1 + ε)` to absorb the sampling error.
 ///
-/// Returns the lower bound together with the RR sets drawn.
+/// Returns the lower bound together with the number of RR sets drawn.
 pub fn estimate_opt_lower_bound<R: Rng32>(
     graph: &InfluenceGraph,
     target: &AccuracyTarget,

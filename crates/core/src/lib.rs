@@ -10,8 +10,8 @@
 //! * [`SnapshotEstimator`] (Algorithm 3.3) — `τ` live-edge graphs sampled once
 //!   in Build and shared across the whole greedy selection, with the optional
 //!   subgraph-reduction Update of Section 3.4.3;
-//! * [`RisEstimator`] (Algorithm 3.4) — `θ` reverse-reachable sets and greedy
-//!   maximum coverage.
+//! * [`RisEstimator`] (Algorithm 3.4) — greedy maximum coverage over a pool
+//!   of `θ` reverse-reachable sets that [`OracleBuilder`] draws.
 //!
 //! Each estimator is written once against the [`Diffusion`] seam and runs
 //! under the paper's independent cascade model ([`Ic`], what the `new` and
@@ -33,8 +33,8 @@
 //!   the linear-threshold primitives in [`lt`];
 //! * [`greedy`] — the shared greedy loop with the random tie-breaking rule of
 //!   Section 4.1, plus the CELF lazy-greedy acceleration of Section 3.3.3;
-//! * [`oracle`] — the reusable RR-set–based influence oracle the paper uses to
-//!   evaluate the quality of returned seed sets (Section 5.2);
+//! * [`oracle`] — the one RR-set sampler and store: RIS's pool, and the oracle
+//!   that evaluates every returned seed set (Section 5.2);
 //! * [`bounds`] — the worst-case sample-number bounds quoted in Sections 3.3.3,
 //!   3.4.3 and 3.5.3, used for the bound-gap discussion of Section 5.2.1;
 //! * [`algorithm`] — a small front-end enum selecting an approach and a sample

@@ -14,6 +14,8 @@ use imrand::Rng32;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::cost::TraversalCost;
+use crate::diffusion::{Diffusion, Ic};
 use crate::ris::RrScratch;
 use crate::sampler::{self, Backend, SampleBudget};
 use crate::seed_set::SeedSet;
@@ -32,7 +34,7 @@ fn check_nonempty(pool_size: usize, num_vertices: usize) -> Result<(), String> {
 /// A shared, read-only influence estimator backed by a pool of RR sets.
 ///
 /// The physical pool layout is delegated to an [`impool::Pool`] store: the
-/// per-vertex posting lists (and, for incrementally maintainable pools, the
+/// per-vertex posting lists (and, for incremental pools and RIS's, the
 /// per-set traces) may live uncompressed in RAM, delta-varint compressed, or
 /// tiered to a cold index file — every query path scans through the store
 /// and returns identical results in identical order regardless of layout.
@@ -41,7 +43,7 @@ fn check_nonempty(pool_size: usize, num_vertices: usize) -> Result<(), String> {
 #[derive(Debug, Clone)]
 pub struct InfluenceOracle {
     /// The pool store: posting lists (vertex → RR-set ids, increasing) plus,
-    /// for incremental pools, the inverse traces.
+    /// for incremental pools and RIS's, the inverse traces.
     pool: Pool,
     /// Present iff the pool was drawn with per-set PRNG streams
     /// ([`OracleBuilder::incremental`]), which is what makes
@@ -106,7 +108,8 @@ pub fn shard_layout(global_pool: usize, shards: usize) -> Vec<ShardRange> {
     ranges
 }
 
-/// The one construction path for [`InfluenceOracle`] pools:
+/// The one construction path for [`InfluenceOracle`] pools, and the one
+/// RR-set sampler of the workspace:
 ///
 /// * [`OracleBuilder::sample`] draws the pool from seeded batch streams —
 ///   per-batch streams by default, one stream *per RR set* with
@@ -118,6 +121,8 @@ pub fn shard_layout(global_pool: usize, shards: usize) -> Vec<ShardRange> {
 ///   path drawing every set from one caller-supplied stream;
 /// * [`OracleBuilder::assemble`] is the no-sampling import half of the
 ///   persistence layer (posting lists in, validated oracle out).
+///
+/// Both sampling paths are also RIS's Build ([`crate::RisEstimator`]).
 ///
 /// Each makes its pool once, raw, every list at exact capacity; store it
 /// compressed or tiered with [`InfluenceOracle::convert_layout`].
@@ -142,6 +147,8 @@ pub struct OracleBuilder {
     backend: Backend,
     incremental: bool,
     set_id_offset: u64,
+    /// Keep each set's sorted members as its trace.
+    traces: bool,
 }
 
 impl OracleBuilder {
@@ -169,6 +176,7 @@ impl OracleBuilder {
     #[must_use]
     pub fn incremental(mut self) -> Self {
         self.incremental = true;
+        self.traces = true;
         self
     }
 
@@ -181,7 +189,12 @@ impl OracleBuilder {
     #[must_use]
     pub fn shard_offset(mut self, offset: u64) -> Self {
         self.set_id_offset = offset;
-        self.incremental = true;
+        self.incremental()
+    }
+
+    /// Keep traces without per-set streams (what RIS's Update walks).
+    pub(crate) fn traces(mut self) -> Self {
+        self.traces = true;
         self
     }
 
@@ -203,6 +216,21 @@ impl OracleBuilder {
     /// exceeds `u32` set ids.
     #[must_use]
     pub fn sample(&self, graph: &InfluenceGraph) -> InfluenceOracle {
+        self.sample_under(Ic, graph).0
+    }
+
+    /// [`OracleBuilder::sample`] under `model`, with the traversal cost of
+    /// the draw.
+    pub(crate) fn sample_under<D: Diffusion>(
+        &self,
+        model: D,
+        graph: &InfluenceGraph,
+    ) -> (InfluenceOracle, TraversalCost) {
+        // A mutation resamples an incremental pool's sets under IC.
+        assert!(
+            !self.incremental || D::RIS_NAME == Ic::RIS_NAME,
+            "only an IC pool can be incremental"
+        );
         let n = self.check_dimensions(graph);
         let (base_seed, offset) = (self.base_seed, self.set_id_offset);
         // Workers draw each batch's member lists into one flat buffer
@@ -215,24 +243,27 @@ impl OracleBuilder {
             self.backend,
             || RrScratch::for_graph(graph),
             |scratch, batch, batch_rng| {
-                let mut members = Vec::new();
+                let (mut members, mut cost) = (Vec::new(), TraversalCost::zero());
                 let mut ends = Vec::with_capacity(batch.len as usize);
                 for set_id in batch.start..batch.start + batch.len {
                     let rr = if self.incremental {
                         // Ignore the batch stream: every set derives its own,
                         // keyed by its *global* id.
-                        scratch.generate(graph, &mut sampler::batch_rng(base_seed, offset + set_id))
+                        let mut rng = sampler::batch_rng(base_seed, offset + set_id);
+                        model.sample_rr_set(graph, scratch, &mut rng)
                     } else {
-                        scratch.generate(graph, batch_rng)
+                        model.sample_rr_set(graph, scratch, batch_rng)
                     };
+                    cost += TraversalCost::new(rr.vertices.len() as u64, rr.edges_examined);
                     members.extend_from_slice(&rr.vertices);
                     ends.push(members.len() as u32);
                 }
-                (members, ends)
+                (members, ends, cost)
             },
         );
+        let cost = batches.iter().map(|batch| batch.2).sum();
         let sets = || {
-            batches.iter().flat_map(|(members, ends)| {
+            batches.iter().flat_map(|(members, ends, _)| {
                 ends.iter().scan(0, |start, &end| {
                     let set = &members[*start..end as usize];
                     *start = end as usize;
@@ -246,19 +277,19 @@ impl OracleBuilder {
         for &v in sets().flatten() {
             lens[v as usize] += 1;
         }
-        let mut vertex_to_sets: Vec<Vec<u32>> = lens
+        let mut postings: Vec<Vec<u32>> = lens
             .into_iter()
             .map(|len| Vec::with_capacity(len as usize))
             .collect();
         for (set_id, vertices) in sets().enumerate() {
             for &v in vertices {
-                vertex_to_sets[v as usize].push(set_id as u32);
+                postings[v as usize].push(set_id as u32);
             }
         }
-        // An incremental pool keeps each set's members as its trace, sorted:
-        // the canonical form posting-list inversion also produces (see
+        // A pool with traces keeps each set's members sorted: the canonical
+        // form posting-list inversion also produces (see
         // `attach_incremental`).
-        let traces = self.incremental.then(|| {
+        let traces = self.traces.then(|| {
             sets()
                 .map(|members| {
                     let mut trace = members.to_vec();
@@ -272,10 +303,8 @@ impl OracleBuilder {
             base_seed,
             set_id_offset: offset,
         });
-        InfluenceOracle::new(
-            Pool::raw(n, self.pool_size, vertex_to_sets, traces),
-            incremental,
-        )
+        let pool = Pool::raw(n, self.pool_size, postings, traces);
+        (InfluenceOracle::new(pool, incremental), cost)
     }
 
     /// Draw the pool sequentially from one caller-supplied stream (the
@@ -293,6 +322,17 @@ impl OracleBuilder {
         graph: &InfluenceGraph,
         rng: &mut R,
     ) -> InfluenceOracle {
+        self.sample_with_rng_under(Ic, graph, rng).0
+    }
+
+    /// [`OracleBuilder::sample_with_rng`] under `model`, with the traversal
+    /// cost of the draw.
+    pub(crate) fn sample_with_rng_under<D: Diffusion, R: Rng32>(
+        &self,
+        model: D,
+        graph: &InfluenceGraph,
+        rng: &mut R,
+    ) -> (InfluenceOracle, TraversalCost) {
         assert!(
             !self.incremental && self.set_id_offset == 0,
             "per-set streams need a seeded build; use OracleBuilder::sample"
@@ -300,16 +340,25 @@ impl OracleBuilder {
         let n = self.check_dimensions(graph);
         // Stream discipline over the shared RR-set scratch; posting lists are
         // filled as sets are drawn so the member lists are never all held at
-        // once (pools go up to 10⁷ sets). The raw pool trims their growth
-        // slack in place.
-        let mut vertex_to_sets: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // once (pools go up to 10⁷ sets) unless they are kept as traces. The
+        // raw pool trims the lists' growth slack in place.
+        let mut postings = vec![Vec::new(); n];
+        let mut traces = Vec::with_capacity(if self.traces { self.pool_size } else { 0 });
+        let mut cost = TraversalCost::zero();
         let mut scratch = RrScratch::for_graph(graph);
         sampler::fold_stream(self.pool_size as u64, rng, (), |(), set_id, rng| {
-            for &v in &scratch.generate(graph, rng).vertices {
-                vertex_to_sets[v as usize].push(set_id as u32);
+            let mut rr = model.sample_rr_set(graph, &mut scratch, rng);
+            cost += TraversalCost::new(rr.vertices.len() as u64, rr.edges_examined);
+            for &v in &rr.vertices {
+                postings[v as usize].push(set_id as u32);
+            }
+            if self.traces {
+                rr.vertices.sort_unstable();
+                traces.push(rr.vertices);
             }
         });
-        InfluenceOracle::new(Pool::raw(n, self.pool_size, vertex_to_sets, None), None)
+        let pool = Pool::raw(n, self.pool_size, postings, self.traces.then_some(traces));
+        (InfluenceOracle::new(pool, None), cost)
     }
 
     /// Assemble an oracle from caller-supplied posting lists (no traces, so
@@ -409,6 +458,7 @@ impl InfluenceOracle {
             backend: Backend::Sequential,
             incremental: false,
             set_id_offset: 0,
+            traces: false,
         }
     }
 
@@ -502,13 +552,9 @@ impl InfluenceOracle {
     /// (materialized from the pool store, whatever its layout).
     #[must_use]
     pub fn trace(&self, set_id: u32) -> Option<Vec<VertexId>> {
-        if self.incremental.is_none()
-            || !self.pool.has_traces()
-            || set_id as usize >= self.pool_size()
-        {
-            return None;
-        }
-        Some(self.pool.trace(set_id))
+        // An incremental pool always carries its traces.
+        (self.is_incremental() && (set_id as usize) < self.pool_size())
+            .then(|| self.pool.trace(set_id))
     }
 
     /// Re-attach incremental state to a pool that was reloaded from bytes.
@@ -820,15 +866,22 @@ impl InfluenceOracle {
         let mut covered = vec![false; self.pool_size()];
         let mut covered_count = 0u64;
         for &s in selected {
-            self.pool.for_each_posting_inline(s, |id| {
-                let slot = &mut covered[id as usize];
-                if !*slot {
-                    *slot = true;
-                    covered_count += 1;
-                }
-            });
+            self.cover(s, &mut covered, |_| covered_count += 1);
         }
         (covered, covered_count)
+    }
+
+    /// Mark `v`'s RR sets in `covered`, calling `newly(set)` for each one it
+    /// did not hold yet: the covering step of every greedy over a pool, RIS's
+    /// Update included.
+    #[inline]
+    pub(crate) fn cover(&self, v: VertexId, covered: &mut [bool], mut newly: impl FnMut(u32)) {
+        self.pool.for_each_posting_inline(v, |id| {
+            if !covered[id as usize] {
+                covered[id as usize] = true;
+                newly(id);
+            }
+        });
     }
 
     /// A scratch sized for this oracle (convenience for worker threads).
@@ -970,13 +1023,8 @@ impl GreedyRounds for OracleRounds<'_> {
     #[inline]
     fn select(&mut self, v: VertexId) {
         self.is_selected[v as usize] = true;
-        let (covered, count) = (&mut self.covered, &mut self.covered_count);
-        self.oracle.pool.for_each_posting_inline(v, |id| {
-            if !covered[id as usize] {
-                covered[id as usize] = true;
-                *count += 1;
-            }
-        });
+        let count = &mut self.covered_count;
+        self.oracle.cover(v, &mut self.covered, |_| *count += 1);
     }
 }
 

@@ -10,6 +10,11 @@
 //! sets, which is why the approach reduces influence maximization to
 //! stochastic maximum coverage (Section 3.5.1).
 //!
+//! The RR sets are an [`InfluenceOracle`] pool with traces, drawn by
+//! [`OracleBuilder`] like the shared oracle of Section 5.2. The estimator is
+//! the greedy state over it: Update walks the oracle pool's traces of the
+//! sets the chosen seed newly covers.
+//!
 //! The diffusion model only decides how an RR set is sampled, so it is a
 //! Build argument ([`RisEstimator::under`]) and not part of the type.
 
@@ -19,6 +24,7 @@ use imrand::Rng32;
 use crate::cost::{SampleSize, TraversalCost};
 use crate::diffusion::{Diffusion, Ic};
 use crate::estimator::InfluenceEstimator;
+use crate::oracle::{InfluenceOracle, OracleBuilder};
 use crate::sampler::{self, Backend, SampleBudget};
 
 /// One reverse-reachable set plus its generation cost.
@@ -121,26 +127,16 @@ fn is_marked(bits: &[u64], v: VertexId) -> bool {
     bits[v as usize / 64] & (1 << (v % 64)) != 0
 }
 
-/// [`sample_rr_sets_stream`] under IC.
+/// Stream discipline under IC: draw `theta` RR sets in order from one shared
+/// generator (the paper-faithful Build of Algorithm 3.4), every set whole.
 pub fn generate_rr_sets<R: Rng32>(graph: &InfluenceGraph, theta: u64, rng: &mut R) -> Vec<RrSet> {
-    sample_rr_sets_stream(Ic, graph, theta, rng)
-}
-
-/// Stream discipline: draw `theta` RR sets under `model` in order from one
-/// shared generator (the paper-faithful Build of Algorithm 3.4).
-pub fn sample_rr_sets_stream<D: Diffusion, R: Rng32>(
-    model: D,
-    graph: &InfluenceGraph,
-    theta: u64,
-    rng: &mut R,
-) -> Vec<RrSet> {
     let mut scratch = RrScratch::for_graph(graph);
     sampler::fold_stream(
         theta,
         rng,
         Vec::with_capacity(theta as usize),
         |mut acc, _, rng| {
-            acc.push(model.sample_rr_set(graph, &mut scratch, rng));
+            acc.push(scratch.generate(graph, rng));
             acc
         },
     )
@@ -167,23 +163,20 @@ pub fn sample_rr_sets_batched<D: Diffusion>(
     )
 }
 
-/// The RIS influence estimator (a greedy-maximum-coverage view of `θ` RR sets).
+/// The RIS influence estimator: greedy maximum coverage over a pool of `θ`
+/// RR sets.
 pub struct RisEstimator {
     name: &'static str,
-    /// RR sets by id; the member lists are kept for Update's inverted walk.
-    rr_sets: Vec<Vec<VertexId>>,
-    /// For every vertex, the ids of the RR sets containing it.
-    vertex_to_sets: Vec<Vec<u32>>,
+    /// The RR sets: a pool whose traces Update walks.
+    oracle: InfluenceOracle,
     /// Whether each RR set is already covered by a committed seed.
     covered: Vec<bool>,
     /// Number of *uncovered* RR sets containing each vertex (the coverage
     /// counts greedy maximum coverage needs).
     cover_count: Vec<u32>,
     committed: Vec<VertexId>,
-    num_vertices: usize,
-    theta: u64,
+    /// What Build examined (it stored every vertex it examined).
     cost: TraversalCost,
-    sample_size: SampleSize,
 }
 
 impl RisEstimator {
@@ -227,8 +220,8 @@ impl RisEstimator {
         theta: u64,
         rng: &mut R,
     ) -> Self {
-        Self::build::<D>(graph, theta, || {
-            sample_rr_sets_stream(model, graph, theta, rng)
+        Self::build::<D>(graph, theta, |builder| {
+            builder.sample_with_rng_under(model, graph, rng)
         })
     }
 
@@ -244,49 +237,36 @@ impl RisEstimator {
         base_seed: u64,
         backend: Backend,
     ) -> Self {
-        Self::build::<D>(graph, theta, || {
-            sample_rr_sets_batched(model, graph, theta, base_seed, backend)
+        Self::build::<D>(graph, theta, |builder| {
+            builder
+                .seed(base_seed)
+                .backend(backend)
+                .sample_under(model, graph)
         })
     }
 
-    /// Sample the RR sets and index them into the coverage structures greedy
-    /// maximum coverage needs.
+    /// Draw the pool with its traces; every count starts as a posting
+    /// list's length.
     fn build<D: Diffusion>(
         graph: &InfluenceGraph,
         theta: u64,
-        sample: impl FnOnce() -> Vec<RrSet>,
+        draw: impl FnOnce(OracleBuilder) -> (InfluenceOracle, TraversalCost),
     ) -> Self {
         let name = D::RIS_NAME;
         assert!(theta >= 1, "{name} needs at least one RR set");
-        let n = graph.num_vertices();
-        assert!(n > 0, "{name} needs a non-empty graph");
-        let generated = sample();
-        let mut rr_sets: Vec<Vec<VertexId>> = Vec::with_capacity(generated.len());
-        let mut vertex_to_sets: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut cover_count = vec![0u32; n];
-        let mut cost = TraversalCost::zero();
-        let mut sample_size = SampleSize::zero();
-        for (set_id, rr) in generated.into_iter().enumerate() {
-            cost.vertices += rr.vertices.len() as u64;
-            cost.edges += rr.edges_examined;
-            sample_size.vertices += rr.vertices.len() as u64;
-            for &v in &rr.vertices {
-                vertex_to_sets[v as usize].push(set_id as u32);
-                cover_count[v as usize] += 1;
-            }
-            rr_sets.push(rr.vertices);
-        }
+        assert!(graph.num_vertices() > 0, "{name} needs a non-empty graph");
+        let (oracle, cost) = draw(InfluenceOracle::builder(theta as usize).traces());
+        let mut cover_count = Vec::with_capacity(oracle.num_vertices());
+        oracle
+            .pool()
+            .sweep_postings(|_, list| cover_count.push(list.len() as u32));
         Self {
             name,
-            covered: vec![false; rr_sets.len()],
-            rr_sets,
-            vertex_to_sets,
+            covered: vec![false; oracle.pool_size()],
+            oracle,
             cover_count,
             committed: Vec::new(),
-            num_vertices: n,
-            theta,
             cost,
-            sample_size,
         }
     }
 
@@ -296,85 +276,82 @@ impl RisEstimator {
         &self.committed
     }
 
-    /// The generated RR sets (exposed for the oracle and diagnostics).
+    /// The pool of RR sets Build drew (its traces included).
     #[must_use]
-    pub fn rr_sets(&self) -> &[Vec<VertexId>] {
-        &self.rr_sets
+    pub fn oracle(&self) -> &InfluenceOracle {
+        &self.oracle
+    }
+
+    /// The generated RR sets by id, members sorted (for diagnostics).
+    #[must_use]
+    pub fn rr_sets(&self) -> Vec<Vec<VertexId>> {
+        let mut sets = Vec::new();
+        let pool = self.oracle.pool();
+        pool.sweep_traces(|_, members| sets.push(members.to_vec()));
+        sets
     }
 
     /// `Σ_R |R|`: total stored vertices, i.e. `θ · (empirical EPT)`.
     #[must_use]
     pub fn total_rr_size(&self) -> u64 {
-        self.sample_size.vertices
+        self.cost.vertices
     }
 
     /// The empirical average RR-set size (the paper's EPT estimate).
     #[must_use]
     pub fn empirical_ept(&self) -> f64 {
-        self.total_rr_size() as f64 / self.theta as f64
+        self.total_rr_size() as f64 / self.oracle.pool_size() as f64
     }
 
     /// Estimate the influence spread of an arbitrary seed set:
     /// `n · |{R : R ∩ S ≠ ∅}| / θ` over *all* RR sets (ignoring Update state).
     #[must_use]
     pub fn estimate_set(&self, seeds: &[VertexId]) -> f64 {
-        let mut hit = vec![false; self.rr_sets.len()];
-        for &s in seeds {
-            for &set_id in &self.vertex_to_sets[s as usize] {
-                hit[set_id as usize] = true;
-            }
-        }
-        let count = hit.iter().filter(|&&h| h).count();
-        self.num_vertices as f64 * count as f64 / self.theta as f64
+        self.oracle.estimate(seeds)
     }
 }
 
 impl InfluenceEstimator for RisEstimator {
     fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.oracle.num_vertices()
     }
 
     fn estimate(&mut self, candidate: VertexId) -> f64 {
         // Marginal coverage: n · (# uncovered RR sets containing v) / θ.
-        self.num_vertices as f64 * f64::from(self.cover_count[candidate as usize])
-            / self.theta as f64
+        let count = f64::from(self.cover_count[candidate as usize]);
+        self.oracle.num_vertices() as f64 * count / self.oracle.pool_size() as f64
     }
 
     fn estimate_with_pending(&mut self, candidate: VertexId, pending: &[VertexId]) -> Option<f64> {
         // Count uncovered RR sets that contain the candidate but none of the
         // pending seeds: exactly the marginal coverage the candidate would
         // have after the pending seeds are committed. RR sets are small, so a
-        // linear membership scan per set is cheap.
+        // linear membership scan of each trace is cheap.
+        let pool = self.oracle.pool();
         let mut count = 0u32;
-        for &set_id in &self.vertex_to_sets[candidate as usize] {
-            if self.covered[set_id as usize] {
-                continue;
+        pool.for_each_posting_inline(candidate, |set| {
+            if self.covered[set as usize] {
+                return;
             }
-            let members = &self.rr_sets[set_id as usize];
-            if pending.iter().any(|p| members.contains(p)) {
-                continue;
-            }
-            count += 1;
-        }
-        Some(self.num_vertices as f64 * f64::from(count) / self.theta as f64)
+            let mut pending_member = false;
+            pool.with_trace(set, |members| {
+                members.for_each(|v| pending_member |= pending.contains(&v));
+            });
+            count += u32::from(!pending_member);
+        });
+        Some(self.oracle.num_vertices() as f64 * f64::from(count) / self.oracle.pool_size() as f64)
     }
 
     fn update(&mut self, chosen: VertexId) {
         self.committed.push(chosen);
         // Remove every RR set containing the chosen seed: mark it covered and
         // decrement the counts of all its members.
-        let set_ids = std::mem::take(&mut self.vertex_to_sets[chosen as usize]);
-        for &set_id in &set_ids {
-            if self.covered[set_id as usize] {
-                continue;
-            }
-            self.covered[set_id as usize] = true;
-            for &member in &self.rr_sets[set_id as usize] {
-                let count = &mut self.cover_count[member as usize];
-                *count = count.saturating_sub(1);
-            }
-        }
-        self.vertex_to_sets[chosen as usize] = set_ids;
+        let (pool, cover_count) = (self.oracle.pool(), &mut self.cover_count);
+        self.oracle.cover(chosen, &mut self.covered, |set| {
+            pool.with_trace(set, |members| {
+                members.for_each(|member| cover_count[member as usize] -= 1);
+            });
+        });
     }
 
     fn traversal_cost(&self) -> TraversalCost {
@@ -382,7 +359,7 @@ impl InfluenceEstimator for RisEstimator {
     }
 
     fn sample_size(&self) -> SampleSize {
-        self.sample_size
+        SampleSize::new(self.cost.vertices, 0)
     }
 
     fn approach_name(&self) -> &'static str {
@@ -390,7 +367,7 @@ impl InfluenceEstimator for RisEstimator {
     }
 
     fn sample_number(&self) -> u64 {
-        self.theta
+        self.oracle.pool_size() as u64
     }
 
     fn is_submodular(&self) -> bool {

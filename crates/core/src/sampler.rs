@@ -179,10 +179,10 @@ where
 /// Batched discipline: run every batch of `budget` and return the per-batch
 /// outputs **in batch order**, whatever the backend.
 ///
-/// `make_scratch` builds one scratch value per worker (per call on the
-/// sequential backend); scratch exists only to avoid reallocation and must
-/// not influence the sampled values. `run` receives the batch descriptor and
-/// the batch's own deterministic generator.
+/// `make_scratch` builds one scratch value per worker (and one per call);
+/// scratch exists only to avoid reallocation and must not influence the
+/// sampled values. `run` receives the batch descriptor and the batch's own
+/// deterministic generator.
 pub fn run_batches<B, S, FS, F>(
     budget: &SampleBudget,
     base_seed: u64,
@@ -195,19 +195,8 @@ where
     FS: Fn() -> S + Sync,
     F: Fn(&mut S, Batch, &mut BatchRng) -> B + Sync,
 {
-    if budget.total() == 0 {
-        return Vec::new();
-    }
-    let workers = backend
-        .effective_threads()
-        .min(budget.num_batches() as usize);
-    #[cfg(feature = "parallel")]
-    if workers > 1 {
-        return run_batches_parallel(budget, base_seed, workers, &make_scratch, &run);
-    }
-    let _ = workers;
     let mut scratch = make_scratch();
-    run_batches_sequential(budget, base_seed, &mut scratch, &run)
+    run_batches_reusing(budget, base_seed, backend, &mut scratch, make_scratch, run)
 }
 
 /// [`run_batches`] with a caller-owned scratch value: when the backend
@@ -240,18 +229,6 @@ where
         return run_batches_parallel(budget, base_seed, workers, &make_scratch, &run);
     }
     let _ = (workers, &make_scratch);
-    run_batches_sequential(budget, base_seed, scratch, &run)
-}
-
-fn run_batches_sequential<B, S, F>(
-    budget: &SampleBudget,
-    base_seed: u64,
-    scratch: &mut S,
-    run: &F,
-) -> Vec<B>
-where
-    F: Fn(&mut S, Batch, &mut BatchRng) -> B,
-{
     let mut out = Vec::with_capacity(budget.num_batches() as usize);
     for index in 0..budget.num_batches() {
         let mut rng = batch_rng(base_seed, index);

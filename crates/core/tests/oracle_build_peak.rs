@@ -1,12 +1,15 @@
-//! The memory envelope of building an oracle: an incremental `sample` must
-//! not hold much more live heap at its peak than the pool it returns.
+//! The memory envelope of building an oracle: an incremental `sample`, and
+//! the RIS Build that draws its pool from one stream (`RisEstimator::new`,
+//! the study's path), must not hold much more live heap at their peak than
+//! the pool they keep.
 //!
 //! A counting global allocator tracks live bytes and their high-water mark.
-//! The pool is built once, at exact size: the member lists sampled by the
-//! workers become the traces, a counting pass sizes the posting lists, and
-//! nothing is copied afterwards. A build that copied its finished pool (or
-//! grew its lists by doubling and trimmed them by copy) would peak near
-//! twice the pool.
+//! The pool is built once: the member lists sampled by the workers (or by
+//! the stream) become the traces, the posting lists are sized by a counting
+//! pass (or trimmed in place), and nothing is copied afterwards. A build
+//! that copied its finished pool (or held every drawn set apart from the
+//! pool, or grew its lists by doubling and trimmed them by copy) would peak
+//! near twice the pool.
 //!
 //! This file deliberately contains a single `#[test]` so no sibling test can
 //! allocate concurrently on another thread and pollute the counters.
@@ -15,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use im_core::sampler::Backend;
-use im_core::InfluenceOracle;
+use im_core::{InfluenceOracle, RisEstimator};
 use imgraph::{DiGraph, InfluenceGraph};
 use imrand::{Pcg32, Rng32};
 
@@ -79,6 +82,17 @@ fn heavy_tailed_iwc(n: usize, m: usize, seed: u64) -> InfluenceGraph {
     InfluenceGraph::new(DiGraph::from_edges(n, &edges), probs)
 }
 
+/// Live heap at the peak of `build`, over the pool bytes `resident` reads
+/// from what it returns.
+fn peak_over_pool<T>(build: impl FnOnce() -> T, resident: impl Fn(&T) -> usize) -> (f64, usize) {
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let built = build();
+    let peak = PEAK.load(Ordering::SeqCst) - before;
+    let pool = resident(&built);
+    (peak as f64 / pool as f64, pool)
+}
+
 #[test]
 fn an_incremental_build_peaks_near_the_pool_it_returns() {
     let graph = heavy_tailed_iwc(25_000, 100_000, 11);
@@ -86,19 +100,34 @@ fn an_incremental_build_peaks_near_the_pool_it_returns() {
         .seed(7)
         .backend(Backend::Sequential)
         .incremental();
-
-    let before = LIVE.load(Ordering::SeqCst);
-    PEAK.store(before, Ordering::SeqCst);
-    let oracle = builder.sample(&graph);
-    let peak = PEAK.load(Ordering::SeqCst) - before;
-
-    let pool = oracle.pool_resident_bytes();
-    let ratio = peak as f64 / pool as f64;
-    println!("build peak {peak} B over a {pool} B pool: {ratio:.2}x (bound {BOUND}x)");
-    assert!(oracle.is_incremental());
+    let (ratio, pool) = peak_over_pool(
+        || builder.sample(&graph),
+        |oracle| {
+            assert!(oracle.is_incremental());
+            oracle.pool_resident_bytes()
+        },
+    );
+    println!("incremental build: peak {ratio:.2}x of a {pool} B pool (bound {BOUND}x)");
     assert!(
         ratio <= BOUND,
-        "an incremental build peaked at {peak} live bytes for a {pool}-byte pool \
-         ({ratio:.2}x, bound {BOUND}x)"
+        "an incremental build peaked at {ratio:.2}x of its {pool}-byte pool (bound {BOUND}x)"
     );
+
+    // RIS's stream Build keeps its pool with traces: heavy-tailed graphs at
+    // few sets and many vertices, and at many sets and few vertices.
+    for (n, theta) in [(25_000, 2_500), (25_000, 50_000), (2_000, 200_000)] {
+        let graph = heavy_tailed_iwc(n, 4 * n, 11);
+        let (ratio, pool) = peak_over_pool(
+            || RisEstimator::new(&graph, theta, &mut Pcg32::seed_from_u64(7)),
+            |ris| ris.oracle().pool_resident_bytes(),
+        );
+        println!(
+            "RIS build, n = {n}, θ = {theta}: peak {ratio:.2}x of a {pool} B pool (bound {BOUND}x)"
+        );
+        assert!(
+            ratio <= BOUND,
+            "RIS Build (n = {n}, θ = {theta}) peaked at {ratio:.2}x of its {pool}-byte pool \
+             (bound {BOUND}x)"
+        );
+    }
 }

@@ -191,7 +191,7 @@ impl Pool {
     #[must_use]
     pub fn num_vertices(&self) -> usize {
         match self {
-            Pool::Raw(p) => p.num_vertices(),
+            Pool::Raw(p) => p.num_vertices,
             Pool::Compressed(p) | Pool::Tiered(p) => p.num_vertices,
         }
     }
@@ -200,7 +200,7 @@ impl Pool {
     #[must_use]
     pub fn pool_size(&self) -> usize {
         match self {
-            Pool::Raw(p) => p.pool_size(),
+            Pool::Raw(p) => p.pool_size,
             Pool::Compressed(p) | Pool::Tiered(p) => p.pool_size,
         }
     }
@@ -242,6 +242,24 @@ impl Pool {
         }
     }
 
+    /// Hand RR set `set`'s sorted member trace to `f` as a [`ListRef`] (the
+    /// trace-side twin of [`Pool::with_posting`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool carries no traces.
+    #[inline]
+    pub fn with_trace<R>(&self, set: u32, f: impl FnOnce(ListRef<'_>) -> R) -> R {
+        match self {
+            Pool::Raw(p) => f(ListRef::Plain(p.trace_slice(set))),
+            Pool::Compressed(p) | Pool::Tiered(p) => p
+                .traces
+                .as_ref()
+                .expect("compressed pool has no traces")
+                .with_list(set, f),
+        }
+    }
+
     /// Visit every posting list, vertices `0..num_vertices` in order, ids
     /// increasing — the sequence `for_each_posting_inline(0)`, `(1)`, …
     /// yields, dispatched on layout once per pass instead of once per list.
@@ -253,7 +271,7 @@ impl Pool {
     pub fn sweep_postings(&self, mut f: impl FnMut(u32, ListRef<'_>)) {
         match self {
             Pool::Raw(p) => {
-                for (v, list) in p.posting_table().iter().enumerate() {
+                for (v, list) in p.postings.iter().enumerate() {
                     f(v as u32, ListRef::Plain(list));
                 }
             }
@@ -311,7 +329,7 @@ impl Pool {
     pub fn has_traces(&self) -> bool {
         match self {
             Pool::Raw(p) => p.traces().is_some(),
-            Pool::Compressed(p) | Pool::Tiered(p) => p.has_traces(),
+            Pool::Compressed(p) | Pool::Tiered(p) => p.traces.is_some(),
         }
     }
 
@@ -322,19 +340,13 @@ impl Pool {
     /// Panics if the pool carries no traces.
     #[must_use]
     pub fn trace(&self, set: u32) -> Vec<u32> {
-        match self {
-            Pool::Raw(p) => p.trace_slice(set).to_vec(),
-            Pool::Compressed(p) | Pool::Tiered(p) => p.trace(set),
-        }
+        self.with_trace(set, |list| list.to_vec())
     }
 
     /// Materialize vertex `v`'s posting list.
     #[must_use]
     pub fn postings(&self, v: u32) -> Vec<u32> {
-        match self {
-            Pool::Raw(p) => p.posting_slice(v).to_vec(),
-            Pool::Compressed(p) | Pool::Tiered(p) => p.postings(v),
-        }
+        self.with_posting(v, |list| list.to_vec())
     }
 
     /// Replace RR set `set`'s members: unindex `old_members`, index

@@ -567,21 +567,6 @@ impl PackedPool {
         }
     }
 
-    pub(crate) fn has_traces(&self) -> bool {
-        self.traces.is_some()
-    }
-
-    pub(crate) fn postings(&self, v: u32) -> Vec<u32> {
-        self.postings.list(v)
-    }
-
-    pub(crate) fn trace(&self, set: u32) -> Vec<u32> {
-        self.traces
-            .as_ref()
-            .expect("compressed pool has no traces")
-            .list(set)
-    }
-
     /// See [`crate::Pool::replace_set`].
     pub(crate) fn replace_set(&mut self, set: u32, old_members: &[u32], new_members: &[u32]) {
         let traces = self.traces.as_mut().expect("compressed pool has no traces");
@@ -633,6 +618,10 @@ impl PackedPool {
 mod tests {
     use super::*;
     use std::io::Write;
+
+    fn trace(pool: &PackedPool, set: u32) -> Vec<u32> {
+        pool.traces.as_ref().expect("pool has traces").list(set)
+    }
 
     fn lists() -> Vec<Vec<u32>> {
         vec![
@@ -797,10 +786,10 @@ mod tests {
         let traces = vec![vec![0, 1], vec![0, 2]];
         let mut pool = PackedPool::from_lists(3, 2, &postings, Some(&traces));
         pool.replace_set(0, &[0, 1], &[1, 2]);
-        assert_eq!(pool.postings(0), vec![1]);
-        assert_eq!(pool.postings(1), vec![0]);
-        assert_eq!(pool.postings(2), vec![0, 1]);
-        assert_eq!(pool.trace(0), vec![1, 2]);
+        assert_eq!(pool.postings.list(0), vec![1]);
+        assert_eq!(pool.postings.list(1), vec![0]);
+        assert_eq!(pool.postings.list(2), vec![0, 1]);
+        assert_eq!(trace(&pool, 0), vec![1, 2]);
         assert!(pool.has_overlay());
     }
 
@@ -818,10 +807,10 @@ mod tests {
         let mut dirtied: Vec<u32> = pool.postings.overlay.keys().copied().collect();
         dirtied.sort_unstable();
         assert_eq!(dirtied, vec![1, 3]);
-        assert_eq!(pool.postings(0), vec![0, 1]);
-        assert_eq!(pool.postings(1), Vec::<u32>::new());
-        assert_eq!(pool.postings(3), vec![0]);
-        assert_eq!(pool.trace(0), vec![0, 3]);
+        assert_eq!(pool.postings.list(0), vec![0, 1]);
+        assert_eq!(pool.postings.list(1), Vec::<u32>::new());
+        assert_eq!(pool.postings.list(3), vec![0]);
+        assert_eq!(trace(&pool, 0), vec![0, 3]);
     }
 
     #[test]
@@ -829,9 +818,9 @@ mod tests {
         let postings = vec![vec![0, 1], vec![1], vec![0, 2]];
         let mut pool = PackedPool::from_lists(3, 3, &postings, None);
         pool.build_traces();
-        assert_eq!(pool.trace(0), vec![0, 2]);
-        assert_eq!(pool.trace(1), vec![0, 1]);
-        assert_eq!(pool.trace(2), vec![2]);
+        assert_eq!(trace(&pool, 0), vec![0, 2]);
+        assert_eq!(trace(&pool, 1), vec![0, 1]);
+        assert_eq!(trace(&pool, 2), vec![2]);
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub(crate) fn encode(pool: &PackedPool, hint: PoolLayout) -> Vec<u8> {
     put_u32(&mut out, BLOCK_IDS as u32);
     put_u64(&mut out, pool.num_vertices as u64);
     put_u64(&mut out, pool.pool_size as u64);
-    out.push(u8::from(pool.has_traces()));
+    out.push(u8::from(pool.traces.is_some()));
     encode_segment(&mut out, &pool.postings);
     if let Some(traces) = &pool.traces {
         encode_segment(&mut out, traces);
@@ -472,6 +472,7 @@ mod tests {
         assert_eq!(hint, PoolLayout::Tiered);
         assert_eq!(decoded.num_vertices, 4);
         assert_eq!(decoded.pool_size, 600);
+        let decoded = Pool::Compressed(decoded);
         for v in 0..4u32 {
             assert_eq!(decoded.postings(v), pool.postings(v));
         }

@@ -6,10 +6,10 @@ use crate::{for_each_membership_change, set_membership, PackedPool};
 /// the semantic reference every other backend is equivalence-tested against.
 #[derive(Debug, Clone)]
 pub struct RawPool {
-    num_vertices: usize,
-    pool_size: usize,
+    pub(crate) num_vertices: usize,
+    pub(crate) pool_size: usize,
     /// `postings[v]` = strictly increasing ids of RR sets containing `v`.
-    postings: Vec<Vec<u32>>,
+    pub(crate) postings: Vec<Vec<u32>>,
     /// `traces[s]` = sorted member vertices of RR set `s` (inverse index).
     traces: Option<Vec<Vec<u32>>>,
 }
@@ -55,11 +55,6 @@ impl RawPool {
         &self.postings[v as usize]
     }
 
-    /// Every posting list, in vertex order (what a pass iterates).
-    pub(crate) fn posting_table(&self) -> &[Vec<u32>] {
-        &self.postings
-    }
-
     /// Every trace, in set order, if the store carries them.
     pub(crate) fn traces(&self) -> Option<&[Vec<u32>]> {
         self.traces.as_deref()
@@ -84,14 +79,6 @@ impl RawPool {
             &self.postings,
             self.traces(),
         )
-    }
-
-    pub(crate) fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    pub(crate) fn pool_size(&self) -> usize {
-        self.pool_size
     }
 
     /// See [`crate::Pool::replace_set`].
