@@ -552,6 +552,15 @@ mod tests {
     }
 
     #[test]
+    fn built_traces_are_as_resident_as_given_ones() {
+        let (postings, traces) = sample_lists();
+        let mut built = Pool::raw(4, 6, postings.clone(), None);
+        built.build_traces();
+        let given = Pool::raw(4, 6, postings, Some(traces));
+        assert_eq!(built.resident_bytes(), given.resident_bytes());
+    }
+
+    #[test]
     fn build_traces_inverts_postings() {
         let (postings, traces) = sample_lists();
         for layout in [PoolLayout::Raw, PoolLayout::Compressed] {

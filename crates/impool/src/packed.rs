@@ -600,7 +600,12 @@ impl PackedPool {
         if self.traces.is_some() {
             return;
         }
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); self.pool_size];
+        // Two sweeps, counting then filling, so the temporary lists are
+        // allocated at their sizes and never grow.
+        let mut lens = vec![0usize; self.pool_size];
+        self.postings
+            .sweep(|_, sets| sets.for_each(|set| lens[set as usize] += 1));
+        let mut lists: Vec<Vec<u32>> = lens.into_iter().map(Vec::with_capacity).collect();
         self.postings
             .sweep(|v, sets| sets.for_each(|set| lists[set as usize].push(v)));
         // Postings swept in increasing v, so each trace is already sorted.

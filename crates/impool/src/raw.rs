@@ -98,7 +98,13 @@ impl RawPool {
         if self.traces.is_some() {
             return;
         }
-        let mut traces: Vec<Vec<u32>> = vec![Vec::new(); self.pool_size];
+        // Count each trace's length first, so every trace is allocated at
+        // its size and `resident_bytes` matches a pool given exact traces.
+        let mut lens = vec![0usize; self.pool_size];
+        for &set in self.postings.iter().flatten() {
+            lens[set as usize] += 1;
+        }
+        let mut traces: Vec<Vec<u32>> = lens.into_iter().map(Vec::with_capacity).collect();
         for (v, list) in self.postings.iter().enumerate() {
             for &set in list {
                 traces[set as usize].push(v as u32);

@@ -5,6 +5,14 @@
 //! words), initialisation-by-seed recurrence and tempering transform match the
 //! original `mt19937ar.c`, which means the generator is verifiable against the
 //! published test vectors (see the unit tests at the bottom of this file).
+//!
+//! The generator works in blocks. A refill twists the whole 624-word state
+//! in three segments whose neighbours are known without a modulo, then
+//! tempers every new word into a second 624-word output block; drawing a
+//! word is a load from that block and an index bump. This is the same
+//! recurrence `mt19937ar.c` evaluates word by word, so the stream is the
+//! reference stream bit for bit (`tests/mt19937_golden.rs` pins whole
+//! streams and every block phase).
 
 use crate::traits::Rng32;
 
@@ -16,11 +24,17 @@ const LOWER_MASK: u32 = 0x7FFF_FFFF;
 
 /// The 32-bit Mersenne Twister generator with period `2^19937 - 1`.
 ///
-/// The state is ~2.5 KiB; prefer [`crate::Pcg32`] when many generators are
-/// held at once (e.g. one per snapshot worker).
+/// The state is two 624-word blocks, the twisted state and its tempered
+/// outputs (~2.5 KiB each, ~5 KiB in all). One generator per run or per
+/// stream is cheap; prefer [`crate::Pcg32`] when many generators are held at
+/// once (e.g. one per snapshot worker).
 #[derive(Clone)]
 pub struct Mt19937 {
+    /// The twisted state of the current block.
     state: Box<[u32; N]>,
+    /// `state` tempered: the block's outputs, handed out in order.
+    output: Box<[u32; N]>,
+    /// The next word of `output` to hand out; `N` when the block is spent.
     index: usize,
 }
 
@@ -45,7 +59,11 @@ impl Mt19937 {
                 .wrapping_mul(state[i - 1] ^ (state[i - 1] >> 30))
                 .wrapping_add(i as u32);
         }
-        Self { state, index: N }
+        Self {
+            state,
+            output: Box::new([0u32; N]),
+            index: N,
+        }
     }
 
     /// Create a generator from a 64-bit seed.
@@ -100,33 +118,63 @@ impl Mt19937 {
         mt
     }
 
-    /// Regenerate the state block of 624 words.
-    fn twist(&mut self) {
-        for i in 0..N {
-            let x = (self.state[i] & UPPER_MASK) | (self.state[(i + 1) % N] & LOWER_MASK);
-            let mut x_a = x >> 1;
-            if x & 1 != 0 {
-                x_a ^= MATRIX_A;
-            }
-            self.state[i] = self.state[(i + M) % N] ^ x_a;
+    /// Twist the next block of state and temper it into `output`.
+    ///
+    /// The reference loop reads `state[(i + 1) % N]` and `state[(i + M) % N]`;
+    /// split at the two points where those indices wrap, each segment reads
+    /// fixed neighbours, and in the same order, so the words are the
+    /// reference's.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) {
+        #[inline(always)]
+        fn twist(word: u32, next: u32, far: u32) -> u32 {
+            let x = (word & UPPER_MASK) | (next & LOWER_MASK);
+            far ^ (x >> 1) ^ ((x & 1).wrapping_neg() & MATRIX_A)
+        }
+        let s = &mut *self.state;
+        for i in 0..N - M {
+            s[i] = twist(s[i], s[i + 1], s[i + M]);
+        }
+        for i in N - M..N - 1 {
+            s[i] = twist(s[i], s[i + 1], s[i + M - N]);
+        }
+        s[N - 1] = twist(s[N - 1], s[0], s[M - 1]);
+        for (out, &word) in self.output.iter_mut().zip(s.iter()) {
+            let mut y = word;
+            y ^= y >> 11;
+            y ^= (y << 7) & 0x9D2C_5680;
+            y ^= (y << 15) & 0xEFC6_0000;
+            y ^= y >> 18;
+            *out = y;
         }
         self.index = 0;
     }
 }
 
 impl Rng32 for Mt19937 {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
-        if self.index >= N {
-            self.twist();
+        let mut i = self.index;
+        if i >= N {
+            self.refill();
+            i = 0;
         }
-        let mut y = self.state[self.index];
-        self.index += 1;
-        // Tempering.
-        y ^= y >> 11;
-        y ^= (y << 7) & 0x9D2C_5680;
-        y ^= (y << 15) & 0xEFC6_0000;
-        y ^= y >> 18;
-        y
+        self.index = i + 1;
+        self.output[i]
+    }
+
+    /// Two words of the block under one bounds check; across the block
+    /// boundary, two [`Rng32::next_u32`] calls (the same words, high first).
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let i = self.index;
+        if i >= N - 1 {
+            let hi = u64::from(self.next_u32());
+            return (hi << 32) | u64::from(self.next_u32());
+        }
+        self.index = i + 2;
+        (u64::from(self.output[i]) << 32) | u64::from(self.output[i + 1])
     }
 }
 
