@@ -26,8 +26,7 @@
 //! `README.md` next to this crate for the full argument.
 //!
 //! [`workload`] provides deterministic random mutation generators used by the
-//! proptest suite, the `evolve`/`compaction` experiments and the maintenance
-//! benches.
+//! proptest suite and the `evolve`/`compaction` experiments.
 //!
 //! # Index lifecycle
 //!

@@ -155,7 +155,7 @@ impl SweepConfig {
 
 /// How large an experiment to run. The paper's full protocol (1,000 trials,
 /// sample numbers to 2²⁴, 10⁷-RR-set oracle) takes days; the quick scale keeps
-/// every driver under a few seconds so tests and benches stay fast, while the
+/// every driver under a few seconds so tests stay fast, while the
 /// paper scale approaches the original protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExperimentScale {

@@ -19,20 +19,23 @@ use crate::experiments::{instance_for, least_samples, ExperimentReport};
 use crate::report::{fmt_float, fmt_option, TextTable};
 use crate::runner::PreparedInstance;
 
-/// The instances both extension drivers evaluate: one real network and one
-/// synthetic, under a uniform and a weighted cascade. The quick scale keeps
-/// only the Karate instances so the drivers (and the test suite that runs
-/// them) stay in the seconds range; the BA_d instances join at standard scale.
+/// The instances both extension drivers evaluate: one real network and two
+/// synthetic ones, under a uniform and a weighted cascade. The quick scale
+/// keeps only the Karate instances so the drivers (and the test suite that
+/// runs them) stay in the seconds range; the BA instances join at standard
+/// scale, among them BA_d (iwc) at k = 16 and BA_s (iwc) at k = 1.
 fn extension_instances(scale: ExperimentScale) -> Vec<(Dataset, ProbabilityModel, usize)> {
     let all = vec![
         (Dataset::Karate, ProbabilityModel::uc01(), 2),
         (Dataset::Karate, ProbabilityModel::InDegreeWeighted, 2),
         (Dataset::BaDense, ProbabilityModel::uc001(), 8),
         (Dataset::BaDense, ProbabilityModel::InDegreeWeighted, 8),
+        (Dataset::BaDense, ProbabilityModel::InDegreeWeighted, 16),
+        (Dataset::BaSparse, ProbabilityModel::InDegreeWeighted, 1),
     ];
     let keep = match scale {
         ExperimentScale::Quick => 2,
-        _ => 4,
+        _ => all.len(),
     };
     all.into_iter().take(keep).collect()
 }
@@ -134,8 +137,8 @@ pub fn determination(scale: ExperimentScale) -> ExperimentReport {
         ],
     );
     for (dataset, model, k) in extension_instances(scale) {
-        // The weighted BA_d instance repeats the bound-gap story without new
-        // information and dominates the driver's runtime at quick scale.
+        // The weighted BA_d instances repeat the bound-gap story without new
+        // information and dominate the driver's runtime.
         if dataset == Dataset::BaDense && model == ProbabilityModel::InDegreeWeighted {
             continue;
         }

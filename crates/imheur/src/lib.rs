@@ -7,8 +7,8 @@
 //! — it notes that "such heuristics are faster than the three approaches, but
 //! resulting seed sets have less influence" — but a library for the study is
 //! incomplete without them: they are the baselines a practitioner reaches for
-//! first, and the examples and ablation benches in this repository use them to
-//! quantify exactly how much influence the shortcut costs.
+//! first, and the examples and the `heuristics` driver in this repository
+//! use them to quantify exactly how much influence the shortcut costs.
 //!
 //! Every heuristic implements the common [`SeedSelector`] trait: given an
 //! influence graph and a seed size `k` it returns a ranked seed set together

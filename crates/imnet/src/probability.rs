@@ -13,7 +13,7 @@
 //! The **trivalency** model (probabilities drawn uniformly from
 //! {0.1, 0.01, 0.001}, as in Chen et al. 2010) is provided as an extension; it
 //! is not part of the paper's evaluation but is a common fifth setting in the
-//! influence-maximization literature and is exercised by the ablation benches.
+//! influence-maximization literature.
 
 use imgraph::{DiGraph, InfluenceGraph};
 use imrand::{Pcg32, Rng32};

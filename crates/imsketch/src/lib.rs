@@ -4,7 +4,7 @@
 //! techniques layered on top of the Snapshot and RIS approaches, and Section 7
 //! asks whether the memory footprint of Snapshot and RIS can be cut down, e.g.
 //! "by compressing reverse-reachable sets". This crate implements those
-//! substrates so the ablation benches can quantify what each buys:
+//! substrates so the examples and drivers can quantify what each buys:
 //!
 //! * [`bottomk`] — Cohen-style bottom-k min-hash reachability sketches, the
 //!   machinery behind SKIM (Cohen, Delling, Pajor, Werneck, CIKM 2014). A
