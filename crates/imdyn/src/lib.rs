@@ -11,10 +11,13 @@
 //! > **byte-identical** (via `InfluenceOracle::to_bytes`) to a pool rebuilt
 //! > from scratch on the mutated graph with the same base seed.
 //!
-//! The graph side keeps the same discipline: the CSR is *patched* under each
-//! batch ([`imgraph::InfluenceGraph::apply_patch`], one sequential pass per
-//! array) and stays equal, field for field, to re-materializing the edge
-//! list, and the lineage fingerprint ([`DynamicOracle::fingerprint`]) moves
+//! The graph side keeps the same discipline: each batch is resolved against
+//! the CSR itself ([`imgraph::CsrPatch::resolve`], a locate costs the named
+//! source's out-degree) and the CSR is *patched* in place
+//! ([`imgraph::InfluenceGraph::apply_patch`], one sequential pass per array);
+//! it stays equal, field for field, to re-materializing the edge-list
+//! reference model ([`imgraph::MutableInfluenceGraph`], which the engine does
+//! not hold), and the lineage fingerprint ([`DynamicOracle::fingerprint`]) moves
 //! by the touched rows' terms and stays equal to hashing the graph from
 //! scratch — a write costs what the batch touches, not what the graph holds.
 //!
@@ -55,8 +58,7 @@ use std::time::Instant;
 use im_core::sampler::Backend;
 use im_core::InfluenceOracle;
 use imgraph::{
-    lineage, BatchError, CsrPatch, DeltaEffect, DeltaError, DeltaLog, GraphDelta, InfluenceGraph,
-    MutableInfluenceGraph, VertexId,
+    lineage, BatchError, CsrPatch, DeltaError, DeltaLog, GraphDelta, InfluenceGraph, VertexId,
 };
 
 pub mod workload;
@@ -275,9 +277,11 @@ impl OracleSnapshot {
 
 /// An influence oracle kept consistent with an evolving graph.
 ///
-/// Owns the graph in both mutable (edge-list) and materialized (CSR) form,
-/// the incrementally maintainable RR-set pool, and the log of every delta
-/// applied since the last compaction. All state advances in lock step inside
+/// Owns the graph once, in CSR form, the incrementally maintainable RR-set
+/// pool, and the log of every delta applied since the last compaction. A
+/// batch is resolved against the CSR itself ([`CsrPatch::resolve`]); the
+/// edge-list [`imgraph::MutableInfluenceGraph`] is the reference model tests
+/// and rebuilds hold, not engine state. All state advances in lock step inside
 /// [`DynamicOracle::apply`] / [`DynamicOracle::apply_batch`], so readers
 /// holding `&self` always observe a consistent `(graph, pool, epoch)` triple.
 ///
@@ -321,7 +325,6 @@ impl OracleSnapshot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicOracle {
-    mutable: MutableInfluenceGraph,
     graph: InfluenceGraph,
     /// [`lineage::fingerprint`] of `graph`, computed once at assembly and
     /// from then on moved row by row with every applied delta.
@@ -358,9 +361,9 @@ impl DynamicOracle {
         Self::assemble(graph, oracle, DeltaLog::new(), 0)
     }
 
-    /// The one place a dynamic oracle comes into being: derives the mutable
-    /// edge list and the lineage fingerprint (one O(n + m) pass each) from
-    /// the CSR graph, with a disabled policy and fresh stats.
+    /// The one place a dynamic oracle comes into being: derives the lineage
+    /// fingerprint (one O(n + m) pass, no allocation) from the CSR graph,
+    /// with a disabled policy and fresh stats.
     fn assemble(
         graph: InfluenceGraph,
         oracle: InfluenceOracle,
@@ -368,7 +371,6 @@ impl DynamicOracle {
         snapshot_epoch: u64,
     ) -> Self {
         Self {
-            mutable: MutableInfluenceGraph::from_graph(&graph),
             fingerprint: lineage::fingerprint(&graph),
             graph,
             oracle,
@@ -435,12 +437,12 @@ impl DynamicOracle {
     /// cheaper through [`DynamicOracle::apply_batch`], which pays one per
     /// batch.
     pub fn apply(&mut self, delta: GraphDelta) -> Result<ApplyOutcome, DeltaError> {
-        let edges_before = self.mutable.num_edges();
-        let effect = self.mutable.apply(&delta)?;
-        self.patch_graph(edges_before, &[delta], &[effect]);
+        let deltas = std::slice::from_ref(&delta);
+        let patch = CsrPatch::resolve(&self.graph, deltas).map_err(|rejected| rejected.error)?;
+        let structural = self.patch_graph(deltas, &patch) > 0;
         let resampled = self
             .oracle
-            .apply_delta_batch(&self.graph, std::slice::from_ref(&delta))
+            .apply_delta_batch(&self.graph, deltas)
             .expect("dynamic oracle state is incremental and dimension-consistent");
         self.log.push(delta);
         self.stats.deltas_applied += 1;
@@ -449,7 +451,7 @@ impl DynamicOracle {
         Ok(ApplyOutcome {
             epoch: self.epoch(),
             resampled,
-            structural: effect.structural,
+            structural,
         })
     }
 
@@ -477,10 +479,8 @@ impl DynamicOracle {
                 resample_micros: 0,
             });
         }
-        let edges_before = self.mutable.num_edges();
-        let effect = self.mutable.apply_batch(deltas)?;
-        let materialized = effect.structural > 0;
-        self.patch_graph(edges_before, deltas, &effect.effects);
+        let patch = CsrPatch::resolve(&self.graph, deltas)?;
+        let structural = self.patch_graph(deltas, &patch);
         let began = Instant::now();
         let resampled = self
             .oracle
@@ -498,22 +498,23 @@ impl DynamicOracle {
             epoch: self.epoch(),
             applied: deltas.len(),
             resampled,
-            structural: effect.structural,
-            materialized,
+            structural,
+            materialized: structural > 0,
             resample_micros,
         })
     }
 
-    /// Bring the CSR graph and its fingerprint to where the mutable edge
-    /// list already is, after `deltas` produced `effects` on a graph that
-    /// had `edges_before` edges.
+    /// Apply `patch`, which [`CsrPatch::resolve`] made from `deltas` against
+    /// the current graph, to the CSR and move its fingerprint; returns how
+    /// many of the deltas are structural.
     ///
-    /// The CSR is patched in place — equal, field for field, to
-    /// `self.mutable.materialize()`, the graph a from-scratch rebuild would
-    /// see — and the fingerprint moves by the terms of the rows the deltas
-    /// name (in-rows of their heads, out-rows of their sources), read before
-    /// and after the patch: no other row's content or order changed.
-    fn patch_graph(&mut self, edges_before: usize, deltas: &[GraphDelta], effects: &[DeltaEffect]) {
+    /// The CSR is patched in place — equal, field for field, to what the
+    /// reference model materializes after the same deltas, the graph a
+    /// from-scratch rebuild would see — and the fingerprint moves by the
+    /// terms of the rows the deltas name (in-rows of their heads, out-rows
+    /// of their sources), read before and after the patch: no other row's
+    /// content or order changed.
+    fn patch_graph(&mut self, deltas: &[GraphDelta], patch: &CsrPatch) -> usize {
         let distinct = |endpoint: fn(&GraphDelta) -> VertexId| {
             let mut rows: Vec<VertexId> = deltas.iter().map(endpoint).collect();
             rows.sort_unstable();
@@ -522,14 +523,14 @@ impl DynamicOracle {
         };
         let (heads, sources) = (distinct(GraphDelta::head), distinct(GraphDelta::source));
         let before = lineage::row_terms(&self.graph, &heads, &sources);
-        self.graph
-            .apply_patch(&CsrPatch::from_effects(edges_before, deltas, effects));
+        self.graph.apply_patch(patch);
         let after = lineage::row_terms(&self.graph, &heads, &sources);
         self.fingerprint = self.fingerprint.wrapping_sub(before).wrapping_add(after);
 
-        let structural = effects.iter().filter(|e| e.structural).count();
+        let structural = deltas.iter().filter(|d| d.is_structural()).count();
         self.stats.csr_materializations += u64::from(structural > 0);
-        self.stats.attribute_patches += (effects.len() - structural) as u64;
+        self.stats.attribute_patches += (deltas.len() - structural) as u64;
+        structural
     }
 
     /// Fold the pending log into the base state.
@@ -640,12 +641,6 @@ impl DynamicOracle {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The mutable edge-list view of the graph at the current epoch.
-    #[must_use]
-    pub fn mutable_graph(&self) -> &MutableInfluenceGraph {
-        &self.mutable
     }
 
     /// The maintained RR-set oracle at the current epoch.

@@ -16,6 +16,7 @@ use std::time::Instant;
 
 use im_core::sampler::Backend;
 use imdyn::{workload, CompactionPolicy, DynamicOracle};
+use imgraph::MutableInfluenceGraph;
 use imnet::{Dataset, ProbabilityModel};
 use imrand::{derive_seed, Pcg32};
 use imstats::SummaryStats;
@@ -94,16 +95,14 @@ pub fn run(scale: ExperimentScale) -> ExperimentReport {
         let rebuild_started = Instant::now();
         let reference = DynamicOracle::build(graph.clone(), pool, BASE_SEED, Backend::Sequential);
         let rebuild_micros = rebuild_started.elapsed().as_secs_f64() * 1e6;
+        // The edge-list reference model the workload draws valid deltas from.
+        let model = MutableInfluenceGraph::from_graph(&graph);
 
         for (batch_index, &batch) in BATCH_SIZES.iter().enumerate() {
             // The workload is fixed per batch size, so threshold rows of the
             // same batch size are directly comparable.
             let mut rng = Pcg32::seed_from_u64(derive_seed(BASE_SEED, batch_index as u64));
-            let deltas = workload::random_structural_deltas(
-                reference.mutable_graph(),
-                TOTAL_DELTAS,
-                &mut rng,
-            );
+            let deltas = workload::random_structural_deltas(&model, TOTAL_DELTAS, &mut rng);
 
             // The per-delta reference: same deltas, one CSR rebuild each.
             let mut per_delta = reference.clone();

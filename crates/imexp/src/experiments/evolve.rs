@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use im_core::sampler::Backend;
 use imdyn::{workload, DynamicOracle};
+use imgraph::MutableInfluenceGraph;
 use imnet::{Dataset, ProbabilityModel};
 use imrand::{derive_seed, Pcg32};
 use imstats::SummaryStats;
@@ -87,14 +88,18 @@ pub fn run(scale: ExperimentScale) -> ExperimentReport {
 
         for (rate_index, &rate) in RATES.iter().enumerate() {
             let mut dynamic = reference.clone();
+            // The edge-list reference model the workload draws valid deltas
+            // from, fed the same deltas as the engine.
+            let mut model = MutableInfluenceGraph::from_graph(&graph);
             let mut rng = Pcg32::seed_from_u64(derive_seed(BASE_SEED, rate_index as u64));
             let mut latencies = Vec::with_capacity(rate);
             let mut resampled_total = 0u64;
             for _ in 0..rate {
-                let delta = workload::random_delta(dynamic.mutable_graph(), &mut rng);
+                let delta = workload::random_delta(&model, &mut rng);
                 let started = Instant::now();
                 let outcome = dynamic.apply(delta).expect("workload deltas are valid");
                 latencies.push(started.elapsed().as_secs_f64() * 1e6);
+                model.apply(&delta).expect("workload deltas are valid");
                 resampled_total += outcome.resampled as u64;
             }
             let stats = SummaryStats::from_values(&latencies);

@@ -105,7 +105,9 @@ pub const DELTA_TAG: [u8; 4] = *b"DLTA";
 /// recognizable by the same four bytes.
 pub const SNAPSHOT_TAG: [u8; 4] = *b"SNAP";
 
-/// FNV-1a 64-bit hash of `bytes` (the format's integrity checksum).
+/// FNV-1a 64-bit hash of `bytes` (the format's integrity checksum). The one
+/// copy in the workspace: `impool`'s `PCMP` payload, a section of the index
+/// artifact, checksums its body with it too.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;

@@ -120,7 +120,9 @@ impl DiGraph {
     }
 
     /// Out-neighbours of `v` together with the insertion-order edge id of each
-    /// incident edge; used to look up edge probabilities during traversal.
+    /// incident edge, in edge-id order (every constructor and
+    /// the in-place patch keep rows sorted by id); used to look up edge
+    /// probabilities during traversal.
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, u32)> + '_ {
         let v = v as usize;
         let range = self.out_offsets[v]..self.out_offsets[v + 1];

@@ -6,16 +6,18 @@
 //!
 //! * [`GraphDelta`] — one typed mutation (`InsertEdge`, `DeleteEdge`,
 //!   `SetProbability`) over a fixed vertex set;
-//! * [`MutableInfluenceGraph`] — an edge-list representation that validates
-//!   and applies deltas (one linear edge scan per delete/set-probability,
-//!   O(m) worst case) and [materializes](MutableInfluenceGraph::materialize)
-//!   back to the CSR [`InfluenceGraph`] with *deterministic* edge order, so a
-//!   from-scratch rebuild at any version sees exactly the adjacency the
-//!   incremental path saw. `materialize` is the *definition* of the graph at
-//!   a version, not the maintenance path: a live CSR follows the edge list
-//!   through [`InfluenceGraph::apply_patch`] ([`crate::CsrPatch`]: one
-//!   sequential pass per array instead of a counting sort over all of them)
-//!   and must equal `materialize()` field for field;
+//! * [`MutableInfluenceGraph`] — the reference model: an edge-list
+//!   representation that validates and applies deltas (one linear edge scan
+//!   per delete/set-probability) and
+//!   [materializes](MutableInfluenceGraph::materialize) back to the CSR
+//!   [`InfluenceGraph`] with *deterministic* edge order, so a from-scratch
+//!   rebuild at any version sees exactly the adjacency the incremental path
+//!   saw. It is the *definition* of the graph at a version, not the
+//!   maintenance path: a live CSR resolves each batch against itself
+//!   ([`crate::CsrPatch::resolve`], a locate costs the source's out-degree)
+//!   and patches in place ([`InfluenceGraph::apply_patch`], one sequential
+//!   pass per array instead of a counting sort over all of them), and must
+//!   reach the same verdict and equal `materialize()` field for field;
 //! * [`DeltaLog`] — an append-only mutation log with a binary codec
 //!   ([`binio::DELTA_TAG`] section payload plus a standalone checksummed
 //!   artifact), so logs persist inside the workspace artifact format.
@@ -107,6 +109,13 @@ impl GraphDelta {
             | GraphDelta::SetProbability { source, .. } => *source,
         }
     }
+
+    /// Whether the delta changes adjacency (insert/delete) rather than only
+    /// an edge probability.
+    #[must_use]
+    pub fn is_structural(&self) -> bool {
+        !matches!(self, GraphDelta::SetProbability { .. })
+    }
 }
 
 impl std::fmt::Display for GraphDelta {
@@ -173,33 +182,27 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// What applying one delta changed (consumed by incremental maintenance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaEffect {
-    /// The head (target) vertex whose in-edge list changed.
-    pub head: VertexId,
-    /// Edge id (insertion index) of the affected edge *after* the delta for
-    /// insert/set, *before* the delta for delete.
-    pub edge_id: u32,
-    /// Whether the adjacency structure changed (insert/delete) as opposed to
-    /// only an edge attribute (probability).
-    pub structural: bool,
+/// `Ok` if `v` is a vertex of a graph with `n` vertices, else the error
+/// naming it. One check shared by the reference model and
+/// [`crate::CsrPatch::resolve`], so both reject a delta with the same words.
+pub(crate) fn check_vertex(v: VertexId, n: usize) -> Result<(), DeltaError> {
+    if (v as usize) < n {
+        Ok(())
+    } else {
+        Err(DeltaError::VertexOutOfRange {
+            vertex: v,
+            num_vertices: n,
+        })
+    }
 }
 
-/// What applying one atomic delta batch changed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchEffect {
-    /// Per-delta effects, in application order.
-    pub effects: Vec<DeltaEffect>,
-    /// The distinct head vertices whose in-edge lists changed, sorted by id
-    /// — exactly the vertices whose derived state (RR-set posting lists,
-    /// per-vertex caches) a caller may need to invalidate after the batch.
-    /// Informational: `im_core`'s batched maintenance re-derives the same
-    /// set from the deltas themselves.
-    pub dirty_heads: Vec<VertexId>,
-    /// Number of structural deltas (insert/delete) in the batch. Zero means
-    /// the batch only patched edge attributes and the adjacency is unchanged.
-    pub structural: usize,
+/// `Ok` for a probability inside `(0, 1]`, shared like [`check_vertex`].
+pub(crate) fn check_probability(p: f64) -> Result<(), DeltaError> {
+    if crate::is_valid_probability(p) {
+        Ok(())
+    } else {
+        Err(DeltaError::InvalidProbability { probability: p })
+    }
 }
 
 /// Why an atomic delta batch could not be applied: the first offending delta
@@ -225,11 +228,14 @@ impl std::error::Error for BatchError {
     }
 }
 
-/// An influence graph in mutable edge-list form.
+/// An influence graph in mutable edge-list form: the reference model of
+/// delta application.
 ///
-/// The CSR [`InfluenceGraph`] is the right shape for traversal but not for
-/// mutation; this type holds the same graph as `(edges, probabilities)` in
-/// insertion order and re-derives the CSR on demand. Both representations
+/// This type holds a graph as `(edges, probabilities)` in insertion order,
+/// applies deltas by the letter of their definition (a linear scan finds
+/// the first live edge a delta names) and re-derives the CSR on demand. It
+/// is what rebuilds, delta scripts and tests hold; a live CSR is maintained
+/// without it ([`crate::CsrPatch::resolve`]). Both representations
 /// order each vertex's in-edges by edge id, so
 /// [`materialize`](MutableInfluenceGraph::materialize) is deterministic: two
 /// replicas that applied the same delta sequence produce bit-identical CSR
@@ -290,85 +296,47 @@ impl MutableInfluenceGraph {
         &self.probabilities
     }
 
-    /// Index of the first live edge `(source, target)`, if any.
-    #[must_use]
-    pub fn find_edge(&self, source: VertexId, target: VertexId) -> Option<usize> {
+    /// Index of the first live edge `(source, target)`, if any: one linear
+    /// scan of the edge list.
+    fn find_edge(&self, source: VertexId, target: VertexId) -> Option<usize> {
         self.edges.iter().position(|&e| e == (source, target))
     }
 
-    fn check_vertex(&self, v: VertexId) -> Result<(), DeltaError> {
-        if (v as usize) < self.num_vertices {
-            Ok(())
-        } else {
-            Err(DeltaError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.num_vertices,
-            })
-        }
-    }
-
-    fn check_probability(p: f64) -> Result<(), DeltaError> {
-        if crate::is_valid_probability(p) {
-            Ok(())
-        } else {
-            Err(DeltaError::InvalidProbability { probability: p })
-        }
-    }
-
     /// Validate a delta and locate its edge: `Ok(Some(index))` for
-    /// delete/set-probability, `Ok(None)` for insert. One O(m) scan shared by
-    /// [`MutableInfluenceGraph::validate`] and [`MutableInfluenceGraph::apply`]
-    /// (the latter runs under the serving write lock, so the scan is not
-    /// repeated there).
+    /// delete/set-probability, `Ok(None)` for insert.
     fn check(&self, delta: &GraphDelta) -> Result<Option<usize>, DeltaError> {
+        check_vertex(delta.source(), self.num_vertices)?;
+        check_vertex(delta.head(), self.num_vertices)?;
+        let locate = |source, target| {
+            self.find_edge(source, target)
+                .map(Some)
+                .ok_or(DeltaError::EdgeNotFound { source, target })
+        };
         match *delta {
-            GraphDelta::InsertEdge {
-                source,
-                target,
-                probability,
-            } => {
-                self.check_vertex(source)?;
-                self.check_vertex(target)?;
-                Self::check_probability(probability)?;
+            GraphDelta::InsertEdge { probability, .. } => {
+                check_probability(probability)?;
                 Ok(None)
             }
-            GraphDelta::DeleteEdge { source, target } => {
-                self.check_vertex(source)?;
-                self.check_vertex(target)?;
-                self.find_edge(source, target)
-                    .map(Some)
-                    .ok_or(DeltaError::EdgeNotFound { source, target })
-            }
+            GraphDelta::DeleteEdge { source, target } => locate(source, target),
             GraphDelta::SetProbability {
                 source,
                 target,
                 probability,
             } => {
-                self.check_vertex(source)?;
-                self.check_vertex(target)?;
-                Self::check_probability(probability)?;
-                self.find_edge(source, target)
-                    .map(Some)
-                    .ok_or(DeltaError::EdgeNotFound { source, target })
+                check_probability(probability)?;
+                locate(source, target)
             }
         }
     }
 
-    /// Validate a delta against the current state without applying it.
-    pub fn validate(&self, delta: &GraphDelta) -> Result<(), DeltaError> {
-        self.check(delta).map(|_| ())
+    /// Apply one delta. On error the graph is left untouched.
+    pub fn apply(&mut self, delta: &GraphDelta) -> Result<(), DeltaError> {
+        self.apply_undoable(delta).map(drop)
     }
 
-    /// Apply one delta, returning what changed.
-    ///
-    /// On error the graph is left untouched.
-    pub fn apply(&mut self, delta: &GraphDelta) -> Result<DeltaEffect, DeltaError> {
-        self.apply_undoable(delta).map(|(effect, _)| effect)
-    }
-
-    /// [`MutableInfluenceGraph::apply`], also returning the step that takes
-    /// the delta back.
-    fn apply_undoable(&mut self, delta: &GraphDelta) -> Result<(DeltaEffect, Undo), DeltaError> {
+    /// [`MutableInfluenceGraph::apply`], returning the step that takes the
+    /// delta back.
+    fn apply_undoable(&mut self, delta: &GraphDelta) -> Result<Undo, DeltaError> {
         let located = self.check(delta)?;
         match *delta {
             GraphDelta::InsertEdge {
@@ -382,37 +350,18 @@ impl MutableInfluenceGraph {
                 );
                 self.edges.push((source, target));
                 self.probabilities.push(probability);
-                let effect = DeltaEffect {
-                    head: target,
-                    edge_id: (self.edges.len() - 1) as u32,
-                    structural: true,
-                };
-                Ok((effect, Undo::Pop))
+                Ok(Undo::Pop)
             }
-            GraphDelta::DeleteEdge { target, .. } => {
+            GraphDelta::DeleteEdge { .. } => {
                 let at = located.expect("check located the edge");
                 let edge = self.edges.remove(at);
                 let probability = self.probabilities.remove(at);
-                let effect = DeltaEffect {
-                    head: target,
-                    edge_id: at as u32,
-                    structural: true,
-                };
-                Ok((effect, Undo::Reinsert(at, edge, probability)))
+                Ok(Undo::Reinsert(at, edge, probability))
             }
-            GraphDelta::SetProbability {
-                target,
-                probability,
-                ..
-            } => {
+            GraphDelta::SetProbability { probability, .. } => {
                 let at = located.expect("check located the edge");
                 let old = std::mem::replace(&mut self.probabilities[at], probability);
-                let effect = DeltaEffect {
-                    head: target,
-                    edge_id: at as u32,
-                    structural: false,
-                };
-                Ok((effect, Undo::Restore(at, old)))
+                Ok(Undo::Restore(at, old))
             }
         }
     }
@@ -438,24 +387,17 @@ impl MutableInfluenceGraph {
     /// step that takes it back, and the first one that fails to validate
     /// takes the applied prefix back in reverse order, so a failed batch
     /// leaves the graph untouched (the per-delta path keeps the valid prefix
-    /// applied instead). Staging costs the batch, not a copy of the edge
-    /// list. Deltas still take effect in order *within* the batch — a
-    /// delete may name an edge inserted earlier in the same batch.
+    /// applied instead). Deltas still take effect in order *within* the
+    /// batch — a delete may name an edge inserted earlier in the same batch.
     ///
-    /// The returned [`BatchEffect`] aggregates what batched incremental
-    /// maintenance needs: the per-delta effects (which
-    /// [`crate::CsrPatch::from_effects`] resolves into one net CSR patch for
-    /// the whole batch), the sorted set of distinct dirty head vertices and
-    /// whether any delta was structural.
-    pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<BatchEffect, BatchError> {
+    /// [`crate::CsrPatch::resolve`] must reach the same verdict on the same
+    /// graph: the same graph after an accepted batch, the same
+    /// [`BatchError`] for a rejected one.
+    pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<(), BatchError> {
         let mut undo = Vec::with_capacity(deltas.len());
-        let mut effects = Vec::with_capacity(deltas.len());
         for (index, delta) in deltas.iter().enumerate() {
             match self.apply_undoable(delta) {
-                Ok((effect, step)) => {
-                    effects.push(effect);
-                    undo.push(step);
-                }
+                Ok(step) => undo.push(step),
                 Err(error) => {
                     for step in undo.into_iter().rev() {
                         self.undo(step);
@@ -464,15 +406,7 @@ impl MutableInfluenceGraph {
                 }
             }
         }
-        let mut dirty_heads: Vec<VertexId> = effects.iter().map(|e| e.head).collect();
-        dirty_heads.sort_unstable();
-        dirty_heads.dedup();
-        let structural = effects.iter().filter(|e| e.structural).count();
-        Ok(BatchEffect {
-            effects,
-            dirty_heads,
-            structural,
-        })
+        Ok(())
     }
 
     /// Re-derive the CSR [`InfluenceGraph`] at the current version, from
@@ -824,22 +758,16 @@ mod tests {
     #[test]
     fn insert_appends_with_the_largest_edge_id() {
         let mut mutable = MutableInfluenceGraph::from_graph(&diamond());
-        let effect = mutable
+        mutable
             .apply(&GraphDelta::InsertEdge {
                 source: 3,
                 target: 0,
                 probability: 0.75,
             })
             .unwrap();
-        assert_eq!(
-            effect,
-            DeltaEffect {
-                head: 0,
-                edge_id: 4,
-                structural: true
-            }
-        );
         assert_eq!(mutable.num_edges(), 5);
+        assert_eq!(mutable.edges()[4], (3, 0));
+        assert_eq!(mutable.probabilities()[4], 0.75);
         let ig = mutable.materialize();
         // The new edge is the last in-edge of vertex 0.
         let inn: Vec<_> = ig.in_edges_with_prob(0).collect();
@@ -853,14 +781,12 @@ mod tests {
             .materialize()
             .in_edges_with_prob(3)
             .collect::<Vec<_>>();
-        let effect = mutable
+        mutable
             .apply(&GraphDelta::DeleteEdge {
                 source: 0,
                 target: 2,
             })
             .unwrap();
-        assert_eq!(effect.head, 2);
-        assert!(effect.structural);
         let after = mutable.materialize();
         // Vertex 3's in-edge sequence is untouched by a mutation on vertex 2.
         assert_eq!(after.in_edges_with_prob(3).collect::<Vec<_>>(), before);
@@ -871,7 +797,7 @@ mod tests {
     #[test]
     fn set_probability_changes_one_slot_in_place() {
         let mut mutable = MutableInfluenceGraph::from_graph(&diamond());
-        let effect = mutable
+        mutable
             .apply(&GraphDelta::SetProbability {
                 source: 1,
                 target: 3,
@@ -879,12 +805,8 @@ mod tests {
             })
             .unwrap();
         assert_eq!(
-            effect,
-            DeltaEffect {
-                head: 3,
-                edge_id: 2,
-                structural: false
-            }
+            mutable.edges(),
+            diamond().graph().edges_in_insertion_order()
         );
         let ig = mutable.materialize();
         assert_eq!(ig.probability(2), 0.0625);
@@ -1046,7 +968,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_is_atomic_and_aggregates_dirty_heads() {
+    fn apply_batch_is_atomic_and_equals_sequential_application() {
         let mut mutable = MutableInfluenceGraph::from_graph(&diamond());
         let batch = [
             GraphDelta::InsertEdge {
@@ -1069,10 +991,8 @@ mod tests {
                 target: 0,
             },
         ];
-        let effect = mutable.apply_batch(&batch).unwrap();
-        assert_eq!(effect.effects.len(), 4);
-        assert_eq!(effect.dirty_heads, vec![0, 1, 2]);
-        assert_eq!(effect.structural, 3);
+        mutable.apply_batch(&batch).unwrap();
+        assert_eq!(batch.iter().filter(|d| d.is_structural()).count(), 3);
 
         // The batch result equals applying the same deltas one by one.
         let mut sequential = MutableInfluenceGraph::from_graph(&diamond());
@@ -1139,11 +1059,9 @@ mod tests {
         assert_eq!(err.index, 5);
         assert_eq!(mutable, snapshot, "failed batches must not mutate");
 
-        // The empty batch is a no-op with an empty effect.
-        let effect = mutable.apply_batch(&[]).unwrap();
-        assert!(effect.effects.is_empty());
-        assert!(effect.dirty_heads.is_empty());
-        assert_eq!(effect.structural, 0);
+        // The empty batch is a no-op.
+        mutable.apply_batch(&[]).unwrap();
+        assert_eq!(mutable, snapshot);
     }
 
     #[test]

@@ -25,15 +25,16 @@
 //! * [`binio`] — the checksummed binary artifact format (magic/version header,
 //!   tagged length-prefixed sections) shared by every persisted index in the
 //!   workspace, with the [`InfluenceGraph`] codec;
-//! * [`delta`] — typed graph mutations ([`GraphDelta`]), the mutable
-//!   edge-list representation ([`MutableInfluenceGraph`]) they apply to
+//! * [`delta`] — typed graph mutations ([`GraphDelta`]), the edge-list
+//!   reference model ([`MutableInfluenceGraph`]) that defines how they apply
 //!   (singly or in atomic batches), the persisted mutation log
 //!   ([`DeltaLog`]) behind the evolving-graph subsystem (`imdyn`), and the
 //!   epoch-stamped compaction snapshot ([`GraphSnapshot`]) the log folds
 //!   into;
-//! * [`CsrPatch`] / [`InfluenceGraph::apply_patch`] — a batch's net change
-//!   applied to the CSR in place, one sequential pass per array, equal field
-//!   for field to re-materializing the edited edge list;
+//! * [`CsrPatch`] / [`InfluenceGraph::apply_patch`] — a batch resolved
+//!   against the CSR itself into its net change, then applied in place, one
+//!   sequential pass per array, equal field for field to re-materializing
+//!   the reference model's edited edge list;
 //! * [`lineage`] — the maintainable content fingerprint replicas, logs and
 //!   hot-swapped artifacts are checked against.
 
@@ -57,8 +58,7 @@ pub mod stats;
 pub use builder::GraphBuilder;
 pub use csr::DiGraph;
 pub use delta::{
-    BatchEffect, BatchError, DeltaEffect, DeltaError, DeltaLog, GraphDelta, GraphSnapshot,
-    MutableInfluenceGraph,
+    BatchError, DeltaError, DeltaLog, GraphDelta, GraphSnapshot, MutableInfluenceGraph,
 };
 pub use influence::{is_valid_probability, InfluenceGraph};
 pub use patch::CsrPatch;

@@ -1,22 +1,24 @@
 //! A delta batch's *net* change to the CSR, in pre-batch edge ids.
 //!
-//! [`DeltaEffect`]s name edges by the id they had at the moment their delta
-//! ran, so inside one batch the same id can mean different edges (delete id
-//! 5 twice removes the pre-batch edges 5 and 6) and an edge can be inserted
-//! and deleted again before the batch ends. [`CsrPatch::from_effects`]
-//! resolves that sequence once, and [`InfluenceGraph::apply_patch`] then
-//! edits every CSR array in one sequential pass — where
+//! A delta names its edge by endpoints, and inside one batch the edge it
+//! names can be one the batch inserted earlier, and an edge can be inserted
+//! and deleted again before the batch ends. [`CsrPatch::resolve`] validates
+//! and locates each delta against the graph plus what the batch did so far,
+//! and nets the batch once; [`InfluenceGraph::apply_patch`] then edits every
+//! CSR array in one sequential pass — where
 //! [`MutableInfluenceGraph::materialize`] rebuilds all of them by counting
-//! sort. The two must agree field for field; `materialize` stays the
-//! definition.
+//! sort from the edited edge list. The two must agree field for field, and
+//! a rejected batch must name the same delta and error in both;
+//! `MutableInfluenceGraph` stays the definition.
 //!
 //! [`InfluenceGraph::apply_patch`]: crate::InfluenceGraph::apply_patch
 //! [`MutableInfluenceGraph::materialize`]: crate::MutableInfluenceGraph::materialize
 
-use crate::{DeltaEffect, Edge, GraphDelta, VertexId};
+use crate::delta::{check_probability, check_vertex};
+use crate::{BatchError, DeltaError, DiGraph, Edge, GraphDelta, InfluenceGraph, VertexId};
 
-/// What one delta batch does to a graph of known size, net of everything
-/// that cancels inside the batch.
+/// What one delta batch does to a graph, net of everything that cancels
+/// inside the batch.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CsrPatch {
     /// Pre-batch edges the batch removes, as `(pre-batch id, endpoints)`,
@@ -34,66 +36,100 @@ pub struct CsrPatch {
     pub(crate) reweighted: Vec<(u32, VertexId, f64)>,
 }
 
+/// Where the edge a delta names lives at that point of its batch.
+enum Located {
+    /// A pre-batch edge, by its pre-batch id.
+    PreBatch(u32),
+    /// `inserted[j]` of the patch so far.
+    Inserted(usize),
+}
+
 impl CsrPatch {
-    /// Resolve a batch's per-delta effects against a graph that had
-    /// `num_edges` edges before the batch. `effects[i]` must be what
-    /// [`crate::MutableInfluenceGraph`] reported for `deltas[i]`.
-    #[must_use]
-    pub fn from_effects(num_edges: usize, deltas: &[GraphDelta], effects: &[DeltaEffect]) -> Self {
-        debug_assert_eq!(deltas.len(), effects.len());
+    /// Resolve a delta batch against the graph it is to patch, which is only
+    /// read: validate each delta in order — source, target, probability,
+    /// then the edge it names — and net the batch into one patch, or name
+    /// the first delta that fails and why.
+    ///
+    /// The outcome is [`crate::MutableInfluenceGraph::apply_batch`]'s on the
+    /// same graph: `DeleteEdge` and `SetProbability` act on the first live
+    /// edge `(source, target)` of the edge list at that point of the batch,
+    /// which is the surviving pre-batch edges in id order followed by the
+    /// batch's surviving inserts. The source's out-row holds its pre-batch
+    /// edges in id order, so a locate costs the source's out-degree plus
+    /// the batch, never a scan of the graph.
+    pub fn resolve(graph: &InfluenceGraph, deltas: &[GraphDelta]) -> Result<Self, BatchError> {
         let mut patch = CsrPatch::default();
-        for (delta, effect) in deltas.iter().zip(effects) {
-            // The edge list at this point of the batch is the surviving
-            // pre-batch edges followed by the surviving inserted ones.
-            let live = num_edges - patch.deleted.len();
-            let at = effect.edge_id as usize;
-            match *delta {
-                GraphDelta::InsertEdge {
-                    source,
-                    target,
-                    probability,
-                } => {
-                    patch.inserted.push((source, target));
-                    patch.inserted_probabilities.push(probability);
-                }
-                GraphDelta::DeleteEdge { source, target } if at < live => {
-                    let (slot, id) = patch.pre_batch_id(effect.edge_id);
-                    patch.deleted.insert(slot, (id, (source, target)));
-                }
-                GraphDelta::DeleteEdge { .. } => {
-                    patch.inserted.remove(at - live);
-                    patch.inserted_probabilities.remove(at - live);
-                }
-                GraphDelta::SetProbability {
-                    target,
-                    probability,
-                    ..
-                } if at < live => {
-                    let (_, id) = patch.pre_batch_id(effect.edge_id);
-                    patch.reweighted.push((id, target, probability));
-                }
-                GraphDelta::SetProbability { probability, .. } => {
-                    patch.inserted_probabilities[at - live] = probability;
-                }
-            }
+        for (index, delta) in deltas.iter().enumerate() {
+            patch
+                .push(graph.graph(), delta)
+                .map_err(|error| BatchError { index, error })?;
         }
-        patch
+        Ok(patch)
     }
 
-    /// Translate the current id of a surviving pre-batch edge back to its
-    /// pre-batch id: every deleted id at or below it shifts it up by one.
-    /// Also returns where that id sorts into `deleted`.
-    fn pre_batch_id(&self, current: u32) -> (usize, u32) {
-        let mut id = current;
-        let mut slot = 0;
-        for &(deleted, _) in &self.deleted {
-            if deleted > id {
-                break;
+    /// Validate one delta against `graph` as the batch so far left it, and
+    /// fold it in.
+    fn push(&mut self, graph: &DiGraph, delta: &GraphDelta) -> Result<(), DeltaError> {
+        let n = graph.num_vertices();
+        check_vertex(delta.source(), n)?;
+        check_vertex(delta.head(), n)?;
+        match *delta {
+            GraphDelta::InsertEdge {
+                source,
+                target,
+                probability,
+            } => {
+                check_probability(probability)?;
+                self.inserted.push((source, target));
+                self.inserted_probabilities.push(probability);
             }
-            id += 1;
-            slot += 1;
+            GraphDelta::DeleteEdge { source, target } => {
+                match self.locate(graph, source, target)? {
+                    Located::PreBatch(id) => {
+                        let slot = self.deleted.partition_point(|&(d, _)| d < id);
+                        self.deleted.insert(slot, (id, (source, target)));
+                    }
+                    Located::Inserted(j) => {
+                        self.inserted.remove(j);
+                        self.inserted_probabilities.remove(j);
+                    }
+                }
+            }
+            GraphDelta::SetProbability {
+                source,
+                target,
+                probability,
+            } => {
+                check_probability(probability)?;
+                match self.locate(graph, source, target)? {
+                    Located::PreBatch(id) => self.reweighted.push((id, target, probability)),
+                    Located::Inserted(j) => self.inserted_probabilities[j] = probability,
+                }
+            }
         }
-        (slot, id)
+        Ok(())
+    }
+
+    /// The first live edge `(source, target)`: a pre-batch edge the batch
+    /// has not deleted, else one of the batch's surviving inserts.
+    fn locate(
+        &self,
+        graph: &DiGraph,
+        source: VertexId,
+        target: VertexId,
+    ) -> Result<Located, DeltaError> {
+        let deleted = |id: u32| self.deleted.binary_search_by_key(&id, |&(d, _)| d).is_ok();
+        graph
+            .out_edges(source)
+            .find(|&(v, id)| v == target && !deleted(id))
+            .map(|(_, id)| Located::PreBatch(id))
+            .or_else(|| {
+                self.inserted
+                    .iter()
+                    .position(|&edge| edge == (source, target))
+                    .map(Located::Inserted)
+            })
+            .ok_or(DeltaError::EdgeNotFound { source, target })
     }
 
     /// Whether the batch changes adjacency (as opposed to probabilities
@@ -107,7 +143,7 @@ impl CsrPatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiGraph, InfluenceGraph, MutableInfluenceGraph};
+    use crate::MutableInfluenceGraph;
 
     fn ins(source: u32, target: u32, probability: f64) -> GraphDelta {
         GraphDelta::InsertEdge {
@@ -132,8 +168,8 @@ mod tests {
     /// Apply `batch` both ways and compare every field.
     fn assert_patch_equals_materialize(graph: &InfluenceGraph, batch: &[GraphDelta]) -> CsrPatch {
         let mut mutable = MutableInfluenceGraph::from_graph(graph);
-        let effect = mutable.apply_batch(batch).expect("batch applies");
-        let patch = CsrPatch::from_effects(graph.num_edges(), batch, &effect.effects);
+        mutable.apply_batch(batch).expect("batch applies");
+        let patch = CsrPatch::resolve(graph, batch).expect("batch resolves");
         let mut patched = graph.clone();
         patched.apply_patch(&patch);
         let reference = mutable.materialize();

@@ -58,7 +58,7 @@ pub use codec::{
     SkipEntry, BLOCK_IDS,
 };
 pub use packed::{ListRef, PackedPool, TieredConfig, DEFAULT_HOT_LIST_BYTES};
-pub use pcmp::{decode_pcmp_payload, fnv1a64, PCMP_CODEC_VERSION};
+pub use pcmp::{decode_pcmp_payload, PCMP_CODEC_VERSION};
 pub use raw::RawPool;
 
 use std::fs::File;

@@ -35,6 +35,10 @@
 use crate::codec::{read_varint, PoolCodecError, SkipEntry, BLOCK_IDS};
 use crate::packed::{PackedPool, Region, SegmentStore};
 use crate::PoolLayout;
+// The checksum and the integer writers are the artifact format's own
+// (`imgraph::binio`): a `PCMP` payload is one section of an index artifact,
+// so both sit on the same substrate and one copy serves both.
+use imgraph::binio::{fnv1a64, put_u32, put_u64};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
@@ -46,25 +50,6 @@ pub const PCMP_CODEC_VERSION: u32 = 1;
 const HINT_RAW: u8 = 0;
 const HINT_COMPRESSED: u8 = 1;
 const HINT_TIERED: u8 = 2;
-
-/// 64-bit FNV-1a, the payload's integrity checksum.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
 
 fn get_u8(bytes: &[u8], pos: &mut usize, context: &'static str) -> Result<u8, PoolCodecError> {
     let Some(&b) = bytes.get(*pos) else {

@@ -14,7 +14,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use impool::{decode_pcmp_payload, fnv1a64, Pool, PoolCodecError, PoolLayout};
+use imgraph::binio::fnv1a64;
+use impool::{decode_pcmp_payload, Pool, PoolCodecError, PoolLayout};
 
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
